@@ -30,7 +30,7 @@ impl Address {
     /// The canonical single-string form `base__instance` used on the wire
     /// and in dataset dictionaries.
     pub fn qualified(&self) -> String {
-        format!("{}__{}", self.base, self.instance)
+        self.to_string()
     }
 
     /// Parse the canonical form produced by [`Address::qualified`].

@@ -50,7 +50,8 @@ pub enum ProposalDecision {
 /// simulation), single-site MH proposers, and the IC neural proposer.
 pub trait Proposer {
     /// Called once before the program runs, with the registered observation
-    /// map (the IC proposer embeds the observation here).
+    /// map (the IC proposer resets its per-trace state here; it took its
+    /// observation when it was built).
     fn begin_trace(&mut self, observes: &ObserveMap) {
         let _ = observes;
     }

@@ -16,10 +16,22 @@ use rand::SeedableRng;
 
 /// A source of per-address proposal distributions conditioned on an
 /// observation. Implemented by the trained IC network in `etalumis-train`.
+///
+/// The call order is one [`condition`](ProposalProvider::condition) per
+/// posterior, then per trace one [`begin_trace`](ProposalProvider::begin_trace)
+/// followed by alternating `propose` / `notify` per controlled sample.
+/// Whatever `condition` computes (the IC network's observation embedding)
+/// stays valid for exactly as long as the caller keeps the provider mutably
+/// borrowed: nothing can retrain or re-observe it in the meantime, so there
+/// is no cache to invalidate. [`IcProposer`] packages that order.
 pub trait ProposalProvider {
-    /// Called at the start of each trace with the observed value the engine
-    /// conditions on (the IC network embeds it with the 3DCNN here).
-    fn begin_trace(&mut self, observation: &Value);
+    /// Once per posterior: take in the observed value every following trace
+    /// is conditioned on (the IC network runs its 3DCNN here, and only here).
+    fn condition(&mut self, observation: &Value);
+
+    /// Start of each trace: reset the per-trace state (the IC network zeroes
+    /// its LSTM state and forgets the previous sample).
+    fn begin_trace(&mut self);
 
     /// Proposal for the sample statement at `address` with prior `prior`.
     /// `None` falls back to the prior (e.g. unseen address).
@@ -29,25 +41,41 @@ pub trait ProposalProvider {
     fn notify(&mut self, address: &Address, prior: &Distribution, value: &Value);
 }
 
-/// Adapter: drives a [`ProposalProvider`] as an executor [`Proposer`].
+/// Adapter: drives a conditioned [`ProposalProvider`] as an executor
+/// [`Proposer`]. It can only be built by conditioning the provider, and it
+/// holds the provider's `&mut` borrow for as long as it lives — one
+/// `IcProposer` is one posterior's worth of traces on one observation.
 pub struct IcProposer<'a, P: ProposalProvider> {
     provider: &'a mut P,
-    /// Name of the observe statement whose registered value conditions the
-    /// network (e.g. `"calo"` for the tau model).
-    pub observe_name: String,
 }
 
 impl<'a, P: ProposalProvider> IcProposer<'a, P> {
-    /// New adapter conditioning on the observe statement named `observe_name`.
-    pub fn new(provider: &'a mut P, observe_name: impl Into<String>) -> Self {
-        Self { provider, observe_name: observe_name.into() }
+    /// Condition `provider` on the value `observes` registers for the
+    /// observe statement named `observe_name` (e.g. `"calo"` for the tau
+    /// model) and wrap it for the executor.
+    ///
+    /// # Panics
+    /// If `observes` has no value under `observe_name`; the message lists
+    /// the names it does have.
+    pub fn condition(provider: &'a mut P, observes: &ObserveMap, observe_name: &str) -> Self {
+        assert!(
+            observes.contains_key(observe_name),
+            "cannot condition on observe statement {observe_name:?}: the ObserveMap registers {:?}",
+            {
+                let mut present: Vec<&String> = observes.keys().collect();
+                present.sort_unstable();
+                present
+            }
+        );
+        provider.condition(&observes[observe_name]);
+        Self { provider }
     }
 }
 
 impl<P: ProposalProvider> Proposer for IcProposer<'_, P> {
-    fn begin_trace(&mut self, observes: &ObserveMap) {
-        let obs = observes.get(&self.observe_name).cloned().unwrap_or(Value::Unit);
-        self.provider.begin_trace(&obs);
+    /// Per trace; the observation was taken at [`IcProposer::condition`].
+    fn begin_trace(&mut self, _observes: &ObserveMap) {
+        self.provider.begin_trace();
     }
 
     fn propose(&mut self, req: &SampleRequest) -> ProposalDecision {
@@ -62,7 +90,9 @@ impl<P: ProposalProvider> Proposer for IcProposer<'_, P> {
     }
 }
 
-/// Importance sampling guided by a trained proposal provider.
+/// Importance sampling guided by a trained proposal provider: the provider
+/// is conditioned on `observes[observe_name]` once, then proposes for all
+/// `n` traces.
 pub fn ic_importance_sampling<P: ProposalProvider>(
     program: &mut dyn ProbProgram,
     observes: &ObserveMap,
@@ -74,8 +104,8 @@ pub fn ic_importance_sampling<P: ProposalProvider>(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut traces = Vec::with_capacity(n);
     let mut log_weights = Vec::with_capacity(n);
+    let mut proposer = IcProposer::condition(provider, observes, observe_name);
     for _ in 0..n {
-        let mut proposer = IcProposer::new(provider, observe_name);
         let t = Executor::execute(program, &mut proposer, observes, &mut rng);
         log_weights.push(t.log_weight());
         traces.push(t);
@@ -97,7 +127,8 @@ mod tests {
     }
 
     impl ProposalProvider for OracleProvider {
-        fn begin_trace(&mut self, _obs: &Value) {}
+        fn condition(&mut self, _obs: &Value) {}
+        fn begin_trace(&mut self) {}
 
         fn propose(&mut self, address: &Address, _prior: &Distribution) -> Option<Distribution> {
             assert!(address.base.contains("mu"));
@@ -139,7 +170,8 @@ mod tests {
     fn fallback_to_prior_when_provider_declines() {
         struct Decline;
         impl ProposalProvider for Decline {
-            fn begin_trace(&mut self, _obs: &Value) {}
+            fn condition(&mut self, _obs: &Value) {}
+            fn begin_trace(&mut self) {}
             fn propose(&mut self, _a: &Address, _p: &Distribution) -> Option<Distribution> {
                 None
             }
@@ -155,5 +187,29 @@ mod tests {
         let (mean, _) = post.mean_std(|t| t.value_by_name("mu").unwrap().as_f64());
         let (am, _) = model.posterior(&[0.5, 0.5]);
         assert!((mean - am).abs() < 0.06, "{mean} vs {am}");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot condition on observe statement \"calo\": the ObserveMap registers [\"y0\", \"y1\"]"
+    )]
+    fn missing_observe_name_fails_up_front_naming_the_keys() {
+        // The provider is never reached, let alone handed a `Value::Unit`.
+        struct Unreachable;
+        impl ProposalProvider for Unreachable {
+            fn condition(&mut self, obs: &Value) {
+                unreachable!("conditioned on {obs:?}");
+            }
+            fn begin_trace(&mut self) {}
+            fn propose(&mut self, _a: &Address, _p: &Distribution) -> Option<Distribution> {
+                None
+            }
+            fn notify(&mut self, _a: &Address, _p: &Distribution, _v: &Value) {}
+        }
+        let mut model = GaussianUnknownMean::standard();
+        let mut observes = ObserveMap::new();
+        observes.insert("y1".into(), Value::Real(0.5));
+        observes.insert("y0".into(), Value::Real(0.5));
+        ic_importance_sampling(&mut model, &observes, "calo", &mut Unreachable, 1, 0);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::linear::Linear;
 use crate::param::{embedding_init, Module, Parameter};
-use etalumis_tensor::activations::{relu, relu_backward};
+use etalumis_tensor::activations::{relu, relu_backward, relu_in_place};
 use etalumis_tensor::Tensor;
 use rand::Rng;
 
@@ -124,9 +124,11 @@ impl SampleEmbedding {
         y
     }
 
-    /// Forward without caching.
-    pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        relu(&self.lin.forward_inference(x))
+    /// Forward without caching, on row-major slices: `x` is `[B, in_dim]`,
+    /// `y` (`[B, dim]`) is overwritten. Allocates nothing.
+    pub fn forward_into(&self, x: &[f32], y: &mut [f32]) {
+        self.lin.forward_into(x, y);
+        relu_in_place(y);
     }
 
     /// Backward; returns gradient w.r.t. the input features.
@@ -183,13 +185,17 @@ mod tests {
         let g = Tensor::full(&[2, 4], 1.0);
         let dx = se.backward(&g);
         let eps = 1e-3f32;
+        let sum_at = |x: &Tensor| {
+            let mut y = Tensor::zeros(&[2, 4]);
+            se.forward_into(x.data(), y.data_mut());
+            y.sum()
+        };
         for i in 0..x.numel() {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let num = ((se.forward_inference(&xp).sum() - se.forward_inference(&xm).sum())
-                / (2.0 * eps as f64)) as f32;
+            let num = ((sum_at(&xp) - sum_at(&xm)) / (2.0 * eps as f64)) as f32;
             assert!((num - dx.data()[i]).abs() < 1e-2);
         }
     }

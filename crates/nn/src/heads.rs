@@ -9,8 +9,14 @@
 //! Each head fuses `loss = −Σ_b log q(x_b | features_b)` with its backward
 //! pass: parameter gradients accumulate internally and the gradient w.r.t.
 //! the input features is returned for BPTT through the LSTM core.
+//!
+//! At inference each head turns one feature row into a proposal
+//! distribution: `proposal_row` works on a slice with caller-owned
+//! [`MlpScratch`] (the IC network's per-sample step, which allocates only
+//! the distribution it returns); `proposal` is the same on a `[1, in]`
+//! tensor.
 
-use crate::linear::Mlp2;
+use crate::linear::{Mlp2, MlpScratch};
 use crate::param::{Module, Parameter};
 use etalumis_distributions::math::{log_normal_cdf_diff, log_sum_exp, normal_pdf, LN_2PI};
 use etalumis_distributions::Distribution;
@@ -53,28 +59,42 @@ impl MixtureTnHead {
         Self { trunk: Mlp2::new(rng, in_dim, hidden, 3 * components), components }
     }
 
-    /// Decode raw trunk outputs into mixture parameters for one row.
-    fn decode(&self, raw: &[f32], low: f64, high: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+    /// Decode raw trunk outputs into mixture parameters for one row:
+    /// `(weights, means, stds)`.
+    fn decode(&self, raw: &[f32], low: f64, high: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let k = self.components;
         let span = high - low;
-        let logits: Vec<f64> = raw[0..k].iter().map(|&v| v as f64).collect();
-        let m = log_sum_exp(&logits);
-        let weights: Vec<f64> = logits.iter().map(|&l| (l - m).exp()).collect();
+        // Logits first, normalized in place.
+        let mut weights: Vec<f64> = raw[0..k].iter().map(|&v| v as f64).collect();
+        let m = log_sum_exp(&weights);
+        for w in &mut weights {
+            *w = (*w - m).exp();
+        }
         let means: Vec<f64> =
             raw[k..2 * k].iter().map(|&v| low + sigmoid64(v as f64) * span).collect();
         let stds: Vec<f64> = raw[2 * k..3 * k]
             .iter()
             .map(|&v| softplus64(v as f64) * span * 0.5 + SIGMA_MIN_FRAC * span)
             .collect();
-        (logits, weights, means, stds)
+        (weights, means, stds)
     }
 
     /// Proposal distribution for one feature row (inference path).
     pub fn proposal(&self, features: &Tensor, low: f64, high: f64) -> Distribution {
-        let raw = self.trunk.l2.forward_inference(&etalumis_tensor::activations::relu(
-            &self.trunk.l1.forward_inference(features),
-        ));
-        let (_, weights, means, stds) = self.decode(raw.row(0), low, high);
+        self.proposal_row(features.row(0), &mut MlpScratch::default(), low, high)
+    }
+
+    /// [`MixtureTnHead::proposal`] for a feature slice, with caller-owned
+    /// trunk activations.
+    pub fn proposal_row(
+        &self,
+        features: &[f32],
+        scratch: &mut MlpScratch,
+        low: f64,
+        high: f64,
+    ) -> Distribution {
+        let raw = self.trunk.forward_into(features, scratch);
+        let (weights, means, stds) = self.decode(raw, low, high);
         Distribution::MixtureTruncatedNormal { weights, means, stds, low, high }
     }
 
@@ -99,7 +119,7 @@ impl MixtureTnHead {
             let (low, high) = (lows[bi], highs[bi]);
             let span = high - low;
             let rrow = raw.row(bi);
-            let (_logits, weights, means, stds) = self.decode(rrow, low, high);
+            let (weights, means, stds) = self.decode(rrow, low, high);
             let x = targets[bi].clamp(low, high);
             // Per-component joint terms and log q.
             let mut terms = vec![0.0f64; k];
@@ -173,11 +193,15 @@ impl CategoricalHead {
 
     /// Proposal distribution for one feature row.
     pub fn proposal(&self, features: &Tensor) -> Distribution {
-        let logits = self.trunk.l2.forward_inference(&etalumis_tensor::activations::relu(
-            &self.trunk.l1.forward_inference(features),
-        ));
-        let probs = etalumis_tensor::activations::softmax_rows(&logits);
-        Distribution::Categorical { probs: probs.row(0).iter().map(|&p| p as f64).collect() }
+        self.proposal_row(features.row(0), &mut MlpScratch::default())
+    }
+
+    /// [`CategoricalHead::proposal`] for a feature slice, with caller-owned
+    /// trunk activations.
+    pub fn proposal_row(&self, features: &[f32], scratch: &mut MlpScratch) -> Distribution {
+        let probs = self.trunk.forward_into(features, scratch);
+        etalumis_tensor::activations::softmax_in_place(probs);
+        Distribution::Categorical { probs: probs.iter().map(|&p| p as f64).collect() }
     }
 
     /// Fused loss and backward: `targets[b]` is the category index.
@@ -236,10 +260,13 @@ impl NormalHead {
 
     /// Proposal distribution for one feature row.
     pub fn proposal(&self, features: &Tensor) -> Distribution {
-        let raw = self.trunk.l2.forward_inference(&etalumis_tensor::activations::relu(
-            &self.trunk.l1.forward_inference(features),
-        ));
-        let (mean, std) = self.decode(raw.row(0));
+        self.proposal_row(features.row(0), &mut MlpScratch::default())
+    }
+
+    /// [`NormalHead::proposal`] for a feature slice, with caller-owned trunk
+    /// activations.
+    pub fn proposal_row(&self, features: &[f32], scratch: &mut MlpScratch) -> Distribution {
+        let (mean, std) = self.decode(self.trunk.forward_into(features, scratch));
         Distribution::Normal { mean, std }
     }
 

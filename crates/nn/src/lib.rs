@@ -32,7 +32,7 @@ pub mod param;
 pub use cnn3d::{Cnn3d, Cnn3dConfig, CnnStageSpec};
 pub use embedding::{Embedding, SampleEmbedding};
 pub use heads::{CategoricalHead, MixtureTnHead, NormalHead};
-pub use linear::{Linear, Mlp2};
+pub use linear::{Linear, Mlp2, MlpScratch};
 pub use lstm::{Lstm, LstmState};
 pub use optim::{clip_grad_norm, Adam, LrScaling, LrSchedule, Optimizer, Sgd};
 pub use param::{Module, Parameter};

@@ -5,8 +5,10 @@
 //! steps); backward calls must then happen in reverse order of the forwards.
 
 use crate::param::{kaiming_uniform, Module, Parameter};
-use etalumis_tensor::activations::{relu, relu_backward};
-use etalumis_tensor::gemm::{add_bias_rows, col_sums, matmul, matmul_a_bt, matmul_at_b};
+use etalumis_tensor::activations::{relu, relu_backward, relu_in_place};
+use etalumis_tensor::gemm::{
+    add_bias_rows, add_bias_rows_slice, col_sums, matmul, matmul_a_bt, matmul_at_b, matmul_into,
+};
 use etalumis_tensor::Tensor;
 use rand::Rng;
 
@@ -50,9 +52,18 @@ impl Linear {
 
     /// Forward without caching (inference-only path).
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        let mut y = matmul(x, &self.w.value);
-        add_bias_rows(&mut y, self.b.value.data());
+        assert_eq!(x.cols(), self.in_dim(), "Linear input dim");
+        let mut y = Tensor::zeros(&[x.rows(), self.out_dim()]);
+        self.forward_into(x.data(), y.data_mut());
         y
+    }
+
+    /// [`Linear::forward_inference`] on row-major slices: `x` is `[B, in]`,
+    /// `y` (`[B, out]`) is overwritten. Allocates nothing.
+    pub fn forward_into(&self, x: &[f32], y: &mut [f32]) {
+        let (k, n) = (self.in_dim(), self.out_dim());
+        matmul_into(x, self.w.value.data(), y, y.len() / n, k, n);
+        add_bias_rows_slice(y, self.b.value.data(), n);
     }
 
     /// Backward: accumulates dW, db; returns dX. Pops the matching cache.
@@ -83,6 +94,14 @@ impl Module for Linear {
     }
 }
 
+/// Caller-owned activations of a cache-free [`Mlp2::forward_into`]: kept
+/// across calls, a warm forward allocates nothing.
+#[derive(Default)]
+pub struct MlpScratch {
+    hidden: Vec<f32>,
+    out: Vec<f32>,
+}
+
 /// Two-layer perceptron with ReLU: the "two-layer NNs" used by the paper's
 /// proposal layers (§4.3).
 pub struct Mlp2 {
@@ -109,6 +128,19 @@ impl Mlp2 {
         let a = relu(&h);
         self.relu_cache.push(h);
         self.l2.forward(&a)
+    }
+
+    /// Forward without caching on a row-major `[B, in]` slice; the `[B, out]`
+    /// result lives in `scratch` until the next call (mutable, so a caller
+    /// can finish it in place, e.g. with a softmax).
+    pub fn forward_into<'s>(&self, x: &[f32], scratch: &'s mut MlpScratch) -> &'s mut [f32] {
+        let rows = x.len() / self.l1.in_dim();
+        scratch.hidden.resize(rows * self.l1.out_dim(), 0.0);
+        scratch.out.resize(rows * self.l2.out_dim(), 0.0);
+        self.l1.forward_into(x, &mut scratch.hidden);
+        relu_in_place(&mut scratch.hidden);
+        self.l2.forward_into(&scratch.hidden, &mut scratch.out);
+        &mut scratch.out
     }
 
     /// Backward; returns dX.

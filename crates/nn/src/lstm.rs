@@ -242,6 +242,22 @@ pub struct LstmState {
     c: Vec<Tensor>,
 }
 
+impl LstmState {
+    /// Back to the zero state [`Lstm::begin_sequence`] creates, in place —
+    /// how a per-trace inference loop starts its next sequence without
+    /// reallocating.
+    pub fn reset(&mut self) {
+        for t in self.h.iter_mut().chain(self.c.iter_mut()) {
+            t.data_mut().fill(0.0);
+        }
+    }
+
+    /// The top layer's hidden output `[B, hidden]` after the latest step.
+    pub fn output(&self) -> &[f32] {
+        self.h.last().map_or(&[], |h| h.data())
+    }
+}
+
 /// Stacked LSTM.
 pub struct Lstm {
     layers: Vec<LstmLayer>,
@@ -296,27 +312,37 @@ impl Lstm {
 
     /// One time step over a [B, input] batch; returns the top-layer output.
     pub fn step(&mut self, x: &Tensor, state: &mut LstmState) -> Tensor {
-        self.step_impl(x, state, true)
+        assert_eq!(x.cols(), self.input_size, "LSTM input size");
+        self.step_impl(x.data(), state, true);
+        Tensor::from_vec(&[x.rows(), self.hidden], state.output().to_vec())
     }
 
     /// Step without caching (inference path).
     pub fn step_inference(&mut self, x: &Tensor, state: &mut LstmState) -> Tensor {
-        self.step_impl(x, state, false)
+        assert_eq!(x.cols(), self.input_size, "LSTM input size");
+        self.step_rows_inference(x.data(), state);
+        Tensor::from_vec(&[x.rows(), self.hidden], state.output().to_vec())
     }
 
-    fn step_impl(&mut self, x: &Tensor, state: &mut LstmState, train: bool) -> Tensor {
-        assert_eq!(x.cols(), self.input_size, "LSTM input size");
-        let batch = x.rows();
-        let mut cur: Vec<f32> = x.data().to_vec();
+    /// [`Lstm::step_inference`] on a row-major `[B, input]` slice, leaving
+    /// the output in [`LstmState::output`]: no tensor is built, so a warm
+    /// step allocates nothing.
+    pub fn step_rows_inference(&mut self, x: &[f32], state: &mut LstmState) {
+        self.step_impl(x, state, false);
+    }
+
+    fn step_impl(&mut self, x: &[f32], state: &mut LstmState, train: bool) {
+        let batch = state.h[0].rows();
+        assert_eq!(x.len(), batch * self.input_size, "LSTM step input is [B, input]");
         for (l, layer) in self.layers.iter_mut().enumerate() {
-            layer.forward_batch(&cur, 1, batch, &mut state.h[l], &mut state.c[l], train);
-            cur.clear();
-            cur.extend_from_slice(state.h[l].data());
+            // Layer l reads the hidden output layer l−1 just wrote.
+            let (below, at) = state.h.split_at_mut(l);
+            let input = below.last().map_or(x, |h| h.data());
+            layer.forward_batch(input, 1, batch, &mut at[0], &mut state.c[l], train);
         }
         if train {
             self.steps += 1;
         }
-        Tensor::from_vec(&[batch, self.hidden], cur)
     }
 
     /// Teacher-forced training forward over a whole sequence: `xs` is

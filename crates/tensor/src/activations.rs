@@ -13,6 +13,13 @@ pub fn relu(x: &Tensor) -> Tensor {
     x.map(|v| v.max(0.0))
 }
 
+/// ReLU forward over a slice, in place (the allocation-free inference form).
+pub fn relu_in_place(xs: &mut [f32]) {
+    for v in xs {
+        *v = v.max(0.0);
+    }
+}
+
 /// ReLU backward: grad * 1[x > 0] (uses the forward *input*).
 pub fn relu_backward(x: &Tensor, grad: &Tensor) -> Tensor {
     x.zip_map(grad, |xv, g| if xv > 0.0 { g } else { 0.0 })
@@ -44,24 +51,29 @@ pub fn tanh_backward_from_output(y: &Tensor, grad: &Tensor) -> Tensor {
 
 /// Numerically stable row-wise softmax of a 2D tensor.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let (m, n) = (x.rows(), x.cols());
-    let mut out = Tensor::zeros(&[m, n]);
-    for i in 0..m {
-        let row = x.row(i);
-        let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max); // etalumis: allow(float-reduction, reason = "sequential fixed-order reduction over one row; order is shape-invariant")
-        let orow = out.row_mut(i);
-        let mut total = 0.0f32;
-        for (o, &v) in orow.iter_mut().zip(row.iter()) {
-            let e = (v - mx).exp();
-            *o = e;
-            total += e;
-        }
-        let inv = 1.0 / total;
-        for o in orow.iter_mut() {
-            *o *= inv;
+    let mut out = x.clone();
+    let n = x.cols();
+    if n > 0 {
+        for row in out.data_mut().chunks_mut(n) {
+            softmax_in_place(row);
         }
     }
     out
+}
+
+/// Numerically stable softmax of one row, in place.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max); // etalumis: allow(float-reduction, reason = "sequential fixed-order reduction over one row; order is shape-invariant")
+    let mut total = 0.0f32;
+    for v in row.iter_mut() {
+        let e = (*v - mx).exp();
+        *v = e;
+        total += e;
+    }
+    let inv = 1.0 / total;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
 }
 
 /// Numerically stable row-wise log-softmax.

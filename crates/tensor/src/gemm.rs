@@ -9,7 +9,10 @@
 //! * `matmul_at_b` — C = Aᵀ·B          ([K,M]·[K,N] → [M,N])
 //!
 //! B is packed once per call into 8-wide column panels and shared by all
-//! worker chunks; `matmul_at_b` transposes A into a scratch buffer and
+//! worker chunks — except for products of a few rows (the B = 1 inference
+//! steps), which read B where it lies through a kernel with the same
+//! per-element chains, so which path ran never shows in the result;
+//! `matmul_at_b` transposes A into a scratch buffer and
 //! reuses the same packed kernel (which is what removes the historical
 //! `if av != 0.0` sparsity skip — that skip silently turned `0 × inf` into
 //! `0` instead of NaN). Parallel runs split M into fixed 32-row chunks, a
@@ -28,6 +31,22 @@ const PAR_THRESHOLD: usize = 64 * 1024;
 /// Fixed rows-per-task for parallel splits — part of the determinism
 /// contract (chunking depends on shape only, never on thread count).
 const ROWS_PER_TASK: usize = 32;
+
+/// At or below this many rows of A — one row block of the packed
+/// micro-kernel — B is multiplied where it lies instead of being packed.
+/// Packing is a pass over all of B (zero-fill plus strip copy) that only pays
+/// once several rows share each panel load; measured on AVX2, single thread
+/// (ns per call, packed → unpacked):
+///
+/// | `[k, n]`     | m = 1         | m = 4         | m = 8           |
+/// |--------------|---------------|---------------|-----------------|
+/// | `[52, 256]`  | 5 806 → 599   | 6 429 → 2 393 | 8 329 → 4 799   |
+/// | `[32, 15]`   | 389 → 57      | 879 → 190     | 1 561 → 369     |
+/// | `[512, 2048]`| 983 µs → 165 µs | 1 000 µs → 644 µs | 1 188 µs → 1 282 µs |
+///
+/// Up to 4 rows the unpacked kernel wins on every shape; by 8 rows a B that
+/// has left the cache is better packed.
+const UNPACKED_MAX_ROWS: usize = 4;
 
 thread_local! {
     /// Packed-B panel scratch, reused across calls on this thread.
@@ -130,7 +149,9 @@ pub fn matmul_at_b_acc_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: us
 }
 
 /// Shared driver: pack B, then run the micro-kernel serially or over fixed
-/// row chunks on the resident pool. `acc = false` zeroes C first.
+/// row chunks on the resident pool — or, for the few-row products at or
+/// below [`UNPACKED_MAX_ROWS`], multiply straight off row-major B.
+/// `acc = false` zeroes C first.
 fn gemm_driver(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
     if !acc {
         c.fill(0.0);
@@ -139,6 +160,10 @@ fn gemm_driver(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
         return;
     }
     let kern = Kernels::get();
+    if m <= UNPACKED_MAX_ROWS {
+        kern.gemm_rows_unpacked(c, a, b, k, n);
+        return;
+    }
     PACK_BUF.with(|buf| {
         let mut bp = buf.borrow_mut();
         kern.pack_b(b, k, n, &mut bp);

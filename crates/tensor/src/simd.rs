@@ -189,8 +189,36 @@ impl Kernels {
             // confirmed AVX2+FMA on this CPU (see `active_backend`).
             Backend::Avx2Fma => unsafe { avx2::gemm_rows_packed(c, a, bp, k, n) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => scalar_gemm_rows_packed(self, c, a, bp, k, n),
-            Backend::Scalar => scalar_gemm_rows_packed(self, c, a, bp, k, n),
+            Backend::Avx2Fma => scalar_gemm_rows(c, a, bp, k, n, BLayout::packed(k)),
+            Backend::Scalar => scalar_gemm_rows(c, a, bp, k, n, BLayout::packed(k)),
+        }
+    }
+
+    /// GEMM straight off row-major B: `c[rows, n] += a[rows, k] · b[k, n]`
+    /// with no packed panel — for the few-row products (B = 1 inference
+    /// steps) where packing B costs as much as multiplying by it. Every
+    /// output element runs exactly the [`Kernels::gemm_rows_packed`] chain
+    /// (per `KC` block a fused multiply-add chain ascending in `t`, block
+    /// sums added to `c` in block order); only the B addressing differs, so
+    /// the two are bit-identical on both backends.
+    pub fn gemm_rows_unpacked(&self, c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+        if n == 0 || c.is_empty() {
+            return;
+        }
+        let rows = c.len() / n;
+        assert_eq!(c.len(), rows * n);
+        assert_eq!(a.len(), rows * k);
+        assert_eq!(b.len(), k * n);
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
+            // confirmed AVX2+FMA on this CPU (see `active_backend`); the
+            // asserts above are the slice lengths the kernel's raw loads
+            // and stores rely on.
+            Backend::Avx2Fma => unsafe { avx2::gemm_rows_unpacked(c, a, b, k, n) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Avx2Fma => scalar_gemm_rows(c, a, b, k, n, BLayout::row_major(n)),
+            Backend::Scalar => scalar_gemm_rows(c, a, b, k, n, BLayout::row_major(n)),
         }
     }
 
@@ -324,24 +352,46 @@ unsafe fn scalar_dot_fma(a: &[f32], b: &[f32]) -> f32 {
     scalar_dot_impl(a, b)
 }
 
-/// One row × one KC block over full 8-wide strips of the packed panel.
+/// Where `B[t, 8s + l]` lives: at `s * strip + t * step + l`. The packed
+/// panel and plain row-major B differ only in these two strides, so one
+/// scalar kernel serves both [`Kernels::gemm_rows_packed`] and
+/// [`Kernels::gemm_rows_unpacked`].
+#[derive(Clone, Copy)]
+struct BLayout {
+    strip: usize,
+    step: usize,
+}
+
+impl BLayout {
+    /// The [`Kernels::pack_b`] panel of a `[k, ·]` matrix.
+    fn packed(k: usize) -> Self {
+        Self { strip: k * 8, step: 8 }
+    }
+
+    /// Row-major `[·, n]`.
+    fn row_major(n: usize) -> Self {
+        Self { strip: 8, step: n }
+    }
+}
+
+/// One row × one KC block over the 8-wide strips of B.
 #[inline(always)]
 fn scalar_gemm_row_block(
     crow: &mut [f32],
     arow: &[f32],
-    bp: &[f32],
-    k: usize,
+    b: &[f32],
+    lay: BLayout,
     n: usize,
     t0: usize,
     t1: usize,
 ) {
     let full_strips = n / 8;
     for s in 0..full_strips {
-        let panel = &bp[s * k * 8..];
+        let strip = &b[s * lay.strip..];
         let mut acc = [0.0f32; 8];
         for t in t0..t1 {
             let av = arow[t];
-            let b8 = &panel[t * 8..t * 8 + 8];
+            let b8 = &strip[t * lay.step..t * lay.step + 8];
             for l in 0..8 {
                 acc[l] = av.mul_add(b8[l], acc[l]);
             }
@@ -354,12 +404,12 @@ fn scalar_gemm_row_block(
     // Tail columns: same per-element chain, one lane at a time.
     let c0 = full_strips * 8;
     if c0 < n {
-        let panel = &bp[full_strips * k * 8..];
+        let strip = &b[full_strips * lay.strip..];
         for j in c0..n {
             let l = j - c0;
             let mut acc = 0.0f32;
             for t in t0..t1 {
-                acc = arow[t].mul_add(panel[t * 8 + l], acc);
+                acc = arow[t].mul_add(strip[t * lay.step + l], acc);
             }
             crow[j] += acc;
         }
@@ -367,7 +417,7 @@ fn scalar_gemm_row_block(
 }
 
 #[inline(always)]
-fn scalar_gemm_rows_packed_impl(c: &mut [f32], a: &[f32], bp: &[f32], k: usize, n: usize) {
+fn scalar_gemm_rows_impl(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, lay: BLayout) {
     let rows = c.len() / n;
     let mut t0 = 0;
     while t0 < k || (k == 0 && t0 == 0) {
@@ -376,8 +426,8 @@ fn scalar_gemm_rows_packed_impl(c: &mut [f32], a: &[f32], bp: &[f32], k: usize, 
             scalar_gemm_row_block(
                 &mut c[i * n..(i + 1) * n],
                 &a[i * k..(i + 1) * k],
-                bp,
-                k,
+                b,
+                lay,
                 n,
                 t0,
                 t1,
@@ -394,18 +444,25 @@ fn scalar_gemm_rows_packed_impl(c: &mut [f32], a: &[f32], bp: &[f32], k: usize, 
 // SAFETY: callers must ensure FMA is supported (every call site checks
 // `fma_available` first).
 #[target_feature(enable = "fma")]
-unsafe fn scalar_gemm_rows_packed_fma(c: &mut [f32], a: &[f32], bp: &[f32], k: usize, n: usize) {
-    scalar_gemm_rows_packed_impl(c, a, bp, k, n)
+unsafe fn scalar_gemm_rows_fma(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    lay: BLayout,
+) {
+    scalar_gemm_rows_impl(c, a, b, k, n, lay)
 }
 
-fn scalar_gemm_rows_packed(_k: &Kernels, c: &mut [f32], a: &[f32], bp: &[f32], k: usize, n: usize) {
+fn scalar_gemm_rows(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, lay: BLayout) {
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: FMA support was just verified.
-        unsafe { scalar_gemm_rows_packed_fma(c, a, bp, k, n) };
+        unsafe { scalar_gemm_rows_fma(c, a, b, k, n, lay) };
         return;
     }
-    scalar_gemm_rows_packed_impl(c, a, bp, k, n)
+    scalar_gemm_rows_impl(c, a, b, k, n, lay)
 }
 
 #[inline(always)]
@@ -684,6 +741,88 @@ mod avx2 {
             if t0 >= k {
                 break;
             }
+        }
+    }
+
+    /// `S` adjacent 8-wide strips of one row over one `KC` block, off
+    /// row-major B: `S` independent accumulator chains per `t`, which is what
+    /// hides the FMA latency a single row cannot hide by sharing B across
+    /// rows.
+    // SAFETY: callers must ensure AVX2+FMA are supported and that
+    // `bcol + t * n + 8 * S` stays inside B for every `t < t1`, `arow + t`
+    // inside A, and `cdst + 8 * S` inside C.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn row_strips<const S: usize>(
+        cdst: *mut f32,
+        arow: *const f32,
+        bcol: *const f32,
+        n: usize,
+        t0: usize,
+        t1: usize,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); S];
+        for t in t0..t1 {
+            let av = _mm256_broadcast_ss(&*arow.add(t));
+            let brow = bcol.add(t * n);
+            for (s, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow.add(s * 8)), *acc);
+            }
+        }
+        for (s, acc) in acc.into_iter().enumerate() {
+            let dst = cdst.add(s * 8);
+            _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc));
+        }
+    }
+
+    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
+    // wrapper gates on `avx2_available`) and that `c`, `a`, `b` hold
+    // `rows·n`, `rows·k` and `k·n` elements (asserted by the safe
+    // `Kernels::gemm_rows_unpacked` entry point).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gemm_rows_unpacked(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+        let rows = c.len() / n;
+        let full = n - n % 8;
+        let tail = n - full;
+        // Lanes `0..tail` on (sign bit set), the rest off.
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail as i32), lanes);
+        let mut t0 = 0;
+        while t0 < k {
+            let t1 = (t0 + KC).min(k);
+            for i in 0..rows {
+                let arow = a.as_ptr().add(i * k);
+                let crow = c.as_mut_ptr().add(i * n);
+                let mut j = 0;
+                while j + 64 <= full {
+                    row_strips::<8>(crow.add(j), arow, b.as_ptr().add(j), n, t0, t1);
+                    j += 64;
+                }
+                if j + 32 <= full {
+                    row_strips::<4>(crow.add(j), arow, b.as_ptr().add(j), n, t0, t1);
+                    j += 32;
+                }
+                if j + 16 <= full {
+                    row_strips::<2>(crow.add(j), arow, b.as_ptr().add(j), n, t0, t1);
+                    j += 16;
+                }
+                if j < full {
+                    row_strips::<1>(crow.add(j), arow, b.as_ptr().add(j), n, t0, t1);
+                }
+                // Tail columns: one masked strip. Lane-wise the fused chain
+                // is the scalar one; masked-off lanes are neither read nor
+                // written.
+                if tail > 0 {
+                    let mut acc = _mm256_setzero_ps();
+                    for t in t0..t1 {
+                        let bv = _mm256_maskload_ps(b.as_ptr().add(t * n + full), mask);
+                        acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*arow.add(t)), bv, acc);
+                    }
+                    let dst = crow.add(full);
+                    let sum = _mm256_add_ps(_mm256_maskload_ps(dst, mask), acc);
+                    _mm256_maskstore_ps(dst, mask, sum);
+                }
+            }
+            t0 = t1;
         }
     }
 

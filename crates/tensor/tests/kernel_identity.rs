@@ -2,8 +2,8 @@
 //! (AVX2 vs scalar fallback) and across serial vs pooled-parallel execution,
 //! over arbitrary shapes — including non-multiples of 8 and empty dims.
 
-use etalumis_tensor::gemm::{matmul, matmul_a_bt, matmul_at_b};
-use etalumis_tensor::simd::{avx2_available, set_backend_override, Backend};
+use etalumis_tensor::gemm::{matmul, matmul_a_bt, matmul_acc_into, matmul_at_b, matmul_into};
+use etalumis_tensor::simd::{avx2_available, set_backend_override, Backend, Kernels};
 use etalumis_tensor::{activations, conv, pool, Conv3dSpec, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -39,6 +39,78 @@ fn assert_backend_identical<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T, c
     pool::set_parallel(true);
     let parallel = f();
     assert_eq!(serial, parallel, "serial vs parallel: {ctx}");
+}
+
+/// `base + A·B` through the packed-panel kernel, whatever `m` is: the
+/// reference the few-row unpacked path must reproduce bit for bit.
+fn packed_reference(base: &[f32], a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
+    let kern = Kernels::get();
+    let mut bp = Vec::new();
+    kern.pack_b(b, k, n, &mut bp);
+    let mut c = base.to_vec();
+    kern.gemm_rows_packed(&mut c, a, &bp, k, n);
+    c
+}
+
+/// The gemm driver multiplies few-row products straight off row-major B.
+/// Over m on both sides of that switch, k straddling the `KC = 256` block
+/// and n with every kind of column tail, `matmul_into` / `matmul_acc_into`
+/// equal the packed kernel bitwise, on each backend and across them.
+#[test]
+fn few_row_gemm_bit_identical_to_packed_path() {
+    let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+    let mut backends = vec![Backend::Scalar];
+    if avx2_available() {
+        backends.push(Backend::Avx2Fma);
+    }
+    for m in 1usize..=8 {
+        for k in [1usize, 52, 255, 256, 257, 600] {
+            for n in [1usize, 7, 15, 38, 70, 129] {
+                let seed = (m * 1_000_000 + k * 1_000 + n) as u64;
+                let a = rand_tensor(&[m, k], seed).into_data();
+                let b = rand_tensor(&[k, n], seed ^ 0xABCD).into_data();
+                let base = rand_tensor(&[m, n], seed ^ 0x1234).into_data();
+                let mut per_backend = Vec::new();
+                for &be in &backends {
+                    set_backend_override(Some(be));
+                    let mut plain = vec![f32::NAN; m * n];
+                    matmul_into(&a, &b, &mut plain, m, k, n);
+                    let mut acc = base.clone();
+                    matmul_acc_into(&a, &b, &mut acc, m, k, n);
+                    let want_plain = packed_reference(&vec![0.0; m * n], &a, &b, k, n);
+                    let want_acc = packed_reference(&base, &a, &b, k, n);
+                    set_backend_override(None);
+                    assert_eq!(plain, want_plain, "{be:?} matmul_into {m}x{k}x{n}");
+                    assert_eq!(acc, want_acc, "{be:?} matmul_acc_into {m}x{k}x{n}");
+                    per_backend.push((plain, acc));
+                }
+                assert!(per_backend.windows(2).all(|w| w[0] == w[1]), "backends {m}x{k}x{n}");
+            }
+        }
+    }
+}
+
+/// 0 × inf is NaN on the unpacked path too (no sparsity skip), in full
+/// strips and in the column tail alike, and only where B is non-finite.
+#[test]
+fn few_row_gemm_propagates_non_finite() {
+    let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+    let (k, n) = (3usize, 11usize);
+    let a = [0.0f32, 1.0, 2.0];
+    let mut b = vec![1.0f32; k * n];
+    b[2] = f32::INFINITY; // row 0 (× 0.0), a full-strip column
+    b[10] = f32::NEG_INFINITY; // row 0 (× 0.0), a tail column
+    for be in [Backend::Scalar, Backend::Avx2Fma] {
+        set_backend_override(Some(be));
+        let mut c = vec![0.0f32; n];
+        matmul_into(&a, &b, &mut c, 1, k, n);
+        let want = packed_reference(&vec![0.0; n], &a, &b, k, n);
+        set_backend_override(None);
+        for (j, (&got, &want)) in c.iter().zip(&want).enumerate() {
+            assert_eq!(got.is_nan(), j == 2 || j == 10, "{be:?} column {j}: {got}");
+            assert!(got == want || (got.is_nan() && want.is_nan()), "{be:?} column {j}");
+        }
+    }
 }
 
 proptest! {

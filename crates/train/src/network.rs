@@ -15,20 +15,25 @@
 //!
 //! Training processes *sub-minibatches* of traces sharing one trace type in
 //! a single batched forward/backward pass (Algorithm 1); inference drives
-//! the same network step-by-step as a [`ProposalProvider`].
+//! the same network step-by-step as a [`ProposalProvider`]: the 3DCNN embeds
+//! the observation once per posterior ([`ProposalProvider::condition`]), and
+//! each sample statement then costs one B = 1 LSTM step and one head forward
+//! over scratch the network owns.
 
 use etalumis_core::Address;
 use etalumis_data::TraceRecord;
 use etalumis_distributions::{Distribution, Value};
 use etalumis_inference::ProposalProvider;
 use etalumis_nn::{
-    CategoricalHead, Cnn3d, Cnn3dConfig, Embedding, Lstm, LstmState, MixtureTnHead, Module,
-    NormalHead, Parameter, SampleEmbedding,
+    CategoricalHead, Cnn3d, Cnn3dConfig, Embedding, Lstm, LstmState, MixtureTnHead, MlpScratch,
+    Module, NormalHead, Parameter, SampleEmbedding,
 };
+use etalumis_telemetry::Telemetry;
 use etalumis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Architecture hyperparameters.
@@ -119,14 +124,15 @@ struct AddressLayers {
     kind: &'static str,
 }
 
-/// How a value enters the sample embedding, given its prior.
-fn value_features(dist: &Distribution, value: &Value, width: usize) -> Vec<f32> {
-    let mut v = vec![0.0f32; width];
+/// How a value enters the sample embedding, given its prior: written over
+/// `out`, whose length is the embedding's input width.
+fn value_features_into(dist: &Distribution, value: &Value, out: &mut [f32]) {
+    out.fill(0.0);
     match dist {
         Distribution::Categorical { .. } | Distribution::Bernoulli { .. } => {
             let i = value.as_i64() as usize;
-            if i < width {
-                v[i] = 1.0;
+            if i < out.len() {
+                out[i] = 1.0;
             }
         }
         _ => {
@@ -136,10 +142,9 @@ fn value_features(dist: &Distribution, value: &Value, width: usize) -> Vec<f32> 
                 Some((lo, hi)) => (x - lo) / (hi - lo),
                 None => (x - dist.mean()) / dist.std().max(1e-9),
             };
-            v[0] = norm as f32;
+            out[0] = norm as f32;
         }
     }
-    v
 }
 
 /// Feature width of a prior's values.
@@ -153,6 +158,69 @@ fn value_width(dist: &Distribution) -> usize {
 /// Fraction of prior mass mixed into categorical proposals at inference
 /// time, protecting importance weights from overconfident networks.
 const CATEGORICAL_PRIOR_MIX: f64 = 0.05;
+
+/// Deterministic counts of the network work one posterior cost, reset at
+/// [`ProposalProvider::condition`] (pure functions of the run, so they fit
+/// the telemetry event-structure contract).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct InferenceStats {
+    /// Observation embeddings (3DCNN forwards) — 1 once conditioned.
+    pub conditions: u64,
+    /// B = 1 LSTM steps: one per controlled sample at a registered address.
+    pub lstm_steps: u64,
+    /// Proposal distributions handed to the engine.
+    pub proposals: u64,
+}
+
+impl InferenceStats {
+    /// Emit the counts as `ic.conditions` / `ic.lstm_steps` / `ic.proposals`
+    /// counters.
+    pub fn record(&self, tel: &Telemetry) {
+        tel.count("ic.conditions", self.conditions);
+        tel.count("ic.lstm_steps", self.lstm_steps);
+        tel.count("ic.proposals", self.proposals);
+    }
+}
+
+/// Inference-time state ([`ProposalProvider`]). The network owns it so that
+/// a warm proposal step allocates nothing but the distribution it returns.
+struct Inference {
+    /// The LSTM input row `[observation | address | previous sample]`
+    /// embeddings. `condition` writes the first part, `propose` the second,
+    /// `notify` the third. Empty until the first `condition`.
+    input: Vec<f32>,
+    state: LstmState,
+    /// Sample-embedding input of the value just realized.
+    feats: Vec<f32>,
+    head: MlpScratch,
+    /// Qualified-address buffer for layer lookups.
+    key: String,
+    stats: InferenceStats,
+}
+
+impl Inference {
+    /// Proposing from an unconditioned network is a call-order bug; fail it
+    /// loudly instead of degrading to some other proposal.
+    fn assert_conditioned(&self, call: &str) {
+        assert!(
+            !self.input.is_empty(),
+            "IcNetwork::{call} before condition(): a proposal provider must be conditioned on \
+             an observation first (IcProposer::condition does it once per posterior)"
+        );
+    }
+}
+
+/// The layers registered for `address`, looked up through the reusable key
+/// buffer (no `String` is built per lookup).
+fn layers_at<'a>(
+    layers: &'a HashMap<String, AddressLayers>,
+    key: &mut String,
+    address: &Address,
+) -> Option<&'a AddressLayers> {
+    key.clear();
+    let _ = write!(key, "{address}");
+    layers.get(key.as_str())
+}
 
 /// The dynamic inference-compilation network.
 pub struct IcNetwork {
@@ -168,10 +236,7 @@ pub struct IcNetwork {
     rng: StdRng,
     /// Per-call phase timing of the last loss computation (forward, backward).
     pub last_phase_secs: (f64, f64),
-    // --- inference-time state (ProposalProvider) ---
-    inf_state: Option<LstmState>,
-    inf_obs_embed: Option<Tensor>,
-    inf_prev: Option<(String, Vec<f32>)>,
+    inf: Inference,
 }
 
 impl IcNetwork {
@@ -179,8 +244,17 @@ impl IcNetwork {
     pub fn new(config: IcConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let cnn = Cnn3d::new(&mut rng, config.cnn.clone());
-        let lstm = Lstm::new(&mut rng, config.lstm_input(), config.lstm_hidden, config.lstm_stacks);
+        let mut lstm =
+            Lstm::new(&mut rng, config.lstm_input(), config.lstm_hidden, config.lstm_stacks);
         let address_table = Embedding::new(&mut rng, 0, config.address_embed_dim);
+        let inf = Inference {
+            input: Vec::new(),
+            state: lstm.begin_sequence(1),
+            feats: Vec::new(),
+            head: MlpScratch::default(),
+            key: String::new(),
+            stats: InferenceStats::default(),
+        };
         Self {
             config,
             cnn,
@@ -191,10 +265,20 @@ impl IcNetwork {
             frozen: false,
             rng,
             last_phase_secs: (0.0, 0.0),
-            inf_state: None,
-            inf_obs_embed: None,
-            inf_prev: None,
+            inf,
         }
+    }
+
+    /// Network work counted since the last [`ProposalProvider::condition`].
+    pub fn inference_stats(&self) -> InferenceStats {
+        self.inf.stats
+    }
+
+    /// Where the address and previous-sample embeddings start in the LSTM
+    /// input row.
+    fn input_offsets(&self) -> (usize, usize) {
+        let addr = self.config.cnn.embedding_dim;
+        (addr, addr + self.config.address_embed_dim)
     }
 
     /// Number of registered addresses.
@@ -351,7 +435,7 @@ impl IcNetwork {
             let mut feats = Tensor::zeros(&[b, width]);
             for (bi, entries) in per_trace_entries.iter().enumerate() {
                 let (dist, value) = entries[t - 1];
-                feats.row_mut(bi).copy_from_slice(&value_features(dist, value, width));
+                value_features_into(dist, value, feats.row_mut(bi));
             }
             let layers = self.layers.get_mut(prev_addr).unwrap(); // etalumis: allow(panic-freedom, reason = "address layers are registered before any step references them (registry invariant)")
             samp_embeds.push(layers.sample_embed.forward(&feats));
@@ -511,87 +595,85 @@ impl Module for IcNetwork {
 }
 
 impl ProposalProvider for IcNetwork {
-    fn begin_trace(&mut self, observation: &Value) {
-        let obs = match observation {
-            Value::Tensor(t) => t.clone(),
-            v => etalumis_distributions::TensorValue::new(vec![1], vec![v.as_f64() as f32]),
-        };
+    fn condition(&mut self, observation: &Value) {
         let dims = self.config.cnn.input_dims;
+        let volume = dims[0] * dims[1] * dims[2];
+        let (shape, voxels): (&[usize], Vec<f32>) = match observation {
+            Value::Tensor(t) => (t.shape.as_slice(), t.data.clone()),
+            v if v.numel() == 1 => (&[], vec![v.as_f64() as f32]),
+            _ => (&[], Vec::new()),
+        };
         assert_eq!(
-            obs.data.len(),
-            dims[0] * dims[1] * dims[2],
-            "observation {:?} does not match CNN input {dims:?}",
-            obs.shape
+            voxels.len(),
+            volume,
+            "cannot condition on a {} observation of shape {shape:?} ({} values): this \
+             network's 3DCNN encodes {dims:?} volumes ({volume} values)",
+            observation.kind(),
+            voxels.len(),
         );
-        let x = Tensor::from_vec(&[1, 1, dims[0], dims[1], dims[2]], obs.data);
-        self.inf_obs_embed = Some(self.cnn.forward_inference(&x));
-        self.inf_state = Some(self.lstm.begin_sequence(1));
-        self.inf_prev = None;
+        let x = Tensor::from_vec(&[1, 1, dims[0], dims[1], dims[2]], voxels);
+        let embed = self.cnn.forward_inference(&x);
+        let inf = &mut self.inf;
+        inf.input.resize(self.config.lstm_input(), 0.0);
+        inf.input[..embed.numel()].copy_from_slice(embed.data());
+        inf.stats = InferenceStats { conditions: 1, ..Default::default() };
+    }
+
+    fn begin_trace(&mut self) {
+        self.inf.assert_conditioned("begin_trace");
+        let (_, prev) = self.input_offsets();
+        self.inf.state.reset();
+        // No previous sample at t = 0.
+        self.inf.input[prev..].fill(0.0);
     }
 
     fn propose(&mut self, address: &Address, prior: &Distribution) -> Option<Distribution> {
-        let key = address.qualified();
-        if !self.layers.contains_key(&key) {
-            return None;
-        }
-        let obs_embed = self.inf_obs_embed.as_ref()?.clone();
-        // Previous sample embedding.
-        let samp_embed = match &self.inf_prev {
-            None => Tensor::zeros(&[1, self.config.sample_embed_dim]),
-            Some((prev_key, feats)) => {
-                let prev_layers = self.layers.get(prev_key)?;
-                let width = prev_layers.sample_embed.in_dim();
-                let mut x = Tensor::zeros(&[1, width]);
-                let n = feats.len().min(width);
-                x.row_mut(0)[..n].copy_from_slice(&feats[..n]);
-                prev_layers.sample_embed.forward_inference(&x)
-            }
-        };
-        let embed_id = self.layers[&key].embed_id;
-        let addr_embed = self.address_table.forward_inference(&[embed_id]);
-        let x = Tensor::concat_cols(&[&obs_embed, &addr_embed, &samp_embed]);
-        let state = self.inf_state.as_mut()?;
-        let h = self.lstm.step_inference(&x, state);
-        let layers = &self.layers[&key];
+        self.inf.assert_conditioned("propose");
+        let (addr, prev) = self.input_offsets();
+        let inf = &mut self.inf;
+        let layers = layers_at(&self.layers, &mut inf.key, address)?;
+        inf.input[addr..prev].copy_from_slice(self.address_table.table.value.row(layers.embed_id));
+        self.lstm.step_rows_inference(&inf.input, &mut inf.state);
+        inf.stats.lstm_steps += 1;
+        let h = inf.state.output();
         let q = match &layers.head {
             Head::Mixture(head) => {
                 let (lo, hi) = prior.support()?;
-                head.proposal(&h, lo, hi)
+                head.proposal_row(h, &mut inf.head, lo, hi)
             }
-            Head::Normal(head) => head.proposal(&h),
+            Head::Normal(head) => head.proposal_row(h, &mut inf.head),
             Head::Categorical(head) => {
-                let q = head.proposal(&h);
                 // Mix a sliver of prior mass in for importance-weight safety.
-                match (q, prior) {
+                match (head.proposal_row(h, &mut inf.head), prior) {
                     (
-                        Distribution::Categorical { probs: qp },
+                        Distribution::Categorical { probs: mut qp },
                         Distribution::Categorical { probs: pp },
                     ) if qp.len() == pp.len() => {
                         let total: f64 = pp.iter().sum(); // etalumis: allow(float-reduction, reason = "f64 prior-mass normalizer; sequential fixed order over one row")
-                        Distribution::Categorical {
-                            probs: qp
-                                .iter()
-                                .zip(pp.iter())
-                                .map(|(&q, &p)| {
-                                    (1.0 - CATEGORICAL_PRIOR_MIX) * q
-                                        + CATEGORICAL_PRIOR_MIX * p / total
-                                })
-                                .collect(),
+                        for (q, &p) in qp.iter_mut().zip(pp.iter()) {
+                            *q = (1.0 - CATEGORICAL_PRIOR_MIX) * *q
+                                + CATEGORICAL_PRIOR_MIX * p / total;
                         }
+                        Distribution::Categorical { probs: qp }
                     }
                     (q, _) => q,
                 }
             }
         };
         let _ = layers.kind;
+        inf.stats.proposals += 1;
         Some(q)
     }
 
     fn notify(&mut self, address: &Address, prior: &Distribution, value: &Value) {
-        let key = address.qualified();
-        if let Some(layers) = self.layers.get(&key) {
-            let width = layers.sample_embed.in_dim();
-            self.inf_prev = Some((key, value_features(prior, value, width)));
+        self.inf.assert_conditioned("notify");
+        let (_, prev) = self.input_offsets();
+        let inf = &mut self.inf;
+        if let Some(layers) = layers_at(&self.layers, &mut inf.key, address) {
+            // The next LSTM input carries this sample's embedding.
+            inf.feats.resize(layers.sample_embed.in_dim(), 0.0);
+            value_features_into(prior, value, &mut inf.feats);
+            layers.sample_embed.forward_into(&inf.feats, &mut inf.input[prev..]);
         }
     }
 }
@@ -711,5 +793,35 @@ mod tests {
         assert_eq!(post.len(), 50);
         assert!(post.log_weights.iter().all(|w| w.is_finite()));
         assert!(post.effective_sample_size() > 1.0);
+    }
+
+    fn pregenerated_net() -> IcNetwork {
+        let mut net = IcNetwork::new(small_config());
+        net.pregenerate(small_records(40).iter());
+        net
+    }
+
+    #[test]
+    #[should_panic(expected = "IcNetwork::propose before condition()")]
+    fn proposing_before_conditioning_is_loud() {
+        // Not `None`: that would silently fall back to the prior.
+        let mut net = pregenerated_net();
+        let prior = Distribution::Uniform { low: 0.0, high: 1.0 };
+        net.propose(&Address::new("anything", 0), &prior);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot condition on a tensor observation of shape [2, 3] (6 values): this network's 3DCNN encodes [1, 1, 1] volumes (1 values)"
+    )]
+    fn conditioning_names_a_mismatched_observation() {
+        let obs = etalumis_distributions::TensorValue::zeros(vec![2, 3]);
+        pregenerated_net().condition(&Value::Tensor(obs));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot condition on a unit observation of shape [] (0 values)")]
+    fn conditioning_rejects_a_valueless_observation() {
+        pregenerated_net().condition(&Value::Unit);
     }
 }

@@ -4,9 +4,12 @@
 //! where the posterior is known exactly.
 
 use etalumis::prelude::*;
+use etalumis_core::Address;
 use etalumis_data::{generate_dataset, sort_dataset, TraceRecord};
+use etalumis_inference::ProposalProvider;
 use etalumis_nn::{Adam, LrSchedule};
-use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, IcConfig};
+use etalumis_simulators::{DetectorConfig, TauDecayConfig};
+use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, IcConfig, InferenceStats};
 
 #[test]
 fn ic_beats_prior_is_on_conjugate_gaussian() {
@@ -93,4 +96,142 @@ fn proptest_style_many_seeds_never_panic() {
         assert!(rec.num_controlled() >= 4);
         assert!(t.log_joint().is_finite());
     }
+}
+
+/// A τ model on a 4×5×5 detector: every address kind of the full model
+/// (uniform momenta, the categorical channel, per-particle draws) at a size
+/// a debug-build test can train on.
+fn tiny_tau() -> TauDecayModel {
+    TauDecayModel::new(TauDecayConfig {
+        detector: DetectorConfig { depth: 4, height: 5, width: 5, ..Default::default() },
+        obs_noise_std: 0.8,
+        ..Default::default()
+    })
+}
+
+/// Prior traces of `model`, a network pregenerated on them and trained for
+/// `steps` minibatches of 32, and the observation of one more prior event.
+fn briefly_trained(
+    model: &mut dyn ProbProgram,
+    obs_dims: [usize; 3],
+    observe_name: &str,
+    steps: usize,
+) -> (Trainer<Adam>, Vec<TraceRecord>, ObserveMap) {
+    let records: Vec<TraceRecord> = (0..96)
+        .map(|s| TraceRecord::from_trace(&Executor::sample_prior(model, 1_000 + s), true))
+        .collect();
+    let mut net = IcNetwork::new(IcConfig::small(obs_dims, 17));
+    net.pregenerate(records.iter());
+    let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(2e-3)));
+    for step in 0..steps {
+        trainer.step(&records[(step % 3) * 32..(step % 3 + 1) * 32]);
+    }
+    let truth = Executor::sample_prior(model, 77);
+    let mut observes = ObserveMap::new();
+    observes.insert(observe_name.into(), truth.first_observed().unwrap().clone());
+    (trainer, records, observes)
+}
+
+/// The parent commit's conditioning, as the reference: the observation is
+/// embedded again at the start of every trace.
+struct ReembedEveryTrace<'a> {
+    net: &'a mut IcNetwork,
+    observation: Value,
+}
+
+impl ProposalProvider for ReembedEveryTrace<'_> {
+    fn condition(&mut self, observation: &Value) {
+        self.observation = observation.clone();
+    }
+    fn begin_trace(&mut self) {
+        self.net.condition(&self.observation);
+        self.net.begin_trace();
+    }
+    fn propose(&mut self, address: &Address, prior: &Distribution) -> Option<Distribution> {
+        self.net.propose(address, prior)
+    }
+    fn notify(&mut self, address: &Address, prior: &Distribution, value: &Value) {
+        self.net.notify(address, prior, value);
+    }
+}
+
+fn assert_bit_equal(a: &WeightedTraces, b: &WeightedTraces, ctx: &str) {
+    let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.log_weights), bits(&b.log_weights), "log-weights, {ctx}");
+    assert_eq!(a.traces.len(), b.traces.len(), "{ctx}");
+    for (i, (ta, tb)) in a.traces.iter().zip(&b.traces).enumerate() {
+        assert_eq!(ta.entries.len(), tb.entries.len(), "trace {i} length, {ctx}");
+        for (ea, eb) in ta.entries.iter().zip(&tb.entries) {
+            assert_eq!(ea.address, eb.address, "trace {i}, {ctx}");
+            assert_eq!(ea.value, eb.value, "trace {i} at {}, {ctx}", ea.address);
+            assert_eq!(ea.log_q.to_bits(), eb.log_q.to_bits(), "trace {i} log_q, {ctx}");
+            assert_eq!(ea.log_prob.to_bits(), eb.log_prob.to_bits(), "trace {i} log_p, {ctx}");
+        }
+    }
+}
+
+#[test]
+fn conditioning_once_is_bit_identical_to_reembedding_every_trace() {
+    let mut tau = tiny_tau();
+    let mut gauss = GaussianUnknownMean::standard();
+    let cases: [(&mut dyn ProbProgram, [usize; 3], &str); 2] =
+        [(&mut tau, [4, 5, 5], TauDecayModel::OBSERVE_NAME), (&mut gauss, [1, 1, 1], "y0")];
+    for (model, dims, observe_name) in cases {
+        let (mut trainer, _, observes) = briefly_trained(model, dims, observe_name, 3);
+        for (seed, n) in [(1u64, 1usize), (2, 17), (3, 40)] {
+            let once =
+                ic_importance_sampling(model, &observes, observe_name, &mut trainer.net, n, seed);
+            let mut reference =
+                ReembedEveryTrace { net: &mut trainer.net, observation: Value::Unit };
+            let every =
+                ic_importance_sampling(model, &observes, observe_name, &mut reference, n, seed);
+            assert_bit_equal(&once, &every, &format!("{observe_name} seed {seed} n {n}"));
+            assert!(once.traces.iter().any(|t| t.log_q != t.log_prior), "proposals were used");
+        }
+    }
+}
+
+#[test]
+fn nothing_conditioned_survives_a_training_step() {
+    // Same observation, same seed, one optimizer step in between: if any
+    // part of the first posterior's conditioning outlived its borrow, the
+    // second posterior would reuse a stale embedding. It must instead equal
+    // a posterior from a network that never ran the first one.
+    let mut model = tiny_tau();
+    let name = TauDecayModel::OBSERVE_NAME;
+    let (mut trainer, records, observes) = briefly_trained(&mut model, [4, 5, 5], name, 2);
+    let (mut fresh, _, _) = briefly_trained(&mut model, [4, 5, 5], name, 2);
+    let before = ic_importance_sampling(&mut model, &observes, name, &mut trainer.net, 20, 9);
+    trainer.step(&records[64..96]);
+    fresh.step(&records[64..96]);
+    let after = ic_importance_sampling(&mut model, &observes, name, &mut trainer.net, 20, 9);
+    let expected = ic_importance_sampling(&mut model, &observes, name, &mut fresh.net, 20, 9);
+    assert_bit_equal(&after, &expected, "after the step vs never conditioned before it");
+    assert_ne!(before.log_weights, after.log_weights, "the step must move the proposals");
+}
+
+#[test]
+fn inference_stats_count_one_embedding_and_one_lstm_step_per_controlled_sample() {
+    let mut model = tiny_tau();
+    let name = TauDecayModel::OBSERVE_NAME;
+    let (mut trainer, _, observes) = briefly_trained(&mut model, [4, 5, 5], name, 1);
+    assert_eq!(trainer.net.inference_stats(), InferenceStats::default());
+    let post = ic_importance_sampling(&mut model, &observes, name, &mut trainer.net, 500, 4);
+    let stats = trainer.net.inference_stats();
+    // Traces that reach an address the 96 training traces never saw fall
+    // back to the prior there: no LSTM step, log q = log p.
+    let proposed = |t: &Trace| t.controlled().filter(|e| e.log_q != e.log_prob).count() as u64;
+    let controlled: u64 = post.traces.iter().map(|t| t.num_controlled() as u64).sum();
+    assert_eq!(stats.conditions, 1, "one 3DCNN forward for 500 traces");
+    assert_eq!(stats.proposals, post.traces.iter().map(proposed).sum::<u64>());
+    assert_eq!(stats.lstm_steps, stats.proposals);
+    assert!(stats.lstm_steps <= controlled && stats.lstm_steps > controlled * 9 / 10);
+
+    // The same counts as `ic.*` telemetry counters.
+    let tel = Telemetry::enabled();
+    stats.record(&tel);
+    let metrics = tel.collect().snapshot();
+    assert_eq!(metrics.counters["ic.conditions"], 1);
+    assert_eq!(metrics.counters["ic.lstm_steps"], stats.lstm_steps);
+    assert_eq!(metrics.counters["ic.proposals"], stats.proposals);
 }
