@@ -1,9 +1,10 @@
-//! §4.4.2 ablation: naive NCDHW Conv3D vs blocked NCDHW8c Conv3D.
+//! §4.4.2 ablation: naive NCDHW Conv3D vs the SIMD-friendly Conv3D.
 //!
 //! Paper: "the heavily used 3D convolution kernel achieved an 8x
-//! improvement" from the MKL-DNN blocked layout + SIMD vectorization.
-//! The workload is the first conv layer of the observation encoder on the
-//! paper's 20×35×35 voxel observations.
+//! improvement" from MKL-DNN's blocked layout + SIMD vectorization; here the
+//! fast path is `conv3d_blocked`, tiled im2col products on the AVX2 GEMM row
+//! kernels. The workload is the first conv layer of the observation encoder
+//! on the paper's 20×35×35 voxel observations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etalumis_tensor::conv::{conv3d_blocked, conv3d_naive};
@@ -25,8 +26,8 @@ fn bench(c: &mut Criterion) {
     group.bench_function("layer1_1to64_blocked", |b| {
         b.iter(|| black_box(conv3d_blocked(black_box(&x1), &w1, &b1, &spec1)))
     });
-    // ... and a mid-stack layer (64→64 on the pooled volume) where channel
-    // blocking matters most.
+    // ... and a mid-stack layer (64→64 on the pooled volume), where the GEMM
+    // has the most reuse per im2col row.
     let spec2 = Conv3dSpec { in_c: 64, out_c: 64, k: 3, pad: 1 };
     let x2 = Tensor::from_fn(&[1, 64, 10, 17, 17], |i| ((i * 13) % 11) as f32 * 0.05);
     let w2 = Tensor::from_fn(&[64, 64, 3, 3, 3], |i| ((i * 3) % 19) as f32 * 0.005 - 0.04);

@@ -1,8 +1,9 @@
 //! Raw kernel throughput: GEMM and Conv3d GFLOP/s per backend.
 //!
 //! The compute spine of training is the blocked GEMM (LSTM + dense layers)
-//! and the channels-blocked Conv3d (observation encoder). This bench times
-//! each micro-kernel under every dispatch choice — scalar fallback, AVX2+FMA
+//! and the Conv3d lowered onto it (observation encoder: forward,
+//! backward-data and backward-weights as tiled im2col products). This bench
+//! times each kernel under every dispatch choice — scalar fallback, AVX2+FMA
 //! (when the host has it), and the pooled-parallel path — and snapshots
 //! analytic GFLOP/s (via [`etalumis_tensor::flops`]) to `BENCH_kernels.json`
 //! at the workspace root for CI to archive and gate with `perf_gate`.
@@ -11,7 +12,7 @@
 //! `kernel_identity` proptests); this bench measures only speed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etalumis_tensor::conv::conv3d_blocked;
+use etalumis_tensor::conv::{conv3d_backward_data, conv3d_backward_weights, conv3d_blocked};
 use etalumis_tensor::gemm::matmul;
 use etalumis_tensor::simd::{avx2_available, set_backend_override, Backend};
 use etalumis_tensor::{pool, Conv3dSpec, Tensor};
@@ -75,51 +76,87 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two convolutions of `Cnn3dConfig::small` on the 8×13×13 IC
+/// observation (the shapes IC training runs), as (snapshot key, spec, input
+/// dims).
+const CONV_LAYERS: [(&str, Conv3dSpec, [usize; 3]); 2] = [
+    ("conv3d_1to8", Conv3dSpec { in_c: 1, out_c: 8, k: 3, pad: 1 }, [8, 13, 13]),
+    ("conv3d_8to16", Conv3dSpec { in_c: 8, out_c: 16, k: 3, pad: 1 }, [4, 6, 6]),
+];
+
 /// Not a timing loop: manual throughput sweep snapshotted to
-/// `BENCH_kernels.json` (GEMM + Conv3d GFLOP/s per backend) for CI.
+/// `BENCH_kernels.json` (GEMM and, per conv layer, forward / backward-data /
+/// backward-weights GFLOP/s per backend) for CI.
 fn emit_snapshot(_c: &mut Criterion) {
-    let (n, reps, conv_reps) = if quick() { (128, 20, 6) } else { (256, 20, 10) };
+    let (n, reps, conv_reps) = if quick() { (128, 20, 30) } else { (256, 20, 100) };
+    // A training-sized batch in both modes: fewer images than this and the
+    // pooled rows time thread wake-up, not the kernel.
+    let batch = 32;
     let a = rand_tensor(&[n, n], 1);
     let b = rand_tensor(&[n, n], 2);
     let gemm_flops = 2 * (n as u64).pow(3);
 
-    let spec = Conv3dSpec { in_c: 8, out_c: 16, k: 3, pad: 1 };
-    let (d, h, w) = (8usize, 16, 16);
-    let x = rand_tensor(&[2, spec.in_c, d, h, w], 3);
-    let wt = rand_tensor(&[spec.out_c, spec.in_c, 3, 3, 3], 4);
-    let bias = vec![0.1f32; spec.out_c];
-    let conv_flops = spec.flops(2, d, h, w);
-
     let mut gemm_rows = String::new();
-    let mut conv_rows = String::new();
+    // One row list per (layer, pass), filled backend by backend.
+    let mut conv_rows = vec![[String::new(), String::new(), String::new()]; CONV_LAYERS.len()];
     for (i, (label, backend, parallel)) in configs().into_iter().enumerate() {
         set_backend_override(backend);
         pool::set_parallel(parallel);
+        let sep = if i == 0 { "" } else { ",\n" };
         let g = gflops(reps, gemm_flops, || {
             black_box(matmul(black_box(&a), black_box(&b)));
         });
-        let cv = gflops(conv_reps, conv_flops, || {
-            black_box(conv3d_blocked(black_box(&x), black_box(&wt), &bias, &spec));
-        });
-        let sep = if i == 0 { "" } else { ",\n" };
         gemm_rows.push_str(&format!("{sep}      \"{label}_gflops\": {g:.3}"));
-        conv_rows.push_str(&format!("{sep}      \"{label}_gflops\": {cv:.3}"));
-        println!("kernels[{label}]: gemm {g:.2} GFLOP/s, conv3d {cv:.2} GFLOP/s");
+        println!("kernels[{label}]: gemm {g:.2} GFLOP/s");
+        for (&(name, spec, [d, h, w]), rows) in CONV_LAYERS.iter().zip(&mut conv_rows) {
+            let x = rand_tensor(&[batch, spec.in_c, d, h, w], 3);
+            let wt = rand_tensor(&[spec.out_c, spec.in_c, 3, 3, 3], 4);
+            let bias = vec![0.1f32; spec.out_c];
+            let gout = rand_tensor(&[batch, spec.out_c, d, h, w], 5);
+            // Each pass does the forward's multiply-adds once.
+            let flops = spec.flops(batch, d, h, w);
+            let passes = [
+                gflops(conv_reps, flops, || {
+                    black_box(conv3d_blocked(black_box(&x), &wt, &bias, &spec));
+                }),
+                gflops(conv_reps, flops, || {
+                    black_box(conv3d_backward_data(black_box(&gout), &wt, &spec, (d, h, w)));
+                }),
+                gflops(conv_reps, flops, || {
+                    black_box(conv3d_backward_weights(black_box(&x), &gout, &spec));
+                }),
+            ];
+            for (row, v) in rows.iter_mut().zip(passes) {
+                row.push_str(&format!("{sep}        \"{label}_gflops\": {v:.3}"));
+            }
+            println!(
+                "kernels[{label}]: {name} fwd {:.2}, bwd_data {:.2}, bwd_weights {:.2} GFLOP/s",
+                passes[0], passes[1], passes[2]
+            );
+        }
     }
     set_backend_override(None);
     pool::set_parallel(true);
 
+    let mut conv_json = String::new();
+    for ((name, spec, [d, h, w]), [fwd, bwd_data, bwd_weights]) in
+        CONV_LAYERS.iter().zip(&conv_rows)
+    {
+        conv_json.push_str(&format!(
+            ",\n  \"{name}\": {{\n    \"in_c\": {}, \"out_c\": {}, \"dhw\": [{d}, {h}, {w}], \
+             \"batch\": {batch},\n    \"fwd\": {{\n{fwd}\n    }},\n    \
+             \"bwd_data\": {{\n{bwd_data}\n    }},\n    \
+             \"bwd_weights\": {{\n{bwd_weights}\n    }}\n  }}",
+            spec.in_c, spec.out_c,
+        ));
+    }
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"quick\": {},\n  \"avx2_available\": {},\n  \
          \"pool_threads\": {},\n  \"gemm\": {{\n    \"m\": {n}, \"k\": {n}, \"n\": {n},\n    \
-         \"gflops\": {{\n{gemm_rows}\n    }}\n  }},\n  \"conv3d\": {{\n    \
-         \"in_c\": {}, \"out_c\": {}, \"dhw\": [{d}, {h}, {w}],\n    \
-         \"gflops\": {{\n{conv_rows}\n    }}\n  }}\n}}\n",
+         \"gflops\": {{\n{gemm_rows}\n    }}\n  }}{conv_json}\n}}\n",
         quick(),
         avx2_available(),
         pool::num_threads(),
-        spec.in_c,
-        spec.out_c,
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
     std::fs::write(&path, &json).expect("write BENCH_kernels.json");

@@ -12,7 +12,8 @@ use crate::linear::Linear;
 use crate::param::{kaiming_uniform, Module, Parameter};
 use etalumis_tensor::activations::{relu, relu_backward};
 use etalumis_tensor::conv::{
-    conv3d_backward_data, conv3d_backward_weights, conv3d_blocked, maxpool3d, maxpool3d_backward,
+    conv3d_backward_data, conv3d_backward_weights_acc, conv3d_blocked, maxpool3d,
+    maxpool3d_backward,
 };
 use etalumis_tensor::{Conv3dSpec, Tensor};
 use rand::Rng;
@@ -174,29 +175,31 @@ impl Cnn3d {
 
     fn forward_impl(&mut self, x: &Tensor, train: bool) -> Tensor {
         let b = x.shape()[0];
-        let mut cur = x.clone();
+        // `None` until the first stage has run: the input is only copied
+        // when training caches it.
+        let mut cur: Option<Tensor> = None;
         for stage in &mut self.stages {
+            let input = cur.as_ref().unwrap_or(x);
             match stage {
                 Stage::Conv(cs) => {
-                    let pre = conv3d_blocked(&cur, &cs.w.value, cs.b.value.data(), &cs.spec);
+                    let pre = conv3d_blocked(input, &cs.w.value, cs.b.value.data(), &cs.spec);
                     let y = relu(&pre);
                     if train {
-                        cs.x_cache.push(cur);
+                        cs.x_cache.push(cur.take().unwrap_or_else(|| x.clone()));
                         cs.pre_cache.push(pre);
                     }
-                    cur = y;
+                    cur = Some(y);
                 }
                 Stage::Pool(ps) => {
-                    let in_shape = cur.shape().to_vec();
-                    let (y, arg) = maxpool3d(&cur, 2);
+                    let (y, arg) = maxpool3d(input, 2);
                     if train {
-                        ps.arg_cache.push((arg, in_shape));
+                        ps.arg_cache.push((arg, input.shape().to_vec()));
                     }
-                    cur = y;
+                    cur = Some(y);
                 }
             }
         }
-        let flat = cur.reshape(&[b, self.config.flat_dim()]);
+        let flat = cur.unwrap_or_else(|| x.clone()).reshape(&[b, self.config.flat_dim()]);
         let pre = if train { self.fc.forward(&flat) } else { self.fc.forward_inference(&flat) };
         let y = relu(&pre);
         if train {
@@ -206,8 +209,8 @@ impl Cnn3d {
     }
 
     /// Backward from an embedding gradient [B, embedding_dim]; accumulates
-    /// parameter gradients. The input gradient is not returned (observations
-    /// are leaves).
+    /// parameter gradients. Observations are leaves, so the walk stops at the
+    /// first stage's parameters: its input gradient is never computed.
     pub fn backward(&mut self, grad: &Tensor) {
         let pre = self.fc_relu_cache.pop().expect("Cnn3d::backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
         let dpre = relu_backward(&pre, grad);
@@ -215,16 +218,21 @@ impl Cnn3d {
         let (c, dims) = self.config.output_geometry();
         let b = grad.rows();
         let mut cur = dflat.reshape(&[b, c, dims[0], dims[1], dims[2]]);
-        for stage in self.stages.iter_mut().rev() {
+        for (i, stage) in self.stages.iter_mut().enumerate().rev() {
             match stage {
                 Stage::Conv(cs) => {
                     let x = cs.x_cache.pop().expect("conv backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
                     let pre = cs.pre_cache.pop().expect("conv cache"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
                     let dpre = relu_backward(&pre, &cur);
-                    let (gw, gb) = conv3d_backward_weights(&x, &dpre, &cs.spec);
-                    cs.w.grad.add_assign(&gw);
-                    for (g, d) in cs.b.grad.data_mut().iter_mut().zip(gb.iter()) {
-                        *g += d;
+                    conv3d_backward_weights_acc(
+                        &x,
+                        &dpre,
+                        &cs.spec,
+                        cs.w.grad.data_mut(),
+                        cs.b.grad.data_mut(),
+                    );
+                    if i == 0 {
+                        break;
                     }
                     cur = conv3d_backward_data(
                         &dpre,
@@ -297,53 +305,105 @@ mod tests {
         assert_eq!(y1, y2);
     }
 
+    /// Every parameter's gradient, in `visit_params` order.
+    fn param_grads(cnn: &mut Cnn3d) -> Vec<(String, Tensor)> {
+        let mut out = Vec::new();
+        cnn.visit_params("cnn", &mut |n, p| out.push((n.to_string(), p.grad.clone())));
+        out
+    }
+
     #[test]
     fn backward_param_grads_match_fd() {
+        // Both conv stages, both pools and the FC layer, on a non-cubic volume.
         let mut rng = StdRng::seed_from_u64(1);
-        let cfg = Cnn3dConfig {
-            input_dims: [4, 4, 4],
-            stages: vec![CnnStageSpec::Conv(2), CnnStageSpec::Pool],
-            embedding_dim: 3,
-        };
-        let mut cnn = Cnn3d::new(&mut rng, cfg);
-        let x = Tensor::from_fn(&[1, 1, 4, 4, 4], |i| ((i * 37) % 11) as f32 * 0.05 - 0.2);
+        let mut cnn = Cnn3d::new(&mut rng, Cnn3dConfig::small([6, 9, 8], 3));
+        // No two voxels equal, so no max-pool tie sits on a kink.
+        let x = Tensor::from_fn(&[2, 1, 6, 9, 8], |i| (i as f32 * 0.7391).sin() * 0.5);
+        // Biases start at zero; move them so their gradients are exercised
+        // away from the ReLU kink.
+        cnn.visit_params("cnn", &mut |n, p| {
+            if n.ends_with("/b") {
+                p.value.map_inplace(|_| 0.05);
+            }
+        });
         let y = cnn.forward(&x);
         let g = Tensor::full(y.shape(), 1.0);
         cnn.backward(&g);
-        // FD on first conv weight and fc weight.
         let eps = 5e-3f32;
-        let mut checks: Vec<(String, usize, f32)> = Vec::new();
-        cnn.visit_params("cnn", &mut |n, p| {
-            if p.value.numel() > 3 {
-                checks.push((n.to_string(), 2, p.grad.data()[2]));
+        for (name, grad) in param_grads(&mut cnn) {
+            let len = grad.numel();
+            // The largest entry (pooling and ReLU leave many exactly zero)
+            // and a fixed spread.
+            let top =
+                (0..len).max_by(|&i, &j| grad.data()[i].abs().total_cmp(&grad.data()[j].abs()));
+            for idx in [top.unwrap_or(0), 0, len / 3, len / 2, len - 1] {
+                let ana = grad.data()[idx];
+                let mut eval = |delta: f32| {
+                    cnn.visit_params("cnn", &mut |n, p| {
+                        if n == name {
+                            p.value.data_mut()[idx] += delta;
+                        }
+                    });
+                    let f = cnn.forward_inference(&x).sum();
+                    cnn.visit_params("cnn", &mut |n, p| {
+                        if n == name {
+                            p.value.data_mut()[idx] -= delta;
+                        }
+                    });
+                    f
+                };
+                let num = ((eval(eps) - eval(-eps)) / (2.0 * eps as f64)) as f32;
+                assert!(
+                    (num - ana).abs() < 2e-2 * (1.0 + num.abs()),
+                    "{name}[{idx}]: fd {num} vs analytic {ana}"
+                );
             }
-        });
-        for (name, idx, ana) in checks {
-            let mut orig = 0.0f32;
-            cnn.visit_params("cnn", &mut |n, p| {
-                if n == name {
-                    orig = p.value.data()[idx];
-                    p.value.data_mut()[idx] = orig + eps;
-                }
-            });
-            let fp = cnn.forward_inference(&x).sum();
-            cnn.visit_params("cnn", &mut |n, p| {
-                if n == name {
-                    p.value.data_mut()[idx] = orig - eps;
-                }
-            });
-            let fm = cnn.forward_inference(&x).sum();
-            cnn.visit_params("cnn", &mut |n, p| {
-                if n == name {
-                    p.value.data_mut()[idx] = orig;
-                }
-            });
-            let num = ((fp - fm) / (2.0 * eps as f64)) as f32;
-            assert!(
-                (num - ana).abs() < 5e-2 * (1.0 + num.abs()),
-                "{name}[{idx}]: fd {num} vs analytic {ana}"
-            );
         }
+    }
+
+    /// The backward chain written out on the tensor kernels with nothing
+    /// skipped: the first stage's input gradient is computed and returned.
+    fn backward_to_input(cnn: &mut Cnn3d, grad: &Tensor) -> Tensor {
+        let pre = cnn.fc_relu_cache.pop().unwrap();
+        let dflat = cnn.fc.backward(&relu_backward(&pre, grad));
+        let (c, dims) = cnn.config.output_geometry();
+        let mut cur = dflat.reshape(&[grad.rows(), c, dims[0], dims[1], dims[2]]);
+        for stage in cnn.stages.iter_mut().rev() {
+            cur = match stage {
+                Stage::Conv(cs) => {
+                    let x = cs.x_cache.pop().unwrap();
+                    let dpre = relu_backward(&cs.pre_cache.pop().unwrap(), &cur);
+                    let (gw, gb) =
+                        etalumis_tensor::conv::conv3d_backward_weights(&x, &dpre, &cs.spec);
+                    cs.w.grad.add_assign(&gw);
+                    cs.b.grad.add_assign(&Tensor::from_vec(&[gb.len()], gb));
+                    let [d, h, w] = cs.in_dims;
+                    conv3d_backward_data(&dpre, &cs.w.value, &cs.spec, (d, h, w))
+                }
+                Stage::Pool(ps) => {
+                    let (arg, in_shape) = ps.arg_cache.pop().unwrap();
+                    maxpool3d_backward(&cur, &arg, &in_shape)
+                }
+            };
+        }
+        cur
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_changes_no_parameter_gradient_bit() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut cnn = Cnn3d::new(&mut rng, Cnn3dConfig::small([4, 6, 5], 8));
+        let x = Tensor::from_fn(&[5, 1, 4, 6, 5], |i| ((i * 29) % 13) as f32 * 0.07 - 0.4);
+        let g = Tensor::from_fn(&[5, 8], |i| ((i * 17) % 7) as f32 * 0.3 - 0.8);
+        cnn.forward(&x);
+        cnn.backward(&g);
+        let skipped = param_grads(&mut cnn);
+        cnn.visit_params("cnn", &mut |_, p| p.grad.zero_());
+        cnn.forward(&x);
+        let dx = backward_to_input(&mut cnn, &g);
+        assert_eq!(dx.shape(), x.shape());
+        assert!(dx.data().iter().any(|&v| v != 0.0), "the reference run computes dL/dx");
+        assert_eq!(skipped, param_grads(&mut cnn));
     }
 
     #[test]

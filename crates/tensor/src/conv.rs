@@ -1,24 +1,34 @@
 //! 3D convolution and pooling kernels.
 //!
-//! Two forward implementations are provided, reproducing the paper's §4.4.2
-//! optimization story:
+//! The paper's §4.4.2 optimization story is that Conv3D was the training
+//! hotspot and that making it SIMD-friendly, forward *and* backward, paid 8×.
+//! Here all three passes run on the AVX2 GEMM spine ([`crate::simd`]'s row
+//! kernels) as tiled im2col products:
 //!
-//! * [`conv3d_naive`] — direct convolution over the plain NCDHW layout, the
-//!   "default framework" baseline.
-//! * [`conv3d_blocked`] — direct convolution over a channel-blocked
-//!   NCDHW8c layout with an 8×8 micro-kernel, mirroring MKL-DNN's layout
-//!   (`{N, C, D, H, W, 8c}`) that "is more amenable for SIMD vectorization";
-//!   the paper measured **8×** on this kernel.
+//! * [`conv3d_blocked`] — forward, `Y = W[O, C·k³] · col + b`;
+//! * [`conv3d_backward_weights`] — `[dW | db]ᵀ += [col; 1] · dYᵀ`, the bias
+//!   gradient in the same product;
+//! * [`conv3d_backward_data`] — `col = Wᵀ · dY`, then col2im;
+//! * [`conv3d_naive`] — direct convolution over plain NCDHW, the "default
+//!   framework" baseline and the oracle the others are tested against.
 //!
-//! Both compute identical results (tested); the training stack uses the
-//! blocked path. Backward kernels (data + weight gradients) are shared.
+//! Per image and per fixed tile of output voxels, the panel
+//! `col[C·k³, tile]` is built from the zero-padded image with row copies;
+//! it lives in per-thread scratch bounded per tile, so no whole-volume or
+//! whole-batch im2col is ever materialised. Every layer shape takes this one
+//! path.
+//!
+//! Determinism: tile and image-group boundaries are functions of the layer
+//! shape alone, images (or groups of images) are independent pool tasks with
+//! disjoint outputs, the weight-gradient partials are added in ascending
+//! group order, and every product is a [`crate::simd`] row kernel — so
+//! results are bit-identical across scalar/AVX2 dispatch and across thread
+//! counts.
 
 use crate::pool::{self, SendPtr};
 use crate::simd::Kernels;
 use crate::tensor::Tensor;
-
-/// Channel block size of the packed layout (matches AVX2 8×f32 vectors).
-pub const CBLK: usize = 8;
+use std::cell::RefCell;
 
 /// Static description of a 3D convolution (cubic kernel, stride 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,223 +136,275 @@ pub fn conv3d_naive(x: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv3dSpec
     out
 }
 
-/// Pack NCDHW → NCDHW8c: [N, ceil(C/8), D, H, W, 8], zero-padding channels.
-pub fn pack_ncdhw8c(x: &Tensor) -> (Tensor, usize) {
-    let s = x.shape().to_vec();
-    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
-    let cb = c.div_ceil(CBLK);
-    let mut out = Tensor::zeros(&[n, cb, d, h, w, CBLK]);
-    let xd = x.data();
-    let od = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let (b, r) = (ci / CBLK, ci % CBLK);
-            for di in 0..d {
-                for hi in 0..h {
-                    let src = ((((ni * c) + ci) * d + di) * h + hi) * w;
-                    let dst_base = (((((ni * cb) + b) * d + di) * h + hi) * w) * CBLK + r;
-                    for wi in 0..w {
-                        od[dst_base + wi * CBLK] = xd[src + wi];
-                    }
+/// Floats in one im2col panel `[C·k³, tile]` (64 KiB): the narrow first layer
+/// (`C·k³ = 27`) gets a few 592-voxel tiles per image, and a wide one falls
+/// back to [`TILE_ALIGN`] voxels per tile — 216 KiB of panel for the `128·27`
+/// rows of `Cnn3dConfig::paper`'s widest layer, never a panel over the whole
+/// volume. This bounds the per-thread scratch whatever the layer.
+const COL_PANEL_FLOATS: usize = 16 * 1024;
+
+/// Tile lengths are multiples of the 16-column block of the GEMM row kernel,
+/// so only an image's last tile can have a narrower tail.
+const TILE_ALIGN: usize = 16;
+
+/// Floats per vector copy of the im2col fill, and the slack the padded image
+/// and the panel carry for it.
+const LANES: usize = 8;
+
+/// Images per weight-gradient partial sum. Part of the determinism contract:
+/// group boundaries depend on the batch size only, never on thread count.
+const IMAGES_PER_GROUP: usize = 4;
+
+/// Voxels per tile for an im2col panel of `kk` rows — a pure function of the
+/// layer shape.
+fn tile_len(kk: usize) -> usize {
+    (COL_PANEL_FLOATS / kk / TILE_ALIGN * TILE_ALIGN).max(TILE_ALIGN)
+}
+
+/// A run of output voxels that is contiguous in the padded input too (part of
+/// one output row): `len` floats at `pad` in the padded volume (kernel offset
+/// and channel 0) and at `col` in a panel row.
+struct Seg {
+    pad: usize,
+    col: usize,
+    len: usize,
+}
+
+/// A fixed range of one image's output voxels, cut into row segments.
+struct Tile {
+    start: usize,
+    len: usize,
+    segs: Vec<Seg>,
+    /// The segments again as `(pad, col)` starts of whole [`LANES`]-float
+    /// copies, the last one of a segment running past its end.
+    vecs: Vec<(usize, usize)>,
+}
+
+/// One convolution lowered to GEMM: panel row `t = ((c·k + kz)·k + ky)·k + kx`
+/// — the weight tensor's own `[O, C·k³]` order — reads the padded input at
+/// `koff[t]` plus a segment's `pad`. Built once per call and shared read-only
+/// by every image task.
+struct Lowering {
+    out_dims: (usize, usize, usize),
+    /// Rows of the im2col panel, `C·k³`.
+    kk: usize,
+    /// Output voxels per channel.
+    vox: usize,
+    /// Floats of one input image `[C, D, H, W]`, and of its padded copy.
+    in_len: usize,
+    pad_len: usize,
+    /// Input row width `W`, and where each input row starts in the image and
+    /// in its padded copy.
+    w: usize,
+    rows: Vec<(usize, usize)>,
+    koff: Vec<usize>,
+    tiles: Vec<Tile>,
+}
+
+impl Lowering {
+    fn new(spec: &Conv3dSpec, (d, h, w): (usize, usize, usize)) -> Self {
+        let (c, k, p) = (spec.in_c, spec.k, spec.pad);
+        let (pd, ph, pw) = (d + 2 * p, h + 2 * p, w + 2 * p);
+        let (od, oh, ow) = (spec.out_dim(d), spec.out_dim(h), spec.out_dim(w));
+        let (kk, vox) = (c * k * k * k, od * oh * ow);
+        // Input row `r = (c·D + z)·H + y`; panel row `t` as on the struct.
+        let rows = (0..c * d * h)
+            .map(|r| (r * w, ((r / (d * h) * pd + r / h % d + p) * ph + r % h + p) * pw + p))
+            .collect();
+        let koff = (0..kk)
+            .map(|t| ((t / (k * k * k) * pd + t / (k * k) % k) * ph + t / k % k) * pw + t % k)
+            .collect();
+        let mut tiles = Vec::new();
+        let mut start = 0;
+        while start < vox {
+            let len = tile_len(kk).min(vox - start);
+            let mut segs = Vec::new();
+            let mut v = start;
+            while v < start + len {
+                let (row, x0) = (v / ow, v % ow);
+                let run = (ow - x0).min(start + len - v);
+                segs.push(Seg {
+                    pad: (row / oh * ph + row % oh) * pw + x0,
+                    col: v - start,
+                    len: run,
+                });
+                v += run;
+            }
+            let vecs = segs
+                .iter()
+                .flat_map(|s| (0..s.len).step_by(LANES).map(move |j| (s.pad + j, s.col + j)))
+                .collect();
+            tiles.push(Tile { start, len, segs, vecs });
+            start += len;
+        }
+        let (in_len, pad_len) = (c * d * h * w, c * pd * ph * pw);
+        Self { out_dims: (od, oh, ow), kk, vox, in_len, pad_len, w, rows, koff, tiles }
+    }
+
+    /// Zero-pad one image into `xpad`.
+    fn pad_image(&self, x: &[f32], xpad: &mut [f32]) {
+        xpad.fill(0.0);
+        for &(src, dst) in &self.rows {
+            xpad[dst..dst + self.w].copy_from_slice(&x[src..src + self.w]);
+        }
+    }
+
+    /// Crop the padding off one image gradient.
+    fn crop_image(&self, gpad: &[f32], gx: &mut [f32]) {
+        for &(dst, src) in &self.rows {
+            gx[dst..dst + self.w].copy_from_slice(&gpad[src..src + self.w]);
+        }
+    }
+
+    /// Fill the panel `col[kk, tile.len]` from the padded image with row
+    /// copies: no per-element bounds tests, the padding supplies the zeros.
+    /// A segment is copied as whole [`LANES`]-float vectors, so up to
+    /// `LANES - 1` floats past its end are read and written; segments and
+    /// rows are filled in ascending order, so that spill lands only where a
+    /// later copy puts the real values, or in the [`LANES`] floats of slack
+    /// both buffers carry past their last element.
+    fn im2col(&self, tile: &Tile, xpad: &[f32], col: &mut [f32]) {
+        for (t, &off) in self.koff.iter().enumerate() {
+            let src = &xpad[off..];
+            let dst = &mut col[t * tile.len..];
+            for &(from, to) in &tile.vecs {
+                dst[to..to + LANES].copy_from_slice(&src[from..from + LANES]);
+            }
+        }
+    }
+
+    /// The transpose of [`Lowering::im2col`]: add the panel back onto the
+    /// padded image gradient, rows ascending.
+    fn col2im(&self, tile: &Tile, col: &[f32], gpad: &mut [f32]) {
+        for (crow, &off) in col.chunks_exact(tile.len).zip(&self.koff) {
+            let dst = &mut gpad[off..];
+            for s in &tile.segs {
+                let src = &crow[s.col..s.col + s.len];
+                for (g, &v) in dst[s.pad..s.pad + s.len].iter_mut().zip(src) {
+                    *g += v;
                 }
             }
         }
     }
-    (out, cb)
 }
 
-/// Unpack NCDHW8c back to NCDHW with `c` true channels.
-pub fn unpack_ncdhw8c(xp: &Tensor, c: usize) -> Tensor {
-    let s = xp.shape().to_vec();
-    let (n, cb, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
-    assert_eq!(s[5], CBLK);
-    let mut out = Tensor::zeros(&[n, c, d, h, w]);
-    let xd = xp.data();
-    let od = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let (b, r) = (ci / CBLK, ci % CBLK);
-            for di in 0..d {
-                for hi in 0..h {
-                    let dst = ((((ni * c) + ci) * d + di) * h + hi) * w;
-                    let src_base = (((((ni * cb) + b) * d + di) * h + hi) * w) * CBLK + r;
-                    for wi in 0..w {
-                        od[dst + wi] = xd[src_base + wi * CBLK];
-                    }
-                }
-            }
-        }
+/// Per-thread lowering scratch, reused across calls: one padded image, one
+/// im2col panel, and a few panel-width rows.
+#[derive(Default)]
+struct Scratch {
+    pad: Vec<f32>,
+    col: Vec<f32>,
+    rows: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The first `len` floats of a scratch buffer, grown on demand. Contents are
+/// stale: every user overwrites or fills its prefix.
+fn prefix(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
-    out
+    &mut buf[..len]
 }
 
-/// Pack weights [O, C, k, k, k] → [Ob, Cb, k, k, k, 8i, 8o] for the blocked
-/// kernel: at each kernel position an 8×8 (in×out) tile is contiguous.
-fn pack_weights(weight: &Tensor, spec: &Conv3dSpec) -> Tensor {
-    let (o, c, k) = (spec.out_c, spec.in_c, spec.k);
-    let ob = o.div_ceil(CBLK);
-    let cb = c.div_ceil(CBLK);
-    let mut out = Tensor::zeros(&[ob, cb, k, k, k, CBLK, CBLK]);
-    let wd = weight.data();
-    let od = out.data_mut();
-    for oc in 0..o {
-        let (obi, obr) = (oc / CBLK, oc % CBLK);
-        for ci in 0..c {
-            let (cbi, cbr) = (ci / CBLK, ci % CBLK);
-            for kz in 0..k {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let src = ((((oc * c) + ci) * k + kz) * k + ky) * k + kx;
-                        let dst = (((((obi * cb + cbi) * k + kz) * k + ky) * k + kx) * CBLK + cbr)
-                            * CBLK
-                            + obr;
-                        od[dst] = wd[src];
-                    }
-                }
-            }
-        }
-    }
-    out
+/// Run `f(i, out_i)` for every `i < n` on the kernel pool, `out_i` being the
+/// `i`-th `len`-float chunk of `out`, with this thread's [`Scratch`]. Tasks
+/// call the GEMM row kernels directly, so no pool call nests inside.
+fn for_each_chunk(
+    out: &mut [f32],
+    n: usize,
+    len: usize,
+    f: &(dyn Fn(usize, &mut [f32], &mut Scratch) + Sync),
+) {
+    assert_eq!(out.len(), n * len);
+    let op = SendPtr::new(out.as_mut_ptr());
+    pool::run(n, &|i| {
+        // SAFETY: task `i` is the only one to touch floats `[i·len, (i+1)·len)`
+        // of `out`, which holds `n·len` floats (asserted above) and outlives
+        // `pool::run`.
+        let chunk = unsafe { std::slice::from_raw_parts_mut(op.get().add(i * len), len) };
+        SCRATCH.with(|s| f(i, chunk, &mut s.borrow_mut()));
+    });
 }
 
-/// Blocked/vectorizable 3D convolution (NCDHW8c layout, 8×8 micro-kernel).
+/// 3D convolution as tiled im2col products on the GEMM row kernels.
 ///
-/// Semantically identical to [`conv3d_naive`]; the inner loop multiplies a
-/// contiguous 8-lane input vector with a contiguous 8×8 weight tile,
-/// accumulating 8 output channels at once — the MKL-DNN strategy from the
-/// paper.
+/// Semantically identical to [`conv3d_naive`]. Per image and per tile of
+/// output voxels, `Y[O, tile] = b + W[O, C·k³] · col[C·k³, tile]` through
+/// [`Kernels::gemm_rows_unpacked`]. Every layer shape takes this path; images
+/// are independent pool tasks, so results do not depend on the thread count.
 pub fn conv3d_blocked(x: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv3dSpec) -> Tensor {
-    let s = x.shape().to_vec();
-    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
+    let s = x.shape();
+    let (n, c, in_dims) = (s[0], s[1], (s[2], s[3], s[4]));
     assert_eq!(c, spec.in_c);
-    let xp = pad_input(x, spec.pad);
-    let (xb, cb) = pack_ncdhw8c(&xp);
-    let wp = pack_weights(weight, spec);
-    let (pd, ph, pw) = (d + 2 * spec.pad, h + 2 * spec.pad, w + 2 * spec.pad);
-    let (od, oh, ow) = (spec.out_dim(d), spec.out_dim(h), spec.out_dim(w));
-    let k = spec.k;
-    let ob = spec.out_c.div_ceil(CBLK);
-    let mut out_b = Tensor::zeros(&[n, ob, od, oh, ow, CBLK]);
-    let xd = xb.data();
-    let wd = wp.data();
-    let block_spatial = od * oh * ow * CBLK;
+    assert_eq!(weight.shape(), &[spec.out_c, c, spec.k, spec.k, spec.k]);
+    assert_eq!(bias.len(), spec.out_c);
+    let low = Lowering::new(spec, in_dims);
+    let (od, oh, ow) = low.out_dims;
+    let mut out = Tensor::zeros(&[n, spec.out_c, od, oh, ow]);
     let kern = Kernels::get();
-    let op = SendPtr::new(out_b.data_mut().as_mut_ptr());
-    pool::run(n * ob, &|chunk_idx| {
-        // SAFETY: each task owns one disjoint [OD, OH, OW, 8] output chunk.
-        let ochunk = unsafe {
-            std::slice::from_raw_parts_mut(op.get().add(chunk_idx * block_spatial), block_spatial)
-        };
-        let ni = chunk_idx / ob;
-        let obi = chunk_idx % ob;
-        // Initialize with bias.
-        for v in ochunk.chunks_mut(CBLK) {
-            for (r, vv) in v.iter_mut().enumerate() {
-                let oc = obi * CBLK + r;
-                *vv = if oc < spec.out_c { bias[oc] } else { 0.0 };
+    let (xd, wd) = (x.data(), weight.data());
+    let (o, kk, vox) = (spec.out_c, low.kk, low.vox);
+    for_each_chunk(out.data_mut(), n, o * vox, &|ni, y, s| {
+        let xpad = prefix(&mut s.pad, low.pad_len + LANES);
+        low.pad_image(&xd[ni * low.in_len..(ni + 1) * low.in_len], xpad);
+        for tile in &low.tiles {
+            let col = prefix(&mut s.col, kk * tile.len + LANES);
+            low.im2col(tile, xpad, col);
+            let ytile = prefix(&mut s.rows, o * tile.len);
+            for (yrow, &b) in ytile.chunks_exact_mut(tile.len).zip(bias) {
+                yrow.fill(b);
             }
-        }
-        for cbi in 0..cb {
-            for kz in 0..k {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let wbase = ((((obi * cb + cbi) * k + kz) * k + ky) * k + kx) * CBLK * CBLK;
-                        let wtile = &wd[wbase..wbase + CBLK * CBLK];
-                        for zo in 0..od {
-                            let zrow = ((ni * cb + cbi) * pd + zo + kz) * ph;
-                            for yo in 0..oh {
-                                let xrow = ((zrow + yo + ky) * pw + kx) * CBLK;
-                                let orow = (zo * oh + yo) * ow * CBLK;
-                                // 8×8 micro-kernel over the whole output row:
-                                // ov[xo*8+o] += iv[xo*8+i] * wtile[i*8+o].
-                                kern.conv_row(
-                                    &mut ochunk[orow..orow + ow * CBLK],
-                                    &xd[xrow..xrow + ow * CBLK],
-                                    wtile,
-                                );
-                            }
-                        }
-                    }
-                }
+            kern.gemm_rows_unpacked(ytile, wd, &col[..kk * tile.len], kk, tile.len);
+            for (oc, yrow) in ytile.chunks_exact(tile.len).enumerate() {
+                y[oc * vox + tile.start..][..tile.len].copy_from_slice(yrow);
             }
         }
     });
-    // Unpack [N, Ob, OD, OH, OW, 8] → [N, O, OD, OH, OW].
-    let packed = out_b.reshape(&[n, ob, od, oh, ow, CBLK]);
-    unpack_ncdhw8c(&packed, spec.out_c)
+    out
 }
 
 /// Gradient of the convolution w.r.t. its input.
 ///
-/// `grad_out`: [N, O, OD, OH, OW] → returns [N, C, D, H, W].
+/// `grad_out`: [N, O, OD, OH, OW] → returns [N, C, D, H, W]. Per image and
+/// tile, `col[C·k³, tile] = Wᵀ · dY[O, tile]`, then col2im onto the padded
+/// image gradient. Dense: a zero in `grad_out` still meets its weights, so
+/// non-finite weights propagate.
 pub fn conv3d_backward_data(
     grad_out: &Tensor,
     weight: &Tensor,
     spec: &Conv3dSpec,
     in_dims: (usize, usize, usize),
 ) -> Tensor {
-    let (d, h, w) = in_dims;
-    let s = grad_out.shape().to_vec();
-    let (n, o, od, oh, ow) = (s[0], s[1], s[2], s[3], s[4]);
-    assert_eq!(o, spec.out_c);
-    let k = spec.k;
-    let (pd, ph, pw) = (d + 2 * spec.pad, h + 2 * spec.pad, w + 2 * spec.pad);
-    let c = spec.in_c;
+    let low = Lowering::new(spec, in_dims);
+    let (n, o) = (grad_out.shape()[0], spec.out_c);
+    let (od, oh, ow) = low.out_dims;
+    assert_eq!(grad_out.shape(), &[n, o, od, oh, ow]);
+    assert_eq!(weight.shape(), &[o, spec.in_c, spec.k, spec.k, spec.k]);
+    let (kk, vox) = (low.kk, low.vox);
+    let wt = weight.clone().reshape(&[o, kk]).transpose2();
+    let mut gx = Tensor::zeros(&[n, spec.in_c, in_dims.0, in_dims.1, in_dims.2]);
+    let kern = Kernels::get();
     let gd = grad_out.data();
-    let wd = weight.data();
-    // Accumulate into a padded gradient, then crop.
-    let mut gpad = Tensor::zeros(&[n, c, pd, ph, pw]);
-    let per_image = c * pd * ph * pw;
-    let gp = SendPtr::new(gpad.data_mut().as_mut_ptr());
-    pool::run(n, &|ni| {
-        // SAFETY: each task owns one disjoint per-image gradient chunk.
-        let gimg =
-            unsafe { std::slice::from_raw_parts_mut(gp.get().add(ni * per_image), per_image) };
-        for oc in 0..o {
-            for zo in 0..od {
-                for yo in 0..oh {
-                    let grow = (((ni * o + oc) * od + zo) * oh + yo) * ow;
-                    for xo in 0..ow {
-                        let g = gd[grow + xo];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..c {
-                            for kz in 0..k {
-                                for ky in 0..k {
-                                    let wbase = ((((oc * c) + ci) * k + kz) * k + ky) * k;
-                                    let xbase = (((ci * pd) + zo + kz) * ph + yo + ky) * pw + xo;
-                                    for kx in 0..k {
-                                        gimg[xbase + kx] += g * wd[wbase + kx];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+    for_each_chunk(gx.data_mut(), n, low.in_len, &|ni, gimg, s| {
+        let gpad = prefix(&mut s.pad, low.pad_len);
+        gpad.fill(0.0);
+        for tile in &low.tiles {
+            let dy = prefix(&mut s.rows, o * tile.len);
+            for (oc, row) in dy.chunks_exact_mut(tile.len).enumerate() {
+                row.copy_from_slice(&gd[(ni * o + oc) * vox + tile.start..][..tile.len]);
             }
+            let col = prefix(&mut s.col, kk * tile.len);
+            col.fill(0.0);
+            kern.gemm_rows_unpacked(col, wt.data(), dy, o, tile.len);
+            low.col2im(tile, col, gpad);
         }
+        low.crop_image(gpad, gimg);
     });
-    // Crop padding.
-    if spec.pad == 0 {
-        return gpad.reshape(&[n, c, d, h, w]);
-    }
-    let mut out = Tensor::zeros(&[n, c, d, h, w]);
-    let gp = gpad.data();
-    let odp = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            for di in 0..d {
-                for hi in 0..h {
-                    let dst = ((((ni * c) + ci) * d + di) * h + hi) * w;
-                    let src = ((((ni * c) + ci) * pd + di + spec.pad) * ph + hi + spec.pad) * pw
-                        + spec.pad;
-                    odp[dst..dst + w].copy_from_slice(&gp[src..src + w]);
-                }
-            }
-        }
-    }
-    out
+    gx
 }
 
 /// Gradients of the convolution w.r.t. weights and bias.
@@ -353,62 +415,74 @@ pub fn conv3d_backward_weights(
     grad_out: &Tensor,
     spec: &Conv3dSpec,
 ) -> (Tensor, Vec<f32>) {
-    let s = x.shape().to_vec();
-    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
-    let so = grad_out.shape().to_vec();
-    let (_, o, od, oh, ow) = (so[0], so[1], so[2], so[3], so[4]);
-    let k = spec.k;
-    let xp = pad_input(x, spec.pad);
-    let (pd, ph, pw) = (d + 2 * spec.pad, h + 2 * spec.pad, w + 2 * spec.pad);
-    let xd = xp.data();
-    let gd = grad_out.data();
-    // Parallelize over output channels: each owns an independent weight slab.
-    let wlen = c * k * k * k;
-    let mut gw = Tensor::zeros(&[o, c, k, k, k]);
-    let mut gb = vec![0.0f32; o];
-    let gbp = SendPtr::new(gb.as_mut_ptr());
-    pool::run(o, &|oc| {
-        let mut acc = 0.0f32;
-        for ni in 0..n {
-            let base = (((ni * o + oc) * od) * oh) * ow;
-            for idx in 0..od * oh * ow {
-                acc += gd[base + idx];
-            }
-        }
-        // SAFETY: each task writes one distinct element.
-        unsafe { *gbp.get().add(oc) = acc };
-    });
-    let gwp = SendPtr::new(gw.data_mut().as_mut_ptr());
-    pool::run(o, &|oc| {
-        // SAFETY: each task owns one disjoint per-channel weight slab.
-        let wslab = unsafe { std::slice::from_raw_parts_mut(gwp.get().add(oc * wlen), wlen) };
-        for ni in 0..n {
-            for zo in 0..od {
-                for yo in 0..oh {
-                    let grow = (((ni * o + oc) * od + zo) * oh + yo) * ow;
-                    for xo in 0..ow {
-                        let g = gd[grow + xo];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..c {
-                            for kz in 0..k {
-                                for ky in 0..k {
-                                    let wbase = (((ci * k) + kz) * k + ky) * k;
-                                    let xbase =
-                                        ((((ni * c) + ci) * pd + zo + kz) * ph + yo + ky) * pw + xo;
-                                    for kx in 0..k {
-                                        wslab[wbase + kx] += g * xd[xbase + kx];
-                                    }
-                                }
-                            }
-                        }
+    let mut gw = Tensor::zeros(&[spec.out_c, spec.in_c, spec.k, spec.k, spec.k]);
+    let mut gb = vec![0.0f32; spec.out_c];
+    conv3d_backward_weights_acc(x, grad_out, spec, gw.data_mut(), &mut gb);
+    (gw, gb)
+}
+
+/// Accumulating form of [`conv3d_backward_weights`]: `gw[O, C·k³] += dW`,
+/// `gb[O] += db`.
+///
+/// Per image and tile, `[dW | db]ᵀ += [col; 1] · dYᵀ[tile, O]` — the row of
+/// ones appended to the im2col panel makes the bias gradient the last row of
+/// the same [`Kernels::gemm_rows_unpacked`] product. Images are summed in
+/// ascending order within fixed groups of [`IMAGES_PER_GROUP`] (one pool task
+/// each), and the group partials are added to `gw`/`gb` in ascending group
+/// order, so the reduction is a pure function of shape. Dense: a zero in
+/// `grad_out` still meets its input voxels, so non-finite inputs propagate.
+pub fn conv3d_backward_weights_acc(
+    x: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv3dSpec,
+    gw: &mut [f32],
+    gb: &mut [f32],
+) {
+    let s = x.shape();
+    let (n, c, in_dims) = (s[0], s[1], (s[2], s[3], s[4]));
+    assert_eq!(c, spec.in_c);
+    let low = Lowering::new(spec, in_dims);
+    let (o, kk, vox) = (spec.out_c, low.kk, low.vox);
+    let (od, oh, ow) = low.out_dims;
+    assert_eq!(grad_out.shape(), &[n, o, od, oh, ow]);
+    assert_eq!(gw.len(), o * kk);
+    assert_eq!(gb.len(), o);
+    let kk1 = kk + 1;
+    let groups = n.div_ceil(IMAGES_PER_GROUP);
+    let mut partials = vec![0.0f32; groups * kk1 * o];
+    let kern = Kernels::get();
+    let (xd, gd) = (x.data(), grad_out.data());
+    for_each_chunk(&mut partials, groups, kk1 * o, &|g, part, s| {
+        let xpad = prefix(&mut s.pad, low.pad_len + LANES);
+        for ni in g * IMAGES_PER_GROUP..((g + 1) * IMAGES_PER_GROUP).min(n) {
+            low.pad_image(&xd[ni * low.in_len..(ni + 1) * low.in_len], xpad);
+            for tile in &low.tiles {
+                let col = prefix(&mut s.col, kk1 * tile.len + LANES);
+                low.im2col(tile, xpad, col);
+                let col = &mut col[..kk1 * tile.len];
+                col[kk * tile.len..].fill(1.0);
+                let dyt = prefix(&mut s.rows, tile.len * o);
+                let dy = &gd[ni * o * vox + tile.start..];
+                for (v, drow) in dyt.chunks_exact_mut(o).enumerate() {
+                    for (oc, d) in drow.iter_mut().enumerate() {
+                        *d = dy[oc * vox + v];
                     }
                 }
+                kern.gemm_rows_unpacked(part, col, dyt, tile.len, o);
             }
         }
     });
-    (gw, gb)
+    for part in partials.chunks_exact(kk1 * o) {
+        let (wpart, bpart) = part.split_at(kk * o);
+        for (t, prow) in wpart.chunks_exact(o).enumerate() {
+            for (oc, &p) in prow.iter().enumerate() {
+                gw[oc * kk + t] += p;
+            }
+        }
+        for (g, &p) in gb.iter_mut().zip(bpart) {
+            *g += p;
+        }
+    }
 }
 
 /// 3D max pooling with cubic window/stride `k`. Returns the pooled tensor and
@@ -487,17 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
-        for &c in &[1usize, 3, 8, 11, 16] {
-            let x = rand_tensor(&[2, c, 3, 4, 5], c as u64);
-            let (p, cb) = pack_ncdhw8c(&x);
-            assert_eq!(cb, c.div_ceil(8));
-            let u = unpack_ncdhw8c(&p, c);
-            assert_close(&u, &x, 0.0);
-        }
-    }
-
-    #[test]
     fn blocked_matches_naive() {
         for &(c, o, pad) in &[(1usize, 8usize, 1usize), (3, 5, 0), (8, 16, 1), (10, 12, 1)] {
             let spec = Conv3dSpec { in_c: c, out_c: o, k: 3, pad };
@@ -558,6 +621,125 @@ mod tests {
         // Bias gradient = number of output voxels per channel (grad_out = 1).
         let per_chan = (y.numel() / 2) as f32;
         assert!((gb[0] - per_chan).abs() < 1e-3);
+    }
+
+    /// Brute-force gradients of [`conv3d_naive`] — the oracle for the two
+    /// backward passes: every (output voxel, kernel tap) pair once, bounds
+    /// tested per element, accumulated in f64. Returns (dx, dw, db).
+    fn backward_naive(
+        x: &Tensor,
+        wt: &Tensor,
+        gout: &Tensor,
+        spec: &Conv3dSpec,
+    ) -> (Tensor, Tensor, Vec<f32>) {
+        let s = x.shape();
+        let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
+        let (o, k, p) = (spec.out_c, spec.k, spec.pad);
+        let (od, oh, ow) = (spec.out_dim(d), spec.out_dim(h), spec.out_dim(w));
+        let mut gx = vec![0.0f64; x.numel()];
+        let mut gw = vec![0.0f64; wt.numel()];
+        let mut gb = vec![0.0f64; o];
+        for ni in 0..n {
+            for oc in 0..o {
+                for (v, &g) in
+                    gout.data()[(ni * o + oc) * od * oh * ow..][..od * oh * ow].iter().enumerate()
+                {
+                    let (z, y, xo) = (v / (oh * ow), v / ow % oh, v % ow);
+                    gb[oc] += g as f64;
+                    for ci in 0..c {
+                        for tap in 0..k * k * k {
+                            let (kz, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+                            let (iz, iy, ix) = (z + kz, y + ky, xo + kx);
+                            if iz < p
+                                || iy < p
+                                || ix < p
+                                || iz >= d + p
+                                || iy >= h + p
+                                || ix >= w + p
+                            {
+                                continue;
+                            }
+                            let xi = (((ni * c + ci) * d + iz - p) * h + iy - p) * w + ix - p;
+                            let wi = (oc * c + ci) * k * k * k + tap;
+                            gx[xi] += g as f64 * wt.data()[wi] as f64;
+                            gw[wi] += g as f64 * x.data()[xi] as f64;
+                        }
+                    }
+                }
+            }
+        }
+        let narrow = |v: Vec<f64>| v.into_iter().map(|g| g as f32).collect::<Vec<f32>>();
+        (
+            Tensor::from_vec(x.shape(), narrow(gx)),
+            Tensor::from_vec(wt.shape(), narrow(gw)),
+            narrow(gb),
+        )
+    }
+
+    /// (batch, input dims) of the oracle sweep: non-cubic volumes, batch 1 and
+    /// a batch of three ragged image groups, the 8×13×13 IC observation (many
+    /// tiles for every `in_c`), 192 voxels (exactly one tile at `in_c = 3`)
+    /// and a volume smaller than one vector copy.
+    const SWEEP: [(usize, [usize; 3]); 6] = [
+        (1, [5, 6, 7]),
+        (2, [5, 6, 7]),
+        (9, [3, 4, 5]),
+        (3, [8, 13, 13]),
+        (2, [4, 6, 8]),
+        (1, [2, 3, 3]),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fast_passes_match_brute_force(
+            c in 1usize..10,
+            o in 1usize..12,
+            pad in 0usize..2,
+            shape in 0usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            let (n, [d, h, w]) = SWEEP[shape];
+            let spec = Conv3dSpec { in_c: c, out_c: o, k: 3, pad };
+            let x = rand_tensor(&[n, c, d, h, w], seed);
+            let wt = rand_tensor(&[o, c, 3, 3, 3], seed ^ 0x55);
+            let bias: Vec<f32> = (0..o).map(|i| i as f32 * 0.1 - 0.3).collect();
+            let y = conv3d_naive(&x, &wt, &bias, &spec);
+            assert_close(&conv3d_blocked(&x, &wt, &bias, &spec), &y, 1e-4);
+            let gout = rand_tensor(y.shape(), seed ^ 0xAA);
+            let (gx, gw, gb) = backward_naive(&x, &wt, &gout, &spec);
+            assert_close(&conv3d_backward_data(&gout, &wt, &spec, (d, h, w)), &gx, 1e-4);
+            let (fw, fb) = conv3d_backward_weights(&x, &gout, &spec);
+            assert_close(&fw, &gw, 1e-4);
+            assert_close(&Tensor::from_vec(&[o], fb), &Tensor::from_vec(&[o], gb), 1e-4);
+        }
+    }
+
+    /// Regression: the old backward loops skipped `grad_out == 0.0` terms,
+    /// turning 0 × inf into 0 (the defect PR 8 removed from GEMM). Dense
+    /// products must carry a non-finite weight or input voxel into every
+    /// gradient entry it meets, and nowhere else.
+    #[test]
+    fn backward_passes_propagate_non_finite_under_zero_grad() {
+        let spec = Conv3dSpec { in_c: 2, out_c: 3, k: 3, pad: 1 };
+        let gout = Tensor::zeros(&[1, 3, 4, 4, 4]);
+        // The centre tap of (out 1, in 1) meets every voxel of input channel 1.
+        let mut wt = rand_tensor(&[3, 2, 3, 3, 3], 41);
+        wt.data_mut()[(1 * 2 + 1) * 27 + 13] = f32::INFINITY;
+        let gx = conv3d_backward_data(&gout, &wt, &spec, (4, 4, 4));
+        let (ch0, ch1) = gx.data().split_at(64);
+        assert!(ch0.iter().all(|&g| g == 0.0), "channel 0 meets only finite weights");
+        assert!(ch1.iter().all(|g| g.is_nan()), "0 × inf must reach all of channel 1");
+        // An interior voxel of input channel 1 is under every tap of that channel.
+        let mut x = rand_tensor(&[1, 2, 4, 4, 4], 42);
+        x.data_mut()[64 + (2 * 4 + 2) * 4 + 2] = f32::NAN;
+        let (gw, gb) = conv3d_backward_weights(&x, &gout, &spec);
+        for (oc, taps) in gw.data().chunks(2 * 27).enumerate() {
+            assert!(taps[..27].iter().all(|&g| g == 0.0), "out {oc}: channel 0 stays finite");
+            assert!(taps[27..].iter().all(|g| g.is_nan()), "out {oc}: channel 1 must be NaN");
+        }
+        assert_eq!(gb, vec![0.0; 3]);
     }
 
     #[test]

@@ -38,14 +38,16 @@ const ROWS_PER_TASK: usize = 32;
 /// once several rows share each panel load; measured on AVX2, single thread
 /// (ns per call, packed → unpacked):
 ///
-/// | `[k, n]`     | m = 1         | m = 4         | m = 8           |
-/// |--------------|---------------|---------------|-----------------|
-/// | `[52, 256]`  | 5 806 → 599   | 6 429 → 2 393 | 8 329 → 4 799   |
-/// | `[32, 15]`   | 389 → 57      | 879 → 190     | 1 561 → 369     |
-/// | `[512, 2048]`| 983 µs → 165 µs | 1 000 µs → 644 µs | 1 188 µs → 1 282 µs |
+/// | `[k, n]`     | m = 1           | m = 4           | m = 8           |
+/// |--------------|-----------------|-----------------|-----------------|
+/// | `[52, 256]`  | 5 833 → 621     | 7 123 → 1 307   | 9 103 → 2 579   |
+/// | `[32, 15]`   | 426 → 96        | 917 → 178       | 1 595 → 306     |
+/// | `[512, 2048]`| 1 061 µs → 177 µs | 1 011 µs → 246 µs | 1 153 µs → 499 µs |
 ///
-/// Up to 4 rows the unpacked kernel wins on every shape; by 8 rows a B that
-/// has left the cache is better packed.
+/// Through 8 rows the unpacked kernel wins on every shape (its four-row
+/// blocks share each B vector as the packed micro-kernel does); the pack pays
+/// once its pass over B is spread over many more rows. The switch sits at one
+/// row block, the B = 1 steps it exists for.
 const UNPACKED_MAX_ROWS: usize = 4;
 
 thread_local! {

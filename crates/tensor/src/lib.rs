@@ -5,13 +5,15 @@
 //! paper optimizes in §4.4.2.
 //!
 //! * [`Tensor`] — row-major dense tensors with elementwise ops.
-//! * [`gemm`] — blocked, rayon-parallel matrix products (forward, `A·Bᵀ`,
-//!   `Aᵀ·B`) powering the LSTM and dense layers.
-//! * [`conv`] — direct 3D convolution in two flavours: plain NCDHW
-//!   ([`conv::conv3d_naive`]) and the channel-blocked NCDHW8c layout with an
-//!   8×8 micro-kernel ([`conv::conv3d_blocked`]) that reproduces the
-//!   MKL-DNN vectorization strategy (the paper's 8× Conv3D kernel win),
-//!   plus max pooling and all backward kernels.
+//! * [`gemm`] — blocked matrix products (forward, `A·Bᵀ`, `Aᵀ·B`) on the
+//!   [`simd`] micro-kernels and the [`pool`] threads, powering the LSTM and
+//!   dense layers.
+//! * [`conv`] — 3D convolution on the same GEMM spine: forward
+//!   ([`conv::conv3d_blocked`]), backward-data and backward-weights as tiled
+//!   im2col products — the SIMD-friendly forward *and* backward Conv3D that
+//!   was the paper's 8× kernel win — beside the plain NCDHW direct
+//!   convolution ([`conv::conv3d_naive`]) kept as baseline and oracle, plus
+//!   max pooling.
 //! * [`activations`] — ReLU/sigmoid/tanh/softmax/softplus with derivatives.
 //! * [`simd`] — the runtime-dispatched micro-kernel backend: AVX2+FMA via
 //!   `std::arch` with a bit-identical 8-lane scalar fallback.

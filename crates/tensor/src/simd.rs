@@ -4,7 +4,7 @@
 //! The paper's training throughput rests on explicitly vectorized kernels
 //! (§4.4.2: the MKL-DNN AVX-512 path). This module is the etalumis-rs
 //! equivalent on stable Rust: every hot inner loop (GEMM micro-kernel, dot
-//! products, the Conv3D 8×8 tile kernel, sigmoid/tanh sweeps) exists twice —
+//! products, sigmoid/tanh sweeps) exists twice —
 //!
 //! * an **AVX2+FMA** path using `std::arch` intrinsics, selected at runtime
 //!   behind [`is_x86_feature_detected!`], and
@@ -196,7 +196,9 @@ impl Kernels {
 
     /// GEMM straight off row-major B: `c[rows, n] += a[rows, k] · b[k, n]`
     /// with no packed panel — for the few-row products (B = 1 inference
-    /// steps) where packing B costs as much as multiplying by it. Every
+    /// steps) where packing B costs as much as multiplying by it, and for
+    /// the convolutions, whose B is an im2col panel built once and used
+    /// once. Every
     /// output element runs exactly the [`Kernels::gemm_rows_packed`] chain
     /// (per `KC` block a fused multiply-add chain ascending in `t`, block
     /// sums added to `c` in block order); only the B addressing differs, so
@@ -288,23 +290,6 @@ impl Kernels {
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2Fma => scalar_tanh(xs),
             Backend::Scalar => scalar_tanh(xs),
-        }
-    }
-
-    /// Conv3D inner row: for each of `ow` output positions, an 8×8 tile
-    /// multiply `ov[xo*8 + o] += Σ_i iv[xo*8 + i] * wtile[i*8 + o]`, `i`
-    /// ascending (fused).
-    pub fn conv_row(&self, ov: &mut [f32], iv: &[f32], wtile: &[f32]) {
-        debug_assert_eq!(wtile.len(), 64);
-        debug_assert_eq!(ov.len(), iv.len());
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`).
-            Backend::Avx2Fma => unsafe { avx2::conv_row(ov, iv, wtile) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => scalar_conv_row_dispatch(ov, iv, wtile),
-            Backend::Scalar => scalar_conv_row_dispatch(ov, iv, wtile),
         }
     }
 }
@@ -493,39 +478,6 @@ fn scalar_gemm_a_bt_rows(_k: &Kernels, c: &mut [f32], a: &[f32], b: &[f32], k: u
         return;
     }
     scalar_gemm_a_bt_rows_impl(c, a, b, k, n)
-}
-
-#[inline(always)]
-fn scalar_conv_row_impl(ov: &mut [f32], iv: &[f32], wtile: &[f32]) {
-    for (o8, i8) in ov.chunks_exact_mut(8).zip(iv.chunks_exact(8)) {
-        let mut acc = [0.0f32; 8];
-        acc.copy_from_slice(o8);
-        for (i, &ivv) in i8.iter().enumerate() {
-            let wrow = &wtile[i * 8..i * 8 + 8];
-            for l in 0..8 {
-                acc[l] = ivv.mul_add(wrow[l], acc[l]);
-            }
-        }
-        o8.copy_from_slice(&acc);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-// SAFETY: callers must ensure FMA is supported (every call site checks
-// `fma_available` first).
-#[target_feature(enable = "fma")]
-unsafe fn scalar_conv_row_fma(ov: &mut [f32], iv: &[f32], wtile: &[f32]) {
-    scalar_conv_row_impl(ov, iv, wtile)
-}
-
-fn scalar_conv_row_dispatch(ov: &mut [f32], iv: &[f32], wtile: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: FMA support was just verified.
-        unsafe { scalar_conv_row_fma(ov, iv, wtile) };
-        return;
-    }
-    scalar_conv_row_impl(ov, iv, wtile)
 }
 
 // --- shared polynomial exp (Cephes-style expf) -----------------------------
@@ -744,33 +696,42 @@ mod avx2 {
         }
     }
 
-    /// `S` adjacent 8-wide strips of one row over one `KC` block, off
-    /// row-major B: `S` independent accumulator chains per `t`, which is what
-    /// hides the FMA latency a single row cannot hide by sharing B across
-    /// rows.
+    /// `R` rows × `S` adjacent 8-wide strips over one `KC` block, off
+    /// row-major B: `R·S` independent accumulator chains per `t` hide the FMA
+    /// latency, and with `R > 1` each B vector loaded feeds `R` rows.
     // SAFETY: callers must ensure AVX2+FMA are supported and that
-    // `bcol + t * n + 8 * S` stays inside B for every `t < t1`, `arow + t`
-    // inside A, and `cdst + 8 * S` inside C.
+    // `bcol + t * n + 8 * S` stays inside B for every `t < t1`,
+    // `arow + r * k + t` inside A and `cdst + r * n + 8 * S` inside C for
+    // every `r < R`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn row_strips<const S: usize>(
+    unsafe fn block<const R: usize, const S: usize>(
         cdst: *mut f32,
         arow: *const f32,
+        k: usize,
         bcol: *const f32,
         n: usize,
         t0: usize,
         t1: usize,
     ) {
-        let mut acc = [_mm256_setzero_ps(); S];
+        let mut acc = [[_mm256_setzero_ps(); S]; R];
         for t in t0..t1 {
-            let av = _mm256_broadcast_ss(&*arow.add(t));
             let brow = bcol.add(t * n);
-            for (s, acc) in acc.iter_mut().enumerate() {
-                *acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow.add(s * 8)), *acc);
+            let mut bv = [_mm256_setzero_ps(); S];
+            for (s, bv) in bv.iter_mut().enumerate() {
+                *bv = _mm256_loadu_ps(brow.add(s * 8));
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(&*arow.add(r * k + t));
+                for (acc, bv) in acc.iter_mut().zip(bv) {
+                    *acc = _mm256_fmadd_ps(av, bv, *acc);
+                }
             }
         }
-        for (s, acc) in acc.into_iter().enumerate() {
-            let dst = cdst.add(s * 8);
-            _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc));
+        for (r, acc) in acc.into_iter().enumerate() {
+            for (s, acc) in acc.into_iter().enumerate() {
+                let dst = cdst.add(r * n + s * 8);
+                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc));
+            }
         }
     }
 
@@ -786,41 +747,61 @@ mod avx2 {
         // Lanes `0..tail` on (sign bit set), the rest off.
         let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail as i32), lanes);
+        let bp = b.as_ptr();
         let mut t0 = 0;
         while t0 < k {
             let t1 = (t0 + KC).min(k);
-            for i in 0..rows {
+            let mut i = 0;
+            while i < rows {
                 let arow = a.as_ptr().add(i * k);
                 let crow = c.as_mut_ptr().add(i * n);
                 let mut j = 0;
-                while j + 64 <= full {
-                    row_strips::<8>(crow.add(j), arow, b.as_ptr().add(j), n, t0, t1);
-                    j += 64;
-                }
-                if j + 32 <= full {
-                    row_strips::<4>(crow.add(j), arow, b.as_ptr().add(j), n, t0, t1);
-                    j += 32;
-                }
-                if j + 16 <= full {
-                    row_strips::<2>(crow.add(j), arow, b.as_ptr().add(j), n, t0, t1);
-                    j += 16;
-                }
-                if j < full {
-                    row_strips::<1>(crow.add(j), arow, b.as_ptr().add(j), n, t0, t1);
-                }
-                // Tail columns: one masked strip. Lane-wise the fused chain
-                // is the scalar one; masked-off lanes are neither read nor
-                // written.
-                if tail > 0 {
-                    let mut acc = _mm256_setzero_ps();
-                    for t in t0..t1 {
-                        let bv = _mm256_maskload_ps(b.as_ptr().add(t * n + full), mask);
-                        acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*arow.add(t)), bv, acc);
+                // Four rows at a time while they last (the convolution
+                // products), then row by row (the B = 1 inference steps).
+                let step = if rows - i >= 4 {
+                    while j + 16 <= full {
+                        block::<4, 2>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        j += 16;
                     }
-                    let dst = crow.add(full);
-                    let sum = _mm256_add_ps(_mm256_maskload_ps(dst, mask), acc);
-                    _mm256_maskstore_ps(dst, mask, sum);
+                    if j < full {
+                        block::<4, 1>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                    }
+                    4
+                } else {
+                    while j + 64 <= full {
+                        block::<1, 8>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        j += 64;
+                    }
+                    if j + 32 <= full {
+                        block::<1, 4>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        j += 32;
+                    }
+                    if j + 16 <= full {
+                        block::<1, 2>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        j += 16;
+                    }
+                    if j < full {
+                        block::<1, 1>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                    }
+                    1
+                };
+                // Tail columns: one masked strip per row. Lane-wise the fused
+                // chain is the scalar one; masked-off lanes are neither read
+                // nor written.
+                if tail > 0 {
+                    for r in 0..step {
+                        let mut acc = _mm256_setzero_ps();
+                        for t in t0..t1 {
+                            let bv = _mm256_maskload_ps(bp.add(t * n + full), mask);
+                            let av = _mm256_broadcast_ss(&*arow.add(r * k + t));
+                            acc = _mm256_fmadd_ps(av, bv, acc);
+                        }
+                        let dst = crow.add(r * n + full);
+                        let sum = _mm256_add_ps(_mm256_maskload_ps(dst, mask), acc);
+                        _mm256_maskstore_ps(dst, mask, sum);
+                    }
                 }
+                i += step;
             }
             t0 = t1;
         }
@@ -946,29 +927,6 @@ mod avx2 {
             *v = tanh_lane(*v);
         }
     }
-
-    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrappers gate on `avx2_available`); slice-length preconditions are
-    // checked by the safe `Kernels` entry points.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn conv_row(ov: &mut [f32], iv: &[f32], wtile: &[f32]) {
-        let positions = ov.len() / 8;
-        let op = ov.as_mut_ptr();
-        let ip = iv.as_ptr();
-        let wp = wtile.as_ptr();
-        for xo in 0..positions {
-            let mut acc = _mm256_loadu_ps(op.add(xo * 8));
-            let ibase = ip.add(xo * 8);
-            for i in 0..8 {
-                acc = _mm256_fmadd_ps(
-                    _mm256_broadcast_ss(&*ibase.add(i)),
-                    _mm256_loadu_ps(wp.add(i * 8)),
-                    acc,
-                );
-            }
-            _mm256_storeu_ps(op.add(xo * 8), acc);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1035,7 +993,7 @@ mod tests {
     }
 
     #[test]
-    fn backends_bit_identical_activations_and_conv() {
+    fn backends_bit_identical_activations() {
         if !avx2_available() {
             return;
         }
@@ -1054,17 +1012,6 @@ mod tests {
             };
             assert_eq!(run(Backend::Scalar), run(Backend::Avx2Fma));
         }
-        let iv = rand_vec(11 * 8, 6);
-        let w = rand_vec(64, 7);
-        let base = rand_vec(11 * 8, 8);
-        let run = |be: Backend| {
-            with_backend(be, |kern| {
-                let mut ov = base.clone();
-                kern.conv_row(&mut ov, &iv, &w);
-                ov
-            })
-        };
-        assert_eq!(run(Backend::Scalar), run(Backend::Avx2Fma));
     }
 
     #[test]

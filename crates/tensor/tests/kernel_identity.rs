@@ -41,6 +41,15 @@ fn assert_backend_identical<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T, c
     assert_eq!(serial, parallel, "serial vs parallel: {ctx}");
 }
 
+/// (batch, input dims) the conv identity proptest draws from: non-cubic
+/// volumes, batch 1, batches above any CI pool size that split into several
+/// image groups with a ragged last one (the weight-gradient reduction), and
+/// voxel counts on both sides of the tile length for every `in_c` — 1 352
+/// voxels is several tiles even at `in_c = 1`, 210 straddles one from
+/// `in_c = 3` up, 60 never fills one.
+const CONV_SWEEP: [(usize, [usize; 3]); 5] =
+    [(1, [5, 6, 7]), (2, [5, 6, 7]), (19, [3, 4, 5]), (9, [5, 6, 7]), (3, [8, 13, 13])];
+
 /// `base + A·B` through the packed-panel kernel, whatever `m` is: the
 /// reference the few-row unpacked path must reproduce bit for bit.
 fn packed_reference(base: &[f32], a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
@@ -52,10 +61,12 @@ fn packed_reference(base: &[f32], a: &[f32], b: &[f32], k: usize, n: usize) -> V
     c
 }
 
-/// The gemm driver multiplies few-row products straight off row-major B.
-/// Over m on both sides of that switch, k straddling the `KC = 256` block
-/// and n with every kind of column tail, `matmul_into` / `matmul_acc_into`
-/// equal the packed kernel bitwise, on each backend and across them.
+/// The gemm driver multiplies few-row products straight off row-major B, and
+/// the convolutions multiply their im2col panels the same way at any row
+/// count. Over m on both sides of the driver's switch, k straddling the
+/// `KC = 256` block and n with every kind of column tail, `matmul_into` /
+/// `matmul_acc_into` and the row kernel itself equal the packed kernel
+/// bitwise, on each backend and across them.
 #[test]
 fn few_row_gemm_bit_identical_to_packed_path() {
     let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
@@ -79,7 +90,12 @@ fn few_row_gemm_bit_identical_to_packed_path() {
                     matmul_acc_into(&a, &b, &mut acc, m, k, n);
                     let want_plain = packed_reference(&vec![0.0; m * n], &a, &b, k, n);
                     let want_acc = packed_reference(&base, &a, &b, k, n);
+                    // The row kernel itself, past the driver's few-row switch:
+                    // four-row blocks, leftover rows and masked column tails.
+                    let mut rows = base.clone();
+                    Kernels::get().gemm_rows_unpacked(&mut rows, &a, &b, k, n);
                     set_backend_override(None);
+                    assert_eq!(rows, want_acc, "{be:?} gemm_rows_unpacked {m}x{k}x{n}");
                     assert_eq!(plain, want_plain, "{be:?} matmul_into {m}x{k}x{n}");
                     assert_eq!(acc, want_acc, "{be:?} matmul_acc_into {m}x{k}x{n}");
                     per_backend.push((plain, acc));
@@ -154,16 +170,34 @@ proptest! {
         c in 1usize..10,
         o in 1usize..12,
         pad in 0usize..2,
+        shape in 0usize..5,
         seed in 0u64..1_000_000,
     ) {
         let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+        let (n, [d, h, w]) = CONV_SWEEP[shape];
         let spec = Conv3dSpec { in_c: c, out_c: o, k: 3, pad };
-        let x = rand_tensor(&[2, c, 5, 6, 7], seed);
+        let x = rand_tensor(&[n, c, d, h, w], seed);
         let wt = rand_tensor(&[o, c, 3, 3, 3], seed ^ 0x55);
         let bias: Vec<f32> = (0..o).map(|i| i as f32 * 0.1).collect();
+        let ctx = format!("c={c} o={o} pad={pad} n={n} dhw={d}x{h}x{w}");
         assert_backend_identical(
             || conv::conv3d_blocked(&x, &wt, &bias, &spec).into_data(),
-            &format!("conv3d_blocked c={c} o={o} pad={pad}"),
+            &format!("conv3d_blocked {ctx}"),
+        );
+        let gout = rand_tensor(
+            &[n, o, spec.out_dim(d), spec.out_dim(h), spec.out_dim(w)],
+            seed ^ 0xAA,
+        );
+        assert_backend_identical(
+            || conv::conv3d_backward_data(&gout, &wt, &spec, (d, h, w)).into_data(),
+            &format!("conv3d_backward_data {ctx}"),
+        );
+        assert_backend_identical(
+            || {
+                let (gw, gb) = conv::conv3d_backward_weights(&x, &gout, &spec);
+                (gw.into_data(), gb)
+            },
+            &format!("conv3d_backward_weights {ctx}"),
         );
     }
 
