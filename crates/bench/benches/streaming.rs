@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use etalumis_data::{ChannelStats, TraceChannel};
 use etalumis_nn::{Adam, LrSchedule};
 use etalumis_runtime::{
-    generate_dataset_parallel, stream_prior_traces, DatasetGenConfig, RuntimeConfig,
+    generate_dataset_parallel, Backend, DatasetGenConfig, RunPlan, RuntimeConfig, SimulatorPool,
 };
 use etalumis_simulators::BranchingModel;
 use etalumis_train::{
@@ -92,7 +92,10 @@ fn run_streaming(n: usize, workers: usize) -> (f64, ChannelStats) {
     let t0 = Instant::now();
     std::thread::scope(|s| {
         s.spawn(|| {
-            stream_prior_traces(|_| BranchingModel::standard(), &gen_cfg(n, workers), &chan)
+            let mut pool = SimulatorPool::from_factory(workers, |_| BranchingModel::standard());
+            RunPlan::new(Backend::Local(&mut pool), &gen_cfg(n, workers))
+                .stream(&chan)
+                .run()
                 .expect("streaming generation");
         });
         let mut trainer = new_trainer();

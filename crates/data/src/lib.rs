@@ -41,9 +41,10 @@ pub use record::{
 };
 pub use sampler::{homogeneous_fraction, DistributedSampler, EpochPlan, SamplerConfig};
 pub use shard::{
-    atomic_save, deny_stale_partials, partition_of, partition_prefix, read_journal, regroup_shards,
-    remove_stale_rolls, RollingShardWriter, ShardReader, ShardWriter, WriterProgress,
-    CHECKPOINT_MANIFEST_NAME, PARTIAL_EXT,
+    atomic_save, deny_stale_partials, journal_path, parse_shard_name, partition_of,
+    partition_prefix, read_journal, regroup_shards, remove_stale_rolls, shard_path,
+    RollingShardWriter, ShardReader, ShardWriter, WriterProgress, CHECKPOINT_MANIFEST_NAME,
+    PARTIAL_EXT, REPAIR_PREFIX,
 };
 pub use stream::{
     stream_dataset_into, BucketerConfig, ChannelClosed, ChannelStats, TraceBucketer, TraceChannel,

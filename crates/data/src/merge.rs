@@ -35,8 +35,8 @@
 
 use crate::record::Reader;
 use crate::shard::{
-    atomic_save, deny_stale_partials, partition_prefix, remove_stale_rolls, RollingShardWriter,
-    ShardReader, CHECKPOINT_MANIFEST_NAME,
+    atomic_save, deny_stale_partials, partition_prefix, remove_stale_rolls, shard_path,
+    RollingShardWriter, ShardReader, CHECKPOINT_MANIFEST_NAME, REPAIR_PREFIX,
 };
 use std::fs::File;
 use std::io::{self, Read};
@@ -537,8 +537,7 @@ pub fn merge_ranks(rank_dirs: &[PathBuf], out_dir: &Path) -> io::Result<MergeOut
         let mut writer = RollingShardWriter::new(out_dir, prefix.clone(), tps, true);
         for (dir, m) in &ranks {
             for seq in 0..m.shards_per_partition[p] as usize {
-                let path = dir.join(format!("{prefix}_{seq:05}.etlm"));
-                for rec in ShardReader::open(&path)?.read_all()? {
+                for rec in ShardReader::open(shard_path(dir, &prefix, seq))?.read_all()? {
                     records += 1;
                     writer.push(rec)?;
                 }
@@ -553,18 +552,17 @@ pub fn merge_ranks(rank_dirs: &[PathBuf], out_dir: &Path) -> io::Result<MergeOut
     // immutable), so the merge re-rolls them into one trailing repair
     // stream — the dataset is complete, and the canonical partition layout
     // of the committed range is untouched.
-    let mut repair = RollingShardWriter::new(out_dir, "repair", tps, true);
+    let mut repair = RollingShardWriter::new(out_dir, REPAIR_PREFIX, tps, true);
     for (dir, m) in &ranks {
         for seq in 0..m.repair_shards as usize {
-            let path = dir.join(format!("repair_{seq:05}.etlm"));
-            for rec in ShardReader::open(&path)?.read_all()? {
+            for rec in ShardReader::open(shard_path(dir, REPAIR_PREFIX, seq))?.read_all()? {
                 records += 1;
                 repair.push(rec)?;
             }
         }
     }
     let repair_paths = repair.finish()?;
-    remove_stale_rolls(out_dir, "repair", repair_paths.len())?;
+    remove_stale_rolls(out_dir, REPAIR_PREFIX, repair_paths.len())?;
     shards.extend(repair_paths);
 
     // Sweep every `.etlm` (or leftover `.etlm.tmp`) this merge did not

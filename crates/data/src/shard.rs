@@ -65,6 +65,29 @@ pub fn partition_prefix(partition: usize) -> String {
     format!("part{partition:02}")
 }
 
+/// Shard-file prefix of the healed records a checkpointed run's repair pass
+/// writes after its partitions (`repair_{seq:05}.etlm`).
+pub const REPAIR_PREFIX: &str = "repair";
+
+/// `dir/{prefix}_{seq:05}.etlm`: shard `seq` of a rolling shard stream. Every
+/// writer, resume, replay and merge names shard files through this function.
+pub fn shard_path(dir: &Path, prefix: &str, seq: usize) -> PathBuf {
+    dir.join(format!("{prefix}_{seq:05}.etlm"))
+}
+
+/// `dir/{prefix}_{seq:05}.partial`: the durable journal of the in-progress
+/// shard `seq` (see [`RollingShardWriter::durable`]).
+pub fn journal_path(dir: &Path, prefix: &str, seq: usize) -> PathBuf {
+    dir.join(format!("{prefix}_{seq:05}.{PARTIAL_EXT}"))
+}
+
+/// The `(prefix, seq)` of a shard file name written by [`shard_path`], or
+/// `None` for any other name.
+pub fn parse_shard_name(name: &str) -> Option<(&str, usize)> {
+    let (prefix, seq) = name.strip_suffix(".etlm")?.rsplit_once('_')?;
+    Some((prefix, seq.parse().ok()?))
+}
+
 /// The partition a trace type hashes to — the single placement rule shared
 /// by the runtime's sharded sinks and the cross-process merge. Per-trace
 /// seeding makes record *content* placement-invariant; this function makes
@@ -118,17 +141,15 @@ pub fn remove_stale_rolls(dir: &Path, prefix: &str, kept: usize) -> std::io::Res
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
-    let lead = format!("{prefix}_");
     for entry in entries {
         let path = entry?.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        let Some(rest) = name.strip_prefix(&lead) else { continue };
-        if rest.ends_with(".etlm.tmp") {
+        let stale = match name.strip_suffix(".tmp") {
+            Some(tmp) => parse_shard_name(tmp).is_some_and(|(p, _)| p == prefix),
+            None => parse_shard_name(name).is_some_and(|(p, seq)| p == prefix && seq >= kept),
+        };
+        if stale {
             std::fs::remove_file(&path)?;
-        } else if let Some(seq) = rest.strip_suffix(".etlm").and_then(|s| s.parse::<usize>().ok()) {
-            if seq >= kept {
-                std::fs::remove_file(&path)?;
-            }
         }
     }
     Ok(())
@@ -553,11 +574,11 @@ impl RollingShardWriter {
     }
 
     fn shard_path(&self, seq: usize) -> PathBuf {
-        self.dir.join(format!("{}_{:05}.etlm", self.prefix, seq))
+        shard_path(&self.dir, &self.prefix, seq)
     }
 
     fn journal_path(&self, seq: usize) -> PathBuf {
-        self.dir.join(format!("{}_{:05}.{}", self.prefix, seq, PARTIAL_EXT))
+        journal_path(&self.dir, &self.prefix, seq)
     }
 
     /// Durable progress for a checkpoint manifest (all zeros in plain mode
@@ -747,6 +768,17 @@ mod tests {
     use super::*;
     use etalumis_core::Executor;
     use etalumis_simulators::BranchingModel;
+
+    #[test]
+    fn shard_names_round_trip_through_the_path_helpers() {
+        let dir = Path::new("d");
+        assert_eq!(shard_path(dir, &partition_prefix(3), 12), dir.join("part03_00012.etlm"));
+        assert_eq!(journal_path(dir, REPAIR_PREFIX, 0), dir.join("repair_00000.partial"));
+        assert_eq!(parse_shard_name("part03_00012.etlm"), Some(("part03", 12)));
+        assert_eq!(parse_shard_name("repair_00001.etlm"), Some((REPAIR_PREFIX, 1)));
+        assert_eq!(parse_shard_name("part03_00012.partial"), None);
+        assert_eq!(parse_shard_name("checkpoint.etck"), None);
+    }
 
     fn make_records(n: usize) -> Vec<TraceRecord> {
         let mut m = BranchingModel::standard();

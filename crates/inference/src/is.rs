@@ -8,14 +8,15 @@
 //! rises dramatically — that is the amortized-inference payoff.
 //!
 //! IC/IS inference "is embarrassingly parallel" (§4.2):
-//! [`parallel_importance_sampling`] runs on the `etalumis-runtime` batch
-//! runner — a work-stealing pool with one model instance per worker and
-//! per-trace seeding, so the sampled trace set is identical for any worker
-//! count. The serial path below is the degenerate 1-worker case.
+//! [`parallel_importance_sampling`] is one collecting `etalumis-runtime`
+//! [`RunPlan`] — work stealing over a local pool or a multiplexed PPX pool,
+//! with per-trace seeding, so the sampled trace set is identical for any
+//! backend and worker count. The serial path below is the degenerate
+//! 1-worker case.
 
 use crate::posterior::WeightedTraces;
 use etalumis_core::{Executor, ObserveMap, PriorProposer, ProbProgram, Proposer};
-use etalumis_runtime::{BatchRunner, CollectSink, MuxSimulatorPool, RuntimeConfig, SimulatorPool};
+use etalumis_runtime::{Backend, DatasetGenConfig, RunPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,68 +50,22 @@ pub fn importance_sampling_with(
     WeightedTraces::new(traces, log_weights)
 }
 
-/// Embarrassingly parallel prior-proposal IS on the work-stealing runtime:
-/// `factory` builds one model instance per worker; trace `i` is seeded from
-/// `(seed, i)` alone, so the result is bit-identical for any `workers`.
-pub fn parallel_importance_sampling<F, P>(
-    factory: F,
-    observes: &ObserveMap,
-    n: usize,
-    seed: u64,
-    workers: usize,
-) -> WeightedTraces
-where
-    F: Fn() -> P,
-    P: ProbProgram + Send + 'static,
-{
-    let workers = workers.clamp(1, n.max(1));
-    let mut pool = SimulatorPool::from_factory(workers, |_| factory());
-    let runner = BatchRunner::new(RuntimeConfig { workers, stealing: true });
-    let sink = CollectSink::new(n);
-    let stats = runner.run_prior(&mut pool, observes, n, seed, &sink);
-    // Local factories produce infallible programs, so failures here mean a
-    // broken program wired through the infallible API — refuse to return a
-    // silently truncated (biased) estimate.
-    assert!(
-        stats.failures.is_empty(),
-        "{} of {n} traces failed during parallel IS (first: trace {}: {}); \
-         use parallel_importance_sampling_mux for fallible remote pools",
-        stats.failures.len(),
-        stats.failures[0].0,
-        stats.failures[0].1,
-    );
-    let traces = sink.into_traces();
-    let log_weights = traces.iter().map(|t| t.log_weight()).collect();
-    WeightedTraces::new(traces, log_weights)
-}
-
-/// Prior-proposal IS over a multiplexed pool of remote PPX simulators:
-/// `workers` reactor threads (0 = all cores, capped at the session count)
-/// drive the pool's K sessions concurrently, hiding each simulator's
-/// latency behind the others'. Per-trace seeding is identical to
-/// [`parallel_importance_sampling`], so for the same model and seed the
-/// weighted trace set matches the local and blocking-remote paths exactly.
+/// Embarrassingly parallel prior-proposal IS on the work-stealing runtime.
 ///
-/// Returns an error if any trace failed (dead session): an IS estimate over
-/// a silently truncated batch would be biased.
-pub fn parallel_importance_sampling_mux(
-    pool: &mut MuxSimulatorPool,
+/// Trace `i` is seeded from `(seed, i)` alone, so the weighted trace set is
+/// bit-identical for any backend and worker count: a local pool runs one
+/// worker per instance; a mux pool is driven by min(cores, K) reactors.
+/// Returns an error naming the first failed trace if any failed (a dead
+/// simulator): an IS estimate over a silently truncated batch would be
+/// biased.
+pub fn parallel_importance_sampling(
+    backend: Backend<'_>,
     observes: &ObserveMap,
     n: usize,
     seed: u64,
-    workers: usize,
-) -> Result<WeightedTraces, String> {
-    let workers = workers.min(pool.len());
-    let runner = BatchRunner::new(RuntimeConfig { workers, stealing: true });
-    let sink = CollectSink::new(n);
-    let stats = runner.run_mux_prior(pool, observes, n, seed, &sink);
-    if let Some((i, e)) = stats.failures.first() {
-        return Err(format!(
-            "{} of {n} traces failed during multiplexed IS (first: trace {i}: {e})",
-            stats.failures.len()
-        ));
-    }
-    let traces = sink.into_traces();
+) -> std::io::Result<WeightedTraces> {
+    let cfg = DatasetGenConfig { n, seed, ..Default::default() };
+    let traces = RunPlan::new(backend, &cfg).observes(observes).run()?.traces;
     let log_weights = traces.iter().map(|t| t.log_weight()).collect();
     Ok(WeightedTraces::new(traces, log_weights))
 }
@@ -119,7 +74,14 @@ pub fn parallel_importance_sampling_mux(
 mod tests {
     use super::*;
     use etalumis_distributions::Value;
+    use etalumis_runtime::SimulatorPool;
     use etalumis_simulators::GaussianUnknownMean;
+
+    /// Parallel IS of the conjugate model on a local pool of `workers`.
+    fn local_is(obs: &ObserveMap, n: usize, seed: u64, workers: usize) -> WeightedTraces {
+        let mut pool = SimulatorPool::from_factory(workers, |_| GaussianUnknownMean::standard());
+        parallel_importance_sampling(Backend::Local(&mut pool), obs, n, seed).unwrap()
+    }
 
     fn observes_for(ys: &[f64]) -> ObserveMap {
         let mut m = ObserveMap::new();
@@ -148,7 +110,7 @@ mod tests {
     fn parallel_is_matches_serial_statistics() {
         let ys = [0.5, 0.9];
         let obs = observes_for(&ys);
-        let wt = parallel_importance_sampling(GaussianUnknownMean::standard, &obs, 20_000, 5, 4);
+        let wt = local_is(&obs, 20_000, 5, 4);
         assert_eq!(wt.len(), 20_000);
         let (mean, _) = wt.mean_std(|t| t.value_by_name("mu").unwrap().as_f64());
         let (am, _) = GaussianUnknownMean::standard().posterior(&ys);
@@ -160,8 +122,8 @@ mod tests {
         // Per-trace seeding on the runtime: the sampled trace set is a pure
         // function of (model, observes, seed), not of the worker count.
         let obs = observes_for(&[1.1]);
-        let w1 = parallel_importance_sampling(GaussianUnknownMean::standard, &obs, 500, 13, 1);
-        let w4 = parallel_importance_sampling(GaussianUnknownMean::standard, &obs, 500, 13, 4);
+        let w1 = local_is(&obs, 500, 13, 1);
+        let w4 = local_is(&obs, 500, 13, 4);
         for (a, b) in w1.traces.iter().zip(&w4.traces) {
             assert_eq!(a.value_by_name("mu"), b.value_by_name("mu"));
         }
@@ -173,7 +135,7 @@ mod tests {
         use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, SimulatorServer};
         use etalumis_runtime::MuxSimulatorPool;
         let obs = observes_for(&[1.1]);
-        let local = parallel_importance_sampling(GaussianUnknownMean::standard, &obs, 300, 13, 2);
+        let local = local_is(&obs, 300, 13, 2);
 
         let mut pool = MuxSimulatorPool::connect(5, "etalumis-rs", |_| {
             let (ep, sim_side) = InProcMuxEndpoint::pair();
@@ -185,13 +147,35 @@ mod tests {
             Ok(Box::new(ep) as Box<dyn MuxEndpoint>)
         })
         .unwrap();
-        let remote = parallel_importance_sampling_mux(&mut pool, &obs, 300, 13, 2).unwrap();
+        let remote = parallel_importance_sampling(Backend::Mux(&mut pool), &obs, 300, 13).unwrap();
 
         assert_eq!(remote.len(), local.len());
         assert_eq!(remote.log_weights, local.log_weights);
         for (a, b) in remote.traces.iter().zip(&local.traces) {
             assert_eq!(a.value_by_name("mu"), b.value_by_name("mu"));
         }
+    }
+
+    #[test]
+    fn failing_local_program_is_an_error_not_a_panic() {
+        use etalumis_core::{RunError, SimCtx};
+        // A simulator that dies on every execution: the batch exhausts its
+        // retries, and the call reports the first failed index.
+        struct Dead;
+        impl ProbProgram for Dead {
+            fn run(&mut self, _ctx: &mut dyn SimCtx) -> Value {
+                Value::Unit
+            }
+            fn try_run(&mut self, _ctx: &mut dyn SimCtx) -> Result<Value, RunError> {
+                Err(RunError::new("simulator died"))
+            }
+        }
+        let mut pool = SimulatorPool::from_factory(2, |_| Dead);
+        let obs = observes_for(&[1.0]);
+        let err = parallel_importance_sampling(Backend::Local(&mut pool), &obs, 8, 1)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("(first: trace 0:"), "unexpected error: {err}");
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub mod posterior;
 pub mod rmh;
 
 pub use ic::{ic_importance_sampling, IcProposer, ProposalProvider};
-pub use is::{
-    importance_sampling, importance_sampling_with, parallel_importance_sampling,
-    parallel_importance_sampling_mux,
-};
+pub use is::{importance_sampling, importance_sampling_with, parallel_importance_sampling};
 pub use posterior::{total_variation, Histogram, WeightedTraces};
 pub use rmh::{rmh, rmh_with_callback, RmhConfig, RmhStats};

@@ -1,18 +1,25 @@
-//! The batch runner: N traces, any proposer, streamed to sinks.
+//! The batch runner: N traces, any proposer, any backend, streamed to
+//! sinks.
 //!
 //! One [`BatchRunner::run`] call is the runtime's unit of work: execute
-//! `n` independent traces of the pooled programs under a per-worker
-//! proposer, scheduling trace indices over the work-stealing queues and
-//! streaming each completed [`Trace`] to a [`TraceSink`]. Every trace `i`
-//! runs with an RNG seeded purely from `(seed, i)`, so the batch's content
-//! is identical for any worker count, stealing decision, or finish order —
-//! only the wall-clock changes. Serial execution is literally the 1-worker
-//! degenerate case.
+//! `n` independent traces on a [`Backend`] under a per-worker proposer,
+//! scheduling trace indices over the work-stealing queues and streaming
+//! each completed [`Trace`] to a [`TraceSink`]. Every trace `i` runs with
+//! an RNG seeded purely from `(seed, i)`, so the batch's content is
+//! identical for any backend, worker count, stealing decision, or finish
+//! order — only the wall-clock changes. Serial execution is literally the
+//! 1-worker degenerate case.
+//!
+//! Queue fill, the retry table, the join, the stranded-task drain and the
+//! [`RunStats`] accounting are written once here; the blocking worker loop
+//! (below) and the mux reactor ([`crate::oversub`]) are the only
+//! per-backend code.
 
+use crate::oversub::MuxSimulatorPool;
 use crate::pool::SimulatorPool;
 use crate::scheduler::TaskQueues;
 use crate::sink::TraceSink;
-use etalumis_core::{Executor, ObserveMap, PriorProposer, Proposer};
+use etalumis_core::{Executor, ObserveMap, PriorProposer, Proposer, Trace};
 use etalumis_telemetry::Telemetry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -60,7 +67,7 @@ impl ProposerFactory for PriorProposerFactory {
 /// Scheduling knobs for a batch run.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
-    /// Worker threads (and pooled program instances). 0 means "all cores".
+    /// Worker threads. 0 means "all cores" (see [`Backend::workers`]).
     pub workers: usize,
     /// Work stealing on (the default). Off reproduces static partitioning —
     /// kept as a measurable baseline, not a mode anyone should want.
@@ -156,18 +163,18 @@ impl KillSwitch {
 /// Shared per-index retry budget: how many times each trace has been
 /// requeued after a failure. Lives outside the workers because stealing can
 /// move a retried index anywhere.
-pub(crate) struct RetryTable {
+struct RetryTable {
     counts: Mutex<HashMap<usize, u32>>,
     max: u32,
 }
 
 impl RetryTable {
-    pub(crate) fn new(max: u32) -> Self {
+    fn new(max: u32) -> Self {
         Self { counts: Mutex::new(HashMap::new()), max }
     }
 
     /// Consume one retry for `index`; `true` if the index may run again.
-    pub(crate) fn try_consume(&self, index: usize) -> bool {
+    fn try_consume(&self, index: usize) -> bool {
         let mut counts = self.counts.lock();
         let c = counts.entry(index).or_insert(0);
         if *c < self.max {
@@ -300,7 +307,163 @@ impl RunStats {
     }
 }
 
-/// Executes batches of traces over a [`SimulatorPool`].
+/// Where a batch's traces execute — the *backend* axis of a
+/// [`crate::RunPlan`].
+pub enum Backend<'a> {
+    /// One program per worker thread (local models or blocking PPX
+    /// connections): the pool size is the worker count.
+    Local(&'a mut SimulatorPool),
+    /// K multiplexed PPX sessions driven by M ≤ K reactor threads.
+    Mux(&'a mut MuxSimulatorPool),
+}
+
+impl Backend<'_> {
+    /// The worker threads a batch on this backend runs when `requested`
+    /// were asked for (0 = all cores): a local pool's size — the pool
+    /// resolved the request when it was built (see
+    /// [`SimulatorPool::from_factory`]) — or, over a mux pool, the resolved
+    /// request capped at the session count K.
+    pub fn workers(&self, requested: usize) -> usize {
+        match self {
+            Backend::Local(pool) => pool.len(),
+            Backend::Mux(pool) => RuntimeConfig { workers: requested, stealing: true }
+                .resolved_workers()
+                .min(pool.len()),
+        }
+    }
+
+    /// The same backend, borrowed again (a plan runs several passes).
+    pub(crate) fn reborrow(&mut self) -> Backend<'_> {
+        match self {
+            Backend::Local(pool) => Backend::Local(pool),
+            Backend::Mux(pool) => Backend::Mux(pool),
+        }
+    }
+}
+
+/// What every worker of one batch shares, whichever backend runs it.
+pub(crate) struct Shared<'a> {
+    pub(crate) queues: TaskQueues,
+    retries: RetryTable,
+    sink: &'a dyn TraceSink,
+    pub(crate) proposers: &'a dyn ProposerFactory,
+    pub(crate) observes: &'a ObserveMap,
+    pub(crate) seed: u64,
+    pub(crate) stealing: bool,
+    kill: Option<&'a KillSwitch>,
+    pub(crate) tel: &'a Telemetry,
+}
+
+/// What one worker (blocking thread or mux reactor) did during a batch.
+#[derive(Default)]
+pub(crate) struct WorkerOutcome {
+    pub(crate) report: WorkerReport,
+    failures: Vec<(usize, String)>,
+    retries: u64,
+    pub(crate) respawns: u64,
+}
+
+impl Shared<'_> {
+    /// Has the batch's kill switch fired?
+    pub(crate) fn killed(&self) -> bool {
+        self.kill.is_some_and(|k| k.killed())
+    }
+
+    /// Hand trace `index` to the sink.
+    pub(crate) fn deliver(&self, out: &mut WorkerOutcome, index: usize, trace: Trace) {
+        out.report.executed += 1;
+        self.sink.accept(index, trace);
+        if let Some(k) = self.kill {
+            k.tick();
+        }
+    }
+
+    /// One failed execution of `index` must not abort the batch: requeue it
+    /// onto `worker`'s deque (a healthy simulator reruns it bit-identically)
+    /// while its retry budget lasts, then record it. `true` if requeued.
+    pub(crate) fn fail(
+        &self,
+        out: &mut WorkerOutcome,
+        worker: usize,
+        index: usize,
+        error: &str,
+    ) -> bool {
+        if self.retries.try_consume(index) {
+            self.queues.push(worker, index);
+            out.retries += 1;
+            true
+        } else {
+            self.sink.reject(index, error);
+            out.failures.push((index, error.to_string()));
+            false
+        }
+    }
+}
+
+/// Run `work(w, share)` for every share on its own scoped thread and
+/// collect the results in worker order.
+pub(crate) fn spawn_workers<S: Send, R: Send>(
+    shares: Vec<S>,
+    work: impl Fn(usize, S) -> R + Sync,
+) -> Vec<R> {
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = shares
+            .into_iter()
+            .enumerate()
+            .map(|(w, share)| s.spawn(move || work(w, share)))
+            .collect();
+        // etalumis: allow(panic-freedom, reason = "join Err only repropagates a worker panic")
+        handles.into_iter().map(|h| h.join().expect("runtime worker panicked")).collect()
+    })
+}
+
+/// The blocking backend: each worker owns one pooled program for the whole
+/// batch and executes its popped indices one after another.
+fn run_blocking(pool: &mut SimulatorPool, shared: &Shared, threshold: u32) -> Vec<WorkerOutcome> {
+    let workers = shared.queues.workers();
+    spawn_workers(pool.programs_mut().iter_mut().collect(), |w, program| {
+        let _tel_scope = shared.tel.worker_scope(w as u32);
+        let mut proposer = shared.proposers.make_proposer(w);
+        let mut out = WorkerOutcome::default();
+        let mut consecutive = 0u32;
+        while !shared.killed() {
+            let Some((i, stolen)) = shared.queues.pop_traced(w, shared.stealing) else { break };
+            if stolen {
+                shared.tel.count("runtime.steal", 1);
+            }
+            let task_span = shared.tel.span("runtime.task");
+            let t0 = Instant::now(); // etalumis: allow(determinism, reason = "wall-clock busy accounting; telemetry only")
+            let result = Executor::try_execute_seeded(
+                program,
+                proposer.as_mut(),
+                shared.observes,
+                mix_seed(shared.seed, i),
+            );
+            drop(task_span);
+            out.report.busy += t0.elapsed();
+            match result {
+                Ok(trace) => {
+                    consecutive = 0;
+                    shared.deliver(&mut out, i, trace);
+                }
+                Err(e) => {
+                    shared.fail(&mut out, (w + 1) % workers, i, &e.message);
+                    // A program that keeps failing is dead (poisoned remote
+                    // session): retire the worker, let the others absorb
+                    // its share.
+                    consecutive += 1;
+                    if consecutive >= threshold {
+                        break;
+                    }
+                }
+            }
+        }
+        out
+    })
+}
+
+/// Executes batches of traces over a [`Backend`].
 #[derive(Clone)]
 pub struct BatchRunner {
     config: RuntimeConfig,
@@ -329,20 +492,10 @@ impl BatchRunner {
         Self::new(RuntimeConfig::default())
     }
 
-    /// The runner's scheduling configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
     /// Override the failure [`RetryPolicy`].
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The runner's failure policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// Attach a [`KillSwitch`]; when it fires, workers abandon the batch
@@ -362,175 +515,95 @@ impl BatchRunner {
         self
     }
 
-    /// The runner's telemetry handle (disabled unless
-    /// [`BatchRunner::with_telemetry`] was used).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
-    /// Run only these trace indices of the batch (the remaining work of a
-    /// checkpointed run — see [`crate::checkpoint::Checkpoint`]). Indices
-    /// are interleaved round-robin across workers so the contiguous
-    /// completed prefix — what a checkpoint can commit — advances evenly.
-    /// Per-trace seeding is unchanged: index `i` still runs under
-    /// `mix_seed(seed, i)`, so a partial batch's content matches the same
-    /// indices of a full run exactly.
-    pub fn with_tasks(mut self, tasks: Vec<usize>) -> Self {
+    /// Run only these trace indices of the batch, interleaved round-robin
+    /// across workers so the contiguous completed prefix — what a
+    /// checkpoint or a stream can release — advances evenly. Per-trace
+    /// seeding is unchanged: index `i` still runs under `mix_seed(seed, i)`.
+    pub(crate) fn with_tasks(mut self, tasks: Vec<usize>) -> Self {
         self.tasks = Some(tasks);
         self
     }
 
-    /// Fill `queues` with this run's work: the explicit task list if one was
-    /// set (interleaved), the full block-partitioned range otherwise.
-    pub(crate) fn fill_queues(&self, queues: &TaskQueues, n: usize) {
-        match &self.tasks {
-            Some(tasks) => queues.fill_interleaved(tasks.iter().copied()),
-            None => queues.fill_blocks(n),
-        }
-    }
-
-    pub(crate) fn killed(&self) -> bool {
-        self.kill.as_ref().is_some_and(|k| k.killed())
-    }
-
-    pub(crate) fn kill_handle(&self) -> Option<Arc<KillSwitch>> {
-        self.kill.clone()
-    }
-
-    /// Execute `n` traces under per-worker proposers from `proposers`,
-    /// conditioning on `observes`, streaming completions into `sink`.
+    /// Execute `n` traces on `backend` under per-worker proposers from
+    /// `proposers`, conditioning on `observes`, streaming completions into
+    /// `sink`.
     ///
-    /// The worker count is the pool size (each worker owns one pooled
-    /// program for the whole batch); a non-zero `RuntimeConfig.workers`
-    /// must agree with it (checked). Trace `i` is a pure function of
-    /// `(program, proposer, observes, mix_seed(seed, i))`.
+    /// Trace `i` is a pure function of `(program, proposer, observes,
+    /// mix_seed(seed, i))`, so batch content is bit-identical for any
+    /// backend, worker count and schedule. The worker count is
+    /// [`Backend::workers`] of `RuntimeConfig.workers`; over a local pool a
+    /// non-zero `RuntimeConfig.workers` must agree with the pool size
+    /// (checked). A failed execution is retried under the [`RetryPolicy`];
+    /// every index ends delivered or in [`RunStats::failures`].
     pub fn run(
         &self,
-        pool: &mut SimulatorPool,
+        backend: Backend<'_>,
         proposers: &dyn ProposerFactory,
         observes: &ObserveMap,
         n: usize,
         seed: u64,
         sink: &dyn TraceSink,
     ) -> RunStats {
-        let workers = pool.len();
+        let workers = backend.workers(self.config.workers);
         assert!(
-            self.config.workers == 0 || self.config.workers == workers,
-            "RuntimeConfig.workers ({}) disagrees with the pool size ({}); \
+            matches!(backend, Backend::Mux(_))
+                || self.config.workers == 0
+                || self.config.workers == workers,
+            "RuntimeConfig.workers ({}) disagrees with the pool size ({workers}); \
              the pool defines the worker count (workers = 0 defers to it)",
             self.config.workers,
-            workers,
         );
-        let stealing = self.config.stealing;
-        let queues = TaskQueues::new(workers);
-        self.fill_queues(&queues, n);
-        let retries = RetryTable::new(self.policy.max_trace_retries);
+        let shared = Shared {
+            queues: TaskQueues::new(workers),
+            retries: RetryTable::new(self.policy.max_trace_retries),
+            sink,
+            proposers,
+            observes,
+            seed,
+            stealing: self.config.stealing,
+            kill: self.kill.as_deref(),
+            tel: &self.tel,
+        };
+        match &self.tasks {
+            Some(tasks) => shared.queues.fill_interleaved(tasks.iter().copied()),
+            None => shared.queues.fill_blocks(n),
+        }
         let start = Instant::now(); // etalumis: allow(determinism, reason = "wall-clock report timing; telemetry only, never reaches trace bytes")
-        let mut per_worker = vec![WorkerReport::default(); workers];
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        let mut total_retries = 0u64;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = pool
-                .programs_mut()
-                .iter_mut()
-                .enumerate()
-                .map(|(w, program)| {
-                    let queues = &queues;
-                    let retries = &retries;
-                    let kill = self.kill.as_deref();
-                    let threshold = self.policy.worker_failure_threshold;
-                    let tel = self.tel.clone();
-                    s.spawn(move || {
-                        let _tel_scope = tel.worker_scope(w as u32);
-                        let mut proposer = proposers.make_proposer(w);
-                        let mut report = WorkerReport::default();
-                        let mut failed: Vec<(usize, String)> = Vec::new();
-                        let mut requeued = 0u64;
-                        let mut consecutive = 0u32;
-                        while !kill.is_some_and(|k| k.killed()) {
-                            let Some((i, stolen)) = queues.pop_traced(w, stealing) else { break };
-                            if stolen {
-                                tel.count("runtime.steal", 1);
-                            }
-                            let task_span = tel.span("runtime.task");
-                            let t0 = Instant::now(); // etalumis: allow(determinism, reason = "wall-clock busy accounting; telemetry only")
-                            let result = Executor::try_execute_seeded(
-                                program,
-                                proposer.as_mut(),
-                                observes,
-                                mix_seed(seed, i),
-                            );
-                            drop(task_span);
-                            report.busy += t0.elapsed();
-                            match result {
-                                Ok(trace) => {
-                                    consecutive = 0;
-                                    report.executed += 1;
-                                    sink.accept(i, trace);
-                                    if let Some(k) = kill {
-                                        k.tick();
-                                    }
-                                }
-                                Err(e) => {
-                                    // One failed execution must not abort
-                                    // the batch: requeue the index (another
-                                    // worker's healthy simulator can rerun
-                                    // it bit-identically) while its budget
-                                    // lasts, then record it.
-                                    if retries.try_consume(i) {
-                                        queues.push((w + 1) % workers, i);
-                                        requeued += 1;
-                                    } else {
-                                        sink.reject(i, &e.message);
-                                        failed.push((i, e.message));
-                                    }
-                                    // A program that keeps failing is dead
-                                    // (poisoned remote session): retire the
-                                    // worker, let the others absorb its
-                                    // share.
-                                    consecutive += 1;
-                                    if consecutive >= threshold {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        (report, failed, requeued)
-                    })
-                })
-                .collect();
-            for (w, h) in handles.into_iter().enumerate() {
-                let (report, failed, requeued) = h.join().expect("runtime worker panicked"); // etalumis: allow(panic-freedom, reason = "join Err only repropagates a worker panic")
-                per_worker[w] = report;
-                failures.extend(failed);
-                total_retries += requeued;
+        let outcomes = match backend {
+            Backend::Local(pool) => {
+                run_blocking(pool, &shared, self.policy.worker_failure_threshold)
             }
-        });
-        let killed = self.killed();
-        if !killed {
-            // Tasks stranded by retired workers (with stealing off nobody
-            // else could take them): account for every index.
-            for i in queues.drain_remaining() {
-                sink.reject(i, "not executed: worker retired after repeated failures");
-                failures
-                    .push((i, "not executed: worker retired after repeated failures".to_string()));
+            Backend::Mux(pool) => crate::oversub::run_reactors(pool, workers, &shared),
+        };
+        let mut stats = RunStats {
+            steals: shared.queues.steals(),
+            killed: shared.killed(),
+            ..RunStats::default()
+        };
+        for o in outcomes {
+            stats.per_worker.push(o.report);
+            stats.failures.extend(o.failures);
+            stats.retries += o.retries;
+            stats.respawns += o.respawns;
+        }
+        if !stats.killed {
+            // Tasks stranded because every worker that could take them
+            // retired (dead programs or sessions, stealing off): account
+            // for every index.
+            const STRANDED: &str = "not executed: every worker able to run it retired";
+            for i in shared.queues.drain_remaining() {
+                sink.reject(i, STRANDED);
+                stats.failures.push((i, STRANDED.to_string()));
             }
         }
-        failures.sort_by_key(|(i, _)| *i);
-        let stats = RunStats {
-            elapsed: start.elapsed(),
-            per_worker,
-            steals: queues.steals(),
-            failures,
-            retries: total_retries,
-            respawns: 0,
-            killed,
-        };
+        stats.failures.sort_by_key(|(i, _)| *i);
+        stats.elapsed = start.elapsed();
         stats.record_to(&self.tel);
         stats
     }
 
-    /// [`BatchRunner::run`] with prior proposals — plain trace generation.
+    /// [`BatchRunner::run`] with prior proposals over a local pool — plain
+    /// trace generation.
     pub fn run_prior(
         &self,
         pool: &mut SimulatorPool,
@@ -539,7 +612,19 @@ impl BatchRunner {
         seed: u64,
         sink: &dyn TraceSink,
     ) -> RunStats {
-        self.run(pool, &PriorProposerFactory, observes, n, seed, sink)
+        self.run(Backend::Local(pool), &PriorProposerFactory, observes, n, seed, sink)
+    }
+
+    /// [`BatchRunner::run`] with prior proposals over a mux pool.
+    pub fn run_mux_prior(
+        &self,
+        pool: &mut MuxSimulatorPool,
+        observes: &ObserveMap,
+        n: usize,
+        seed: u64,
+        sink: &dyn TraceSink,
+    ) -> RunStats {
+        self.run(Backend::Mux(pool), &PriorProposerFactory, observes, n, seed, sink)
     }
 }
 

@@ -10,8 +10,8 @@
 //! * [`Checkpoint`] — the manifest: batch identity (`n`, `seed`, shard
 //!   config), the contiguous committed watermark, permanently failed
 //!   indices, and each partition's [`WriterProgress`].
-//! * [`BatchRunner::resume_from`] — run only the indices a manifest says
-//!   are still owed.
+//! * [`Checkpoint::remaining`] — the indices a resumed run still owes
+//!   (a checkpointed [`RunPlan`](crate::RunPlan) runs exactly those).
 //!
 //! The invariant the whole design leans on: trace `i` is a pure function of
 //! `(program, seed, i)`, so a killed-and-resumed run re-executes exactly
@@ -34,12 +34,11 @@
 //! manifest's watermark are truncated away on resume (the re-run rewrites
 //! them identically).
 
-use crate::batch::BatchRunner;
-use crate::sink::{ShardedTraceSink, TraceSink};
+use crate::sink::TraceSink;
 use etalumis_core::Trace;
 use etalumis_data::{
-    atomic_save, decode_record, encode_record, remove_stale_rolls, Reader, RollingShardWriter,
-    TraceRecord, WriterProgress,
+    atomic_save, decode_record, encode_record, partition_of, partition_prefix, remove_stale_rolls,
+    Reader, RollingShardWriter, TraceRecord, WriterProgress, REPAIR_PREFIX,
 };
 use etalumis_telemetry::Telemetry;
 use parking_lot::Mutex;
@@ -274,7 +273,7 @@ impl CheckpointSink {
             .map(|p| {
                 RollingShardWriter::new(
                     dir.as_ref(),
-                    ShardedTraceSink::partition_prefix(p),
+                    partition_prefix(p),
                     layout.traces_per_shard,
                     true,
                 )
@@ -375,7 +374,7 @@ impl CheckpointSink {
         for (p, progress) in manifest.parts.iter().enumerate() {
             writers.push(RollingShardWriter::resume_durable(
                 dir,
-                ShardedTraceSink::partition_prefix(p),
+                partition_prefix(p),
                 layout.traces_per_shard,
                 true,
                 *progress,
@@ -426,7 +425,7 @@ impl CheckpointSink {
         let result = (|| -> io::Result<()> {
             while let Some(entry) = state.pending.remove(&state.watermark) {
                 if let Some(rec) = entry {
-                    let p = ShardedTraceSink::partition_of(rec.trace_type, self.layout.partitions);
+                    let p = partition_of(rec.trace_type, self.layout.partitions);
                     let before = state.writers[p].progress().partial_bytes;
                     state.writers[p].push(rec)?;
                     let after = state.writers[p].progress().partial_bytes;
@@ -622,7 +621,7 @@ impl CheckpointSink {
         if !state.repaired.is_empty() {
             let mut rw = RollingShardWriter::new(
                 &self.dir,
-                "repair",
+                REPAIR_PREFIX,
                 self.layout.traces_per_shard.max(1),
                 true,
             );
@@ -637,7 +636,7 @@ impl CheckpointSink {
         // itself but can still find a previous life's repair_* shards on
         // disk — every healed record is re-committed into the part shards
         // by the re-run, so stale repair shards would be duplicates.
-        remove_stale_rolls(&self.dir, "repair", repair_kept)?;
+        remove_stale_rolls(&self.dir, REPAIR_PREFIX, repair_kept)?;
         std::fs::remove_file(self.dir.join(MANIFEST_NAME)).or_else(|e| {
             if e.kind() == io::ErrorKind::NotFound {
                 Ok(())
@@ -745,14 +744,6 @@ impl TraceSink for CheckpointSink {
         state.pending.insert(index, None);
         self.tel.gauge("ckpt.pending", state.pending.len() as f64);
         self.advance(&mut state);
-    }
-}
-
-impl BatchRunner {
-    /// Configure the runner to execute only the work a [`Checkpoint`] says
-    /// is still owed (equivalent to `with_tasks(manifest.remaining())`).
-    pub fn resume_from(self, manifest: &Checkpoint) -> Self {
-        self.with_tasks(manifest.remaining())
     }
 }
 

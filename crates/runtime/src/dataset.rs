@@ -1,37 +1,37 @@
-//! Parallel trace-dataset generation on the runtime.
+//! Dataset generation on the runtime: the batch every [`RunPlan`] runs,
+//! and the two generation entry points the benchmark names.
 //!
 //! The paper's offline training mode needs millions of prior traces on disk
 //! (15M for the τ benchmark); generation throughput is simulator-bound and
-//! embarrassingly parallel, so this module runs it on the full runtime
-//! stack: a [`SimulatorPool`] of model instances, the work-stealing
-//! [`BatchRunner`], and a [`ShardedTraceSink`] streaming completions into
-//! `etalumis-data` shard files partitioned by trace type. The serial
-//! `etalumis_data::generate_dataset` remains the 1-worker reference path.
+//! embarrassingly parallel. Each entry point below is one [`RunPlan`] with
+//! a shard output — over a local pool or a multiplexed remote pool;
+//! checkpointed, streamed, and rank-sliced generation are the same plan
+//! with more axes set. The serial `etalumis_data::generate_dataset` remains
+//! the 1-worker reference path.
 
-use crate::batch::{BatchRunner, KillSwitch, RunStats, RuntimeConfig};
-use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointSink, ShardLayout};
+use crate::batch::Backend;
+use crate::checkpoint::ShardLayout;
 use crate::oversub::MuxSimulatorPool;
+use crate::plan::RunPlan;
 use crate::pool::SimulatorPool;
-use crate::sink::{ShardedTraceSink, TraceSink};
-use etalumis_core::{ObserveMap, ProbProgram, Trace};
-use etalumis_data::{
-    partition_prefix, rank_slice, RankManifest, RollingShardWriter, TraceDataset, TraceRecord,
-};
-use parking_lot::Mutex;
-use std::ops::Range;
+use etalumis_core::ProbProgram;
+use etalumis_data::TraceDataset;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-/// Knobs for [`generate_dataset_parallel`].
+/// The batch a [`RunPlan`] runs: its size, seed and worker count, and the
+/// shard layout of any shard output.
 #[derive(Clone, Copy, Debug)]
 pub struct DatasetGenConfig {
     /// Traces to generate.
     pub n: usize,
     /// Records per shard file before rolling.
     pub traces_per_shard: usize,
-    /// Trace-type hash partitions (independent shard streams).
+    /// Trace-type hash partitions (independent shard streams; a stream
+    /// needs exactly one).
     pub partitions: usize,
-    /// Worker threads / pooled simulator instances (0 = all cores).
+    /// Worker threads (0 = all cores): the local pool
+    /// [`generate_dataset_parallel`] builds, or the reactors driving a mux
+    /// pool, capped at its session count (see [`Backend::workers`]).
     pub workers: usize,
     /// Batch seed; trace `i` derives its RNG from `(seed, i)` only.
     pub seed: u64,
@@ -40,9 +40,10 @@ pub struct DatasetGenConfig {
     /// `true`: buffer records and write each partition in batch-index order
     /// — shard files are byte-identical for any worker count (costs O(n)
     /// memory; right for benchmarks and tests). `false`: stream through the
-    /// [`ShardedTraceSink`] in completion order — constant memory, the
-    /// multiset of records is still worker-count invariant but their order
-    /// within a partition is not.
+    /// [`crate::ShardedTraceSink`] in completion order — constant memory,
+    /// the multiset of records is still worker-count invariant but their
+    /// order within a partition is not. Checkpointed runs always commit in
+    /// batch-index order.
     pub ordered: bool,
 }
 
@@ -60,122 +61,6 @@ impl Default for DatasetGenConfig {
     }
 }
 
-/// Buffers records by batch index so partitions can be written in a
-/// deterministic order after the run (the `ordered` generation mode).
-struct OrderedRecordSink {
-    slots: Mutex<Vec<Option<TraceRecord>>>,
-    pruned: bool,
-}
-
-impl TraceSink for OrderedRecordSink {
-    fn accept(&self, index: usize, trace: Trace) {
-        self.slots.lock()[index] = Some(TraceRecord::from_trace(&trace, self.pruned));
-    }
-}
-
-/// Shared generation driver: `run` executes the batch against whatever sink
-/// the mode needs; the writer side is identical for local pools and
-/// multiplexed remote pools. Failed traces (dead remote sessions) surface
-/// as an error — a training dataset must not silently miss records.
-fn generate_with(
-    run: impl FnOnce(&dyn TraceSink) -> RunStats,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-) -> std::io::Result<TraceDataset> {
-    if cfg.ordered {
-        let sink = OrderedRecordSink { slots: Mutex::new(vec![None; cfg.n]), pruned: cfg.pruned };
-        let stats = run(&sink);
-        fail_on_failures(&stats)?;
-        // Same partitioning and file naming as the streaming sink (shared
-        // helpers on ShardedTraceSink), but fed in batch-index order.
-        let partitions = cfg.partitions.max(1);
-        let mut writers: Vec<RollingShardWriter> = (0..partitions)
-            .map(|p| {
-                RollingShardWriter::new(
-                    dir,
-                    ShardedTraceSink::partition_prefix(p),
-                    cfg.traces_per_shard,
-                    true,
-                )
-            })
-            .collect();
-        // Undelivered slots past the failure check would mean an accounting
-        // bug in the runner; surface it as an error, not a panic.
-        let mut missing = Vec::new();
-        for (i, slot) in sink.slots.into_inner().into_iter().enumerate() {
-            match slot {
-                Some(rec) => {
-                    writers[ShardedTraceSink::partition_of(rec.trace_type, partitions)].push(rec)?
-                }
-                None => missing.push(i),
-            }
-        }
-        if let Some(&first) = missing.first() {
-            return Err(std::io::Error::other(format!(
-                "{} trace(s) were neither delivered nor recorded as failed (first: {first})",
-                missing.len()
-            )));
-        }
-        let mut paths = Vec::new();
-        for w in writers {
-            paths.extend(w.finish()?);
-        }
-        TraceDataset::open(paths)
-    } else {
-        let sink = ShardedTraceSink::new(dir, cfg.partitions, cfg.traces_per_shard, cfg.pruned);
-        let stats = run(&sink);
-        fail_on_failures(&stats)?;
-        TraceDataset::open(sink.finish()?)
-    }
-}
-
-pub(crate) fn fail_on_failures(stats: &RunStats) -> std::io::Result<()> {
-    if let Some((i, e)) = stats.failures.first() {
-        return Err(std::io::Error::other(format!(
-            "{} trace(s) failed during dataset generation (first: trace {i}: {e})",
-            stats.failures.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Generate `cfg.n` prior traces in parallel and shard them under `dir`.
-///
-/// Returns the opened [`TraceDataset`]. The record *multiset* is always a
-/// pure function of `(factory, cfg.seed)` regardless of worker count;
-/// `cfg.ordered` additionally pins the on-disk order (see its doc).
-pub fn generate_dataset_parallel<P, F>(
-    factory: F,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-) -> std::io::Result<TraceDataset>
-where
-    P: ProbProgram + Send + 'static,
-    F: Fn(usize) -> P,
-{
-    let workers = RuntimeConfig { workers: cfg.workers, ..Default::default() }.resolved_workers();
-    let mut pool = SimulatorPool::from_factory(workers, factory);
-    let runner = BatchRunner::new(RuntimeConfig { workers, stealing: true });
-    let observes = ObserveMap::new();
-    generate_with(|sink| runner.run_prior(&mut pool, &observes, cfg.n, cfg.seed, sink), cfg, dir)
-}
-
-/// [`generate_dataset_parallel`] over a multiplexed remote-session pool:
-/// `cfg.workers` reactor threads (0 = all cores, capped at the session
-/// count) drive the pool's K sessions. Per-trace seeding is unchanged, so
-/// the produced records match the local/blocking paths for the same model
-/// and seed.
-pub fn generate_dataset_mux(
-    pool: &mut MuxSimulatorPool,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-) -> std::io::Result<TraceDataset> {
-    let workers = cfg.workers.min(pool.len());
-    let runner = BatchRunner::new(RuntimeConfig { workers, stealing: true });
-    let observes = ObserveMap::new();
-    generate_with(|sink| runner.run_mux_prior(pool, &observes, cfg.n, cfg.seed, sink), cfg, dir)
-}
-
 impl DatasetGenConfig {
     /// The shard-layout slice of this config (what a checkpoint validates).
     pub fn layout(&self) -> ShardLayout {
@@ -190,203 +75,36 @@ impl DatasetGenConfig {
     }
 }
 
-/// Translates global batch indices into a slice-local sink's index space.
+/// Generate `cfg.n` prior traces on a local pool of `cfg.workers` instances
+/// from `factory` and shard them under `dir`.
 ///
-/// A distributed rank owns the contiguous global slice `base..base+m`; its
-/// [`CheckpointSink`] (and checkpoint manifest) work in local indices
-/// `0..m` so the watermark/journal machinery is oblivious to where in the
-/// fleet the slice sits. The [`BatchRunner`] meanwhile must schedule
-/// *global* indices — per-trace seeding (`mix_seed(seed, global_i)`) is
-/// what makes a rank's records byte-identical to the same indices of a
-/// single-process run. This adapter bridges the two index spaces.
-struct OffsetSink<'a, S: TraceSink> {
-    base: usize,
-    inner: &'a S,
-}
-
-impl<S: TraceSink> TraceSink for OffsetSink<'_, S> {
-    fn accept(&self, index: usize, trace: Trace) {
-        self.inner.accept(index - self.base, trace);
-    }
-
-    fn reject(&self, index: usize, error: &str) {
-        self.inner.reject(index - self.base, error);
-    }
-}
-
-/// Shared driver for the checkpointed generators: build or resume the
-/// [`CheckpointSink`] for `slice` of the global batch, run the remaining
-/// indices, surface kills, heal manifest-recorded permanent failures, and
-/// finalize.
-///
-/// The healing pass closes PR 4's known correctness hole: an index whose
-/// retry budget ran out *below* the commit watermark used to stay failed
-/// across every resume (re-running it could not change the committed shard
-/// bytes). After the main pass completes, any still-failed indices are
-/// re-run once more with a fresh retry budget and their records staged
-/// through the repair journal into trailing `repair_*` shards — committed
-/// shards keep their exact bytes, and a transient outage before a crash no
-/// longer becomes a permanent dataset hole.
-///
-/// Returns the opened dataset, the aggregated stats of every pass, and the
-/// *global* indices that stayed failed even after healing.
-///
-/// `tolerate_failures` decides what a post-healing permanent failure means:
-/// `false` (single-process) returns an error *before* finalizing, so the
-/// checkpoint manifest and journals survive and a later call can resume
-/// and re-heal; `true` (distributed ranks) completes the slice with the
-/// holes reported, so the fleet's merge can surface them in one place.
-fn generate_slice_resumable_with(
-    mut run: impl FnMut(&BatchRunner, &dyn TraceSink) -> RunStats,
-    runner: BatchRunner,
-    cfg: &DatasetGenConfig,
-    slice: Range<usize>,
-    dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-    tolerate_failures: bool,
-) -> std::io::Result<(TraceDataset, RunStats, Vec<u64>)> {
-    let base = slice.start;
-    let layout = ShardLayout { n: slice.len(), base, ..cfg.layout() };
-    let (sink, remaining) = match Checkpoint::load(dir)? {
-        Some(manifest) => {
-            let sink = CheckpointSink::resume(dir, layout, ckpt, &manifest)?;
-            (sink, manifest.remaining())
-        }
-        None => (CheckpointSink::new(dir, layout, ckpt), (0..layout.n).collect()),
-    };
-    let tasks: Vec<usize> = remaining.iter().map(|&i| i + base).collect();
-    let mut main_runner = runner.clone().with_tasks(tasks);
-    if let Some(k) = &kill {
-        main_runner = main_runner.with_kill_switch(k.clone());
-    }
-    let mut stats = run(&main_runner, &OffsetSink { base, inner: &sink });
-    if stats.killed {
-        // Simulated process death: leave the manifest + journals exactly as
-        // they stand; the same call resumes the run.
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Interrupted,
-            format!(
-                "dataset generation killed at watermark {} of {}..{} (resume with the same call)",
-                base + sink.watermark(),
-                base,
-                slice.end
-            ),
-        ));
-    }
-    // Healing pass: replay any previous attempt's repair journal, then
-    // re-run whatever is still owed with a fresh retry budget.
-    let holes = sink.begin_repair()?;
-    if !holes.is_empty() {
-        let heal_tasks: Vec<usize> = holes.iter().map(|&i| i as usize + base).collect();
-        let mut heal_runner = runner.clone().with_tasks(heal_tasks);
-        if let Some(k) = &kill {
-            heal_runner = heal_runner.with_kill_switch(k.clone());
-        }
-        let repair = sink.repair_sink();
-        let heal_stats = run(&heal_runner, &OffsetSink { base, inner: &repair });
-        let heal_killed = heal_stats.killed;
-        stats.absorb(&heal_stats);
-        if heal_killed {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                format!(
-                    "dataset generation killed during the healing pass of {}..{} \
-                     (resume with the same call)",
-                    base, slice.end
-                ),
-            ));
-        }
-    }
-    let failed: Vec<u64> = sink.failed().iter().map(|&i| i + base as u64).collect();
-    if !tolerate_failures {
-        if let Some(&first) = failed.first() {
-            // Leave the manifest and journals in place: the failures may be
-            // a transient outage, and the same call will resume, replay the
-            // repair journal, and heal again.
-            return Err(std::io::Error::other(format!(
-                "{} trace(s) failed permanently during checkpointed generation, even \
-                 after the healing pass (first: trace {first}; resume with the same \
-                 call to retry)",
-                failed.len(),
-            )));
-        }
-    }
-    // Failures the healing pass recovered are not failures of the run;
-    // report only the permanent ones.
-    stats.failures.retain(|&(i, _)| failed.binary_search(&(i as u64)).is_ok());
-    let dataset = TraceDataset::open(sink.finalize()?)?;
-    Ok((dataset, stats, failed))
-}
-
-/// Single-process wrapper around [`generate_slice_resumable_with`]: the
-/// whole range `0..n`, and any post-healing permanent failure is an error
-/// (a training dataset must not silently miss records).
-fn generate_resumable_with(
-    run: impl FnMut(&BatchRunner, &dyn TraceSink) -> RunStats,
-    runner: BatchRunner,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-) -> std::io::Result<TraceDataset> {
-    generate_slice_resumable_with(run, runner, cfg, 0..cfg.n, dir, ckpt, kill, false)
-        .map(|(dataset, _, _)| dataset)
-}
-
-/// Checkpointed, restartable [`generate_dataset_parallel`].
-///
-/// Every [`CheckpointConfig::interval`] committed traces a manifest is
-/// atomically written next to the shards; if the process dies (or the
-/// optional `kill` switch fires — the test hook simulating `SIGKILL`),
-/// calling this function again with the same arguments resumes from the
-/// manifest and produces shard files **byte-identical** to an uninterrupted
-/// run. Shards are written in batch-index order per partition (the same
-/// bytes `cfg.ordered` generation produces) regardless of worker count.
-pub fn generate_dataset_resumable<P, F>(
+/// Returns the opened [`TraceDataset`]. The record *multiset* is always a
+/// pure function of `(factory, cfg.seed)` regardless of worker count;
+/// `cfg.ordered` additionally pins the on-disk order (see its doc). Failed
+/// traces are an error: a training dataset must not silently miss records.
+pub fn generate_dataset_parallel<P, F>(
     factory: F,
     cfg: &DatasetGenConfig,
     dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
 ) -> std::io::Result<TraceDataset>
 where
     P: ProbProgram + Send + 'static,
     F: Fn(usize) -> P,
 {
-    let workers = RuntimeConfig { workers: cfg.workers, ..Default::default() }.resolved_workers();
-    let mut pool = SimulatorPool::from_factory(workers, factory);
-    let observes = ObserveMap::new();
-    generate_resumable_with(
-        |runner, sink| runner.run_prior(&mut pool, &observes, cfg.n, cfg.seed, sink),
-        BatchRunner::new(RuntimeConfig { workers, stealing: true }),
-        cfg,
-        dir,
-        ckpt,
-        kill,
-    )
+    let mut pool = SimulatorPool::from_factory(cfg.workers, factory);
+    Ok(RunPlan::new(Backend::Local(&mut pool), cfg).shards(dir).run()?.dataset)
 }
 
-/// Checkpointed, restartable [`generate_dataset_mux`]: the same manifest
-/// protocol over a multiplexed remote-session pool, composing with the
-/// pool's mid-batch session respawn.
-pub fn generate_dataset_mux_resumable(
+/// [`generate_dataset_parallel`] over a multiplexed remote-session pool:
+/// `cfg.workers` reactor threads (0 = all cores, capped at the session
+/// count) drive the pool's K sessions. Per-trace seeding is unchanged, so
+/// the produced records match the local path for the same model and seed.
+pub fn generate_dataset_mux(
     pool: &mut MuxSimulatorPool,
     cfg: &DatasetGenConfig,
     dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
 ) -> std::io::Result<TraceDataset> {
-    let workers = if cfg.workers == 0 { pool.len() } else { cfg.workers.min(pool.len()) };
-    let observes = ObserveMap::new();
-    generate_resumable_with(
-        |runner, sink| runner.run_mux_prior(pool, &observes, cfg.n, cfg.seed, sink),
-        BatchRunner::new(RuntimeConfig { workers, stealing: true }),
-        cfg,
-        dir,
-        ckpt,
-        kill,
-    )
+    Ok(RunPlan::new(Backend::Mux(pool), cfg).shards(dir).run()?.dataset)
 }
 
 /// The output directory of one rank under a distributed run's root
@@ -395,177 +113,50 @@ pub fn rank_dir(root: &Path, rank: usize) -> PathBuf {
     root.join(format!("rank_{rank:03}"))
 }
 
-/// What one rank of a distributed generation produced.
-pub struct RankOutput {
-    /// The global indices this rank owned.
-    pub slice: Range<usize>,
-    /// The rank-private output directory (shards + rank manifest).
-    pub dir: PathBuf,
-    /// The rank's slice as an opened dataset.
-    pub dataset: TraceDataset,
-    /// The manifest written for the merge (batch identity, slice, shard
-    /// counts, permanently failed indices).
-    pub manifest: RankManifest,
-    /// Aggregated stats of every pass this call ran (empty if the rank had
-    /// already completed and the call only reopened its output).
-    pub stats: RunStats,
-}
-
-/// Count a finalized slice's shard files per partition (plus trailing
-/// repair shards) for the rank manifest.
-fn count_shards(shards: &[PathBuf], partitions: usize) -> (Vec<u32>, u32) {
-    let mut per_partition = vec![0u32; partitions];
-    let mut repair = 0u32;
-    for path in shards {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("repair_") {
-            repair += 1;
-        } else {
-            for (p, count) in per_partition.iter_mut().enumerate() {
-                if name.starts_with(&format!("{}_", partition_prefix(p))) {
-                    *count += 1;
-                    break;
-                }
-            }
-        }
-    }
-    (per_partition, repair)
-}
-
-/// One rank of a distributed dataset generation: the fleet-shaped form of
-/// [`generate_dataset_resumable`].
-///
-/// The global index range `0..cfg.n` is partitioned into `world_size`
-/// contiguous slices ([`rank_slice`]); this call generates rank `rank`'s
-/// slice through the full checkpoint/resume/healing pipeline into the
-/// rank-private directory `root/rank_{rank:03}`, then atomically writes a
-/// [`RankManifest`] recording the batch identity, the slice, the shard
-/// counts, and any post-healing permanent failures. Once every rank's
-/// manifest exists, [`etalumis_data::merge_ranks`] folds the rank outputs
-/// into the canonical layout — byte-identical to a single process running
-/// `generate_dataset_resumable` over the whole range, because per-trace
-/// seeding (`mix_seed(seed, global_index)`) makes record content
-/// placement-invariant and the trace-type partitioning rule is shared.
-///
-/// Crash semantics match the single-process path: a killed rank returns
-/// `ErrorKind::Interrupted` and the same call resumes it from its
-/// checkpoint manifest. A rank that already completed (its rank manifest
-/// exists and matches the request) is reopened idempotently without
-/// re-running anything. Unlike the single-process wrapper, permanent
-/// failures do not abort the rank — they are surfaced in the manifest so
-/// the merge can report fleet-wide holes in one place.
-pub fn generate_dataset_distributed<P, F>(
-    factory: F,
-    cfg: &DatasetGenConfig,
-    root: &Path,
-    rank: usize,
-    world_size: usize,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-) -> std::io::Result<RankOutput>
-where
-    P: ProbProgram + Send + 'static,
-    F: Fn(usize) -> P,
-{
-    if world_size == 0 || rank >= world_size {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("rank {rank} is out of range for world_size {world_size}"),
-        ));
-    }
-    let slice = rank_slice(cfg.n, rank, world_size);
-    let dir = rank_dir(root, rank);
-    let partitions = cfg.partitions.max(1);
-
-    if let Some(manifest) = RankManifest::load(&dir)? {
-        let expected = (
-            cfg.n as u64,
-            cfg.seed,
-            partitions as u32,
-            cfg.traces_per_shard as u64,
-            cfg.pruned,
-            rank as u32,
-            world_size as u32,
-            slice.start as u64,
-            slice.end as u64,
-        );
-        let actual = (
-            manifest.n,
-            manifest.seed,
-            manifest.partitions,
-            manifest.traces_per_shard,
-            manifest.pruned,
-            manifest.rank,
-            manifest.world_size,
-            manifest.start,
-            manifest.end,
-        );
-        if expected != actual {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "rank dir {} already holds a completed run with a different identity \
-                     (manifest: {actual:?}; requested: {expected:?})",
-                    dir.display()
-                ),
-            ));
-        }
-        // Idempotent completion: reopen the finished output.
-        let mut shards = Vec::new();
-        for (p, &count) in manifest.shards_per_partition.iter().enumerate() {
-            for seq in 0..count as usize {
-                shards.push(dir.join(format!("{}_{seq:05}.etlm", partition_prefix(p))));
-            }
-        }
-        for seq in 0..manifest.repair_shards as usize {
-            shards.push(dir.join(format!("repair_{seq:05}.etlm")));
-        }
-        let dataset = TraceDataset::open(shards)?;
-        return Ok(RankOutput { slice, dir, dataset, manifest, stats: RunStats::default() });
-    }
-
-    let workers = RuntimeConfig { workers: cfg.workers, ..Default::default() }.resolved_workers();
-    let mut pool = SimulatorPool::from_factory(workers, factory);
-    let observes = ObserveMap::new();
-    let (dataset, stats, failed) = generate_slice_resumable_with(
-        |runner, sink| runner.run_prior(&mut pool, &observes, cfg.n, cfg.seed, sink),
-        BatchRunner::new(RuntimeConfig { workers, stealing: true }),
-        cfg,
-        slice.clone(),
-        &dir,
-        ckpt,
-        kill,
-        true,
-    )?;
-    let (shards_per_partition, repair_shards) = count_shards(&dataset.shards, partitions);
-    let manifest = RankManifest {
-        rank: rank as u32,
-        world_size: world_size as u32,
-        n: cfg.n as u64,
-        seed: cfg.seed,
-        partitions: partitions as u32,
-        traces_per_shard: cfg.traces_per_shard as u64,
-        pruned: cfg.pruned,
-        start: slice.start as u64,
-        end: slice.end as u64,
-        shards_per_partition,
-        repair_shards,
-        failed,
-    };
-    manifest.save(&dir)?;
-    Ok(RankOutput { slice, dir, dataset, manifest, stats })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{KillSwitch, RunStats};
+    use crate::checkpoint::{Checkpoint, CheckpointConfig};
+    use crate::plan::RunOutput;
     use etalumis_simulators::BranchingModel;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("etalumis_rtds_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    /// A checkpointed shard plan over a local pool of `cfg.workers`.
+    fn resumable<P, F>(
+        factory: F,
+        cfg: &DatasetGenConfig,
+        dir: &Path,
+        ckpt: &CheckpointConfig,
+        kill: Option<Arc<KillSwitch>>,
+    ) -> std::io::Result<TraceDataset>
+    where
+        P: ProbProgram + Send + 'static,
+        F: Fn(usize) -> P,
+    {
+        let mut pool = SimulatorPool::from_factory(cfg.workers, factory);
+        let plan = RunPlan::new(Backend::Local(&mut pool), cfg).shards(dir);
+        Ok(plan.checkpointed(*ckpt, kill).run()?.dataset)
+    }
+
+    /// Rank `rank` of a `world`-rank checkpointed plan under `root`.
+    fn rank_run(
+        cfg: &DatasetGenConfig,
+        root: &Path,
+        rank: usize,
+        world: usize,
+        ckpt: &CheckpointConfig,
+    ) -> std::io::Result<RunOutput> {
+        let mut pool = SimulatorPool::from_factory(cfg.workers, |_| BranchingModel::standard());
+        let plan = RunPlan::new(Backend::Local(&mut pool), cfg).shards(root);
+        plan.checkpointed(*ckpt, None).rank(rank, world).run()
     }
 
     #[test]
@@ -680,7 +271,7 @@ mod tests {
             generate_dataset_parallel(|_| BranchingModel::standard(), &cfg, &dir_ord).unwrap();
         // An uninterrupted checkpointed run writes the same bytes: commit
         // order is batch-index order, exactly like ordered mode.
-        let ck = generate_dataset_resumable(
+        let ck = resumable(
             |_| BranchingModel::standard(),
             &cfg,
             &dir_ck,
@@ -715,26 +306,18 @@ mod tests {
         let ckpt = CheckpointConfig { interval: 7 };
         let dir_ref = tmpdir("kill_ref");
         let reference =
-            generate_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None)
-                .unwrap();
+            resumable(|_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None).unwrap();
 
         for kill_at in [1usize, 13, 40, 79] {
             let dir = tmpdir(&format!("kill_{kill_at}"));
             let kill = Arc::new(KillSwitch::after(kill_at));
-            let err = generate_dataset_resumable(
-                |_| BranchingModel::standard(),
-                &cfg,
-                &dir,
-                &ckpt,
-                Some(kill),
-            )
-            .map(|_| ())
-            .expect_err("the kill switch must abort the run");
+            let err = resumable(|_| BranchingModel::standard(), &cfg, &dir, &ckpt, Some(kill))
+                .map(|_| ())
+                .expect_err("the kill switch must abort the run");
             assert_eq!(err.kind(), std::io::ErrorKind::Interrupted, "kill_at={kill_at}");
             // Resume: same call, no kill switch.
             let resumed =
-                generate_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir, &ckpt, None)
-                    .unwrap();
+                resumable(|_| BranchingModel::standard(), &cfg, &dir, &ckpt, None).unwrap();
             assert_eq!(resumed.len(), cfg.n, "kill_at={kill_at}");
             assert_same_shard_bytes(&resumed, &reference, &format!("kill_at={kill_at}"));
             assert!(!dir.join(crate::MANIFEST_NAME).exists());
@@ -757,8 +340,7 @@ mod tests {
         let ckpt = CheckpointConfig { interval: 5 };
         let dir_ref = tmpdir("muxck_ref");
         let reference =
-            generate_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None)
-                .unwrap();
+            resumable(|_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None).unwrap();
 
         let connect = || {
             crate::MuxSimulatorPool::connect(4, "etalumis-rs", |_| {
@@ -775,13 +357,17 @@ mod tests {
         let dir = tmpdir("muxck_run");
         let mut pool = connect();
         let kill = Arc::new(KillSwitch::after(17));
-        let err = generate_dataset_mux_resumable(&mut pool, &cfg, &dir, &ckpt, Some(kill))
+        let err = RunPlan::new(Backend::Mux(&mut pool), &cfg)
+            .shards(&dir)
+            .checkpointed(ckpt, Some(kill))
+            .run()
             .map(|_| ())
             .expect_err("kill must abort");
         assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
         // Resume over a *fresh* pool — the old process is "dead".
         let mut pool = connect();
-        let resumed = generate_dataset_mux_resumable(&mut pool, &cfg, &dir, &ckpt, None).unwrap();
+        let plan = RunPlan::new(Backend::Mux(&mut pool), &cfg).shards(&dir);
+        let resumed = plan.checkpointed(ckpt, None).run().unwrap().dataset;
         assert_eq!(resumed.len(), cfg.n);
         assert_same_shard_bytes(&resumed, &reference, "mux killed+resumed vs local");
         std::fs::remove_dir_all(&dir_ref).unwrap();
@@ -802,42 +388,25 @@ mod tests {
         let ckpt = CheckpointConfig { interval: 9 };
         let dir_ref = tmpdir("dist_ref");
         let reference =
-            generate_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None)
-                .unwrap();
+            resumable(|_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None).unwrap();
 
         let root = tmpdir("dist_root");
         let world = 3;
         let mut total = RunStats::default();
         for rank in 0..world {
-            let out = generate_dataset_distributed(
-                |_| BranchingModel::standard(),
-                &cfg,
-                &root,
-                rank,
-                world,
-                &ckpt,
-                None,
-            )
-            .unwrap();
-            assert_eq!(out.dataset.len(), out.slice.len(), "rank {rank}");
-            assert!(out.manifest.failed.is_empty(), "rank {rank}");
+            let out = rank_run(&cfg, &root, rank, world, &ckpt).unwrap();
+            let manifest = out.rank_manifest.unwrap();
+            assert_eq!(out.dataset.len() as u64, manifest.end - manifest.start, "rank {rank}");
+            assert!(manifest.failed.is_empty(), "rank {rank}");
             total.absorb(&out.stats);
         }
         assert_eq!(total.total_executed(), cfg.n, "aggregated stats cover the whole batch");
 
         // A completed rank re-invoked is reopened idempotently, not re-run.
-        let again = generate_dataset_distributed(
-            |_| BranchingModel::standard(),
-            &cfg,
-            &root,
-            0,
-            world,
-            &ckpt,
-            None,
-        )
-        .unwrap();
+        let again = rank_run(&cfg, &root, 0, world, &ckpt).unwrap();
         assert_eq!(again.stats.total_executed(), 0, "no re-execution on a completed rank");
-        assert_eq!(again.dataset.len(), again.slice.len());
+        let manifest = again.rank_manifest.unwrap();
+        assert_eq!(again.dataset.len() as u64, manifest.end - manifest.start);
 
         let merged =
             merge_ranks(&discover_rank_dirs(&root).unwrap(), &root.join("merged")).unwrap();
@@ -902,7 +471,7 @@ mod tests {
         // below the commit watermark by the time the run ends. The run
         // errors but stays resumable (manifest + journals intact).
         let o = outage.clone();
-        let err = generate_dataset_resumable(
+        let err = resumable(
             move |_| OutageModel { inner: BranchingModel::standard(), outage: o.clone() },
             &cfg,
             &dir,
@@ -926,7 +495,7 @@ mod tests {
         // them in via the repair journal — zero holes.
         outage.store(false, Ordering::SeqCst);
         let o = outage.clone();
-        let healed = generate_dataset_resumable(
+        let healed = resumable(
             move |_| OutageModel { inner: BranchingModel::standard(), outage: o.clone() },
             &cfg,
             &dir,

@@ -2,7 +2,8 @@
 //!
 //! The parallel trace-generation runtime: the layer between the single-trace
 //! executor of `etalumis-core` and every consumer that needs traces at
-//! volume (importance sampling, dataset generation, benchmarking).
+//! volume (importance sampling, dataset generation, the training stream,
+//! benchmarking).
 //!
 //! The paper's throughput story (§4.4, Figure 4) is dynamic load balancing:
 //! execution traces vary enormously in cost — rejection loops, 38-way decay
@@ -10,28 +11,26 @@
 //! workers idle while the unlucky one finishes. This crate supplies the
 //! machinery the paper's controller/simulator split implies:
 //!
+//! * [`plan`] — [`RunPlan`]: the one way to run a batch. Backend, proposer,
+//!   durability, placement, output and telemetry are orthogonal values of
+//!   one plan, executed by one driver (see its table),
+//! * [`batch`] — [`BatchRunner`]: execute N traces on a [`Backend`] under
+//!   any proposer (prior, IC, replay) with per-trace seeding, making batch
+//!   content a pure function of the seed — identical for any backend and
+//!   worker count,
 //! * [`scheduler`] — per-worker deques with work stealing over a fixed
 //!   batch of trace indices,
 //! * [`pool`] — [`SimulatorPool`]: one [`ProbProgram`] instance per worker,
-//!   local models or PPX [`RemoteModel`] connections alike, so fleets of
-//!   out-of-process simulators are driven concurrently,
-//! * [`batch`] — [`BatchRunner`]: execute N traces under any proposer
-//!   (prior, IC, replay) with per-trace seeding, making batch content a
-//!   pure function of the seed — identical for any worker count,
-//! * [`sink`] — streaming [`TraceSink`]s, including the
-//!   [`ShardedTraceSink`] that partitions completions across
-//!   `etalumis-data` shard writers by trace-type hash,
+//!   local models or PPX [`RemoteModel`] connections alike,
 //! * [`oversub`] — oversubscribed remote execution: a [`MuxSimulatorPool`]
 //!   of K PPX sessions driven by M ≤ K reactor workers, so one thread hides
-//!   the latency of many slow simulators while batch content stays
-//!   bit-identical to the blocking path,
-//! * [`dataset`] — parallel dataset generation wired through all of the
-//!   above (local pools or multiplexed remote pools),
-//! * [`stream`] — the streaming generate→train seam: an ordered
-//!   [`StreamSink`] feeding a bounded `etalumis-data` trace channel, plus
-//!   the checkpoint-teed [`stream_dataset_resumable`] whose shards stay
-//!   byte-identical to the batch pipeline while training consumes the
-//!   live stream.
+//!   the latency of many slow simulators,
+//! * [`sink`], [`checkpoint`], [`stream`] — where traces go: in-memory
+//!   collection, trace-type-partitioned shards, the restartable
+//!   [`CheckpointSink`], and the ordered [`StreamSink`] feeding a bounded
+//!   `etalumis-data` trace channel,
+//! * [`dataset`] — [`DatasetGenConfig`] (the batch a plan runs) and the
+//!   `generate_dataset_{parallel,mux}` shorthands.
 //!
 //! [`RemoteModel`]: etalumis_ppx::RemoteModel
 //! [`ProbProgram`]: etalumis_core::ProbProgram
@@ -40,32 +39,28 @@ pub mod batch;
 pub mod checkpoint;
 pub mod dataset;
 pub mod oversub;
+pub mod plan;
 pub mod pool;
 pub mod scheduler;
 pub mod sink;
 pub mod stream;
 
 pub use batch::{
-    mix_seed, BatchRunner, KillSwitch, PriorProposerFactory, ProposerFactory, RetryPolicy,
+    mix_seed, Backend, BatchRunner, KillSwitch, PriorProposerFactory, ProposerFactory, RetryPolicy,
     RunStats, RuntimeConfig, WorkerReport,
 };
 pub use checkpoint::{
     Checkpoint, CheckpointConfig, CheckpointSink, RepairSink, ShardLayout, MANIFEST_NAME,
     REPAIR_JOURNAL_NAME,
 };
-pub use dataset::{
-    generate_dataset_distributed, generate_dataset_mux, generate_dataset_mux_resumable,
-    generate_dataset_parallel, generate_dataset_resumable, rank_dir, DatasetGenConfig, RankOutput,
-};
+pub use dataset::{generate_dataset_mux, generate_dataset_parallel, rank_dir, DatasetGenConfig};
 pub use etalumis_data::{merge_ranks, rank_slice};
 pub use oversub::{MuxSimulatorPool, ReconnectPolicy};
+pub use plan::{RunOutput, RunPlan};
 pub use pool::SimulatorPool;
 pub use scheduler::TaskQueues;
 pub use sink::{CollectSink, CountingSink, ShardedTraceSink, TraceSink};
-pub use stream::{
-    stream_dataset_mux_resumable, stream_dataset_mux_resumable_traced, stream_dataset_resumable,
-    stream_dataset_resumable_traced, stream_prior_traces, StreamSink, TeeSink,
-};
+pub use stream::{StreamSink, TeeSink};
 
 #[cfg(test)]
 mod ppx_pool_tests {

@@ -3,9 +3,9 @@
 //! The blocking [`crate::SimulatorPool`] pins one connection to one worker
 //! thread, so a controller waiting on a slow simulator idles a whole core.
 //! This module multiplexes instead: a [`MuxSimulatorPool`] holds K
-//! handshaked PPX sessions, and [`BatchRunner::run_mux`] drives them from M
-//! worker threads, each running a poll reactor over its share of the
-//! sessions. A worker services whichever of its sessions is *ready* —
+//! handshaked PPX sessions, and a batch on [`crate::Backend::Mux`] drives
+//! them from M worker threads, each running a poll reactor over its share
+//! of the sessions. A worker services whichever of its sessions is *ready* —
 //! while one simulator computes, the worker answers another's sample
 //! requests — so one thread hides the latency of many remote simulators
 //! (the paper's controller↔Sherpa fleet shape, §4.1).
@@ -16,9 +16,7 @@
 //! is bit-identical for any worker count M, any session count K, and any
 //! readiness interleaving. Only the wall-clock changes.
 
-use crate::batch::{mix_seed, BatchRunner, ProposerFactory, RetryTable, RunStats, WorkerReport};
-use crate::scheduler::TaskQueues;
-use crate::sink::TraceSink;
+use crate::batch::{mix_seed, spawn_workers, Shared, WorkerOutcome};
 use etalumis_core::{ObserveMap, StepExecutor};
 use etalumis_distributions::Value;
 use etalumis_ppx::{
@@ -73,8 +71,8 @@ impl Default for ReconnectPolicy {
 /// execution.
 ///
 /// Unlike [`crate::SimulatorPool`], the session count is independent of the
-/// worker count: [`BatchRunner::run_mux`] drives K sessions from any
-/// M ≤ K threads. The pool remembers how its endpoints were made, so a
+/// worker count: a batch on [`crate::Backend::Mux`] drives K sessions from
+/// any M ≤ K threads. The pool remembers how its endpoints were made, so a
 /// session that dies mid-batch is respawned in place (see
 /// [`ReconnectPolicy`]) instead of permanently failing its share of the
 /// work.
@@ -217,144 +215,71 @@ struct Slot {
     graveyard: Option<(Box<dyn MuxEndpoint>, Session)>,
 }
 
-/// What one worker reactor returns when its share of the batch is done.
-struct WorkerOutcome {
-    report: WorkerReport,
-    failures: Vec<(usize, String)>,
-    retries: u64,
-    respawns: u64,
-    sessions: Vec<(usize, (Box<dyn MuxEndpoint>, Session))>,
-}
+/// One worker's session share: `(pool position, (endpoint, session))`.
+type SessionShare = Vec<(usize, (Box<dyn MuxEndpoint>, Session))>;
 
-impl BatchRunner {
-    /// Execute `n` traces over a multiplexed session pool: K sessions on
-    /// M ≤ K workers (`RuntimeConfig.workers`; 0 means `min(cores, K)`).
-    ///
-    /// Scheduling is oversubscribed: each worker owns a fixed share of the
-    /// sessions but pulls trace indices from the shared work-stealing
-    /// queues, launching the next trace on whichever of its sessions is
-    /// ready. Per-trace `(seed, i)` derivation is unchanged from
-    /// [`BatchRunner::run`], so batch content is bit-identical to the
-    /// blocking path for any `(K, M)`. Proposers are per-session (one
-    /// `make_proposer(worker)` call each); like the blocking path, each
-    /// trace starts with a fresh proposer trace.
-    ///
-    /// A failed session requeues its in-flight trace (rerun bit-identically
-    /// elsewhere, see [`crate::RetryPolicy`]) and is respawned through the
-    /// pool's endpoint factory under its [`ReconnectPolicy`] — the batch
-    /// completes with full content as long as any session can be kept
-    /// alive. Sessions whose respawn budget runs out are retired; traces
-    /// whose retry budget runs out land in [`RunStats::failures`].
-    pub fn run_mux(
-        &self,
-        pool: &mut MuxSimulatorPool,
-        proposers: &dyn ProposerFactory,
-        observes: &ObserveMap,
-        n: usize,
-        seed: u64,
-        sink: &dyn TraceSink,
-    ) -> RunStats {
-        let k = pool.len();
-        let workers = if self.config().workers == 0 {
-            std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1).min(k)
-        } else {
-            self.config().workers
-        };
-        assert!(
-            workers <= k,
-            "oversubscribed mode needs workers ({workers}) <= sessions ({k}); \
-             extra threads would sit sessionless"
-        );
-        let stealing = self.config().stealing;
-        let queues = TaskQueues::new(workers);
-        self.fill_queues(&queues, n);
-        let retries = RetryTable::new(self.retry_policy().max_trace_retries);
-        let observes = Arc::new(observes.clone());
-        let start = Instant::now();
-
-        // Partition sessions round-robin across workers, remembering each
-        // one's pool position so the pool can be reassembled afterwards.
-        let mut shares: Vec<Vec<(usize, (Box<dyn MuxEndpoint>, Session))>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (g, part) in std::mem::take(&mut pool.sessions).into_iter().enumerate() {
-            shares[g % workers].push((g, part));
-        }
-
-        let mut per_worker = vec![WorkerReport::default(); workers];
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        let mut total_retries = 0u64;
-        let mut total_respawns = 0u64;
-        let mut recovered: Vec<(usize, (Box<dyn MuxEndpoint>, Session))> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = shares
-                .into_iter()
-                .enumerate()
-                .map(|(w, share)| {
-                    let queues = &queues;
-                    let observes = &observes;
-                    let retries = &retries;
-                    let ctx = ReactorCtx {
-                        worker: w,
-                        proposers,
-                        seed,
-                        stealing,
-                        respawn: RespawnCtx {
-                            factory: pool.make_endpoint.clone(),
-                            system_name: pool.system_name.clone(),
-                            policy: pool.policy,
-                        },
-                        kill: self.kill_handle(),
-                        tel: self.telemetry().clone(),
-                    };
-                    s.spawn(move || worker_reactor(ctx, share, observes, queues, retries, sink))
-                })
-                .collect();
-            for (w, h) in handles.into_iter().enumerate() {
-                let outcome = h.join().expect("mux worker panicked"); // etalumis: allow(panic-freedom, reason = "join Err only repropagates a worker panic")
-                per_worker[w] = outcome.report;
-                failures.extend(outcome.failures);
-                total_retries += outcome.retries;
-                total_respawns += outcome.respawns;
-                recovered.extend(outcome.sessions);
-            }
-        });
-        let killed = self.killed();
-        if !killed {
-            // Indices stranded because every session of their worker
-            // retired (and stealing was off, or all workers died): every
-            // index must end delivered or failed.
-            for i in queues.drain_remaining() {
-                sink.reject(i, "not executed: no live sessions left");
-                failures.push((i, "not executed: no live sessions left".to_string()));
-            }
-        }
-        recovered.sort_by_key(|(g, _)| *g);
-        pool.sessions = recovered.into_iter().map(|(_, part)| part).collect();
-        failures.sort_by_key(|(i, _)| *i);
-        let stats = RunStats {
-            elapsed: start.elapsed(),
-            per_worker,
-            steals: queues.steals(),
-            failures,
-            retries: total_retries,
-            respawns: total_respawns,
-            killed,
-        };
-        stats.record_to(self.telemetry());
-        stats
+/// The mux backend of [`crate::BatchRunner::run`]: K sessions on
+/// `workers` ≤ K reactor threads.
+///
+/// Scheduling is oversubscribed: each worker owns a fixed round-robin share
+/// of the sessions but pulls trace indices from the shared work-stealing
+/// queues, launching the next trace on whichever of its sessions is ready.
+/// Per-trace `(seed, i)` derivation is the blocking path's, so batch
+/// content is bit-identical to it for any `(K, M)`. Proposers are
+/// per-session (one `make_proposer(worker)` call each); each trace starts
+/// with a fresh proposer trace.
+///
+/// A failed session requeues its in-flight trace (rerun bit-identically
+/// elsewhere, see [`crate::RetryPolicy`]) and is respawned through the
+/// pool's endpoint factory under its [`ReconnectPolicy`] — the batch
+/// completes with full content as long as any session can be kept alive.
+/// Sessions whose respawn budget runs out are retired. The pool gets every
+/// session slot back (live or dead) in its original position.
+pub(crate) fn run_reactors(
+    pool: &mut MuxSimulatorPool,
+    workers: usize,
+    shared: &Shared,
+) -> Vec<WorkerOutcome> {
+    let mut shares: Vec<SessionShare> = (0..workers).map(|_| Vec::new()).collect();
+    for (g, part) in std::mem::take(&mut pool.sessions).into_iter().enumerate() {
+        shares[g % workers].push((g, part));
     }
-
-    /// [`BatchRunner::run_mux`] with prior proposals.
-    pub fn run_mux_prior(
-        &self,
-        pool: &mut MuxSimulatorPool,
-        observes: &ObserveMap,
-        n: usize,
-        seed: u64,
-        sink: &dyn TraceSink,
-    ) -> RunStats {
-        self.run_mux(pool, &crate::batch::PriorProposerFactory, observes, n, seed, sink)
-    }
+    let observes = Arc::new(shared.observes.clone());
+    let respawn = RespawnCtx {
+        factory: pool.make_endpoint.clone(),
+        system_name: pool.system_name.clone(),
+        policy: pool.policy,
+    };
+    let results = spawn_workers(shares, |worker, share| {
+        Reactor {
+            worker,
+            shared,
+            respawn: &respawn,
+            observes: &observes,
+            mux: Mux::new(),
+            slots: Vec::with_capacity(share.len()),
+            conn_slot: Vec::new(),
+            out: WorkerOutcome::default(),
+            drained: false,
+            sweeps: 0,
+            actions: 0,
+            conn_deaths: 0,
+            respawn_attempts: 0,
+            handshake_timeouts: 0,
+        }
+        .run(share)
+    });
+    let mut recovered: SessionShare = Vec::new();
+    let outcomes = results
+        .into_iter()
+        .map(|(outcome, sessions)| {
+            recovered.extend(sessions);
+            outcome
+        })
+        .collect();
+    recovered.sort_by_key(|(g, _)| *g);
+    pool.sessions = recovered.into_iter().map(|(_, part)| part).collect();
+    outcomes
 }
 
 /// Everything a worker needs to respawn a dead session slot.
@@ -364,19 +289,8 @@ struct RespawnCtx {
     policy: ReconnectPolicy,
 }
 
-/// Per-worker reactor parameters (bundled to keep the spawn site readable).
-struct ReactorCtx<'a> {
-    worker: usize,
-    proposers: &'a dyn ProposerFactory,
-    seed: u64,
-    stealing: bool,
-    respawn: RespawnCtx,
-    kill: Option<Arc<crate::batch::KillSwitch>>,
-    tel: etalumis_telemetry::Telemetry,
-}
-
-/// The per-worker event loop: a poll reactor over this worker's session
-/// slots, with mid-batch respawn.
+/// One worker's event loop: a poll reactor over its session slots, with
+/// mid-batch respawn.
 ///
 /// The respawn state machine per slot:
 ///
@@ -391,52 +305,16 @@ struct ReactorCtx<'a> {
 /// lands); the trace fails only when its [`crate::RetryPolicy`] budget runs
 /// out. Backoff is non-blocking: the worker keeps servicing its healthy
 /// sessions while a dead slot waits out its delay.
-fn worker_reactor(
-    ctx: ReactorCtx,
-    share: Vec<(usize, (Box<dyn MuxEndpoint>, Session))>,
-    observes: &Arc<ObserveMap>,
-    queues: &TaskQueues,
-    retries: &RetryTable,
-    sink: &dyn TraceSink,
-) -> WorkerOutcome {
-    Reactor {
-        ctx,
-        observes,
-        queues,
-        retries,
-        sink,
-        mux: Mux::new(),
-        slots: Vec::with_capacity(share.len()),
-        conn_slot: Vec::new(),
-        report: WorkerReport::default(),
-        failures: Vec::new(),
-        requeued: 0,
-        respawns: 0,
-        drained: false,
-        sweeps: 0,
-        actions: 0,
-        conn_deaths: 0,
-        respawn_attempts: 0,
-        handshake_timeouts: 0,
-    }
-    .run(share)
-}
-
-/// The mutable state of one worker's reactor loop (see [`worker_reactor`]).
 struct Reactor<'a> {
-    ctx: ReactorCtx<'a>,
+    worker: usize,
+    shared: &'a Shared<'a>,
+    respawn: &'a RespawnCtx,
     observes: &'a Arc<ObserveMap>,
-    queues: &'a TaskQueues,
-    retries: &'a RetryTable,
-    sink: &'a dyn TraceSink,
     mux: Mux,
     slots: Vec<Slot>,
     /// conn id → slot index (respawned slots get fresh conn ids).
     conn_slot: Vec<usize>,
-    report: WorkerReport,
-    failures: Vec<(usize, String)>,
-    requeued: u64,
-    respawns: u64,
+    out: WorkerOutcome,
     /// True while the shared queues have come up empty; a requeued trace
     /// clears it (the deque holds work again).
     drained: bool,
@@ -453,13 +331,13 @@ struct Reactor<'a> {
 impl Reactor<'_> {
     /// Adopt the worker's session share: live sessions join the mux,
     /// dead/abandoned ones go straight to the respawn machinery.
-    fn adopt(&mut self, share: Vec<(usize, (Box<dyn MuxEndpoint>, Session))>) {
+    fn adopt(&mut self, share: SessionShare) {
         for (s_idx, (global, (endpoint, session))) in share.into_iter().enumerate() {
             let state = session.state();
             let mut slot = Slot {
                 global,
                 conn: SlotConn::Retired,
-                proposer: Some(self.ctx.proposers.make_proposer(self.ctx.worker)),
+                proposer: Some(self.shared.proposers.make_proposer(self.worker)),
                 active: None,
                 graveyard: None,
                 respawn_attempts: 0,
@@ -473,7 +351,7 @@ impl Reactor<'_> {
                 SessionState::Handshaking => {
                     slot.conn = SlotConn::Handshaking {
                         conn: self.register(s_idx, endpoint, session),
-                        deadline: Instant::now() + self.ctx.respawn.policy.handshake_timeout,
+                        deadline: Instant::now() + self.respawn.policy.handshake_timeout,
                     };
                 }
                 // Dead (or abandoned mid-run by a kill switch): hand the
@@ -481,7 +359,7 @@ impl Reactor<'_> {
                 // revive the slot if the policy allows.
                 SessionState::Running(_) | SessionState::Done | SessionState::Failed => {
                     slot.graveyard = Some((endpoint, session));
-                    slot.conn = if self.ctx.respawn.policy.max_respawns > 0 {
+                    slot.conn = if self.respawn.policy.max_respawns > 0 {
                         SlotConn::Backoff { at: Instant::now() }
                     } else {
                         SlotConn::Retired
@@ -508,7 +386,7 @@ impl Reactor<'_> {
     /// Schedule the next respawn attempt for a slot (or retire it once the
     /// budget is spent).
     fn schedule_respawn(&mut self, s_idx: usize) {
-        let policy = self.ctx.respawn.policy;
+        let policy = self.respawn.policy;
         let slot = &mut self.slots[s_idx];
         slot.conn = if slot.respawn_attempts < policy.max_respawns {
             SlotConn::Backoff {
@@ -527,16 +405,10 @@ impl Reactor<'_> {
             self.slots[s_idx].graveyard = Some(pair);
         }
         if let Some((i, _, _)) = self.slots[s_idx].active.take() {
-            if self.retries.try_consume(i) {
-                // Requeue onto this worker's own deque: its surviving
-                // sessions (or a stealing neighbor) rerun it
-                // bit-identically.
-                self.queues.push(self.ctx.worker, i);
-                self.requeued += 1;
+            // Requeued onto this worker's own deque: its surviving sessions
+            // (or a stealing neighbor) rerun it bit-identically.
+            if self.shared.fail(&mut self.out, self.worker, i, error) {
                 self.drained = false;
-            } else {
-                self.sink.reject(i, error);
-                self.failures.push((i, error.to_string()));
             }
         }
         self.schedule_respawn(s_idx);
@@ -554,16 +426,16 @@ impl Reactor<'_> {
             self.slots[s_idx].respawn_attempts += 1;
             self.respawn_attempts += 1;
             progress = true;
-            let attempt = (self.ctx.respawn.factory)(self.slots[s_idx].global)
+            let attempt = (self.respawn.factory)(self.slots[s_idx].global)
                 .map_err(PpxError::from)
-                .and_then(|ep| self.mux.add_connect(ep, &self.ctx.respawn.system_name));
+                .and_then(|ep| self.mux.add_connect(ep, &self.respawn.system_name));
             match attempt {
                 Ok(conn) => {
                     self.conn_slot.push(s_idx);
                     debug_assert_eq!(self.conn_slot.len() - 1, conn);
                     self.slots[s_idx].conn = SlotConn::Handshaking {
                         conn,
-                        deadline: Instant::now() + self.ctx.respawn.policy.handshake_timeout,
+                        deadline: Instant::now() + self.respawn.policy.handshake_timeout,
                     };
                 }
                 Err(_) => {
@@ -611,7 +483,7 @@ impl Reactor<'_> {
                 self.on_conn_death(s_idx, conn, "session poisoned");
                 continue;
             }
-            let Some(i) = self.queues.pop(self.ctx.worker, self.ctx.stealing) else {
+            let Some(i) = self.shared.queues.pop(self.worker, self.shared.stealing) else {
                 self.drained = true;
                 break;
             };
@@ -619,9 +491,9 @@ impl Reactor<'_> {
             let proposer = slot
                 .proposer
                 .take()
-                .unwrap_or_else(|| self.ctx.proposers.make_proposer(self.ctx.worker));
+                .unwrap_or_else(|| self.shared.proposers.make_proposer(self.worker));
             let exec =
-                StepExecutor::new(proposer, self.observes.clone(), mix_seed(self.ctx.seed, i));
+                StepExecutor::new(proposer, self.observes.clone(), mix_seed(self.shared.seed, i));
             let started = match self.mux.session_mut(conn).start_run(Value::Unit) {
                 Ok(run) => self.mux.send(conn, &run),
                 Err(e) => Err(e),
@@ -649,7 +521,7 @@ impl Reactor<'_> {
                     let slot = &mut self.slots[s_idx];
                     if matches!(slot.conn, SlotConn::Handshaking { conn: c, .. } if c == conn) {
                         slot.conn = SlotConn::Ready(conn);
-                        self.respawns += 1;
+                        self.out.respawns += 1;
                         return true;
                     }
                     return false;
@@ -671,7 +543,7 @@ impl Reactor<'_> {
                     let (_, exec, _) = self.slots[s_idx].active.as_mut().unwrap(); // etalumis: allow(panic-freedom, reason = "slot is active for the duration of a serviced action (reactor invariant)")
                     self.mux.session_mut(conn).service(action, exec)
                 };
-                self.report.busy += t0.elapsed();
+                self.out.report.busy += t0.elapsed();
                 match serviced {
                     Ok(Serviced::Reply(reply)) => {
                         if let Err(e) = self.mux.send(conn, &reply) {
@@ -682,15 +554,12 @@ impl Reactor<'_> {
                         let (i, exec, launched) = self.slots[s_idx].active.take().unwrap(); // etalumis: allow(panic-freedom, reason = "slot is active for the duration of a serviced action (reactor invariant)")
                         let (trace, proposer) = exec.finish(result);
                         self.slots[s_idx].proposer = Some(proposer);
-                        self.report.executed += 1;
-                        if self.ctx.tel.is_enabled() {
-                            let _scope = self.ctx.tel.worker_scope(self.ctx.worker as u32);
-                            self.ctx.tel.span_record("runtime.task", launched.elapsed());
+                        let tel = self.shared.tel;
+                        if tel.is_enabled() {
+                            let _scope = tel.worker_scope(self.worker as u32);
+                            tel.span_record("runtime.task", launched.elapsed());
                         }
-                        self.sink.accept(i, trace);
-                        if let Some(k) = self.ctx.kill.as_ref() {
-                            k.tick();
-                        }
+                        self.shared.deliver(&mut self.out, i, trace);
                     }
                     Ok(Serviced::Connected(_)) => {
                         unreachable!("Connected actions are handled above") // etalumis: allow(panic-freedom, reason = "mux state machine routes Connected before servicing")
@@ -707,11 +576,13 @@ impl Reactor<'_> {
         }
     }
 
-    fn run(mut self, share: Vec<(usize, (Box<dyn MuxEndpoint>, Session))>) -> WorkerOutcome {
+    /// Drive this worker's share to the end of the batch; returns what it
+    /// did and its session slots (live or dead) for pool reassembly.
+    fn run(mut self, share: SessionShare) -> (WorkerOutcome, SessionShare) {
         self.adopt(share);
         let mut events: Vec<MuxEvent> = Vec::new();
         loop {
-            if self.ctx.kill.as_ref().is_some_and(|k| k.killed()) {
+            if self.shared.killed() {
                 break;
             }
             self.sweeps += 1;
@@ -720,7 +591,8 @@ impl Reactor<'_> {
             progress |= self.launch_ready();
 
             // Every slot retired: leave the remaining share for stealing
-            // neighbors (run_mux drains true stragglers after the join).
+            // neighbors (BatchRunner::run drains true stragglers after the
+            // join).
             if self.slots.iter().all(|s| matches!(s.conn, SlotConn::Retired)) {
                 break;
             }
@@ -745,9 +617,9 @@ impl Reactor<'_> {
         // meters, and the underlying mux's frame accounting. Doing it once
         // at exit (instead of one event per sweep) keeps the event log
         // proportional to the batch, not to idle polling.
-        if self.ctx.tel.is_enabled() {
-            let tel = &self.ctx.tel;
-            let _scope = tel.worker_scope(self.ctx.worker as u32);
+        let tel = self.shared.tel;
+        if tel.is_enabled() {
+            let _scope = tel.worker_scope(self.worker as u32);
             let mstats = self.mux.stats();
             tel.count("mux.sweeps", self.sweeps);
             tel.count("mux.polls", mstats.polls);
@@ -757,9 +629,9 @@ impl Reactor<'_> {
             tel.count("mux.actions", self.actions);
             tel.count("mux.conn_deaths", self.conn_deaths);
             tel.count("mux.respawn_attempts", self.respawn_attempts);
-            tel.count("mux.respawns", self.respawns);
+            tel.count("mux.respawns", self.out.respawns);
             tel.count("mux.handshake_timeouts", self.handshake_timeouts);
-            tel.span_record("mux.service_busy", self.report.busy);
+            tel.span_record("mux.service_busy", self.out.report.busy);
         }
 
         // Reassemble the pool's session pairs: live conns come back out of
@@ -782,13 +654,7 @@ impl Reactor<'_> {
                 (slot.global, pair)
             })
             .collect();
-        WorkerOutcome {
-            report: self.report,
-            failures: self.failures,
-            retries: self.requeued,
-            respawns: self.respawns,
-            sessions,
-        }
+        (self.out, sessions)
     }
 }
 
@@ -818,7 +684,7 @@ impl MuxEndpoint for ClosedEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::RuntimeConfig;
+    use crate::batch::{BatchRunner, RuntimeConfig};
     use crate::pool::SimulatorPool;
     use crate::sink::{CollectSink, CountingSink};
     use etalumis_core::{FnProgram, SimCtx, SimCtxExt, Trace};

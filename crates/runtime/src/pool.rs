@@ -8,6 +8,7 @@
 //! by one worker thread for the duration of a batch, so no execution ever
 //! waits on another's simulator.
 
+use crate::batch::RuntimeConfig;
 use etalumis_core::{BoxedProgram, ProbProgram};
 use etalumis_ppx::{RemoteModel, Transport};
 use std::io;
@@ -24,13 +25,15 @@ impl SimulatorPool {
         Self { programs }
     }
 
-    /// Build `n` instances from a factory (`factory(worker_index)`).
+    /// Build `n` instances from a factory (`factory(worker_index)`); `n = 0`
+    /// builds one per core — the local half of the runtime's single
+    /// `workers = 0` rule (see [`crate::Backend::workers`]).
     pub fn from_factory<P, F>(n: usize, factory: F) -> Self
     where
         P: ProbProgram + Send + 'static,
         F: Fn(usize) -> P,
     {
-        let n = n.max(1);
+        let n = RuntimeConfig { workers: n, stealing: true }.resolved_workers();
         Self::from_programs((0..n).map(|w| Box::new(factory(w)) as BoxedProgram).collect())
     }
 

@@ -96,7 +96,7 @@ impl TaskQueues {
     /// Like [`pop`](Self::pop), but also reports whether the task was
     /// stolen from another worker's deque — the per-task attribution the
     /// telemetry layer records as `runtime.steal` counters.
-    pub fn pop_traced(&self, worker: usize, stealing: bool) -> Option<(usize, bool)> {
+    pub(crate) fn pop_traced(&self, worker: usize, stealing: bool) -> Option<(usize, bool)> {
         if let Some(t) = self.deques[worker].lock().pop_back() {
             return Some((t, false));
         }

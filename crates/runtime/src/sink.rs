@@ -7,7 +7,7 @@
 //! contention low by locking only the one partition a trace hashes to.
 
 use etalumis_core::Trace;
-use etalumis_data::{RollingShardWriter, TraceRecord};
+use etalumis_data::{partition_of, partition_prefix, RollingShardWriter, TraceRecord};
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -28,6 +28,11 @@ pub trait TraceSink: Sync {
     fn reject(&self, index: usize, error: &str) {
         let _ = (index, error);
     }
+}
+
+/// The unit sink discards every delivery.
+impl TraceSink for () {
+    fn accept(&self, _index: usize, _trace: Trace) {}
 }
 
 /// Collects the whole batch in memory, in batch order.
@@ -106,25 +111,13 @@ pub struct ShardedTraceSink {
 }
 
 impl ShardedTraceSink {
-    /// The partition a trace type hashes to — delegates to the canonical
-    /// rule in `etalumis_data` ([`etalumis_data::partition_of`]), which the
-    /// cross-process merge also uses: record placement must be identical
-    /// whether one process writes the whole batch or a fleet writes slices
-    /// that are merged later.
-    pub fn partition_of(trace_type: u64, partitions: usize) -> usize {
-        etalumis_data::partition_of(trace_type, partitions)
-    }
-
-    /// Shard-file prefix of a partition (`part{p:02}`); delegates to
-    /// [`etalumis_data::partition_prefix`].
-    pub fn partition_prefix(partition: usize) -> String {
-        etalumis_data::partition_prefix(partition)
-    }
-
     /// Sink writing `partitions` independent shard streams under `dir`
     /// (files `part{p:02}_{seq:05}.etlm`), rolling every `traces_per_shard`
     /// records, with address-dictionary encoding. `pruned` follows
-    /// [`TraceRecord::from_trace`].
+    /// [`TraceRecord::from_trace`]. A record's partition is
+    /// [`partition_of`] its trace type — the rule the cross-process merge
+    /// shares, so placement is the same whether one process writes the
+    /// batch or a fleet writes slices that are merged later.
     pub fn new(
         dir: impl AsRef<Path>,
         partitions: usize,
@@ -138,7 +131,7 @@ impl ShardedTraceSink {
                 .map(|p| {
                     Mutex::new(RollingShardWriter::new(
                         dir,
-                        Self::partition_prefix(p),
+                        partition_prefix(p),
                         traces_per_shard,
                         true,
                     ))
@@ -171,7 +164,7 @@ impl ShardedTraceSink {
 impl TraceSink for ShardedTraceSink {
     fn accept(&self, _index: usize, trace: Trace) {
         let rec = TraceRecord::from_trace(&trace, self.pruned);
-        let p = Self::partition_of(rec.trace_type, self.partitions.len());
+        let p = partition_of(rec.trace_type, self.partitions.len());
         // etalumis: allow(reactor-blocking, reason = "partition lock held across the shard push is the sink's durable-write contract; contention is per-trace-type")
         if let Err(e) = self.partitions[p].lock().push(rec) {
             self.error.lock().get_or_insert(e);

@@ -13,16 +13,14 @@
 //!   capacity — which is what lets a streaming training run be reproduced
 //!   bit-identically from its teed shards.
 //! * [`TeeSink`] — fans one delivery out to two sinks, used to tee the
-//!   live stream through a [`CheckpointSink`] so a streaming run stays
+//!   live stream through a [`CheckpointSink`](crate::CheckpointSink) so a streaming run stays
 //!   durable, resumable, and byte-identical to the batch pipeline's
 //!   output.
-//! * [`stream_dataset_resumable`] — the teed streaming generator: the
-//!   full checkpoint/resume protocol of
-//!   [`generate_dataset_resumable`](crate::generate_dataset_resumable),
-//!   with the stream re-fed on resume by **prefix replay** (committed
-//!   shards + the partial-shard journal are pushed into the channel before
-//!   live generation of the remainder starts), so a consumer restarted
-//!   after a crash sees exactly the stream an uninterrupted run produces.
+//! * **prefix replay** — a checkpointed [`RunPlan`](crate::RunPlan) with a
+//!   stream (the tee) re-feeds the channel on resume: committed shards +
+//!   the partial-shard journal are pushed into it before live generation
+//!   of the remainder starts, so a consumer restarted after a crash sees
+//!   exactly the stream an uninterrupted run produces.
 //!
 //! Back-pressure discipline: when the trainer falls behind, `channel.send`
 //! blocks inside the sink; workers then block either on the send or on the
@@ -30,24 +28,19 @@
 //! `capacity + reorder window`, and the pipeline cannot deadlock — the
 //! consumer draining (or closing) the channel always unblocks the chain.
 
-use crate::batch::{BatchRunner, KillSwitch, RunStats, RuntimeConfig};
-use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointSink};
-use crate::dataset::{fail_on_failures, DatasetGenConfig};
-use crate::oversub::MuxSimulatorPool;
-use crate::pool::SimulatorPool;
+use crate::checkpoint::Checkpoint;
 use crate::sink::TraceSink;
-use etalumis_core::{ObserveMap, ProbProgram, Trace};
+use etalumis_core::Trace;
 use etalumis_data::{
-    partition_prefix, read_journal, ShardReader, TraceChannel, TraceDataset, TraceRecord,
+    journal_path, partition_prefix, read_journal, shard_path, ShardReader, TraceChannel,
+    TraceRecord,
 };
-use etalumis_telemetry::Telemetry;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
-/// Reorder-buffer wait bounds, mirroring [`CheckpointSink`]'s: a worker
+/// Reorder-buffer wait bounds, mirroring [`CheckpointSink`](crate::CheckpointSink)'s: a worker
 /// whose index is too far ahead of the contiguous prefix parks briefly so
 /// the buffer cannot balloon, but never forever — after the budget it
 /// proceeds, trading bounded memory growth for guaranteed progress.
@@ -69,7 +62,7 @@ struct StreamState {
 /// sink holds them in a reorder buffer and releases the contiguous prefix.
 /// A failed index (see [`TraceSink::reject`]) is a hole the prefix skips —
 /// consumers see one record fewer, callers see the failure in
-/// [`RunStats::failures`].
+/// [`RunStats::failures`](crate::RunStats::failures).
 ///
 /// If the consumer closes the channel mid-run, delivery degrades to a
 /// no-op drain: workers complete the batch (so teed shards stay whole)
@@ -142,20 +135,20 @@ impl TraceSink for StreamSink<'_> {
 
 /// Fan one trace delivery out to two sinks (checkpoint tee): `first`
 /// receives the delivery before `second`, so when `first` is the durable
-/// [`CheckpointSink`] a record is journaled before the trainer can see it.
-pub struct TeeSink<'a, A: TraceSink, B: TraceSink> {
+/// [`CheckpointSink`](crate::CheckpointSink) a record is journaled before the trainer can see it.
+pub struct TeeSink<'a, A: TraceSink + ?Sized, B: TraceSink> {
     first: &'a A,
     second: &'a B,
 }
 
-impl<'a, A: TraceSink, B: TraceSink> TeeSink<'a, A, B> {
+impl<'a, A: TraceSink + ?Sized, B: TraceSink> TeeSink<'a, A, B> {
     /// Tee deliveries to `first`, then `second`.
     pub fn new(first: &'a A, second: &'a B) -> Self {
         Self { first, second }
     }
 }
 
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<'_, A, B> {
+impl<A: TraceSink + ?Sized, B: TraceSink> TraceSink for TeeSink<'_, A, B> {
     fn accept(&self, index: usize, trace: Trace) {
         self.first.accept(index, trace.clone());
         self.second.accept(index, trace);
@@ -167,291 +160,73 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<'_, A, B> {
     }
 }
 
-/// Stream `cfg.n` prior traces into `channel` in batch-index order, with
-/// no durable tee (pure online mode: nothing touches disk). Closes the
-/// channel when the batch completes — including on error, so a consumer
-/// never hangs on a producer that gave up. Failed traces are an error, as
-/// in dataset generation: a training stream must not silently miss
-/// records.
-pub fn stream_prior_traces<P, F>(
-    factory: F,
-    cfg: &DatasetGenConfig,
-    channel: &TraceChannel,
-) -> io::Result<RunStats>
-where
-    P: ProbProgram + Send + 'static,
-    F: Fn(usize) -> P,
-{
-    let workers = RuntimeConfig { workers: cfg.workers, ..Default::default() }.resolved_workers();
-    let mut pool = SimulatorPool::from_factory(workers, factory);
-    // Interleaved ascending task order (not the default block fill, which
-    // workers drain back-to-front): the stream sink releases the contiguous
-    // index prefix, so completions must track it or every delivery parks
-    // against the reorder window.
-    let runner = BatchRunner::new(RuntimeConfig { workers, stealing: true })
-        .with_tasks((0..cfg.n).collect());
-    let observes = ObserveMap::new();
-    let sink = StreamSink::new(channel, cfg.pruned, 0);
-    let stats = runner.run_prior(&mut pool, &observes, cfg.n, cfg.seed, &sink);
-    channel.close();
-    fail_on_failures(&stats)?;
-    Ok(stats)
-}
-
 /// Replay the committed prefix of a single-partition checkpointed run into
-/// the channel: finished shards in roll order, then the in-progress
-/// shard's journal up to its durable byte count. Returns the number of
-/// records replayed (== the manifest watermark for a fault-free run).
-fn replay_committed_prefix(
+/// the channel: finished shards in roll order, then the in-progress shard's
+/// journal up to its durable byte count. Returns the number of records
+/// replayed, which must equal the manifest watermark.
+///
+/// A run with permanently failed indices cannot be replayed: its failures
+/// are holes below the watermark, and healing them would append repair
+/// shards out of stream order.
+pub(crate) fn replay_committed_prefix(
     dir: &Path,
     manifest: &Checkpoint,
     channel: &TraceChannel,
 ) -> io::Result<usize> {
+    if !manifest.failed.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "cannot stream-resume a run with {} permanently failed trace(s): heal it \
+                 with a checkpointed shard plan (no stream) first",
+                manifest.failed.len()
+            ),
+        ));
+    }
     let prefix = partition_prefix(0);
     let progress = &manifest.parts[0];
-    let mut replayed = 0usize;
-    let mut closed = false;
-    for seq in 0..progress.finished {
-        let path = dir.join(format!("{prefix}_{seq:05}.etlm"));
-        for rec in ShardReader::open(&path)?.read_all()? {
+    let mut replayed = 0u64;
+    // A closed channel (the consumer walked away) turns the replay into a
+    // drain, exactly as it does live delivery.
+    let mut feed = |records: Vec<TraceRecord>| {
+        for rec in records {
             replayed += 1;
-            if !closed && channel.send(rec).is_err() {
-                closed = true;
-            }
+            let _ = channel.send(rec);
         }
+    };
+    for seq in 0..progress.finished {
+        feed(ShardReader::open(shard_path(dir, &prefix, seq))?.read_all()?);
     }
     if progress.partial_records > 0 {
-        let journal = dir.join(format!("{prefix}_{:05}.partial", progress.finished));
-        for rec in read_journal(&journal, progress.partial_bytes)? {
-            replayed += 1;
-            if !closed && channel.send(rec).is_err() {
-                closed = true;
-            }
-        }
+        let journal = journal_path(dir, &prefix, progress.finished);
+        feed(read_journal(&journal, progress.partial_bytes)?);
     }
-    Ok(replayed)
-}
-
-/// Checkpointed streaming generation: the tee mode.
-///
-/// Runs the same manifest/journal protocol as
-/// [`generate_dataset_resumable`](crate::generate_dataset_resumable) —
-/// the produced shard files are **byte-identical** to it — while
-/// simultaneously feeding every record into `channel` in batch-index
-/// order. The channel is closed when the run ends (complete, killed, or
-/// failed), so the consumer always terminates.
-///
-/// **Reproducibility contract** (see DESIGN.md): the layout is pinned to a
-/// single partition. With one partition, commit order *is* batch-index
-/// order, so the teed shards read back in dataset order reproduce the live
-/// stream record-for-record — and on resume the committed prefix is
-/// replayed into the channel from those shards (plus the partial-shard
-/// journal) before live generation of `watermark..n` continues. A consumer
-/// that restarts from scratch on resume therefore consumes exactly the
-/// stream of an uninterrupted run. Multi-partition layouts interleave
-/// partitions in an order the shards do not record, so they cannot honor
-/// this contract and are rejected with `InvalidInput`.
-///
-/// Kill/resume semantics match the batch pipeline: a fired `kill` switch
-/// returns `ErrorKind::Interrupted` with the manifest and journals intact;
-/// the same call resumes. Permanent trace failures error out (manifest
-/// kept, resume retries them); the batch pipeline's healing pass is not
-/// run here because repair shards append records out of stream order —
-/// heal with `generate_dataset_resumable` first if a run needs it.
-pub fn stream_dataset_resumable<P, F>(
-    factory: F,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-    channel: &TraceChannel,
-) -> io::Result<TraceDataset>
-where
-    P: ProbProgram + Send + 'static,
-    F: Fn(usize) -> P,
-{
-    stream_dataset_resumable_traced(factory, cfg, dir, ckpt, kill, channel, Telemetry::disabled())
-}
-
-/// [`stream_dataset_resumable`] with a telemetry handle threaded through
-/// every seam it crosses: the worker pool (`runtime.*` spans/counters), the
-/// checkpoint tee (`ckpt.*`), and the run summary ([`RunStats::record_to`]).
-/// Attach the same handle to the channel
-/// ([`TraceChannel::with_telemetry`](etalumis_data::TraceChannel::with_telemetry))
-/// and the trainer for whole-pipeline coverage. Telemetry only observes:
-/// the stream content and shard bytes are bit-identical to the untraced
-/// call.
-pub fn stream_dataset_resumable_traced<P, F>(
-    factory: F,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-    channel: &TraceChannel,
-    tel: Telemetry,
-) -> io::Result<TraceDataset>
-where
-    P: ProbProgram + Send + 'static,
-    F: Fn(usize) -> P,
-{
-    let workers = RuntimeConfig { workers: cfg.workers, ..Default::default() }.resolved_workers();
-    let mut pool = SimulatorPool::from_factory(workers, factory);
-    let observes = ObserveMap::new();
-    stream_resumable_with(
-        |runner, sink| runner.run_prior(&mut pool, &observes, cfg.n, cfg.seed, sink),
-        BatchRunner::new(RuntimeConfig { workers, stealing: true }).with_telemetry(tel),
-        cfg,
-        dir,
-        ckpt,
-        kill,
-        channel,
-    )
-}
-
-/// [`stream_dataset_resumable`] over a multiplexed remote-session pool:
-/// the oversubscribed reactor feeds the same tee, so out-of-process
-/// simulator fleets stream straight into training too.
-pub fn stream_dataset_mux_resumable(
-    pool: &mut MuxSimulatorPool,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-    channel: &TraceChannel,
-) -> io::Result<TraceDataset> {
-    stream_dataset_mux_resumable_traced(pool, cfg, dir, ckpt, kill, channel, Telemetry::disabled())
-}
-
-/// [`stream_dataset_mux_resumable`] with a telemetry handle threaded
-/// through the reactor (`mux.*` counters), the worker pool (`runtime.*`),
-/// and the checkpoint tee (`ckpt.*`). See
-/// [`stream_dataset_resumable_traced`].
-pub fn stream_dataset_mux_resumable_traced(
-    pool: &mut MuxSimulatorPool,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-    channel: &TraceChannel,
-    tel: Telemetry,
-) -> io::Result<TraceDataset> {
-    let workers = if cfg.workers == 0 { pool.len() } else { cfg.workers.min(pool.len()) };
-    let observes = ObserveMap::new();
-    stream_resumable_with(
-        |runner, sink| runner.run_mux_prior(pool, &observes, cfg.n, cfg.seed, sink),
-        BatchRunner::new(RuntimeConfig { workers, stealing: true }).with_telemetry(tel),
-        cfg,
-        dir,
-        ckpt,
-        kill,
-        channel,
-    )
-}
-
-fn stream_resumable_with(
-    mut run: impl FnMut(&BatchRunner, &dyn TraceSink) -> RunStats,
-    runner: BatchRunner,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-    channel: &TraceChannel,
-) -> io::Result<TraceDataset> {
-    // On any exit path the consumer must observe end-of-stream.
-    let result = stream_resumable_inner(&mut run, runner, cfg, dir, ckpt, kill, channel);
-    channel.close();
-    result
-}
-
-fn stream_resumable_inner(
-    run: &mut impl FnMut(&BatchRunner, &dyn TraceSink) -> RunStats,
-    runner: BatchRunner,
-    cfg: &DatasetGenConfig,
-    dir: &Path,
-    ckpt: &CheckpointConfig,
-    kill: Option<Arc<KillSwitch>>,
-    channel: &TraceChannel,
-) -> io::Result<TraceDataset> {
-    if cfg.partitions.max(1) != 1 {
+    if replayed != manifest.watermark {
         return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
+            io::ErrorKind::InvalidData,
             format!(
-                "streaming tee requires a single-partition layout (got {}): with multiple \
-                 partitions the shards do not record the cross-partition stream order, so the \
-                 teed run could not be replayed",
-                cfg.partitions
+                "prefix replay produced {replayed} record(s) but the manifest watermark is {} \
+                 — shards and manifest disagree",
+                manifest.watermark
             ),
         ));
     }
-    let layout = cfg.layout();
-    let (sink, remaining, watermark) = match Checkpoint::load(dir)? {
-        Some(manifest) => {
-            if !manifest.failed.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "cannot stream-resume a run with {} permanently failed trace(s): heal \
-                         it with generate_dataset_resumable first",
-                        manifest.failed.len()
-                    ),
-                ));
-            }
-            let replayed = replay_committed_prefix(dir, &manifest, channel)?;
-            if replayed as u64 != manifest.watermark {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "prefix replay produced {replayed} record(s) but the manifest watermark \
-                         is {} — shards and manifest disagree",
-                        manifest.watermark
-                    ),
-                ));
-            }
-            let watermark = manifest.watermark as usize;
-            let sink = CheckpointSink::resume(dir, layout, ckpt, &manifest)?;
-            (sink, manifest.remaining(), watermark)
-        }
-        None => (CheckpointSink::new(dir, layout, ckpt), (0..cfg.n).collect(), 0),
-    };
-    let sink = sink.with_telemetry(runner.telemetry().clone());
-    let stream = StreamSink::new(channel, cfg.pruned, watermark);
-    let tee = TeeSink::new(&sink, &stream);
-    let mut main_runner = runner.with_tasks(remaining);
-    if let Some(k) = &kill {
-        main_runner = main_runner.with_kill_switch(k.clone());
-    }
-    let stats = run(&main_runner, &tee);
-    if stats.killed {
-        return Err(io::Error::new(
-            io::ErrorKind::Interrupted,
-            format!(
-                "streaming generation killed at watermark {} of 0..{} (resume with the same \
-                 call; the committed prefix will be replayed into the channel)",
-                sink.watermark(),
-                cfg.n
-            ),
-        ));
-    }
-    // No healing pass in stream mode (repair shards would break stream
-    // order); failures keep the manifest alive so the same call retries.
-    if !sink.failed().is_empty() || !stats.failures.is_empty() {
-        fail_on_failures(&stats)?;
-        return Err(io::Error::other(format!(
-            "{} trace(s) failed permanently during streaming generation (resume with the \
-             same call to retry)",
-            sink.failed().len()
-        )));
-    }
-    TraceDataset::open(sink.finalize()?)
+    Ok(manifest.watermark as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::generate_dataset_resumable;
+    use crate::batch::{Backend, KillSwitch};
+    use crate::checkpoint::CheckpointConfig;
+    use crate::dataset::DatasetGenConfig;
+    use crate::plan::{RunOutput, RunPlan};
+    use crate::pool::SimulatorPool;
     use crate::sink::CollectSink;
+    use etalumis_data::TraceDataset;
     use etalumis_simulators::BranchingModel;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("etalumis_stream_{tag}_{}", std::process::id()));
@@ -468,6 +243,32 @@ mod tests {
             seed,
             ..Default::default()
         }
+    }
+
+    /// A local plan of `c` streaming into `chan`, optionally with the
+    /// checkpointed shards under `dir` (the tee).
+    fn stream_plan(
+        c: &DatasetGenConfig,
+        chan: &TraceChannel,
+        tee: Option<(&Path, CheckpointConfig, Option<Arc<KillSwitch>>)>,
+    ) -> io::Result<RunOutput> {
+        let mut pool = SimulatorPool::from_factory(c.workers, |_| BranchingModel::standard());
+        let plan = RunPlan::new(Backend::Local(&mut pool), c).stream(chan);
+        match tee {
+            Some((dir, ckpt, kill)) => plan.shards(dir).checkpointed(ckpt, kill).run(),
+            None => plan.run(),
+        }
+    }
+
+    /// The teed stream of `c` into `chan` under `dir`; returns the shards.
+    fn tee(
+        c: &DatasetGenConfig,
+        dir: &Path,
+        ckpt: CheckpointConfig,
+        kill: Option<Arc<KillSwitch>>,
+        chan: &TraceChannel,
+    ) -> io::Result<TraceDataset> {
+        stream_plan(c, chan, Some((dir, ckpt, kill))).map(|out| out.dataset)
     }
 
     /// Drain a channel on a thread, returning the records in arrival order.
@@ -506,8 +307,7 @@ mod tests {
         let run = |workers: usize| {
             let chan = Arc::new(TraceChannel::bounded(7));
             let consumer = drain(chan.clone());
-            stream_prior_traces(|_| BranchingModel::standard(), &cfg(60, 12, workers), &chan)
-                .unwrap();
+            stream_plan(&cfg(60, 12, workers), &chan, None).unwrap();
             consumer.join().unwrap()
         };
         let one = run(1);
@@ -525,7 +325,7 @@ mod tests {
         let chan = Arc::new(TraceChannel::bounded(4));
         let consumer = drain(chan.clone());
         let t0 = std::time::Instant::now();
-        stream_prior_traces(|_| BranchingModel::standard(), &cfg(500, 9, 1), &chan).unwrap();
+        stream_plan(&cfg(500, 9, 1), &chan, None).unwrap();
         let got = consumer.join().unwrap();
         assert_eq!(got.len(), 500);
         assert!(
@@ -541,25 +341,16 @@ mod tests {
 
         // Reference: the plain batch pipeline.
         let dir_ref = tmpdir("tee_ref");
-        let reference =
-            generate_dataset_resumable(|_| BranchingModel::standard(), &c, &dir_ref, &ckpt, None)
-                .unwrap();
+        let mut pool = SimulatorPool::from_factory(c.workers, |_| BranchingModel::standard());
+        let plan = RunPlan::new(Backend::Local(&mut pool), &c).shards(&dir_ref);
+        let reference = plan.checkpointed(ckpt, None).run().unwrap().dataset;
 
         // Teed streaming run, killed partway.
         let dir = tmpdir("tee_run");
         let chan = Arc::new(TraceChannel::bounded(4));
         let consumer = drain(chan.clone());
         let kill = Arc::new(KillSwitch::after(23));
-        let err = stream_dataset_resumable(
-            |_| BranchingModel::standard(),
-            &c,
-            &dir,
-            &ckpt,
-            Some(kill),
-            &chan,
-        )
-        .map(|_| ())
-        .unwrap_err();
+        let err = tee(&c, &dir, ckpt, Some(kill), &chan).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         let partial = consumer.join().unwrap();
         assert!(partial.len() < 50, "the kill must cut the stream short");
@@ -568,9 +359,7 @@ mod tests {
         // reproduce the full stream, and shards must match the reference.
         let chan = Arc::new(TraceChannel::bounded(4));
         let consumer = drain(chan.clone());
-        let ds =
-            stream_dataset_resumable(|_| BranchingModel::standard(), &c, &dir, &ckpt, None, &chan)
-                .unwrap();
+        let ds = tee(&c, &dir, ckpt, None, &chan).unwrap();
         let full = consumer.join().unwrap();
         assert_eq!(full.len(), 50);
         assert_eq!(ds.len(), 50);
@@ -594,16 +383,9 @@ mod tests {
     fn multi_partition_tee_is_rejected() {
         let chan = TraceChannel::bounded(4);
         let c = DatasetGenConfig { partitions: 2, ..cfg(10, 1, 1) };
-        let err = stream_dataset_resumable(
-            |_| BranchingModel::standard(),
-            &c,
-            &tmpdir("multi"),
-            &CheckpointConfig::default(),
-            None,
-            &chan,
-        )
-        .map(|_| ())
-        .unwrap_err();
+        let err = tee(&c, &tmpdir("multi"), CheckpointConfig::default(), None, &chan)
+            .map(|_| ())
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(chan.is_closed(), "even a rejected run must close the channel");
     }
@@ -615,15 +397,7 @@ mod tests {
         let dir = tmpdir("walkaway");
         let chan = TraceChannel::bounded(2);
         chan.close();
-        let ds = stream_dataset_resumable(
-            |_| BranchingModel::standard(),
-            &cfg(30, 5, 2),
-            &dir,
-            &CheckpointConfig { interval: 5 },
-            None,
-            &chan,
-        )
-        .unwrap();
+        let ds = tee(&cfg(30, 5, 2), &dir, CheckpointConfig { interval: 5 }, None, &chan).unwrap();
         assert_eq!(ds.len(), 30);
         std::fs::remove_dir_all(&dir).unwrap();
     }

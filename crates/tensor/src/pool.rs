@@ -1,9 +1,9 @@
 //! Resident kernel thread pool with deterministic fixed chunking.
 //!
-//! The compat rayon shim spawns fresh threads per parallel call; at kernel
-//! granularity that overhead dwarfs the work. This pool keeps a fixed set of
-//! resident workers (spawned once, parked on a condvar) and hands them
-//! atomically-claimed task indices from a shared cursor.
+//! Spawning threads per parallel call costs more than the work at kernel
+//! granularity, so this pool keeps a fixed set of resident workers (spawned
+//! once, parked on a condvar) and hands them atomically-claimed task indices
+//! from a shared cursor.
 //!
 //! Determinism contract: callers split work into **fixed-size chunks that
 //! are a pure function of the problem shape** (e.g. 32 output rows per

@@ -170,7 +170,7 @@ pub fn train_stream<O: Optimizer>(
 /// Replay a dataset through the exact [`train_stream`] code path.
 ///
 /// This is the reproducibility comparator for teed streaming runs: the
-/// shards `stream_dataset_resumable` writes, read back in dataset order,
+/// shards a teed `RunPlan` writes, read back in dataset order,
 /// are the live stream — so a fresh trainer run through this function
 /// produces bit-identical losses and weights to the streaming run that
 /// wrote them.

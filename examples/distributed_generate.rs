@@ -2,15 +2,15 @@
 //!
 //! The fleet-shaped form of `resume_dataset`: the parent process plays the
 //! job scheduler, spawning `WORLD` worker processes that each generate one
-//! contiguous rank slice of the global batch
-//! ([`generate_dataset_distributed`]) into a rank-private directory. One
+//! contiguous rank slice of the global batch (a checkpointed [`RunPlan`]
+//! placed with `.rank(r, world)`) into a rank-private directory. One
 //! worker is killed mid-run (a [`KillSwitch`] stops its workers dead —
 //! exactly the on-disk state `SIGKILL` leaves), the parent re-spawns it,
 //! and the worker resumes from its checkpoint manifest. Once every rank's
 //! manifest is on disk, [`merge_ranks`] folds the rank outputs back into
 //! the canonical partition-by-trace-type layout and the parent verifies
 //! the merged shards are **byte-identical** to a single-process
-//! `generate_dataset_resumable` run of the whole batch.
+//! checkpointed run of the whole batch.
 //!
 //! ```text
 //! cargo run --release --example distributed_generate
@@ -19,14 +19,13 @@
 //! (the binary re-executes itself with `--rank R` for the worker
 //! processes, mirroring `ppx_mux_clients`).
 //!
-//! [`generate_dataset_distributed`]: etalumis_runtime::generate_dataset_distributed
+//! [`RunPlan`]: etalumis_runtime::RunPlan
 //! [`KillSwitch`]: etalumis_runtime::KillSwitch
 //! [`merge_ranks`]: etalumis_data::merge_ranks
 
 use etalumis_data::{discover_rank_dirs, merge_ranks};
 use etalumis_runtime::{
-    generate_dataset_distributed, generate_dataset_resumable, CheckpointConfig, DatasetGenConfig,
-    KillSwitch,
+    Backend, CheckpointConfig, DatasetGenConfig, KillSwitch, RunOutput, RunPlan, SimulatorPool,
 };
 use etalumis_simulators::BranchingModel;
 use etalumis_telemetry::{Field, Logger};
@@ -54,6 +53,22 @@ fn config() -> (DatasetGenConfig, CheckpointConfig) {
     )
 }
 
+/// The batch under `dir`, checkpointed; placed as rank `(rank, WORLD)` when
+/// given one.
+fn generate(
+    dir: &Path,
+    rank: Option<usize>,
+    kill: Option<Arc<KillSwitch>>,
+) -> std::io::Result<RunOutput> {
+    let (cfg, ckpt) = config();
+    let mut pool = SimulatorPool::from_factory(cfg.workers, |_| BranchingModel::standard());
+    let plan = RunPlan::new(Backend::Local(&mut pool), &cfg).shards(dir).checkpointed(ckpt, kill);
+    match rank {
+        Some(rank) => plan.rank(rank, WORLD).run(),
+        None => plan.run(),
+    }
+}
+
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     if let Some(pos) = args.iter().position(|a| a == "--rank") {
@@ -72,12 +87,9 @@ fn main() -> std::io::Result<()> {
     let root = std::env::temp_dir().join(format!("etalumis_dist_gen_demo_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root)?;
-    let (cfg, ckpt) = config();
-
     // Reference: one process generating the whole batch.
     let ref_dir = root.join("reference");
-    let reference =
-        generate_dataset_resumable(|_| BranchingModel::standard(), &cfg, &ref_dir, &ckpt, None)?;
+    let reference = generate(&ref_dir, None, None)?.dataset;
     log.info(
         "reference_run",
         &[
@@ -165,24 +177,16 @@ fn main() -> std::io::Result<()> {
 /// One worker process: generate (or resume) this rank's slice.
 fn worker_main(rank: usize, root: &Path, kill_after: Option<usize>) -> std::io::Result<()> {
     let log = Logger::from_args();
-    let (cfg, ckpt) = config();
     let kill = kill_after.map(|n| Arc::new(KillSwitch::after(n)));
-    match generate_dataset_distributed(
-        |_| BranchingModel::standard(),
-        &cfg,
-        root,
-        rank,
-        WORLD,
-        &ckpt,
-        kill,
-    ) {
+    match generate(root, Some(rank), kill) {
         Ok(out) => {
+            let slice = out.rank_manifest.as_ref().map_or(0..0, |m| m.start..m.end);
             log.info(
                 "rank_slice_complete",
                 &[
                     ("rank", Field::U64(rank as u64)),
-                    ("slice_start", Field::U64(out.slice.start as u64)),
-                    ("slice_end", Field::U64(out.slice.end as u64)),
+                    ("slice_start", Field::U64(slice.start)),
+                    ("slice_end", Field::U64(slice.end)),
                     ("traces", Field::U64(out.dataset.len() as u64)),
                     ("shards", Field::U64(out.dataset.shards.len() as u64)),
                     ("executed_this_process", Field::U64(out.stats.total_executed() as u64)),

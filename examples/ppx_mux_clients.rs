@@ -1,7 +1,7 @@
 //! Multiplexed PPX across two OS processes.
 //!
 //! The parent process is the controller: one reactor thread drives eight
-//! TCP sessions concurrently (`MuxSimulatorPool` + `BatchRunner::run_mux`).
+//! TCP sessions concurrently (`MuxSimulatorPool` + `BatchRunner::run_mux_prior`).
 //! The child process is the simulator: one listener serving all eight
 //! clients through the multi-client reactor (`serve_listener`). Swap the
 //! child for a C++ simulator speaking the same wire format and nothing on

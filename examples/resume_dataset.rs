@@ -15,18 +15,31 @@
 //! [`CheckpointSink`]: etalumis_runtime::CheckpointSink
 //! [`KillSwitch`]: etalumis_runtime::KillSwitch
 
+use etalumis_data::TraceDataset;
 use etalumis_runtime::{
-    generate_dataset_resumable, CheckpointConfig, DatasetGenConfig, KillSwitch, MANIFEST_NAME,
+    Backend, CheckpointConfig, DatasetGenConfig, KillSwitch, RunPlan, SimulatorPool, MANIFEST_NAME,
 };
 use etalumis_simulators::BranchingModel;
 use etalumis_telemetry::{Field, Logger};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("etalumis_resume_demo_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// The checkpointed generation: one plan, run again to resume.
+fn generate(
+    cfg: &DatasetGenConfig,
+    dir: &Path,
+    ckpt: CheckpointConfig,
+    kill: Option<Arc<KillSwitch>>,
+) -> std::io::Result<TraceDataset> {
+    let mut pool = SimulatorPool::from_factory(cfg.workers, |_| BranchingModel::standard());
+    let plan = RunPlan::new(Backend::Local(&mut pool), cfg).shards(dir).checkpointed(ckpt, kill);
+    Ok(plan.run()?.dataset)
 }
 
 fn main() {
@@ -44,9 +57,7 @@ fn main() {
 
     // Reference: the same run, never interrupted.
     let dir_ref = fresh_dir("ref");
-    let reference =
-        generate_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None)
-            .expect("reference run");
+    let reference = generate(&cfg, &dir_ref, ckpt, None).expect("reference run");
     log.info(
         "reference_run",
         &[
@@ -58,10 +69,9 @@ fn main() {
     // Phase 1: start the run and kill it after ~{kill_at} deliveries.
     let dir = fresh_dir("run");
     let kill = Arc::new(KillSwitch::after(kill_at));
-    let err =
-        generate_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir, &ckpt, Some(kill))
-            .map(|_| ())
-            .expect_err("the kill switch must abort the run");
+    let err = generate(&cfg, &dir, ckpt, Some(kill))
+        .map(|_| ())
+        .expect_err("the kill switch must abort the run");
     assert_eq!(err.kind(), std::io::ErrorKind::Interrupted, "unexpected error: {err}");
     assert!(dir.join(MANIFEST_NAME).exists(), "a manifest must survive the kill");
     let partials = std::fs::read_dir(&dir)
@@ -72,10 +82,8 @@ fn main() {
     log.info("killed_mid_run", &[("error", Field::Str(&err_text))]);
     log.info("crash_state", &[("partial_journals", Field::U64(partials as u64))]);
 
-    // Phase 2: resume — same call, no kill switch.
-    let resumed =
-        generate_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir, &ckpt, None)
-            .expect("resumed run");
+    // Phase 2: resume — same plan, no kill switch.
+    let resumed = generate(&cfg, &dir, ckpt, None).expect("resumed run");
     log.info(
         "resumed_run",
         &[

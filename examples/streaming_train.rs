@@ -21,14 +21,17 @@
 //! [`KillSwitch`]: etalumis_runtime::KillSwitch
 
 use etalumis_data::TraceChannel;
+use etalumis_data::TraceDataset;
 use etalumis_nn::{Adam, LrSchedule, Module};
-use etalumis_runtime::{stream_dataset_resumable, CheckpointConfig, DatasetGenConfig, KillSwitch};
+use etalumis_runtime::{
+    Backend, CheckpointConfig, DatasetGenConfig, KillSwitch, RunPlan, SimulatorPool,
+};
 use etalumis_simulators::BranchingModel;
 use etalumis_telemetry::{Field, Logger};
 use etalumis_train::{
     train_stream, train_stream_offline, IcConfig, IcNetwork, StreamTrainConfig, Trainer,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -48,6 +51,20 @@ fn params(net: &mut IcNetwork) -> Vec<Vec<f32>> {
     let mut out = Vec::new();
     net.visit_params("", &mut |_, p| out.push(p.value.data().to_vec()));
     out
+}
+
+/// The teed streaming generation: checkpointed shards under `dir` plus the
+/// live stream into `chan`. Running the same plan again resumes it.
+fn tee(
+    cfg: &DatasetGenConfig,
+    dir: &Path,
+    ckpt: CheckpointConfig,
+    kill: Option<Arc<KillSwitch>>,
+    chan: &TraceChannel,
+) -> std::io::Result<TraceDataset> {
+    let mut pool = SimulatorPool::from_factory(cfg.workers, |_| BranchingModel::standard());
+    let plan = RunPlan::new(Backend::Local(&mut pool), cfg).shards(dir).checkpointed(ckpt, kill);
+    Ok(plan.stream(chan).run()?.dataset)
 }
 
 fn main() {
@@ -83,16 +100,9 @@ fn main() {
         })
     };
     let kill = Arc::new(KillSwitch::after(kill_at));
-    let err = stream_dataset_resumable(
-        |_| BranchingModel::standard(),
-        &cfg,
-        &dir,
-        &ckpt,
-        Some(kill),
-        &chan,
-    )
-    .map(|_| ())
-    .expect_err("the kill switch must abort the streaming run");
+    let err = tee(&cfg, &dir, ckpt, Some(kill), &chan)
+        .map(|_| ())
+        .expect_err("the kill switch must abort the streaming run");
     assert_eq!(err.kind(), std::io::ErrorKind::Interrupted, "unexpected error: {err}");
     let partial = drain.join().unwrap();
     let err_text = err.to_string();
@@ -118,9 +128,7 @@ fn main() {
             (report, params(&mut trainer.net))
         })
     };
-    let ds =
-        stream_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir, &ckpt, None, &chan)
-            .expect("resumed streaming run");
+    let ds = tee(&cfg, &dir, ckpt, None, &chan).expect("resumed streaming run");
     let (live, live_params) = trainer_thread.join().unwrap();
     let occupancy = chan.stats();
     log.info(

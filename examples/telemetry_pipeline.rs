@@ -23,8 +23,7 @@ use etalumis_data::{TraceChannel, TraceDataset};
 use etalumis_nn::{Adam, LrSchedule, Module};
 use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, SimulatorServer};
 use etalumis_runtime::{
-    stream_dataset_mux_resumable_traced, CheckpointConfig, DatasetGenConfig, KillSwitch,
-    MuxSimulatorPool,
+    Backend, CheckpointConfig, DatasetGenConfig, KillSwitch, MuxSimulatorPool, RunPlan,
 };
 use etalumis_simulators::BranchingModel;
 use etalumis_telemetry::{Field, Logger, Telemetry};
@@ -107,8 +106,13 @@ fn run_pipeline(
         })
     };
     let mut pool = mux_pool();
-    let ds =
-        stream_dataset_mux_resumable_traced(&mut pool, &cfg, dir, &ckpt, kill, &chan, tel.clone());
+    let ds = RunPlan::new(Backend::Mux(&mut pool), &cfg)
+        .shards(dir)
+        .checkpointed(ckpt, kill)
+        .stream(&chan)
+        .telemetry(tel.clone())
+        .run()
+        .map(|out| out.dataset);
     let (report, weights) = trainer_thread.join().unwrap();
     chan.stats().record_to(tel);
     let ds = ds?;

@@ -15,7 +15,7 @@
 //! | [`simulators`] | `etalumis-simulators` | mini-Sherpa τ decay + 3D detector |
 //! | [`inference`] | `etalumis-inference` | IS, RMH, IC engines + diagnostics |
 //! | [`data`] | `etalumis-data` | trace datasets, shards, samplers |
-//! | [`runtime`] | `etalumis-runtime` | work-stealing parallel trace generation, simulator pools, sharded sinks |
+//! | [`runtime`] | `etalumis-runtime` | the `RunPlan` (one driver for every batch: local or mux backend, checkpointing, rank slices, shards or stream), work-stealing scheduler, simulator pools |
 //! | [`train`] | `etalumis-train` | dynamic IC networks, distributed training |
 //! | [`telemetry`] | `etalumis-telemetry` | spans/counters/gauges, JSONL event logs, run metrics, leveled logger |
 //!
@@ -45,7 +45,7 @@ pub mod prelude {
         ic_importance_sampling, importance_sampling, rmh, RmhConfig, WeightedTraces,
     };
     pub use etalumis_runtime::{
-        stream_dataset_resumable, stream_prior_traces, BatchRunner, CollectSink, RuntimeConfig,
+        Backend, BatchRunner, CollectSink, DatasetGenConfig, RunPlan, RuntimeConfig,
         ShardedTraceSink, SimulatorPool, StreamSink, TraceSink,
     };
     pub use etalumis_simulators::{GaussianUnknownMean, TauDecayModel};

@@ -58,8 +58,11 @@ fn engines_work_identically_through_ppx() {
 #[test]
 fn parallel_is_scales_and_preserves_statistics() {
     let obs = observe1("y", 1.2);
-    let p1 = parallel_importance_sampling(BranchingModel::standard, &obs, 12_000, 9, 1);
-    let p4 = parallel_importance_sampling(BranchingModel::standard, &obs, 12_000, 9, 4);
+    let run = |workers: usize| {
+        let mut pool = SimulatorPool::from_factory(workers, |_| BranchingModel::standard());
+        parallel_importance_sampling(Backend::Local(&mut pool), &obs, 12_000, 9).unwrap()
+    };
+    let (p1, p4) = (run(1), run(4));
     assert_eq!(p1.len(), p4.len());
     let f = |t: &etalumis_core::Trace| t.result.as_f64();
     let (m1, _) = p1.mean_std(f);

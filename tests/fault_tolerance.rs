@@ -12,12 +12,12 @@ use etalumis::prelude::*;
 use etalumis_data::{discover_rank_dirs, merge_ranks};
 use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, PpxError, SimulatorServer};
 use etalumis_runtime::{
-    generate_dataset_distributed, generate_dataset_resumable, BatchRunner, CheckpointConfig,
-    CollectSink, DatasetGenConfig, KillSwitch, MuxSimulatorPool, RuntimeConfig,
+    BatchRunner, CheckpointConfig, CollectSink, DatasetGenConfig, KillSwitch, MuxSimulatorPool,
+    RunOutput, RuntimeConfig,
 };
 use etalumis_simulators::BranchingModel;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -25,6 +25,23 @@ fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("etalumis_ft_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// A checkpointed shard plan on a local pool of `cfg.workers`, optionally
+/// placed as rank `(rank, world)` under `dir`.
+fn checkpointed(
+    cfg: &DatasetGenConfig,
+    dir: &Path,
+    ckpt: &CheckpointConfig,
+    kill: Option<Arc<KillSwitch>>,
+    rank: Option<(usize, usize)>,
+) -> std::io::Result<RunOutput> {
+    let mut pool = SimulatorPool::from_factory(cfg.workers, |_| BranchingModel::standard());
+    let plan = RunPlan::new(Backend::Local(&mut pool), cfg).shards(dir).checkpointed(*ckpt, kill);
+    match rank {
+        Some((rank, world)) => plan.rank(rank, world).run(),
+        None => plan.run(),
+    }
 }
 
 fn read_shards(ds: &etalumis_data::TraceDataset) -> Vec<(String, Vec<u8>)> {
@@ -91,20 +108,14 @@ proptest! {
         let ckpt = CheckpointConfig { interval: 4 };
 
         let dir_ref = tmpdir(&format!("ref_{seed}_{kill_at}"));
-        let reference = generate_dataset_resumable(
-            |_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None,
-        ).unwrap();
+        let reference = checkpointed(&cfg, &dir_ref, &ckpt, None, None).unwrap().dataset;
 
         let dir = tmpdir(&format!("kill_{seed}_{kill_at}"));
         let kill = Arc::new(KillSwitch::after(kill_at));
-        let err = generate_dataset_resumable(
-            |_| BranchingModel::standard(), &cfg, &dir, &ckpt, Some(kill),
-        ).map(|_| ()).unwrap_err();
+        let err = checkpointed(&cfg, &dir, &ckpt, Some(kill), None).map(|_| ()).unwrap_err();
         prop_assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
 
-        let resumed = generate_dataset_resumable(
-            |_| BranchingModel::standard(), &cfg, &dir, &ckpt, None,
-        ).unwrap();
+        let resumed = checkpointed(&cfg, &dir, &ckpt, None, None).unwrap().dataset;
         prop_assert_eq!(resumed.len(), cfg.n);
         prop_assert_eq!(read_shards(&resumed), read_shards(&reference));
 
@@ -134,28 +145,23 @@ proptest! {
         let ckpt = CheckpointConfig { interval: 4 };
 
         let dir_ref = tmpdir(&format!("dref_{world}_{workers}_{kill_at}_{seed}"));
-        let reference = generate_dataset_resumable(
-            |_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None,
-        ).unwrap();
+        let reference = checkpointed(&cfg, &dir_ref, &ckpt, None, None).unwrap().dataset;
 
         let root = tmpdir(&format!("droot_{world}_{workers}_{kill_at}_{seed}"));
         let killed_rank = kill_at % world;
         for rank in 0..world {
             let kill = (rank == killed_rank).then(|| Arc::new(KillSwitch::after(kill_at)));
-            let result = generate_dataset_distributed(
-                |_| BranchingModel::standard(), &cfg, &root, rank, world, &ckpt, kill,
-            );
+            let result = checkpointed(&cfg, &root, &ckpt, kill, Some((rank, world)));
+            let slice = etalumis_runtime::rank_slice(cfg.n, rank, world);
             match result {
-                Ok(out) => prop_assert_eq!(out.dataset.len(), out.slice.len()),
+                Ok(out) => prop_assert_eq!(out.dataset.len(), slice.len()),
                 Err(e) => {
                     // The kill fired before the slice finished: resume the
                     // "dead" rank with the same call, no kill switch.
                     prop_assert_eq!(e.kind(), std::io::ErrorKind::Interrupted);
                     prop_assert_eq!(rank, killed_rank);
-                    let out = generate_dataset_distributed(
-                        |_| BranchingModel::standard(), &cfg, &root, rank, world, &ckpt, None,
-                    ).unwrap();
-                    prop_assert_eq!(out.dataset.len(), out.slice.len());
+                    let out = checkpointed(&cfg, &root, &ckpt, None, Some((rank, world))).unwrap();
+                    prop_assert_eq!(out.dataset.len(), slice.len());
                 }
             }
         }

@@ -6,7 +6,7 @@
 //!    (workers, capacity) — and the stream stays in batch-index order.
 //! 2. **Tee fidelity**: a teed streaming run — killed at an arbitrary
 //!    trace and resumed — writes shard files byte-identical to the batch
-//!    pipeline's `generate_dataset_resumable`, and the resumed channel
+//!    pipeline's checkpointed shard plan, and the resumed channel
 //!    (prefix replay + live remainder) carries exactly the shards' content.
 //! 3. **Training reproducibility**: `train_stream` over the live resumed
 //!    channel and `train_stream_offline` over the teed shards produce
@@ -16,14 +16,11 @@
 use etalumis::prelude::*;
 use etalumis_data::TraceRecord;
 use etalumis_nn::{Adam, LrSchedule, Module};
-use etalumis_runtime::{
-    generate_dataset_resumable, stream_dataset_resumable, CheckpointConfig, DatasetGenConfig,
-    KillSwitch,
-};
+use etalumis_runtime::{CheckpointConfig, DatasetGenConfig, KillSwitch, RunOutput};
 use etalumis_simulators::BranchingModel;
 use etalumis_train::{train_stream_distributed, StreamDistConfig, StreamTrainReport};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -34,6 +31,37 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn gen_cfg(n: usize, seed: u64, workers: usize) -> DatasetGenConfig {
     DatasetGenConfig { n, traces_per_shard: 8, partitions: 1, workers, seed, ..Default::default() }
+}
+
+/// A local plan of `cfg`: checkpointed shards under `dir`, teed into
+/// `stream` when one is given, or a pure stream when `dir` is `None`.
+fn plan(
+    cfg: &DatasetGenConfig,
+    dir: Option<&Path>,
+    ckpt: &CheckpointConfig,
+    kill: Option<Arc<KillSwitch>>,
+    stream: Option<&TraceChannel>,
+) -> std::io::Result<RunOutput> {
+    let mut pool = SimulatorPool::from_factory(cfg.workers, |_| BranchingModel::standard());
+    let mut plan = RunPlan::new(Backend::Local(&mut pool), cfg);
+    if let Some(dir) = dir {
+        plan = plan.shards(dir).checkpointed(*ckpt, kill);
+    }
+    if let Some(channel) = stream {
+        plan = plan.stream(channel);
+    }
+    plan.run()
+}
+
+/// The teed streaming run of `cfg` under `dir`; returns the shards.
+fn tee(
+    cfg: &DatasetGenConfig,
+    dir: &Path,
+    ckpt: &CheckpointConfig,
+    kill: Option<Arc<KillSwitch>>,
+    channel: &TraceChannel,
+) -> std::io::Result<etalumis_data::TraceDataset> {
+    plan(cfg, Some(dir), ckpt, kill, Some(channel)).map(|out| out.dataset)
 }
 
 fn small_trainer(seed: u64) -> Trainer<Adam> {
@@ -64,16 +92,9 @@ fn killed_then_resumed_stream(
         let chan = chan.clone();
         std::thread::spawn(move || while chan.recv().is_some() {})
     };
-    let err = stream_dataset_resumable(
-        |_| BranchingModel::standard(),
-        cfg,
-        dir,
-        ckpt,
-        Some(Arc::new(KillSwitch::after(kill_at))),
-        &chan,
-    )
-    .map(|_| ())
-    .expect_err("the kill switch must abort the streaming run");
+    let err = tee(cfg, dir, ckpt, Some(Arc::new(KillSwitch::after(kill_at))), &chan)
+        .map(|_| ())
+        .expect_err("the kill switch must abort the streaming run");
     assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
     drain.join().unwrap();
 
@@ -88,8 +109,7 @@ fn killed_then_resumed_stream(
             out
         })
     };
-    let ds = stream_dataset_resumable(|_| BranchingModel::standard(), cfg, dir, ckpt, None, &chan)
-        .expect("the resumed run must complete");
+    let ds = tee(cfg, dir, ckpt, None, &chan).expect("the resumed run must complete");
     (ds, consumer.join().unwrap())
 }
 
@@ -119,21 +139,14 @@ proptest! {
                 out
             })
         };
-        let stats = etalumis_runtime::stream_prior_traces(
-            |_| BranchingModel::standard(),
-            &gen_cfg(n, seed, workers),
-            &chan,
-        ).unwrap();
+        let ckpt = CheckpointConfig::default();
+        let stats = plan(&gen_cfg(n, seed, workers), None, &ckpt, None, Some(&chan)).unwrap().stats;
         prop_assert_eq!(stats.total_executed(), n);
         let got = consumer.join().unwrap();
         prop_assert_eq!(got.len(), n);
         // Canonical order: the 1-worker unthrottled stream.
         let reference = Arc::new(TraceChannel::bounded(n));
-        etalumis_runtime::stream_prior_traces(
-            |_| BranchingModel::standard(),
-            &gen_cfg(n, seed, 1),
-            &reference,
-        ).unwrap();
+        plan(&gen_cfg(n, seed, 1), None, &ckpt, None, Some(&reference)).unwrap();
         let mut expect = Vec::new();
         while let Some(r) = reference.recv() {
             expect.push(r);
@@ -155,9 +168,7 @@ proptest! {
         let cfg = gen_cfg(50, seed, workers);
         let ckpt = CheckpointConfig { interval: 6 };
         let dir_ref = tmpdir(&format!("ref_{seed}_{kill_at}"));
-        let reference = generate_dataset_resumable(
-            |_| BranchingModel::standard(), &cfg, &dir_ref, &ckpt, None,
-        ).unwrap();
+        let reference = plan(&cfg, Some(&dir_ref), &ckpt, None, None).unwrap().dataset;
 
         let dir = tmpdir(&format!("tee_{seed}_{kill_at}"));
         let (ds, streamed) = killed_then_resumed_stream(&dir, &cfg, &ckpt, kill_at, capacity);
@@ -201,13 +212,8 @@ proptest! {
         {
             let drain_chan = chan.clone();
             let drain = std::thread::spawn(move || while drain_chan.recv().is_some() {});
-            let err = stream_dataset_resumable(
-                |_| BranchingModel::standard(),
-                &cfg,
-                &dir,
-                &ckpt,
-                Some(Arc::new(KillSwitch::after(kill_at))),
-                &chan,
+            let err = tee(
+                &cfg, &dir, &ckpt, Some(Arc::new(KillSwitch::after(kill_at))), &chan,
             ).map(|_| ()).expect_err("kill must abort");
             prop_assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
             drain.join().unwrap();
@@ -222,9 +228,7 @@ proptest! {
                 (report, params(&mut trainer.net))
             })
         };
-        let ds = stream_dataset_resumable(
-            |_| BranchingModel::standard(), &cfg, &dir, &ckpt, None, &chan,
-        ).unwrap();
+        let ds = tee(&cfg, &dir, &ckpt, None, &chan).unwrap();
         let (live_report, live_params): (StreamTrainReport, _) = live.join().unwrap();
 
         // Offline replay over the teed shards from a fresh identical net.
@@ -264,9 +268,7 @@ fn distributed_stream_training_is_reproducible_from_teed_shards() {
             (params(&mut net), report)
         })
     };
-    let ds =
-        stream_dataset_resumable(|_| BranchingModel::standard(), &cfg, &dir, &ckpt, None, &chan)
-            .unwrap();
+    let ds = tee(&cfg, &dir, &ckpt, None, &chan).unwrap();
     let (live_params, live_report) = live.join().unwrap();
     assert!(!live_report.losses.is_empty());
 
