@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     let tensor_msg =
-        Message::RunResult { result: Value::Tensor(TensorValue::zeros(vec![20, 35, 35])) };
+        Message::RunResult { result: Value::from(TensorValue::zeros(vec![20, 35, 35])) };
     group.bench_function("encode_decode_voxel_tensor", |b| {
         b.iter(|| {
             let f = encode(black_box(&tensor_msg));

@@ -196,7 +196,7 @@ fn main() {
 
     let t0 = Instant::now();
     let post_ic = ic_importance_sampling(
-        &mut model,
+        &model,
         &observes,
         TauDecayModel::OBSERVE_NAME,
         &mut trainer.net,

@@ -340,19 +340,20 @@ impl SimCtx for Executor<'_> {
 ///
 /// Both executors share one [`Recorder`], so the produced [`Trace`] is
 /// bit-identical to `Executor::execute_seeded` for the same request
-/// sequence.
-pub struct StepExecutor {
+/// sequence. The proposer may borrow for `'p` (an IC proposer borrows the
+/// network it shares with other sessions).
+pub struct StepExecutor<'p> {
     rng: StdRng,
-    proposer: Box<dyn Proposer + Send>,
+    proposer: Box<dyn Proposer + Send + 'p>,
     observes: Arc<ObserveMap>,
     rec: Recorder,
 }
 
-impl StepExecutor {
+impl<'p> StepExecutor<'p> {
     /// Begin one execution: seeds the RNG from `seed` and announces the
     /// trace to the proposer, mirroring [`Executor::execute_seeded`].
     pub fn new(
-        mut proposer: Box<dyn Proposer + Send>,
+        mut proposer: Box<dyn Proposer + Send + 'p>,
         observes: Arc<ObserveMap>,
         seed: u64,
     ) -> Self {
@@ -363,14 +364,14 @@ impl StepExecutor {
     /// Complete the execution with the program's result value, returning the
     /// recorded trace and handing the proposer back for reuse on the next
     /// trace of the same session.
-    pub fn finish(self, result: Value) -> (Trace, Box<dyn Proposer + Send>) {
+    pub fn finish(self, result: Value) -> (Trace, Box<dyn Proposer + Send + 'p>) {
         let mut trace = self.rec.trace;
         trace.result = result;
         (trace, self.proposer)
     }
 }
 
-impl SimCtx for StepExecutor {
+impl SimCtx for StepExecutor<'_> {
     fn sample_ext(
         &mut self,
         dist: &Distribution,

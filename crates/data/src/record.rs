@@ -19,6 +19,8 @@ use bytes::{BufMut, BytesMut};
 use etalumis_core::{Address, EntryKind, Trace};
 use etalumis_distributions::{Distribution, TensorValue, Value};
 use std::collections::HashMap;
+use std::io::Read;
+use std::sync::Arc;
 
 /// Why stored bytes failed to decode into a [`TraceRecord`].
 ///
@@ -191,7 +193,7 @@ impl TraceRecord {
     /// `false` keeps replaced draws too (the pre-optimization layout).
     pub fn from_trace(trace: &Trace, pruned: bool) -> Self {
         let observation = match trace.first_observed() {
-            Some(Value::Tensor(t)) => t.clone(),
+            Some(Value::Tensor(t)) => TensorValue::clone(t),
             Some(v) => TensorValue::new(vec![1], vec![v.as_f64() as f32]),
             None => TensorValue::zeros(vec![1]),
         };
@@ -292,16 +294,32 @@ impl AddressDictionary {
         }
     }
 
-    /// Deserialize a dictionary, advancing `buf` past it.
-    pub fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let n = r.u32()? as usize;
+    /// Deserialize a dictionary from `r`, which holds `left` more bytes,
+    /// reading its own bytes and no further.
+    ///
+    /// A shard carries its dictionary in the header, ahead of the records:
+    /// opening one must not read those too (`TraceDataset::get_many` opens a
+    /// shard per call). No count or length is allocated for beyond `left`.
+    pub fn read(r: &mut impl Read, mut left: u64) -> Result<Self, DecodeError> {
+        let mut field = |bytes: &mut Vec<u8>, len: usize| {
+            let short = DecodeError::Truncated { needed: len, available: left as usize };
+            if len as u64 > left {
+                return Err(short);
+            }
+            left -= len as u64;
+            bytes.resize(len, 0);
+            r.read_exact(bytes).map_err(|_| short)
+        };
+        let le_u32 = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let mut bytes = Vec::new();
+        field(&mut bytes, 4)?;
         let mut d = Self::new();
-        for _ in 0..n {
-            let s = r.string()?;
-            d.intern(&s);
+        for _ in 0..le_u32(&bytes) {
+            field(&mut bytes, 4)?;
+            let len = le_u32(&bytes) as usize;
+            field(&mut bytes, len)?;
+            d.intern(std::str::from_utf8(&bytes).map_err(|_| DecodeError::BadUtf8)?);
         }
-        *buf = r.buf;
         Ok(d)
     }
 }
@@ -321,21 +339,24 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
             buf.put_u8(3);
             buf.put_f64_le(*x);
         }
-        Value::Tensor(t) => {
-            buf.put_u8(4);
-            buf.put_u32_le(t.shape.len() as u32);
-            for &d in &t.shape {
-                buf.put_u32_le(d as u32);
-            }
-            for &x in &t.data {
-                buf.put_f32_le(x);
-            }
-        }
+        Value::Tensor(t) => put_tensor(buf, t),
         Value::Str(s) => {
             buf.put_u8(5);
             buf.put_u32_le(s.len() as u32);
             buf.put_slice(s.as_bytes());
         }
+    }
+}
+
+/// The [`Value::Tensor`] encoding, tag included, of a borrowed tensor.
+fn put_tensor(buf: &mut BytesMut, t: &TensorValue) {
+    buf.put_u8(4);
+    buf.put_u32_le(t.shape.len() as u32);
+    for &d in &t.shape {
+        buf.put_u32_le(d as u32);
+    }
+    for &x in &t.data {
+        buf.put_f32_le(x);
     }
 }
 
@@ -368,7 +389,7 @@ fn get_value(r: &mut Reader) -> Result<Value, DecodeError> {
             for _ in 0..n {
                 data.push(r.f32()?);
             }
-            Value::Tensor(TensorValue::new(shape, data))
+            TensorValue::new(shape, data).into()
         }
         5 => Value::Str(r.string()?),
         t => return Err(DecodeError::UnknownValueTag(t)),
@@ -437,7 +458,7 @@ fn put_dist(buf: &mut BytesMut, d: &Distribution) {
         }
         Distribution::IndependentNormal { mean, std } => {
             buf.put_u8(10);
-            put_value(buf, &Value::Tensor(mean.clone()));
+            put_tensor(buf, mean);
             buf.put_f64_le(*std);
         }
     }
@@ -475,7 +496,7 @@ fn get_dist(r: &mut Reader) -> Result<Distribution, DecodeError> {
         },
         10 => {
             let mean = match get_value(r)? {
-                Value::Tensor(t) => t,
+                Value::Tensor(t) => Arc::unwrap_or_clone(t),
                 _ => return Err(DecodeError::ObservationNotTensor),
             };
             Distribution::IndependentNormal { mean, std: r.f64()? }
@@ -513,7 +534,7 @@ pub fn encode_record(rec: &TraceRecord, dict: Option<&mut AddressDictionary>) ->
             }
         }
     }
-    put_value(&mut buf, &Value::Tensor(rec.observation.clone()));
+    put_tensor(&mut buf, &rec.observation);
     buf
 }
 
@@ -547,7 +568,7 @@ pub fn decode_record(
         entries.push(RecordEntry { address, distribution, value, replaced });
     }
     let observation = match get_value(&mut r)? {
-        Value::Tensor(t) => t,
+        Value::Tensor(t) => Arc::unwrap_or_clone(t),
         _ => return Err(DecodeError::ObservationNotTensor),
     };
     Ok(TraceRecord { trace_type, entries, observation, length })
@@ -625,7 +646,7 @@ mod tests {
         assert_eq!(d.intern("x"), a);
         let mut buf = BytesMut::new();
         d.encode(&mut buf);
-        let d2 = AddressDictionary::decode(&mut &buf[..]).unwrap();
+        let d2 = AddressDictionary::read(&mut &buf[..], buf.len() as u64).unwrap();
         assert_eq!(d2.resolve(a), "x");
         assert_eq!(d2.resolve(b), "y");
         assert_eq!(d2.len(), 2);

@@ -277,14 +277,9 @@ impl ShardReader {
         r.read_exact(&mut flag)?;
         let use_dict = flag[0] == 1;
         let dict = if use_dict {
-            // The dictionary sits inline; read it via a full buffer scan.
             let pos = r.stream_position()?;
-            let mut rest = Vec::new();
-            r.read_to_end(&mut rest)?;
-            let mut slice = &rest[..];
-            let d = AddressDictionary::decode(&mut slice).map_err(|e| decode_err(&path, pos, e))?;
-            let consumed = rest.len() - slice.len();
-            r.seek(SeekFrom::Start(pos + consumed as u64))?;
+            let d = AddressDictionary::read(&mut r, file_len.saturating_sub(pos))
+                .map_err(|e| decode_err(&path, pos, e))?;
             Some(d)
         } else {
             None
@@ -1034,6 +1029,31 @@ mod tests {
         let err = r.get(0).map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("truncated"), "unexpected error: {err}");
         assert!(r.read_all().map(|_| ()).unwrap_err().to_string().contains("truncated"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_dictionary_prefixes_error_without_allocating() {
+        let dir = std::env::temp_dir().join(format!("etalumis_dict_bomb_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("d.etlm");
+        let mut w = ShardWriter::new(&path, true);
+        for r in make_records(3) {
+            w.push(r);
+        }
+        w.finish().unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // The dictionary starts at byte 9: its string count, then the first
+        // string's length prefix. Each claiming ~4 billion must error naming
+        // the shard, not allocate or loop that far.
+        for at in [9usize, 13] {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            let err = ShardReader::open(&path).map(|_| ()).unwrap_err().to_string();
+            assert!(err.contains("d.etlm") && err.contains("truncated"), "byte {at}: {err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -86,7 +86,7 @@ impl Distribution {
                     .iter()
                     .map(|&m| (m as f64 + std * sampling::standard_normal(rng)) as f32)
                     .collect();
-                Value::Tensor(TensorValue::new(mean.shape.clone(), data))
+                TensorValue::new(mean.shape.clone(), data).into()
             }
         }
     }
@@ -478,7 +478,7 @@ mod tests {
         let mean = TensorValue::new(vec![2, 2], vec![0.0, 1.0, -1.0, 2.0]);
         let d = Distribution::IndependentNormal { mean: mean.clone(), std: 0.5 };
         let v = TensorValue::new(vec![2, 2], vec![0.1, 0.9, -1.2, 2.5]);
-        let lp = d.log_prob(&Value::Tensor(v.clone()));
+        let lp = d.log_prob(&Value::from(v.clone()));
         let mut expect = 0.0;
         for i in 0..4 {
             expect += Distribution::Normal { mean: mean.data[i] as f64, std: 0.5 }

@@ -6,6 +6,7 @@
 //! conversion across the protocol boundary is cheap.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense row-major f32 tensor value (shape + flat data).
 #[derive(Clone, Debug, PartialEq)]
@@ -53,8 +54,10 @@ pub enum Value {
     Int(i64),
     /// Real scalar.
     Real(f64),
-    /// Dense f32 tensor (e.g. detector voxel grids).
-    Tensor(TensorValue),
+    /// Dense f32 tensor (e.g. detector voxel grids), shared: cloning the
+    /// value copies a pointer, so every trace of a posterior records the
+    /// one registered observation instead of a copy of its voxels.
+    Tensor(Arc<TensorValue>),
     /// UTF-8 string (names, tags).
     Str(String),
 }
@@ -161,7 +164,7 @@ impl From<bool> for Value {
 }
 impl From<TensorValue> for Value {
     fn from(t: TensorValue) -> Self {
-        Value::Tensor(t)
+        Value::Tensor(Arc::new(t))
     }
 }
 
@@ -187,7 +190,7 @@ mod tests {
     fn tensor_value_shape_checked() {
         let t = TensorValue::new(vec![2, 3], vec![0.0; 6]);
         assert_eq!(t.len(), 6);
-        assert_eq!(Value::Tensor(t).numel(), 6);
+        assert_eq!(Value::from(t).numel(), 6);
     }
 
     #[test]

@@ -4,55 +4,119 @@
 //! the simulator and uses it as the IS proposal at inference time. The
 //! network itself lives in `etalumis-train`; this module defines the
 //! [`ProposalProvider`] interface between the engine and any proposal
-//! source, and the IC importance-sampling driver.
+//! source, the [`IcProposerFactory`] that shares one conditioned provider
+//! with every worker of the runtime, and the IC importance-sampling driver.
 
+use crate::is::parallel_importance_sampling;
 use crate::posterior::WeightedTraces;
-use etalumis_core::{
-    Address, Executor, ObserveMap, ProbProgram, ProposalDecision, Proposer, SampleRequest,
-};
+use etalumis_core::{Address, ObserveMap, ProbProgram, ProposalDecision, Proposer, SampleRequest};
 use etalumis_distributions::{Distribution, Value};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use etalumis_runtime::{Backend, ProposerFactory, SimulatorPool};
 
 /// A source of per-address proposal distributions conditioned on an
 /// observation. Implemented by the trained IC network in `etalumis-train`.
 ///
-/// The call order is one [`condition`](ProposalProvider::condition) per
-/// posterior, then per trace one [`begin_trace`](ProposalProvider::begin_trace)
-/// followed by alternating `propose` / `notify` per controlled sample.
-/// Whatever `condition` computes (the IC network's observation embedding)
-/// stays valid for exactly as long as the caller keeps the provider mutably
-/// borrowed: nothing can retrain or re-observe it in the meantime, so there
-/// is no cache to invalidate. [`IcProposer`] packages that order.
-pub trait ProposalProvider {
-    /// Once per posterior: take in the observed value every following trace
-    /// is conditioned on (the IC network runs its 3DCNN here, and only here).
-    fn condition(&mut self, observation: &Value);
+/// [`condition`](ProposalProvider::condition) is the one mutating call:
+/// once per posterior it takes in the observation (the IC network runs its
+/// 3DCNN here, and only here) and returns the posterior's per-worker
+/// [`State`](ProposalProvider::State). Everything after it reads the
+/// provider through `&self`, so one conditioned provider serves every
+/// worker at once, each with its own clone of that state: per trace one
+/// [`begin_trace`](ProposalProvider::begin_trace), then alternating
+/// `propose` / `notify` per controlled sample.
+///
+/// Proposing needs a state and only `condition` makes one, so proposing
+/// from an unconditioned provider does not compile. [`IcProposerFactory`]
+/// packages the order and holds the provider's borrow for the whole
+/// posterior: nothing can retrain or re-observe the provider meanwhile, so
+/// there is no cache to invalidate.
+pub trait ProposalProvider: Sync {
+    /// What one worker mutates while it proposes (the IC network's LSTM
+    /// state and scratch).
+    type State: Clone + Send + Sync;
 
-    /// Start of each trace: reset the per-trace state (the IC network zeroes
-    /// its LSTM state and forgets the previous sample).
-    fn begin_trace(&mut self);
+    /// Once per posterior: take in the observed value every following trace
+    /// is conditioned on, and return the state workers propose with.
+    fn condition(&mut self, observation: &Value) -> Self::State;
+
+    /// Start of each trace: reset the per-trace part of `state` (the IC
+    /// network zeroes its LSTM state and forgets the previous sample).
+    fn begin_trace(&self, state: &mut Self::State);
 
     /// Proposal for the sample statement at `address` with prior `prior`.
     /// `None` falls back to the prior (e.g. unseen address).
-    fn propose(&mut self, address: &Address, prior: &Distribution) -> Option<Distribution>;
+    fn propose(
+        &self,
+        state: &mut Self::State,
+        address: &Address,
+        prior: &Distribution,
+    ) -> Option<Distribution>;
 
     /// Observe the realized value (fed back as the next LSTM input).
-    fn notify(&mut self, address: &Address, prior: &Distribution, value: &Value);
+    fn notify(
+        &self,
+        state: &mut Self::State,
+        address: &Address,
+        prior: &Distribution,
+        value: &Value,
+    );
+
+    /// A worker is done with `state`: fold whatever it counted back into the
+    /// provider (the IC network's inference statistics). Default: nothing.
+    fn retire(&self, state: &mut Self::State) {
+        let _ = state;
+    }
 }
 
-/// Adapter: drives a conditioned [`ProposalProvider`] as an executor
-/// [`Proposer`]. It can only be built by conditioning the provider, and it
-/// holds the provider's `&mut` borrow for as long as it lives — one
-/// `IcProposer` is one posterior's worth of traces on one observation.
+/// One worker's proposer: the shared conditioned provider and this worker's
+/// own state. Made by [`IcProposerFactory::proposer`]; it hands its state
+/// back to the provider ([`ProposalProvider::retire`]) when dropped.
 pub struct IcProposer<'a, P: ProposalProvider> {
-    provider: &'a mut P,
+    provider: &'a P,
+    state: P::State,
 }
 
-impl<'a, P: ProposalProvider> IcProposer<'a, P> {
+impl<P: ProposalProvider> Proposer for IcProposer<'_, P> {
+    /// Per trace; the observation was taken at [`IcProposerFactory::condition`].
+    fn begin_trace(&mut self, _observes: &ObserveMap) {
+        self.provider.begin_trace(&mut self.state);
+    }
+
+    fn propose(&mut self, req: &SampleRequest) -> ProposalDecision {
+        match self.provider.propose(&mut self.state, req.address, req.dist) {
+            Some(q) => ProposalDecision::Proposal(q),
+            None => ProposalDecision::Prior,
+        }
+    }
+
+    fn notify(&mut self, req: &SampleRequest, value: &Value) {
+        self.provider.notify(&mut self.state, req.address, req.dist, value);
+    }
+}
+
+impl<P: ProposalProvider> Drop for IcProposer<'_, P> {
+    fn drop(&mut self) {
+        self.provider.retire(&mut self.state);
+    }
+}
+
+/// One posterior's proposal source for the runtime: a provider conditioned
+/// on one observation, shared read-only by every worker, each getting an
+/// [`IcProposer`] with its own state (one per worker thread, one per
+/// session of a mux pool). It holds the provider's borrow for as long as it
+/// lives, so the weights and the observation embedding the proposers read
+/// cannot change under them — and no copy of either is made.
+pub struct IcProposerFactory<'a, P: ProposalProvider> {
+    provider: &'a P,
+    /// The state [`ProposalProvider::condition`] returned; every proposer
+    /// starts from a clone.
+    state: P::State,
+}
+
+impl<'a, P: ProposalProvider> IcProposerFactory<'a, P> {
     /// Condition `provider` on the value `observes` registers for the
     /// observe statement named `observe_name` (e.g. `"calo"` for the tau
-    /// model) and wrap it for the executor.
+    /// model).
     ///
     /// # Panics
     /// If `observes` has no value under `observe_name`; the message lists
@@ -67,50 +131,52 @@ impl<'a, P: ProposalProvider> IcProposer<'a, P> {
                 present
             }
         );
-        provider.condition(&observes[observe_name]);
-        Self { provider }
+        let state = provider.condition(&observes[observe_name]);
+        Self { provider, state }
+    }
+
+    /// A proposer with a fresh state of this posterior.
+    pub fn proposer(&self) -> IcProposer<'a, P> {
+        IcProposer { provider: self.provider, state: self.state.clone() }
     }
 }
 
-impl<P: ProposalProvider> Proposer for IcProposer<'_, P> {
-    /// Per trace; the observation was taken at [`IcProposer::condition`].
-    fn begin_trace(&mut self, _observes: &ObserveMap) {
-        self.provider.begin_trace();
-    }
-
-    fn propose(&mut self, req: &SampleRequest) -> ProposalDecision {
-        match self.provider.propose(req.address, req.dist) {
-            Some(q) => ProposalDecision::Proposal(q),
-            None => ProposalDecision::Prior,
-        }
-    }
-
-    fn notify(&mut self, req: &SampleRequest, value: &Value) {
-        self.provider.notify(req.address, req.dist, value);
+impl<P: ProposalProvider> ProposerFactory for IcProposerFactory<'_, P> {
+    fn make_proposer(&self, _worker: usize) -> Box<dyn Proposer + Send + '_> {
+        Box::new(self.proposer())
     }
 }
 
 /// Importance sampling guided by a trained proposal provider: the provider
-/// is conditioned on `observes[observe_name]` once, then proposes for all
-/// `n` traces.
-pub fn ic_importance_sampling<P: ProposalProvider>(
-    program: &mut dyn ProbProgram,
+/// is conditioned on `observes[observe_name]` once, then shared read-only by
+/// one worker per core (at most `n`), each running its own clone of
+/// `program`. Trace `i` runs under `mix_seed(seed, i)`, so the posterior
+/// depends on the arguments alone — not on the core count — and equals
+/// [`parallel_importance_sampling`] under an [`IcProposerFactory`] on any
+/// backend.
+///
+/// # Panics
+/// If `observes` has no value under `observe_name`, or if the program fails
+/// a trace (a local model never does; use [`parallel_importance_sampling`]
+/// to handle failures).
+pub fn ic_importance_sampling<M, P>(
+    program: &M,
     observes: &ObserveMap,
     observe_name: &str,
     provider: &mut P,
     n: usize,
     seed: u64,
-) -> WeightedTraces {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut traces = Vec::with_capacity(n);
-    let mut log_weights = Vec::with_capacity(n);
-    let mut proposer = IcProposer::condition(provider, observes, observe_name);
-    for _ in 0..n {
-        let t = Executor::execute(program, &mut proposer, observes, &mut rng);
-        log_weights.push(t.log_weight());
-        traces.push(t);
-    }
-    WeightedTraces::new(traces, log_weights)
+) -> WeightedTraces
+where
+    M: ProbProgram + Clone + Send + 'static,
+    P: ProposalProvider,
+{
+    let factory = IcProposerFactory::condition(provider, observes, observe_name);
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let mut pool = SimulatorPool::from_factory(cores.min(n).max(1), |_| program.clone());
+    parallel_importance_sampling(Backend::Local(&mut pool), &factory, observes, n, seed)
+        // etalumis: allow(panic-freedom, reason = "documented panicking wrapper over the fallible parallel_importance_sampling")
+        .unwrap_or_else(|e| panic!("{e} (use parallel_importance_sampling to handle failures)"))
 }
 
 #[cfg(test)]
@@ -127,16 +193,17 @@ mod tests {
     }
 
     impl ProposalProvider for OracleProvider {
+        type State = ();
         fn condition(&mut self, _obs: &Value) {}
-        fn begin_trace(&mut self) {}
+        fn begin_trace(&self, _state: &mut ()) {}
 
-        fn propose(&mut self, address: &Address, _prior: &Distribution) -> Option<Distribution> {
+        fn propose(&self, _: &mut (), address: &Address, _: &Distribution) -> Option<Distribution> {
             assert!(address.base.contains("mu"));
             let (m, s) = self.model.posterior(&self.ys);
             Some(Distribution::Normal { mean: m, std: s })
         }
 
-        fn notify(&mut self, _a: &Address, _p: &Distribution, _v: &Value) {}
+        fn notify(&self, _: &mut (), _a: &Address, _p: &Distribution, _v: &Value) {}
     }
 
     #[test]
@@ -149,7 +216,7 @@ mod tests {
         }
         let mut oracle = OracleProvider { model: GaussianUnknownMean::standard(), ys: ys.clone() };
         let n = 4_000;
-        let post = ic_importance_sampling(&mut model, &observes, "y0", &mut oracle, n, 1);
+        let post = ic_importance_sampling(&model, &observes, "y0", &mut oracle, n, 1);
         // Perfect proposal ⇒ constant weights ⇒ ESS ≈ N.
         let ess = post.effective_sample_size();
         assert!(ess > 0.98 * n as f64, "oracle ESS {ess} of {n}");
@@ -170,19 +237,19 @@ mod tests {
     fn fallback_to_prior_when_provider_declines() {
         struct Decline;
         impl ProposalProvider for Decline {
+            type State = ();
             fn condition(&mut self, _obs: &Value) {}
-            fn begin_trace(&mut self) {}
-            fn propose(&mut self, _a: &Address, _p: &Distribution) -> Option<Distribution> {
+            fn begin_trace(&self, _state: &mut ()) {}
+            fn propose(&self, _: &mut (), _a: &Address, _p: &Distribution) -> Option<Distribution> {
                 None
             }
-            fn notify(&mut self, _a: &Address, _p: &Distribution, _v: &Value) {}
+            fn notify(&self, _: &mut (), _a: &Address, _p: &Distribution, _v: &Value) {}
         }
-        let mut model = GaussianUnknownMean::standard();
+        let model = GaussianUnknownMean::standard();
         let mut observes = ObserveMap::new();
         observes.insert("y0".into(), Value::Real(0.5));
         observes.insert("y1".into(), Value::Real(0.5));
-        let mut d = Decline;
-        let post = ic_importance_sampling(&mut model, &observes, "y0", &mut d, 5_000, 3);
+        let post = ic_importance_sampling(&model, &observes, "y0", &mut Decline, 5_000, 3);
         // Declining provider behaves exactly like prior IS.
         let (mean, _) = post.mean_std(|t| t.value_by_name("mu").unwrap().as_f64());
         let (am, _) = model.posterior(&[0.5, 0.5]);
@@ -197,19 +264,20 @@ mod tests {
         // The provider is never reached, let alone handed a `Value::Unit`.
         struct Unreachable;
         impl ProposalProvider for Unreachable {
+            type State = ();
             fn condition(&mut self, obs: &Value) {
                 unreachable!("conditioned on {obs:?}");
             }
-            fn begin_trace(&mut self) {}
-            fn propose(&mut self, _a: &Address, _p: &Distribution) -> Option<Distribution> {
+            fn begin_trace(&self, _state: &mut ()) {}
+            fn propose(&self, _: &mut (), _a: &Address, _p: &Distribution) -> Option<Distribution> {
                 None
             }
-            fn notify(&mut self, _a: &Address, _p: &Distribution, _v: &Value) {}
+            fn notify(&self, _: &mut (), _a: &Address, _p: &Distribution, _v: &Value) {}
         }
-        let mut model = GaussianUnknownMean::standard();
+        let model = GaussianUnknownMean::standard();
         let mut observes = ObserveMap::new();
         observes.insert("y1".into(), Value::Real(0.5));
         observes.insert("y0".into(), Value::Real(0.5));
-        ic_importance_sampling(&mut model, &observes, "calo", &mut Unreachable, 1, 0);
+        ic_importance_sampling(&model, &observes, "calo", &mut Unreachable, 1, 0);
     }
 }

@@ -9,48 +9,37 @@
 //!
 //! IC/IS inference "is embarrassingly parallel" (§4.2):
 //! [`parallel_importance_sampling`] is one collecting `etalumis-runtime`
-//! [`RunPlan`] — work stealing over a local pool or a multiplexed PPX pool,
-//! with per-trace seeding, so the sampled trace set is identical for any
-//! backend and worker count. The serial path below is the degenerate
-//! 1-worker case.
+//! [`RunPlan`] under any proposer — prior proposals, or an IC network
+//! shared by every worker through [`crate::IcProposerFactory`] — on a local
+//! pool or a multiplexed PPX pool, with per-trace seeding, so the sampled
+//! trace set is identical for any backend and worker count.
+//! [`importance_sampling`] is the serial prior-proposal loop.
 
 use crate::posterior::WeightedTraces;
-use etalumis_core::{Executor, ObserveMap, PriorProposer, ProbProgram, Proposer};
-use etalumis_runtime::{Backend, DatasetGenConfig, RunPlan};
+use etalumis_core::{Executor, ObserveMap, PriorProposer, ProbProgram, Trace};
+use etalumis_runtime::{Backend, DatasetGenConfig, ProposerFactory, RunPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Importance sampling with prior proposals (a.k.a. likelihood weighting).
+/// Importance sampling with prior proposals (a.k.a. likelihood weighting),
+/// serially on one RNG stream seeded from `seed`.
 pub fn importance_sampling(
     program: &mut dyn ProbProgram,
     observes: &ObserveMap,
     n: usize,
     seed: u64,
 ) -> WeightedTraces {
-    let mut prior = PriorProposer;
-    importance_sampling_with(program, observes, n, seed, &mut prior)
-}
-
-/// Importance sampling under an arbitrary proposer.
-pub fn importance_sampling_with(
-    program: &mut dyn ProbProgram,
-    observes: &ObserveMap,
-    n: usize,
-    seed: u64,
-    proposer: &mut dyn Proposer,
-) -> WeightedTraces {
-    let mut traces = Vec::with_capacity(n);
-    let mut log_weights = Vec::with_capacity(n);
     let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..n {
-        let t = Executor::execute(program, proposer, observes, &mut rng);
-        log_weights.push(t.log_weight());
-        traces.push(t);
-    }
+    let traces: Vec<Trace> = (0..n)
+        .map(|_| Executor::execute(program, &mut PriorProposer, observes, &mut rng))
+        .collect();
+    let log_weights = traces.iter().map(Trace::log_weight).collect();
     WeightedTraces::new(traces, log_weights)
 }
 
-/// Embarrassingly parallel prior-proposal IS on the work-stealing runtime.
+/// Embarrassingly parallel IS on the work-stealing runtime, under the
+/// per-worker proposers `proposer` makes ([`etalumis_runtime::PriorProposerFactory`]
+/// for likelihood weighting, a [`crate::IcProposerFactory`] for IC).
 ///
 /// Trace `i` is seeded from `(seed, i)` alone, so the weighted trace set is
 /// bit-identical for any backend and worker count: a local pool runs one
@@ -60,13 +49,14 @@ pub fn importance_sampling_with(
 /// biased.
 pub fn parallel_importance_sampling(
     backend: Backend<'_>,
+    proposer: &dyn ProposerFactory,
     observes: &ObserveMap,
     n: usize,
     seed: u64,
 ) -> std::io::Result<WeightedTraces> {
     let cfg = DatasetGenConfig { n, seed, ..Default::default() };
-    let traces = RunPlan::new(backend, &cfg).observes(observes).run()?.traces;
-    let log_weights = traces.iter().map(|t| t.log_weight()).collect();
+    let traces = RunPlan::new(backend, &cfg).proposer(proposer).observes(observes).run()?.traces;
+    let log_weights = traces.iter().map(Trace::log_weight).collect();
     Ok(WeightedTraces::new(traces, log_weights))
 }
 
@@ -74,13 +64,14 @@ pub fn parallel_importance_sampling(
 mod tests {
     use super::*;
     use etalumis_distributions::Value;
-    use etalumis_runtime::SimulatorPool;
+    use etalumis_runtime::{PriorProposerFactory, SimulatorPool};
     use etalumis_simulators::GaussianUnknownMean;
 
     /// Parallel IS of the conjugate model on a local pool of `workers`.
     fn local_is(obs: &ObserveMap, n: usize, seed: u64, workers: usize) -> WeightedTraces {
         let mut pool = SimulatorPool::from_factory(workers, |_| GaussianUnknownMean::standard());
-        parallel_importance_sampling(Backend::Local(&mut pool), obs, n, seed).unwrap()
+        parallel_importance_sampling(Backend::Local(&mut pool), &PriorProposerFactory, obs, n, seed)
+            .unwrap()
     }
 
     fn observes_for(ys: &[f64]) -> ObserveMap {
@@ -147,7 +138,14 @@ mod tests {
             Ok(Box::new(ep) as Box<dyn MuxEndpoint>)
         })
         .unwrap();
-        let remote = parallel_importance_sampling(Backend::Mux(&mut pool), &obs, 300, 13).unwrap();
+        let remote = parallel_importance_sampling(
+            Backend::Mux(&mut pool),
+            &PriorProposerFactory,
+            &obs,
+            300,
+            13,
+        )
+        .unwrap();
 
         assert_eq!(remote.len(), local.len());
         assert_eq!(remote.log_weights, local.log_weights);
@@ -172,9 +170,15 @@ mod tests {
         }
         let mut pool = SimulatorPool::from_factory(2, |_| Dead);
         let obs = observes_for(&[1.0]);
-        let err = parallel_importance_sampling(Backend::Local(&mut pool), &obs, 8, 1)
-            .map(|_| ())
-            .unwrap_err();
+        let err = parallel_importance_sampling(
+            Backend::Local(&mut pool),
+            &PriorProposerFactory,
+            &obs,
+            8,
+            1,
+        )
+        .map(|_| ())
+        .unwrap_err();
         assert!(err.to_string().contains("(first: trace 0:"), "unexpected error: {err}");
     }
 

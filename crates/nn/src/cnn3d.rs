@@ -10,13 +10,14 @@
 
 use crate::linear::Linear;
 use crate::param::{kaiming_uniform, Module, Parameter};
-use etalumis_tensor::activations::{relu, relu_backward};
+use etalumis_tensor::activations::{relu, relu_backward, relu_backward_in_place, relu_reusing};
 use etalumis_tensor::conv::{
-    conv3d_backward_data, conv3d_backward_weights_acc, conv3d_blocked, maxpool3d,
-    maxpool3d_backward,
+    conv3d_backward_data_reusing, conv3d_backward_weights_acc, conv3d_blocked_reusing,
+    maxpool3d_backward_reusing, maxpool3d_reusing,
 };
 use etalumis_tensor::{Conv3dSpec, Tensor};
 use rand::Rng;
+use std::collections::BTreeMap;
 
 /// One stage of the CNN stack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,6 +125,60 @@ enum Stage {
     Pool(PoolStage),
 }
 
+/// Most buffers [`Spare`] keeps per class: more than one pass's worth, so a
+/// caller that makes more activations than it hands back cannot grow it.
+const SPARE_PER_CLASS: usize = 4;
+
+/// Smallest buffer [`Spare`] keeps, in bytes.
+///
+/// Large activations are the ones worth keeping: freed, they went back to
+/// the OS and were faulted in again the next step (measured below).
+/// Smaller ones stay with the allocator's free lists. Keeping those too
+/// costs memory after training ends, because freed heap memory stays
+/// resident: with every buffer kept, `infer_tau`'s peak RSS (a network
+/// trained on sub-minibatches of at most 32, then sampled) rose by 1.8 MB.
+const SPARE_MIN_BYTES: usize = 2 << 20;
+
+/// Activation buffers a pass is done with, for the next pass to store its
+/// activations in.
+///
+/// Every activation of the stack is `[B, …]` with a per-image length fixed by
+/// its place in the stack, so buffers are classed by that length and a class
+/// settles at the largest batch it has seen: a steady training loop
+/// allocates none of its large activations. Allocating and freeing them
+/// every step instead left it to the allocator's history whether that
+/// memory went back to the OS and was faulted in again each step. On
+/// `Cnn3dConfig::small` over 8×13×13 voxels at B = 64 (first-stage output
+/// 2.8 MB) that was about 1 800 page faults, a tenth of the step.
+#[derive(Default)]
+struct Spare(BTreeMap<usize, Vec<Vec<f32>>>);
+
+impl Spare {
+    /// A buffer for a batch of `per_image`-element activations (empty if the
+    /// class has none).
+    fn take(&mut self, per_image: usize) -> Vec<f32> {
+        self.0.get_mut(&per_image).and_then(Vec::pop).unwrap_or_default()
+    }
+
+    /// Keep `t`'s storage for a later [`Spare::take`] if it is large.
+    fn give(&mut self, t: Tensor) {
+        let per_image = t.numel() / t.shape()[0].max(1);
+        let data = t.into_data();
+        if data.capacity() * std::mem::size_of::<f32>() < SPARE_MIN_BYTES {
+            return;
+        }
+        let class = self.0.entry(per_image).or_default();
+        if class.len() < SPARE_PER_CLASS {
+            class.push(data);
+        }
+    }
+}
+
+/// Elements per image of a `[B, …]` shape.
+fn per_image(shape: &[usize]) -> usize {
+    shape[1..].iter().product()
+}
+
 /// The observation encoder: CNN stack + FC to the embedding dimension.
 pub struct Cnn3d {
     /// Static configuration.
@@ -131,6 +186,7 @@ pub struct Cnn3d {
     stages: Vec<Stage>,
     fc: Linear,
     fc_relu_cache: Vec<Tensor>,
+    spare: Spare,
 }
 
 impl Cnn3d {
@@ -160,7 +216,7 @@ impl Cnn3d {
             }
         }
         let fc = Linear::new(rng, config.flat_dim(), config.embedding_dim);
-        Self { config, stages, fc, fc_relu_cache: Vec::new() }
+        Self { config, stages, fc, fc_relu_cache: Vec::new(), spare: Spare::default() }
     }
 
     /// Encode a batch of observations [B, 1, D, H, W] → [B, embedding_dim].
@@ -168,39 +224,62 @@ impl Cnn3d {
         self.forward_impl(x, true)
     }
 
-    /// Encode without caching (inference path).
+    /// Encode without caching (inference path). Frees the activation buffers
+    /// training recycles: a network that has moved on to inference does not
+    /// hold a training batch's worth of memory.
     pub fn forward_inference(&mut self, x: &Tensor) -> Tensor {
-        self.forward_impl(x, false)
+        let y = self.forward_impl(x, false);
+        self.spare = Spare::default();
+        y
     }
 
     fn forward_impl(&mut self, x: &Tensor, train: bool) -> Tensor {
         let b = x.shape()[0];
+        let spare = &mut self.spare;
         // `None` until the first stage has run: the input is only copied
         // when training caches it.
         let mut cur: Option<Tensor> = None;
         for stage in &mut self.stages {
             let input = cur.as_ref().unwrap_or(x);
-            match stage {
+            let y = match stage {
                 Stage::Conv(cs) => {
-                    let pre = conv3d_blocked(input, &cs.w.value, cs.b.value.data(), &cs.spec);
-                    let y = relu(&pre);
+                    let [d, h, w] = cs.in_dims.map(|n| cs.spec.out_dim(n));
+                    let out_len = cs.spec.out_c * d * h * w;
+                    let (weight, bias) = (&cs.w.value, cs.b.value.data());
+                    let pre =
+                        conv3d_blocked_reusing(input, weight, bias, &cs.spec, spare.take(out_len));
+                    let y = relu_reusing(&pre, spare.take(out_len));
                     if train {
-                        cs.x_cache.push(cur.take().unwrap_or_else(|| x.clone()));
+                        let kept = cur.take().unwrap_or_else(|| {
+                            let mut copy = spare.take(per_image(x.shape()));
+                            copy.clear();
+                            copy.extend_from_slice(x.data());
+                            Tensor::from_vec(x.shape(), copy)
+                        });
+                        cs.x_cache.push(kept);
                         cs.pre_cache.push(pre);
+                    } else {
+                        spare.give(pre);
                     }
-                    cur = Some(y);
+                    y
                 }
                 Stage::Pool(ps) => {
-                    let (y, arg) = maxpool3d(input, 2);
+                    let s = input.shape();
+                    let out_len = s[1] * (s[2] / 2) * (s[3] / 2) * (s[4] / 2);
+                    let (y, arg) = maxpool3d_reusing(input, 2, spare.take(out_len));
                     if train {
-                        ps.arg_cache.push((arg, input.shape().to_vec()));
+                        ps.arg_cache.push((arg, s.to_vec()));
                     }
-                    cur = Some(y);
+                    y
                 }
+            };
+            if let Some(done) = cur.replace(y) {
+                spare.give(done);
             }
         }
         let flat = cur.unwrap_or_else(|| x.clone()).reshape(&[b, self.config.flat_dim()]);
         let pre = if train { self.fc.forward(&flat) } else { self.fc.forward_inference(&flat) };
+        spare.give(flat);
         let y = relu(&pre);
         if train {
             self.fc_relu_cache.push(pre);
@@ -217,36 +296,42 @@ impl Cnn3d {
         let dflat = self.fc.backward(&dpre);
         let (c, dims) = self.config.output_geometry();
         let b = grad.rows();
+        let spare = &mut self.spare;
         let mut cur = dflat.reshape(&[b, c, dims[0], dims[1], dims[2]]);
         for (i, stage) in self.stages.iter_mut().enumerate().rev() {
-            match stage {
+            let below = match stage {
                 Stage::Conv(cs) => {
                     let x = cs.x_cache.pop().expect("conv backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
                     let pre = cs.pre_cache.pop().expect("conv cache"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
-                    let dpre = relu_backward(&pre, &cur);
+
+                    // `cur` becomes the gradient w.r.t. the pre-activation.
+                    relu_backward_in_place(pre.data(), cur.data_mut());
+                    spare.give(pre);
                     conv3d_backward_weights_acc(
                         &x,
-                        &dpre,
+                        &cur,
                         &cs.spec,
                         cs.w.grad.data_mut(),
                         cs.b.grad.data_mut(),
                     );
                     if i == 0 {
+                        spare.give(x);
                         break;
                     }
-                    cur = conv3d_backward_data(
-                        &dpre,
-                        &cs.w.value,
-                        &cs.spec,
-                        (cs.in_dims[0], cs.in_dims[1], cs.in_dims[2]),
-                    );
+                    let [d, h, w] = cs.in_dims;
+                    let buf = spare.take(per_image(x.shape()));
+                    spare.give(x);
+                    conv3d_backward_data_reusing(&cur, &cs.w.value, &cs.spec, (d, h, w), buf)
                 }
                 Stage::Pool(ps) => {
                     let (arg, in_shape) = ps.arg_cache.pop().expect("pool backward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
-                    cur = maxpool3d_backward(&cur, &arg, &in_shape);
+                    let buf = spare.take(per_image(&in_shape));
+                    maxpool3d_backward_reusing(&cur, &arg, &in_shape, buf)
                 }
-            }
+            };
+            spare.give(std::mem::replace(&mut cur, below));
         }
+        spare.give(cur);
     }
 
     /// Drop all cached activations.
@@ -378,11 +463,16 @@ mod tests {
                     cs.w.grad.add_assign(&gw);
                     cs.b.grad.add_assign(&Tensor::from_vec(&[gb.len()], gb));
                     let [d, h, w] = cs.in_dims;
-                    conv3d_backward_data(&dpre, &cs.w.value, &cs.spec, (d, h, w))
+                    etalumis_tensor::conv::conv3d_backward_data(
+                        &dpre,
+                        &cs.w.value,
+                        &cs.spec,
+                        (d, h, w),
+                    )
                 }
                 Stage::Pool(ps) => {
                     let (arg, in_shape) = ps.arg_cache.pop().unwrap();
-                    maxpool3d_backward(&cur, &arg, &in_shape)
+                    etalumis_tensor::conv::maxpool3d_backward(&cur, &arg, &in_shape)
                 }
             };
         }
@@ -404,6 +494,50 @@ mod tests {
         assert_eq!(dx.shape(), x.shape());
         assert!(dx.data().iter().any(|&v| v != 0.0), "the reference run computes dL/dx");
         assert_eq!(skipped, param_grads(&mut cnn));
+    }
+
+    #[test]
+    fn recycled_activations_change_no_bit() {
+        // A network whose spare buffers hold earlier passes' activations —
+        // of a larger batch (stale tails), a smaller one (grown buffers) and
+        // the same one — must compute exactly what a fresh network does
+        // with the allocating kernels. The conv output is 32 KiB per image,
+        // so from B = 64 on it is large enough to be kept.
+        let cfg = Cnn3dConfig {
+            input_dims: [4, 16, 16],
+            stages: vec![CnnStageSpec::Conv(8), CnnStageSpec::Pool],
+            embedding_dim: 4,
+        };
+        let input = |b: usize, salt: usize| {
+            Tensor::from_fn(&[b, 1, 4, 16, 16], |i| ((i * 29 + salt) % 13) as f32 * 0.07 - 0.4)
+        };
+        let grad = |b: usize| Tensor::from_fn(&[b, 4], |i| ((i * 17) % 7) as f32 * 0.3 - 0.8);
+        let step = |cnn: &mut Cnn3d, b: usize, salt: usize| {
+            let y = cnn.forward(&input(b, salt));
+            cnn.backward(&grad(b));
+            (y, param_grads(cnn))
+        };
+        let fresh = || Cnn3d::new(&mut StdRng::seed_from_u64(3), cfg.clone());
+        let reference = |b: usize| {
+            let mut cnn = fresh();
+            let y = cnn.forward(&input(b, 0));
+            backward_to_input(&mut cnn, &grad(b));
+            (y, param_grads(&mut cnn))
+        };
+        let mut warm = fresh();
+        for (b, salt) in [(80, 1), (64, 2), (72, 3)] {
+            warm.forward_inference(&input(b + 1, salt));
+            step(&mut warm, b, salt);
+        }
+        assert!(!warm.spare.0.is_empty(), "the conv outputs were kept");
+        for b in [72, 64, 88] {
+            warm.visit_params("cnn", &mut |_, p| p.grad.zero_());
+            assert_eq!(reference(b), step(&mut warm, b, 0), "batch {b}");
+        }
+        let x = input(4, 4);
+        assert_eq!(fresh().forward_inference(&x), warm.forward_inference(&x));
+        // Inference lets the training buffers go.
+        assert!(warm.spare.0.is_empty());
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl Module for Linear {
 
 /// Caller-owned activations of a cache-free [`Mlp2::forward_into`]: kept
 /// across calls, a warm forward allocates nothing.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct MlpScratch {
     hidden: Vec<f32>,
     out: Vec<f32>,

@@ -58,6 +58,16 @@ impl SeqArena {
     }
 }
 
+/// The buffers one forward call computes through: gate pre-activations
+/// `[T, B, 4H]` and `tanh(c)` for one step `[B, H]`, reused across calls.
+/// Training keeps one per layer; inference keeps one per [`LstmState`], so
+/// any number of states can step one shared `&Lstm`.
+#[derive(Clone, Default)]
+struct GateScratch {
+    z: Vec<f32>,
+    tanh_c: Vec<f32>,
+}
+
 /// One LSTM layer with fused gate weights (gate order: i, f, g, o).
 struct LstmLayer {
     w_ih: Parameter, // [input, 4H]
@@ -65,10 +75,8 @@ struct LstmLayer {
     b: Parameter,    // [4H]
     hidden: usize,
     arena: SeqArena,
-    /// Gate pre-activation scratch `[T, B, 4H]`, reused across calls.
-    zbuf: Vec<f32>,
-    /// `tanh(c)` scratch for one step `[B, H]`.
-    tanh_buf: Vec<f32>,
+    /// The training path's scratch.
+    scratch: GateScratch,
 }
 
 impl LstmLayer {
@@ -84,8 +92,7 @@ impl LstmLayer {
             b,
             hidden,
             arena: SeqArena::default(),
-            zbuf: Vec::new(),
-            tanh_buf: Vec::new(),
+            scratch: GateScratch::default(),
         }
     }
 
@@ -93,34 +100,54 @@ impl LstmLayer {
         self.w_ih.value.rows()
     }
 
-    /// Run `t_steps` teacher-forced steps over `xs` (`[t_steps·B, in]`
-    /// row-major, step-major), updating `(h, c)` in place. The input
-    /// projection for all steps is one GEMM; the recurrent projection,
-    /// activations and state update run per step. With `train`, all
-    /// activations append to the arena.
-    fn forward_batch(
+    /// [`LstmLayer::forward`] through the layer's own scratch, appending
+    /// every activation to its arena for the backward pass.
+    fn forward_recorded(
         &mut self,
         xs: &[f32],
         t_steps: usize,
         batch: usize,
         h: &mut Tensor,
         c: &mut Tensor,
-        train: bool,
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut arena = std::mem::take(&mut self.arena);
+        self.forward(xs, t_steps, batch, h, c, &mut scratch, Some(&mut arena));
+        self.scratch = scratch;
+        self.arena = arena;
+    }
+
+    /// Run `t_steps` teacher-forced steps over `xs` (`[t_steps·B, in]`
+    /// row-major, step-major), updating `(h, c)` in place. The input
+    /// projection for all steps is one GEMM; the recurrent projection,
+    /// activations and state update run per step. With `record`, all
+    /// activations append to that arena.
+    #[allow(clippy::too_many_arguments)]
+    fn forward(
+        &self,
+        xs: &[f32],
+        t_steps: usize,
+        batch: usize,
+        h: &mut Tensor,
+        c: &mut Tensor,
+        scratch: &mut GateScratch,
+        mut record: Option<&mut SeqArena>,
     ) {
         let hsz = self.hidden;
         let in_sz = self.input_size();
         let g4 = 4 * hsz;
         debug_assert_eq!(xs.len(), t_steps * batch * in_sz);
         let kern = Kernels::get();
-        self.zbuf.clear();
-        self.zbuf.resize(t_steps * batch * g4, 0.0);
+        let GateScratch { z, tanh_c } = scratch;
+        z.clear();
+        z.resize(t_steps * batch * g4, 0.0);
         // Fused input projection: [T·B, in]·[in, 4H] in one GEMM.
-        matmul_into(xs, self.w_ih.value.data(), &mut self.zbuf, t_steps * batch, in_sz, g4);
-        if train {
-            self.arena.x.extend_from_slice(xs);
+        matmul_into(xs, self.w_ih.value.data(), z, t_steps * batch, in_sz, g4);
+        if let Some(arena) = record.as_deref_mut() {
+            arena.x.extend_from_slice(xs);
         }
         for t in 0..t_steps {
-            let z_t = &mut self.zbuf[t * batch * g4..(t + 1) * batch * g4];
+            let z_t = &mut z[t * batch * g4..(t + 1) * batch * g4];
             matmul_acc_into(h.data(), self.w_hh.value.data(), z_t, batch, hsz, g4);
             add_bias_rows_slice(z_t, self.b.value.data(), g4);
             // Activate in place per row: sigmoid over i|f, tanh over g,
@@ -138,25 +165,25 @@ impl LstmLayer {
                     cd[idx] = row[hsz + j].mul_add(cd[idx], row[j] * row[2 * hsz + j]);
                 }
             }
-            self.tanh_buf.clear();
-            self.tanh_buf.extend_from_slice(cd);
-            kern.tanh(&mut self.tanh_buf);
+            tanh_c.clear();
+            tanh_c.extend_from_slice(cd);
+            kern.tanh(tanh_c);
             // h ← o ⊙ tanh(c).
             let hd = h.data_mut();
             for (r, row) in z_t.chunks(g4).enumerate() {
                 for j in 0..hsz {
-                    hd[r * hsz + j] = row[3 * hsz + j] * self.tanh_buf[r * hsz + j];
+                    hd[r * hsz + j] = row[3 * hsz + j] * tanh_c[r * hsz + j];
                 }
             }
-            if train {
-                self.arena.gates.extend_from_slice(z_t);
-                self.arena.c.extend_from_slice(cd);
-                self.arena.tanh_c.extend_from_slice(&self.tanh_buf);
-                self.arena.h.extend_from_slice(hd);
+            if let Some(arena) = record.as_deref_mut() {
+                arena.gates.extend_from_slice(z_t);
+                arena.c.extend_from_slice(cd);
+                arena.tanh_c.extend_from_slice(tanh_c);
+                arena.h.extend_from_slice(hd);
             }
         }
-        if train {
-            self.arena.steps += t_steps;
+        if let Some(arena) = record {
+            arena.steps += t_steps;
         }
     }
 
@@ -236,10 +263,14 @@ impl LstmLayer {
     }
 }
 
-/// Recurrent state: one (h, c) pair per layer, batch-major.
+/// Recurrent state: one (h, c) pair per layer, batch-major, plus the
+/// scratch an inference step computes through — so stepping needs only a
+/// shared `&Lstm`, and every worker owns its own state.
+#[derive(Clone)]
 pub struct LstmState {
     h: Vec<Tensor>,
     c: Vec<Tensor>,
+    scratch: GateScratch,
 }
 
 impl LstmState {
@@ -304,21 +335,33 @@ impl Lstm {
             l.arena.clear();
         }
         self.steps = 0;
-        LstmState {
-            h: (0..self.layers.len()).map(|_| Tensor::zeros(&[batch, self.hidden])).collect(),
-            c: (0..self.layers.len()).map(|_| Tensor::zeros(&[batch, self.hidden])).collect(),
-        }
+        self.zero_state(batch)
+    }
+
+    /// Fresh zero state for a batch, leaving any recorded sequence alone —
+    /// what an inference worker steps a shared network with.
+    pub fn zero_state(&self, batch: usize) -> LstmState {
+        let zeros = || (0..self.layers.len()).map(|_| Tensor::zeros(&[batch, self.hidden]));
+        LstmState { h: zeros().collect(), c: zeros().collect(), scratch: GateScratch::default() }
     }
 
     /// One time step over a [B, input] batch; returns the top-layer output.
+    /// Records the step for [`Lstm::backward_sequence`].
     pub fn step(&mut self, x: &Tensor, state: &mut LstmState) -> Tensor {
         assert_eq!(x.cols(), self.input_size, "LSTM input size");
-        self.step_impl(x.data(), state, true);
+        let batch = state.h[0].rows();
+        for (l, layer) in self.layers.iter_mut().enumerate() {
+            // Layer l reads the hidden output layer l−1 just wrote.
+            let (below, at) = state.h.split_at_mut(l);
+            let input = below.last().map_or(x.data(), |h| h.data());
+            layer.forward_recorded(input, 1, batch, &mut at[0], &mut state.c[l]);
+        }
+        self.steps += 1;
         Tensor::from_vec(&[x.rows(), self.hidden], state.output().to_vec())
     }
 
     /// Step without caching (inference path).
-    pub fn step_inference(&mut self, x: &Tensor, state: &mut LstmState) -> Tensor {
+    pub fn step_inference(&self, x: &Tensor, state: &mut LstmState) -> Tensor {
         assert_eq!(x.cols(), self.input_size, "LSTM input size");
         self.step_rows_inference(x.data(), state);
         Tensor::from_vec(&[x.rows(), self.hidden], state.output().to_vec())
@@ -326,22 +369,17 @@ impl Lstm {
 
     /// [`Lstm::step_inference`] on a row-major `[B, input]` slice, leaving
     /// the output in [`LstmState::output`]: no tensor is built, so a warm
-    /// step allocates nothing.
-    pub fn step_rows_inference(&mut self, x: &[f32], state: &mut LstmState) {
-        self.step_impl(x, state, false);
-    }
-
-    fn step_impl(&mut self, x: &[f32], state: &mut LstmState, train: bool) {
-        let batch = state.h[0].rows();
+    /// step allocates nothing. Reads the network only; everything it writes
+    /// is in `state`.
+    pub fn step_rows_inference(&self, x: &[f32], state: &mut LstmState) {
+        let LstmState { h, c, scratch } = state;
+        let batch = h[0].rows();
         assert_eq!(x.len(), batch * self.input_size, "LSTM step input is [B, input]");
-        for (l, layer) in self.layers.iter_mut().enumerate() {
+        for (l, layer) in self.layers.iter().enumerate() {
             // Layer l reads the hidden output layer l−1 just wrote.
-            let (below, at) = state.h.split_at_mut(l);
+            let (below, at) = h.split_at_mut(l);
             let input = below.last().map_or(x, |h| h.data());
-            layer.forward_batch(input, 1, batch, &mut at[0], &mut state.c[l], train);
-        }
-        if train {
-            self.steps += 1;
+            layer.forward(input, 1, batch, &mut at[0], &mut c[l], scratch, None);
         }
     }
 
@@ -371,7 +409,7 @@ impl Lstm {
                 let ha = &head[l - 1].arena.h;
                 &ha[ha.len() - t_steps * batch * self.hidden..]
             };
-            layer.forward_batch(input, t_steps, batch, &mut state.h[l], &mut state.c[l], true);
+            layer.forward_recorded(input, t_steps, batch, &mut state.h[l], &mut state.c[l]);
         }
         self.steps += t_steps;
         let ha = &self.layers[nl - 1].arena.h;
@@ -548,6 +586,43 @@ mod tests {
         let diff: f32 =
             y_with_history.data().iter().zip(y_fresh.data()).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 1e-4);
+    }
+
+    #[test]
+    fn shared_lstm_steps_on_two_threads_like_serially() {
+        // Two workers step one `&Lstm`, each with its own state (and so its
+        // own gate scratch), in lockstep: bitwise what each sequence gives
+        // alone.
+        let lstm = Lstm::new(&mut StdRng::seed_from_u64(4), 6, 8, 2);
+        let mut data_rng = StdRng::seed_from_u64(5);
+        let seqs: Vec<Vec<Vec<f32>>> = (0..2)
+            .map(|_| {
+                (0..40).map(|_| (0..6).map(|_| data_rng.gen_range(-1.0..1.0)).collect()).collect()
+            })
+            .collect();
+        let run = |xs: &[Vec<f32>], lockstep: Option<&std::sync::Barrier>| {
+            let mut state = lstm.zero_state(1);
+            let mut out = Vec::new();
+            for x in xs {
+                if let Some(barrier) = lockstep {
+                    barrier.wait();
+                }
+                lstm.step_rows_inference(x, &mut state);
+                out.extend_from_slice(state.output());
+            }
+            out
+        };
+        let serial: Vec<Vec<f32>> = seqs.iter().map(|xs| run(xs, None)).collect();
+        let barrier = std::sync::Barrier::new(seqs.len());
+        let shared: Vec<Vec<f32>> = std::thread::scope(|s| {
+            let handles: Vec<_> =
+                seqs.iter().map(|xs| s.spawn(|| run(xs, Some(&barrier)))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, b) in serial.iter().zip(&shared) {
+            assert_eq!(bits(a), bits(b));
+        }
     }
 
     #[test]

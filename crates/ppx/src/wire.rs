@@ -26,6 +26,7 @@
 use crate::message::Message;
 use bytes::{Buf, BufMut, BytesMut};
 use etalumis_distributions::{Distribution, TensorValue, Value};
+use std::sync::Arc;
 
 /// Largest payload any PPX transport will accept or emit, in bytes.
 ///
@@ -85,20 +86,23 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
             buf.put_u8(3);
             buf.put_f64_le(*x);
         }
-        Value::Tensor(t) => {
-            buf.put_u8(4);
-            buf.put_u32_le(t.shape.len() as u32);
-            for &d in &t.shape {
-                buf.put_u32_le(d as u32);
-            }
-            for &x in &t.data {
-                buf.put_f32_le(x);
-            }
-        }
+        Value::Tensor(t) => put_tensor(buf, t),
         Value::Str(s) => {
             buf.put_u8(5);
             put_string(buf, s);
         }
+    }
+}
+
+/// The [`Value::Tensor`] encoding, tag included, of a borrowed tensor.
+fn put_tensor(buf: &mut BytesMut, t: &TensorValue) {
+    buf.put_u8(4);
+    buf.put_u32_le(t.shape.len() as u32);
+    for &d in &t.shape {
+        buf.put_u32_le(d as u32);
+    }
+    for &x in &t.data {
+        buf.put_f32_le(x);
     }
 }
 
@@ -157,7 +161,7 @@ fn put_dist(buf: &mut BytesMut, d: &Distribution) {
         }
         Distribution::IndependentNormal { mean, std } => {
             buf.put_u8(10);
-            put_value(buf, &Value::Tensor(mean.clone()));
+            put_tensor(buf, mean);
             buf.put_f64_le(*std);
         }
     }
@@ -285,7 +289,7 @@ impl<'a> Cursor<'a> {
                 for _ in 0..n {
                     data.push(self.f32()?);
                 }
-                Ok(Value::Tensor(TensorValue::new(shape, data)))
+                Ok(TensorValue::new(shape, data).into())
             }
             5 => Ok(Value::Str(self.string()?)),
             t => Err(WireError::BadTag(t)),
@@ -318,7 +322,7 @@ impl<'a> Cursor<'a> {
             10 => {
                 let v = self.value()?;
                 let mean = match v {
-                    Value::Tensor(t) => t,
+                    Value::Tensor(t) => Arc::unwrap_or_clone(t),
                     _ => return Err(WireError::BadTag(10)),
                 };
                 Ok(Distribution::IndependentNormal { mean, std: self.f64()? })
@@ -379,7 +383,7 @@ mod tests {
                 system_name: "rust-frontend".into(),
                 model_name: "tau_decay".into(),
             },
-            Message::Run { observation: Value::Tensor(TensorValue::zeros(vec![2, 3])) },
+            Message::Run { observation: Value::from(TensorValue::zeros(vec![2, 3])) },
             Message::RunResult { result: Value::Real(1.5) },
             Message::Sample {
                 address: "decay/px[Uniform]".into(),
@@ -441,11 +445,9 @@ mod tests {
     fn empty_tensors_roundtrip() {
         // Zero-element tensors in every shape the codec can express them.
         for shape in [vec![0usize], vec![2, 0], vec![0, 3], vec![4, 0, 2]] {
-            roundtrip(&Message::RunResult {
-                result: Value::Tensor(TensorValue::new(shape, vec![])),
-            });
+            roundtrip(&Message::RunResult { result: Value::from(TensorValue::new(shape, vec![])) });
         }
-        roundtrip(&Message::Run { observation: Value::Tensor(TensorValue::zeros(vec![0])) });
+        roundtrip(&Message::Run { observation: Value::from(TensorValue::zeros(vec![0])) });
     }
 
     #[test]
@@ -545,7 +547,7 @@ mod tests {
         fn prop_tensor_roundtrip(data in proptest::collection::vec(-1e6f32..1e6, 0..64)) {
             let n = data.len();
             let msg = Message::RunResult {
-                result: Value::Tensor(TensorValue::new(vec![n], data)),
+                result: Value::from(TensorValue::new(vec![n], data)),
             };
             let frame = encode(&msg);
             prop_assert_eq!(decode(&frame).unwrap(), msg);
@@ -586,7 +588,7 @@ mod tests {
             let mut shape = vec![d0, d1];
             shape[zero_axis] = 0;
             let msg = Message::ObserveResult {
-                value: Value::Tensor(TensorValue::new(shape, vec![])),
+                value: Value::from(TensorValue::new(shape, vec![])),
             };
             let frame = encode(&msg);
             prop_assert_eq!(decode(&frame).unwrap(), msg);

@@ -38,11 +38,12 @@ pub fn mix_seed(seed: u64, index: usize) -> u64 {
 /// Builds the per-worker proposers a batch runs under.
 ///
 /// Workers need one proposer each (proposers are stateful within a trace —
-/// e.g. the IC LSTM); the factory is consulted once per worker at batch
-/// start.
+/// e.g. the IC LSTM); the factory is consulted once per worker (once per
+/// session on a mux pool) at batch start. A proposer may borrow the factory
+/// — the IC factory's proposers share one read-only network through it.
 pub trait ProposerFactory: Sync {
     /// Proposer for `worker`.
-    fn make_proposer(&self, worker: usize) -> Box<dyn Proposer + Send>;
+    fn make_proposer(&self, worker: usize) -> Box<dyn Proposer + Send + '_>;
 }
 
 /// Every `Fn(usize) -> Box<dyn Proposer + Send> + Sync` is a factory.
@@ -50,7 +51,7 @@ impl<F> ProposerFactory for F
 where
     F: Fn(usize) -> Box<dyn Proposer + Send> + Sync,
 {
-    fn make_proposer(&self, worker: usize) -> Box<dyn Proposer + Send> {
+    fn make_proposer(&self, worker: usize) -> Box<dyn Proposer + Send + '_> {
         self(worker)
     }
 }
@@ -59,7 +60,7 @@ where
 pub struct PriorProposerFactory;
 
 impl ProposerFactory for PriorProposerFactory {
-    fn make_proposer(&self, _worker: usize) -> Box<dyn Proposer + Send> {
+    fn make_proposer(&self, _worker: usize) -> Box<dyn Proposer + Send + '_> {
         Box::new(PriorProposer)
     }
 }
@@ -400,21 +401,35 @@ impl Shared<'_> {
     }
 }
 
-/// Run `work(w, share)` for every share on its own scoped thread and
-/// collect the results in worker order.
+/// Run `work(w, share)` for every share and collect the results in worker
+/// order: the last share on the calling thread, every other one on its own
+/// scoped thread.
+///
+/// The caller would otherwise only wait on the joins. Working instead keeps
+/// one thread fewer — and one malloc arena fewer: glibc gives every thread
+/// that allocates an arena of its own, the traces a batch returns keep
+/// their worker's arena full until the caller drops them, and the caller's
+/// own arena usually has the room already (DESIGN.md §2 has the peak-RSS
+/// numbers).
 pub(crate) fn spawn_workers<S: Send, R: Send>(
-    shares: Vec<S>,
+    mut shares: Vec<S>,
     work: impl Fn(usize, S) -> R + Sync,
 ) -> Vec<R> {
     let work = &work;
+    let Some(last) = shares.pop() else { return Vec::new() };
     std::thread::scope(|s| {
         let handles: Vec<_> = shares
             .into_iter()
             .enumerate()
             .map(|(w, share)| s.spawn(move || work(w, share)))
             .collect();
-        // etalumis: allow(panic-freedom, reason = "join Err only repropagates a worker panic")
-        handles.into_iter().map(|h| h.join().expect("runtime worker panicked")).collect()
+        let own = work(handles.len(), last);
+        let mut results: Vec<R> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect();
+        results.push(own);
+        results
     })
 }
 
@@ -759,9 +774,11 @@ mod tests {
     fn transient_failures_are_retried_on_healthy_workers() {
         use etalumis_core::{ProbProgram, RunError};
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // Worker 0's program fails its first two executions then dies for
-        // good; worker 1 is healthy. Every trace must still be delivered,
-        // through retries, with zero recorded failures.
+        // Worker 1's program dies on every execution; worker 0 is healthy.
+        // Every trace must still be delivered, through retries, with zero
+        // recorded failures. The dead program is the last share, which the
+        // calling thread starts on at once — before the healthy worker could
+        // have stolen its whole block.
         static FAILS: AtomicUsize = AtomicUsize::new(0);
         struct FlakyProgram {
             healthy: Option<BranchingModel>,
@@ -782,8 +799,8 @@ mod tests {
         }
         FAILS.store(0, Ordering::SeqCst);
         let mut pool = SimulatorPool::from_programs(vec![
-            Box::new(FlakyProgram { healthy: None }),
             Box::new(FlakyProgram { healthy: Some(BranchingModel::standard()) }),
+            Box::new(FlakyProgram { healthy: None }),
         ]);
         let n = 16;
         let runner = BatchRunner::new(RuntimeConfig { workers: 2, stealing: true });

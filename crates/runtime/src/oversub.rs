@@ -196,8 +196,9 @@ enum SlotConn {
     Retired,
 }
 
-/// One session slot inside a worker's reactor.
-struct Slot {
+/// One session slot inside a worker's reactor; its proposer may borrow the
+/// batch's proposer factory for `'p`.
+struct Slot<'p> {
     /// Position of this session in the pool (for reassembly after the run).
     global: usize,
     conn: SlotConn,
@@ -205,11 +206,11 @@ struct Slot {
     /// [`ReconnectPolicy::max_respawns`]).
     respawn_attempts: u32,
     /// The session's proposer, parked between traces.
-    proposer: Option<Box<dyn etalumis_core::Proposer + Send>>,
+    proposer: Option<Box<dyn etalumis_core::Proposer + Send + 'p>>,
     /// The in-flight trace: `(batch index, executor, launch time)`. The
     /// launch time becomes the trace's `runtime.task` span on completion
     /// (wall latency across reactor sweeps, not exclusive CPU time).
-    active: Option<(usize, StepExecutor, Instant)>,
+    active: Option<(usize, StepExecutor<'p>, Instant)>,
     /// The last dead `(endpoint, session)` pair, kept so a retired slot can
     /// still hand *something* back for pool reassembly.
     graveyard: Option<(Box<dyn MuxEndpoint>, Session)>,
@@ -311,7 +312,7 @@ struct Reactor<'a> {
     respawn: &'a RespawnCtx,
     observes: &'a Arc<ObserveMap>,
     mux: Mux,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<'a>>,
     /// conn id → slot index (respawned slots get fresh conn ids).
     conn_slot: Vec<usize>,
     out: WorkerOutcome,

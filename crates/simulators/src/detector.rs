@@ -76,6 +76,7 @@ pub struct IncomingParticle {
 }
 
 /// The detector: deposits particles into a voxel grid.
+#[derive(Clone)]
 pub struct Detector {
     /// Geometry/response configuration.
     pub config: DetectorConfig,

@@ -48,6 +48,7 @@ impl Default for TauDecayConfig {
 }
 
 /// The τ-decay simulator as a probabilistic program.
+#[derive(Clone)]
 pub struct TauDecayModel {
     /// Model configuration.
     pub config: TauDecayConfig,

@@ -12,6 +12,7 @@ use etalumis_distributions::{Distribution, Value};
 ///
 /// The posterior over μ given observations is Gaussian with closed form,
 /// see [`GaussianUnknownMean::posterior`].
+#[derive(Clone)]
 pub struct GaussianUnknownMean {
     /// Prior mean.
     pub mu0: f64,
@@ -56,6 +57,7 @@ impl ProbProgram for GaussianUnknownMean {
 
 /// A model whose trace structure depends on a categorical draw: branch k
 /// performs k+1 additional uniform draws. Exercises dynamic trace types.
+#[derive(Clone)]
 pub struct BranchingModel {
     /// Branch probabilities.
     pub probs: Vec<f64>,
@@ -93,6 +95,7 @@ impl ProbProgram for BranchingModel {
 /// Rejection sampling via `replace = true`: draw u until u < p, then observe
 /// around the accepted value. The accepted-value distribution is
 /// Uniform(0, p).
+#[derive(Clone)]
 pub struct RejectionModel {
     /// Acceptance threshold.
     pub p: f64,
@@ -127,6 +130,7 @@ impl ProbProgram for RejectionModel {
 }
 
 /// Two-component Gaussian mixture with a latent component and location.
+#[derive(Clone)]
 pub struct GmmModel {
     /// Component weights.
     pub weights: Vec<f64>,

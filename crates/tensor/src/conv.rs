@@ -330,6 +330,21 @@ fn for_each_chunk(
     });
 }
 
+/// `buf` as the storage of a `len`-element output that the caller then
+/// writes in full: its allocation when large enough (old contents left for
+/// the caller to overwrite), else a fresh zeroed vector.
+///
+/// The `*_reusing` kernels take their output storage this way, so a training
+/// loop that hands back the activations it is done with allocates none in
+/// its steady state.
+fn output_storage(mut buf: Vec<f32>, len: usize) -> Vec<f32> {
+    if buf.capacity() < len {
+        return vec![0.0; len];
+    }
+    buf.resize(len, 0.0);
+    buf
+}
+
 /// 3D convolution as tiled im2col products on the GEMM row kernels.
 ///
 /// Semantically identical to [`conv3d_naive`]. Per image and per tile of
@@ -337,6 +352,17 @@ fn for_each_chunk(
 /// [`Kernels::gemm_rows_unpacked`]. Every layer shape takes this path; images
 /// are independent pool tasks, so results do not depend on the thread count.
 pub fn conv3d_blocked(x: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv3dSpec) -> Tensor {
+    conv3d_blocked_reusing(x, weight, bias, spec, Vec::new())
+}
+
+/// [`conv3d_blocked`] with its output stored in `buf`'s allocation.
+pub fn conv3d_blocked_reusing(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: &[f32],
+    spec: &Conv3dSpec,
+    buf: Vec<f32>,
+) -> Tensor {
     let s = x.shape();
     let (n, c, in_dims) = (s[0], s[1], (s[2], s[3], s[4]));
     assert_eq!(c, spec.in_c);
@@ -344,7 +370,8 @@ pub fn conv3d_blocked(x: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv3dSp
     assert_eq!(bias.len(), spec.out_c);
     let low = Lowering::new(spec, in_dims);
     let (od, oh, ow) = low.out_dims;
-    let mut out = Tensor::zeros(&[n, spec.out_c, od, oh, ow]);
+    let len = n * spec.out_c * low.vox;
+    let mut out = Tensor::from_vec(&[n, spec.out_c, od, oh, ow], output_storage(buf, len));
     let kern = Kernels::get();
     let (xd, wd) = (x.data(), weight.data());
     let (o, kk, vox) = (spec.out_c, low.kk, low.vox);
@@ -379,6 +406,17 @@ pub fn conv3d_backward_data(
     spec: &Conv3dSpec,
     in_dims: (usize, usize, usize),
 ) -> Tensor {
+    conv3d_backward_data_reusing(grad_out, weight, spec, in_dims, Vec::new())
+}
+
+/// [`conv3d_backward_data`] with its output stored in `buf`'s allocation.
+pub fn conv3d_backward_data_reusing(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    spec: &Conv3dSpec,
+    in_dims: (usize, usize, usize),
+    buf: Vec<f32>,
+) -> Tensor {
     let low = Lowering::new(spec, in_dims);
     let (n, o) = (grad_out.shape()[0], spec.out_c);
     let (od, oh, ow) = low.out_dims;
@@ -386,7 +424,10 @@ pub fn conv3d_backward_data(
     assert_eq!(weight.shape(), &[o, spec.in_c, spec.k, spec.k, spec.k]);
     let (kk, vox) = (low.kk, low.vox);
     let wt = weight.clone().reshape(&[o, kk]).transpose2();
-    let mut gx = Tensor::zeros(&[n, spec.in_c, in_dims.0, in_dims.1, in_dims.2]);
+    let mut gx = Tensor::from_vec(
+        &[n, spec.in_c, in_dims.0, in_dims.1, in_dims.2],
+        output_storage(buf, n * low.in_len),
+    );
     let kern = Kernels::get();
     let gd = grad_out.data();
     for_each_chunk(gx.data_mut(), n, low.in_len, &|ni, gimg, s| {
@@ -488,12 +529,18 @@ pub fn conv3d_backward_weights_acc(
 /// 3D max pooling with cubic window/stride `k`. Returns the pooled tensor and
 /// the flat argmax indices (into the input) used by the backward pass.
 pub fn maxpool3d(x: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
+    maxpool3d_reusing(x, k, Vec::new())
+}
+
+/// [`maxpool3d`] with the pooled tensor stored in `buf`'s allocation.
+pub fn maxpool3d_reusing(x: &Tensor, k: usize, buf: Vec<f32>) -> (Tensor, Vec<u32>) {
     let s = x.shape().to_vec();
     let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
     let (od, oh, ow) = (d / k, h / k, w / k);
     assert!(od > 0 && oh > 0 && ow > 0, "pool window larger than input");
-    let mut out = Tensor::zeros(&[n, c, od, oh, ow]);
-    let mut arg = vec![0u32; out.numel()];
+    let len = n * c * od * oh * ow;
+    let mut out = Tensor::from_vec(&[n, c, od, oh, ow], output_storage(buf, len));
+    let mut arg = vec![0u32; len];
     let xd = x.data();
     let odat = out.data_mut();
     for ni in 0..n {
@@ -530,7 +577,20 @@ pub fn maxpool3d(x: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
 
 /// Backward of [`maxpool3d`]: scatter output gradients to argmax positions.
 pub fn maxpool3d_backward(grad_out: &Tensor, arg: &[u32], in_shape: &[usize]) -> Tensor {
-    let mut gx = Tensor::zeros(in_shape);
+    maxpool3d_backward_reusing(grad_out, arg, in_shape, Vec::new())
+}
+
+/// [`maxpool3d_backward`] with its output stored in `buf`'s allocation.
+pub fn maxpool3d_backward_reusing(
+    grad_out: &Tensor,
+    arg: &[u32],
+    in_shape: &[usize],
+    buf: Vec<f32>,
+) -> Tensor {
+    let len = in_shape.iter().product::<usize>();
+    let mut gx = Tensor::from_vec(in_shape, output_storage(buf, len));
+    // Only the argmax positions are written below.
+    gx.data_mut().fill(0.0);
     let gd = grad_out.data();
     let gxd = gx.data_mut();
     for (i, &a) in arg.iter().enumerate() {
@@ -752,6 +812,34 @@ mod tests {
         let gx = maxpool3d_backward(&g, &arg, &[1, 1, 2, 2, 2]);
         assert_eq!(gx.data()[7], 2.0);
         assert_eq!(gx.sum(), 2.0);
+    }
+
+    #[test]
+    fn reusing_kernels_overwrite_every_element_of_a_poisoned_buffer() {
+        // Buffers full of NaN, longer and shorter than each output: what a
+        // `*_reusing` kernel does not write shows as NaN, a stale tail as a
+        // length mismatch.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let poisoned = |len: usize| vec![f32::NAN; len];
+        let (n, c, o, dims) = (3, 2, 5, (5, 6, 7));
+        let spec = Conv3dSpec { in_c: c, out_c: o, k: 3, pad: 1 };
+        let x = rand_tensor(&[n, c, dims.0, dims.1, dims.2], 51);
+        let wt = rand_tensor(&[o, c, 3, 3, 3], 52);
+        let bias: Vec<f32> = (0..o).map(|i| i as f32 * 0.1 - 0.2).collect();
+        let y = conv3d_blocked(&x, &wt, &bias, &spec);
+        let gx = conv3d_backward_data(&y, &wt, &spec, dims);
+        let (p, arg) = maxpool3d(&x, 2);
+        let gp = maxpool3d_backward(&p, &arg, x.shape());
+        for len in [7, y.numel() + 13] {
+            let y2 = conv3d_blocked_reusing(&x, &wt, &bias, &spec, poisoned(len));
+            assert_eq!(bits(&y), bits(&y2), "forward into {len}");
+            let gx2 = conv3d_backward_data_reusing(&y, &wt, &spec, dims, poisoned(len));
+            assert_eq!(bits(&gx), bits(&gx2), "backward-data into {len}");
+            let (p2, arg2) = maxpool3d_reusing(&x, 2, poisoned(len));
+            assert_eq!((bits(&p), &arg), (bits(&p2), &arg2), "pool into {len}");
+            let gp2 = maxpool3d_backward_reusing(&p, &arg, x.shape(), poisoned(len));
+            assert_eq!(bits(&gp), bits(&gp2), "pool backward into {len}");
+        }
     }
 
     #[test]

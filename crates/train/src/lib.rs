@@ -34,7 +34,7 @@ pub mod trainer;
 
 pub use allreduce::{AllReduceCtx, AllReduceStrategy};
 pub use distributed::{train_distributed, DistConfig, DistReport};
-pub use network::{IcConfig, IcNetwork, InferenceStats};
+pub use network::{IcConfig, IcNetwork, IcState, InferenceStats};
 pub use perfmodel::{platforms, PhaseModel, Platform, ScalingModel, ScalingPoint};
 pub use streaming::{
     train_stream, train_stream_distributed, train_stream_offline, StreamDistConfig,

@@ -16,9 +16,10 @@
 //! Training processes *sub-minibatches* of traces sharing one trace type in
 //! a single batched forward/backward pass (Algorithm 1); inference drives
 //! the same network step-by-step as a [`ProposalProvider`]: the 3DCNN embeds
-//! the observation once per posterior ([`ProposalProvider::condition`]), and
-//! each sample statement then costs one B = 1 LSTM step and one head forward
-//! over scratch the network owns.
+//! the observation once per posterior ([`ProposalProvider::condition`], the
+//! one `&mut` call), and each sample statement then costs one B = 1 LSTM
+//! step and one head forward that read the network through `&self` and
+//! write only the calling worker's [`IcState`].
 
 use etalumis_core::Address;
 use etalumis_data::TraceRecord;
@@ -34,6 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Architecture hyperparameters.
@@ -161,7 +163,8 @@ const CATEGORICAL_PRIOR_MIX: f64 = 0.05;
 
 /// Deterministic counts of the network work one posterior cost, reset at
 /// [`ProposalProvider::condition`] (pure functions of the run, so they fit
-/// the telemetry event-structure contract).
+/// the telemetry event-structure contract, and the same for any worker
+/// count).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InferenceStats {
     /// Observation embeddings (3DCNN forwards) — 1 once conditioned.
@@ -182,32 +185,58 @@ impl InferenceStats {
     }
 }
 
-/// Inference-time state ([`ProposalProvider`]). The network owns it so that
-/// a warm proposal step allocates nothing but the distribution it returns.
-struct Inference {
+/// The network's tally of [`InferenceStats`]: `condition` resets it under
+/// `&mut`, and each worker adds its own counts once, when it retires its
+/// state — not per step, so workers share no hot cache line.
+#[derive(Default)]
+struct StatsTally {
+    conditions: u64,
+    lstm_steps: AtomicU64,
+    proposals: AtomicU64,
+}
+
+/// One worker's proposal state ([`ProposalProvider::State`]): everything a
+/// proposal step writes, so a warm step allocates nothing but the
+/// distribution it returns, and any number of workers step one shared
+/// network.
+///
+/// A state comes from conditioning:
+///
+/// ```
+/// use etalumis_distributions::Value;
+/// use etalumis_inference::ProposalProvider;
+/// use etalumis_train::{IcConfig, IcNetwork};
+///
+/// let mut net = IcNetwork::new(IcConfig::small([1, 1, 1], 0));
+/// let mut state = net.condition(&Value::Real(0.5));
+/// net.begin_trace(&mut state);
+/// ```
+///
+/// and from nowhere else, so an unconditioned network has nothing to
+/// propose with — proposing before conditioning does not compile:
+///
+/// ```compile_fail
+/// use etalumis_inference::ProposalProvider;
+/// use etalumis_train::{IcConfig, IcNetwork, IcState};
+///
+/// let net = IcNetwork::new(IcConfig::small([1, 1, 1], 0));
+/// let mut state = IcState::default(); // no constructor but `condition`
+/// net.begin_trace(&mut state);
+/// ```
+#[derive(Clone)]
+pub struct IcState {
     /// The LSTM input row `[observation | address | previous sample]`
-    /// embeddings. `condition` writes the first part, `propose` the second,
-    /// `notify` the third. Empty until the first `condition`.
+    /// embeddings. `begin_trace` writes the first part (from the network's
+    /// embedding), `propose` the second, `notify` the third.
     input: Vec<f32>,
-    state: LstmState,
+    lstm: LstmState,
     /// Sample-embedding input of the value just realized.
     feats: Vec<f32>,
     head: MlpScratch,
     /// Qualified-address buffer for layer lookups.
     key: String,
+    /// Work counted since the state was made (`conditions` stays 0).
     stats: InferenceStats,
-}
-
-impl Inference {
-    /// Proposing from an unconditioned network is a call-order bug; fail it
-    /// loudly instead of degrading to some other proposal.
-    fn assert_conditioned(&self, call: &str) {
-        assert!(
-            !self.input.is_empty(),
-            "IcNetwork::{call} before condition(): a proposal provider must be conditioned on \
-             an observation first (IcProposer::condition does it once per posterior)"
-        );
-    }
 }
 
 /// The layers registered for `address`, looked up through the reusable key
@@ -236,7 +265,10 @@ pub struct IcNetwork {
     rng: StdRng,
     /// Per-call phase timing of the last loss computation (forward, backward).
     pub last_phase_secs: (f64, f64),
-    inf: Inference,
+    /// The observation embedding the last [`ProposalProvider::condition`]
+    /// wrote: computed once per posterior, read by every worker.
+    embedding: Vec<f32>,
+    stats: StatsTally,
 }
 
 impl IcNetwork {
@@ -244,17 +276,8 @@ impl IcNetwork {
     pub fn new(config: IcConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let cnn = Cnn3d::new(&mut rng, config.cnn.clone());
-        let mut lstm =
-            Lstm::new(&mut rng, config.lstm_input(), config.lstm_hidden, config.lstm_stacks);
+        let lstm = Lstm::new(&mut rng, config.lstm_input(), config.lstm_hidden, config.lstm_stacks);
         let address_table = Embedding::new(&mut rng, 0, config.address_embed_dim);
-        let inf = Inference {
-            input: Vec::new(),
-            state: lstm.begin_sequence(1),
-            feats: Vec::new(),
-            head: MlpScratch::default(),
-            key: String::new(),
-            stats: InferenceStats::default(),
-        };
         Self {
             config,
             cnn,
@@ -265,13 +288,19 @@ impl IcNetwork {
             frozen: false,
             rng,
             last_phase_secs: (0.0, 0.0),
-            inf,
+            embedding: Vec::new(),
+            stats: StatsTally::default(),
         }
     }
 
-    /// Network work counted since the last [`ProposalProvider::condition`].
+    /// Network work counted since the last [`ProposalProvider::condition`],
+    /// over every worker state retired since.
     pub fn inference_stats(&self) -> InferenceStats {
-        self.inf.stats
+        InferenceStats {
+            conditions: self.stats.conditions,
+            lstm_steps: self.stats.lstm_steps.load(Ordering::Relaxed),
+            proposals: self.stats.proposals.load(Ordering::Relaxed),
+        }
     }
 
     /// Where the address and previous-sample embeddings start in the LSTM
@@ -595,7 +624,9 @@ impl Module for IcNetwork {
 }
 
 impl ProposalProvider for IcNetwork {
-    fn condition(&mut self, observation: &Value) {
+    type State = IcState;
+
+    fn condition(&mut self, observation: &Value) -> IcState {
         let dims = self.config.cnn.input_dims;
         let volume = dims[0] * dims[1] * dims[2];
         let (shape, voxels): (&[usize], Vec<f32>) = match observation {
@@ -612,39 +643,48 @@ impl ProposalProvider for IcNetwork {
             voxels.len(),
         );
         let x = Tensor::from_vec(&[1, 1, dims[0], dims[1], dims[2]], voxels);
-        let embed = self.cnn.forward_inference(&x);
-        let inf = &mut self.inf;
-        inf.input.resize(self.config.lstm_input(), 0.0);
-        inf.input[..embed.numel()].copy_from_slice(embed.data());
-        inf.stats = InferenceStats { conditions: 1, ..Default::default() };
+        self.embedding = self.cnn.forward_inference(&x).data().to_vec();
+        self.stats = StatsTally { conditions: 1, ..Default::default() };
+        IcState {
+            input: vec![0.0; self.config.lstm_input()],
+            lstm: self.lstm.zero_state(1),
+            feats: Vec::new(),
+            head: MlpScratch::default(),
+            key: String::new(),
+            stats: InferenceStats::default(),
+        }
     }
 
-    fn begin_trace(&mut self) {
-        self.inf.assert_conditioned("begin_trace");
-        let (_, prev) = self.input_offsets();
-        self.inf.state.reset();
-        // No previous sample at t = 0.
-        self.inf.input[prev..].fill(0.0);
+    fn begin_trace(&self, state: &mut IcState) {
+        let (addr, _) = self.input_offsets();
+        state.lstm.reset();
+        // The observation, then no previous sample at t = 0.
+        state.input[..addr].copy_from_slice(&self.embedding);
+        state.input[addr..].fill(0.0);
     }
 
-    fn propose(&mut self, address: &Address, prior: &Distribution) -> Option<Distribution> {
-        self.inf.assert_conditioned("propose");
+    fn propose(
+        &self,
+        state: &mut IcState,
+        address: &Address,
+        prior: &Distribution,
+    ) -> Option<Distribution> {
         let (addr, prev) = self.input_offsets();
-        let inf = &mut self.inf;
-        let layers = layers_at(&self.layers, &mut inf.key, address)?;
-        inf.input[addr..prev].copy_from_slice(self.address_table.table.value.row(layers.embed_id));
-        self.lstm.step_rows_inference(&inf.input, &mut inf.state);
-        inf.stats.lstm_steps += 1;
-        let h = inf.state.output();
+        let layers = layers_at(&self.layers, &mut state.key, address)?;
+        state.input[addr..prev]
+            .copy_from_slice(self.address_table.table.value.row(layers.embed_id));
+        self.lstm.step_rows_inference(&state.input, &mut state.lstm);
+        state.stats.lstm_steps += 1;
+        let h = state.lstm.output();
         let q = match &layers.head {
             Head::Mixture(head) => {
                 let (lo, hi) = prior.support()?;
-                head.proposal_row(h, &mut inf.head, lo, hi)
+                head.proposal_row(h, &mut state.head, lo, hi)
             }
-            Head::Normal(head) => head.proposal_row(h, &mut inf.head),
+            Head::Normal(head) => head.proposal_row(h, &mut state.head),
             Head::Categorical(head) => {
                 // Mix a sliver of prior mass in for importance-weight safety.
-                match (head.proposal_row(h, &mut inf.head), prior) {
+                match (head.proposal_row(h, &mut state.head), prior) {
                     (
                         Distribution::Categorical { probs: mut qp },
                         Distribution::Categorical { probs: pp },
@@ -661,20 +701,24 @@ impl ProposalProvider for IcNetwork {
             }
         };
         let _ = layers.kind;
-        inf.stats.proposals += 1;
+        state.stats.proposals += 1;
         Some(q)
     }
 
-    fn notify(&mut self, address: &Address, prior: &Distribution, value: &Value) {
-        self.inf.assert_conditioned("notify");
+    fn notify(&self, state: &mut IcState, address: &Address, prior: &Distribution, value: &Value) {
         let (_, prev) = self.input_offsets();
-        let inf = &mut self.inf;
-        if let Some(layers) = layers_at(&self.layers, &mut inf.key, address) {
+        if let Some(layers) = layers_at(&self.layers, &mut state.key, address) {
             // The next LSTM input carries this sample's embedding.
-            inf.feats.resize(layers.sample_embed.in_dim(), 0.0);
-            value_features_into(prior, value, &mut inf.feats);
-            layers.sample_embed.forward_into(&inf.feats, &mut inf.input[prev..]);
+            state.feats.resize(layers.sample_embed.in_dim(), 0.0);
+            value_features_into(prior, value, &mut state.feats);
+            layers.sample_embed.forward_into(&state.feats, &mut state.input[prev..]);
         }
+    }
+
+    fn retire(&self, state: &mut IcState) {
+        let done = std::mem::take(&mut state.stats);
+        self.stats.lstm_steps.fetch_add(done.lstm_steps, Ordering::Relaxed);
+        self.stats.proposals.fetch_add(done.proposals, Ordering::Relaxed);
     }
 }
 
@@ -785,11 +829,11 @@ mod tests {
         let mut net = IcNetwork::new(small_config());
         net.pregenerate(recs.iter());
         // Untrained proposals must still produce valid guided traces.
-        let mut model = BranchingModel::standard();
+        let model = BranchingModel::standard();
         let mut observes = ObserveMap::new();
         observes.insert("y".into(), Value::Real(1.0));
         let post =
-            etalumis_inference::ic_importance_sampling(&mut model, &observes, "y", &mut net, 50, 9);
+            etalumis_inference::ic_importance_sampling(&model, &observes, "y", &mut net, 50, 9);
         assert_eq!(post.len(), 50);
         assert!(post.log_weights.iter().all(|w| w.is_finite()));
         assert!(post.effective_sample_size() > 1.0);
@@ -802,21 +846,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "IcNetwork::propose before condition()")]
-    fn proposing_before_conditioning_is_loud() {
-        // Not `None`: that would silently fall back to the prior.
-        let mut net = pregenerated_net();
-        let prior = Distribution::Uniform { low: 0.0, high: 1.0 };
-        net.propose(&Address::new("anything", 0), &prior);
-    }
-
-    #[test]
     #[should_panic(
         expected = "cannot condition on a tensor observation of shape [2, 3] (6 values): this network's 3DCNN encodes [1, 1, 1] volumes (1 values)"
     )]
     fn conditioning_names_a_mismatched_observation() {
         let obs = etalumis_distributions::TensorValue::zeros(vec![2, 3]);
-        pregenerated_net().condition(&Value::Tensor(obs));
+        pregenerated_net().condition(&Value::from(obs));
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn main() {
     // --- IC inference ---
     let t0 = std::time::Instant::now();
     let post_ic = ic_importance_sampling(
-        &mut model,
+        &model,
         &observes,
         TauDecayModel::OBSERVE_NAME,
         &mut trainer.net,

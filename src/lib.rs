@@ -42,11 +42,12 @@ pub mod prelude {
     pub use etalumis_data::{BucketerConfig, TraceBucketer, TraceChannel};
     pub use etalumis_distributions::{Distribution, TensorValue, Value};
     pub use etalumis_inference::{
-        ic_importance_sampling, importance_sampling, rmh, RmhConfig, WeightedTraces,
+        ic_importance_sampling, importance_sampling, parallel_importance_sampling, rmh,
+        IcProposerFactory, RmhConfig, WeightedTraces,
     };
     pub use etalumis_runtime::{
-        Backend, BatchRunner, CollectSink, DatasetGenConfig, RunPlan, RuntimeConfig,
-        ShardedTraceSink, SimulatorPool, StreamSink, TraceSink,
+        Backend, BatchRunner, CollectSink, DatasetGenConfig, PriorProposerFactory, RunPlan,
+        RuntimeConfig, ShardedTraceSink, SimulatorPool, StreamSink, TraceSink,
     };
     pub use etalumis_simulators::{GaussianUnknownMean, TauDecayModel};
     pub use etalumis_telemetry::{Collector, Logger, RunMetrics, Telemetry};

@@ -60,7 +60,14 @@ fn parallel_is_scales_and_preserves_statistics() {
     let obs = observe1("y", 1.2);
     let run = |workers: usize| {
         let mut pool = SimulatorPool::from_factory(workers, |_| BranchingModel::standard());
-        parallel_importance_sampling(Backend::Local(&mut pool), &obs, 12_000, 9).unwrap()
+        parallel_importance_sampling(
+            Backend::Local(&mut pool),
+            &PriorProposerFactory,
+            &obs,
+            12_000,
+            9,
+        )
+        .unwrap()
     };
     let (p1, p4) = (run(1), run(4));
     assert_eq!(p1.len(), p4.len());

@@ -4,10 +4,10 @@
 //! where the posterior is known exactly.
 
 use etalumis::prelude::*;
-use etalumis_core::Address;
 use etalumis_data::{generate_dataset, sort_dataset, TraceRecord};
-use etalumis_inference::ProposalProvider;
 use etalumis_nn::{Adam, LrSchedule};
+use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, SimulatorServer};
+use etalumis_runtime::{mix_seed, MuxSimulatorPool};
 use etalumis_simulators::{DetectorConfig, TauDecayConfig};
 use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, IcConfig, InferenceStats};
 
@@ -36,7 +36,7 @@ fn ic_beats_prior_is_on_conjugate_gaussian() {
     obs.insert("y0".into(), Value::Real(ys[0]));
     obs.insert("y1".into(), Value::Real(ys[1]));
     let n = 3000;
-    let post_ic = ic_importance_sampling(&mut model, &obs, "y0", &mut trainer.net, n, 5);
+    let post_ic = ic_importance_sampling(&model, &obs, "y0", &mut trainer.net, n, 5);
     let post_prior = importance_sampling(&mut model, &obs, n, 5);
     let f = |t: &etalumis_core::Trace| t.value_by_name("mu").unwrap().as_f64();
     let (am, astd) = model.posterior(&ys);
@@ -81,7 +81,7 @@ fn distributed_pipeline_runs_end_to_end_on_disk() {
     // Guided inference with the trained net.
     let mut obs = ObserveMap::new();
     obs.insert("y".into(), Value::Real(0.4));
-    let post = ic_importance_sampling(&mut model, &obs, "y", &mut net, 500, 1);
+    let post = ic_importance_sampling(&model, &obs, "y", &mut net, 500, 1);
     assert!(post.effective_sample_size() > 10.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -132,27 +132,29 @@ fn briefly_trained(
     (trainer, records, observes)
 }
 
-/// The parent commit's conditioning, as the reference: the observation is
-/// embedded again at the start of every trace.
-struct ReembedEveryTrace<'a> {
-    net: &'a mut IcNetwork,
-    observation: Value,
-}
-
-impl ProposalProvider for ReembedEveryTrace<'_> {
-    fn condition(&mut self, observation: &Value) {
-        self.observation = observation.clone();
-    }
-    fn begin_trace(&mut self) {
-        self.net.condition(&self.observation);
-        self.net.begin_trace();
-    }
-    fn propose(&mut self, address: &Address, prior: &Distribution) -> Option<Distribution> {
-        self.net.propose(address, prior)
-    }
-    fn notify(&mut self, address: &Address, prior: &Distribution, value: &Value) {
-        self.net.notify(address, prior, value);
-    }
+/// The serial reference, built from public pieces: trace `i` alone on this
+/// thread under `mix_seed(seed, i)` with a proposer of its own — and, with
+/// `reembed`, a network conditioned again for every trace, so nothing of one
+/// trace's conditioning or state reaches the next.
+fn serial_reference<M: ProbProgram>(
+    model: &mut M,
+    observes: &ObserveMap,
+    observe_name: &str,
+    net: &mut IcNetwork,
+    (n, seed): (usize, u64),
+    reembed: bool,
+) -> WeightedTraces {
+    let mut run = |i: usize, factory: &IcProposerFactory<IcNetwork>| {
+        Executor::execute_seeded(model, &mut factory.proposer(), observes, mix_seed(seed, i))
+    };
+    let traces: Vec<Trace> = if reembed {
+        (0..n).map(|i| run(i, &IcProposerFactory::condition(net, observes, observe_name))).collect()
+    } else {
+        let factory = IcProposerFactory::condition(net, observes, observe_name);
+        (0..n).map(|i| run(i, &factory)).collect()
+    };
+    let log_weights = traces.iter().map(Trace::log_weight).collect();
+    WeightedTraces::new(traces, log_weights)
 }
 
 fn assert_bit_equal(a: &WeightedTraces, b: &WeightedTraces, ctx: &str) {
@@ -170,25 +172,105 @@ fn assert_bit_equal(a: &WeightedTraces, b: &WeightedTraces, ctx: &str) {
     }
 }
 
+/// (seed, n) of the bit-identity cases.
+const CASES: [(u64, usize); 3] = [(1, 1), (2, 17), (3, 40)];
+
 #[test]
 fn conditioning_once_is_bit_identical_to_reembedding_every_trace() {
-    let mut tau = tiny_tau();
-    let mut gauss = GaussianUnknownMean::standard();
-    let cases: [(&mut dyn ProbProgram, [usize; 3], &str); 2] =
-        [(&mut tau, [4, 5, 5], TauDecayModel::OBSERVE_NAME), (&mut gauss, [1, 1, 1], "y0")];
-    for (model, dims, observe_name) in cases {
-        let (mut trainer, _, observes) = briefly_trained(model, dims, observe_name, 3);
-        for (seed, n) in [(1u64, 1usize), (2, 17), (3, 40)] {
-            let once =
-                ic_importance_sampling(model, &observes, observe_name, &mut trainer.net, n, seed);
-            let mut reference =
-                ReembedEveryTrace { net: &mut trainer.net, observation: Value::Unit };
+    fn check<M: ProbProgram + Clone + Send + 'static>(mut model: M, dims: [usize; 3], name: &str) {
+        let (mut trainer, _, observes) = briefly_trained(&mut model, dims, name, 3);
+        for (seed, n) in CASES {
+            let once = ic_importance_sampling(&model, &observes, name, &mut trainer.net, n, seed);
             let every =
-                ic_importance_sampling(model, &observes, observe_name, &mut reference, n, seed);
-            assert_bit_equal(&once, &every, &format!("{observe_name} seed {seed} n {n}"));
+                serial_reference(&mut model, &observes, name, &mut trainer.net, (n, seed), true);
+            assert_bit_equal(&once, &every, &format!("{name} seed {seed} n {n}"));
             assert!(once.traces.iter().any(|t| t.log_q != t.log_prior), "proposals were used");
         }
     }
+    check(tiny_tau(), [4, 5, 5], TauDecayModel::OBSERVE_NAME);
+    check(GaussianUnknownMean::standard(), [1, 1, 1], "y0");
+}
+
+/// An in-process mux pool of K sessions, each served by its own clone of
+/// `model` on a simulator-side thread.
+fn inproc_mux_pool<M: ProbProgram + Clone + Send + Sync + 'static>(
+    model: &M,
+    k: usize,
+) -> MuxSimulatorPool {
+    let model = model.clone();
+    MuxSimulatorPool::connect(k, "etalumis-rs", move |_| {
+        let (ep, sim_side) = InProcMuxEndpoint::pair();
+        let model = model.clone();
+        std::thread::spawn(move || {
+            let mut server = SimulatorServer::new("ic", model);
+            let mut t = sim_side;
+            let _ = server.serve(&mut t);
+        });
+        Ok(Box::new(ep) as Box<dyn MuxEndpoint>)
+    })
+    .unwrap()
+}
+
+#[test]
+fn ic_posteriors_are_bit_identical_across_worker_counts_and_backends() {
+    fn check<M: ProbProgram + Clone + Send + Sync + 'static>(
+        mut model: M,
+        dims: [usize; 3],
+        name: &str,
+    ) {
+        let (mut trainer, _, observes) = briefly_trained(&mut model, dims, name, 3);
+        let net = &mut trainer.net;
+        for (seed, n) in CASES {
+            let ctx = |run: &str| format!("{name} seed {seed} n {n}: {run}");
+            let reference = serial_reference(&mut model, &observes, name, net, (n, seed), false);
+            let stats = net.inference_stats();
+            assert_eq!(stats.conditions, 1, "{}", ctx("serial"));
+            assert_eq!(stats.lstm_steps, stats.proposals, "{}", ctx("serial"));
+            assert!(stats.proposals > 0, "{}", ctx("serial"));
+
+            let check_run = |run: &str, posterior: WeightedTraces, net: &IcNetwork| {
+                assert_bit_equal(&reference, &posterior, &ctx(run));
+                assert_eq!(net.inference_stats(), stats, "{}", ctx(run));
+            };
+            for workers in [1, 2, 3] {
+                let mut pool = SimulatorPool::from_factory(workers, |_| model.clone());
+                let factory = IcProposerFactory::condition(net, &observes, name);
+                let post = parallel_importance_sampling(
+                    Backend::Local(&mut pool),
+                    &factory,
+                    &observes,
+                    n,
+                    seed,
+                )
+                .unwrap();
+                drop(factory);
+                check_run(&format!("local pool of {workers}"), post, net);
+            }
+            // K = 4 sessions on M = 1 reactor, and on the default min(cores, K).
+            let mut pool = inproc_mux_pool(&model, 4);
+            let factory = IcProposerFactory::condition(net, &observes, name);
+            let cfg = DatasetGenConfig { n, seed, workers: 1, ..Default::default() };
+            let traces = RunPlan::new(Backend::Mux(&mut pool), &cfg)
+                .proposer(&factory)
+                .observes(&observes)
+                .run()
+                .unwrap()
+                .traces;
+            drop(factory);
+            let log_weights = traces.iter().map(Trace::log_weight).collect();
+            check_run("mux K=4 M=1", WeightedTraces::new(traces, log_weights), net);
+            let factory = IcProposerFactory::condition(net, &observes, name);
+            let post =
+                parallel_importance_sampling(Backend::Mux(&mut pool), &factory, &observes, n, seed)
+                    .unwrap();
+            drop(factory);
+            check_run("mux K=4, default reactors", post, net);
+            let post = ic_importance_sampling(&model, &observes, name, net, n, seed);
+            check_run("ic_importance_sampling", post, net);
+        }
+    }
+    check(tiny_tau(), [4, 5, 5], TauDecayModel::OBSERVE_NAME);
+    check(GaussianUnknownMean::standard(), [1, 1, 1], "y0");
 }
 
 #[test]
@@ -201,11 +283,11 @@ fn nothing_conditioned_survives_a_training_step() {
     let name = TauDecayModel::OBSERVE_NAME;
     let (mut trainer, records, observes) = briefly_trained(&mut model, [4, 5, 5], name, 2);
     let (mut fresh, _, _) = briefly_trained(&mut model, [4, 5, 5], name, 2);
-    let before = ic_importance_sampling(&mut model, &observes, name, &mut trainer.net, 20, 9);
+    let before = ic_importance_sampling(&model, &observes, name, &mut trainer.net, 20, 9);
     trainer.step(&records[64..96]);
     fresh.step(&records[64..96]);
-    let after = ic_importance_sampling(&mut model, &observes, name, &mut trainer.net, 20, 9);
-    let expected = ic_importance_sampling(&mut model, &observes, name, &mut fresh.net, 20, 9);
+    let after = ic_importance_sampling(&model, &observes, name, &mut trainer.net, 20, 9);
+    let expected = ic_importance_sampling(&model, &observes, name, &mut fresh.net, 20, 9);
     assert_bit_equal(&after, &expected, "after the step vs never conditioned before it");
     assert_ne!(before.log_weights, after.log_weights, "the step must move the proposals");
 }
@@ -216,7 +298,7 @@ fn inference_stats_count_one_embedding_and_one_lstm_step_per_controlled_sample()
     let name = TauDecayModel::OBSERVE_NAME;
     let (mut trainer, _, observes) = briefly_trained(&mut model, [4, 5, 5], name, 1);
     assert_eq!(trainer.net.inference_stats(), InferenceStats::default());
-    let post = ic_importance_sampling(&mut model, &observes, name, &mut trainer.net, 500, 4);
+    let post = ic_importance_sampling(&model, &observes, name, &mut trainer.net, 500, 4);
     let stats = trainer.net.inference_stats();
     // Traces that reach an address the 96 training traces never saw fall
     // back to the prior there: no LSTM step, log q = log p.
