@@ -34,9 +34,9 @@ fn run_strategy(strategy: AllReduceStrategy, iters: usize) {
             s.spawn(move || {
                 let mut grads = make_grads(rank, 400, 30);
                 for _ in 0..iters {
-                    let mut list: Vec<(&str, &mut [f32])> =
-                        grads.iter_mut().map(|g| ("g", g.as_mut_slice())).collect();
-                    black_box(ctx.allreduce_gradients(&mut list, strategy));
+                    let mut visit =
+                        |f: &mut dyn FnMut(&mut [f32])| grads.iter_mut().for_each(|g| f(g));
+                    black_box(ctx.allreduce(rank, strategy, &mut visit));
                 }
             });
         }

@@ -13,15 +13,13 @@
 //! for the CI smoke mode).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etalumis_data::{ChannelStats, TraceChannel};
+use etalumis_data::{BucketerConfig, ChannelStats, TraceChannel};
 use etalumis_nn::{Adam, LrSchedule};
 use etalumis_runtime::{
     generate_dataset_parallel, Backend, DatasetGenConfig, RunPlan, RuntimeConfig, SimulatorPool,
 };
 use etalumis_simulators::BranchingModel;
-use etalumis_train::{
-    train_stream, train_stream_offline, IcConfig, IcNetwork, StreamTrainConfig, Trainer,
-};
+use etalumis_train::{IcConfig, IcNetwork, Records, TrainPlan, Trainer};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -50,8 +48,11 @@ fn gen_cfg(n: usize, workers: usize) -> DatasetGenConfig {
     }
 }
 
-fn train_cfg() -> StreamTrainConfig {
-    StreamTrainConfig { batch: 32, spill_after: 256, warmup: 128, ..Default::default() }
+/// Train one rank on `records`: the offline replay and the live stream run
+/// the same plan.
+fn train(records: Records<'_>) {
+    let plan = TrainPlan::stream(records, BucketerConfig { batch: 32, spill_after: 256 }, 128);
+    plan.run(&mut new_trainer()).expect("training");
 }
 
 fn new_trainer() -> Trainer<Adam> {
@@ -77,8 +78,7 @@ fn run_offline(n: usize, workers: usize) -> (f64, f64) {
         .expect("offline generation");
     let gen_secs = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let mut trainer = new_trainer();
-    train_stream_offline(&mut trainer, &ds, &train_cfg(), CAPACITY).expect("offline training");
+    train(Records::Replay(&ds));
     let train_secs = t1.elapsed().as_secs_f64();
     drop(ds);
     let _ = std::fs::remove_dir_all(&dir);
@@ -98,8 +98,7 @@ fn run_streaming(n: usize, workers: usize) -> (f64, ChannelStats) {
                 .run()
                 .expect("streaming generation");
         });
-        let mut trainer = new_trainer();
-        train_stream(&mut trainer, &chan, &train_cfg());
+        train(Records::Channel(&chan));
     });
     (t0.elapsed().as_secs_f64(), chan.stats())
 }

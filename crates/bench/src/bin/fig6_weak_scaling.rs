@@ -10,8 +10,8 @@
 //! Run: `cargo run -p etalumis-bench --release --bin fig6_weak_scaling`
 
 use etalumis_bench::{bench_ic_config, tau_dataset, Field, Logger};
-use etalumis_nn::LrSchedule;
-use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, ScalingModel};
+use etalumis_nn::{Adam, LrSchedule};
+use etalumis_train::{IcNetwork, ScalingModel, TrainPlan, Trainer};
 
 fn main() {
     let log = Logger::from_args();
@@ -19,18 +19,10 @@ fn main() {
     let (ds, dir) = tau_dataset(256, 256, "fig6");
     let mut rates = Vec::new();
     for ranks in [1usize, 2] {
-        let dist = DistConfig {
-            ranks,
-            minibatch_per_rank: 16,
-            epochs: 1,
-            max_iterations: Some(8),
-            strategy: AllReduceStrategy::SparseConcat,
-            lr: LrSchedule::Constant(1e-3),
-            larc_trust: None,
-            buckets: 1,
-            seed: 5,
-        };
-        let (_, report) = train_distributed(&ds, bench_ic_config(6), &dist).expect("dataset read");
+        let net = IcNetwork::new(bench_ic_config(6));
+        let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(1e-3)));
+        let plan = TrainPlan::epochs(&ds, 16, 1, 5).ranks(ranks).max_steps(8);
+        let report = plan.run(&mut trainer).expect("dataset read");
         log.info(
             "measured_scaling",
             &[

@@ -8,32 +8,23 @@
 //! Run: `cargo run -p etalumis-bench --release --bin table2_throughput`
 
 use etalumis_bench::{bench_ic_config, tau_dataset, Field, Logger};
-use etalumis_nn::LrSchedule;
+use etalumis_nn::{Adam, LrSchedule};
 use etalumis_tensor::flops::training_flops;
-use etalumis_train::{platforms, train_distributed, AllReduceStrategy, DistConfig, IcConfig};
+use etalumis_train::{platforms, IcConfig, IcNetwork, TrainPlan, Trainer};
 
 fn measure(ranks: usize, ds: &etalumis_data::TraceDataset, cfg: IcConfig) -> (f64, f64) {
-    let dist = DistConfig {
-        ranks,
-        minibatch_per_rank: 16,
-        epochs: 1,
-        max_iterations: Some(12),
-        strategy: AllReduceStrategy::SparseConcat,
-        lr: LrSchedule::Constant(1e-3),
-        larc_trust: None,
-        buckets: 1,
-        seed: 2,
-    };
-    let (net, report) = train_distributed(ds, cfg, &dist).expect("dataset read");
+    let mut trainer = Trainer::new(IcNetwork::new(cfg), Adam::new(LrSchedule::Constant(1e-3)));
+    let report = TrainPlan::epochs(ds, 16, 1, 2)
+        .ranks(ranks)
+        .max_steps(12)
+        .run(&mut trainer)
+        .expect("dataset read");
     // Flops per trace: forward count for the mean trace length × the
     // forward+backward multiplier.
-    let mut net = net;
     let mean_len = (0..ds.len()).map(|i| ds.meta(i).1 as u64).sum::<u64>() / ds.len() as u64;
-    let fwd = net.forward_flops(1, mean_len as usize);
+    let fwd = trainer.net.forward_flops(1, mean_len as usize);
     let flops_per_trace = training_flops(fwd);
     let tps = report.traces_per_sec();
-    use etalumis_nn::Module;
-    let _ = net.num_params();
     (tps, tps * flops_per_trace as f64 / 1e9)
 }
 

@@ -46,6 +46,4 @@ pub use shard::{
     RollingShardWriter, ShardReader, ShardWriter, WriterProgress, CHECKPOINT_MANIFEST_NAME,
     PARTIAL_EXT, REPAIR_PREFIX,
 };
-pub use stream::{
-    stream_dataset_into, BucketerConfig, ChannelClosed, ChannelStats, TraceBucketer, TraceChannel,
-};
+pub use stream::{BucketerConfig, ChannelClosed, ChannelStats, TraceBucketer, TraceChannel};

@@ -27,7 +27,6 @@
 //! on the record order — which is what lets a streaming run be replayed
 //! bit-identically from the teed shards (see the runtime's `TeeSink`).
 
-use crate::dataset::TraceDataset;
 use crate::record::TraceRecord;
 use etalumis_telemetry::Telemetry;
 use std::collections::{BTreeMap, VecDeque};
@@ -237,37 +236,6 @@ impl TraceChannel {
             max_occupancy: self.max_occupancy.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Replay a dataset's records, in dataset order, into a channel.
-///
-/// This is the offline comparator of the streaming pipeline: a streaming
-/// run teed through a single-partition [`CheckpointSink`] commits records
-/// in batch-index order, so reading the teed shards back in dataset order
-/// reproduces the live stream record-for-record — training over this
-/// replay is bit-identical to training over the live run.
-///
-/// Returns the number of records delivered; stops early (without error) if
-/// the consumer closes the channel. The channel is **not** closed on
-/// return — the caller owns the close, so several datasets can be
-/// concatenated into one stream.
-///
-/// [`CheckpointSink`]: ../../etalumis_runtime/checkpoint/struct.CheckpointSink.html
-pub fn stream_dataset_into(
-    dataset: &TraceDataset,
-    channel: &TraceChannel,
-) -> std::io::Result<usize> {
-    let mut sent = 0usize;
-    let indices: Vec<usize> = (0..dataset.len()).collect();
-    for chunk in indices.chunks(4096) {
-        for rec in dataset.get_many(chunk)? {
-            if channel.send(rec).is_err() {
-                return Ok(sent);
-            }
-            sent += 1;
-        }
-    }
-    Ok(sent)
 }
 
 /// Knobs for the [`TraceBucketer`].

@@ -106,6 +106,7 @@ impl Cnn3dConfig {
 }
 
 /// A Conv3D + ReLU stage with caches for backward.
+#[derive(Clone)]
 struct ConvStage {
     w: Parameter,
     b: Parameter,
@@ -116,10 +117,12 @@ struct ConvStage {
 }
 
 /// A MaxPool stage with argmax caches.
+#[derive(Clone)]
 struct PoolStage {
     arg_cache: Vec<(Vec<u32>, Vec<usize>)>,
 }
 
+#[derive(Clone)]
 enum Stage {
     Conv(ConvStage),
     Pool(PoolStage),
@@ -150,7 +153,7 @@ const SPARE_MIN_BYTES: usize = 2 << 20;
 /// memory went back to the OS and was faulted in again each step. On
 /// `Cnn3dConfig::small` over 8×13×13 voxels at B = 64 (first-stage output
 /// 2.8 MB) that was about 1 800 page faults, a tenth of the step.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Spare(BTreeMap<usize, Vec<Vec<f32>>>);
 
 impl Spare {
@@ -180,6 +183,7 @@ fn per_image(shape: &[usize]) -> usize {
 }
 
 /// The observation encoder: CNN stack + FC to the embedding dimension.
+#[derive(Clone)]
 pub struct Cnn3d {
     /// Static configuration.
     pub config: Cnn3dConfig,

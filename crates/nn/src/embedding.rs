@@ -12,6 +12,7 @@ use etalumis_tensor::Tensor;
 use rand::Rng;
 
 /// A lookup table of learned vectors: rows are embeddings.
+#[derive(Clone)]
 pub struct Embedding {
     /// Table [num_entries, dim].
     pub table: Parameter,
@@ -100,6 +101,7 @@ impl Module for Embedding {
 ///
 /// Continuous values enter as a normalized scalar; categorical values as a
 /// one-hot vector of width `in_dim`.
+#[derive(Clone)]
 pub struct SampleEmbedding {
     lin: Linear,
     relu_cache: Vec<Tensor>,

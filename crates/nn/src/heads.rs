@@ -42,6 +42,7 @@ fn softplus64(x: f64) -> f64 {
 }
 
 /// Mixture-of-truncated-normals head for bounded continuous priors.
+#[derive(Clone)]
 pub struct MixtureTnHead {
     trunk: Mlp2,
     /// Number of mixture components.
@@ -174,6 +175,7 @@ impl Module for MixtureTnHead {
 }
 
 /// Categorical proposal head for discrete priors.
+#[derive(Clone)]
 pub struct CategoricalHead {
     trunk: Mlp2,
     /// Number of categories.
@@ -231,6 +233,7 @@ impl Module for CategoricalHead {
 }
 
 /// Gaussian proposal head for unbounded continuous priors.
+#[derive(Clone)]
 pub struct NormalHead {
     trunk: Mlp2,
     /// Scale hint (≈ prior std) used to parameterize outputs.

@@ -13,6 +13,7 @@ use etalumis_tensor::Tensor;
 use rand::Rng;
 
 /// y = x·W + b with W stored as [in, out].
+#[derive(Clone)]
 pub struct Linear {
     /// Weight matrix [in_dim, out_dim].
     pub w: Parameter,
@@ -104,6 +105,7 @@ pub struct MlpScratch {
 
 /// Two-layer perceptron with ReLU: the "two-layer NNs" used by the paper's
 /// proposal layers (§4.3).
+#[derive(Clone)]
 pub struct Mlp2 {
     /// First linear layer.
     pub l1: Linear,

@@ -32,7 +32,7 @@ use rand::Rng;
 /// Flat per-layer activation storage for one recorded sequence. One growing
 /// buffer per quantity, `[T, B, ·]` row-major, cleared (capacity kept) at
 /// `begin_sequence` — replaces the per-step cloned `StepCache` tensors.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct SeqArena {
     /// Layer inputs `[T, B, in]`.
     x: Vec<f32>,
@@ -69,6 +69,7 @@ struct GateScratch {
 }
 
 /// One LSTM layer with fused gate weights (gate order: i, f, g, o).
+#[derive(Clone)]
 struct LstmLayer {
     w_ih: Parameter, // [input, 4H]
     w_hh: Parameter, // [H, 4H]
@@ -290,6 +291,7 @@ impl LstmState {
 }
 
 /// Stacked LSTM.
+#[derive(Clone)]
 pub struct Lstm {
     layers: Vec<LstmLayer>,
     input_size: usize,

@@ -102,6 +102,7 @@ pub trait Optimizer {
 }
 
 /// Plain SGD with optional momentum.
+#[derive(Clone)]
 pub struct Sgd {
     schedule: LrSchedule,
     momentum: f64,
@@ -142,6 +143,7 @@ impl Optimizer for Sgd {
 }
 
 /// Adam (Kingma & Ba) with bias correction.
+#[derive(Clone)]
 pub struct Adam {
     schedule: LrSchedule,
     beta1: f64,

@@ -12,11 +12,13 @@
 //! Ranks are threads sharing an [`AllReduceCtx`]; every reduction "round"
 //! costs two barrier crossings (mirroring an `MPI_Allreduce` call), so the
 //! per-tensor strategy pays the latency the paper measured and the
-//! concatenated strategy amortizes it.
+//! concatenated strategy amortizes it. Each rank writes its contribution to
+//! its own slot and every rank adds the slots up in rank order, so the sum
+//! has the same bits on every rank and in every run, whatever order the
+//! ranks arrive in.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, RwLock};
 
 /// Reduction strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,12 +32,15 @@ pub enum AllReduceStrategy {
     SparseConcat,
 }
 
+/// One rank's gradient tensors: hands each, in an order every rank shares,
+/// to the function it is given.
+pub type GradVisitor<'a> = dyn FnMut(&mut dyn FnMut(&mut [f32])) + 'a;
+
 /// Shared state for `n` rank threads.
 pub struct AllReduceCtx {
-    n: usize,
     barrier: Barrier,
-    buffer: Mutex<Vec<f32>>,
-    flags: Mutex<Vec<bool>>,
+    /// Rank `r`'s contribution to the current round.
+    slots: Vec<RwLock<Vec<f32>>>,
     /// Reduction rounds performed (for instrumentation).
     rounds: AtomicUsize,
 }
@@ -44,17 +49,15 @@ impl AllReduceCtx {
     /// New context for `n` ranks.
     pub fn new(n: usize) -> Self {
         Self {
-            n,
             barrier: Barrier::new(n),
-            buffer: Mutex::new(Vec::new()),
-            flags: Mutex::new(Vec::new()),
+            slots: (0..n).map(|_| RwLock::new(Vec::new())).collect(),
             rounds: AtomicUsize::new(0),
         }
     }
 
     /// Number of participating ranks.
     pub fn num_ranks(&self) -> usize {
-        self.n
+        self.slots.len()
     }
 
     /// Total reduction rounds so far.
@@ -63,145 +66,90 @@ impl AllReduceCtx {
     }
 
     /// One synchronous sum-reduction round over a flat buffer; on return
-    /// every rank's `data` holds the element-wise sum across ranks.
-    pub fn reduce_sum(&self, data: &mut [f32]) {
-        // Round 1: first rank to arrive sizes the buffer; all add.
-        self.barrier.wait();
+    /// every rank's `data` holds the element-wise sum `((0 + x₀) + x₁) + …`
+    /// over ranks in rank order.
+    pub fn reduce_sum(&self, rank: usize, data: &mut [f32]) {
         {
-            let mut buf = self.buffer.lock();
-            if buf.len() != data.len() {
-                buf.clear();
-                buf.resize(data.len(), 0.0);
-            }
-            for (b, &d) in buf.iter_mut().zip(data.iter()) {
-                *b += d;
-            }
+            let mut mine = self.slots[rank].write().unwrap_or_else(|e| e.into_inner());
+            mine.clear();
+            mine.extend_from_slice(data);
         }
         self.barrier.wait();
-        {
-            let buf = self.buffer.lock();
-            data.copy_from_slice(&buf);
-        }
-        self.barrier.wait();
-        // One rank clears for the next round (rank-agnostic: the first one
-        // through the lock after the last barrier).
-        {
-            let mut buf = self.buffer.lock();
-            if !buf.is_empty() {
-                buf.clear();
+        data.fill(0.0);
+        for slot in &self.slots {
+            let slot = slot.read().unwrap_or_else(|e| e.into_inner());
+            for (d, &s) in data.iter_mut().zip(slot.iter()) {
+                *d += s;
             }
         }
+        // No rank may overwrite its slot before every rank has read it.
         self.barrier.wait();
         self.rounds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Synchronous logical-OR reduction of a presence bitmap.
-    pub fn reduce_or(&self, bits: &mut [bool]) {
-        self.barrier.wait();
-        {
-            let mut fl = self.flags.lock();
-            if fl.len() != bits.len() {
-                fl.clear();
-                fl.resize(bits.len(), false);
-            }
-            for (f, &b) in fl.iter_mut().zip(bits.iter()) {
-                *f |= b;
-            }
-        }
-        self.barrier.wait();
-        {
-            let fl = self.flags.lock();
-            bits.copy_from_slice(&fl);
-        }
-        self.barrier.wait();
-        {
-            let mut fl = self.flags.lock();
-            if !fl.is_empty() {
-                fl.clear();
-            }
-        }
-        self.barrier.wait();
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Allreduce-average a list of named gradient tensors under a strategy.
+    /// Allreduce-average gradient tensors under a strategy; returns the
+    /// scalar elements this rank communicated.
     ///
-    /// Every rank must call this with the same tensor list (same names,
-    /// same order, same shapes) — exactly the contract of the paper's
-    /// globally shared pre-generated network. Returns the number of scalar
-    /// elements communicated by this rank.
-    pub fn allreduce_gradients(
+    /// `grads` visits the same tensors, with the same shapes, on every rank
+    /// — exactly the contract of the paper's globally shared pre-generated
+    /// network. It is called up to three times per reduction.
+    pub fn allreduce(
         &self,
-        grads: &mut [(&str, &mut [f32])],
+        rank: usize,
         strategy: AllReduceStrategy,
+        grads: &mut GradVisitor<'_>,
     ) -> usize {
-        let inv_n = 1.0 / self.n as f32;
-        match strategy {
-            AllReduceStrategy::DensePerTensor => {
-                let mut elems = 0;
-                for (_, g) in grads.iter_mut() {
-                    self.reduce_sum(g);
-                    for v in g.iter_mut() {
-                        *v *= inv_n;
+        let n = self.num_ranks() as f32;
+        let dense = strategy == AllReduceStrategy::DensePerTensor;
+        // Presence map: which tensors have a non-zero gradient on any rank.
+        let mut present = Vec::new();
+        grads(&mut |g| present.push(f32::from(dense || g.iter().any(|&x| x != 0.0))));
+        let mut elems = 0;
+        if !dense {
+            self.reduce_sum(rank, &mut present);
+            elems += present.len();
+        }
+        let mut i = 0;
+        if strategy == AllReduceStrategy::SparseConcat {
+            let mut buf = Vec::new();
+            grads(&mut |g| {
+                if present[i] > 0.0 {
+                    buf.extend_from_slice(g);
+                }
+                i += 1;
+            });
+            self.reduce_sum(rank, &mut buf);
+            elems += buf.len();
+            let mut rest = &buf[..];
+            i = 0;
+            grads(&mut |g| {
+                if present[i] > 0.0 {
+                    let (mine, tail) = rest.split_at(g.len());
+                    for (dst, src) in g.iter_mut().zip(mine) {
+                        *dst = src / n;
                     }
+                    rest = tail;
+                }
+                i += 1;
+            });
+        } else {
+            grads(&mut |g| {
+                if present[i] > 0.0 {
+                    self.reduce_sum(rank, g);
+                    g.iter_mut().for_each(|x| *x /= n);
                     elems += g.len();
                 }
-                elems
-            }
-            AllReduceStrategy::SparsePerTensor | AllReduceStrategy::SparseConcat => {
-                // Presence map: which tensors have any non-zero gradient on
-                // any rank.
-                let mut present: Vec<bool> =
-                    grads.iter().map(|(_, g)| g.iter().any(|&x| x != 0.0)).collect();
-                self.reduce_or(&mut present);
-                if strategy == AllReduceStrategy::SparsePerTensor {
-                    let mut elems = present.len();
-                    for (i, (_, g)) in grads.iter_mut().enumerate() {
-                        if present[i] {
-                            self.reduce_sum(g);
-                            for v in g.iter_mut() {
-                                *v *= inv_n;
-                            }
-                            elems += g.len();
-                        }
-                    }
-                    elems
-                } else {
-                    // Concatenate all present tensors into one buffer.
-                    let total: usize = grads
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| present[*i])
-                        .map(|(_, (_, g))| g.len())
-                        .sum();
-                    let mut buf = Vec::with_capacity(total);
-                    for (i, (_, g)) in grads.iter().enumerate() {
-                        if present[i] {
-                            buf.extend_from_slice(g);
-                        }
-                    }
-                    self.reduce_sum(&mut buf);
-                    let mut off = 0;
-                    for (i, (_, g)) in grads.iter_mut().enumerate() {
-                        if present[i] {
-                            let len = g.len();
-                            for (dst, src) in g.iter_mut().zip(buf[off..off + len].iter()) {
-                                *dst = src * inv_n;
-                            }
-                            off += len;
-                        }
-                    }
-                    present.len() + total
-                }
-            }
+                i += 1;
+            });
         }
+        elems
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn run_ranks<F: Fn(usize) + Sync>(n: usize, f: F) {
         std::thread::scope(|s| {
@@ -212,19 +160,53 @@ mod tests {
         });
     }
 
+    /// Reduce `tensors` on every rank as one list of named gradients.
+    fn reduce_list(
+        ctx: &AllReduceCtx,
+        rank: usize,
+        strategy: AllReduceStrategy,
+        tensors: &mut [Vec<f32>],
+    ) -> usize {
+        ctx.allreduce(rank, strategy, &mut |f| tensors.iter_mut().for_each(|t| f(t)))
+    }
+
     #[test]
     fn reduce_sum_sums_across_ranks() {
         let ctx = Arc::new(AllReduceCtx::new(3));
         let out = Mutex::new(vec![Vec::new(); 3]);
         run_ranks(3, |r| {
             let mut data = vec![r as f32 + 1.0; 4];
-            ctx.reduce_sum(&mut data);
-            out.lock()[r] = data;
+            ctx.reduce_sum(r, &mut data);
+            out.lock().unwrap()[r] = data;
         });
-        let res = out.lock();
+        let res = out.lock().unwrap();
         for r in 0..3 {
             assert_eq!(res[r], vec![6.0; 4], "rank {r}");
         }
+    }
+
+    #[test]
+    fn reduce_sum_adds_in_rank_order_whatever_the_arrival_order() {
+        // (1 + 1e8) − 1e8 = 0 in f32, while −1e8 + 1e8 + 1 = 1: the sum
+        // depends on the order. Staggered sleeps make rank 2 reach the
+        // reduction last, so it runs on through the barrier while ranks 0
+        // and 1 are still waking: an arrival-order sum adds −1e8 first and
+        // reads 1 in some of the rounds. Every rank must read the rank-order
+        // sum in every round.
+        let ctx = AllReduceCtx::new(3);
+        let contributions = [1.0f32, 1e8, -1e8];
+        let out = Mutex::new(Vec::new());
+        run_ranks(3, |r| {
+            for _ in 0..100 {
+                std::thread::sleep(std::time::Duration::from_millis(2 * r as u64));
+                let mut data = [contributions[r]];
+                ctx.reduce_sum(r, &mut data);
+                out.lock().unwrap().push(data[0]);
+            }
+        });
+        let out = out.into_inner().unwrap();
+        assert_eq!(out.len(), 300);
+        assert!(out.iter().all(|&x| x.to_bits() == 0.0f32.to_bits()), "{out:?}");
     }
 
     #[test]
@@ -233,7 +215,7 @@ mod tests {
         run_ranks(2, |r| {
             for round in 0..5 {
                 let mut data = vec![(r + round) as f32; 3];
-                ctx.reduce_sum(&mut data);
+                ctx.reduce_sum(r, &mut data);
                 let expect = (0 + round) as f32 + (1 + round) as f32;
                 assert_eq!(data, vec![expect; 3], "round {round}");
             }
@@ -253,17 +235,13 @@ mod tests {
             run_ranks(2, |r| {
                 // Rank 0 has grads in tensor A only; rank 1 in tensor B only;
                 // tensor C is null on both (skipped by sparse strategies).
-                let mut a = if r == 0 { vec![2.0, 4.0] } else { vec![0.0, 0.0] };
-                let mut b = if r == 1 { vec![6.0] } else { vec![0.0] };
-                let mut c = vec![0.0, 0.0, 0.0];
-                {
-                    let mut list: Vec<(&str, &mut [f32])> =
-                        vec![("a", &mut a), ("b", &mut b), ("c", &mut c)];
-                    ctx.allreduce_gradients(&mut list, strategy);
-                }
-                results.lock()[r] = vec![a, b, c];
+                let a = if r == 0 { vec![2.0, 4.0] } else { vec![0.0, 0.0] };
+                let b = if r == 1 { vec![6.0] } else { vec![0.0] };
+                let mut list = vec![a, b, vec![0.0, 0.0, 0.0]];
+                reduce_list(&ctx, r, strategy, &mut list);
+                results.lock().unwrap()[r] = list;
             });
-            let res = results.lock();
+            let res = results.lock().unwrap();
             for r in 0..2 {
                 assert_eq!(res[r][0], vec![1.0, 2.0], "{strategy:?} rank {r} tensor a");
                 assert_eq!(res[r][1], vec![3.0], "{strategy:?} rank {r} tensor b");
@@ -279,29 +257,20 @@ mod tests {
         let dense_elems = Mutex::new(0usize);
         let sparse_elems = Mutex::new(0usize);
         run_ranks(2, |r| {
-            let mut tensors: Vec<Vec<f32>> =
-                (0..10).map(|i| if i == r { vec![1.0; 100] } else { vec![0.0; 100] }).collect();
-            {
-                let mut list: Vec<(&str, &mut [f32])> =
-                    tensors.iter_mut().map(|t| ("t", t.as_mut_slice())).collect();
-                let e = ctx_dense.allreduce_gradients(&mut list, AllReduceStrategy::DensePerTensor);
-                if r == 0 {
-                    *dense_elems.lock() = e;
-                }
+            let tensors = || -> Vec<Vec<f32>> {
+                (0..10).map(|i| if i == r { vec![1.0; 100] } else { vec![0.0; 100] }).collect()
+            };
+            let e = reduce_list(&ctx_dense, r, AllReduceStrategy::DensePerTensor, &mut tensors());
+            if r == 0 {
+                *dense_elems.lock().unwrap() = e;
             }
-            let mut tensors2: Vec<Vec<f32>> =
-                (0..10).map(|i| if i == r { vec![1.0; 100] } else { vec![0.0; 100] }).collect();
-            {
-                let mut list: Vec<(&str, &mut [f32])> =
-                    tensors2.iter_mut().map(|t| ("t", t.as_mut_slice())).collect();
-                let e = ctx_sparse.allreduce_gradients(&mut list, AllReduceStrategy::SparseConcat);
-                if r == 0 {
-                    *sparse_elems.lock() = e;
-                }
+            let e = reduce_list(&ctx_sparse, r, AllReduceStrategy::SparseConcat, &mut tensors());
+            if r == 0 {
+                *sparse_elems.lock().unwrap() = e;
             }
         });
-        assert_eq!(*dense_elems.lock(), 1000);
+        assert_eq!(*dense_elems.lock().unwrap(), 1000);
         // Sparse: presence map (10) + 2 non-null tensors (200).
-        assert_eq!(*sparse_elems.lock(), 210);
+        assert_eq!(*sparse_elems.lock().unwrap(), 210);
     }
 }

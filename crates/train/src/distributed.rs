@@ -1,333 +1,155 @@
-//! Distributed synchronous data-parallel training (Algorithm 2).
+//! Algorithm 2, one rank's loop: synchronous data-parallel SGD.
 //!
-//! Ranks are OS threads, each holding an identical replica of the
-//! pre-generated IC network (offline mode, §4.4) and its own optimizer
-//! state; every iteration they read their minibatch from the shared sorted
-//! dataset via the distributed sampler, compute gradients, average them with
-//! a synchronous allreduce, and apply the same update — so all replicas stay
-//! bit-identical, exactly like MPI synchronous SGD.
+//! Every [`TrainPlan`](crate::TrainPlan) runs this loop on each of its
+//! ranks: take a batch → [`accumulate_minibatch`] → reduce → check the stop
+//! bit → clip + optimizer + telemetry. Ranks are OS threads holding
+//! bit-identical replicas of the pre-generated network (offline mode, §4.4)
+//! with their own optimizer state; on more than one rank a step averages
+//! the gradients with the §4.4.4 allreduce and sums `[loss·used, used,
+//! stop]`, so every rank applies the same update and the replicas stay
+//! bit-identical, exactly like MPI synchronous SGD. One rank reduces
+//! nothing.
 //!
-//! Per-rank, per-iteration phase timings (minibatch read / forward /
-//! backward / optimizer / sync) are recorded — the measurements behind the
-//! paper's Figure 4 load-imbalance analysis.
+//! Leaving together: a rank without a batch — its side of the stream is
+//! exhausted, or a shard read failed (`etalumis_data::DecodeError`) —
+//! cannot simply break, because the other ranks are already committed to
+//! this step's collectives and would block forever. It joins them with an
+//! empty minibatch (zero gradients) and raises the stop bit; every rank
+//! sees the same reduced bit and leaves before the optimizer step, so the
+//! replicas stay identical and the partial round trains nobody.
+//!
+//! Per-rank, per-step phase timings (minibatch read / forward / backward /
+//! optimizer / sync) are the measurements behind the paper's Figure 4
+//! load-imbalance analysis.
 
 use crate::allreduce::{AllReduceCtx, AllReduceStrategy};
-use crate::network::{IcConfig, IcNetwork};
-use crate::trainer::{accumulate_minibatch, PhaseTimings};
-use etalumis_data::{DistributedSampler, SamplerConfig, TraceDataset};
-use etalumis_nn::{Adam, LrSchedule, Module, Optimizer};
-use parking_lot::Mutex;
+use crate::streaming::ReleaseFeed;
+use crate::trainer::{accumulate_minibatch, PhaseTimings, Trainer};
+use etalumis_data::{DistributedSampler, TraceDataset, TraceRecord};
+use etalumis_nn::{Module, Optimizer};
+use std::io;
+use std::ops::Range;
 use std::time::Instant;
 
-/// Distributed-training configuration.
-#[derive(Clone, Debug)]
-pub struct DistConfig {
-    /// Number of rank threads.
-    pub ranks: usize,
-    /// Local minibatch size per rank (paper: 64).
-    pub minibatch_per_rank: usize,
-    /// Training epochs over the dataset.
-    pub epochs: usize,
-    /// Cap on total iterations (None = full epochs).
-    pub max_iterations: Option<usize>,
-    /// Gradient-reduction strategy.
-    pub strategy: AllReduceStrategy,
-    /// Learning-rate schedule for Adam.
-    pub lr: LrSchedule,
-    /// Optional LARC trust coefficient (Adam-LARC when set).
-    pub larc_trust: Option<f64>,
-    /// Number of length buckets in the sampler (1 = none).
-    pub buckets: usize,
-    /// Sampler shuffle seed.
-    pub seed: u64,
+/// Where one rank's minibatches come from.
+pub(crate) enum Batches<'a> {
+    /// This rank's slice `per_rank[rank]` of each remaining epoch's plan.
+    Epochs {
+        dataset: &'a TraceDataset,
+        sampler: &'a DistributedSampler,
+        epochs: Range<usize>,
+        slice: std::vec::IntoIter<Vec<usize>>,
+    },
+    /// Global release `step·ranks + rank` of a stream.
+    Stream(&'a ReleaseFeed),
 }
 
-impl Default for DistConfig {
-    fn default() -> Self {
-        Self {
-            ranks: 2,
-            minibatch_per_rank: 16,
-            epochs: 1,
-            max_iterations: None,
-            strategy: AllReduceStrategy::SparseConcat,
-            lr: LrSchedule::Constant(1e-3),
-            larc_trust: None,
-            buckets: 1,
-            seed: 0,
-        }
-    }
-}
-
-/// Outcome of a distributed run.
-#[derive(Debug, Default)]
-pub struct DistReport {
-    /// Global mean loss per iteration (allreduced).
-    pub losses: Vec<f64>,
-    /// Phase timings: `[rank][iteration]`.
-    pub per_rank_timings: Vec<Vec<PhaseTimings>>,
-    /// Total traces consumed across ranks.
-    pub traces_total: usize,
-    /// Wall-clock seconds of the parallel section.
-    pub wall_secs: f64,
-    /// Scalar elements communicated per rank per iteration (mean).
-    pub comm_elems_per_iter: f64,
-}
-
-impl DistReport {
-    /// Aggregate throughput in traces/s.
-    pub fn traces_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.traces_total as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Figure 4 decomposition: per-phase (actual, best) times, where
-    /// *actual* sums the per-iteration maxima over ranks (what the job
-    /// really took) and *best* sums the per-iteration means (the
-    /// no-imbalance bound).
-    pub fn actual_vs_best(&self) -> (PhaseTimings, PhaseTimings) {
-        let iters = self.per_rank_timings.iter().map(|r| r.len()).min().unwrap_or(0);
-        let ranks = self.per_rank_timings.len();
-        let mut actual = PhaseTimings::default();
-        let mut best = PhaseTimings::default();
-        for it in 0..iters {
-            // Max total work across ranks (the rank everyone waits for).
-            let mut max_total = 0.0;
-            let mut max_rank = 0;
-            let mut mean = PhaseTimings::default();
-            for r in 0..ranks {
-                let t = &self.per_rank_timings[r][it];
-                let work = t.batch_read + t.forward + t.backward + t.optimizer;
-                if work > max_total {
-                    max_total = work;
-                    max_rank = r;
+impl Batches<'_> {
+    fn next(
+        &mut self,
+        rank: usize,
+        ranks: usize,
+        step: usize,
+    ) -> io::Result<Option<Vec<TraceRecord>>> {
+        match self {
+            Batches::Stream(feed) => Ok(feed.take(step * ranks + rank)),
+            Batches::Epochs { dataset, sampler, epochs, slice } => loop {
+                if let Some(minibatch) = slice.next() {
+                    return dataset.get_many(&minibatch).map(Some);
                 }
-                mean.add(t);
+                let Some(epoch) = epochs.next() else { return Ok(None) };
+                *slice = sampler.epoch(epoch).per_rank.swap_remove(rank).into_iter();
+            },
+        }
+    }
+}
+
+/// The collective half of a step on more than one rank.
+pub(crate) struct Reducer {
+    pub(crate) ctx: AllReduceCtx,
+    pub(crate) strategy: AllReduceStrategy,
+}
+
+/// What one rank's loop leaves behind.
+#[derive(Default)]
+pub(crate) struct RankLog {
+    /// Global mean loss of every applied step (the same on every rank).
+    pub(crate) losses: Vec<f64>,
+    pub(crate) timings: Vec<PhaseTimings>,
+    /// Traces this rank trained on.
+    pub(crate) used: usize,
+    /// Gradient elements this rank communicated.
+    pub(crate) elems: usize,
+    /// The read failure that stopped this rank.
+    pub(crate) error: Option<io::Error>,
+    /// Wall time of the loop.
+    pub(crate) wall_secs: f64,
+}
+
+/// Train one rank until its batches run out on any rank, a read fails on
+/// any rank, or `max_steps` steps have been applied.
+pub(crate) fn rank_loop<O: Optimizer>(
+    trainer: &mut Trainer<O>,
+    rank: usize,
+    mut batches: Batches<'_>,
+    reducer: Option<&Reducer>,
+    max_steps: Option<usize>,
+) -> RankLog {
+    let ranks = reducer.map_or(1, |r| r.ctx.num_ranks());
+    let _worker = reducer.map(|_| trainer.tel.worker_scope(rank as u32));
+    let started = Instant::now();
+    let mut log = RankLog::default();
+    while max_steps.is_none_or(|cap| log.losses.len() < cap) {
+        // Dropped at the end of the step (or at the stop, where it covers
+        // the final collective round) so the phase spans nest under it.
+        let _step_span = trainer.tel.span("train.step");
+        let t0 = Instant::now();
+        let (records, stop) = match batches.next(rank, ranks, log.losses.len()) {
+            Ok(Some(records)) => (records, false),
+            Ok(None) => (Vec::new(), true),
+            Err(e) => {
+                log.error = Some(e);
+                (Vec::new(), true)
             }
-            actual.add(&self.per_rank_timings[max_rank][it]);
-            best.add(&mean.scale(1.0 / ranks as f64));
+        };
+        let batch_read = t0.elapsed().as_secs_f64();
+        let mut res = accumulate_minibatch(&mut trainer.net, &records);
+        res.timings.batch_read = batch_read;
+        let (loss, stop) = match reducer {
+            None => (res.loss, stop),
+            Some(Reducer { ctx, strategy }) => {
+                let t0 = Instant::now();
+                let net = &mut trainer.net;
+                log.elems += ctx.allreduce(rank, *strategy, &mut |f| {
+                    net.visit_params("", &mut |_, p| f(p.grad.data_mut()))
+                });
+                let used = res.used as f64;
+                let mut stats = [(res.loss * used) as f32, used as f32, f32::from(stop)];
+                ctx.reduce_sum(rank, &mut stats);
+                res.timings.sync = t0.elapsed().as_secs_f64();
+                let loss =
+                    if stats[1] > 0.0 { stats[0] as f64 / stats[1] as f64 } else { f64::NAN };
+                (loss, stats[2] > 0.0)
+            }
+        };
+        if stop {
+            break;
         }
-        (actual, best)
+        trainer.apply(&mut res);
+        log.losses.push(loss);
+        log.timings.push(res.timings);
+        log.used += res.used;
     }
-}
-
-pub(crate) fn allreduce_network(
-    ctx: &AllReduceCtx,
-    net: &mut IcNetwork,
-    strategy: AllReduceStrategy,
-) -> usize {
-    let n = ctx.num_ranks() as f32;
-    match strategy {
-        AllReduceStrategy::DensePerTensor => {
-            let mut elems = 0usize;
-            net.visit_params("", &mut |_, p| {
-                ctx.reduce_sum(p.grad.data_mut());
-                p.grad.scale(1.0 / n);
-                elems += p.grad.numel();
-            });
-            elems
-        }
-        AllReduceStrategy::SparsePerTensor => {
-            let mut present = Vec::new();
-            net.visit_params("", &mut |_, p| {
-                present.push(p.grad.data().iter().any(|&x| x != 0.0));
-            });
-            ctx.reduce_or(&mut present);
-            let mut elems = present.len();
-            let mut i = 0usize;
-            net.visit_params("", &mut |_, p| {
-                if present[i] {
-                    ctx.reduce_sum(p.grad.data_mut());
-                    p.grad.scale(1.0 / n);
-                    elems += p.grad.numel();
-                }
-                i += 1;
-            });
-            elems
-        }
-        AllReduceStrategy::SparseConcat => {
-            let mut present = Vec::new();
-            net.visit_params("", &mut |_, p| {
-                present.push(p.grad.data().iter().any(|&x| x != 0.0));
-            });
-            ctx.reduce_or(&mut present);
-            // Gather present grads into one buffer.
-            let mut buf: Vec<f32> = Vec::new();
-            let mut i = 0usize;
-            net.visit_params("", &mut |_, p| {
-                if present[i] {
-                    buf.extend_from_slice(p.grad.data());
-                }
-                i += 1;
-            });
-            ctx.reduce_sum(&mut buf);
-            let mut off = 0usize;
-            let mut i = 0usize;
-            let elems = present.len() + buf.len();
-            net.visit_params("", &mut |_, p| {
-                if present[i] {
-                    let len = p.grad.numel();
-                    for (dst, src) in p.grad.data_mut().iter_mut().zip(buf[off..off + len].iter()) {
-                        *dst = src / n;
-                    }
-                    off += len;
-                }
-                i += 1;
-            });
-            elems
-        }
-    }
-}
-
-/// Run Algorithm 2: returns the rank-0 network (all replicas are identical)
-/// and the run report.
-///
-/// A shard I/O error on any rank (truncated file, corrupt record — see
-/// `etalumis_data::DecodeError`) aborts training with `Err` instead of
-/// panicking the rank thread. Error propagation must not deadlock the
-/// collectives: a rank whose minibatch read fails still participates in
-/// that iteration's allreduce with zero gradients, and the failure bit
-/// rides the existing loss reduction — so every rank learns of the failure
-/// at the same synchronization point and they all leave the loop together,
-/// replicas still bit-identical (the failed iteration applies no update).
-pub fn train_distributed(
-    dataset: &TraceDataset,
-    net_config: IcConfig,
-    dist: &DistConfig,
-) -> std::io::Result<(IcNetwork, DistReport)> {
-    let ranks = dist.ranks;
-    let meta: Vec<(u64, u32)> = (0..dataset.len()).map(|i| dataset.meta(i)).collect();
-    let sampler = DistributedSampler::try_new(
-        meta,
-        SamplerConfig {
-            minibatch: dist.minibatch_per_rank,
-            num_ranks: ranks,
-            buckets: dist.buckets,
-            seed: dist.seed,
-        },
-    )?;
-    // Every rank pre-generates the same network from the same dataset.
-    let all_indices: Vec<usize> = (0..dataset.len()).collect();
-    let pregen_records = dataset.get_many(&all_indices)?;
-    let ctx = AllReduceCtx::new(ranks);
-    let losses: Mutex<Vec<Vec<f64>>> = Mutex::new(vec![Vec::new(); ranks]);
-    let timings: Mutex<Vec<Vec<PhaseTimings>>> = Mutex::new(vec![Vec::new(); ranks]);
-    let traces_total = std::sync::atomic::AtomicUsize::new(0);
-    let comm_elems = std::sync::atomic::AtomicUsize::new(0);
-    let nets: Mutex<Vec<Option<IcNetwork>>> = Mutex::new((0..ranks).map(|_| None).collect());
-    let read_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for rank in 0..ranks {
-            let ctx = &ctx;
-            let sampler = &sampler;
-            let pregen_records = &pregen_records;
-            let losses = &losses;
-            let timings = &timings;
-            let traces_total = &traces_total;
-            let comm_elems = &comm_elems;
-            let nets = &nets;
-            let read_error = &read_error;
-            let net_config = net_config.clone();
-            s.spawn(move || {
-                let mut net = IcNetwork::new(net_config);
-                net.pregenerate(pregen_records.iter());
-                let mut opt = match dist.larc_trust {
-                    Some(t) => Adam::with_larc(dist.lr.clone(), t),
-                    None => Adam::new(dist.lr.clone()),
-                };
-                let mut iter_count = 0usize;
-                'outer: for epoch in 0..dist.epochs {
-                    let plan = sampler.epoch(epoch);
-                    let iters = plan.iterations();
-                    for it in 0..iters {
-                        if let Some(cap) = dist.max_iterations {
-                            if iter_count >= cap {
-                                break 'outer;
-                            }
-                        }
-                        let mut t = PhaseTimings::default();
-                        let t0 = Instant::now();
-                        // A failed read cannot simply break here: the other
-                        // ranks are already committed to this iteration's
-                        // collectives and would block forever. Participate
-                        // with an empty minibatch (zero gradients) and
-                        // raise the failure flag through the reduction.
-                        let (records, failed) = match dataset.get_many(&plan.per_rank[rank][it]) {
-                            Ok(r) => (r, 0.0),
-                            Err(e) => {
-                                read_error.lock().get_or_insert(e);
-                                (Vec::new(), 1.0)
-                            }
-                        };
-                        t.batch_read = t0.elapsed().as_secs_f64();
-                        let res = accumulate_minibatch(&mut net, &records);
-                        t.forward = res.timings.forward;
-                        t.backward = res.timings.backward;
-                        // Gradient + loss + failure-bit allreduce (the sync
-                        // phase).
-                        let ts = Instant::now();
-                        let elems = allreduce_network(ctx, &mut net, dist.strategy);
-                        let mut stats = [res.loss * res.used as f64, res.used as f64, failed];
-                        {
-                            let mut f32buf = [stats[0] as f32, stats[1] as f32, stats[2] as f32];
-                            ctx.reduce_sum(&mut f32buf);
-                            stats = [f32buf[0] as f64, f32buf[1] as f64, f32buf[2] as f64];
-                        }
-                        t.sync = ts.elapsed().as_secs_f64();
-                        if stats[2] > 0.0 {
-                            // Some rank failed its read this iteration:
-                            // every rank sees the same reduced bit and
-                            // leaves here, before the optimizer step, so
-                            // the replicas stay identical and nobody is
-                            // left waiting at the next collective.
-                            break 'outer;
-                        }
-                        let topt = Instant::now();
-                        opt.begin_step();
-                        net.visit_params("", &mut |n, p| opt.update(n, p));
-                        t.optimizer = topt.elapsed().as_secs_f64();
-                        let global_loss =
-                            if stats[1] > 0.0 { stats[0] / stats[1] } else { f64::NAN };
-                        losses.lock()[rank].push(global_loss);
-                        timings.lock()[rank].push(t);
-                        traces_total.fetch_add(res.used, std::sync::atomic::Ordering::Relaxed);
-                        comm_elems.fetch_add(elems, std::sync::atomic::Ordering::Relaxed);
-                        iter_count += 1;
-                    }
-                }
-                nets.lock()[rank] = Some(net);
-            });
-        }
-    });
-    if let Some(e) = read_error.into_inner() {
-        return Err(e);
-    }
-    let wall = start.elapsed().as_secs_f64();
-    let losses = losses.into_inner();
-    let timings = timings.into_inner();
-    let iters_done = losses[0].len();
-    let report = DistReport {
-        losses: losses[0].clone(),
-        per_rank_timings: timings,
-        traces_total: traces_total.into_inner(),
-        wall_secs: wall,
-        comm_elems_per_iter: if iters_done > 0 {
-            comm_elems.into_inner() as f64 / (iters_done * ranks) as f64
-        } else {
-            0.0
-        },
-    };
-    let net = nets.into_inner().remove(0).expect("rank 0 network"); // etalumis: allow(panic-freedom, reason = "one network per rank by construction")
-    Ok((net, report))
+    log.wall_secs = started.elapsed().as_secs_f64();
+    log
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use etalumis_data::{generate_dataset, sort_dataset};
+    use crate::network::{IcConfig, IcNetwork};
+    use crate::{AllReduceStrategy, TrainPlan, Trainer};
+    use etalumis_data::{generate_dataset, sort_dataset, DistributedSampler, SamplerConfig};
+    use etalumis_nn::{Adam, LrSchedule, Module};
     use etalumis_simulators::BranchingModel;
     use std::path::PathBuf;
 
@@ -342,26 +164,30 @@ mod tests {
         IcConfig::small([1, 1, 1], 5)
     }
 
+    fn trainer(lr: f64) -> Trainer<Adam> {
+        Trainer::new(IcNetwork::new(small_ic()), Adam::new(LrSchedule::Constant(lr)))
+    }
+
     #[test]
     fn distributed_losses_decrease_and_replicas_agree() {
         let dir = tmp("train");
         let mut m = BranchingModel::standard();
         let ds = generate_dataset(&mut m, 128, 64, &dir, 1, true).unwrap();
         let ds = sort_dataset(&ds, &dir.join("sorted"), 64).unwrap();
-        let dist = DistConfig {
-            ranks: 2,
-            minibatch_per_rank: 8,
-            epochs: 6,
-            lr: LrSchedule::Constant(2e-3),
-            ..Default::default()
-        };
-        let (_net, report) = train_distributed(&ds, small_ic(), &dist).unwrap();
+        let mut rank0 = trainer(2e-3);
+        let (report, mut replicas) =
+            TrainPlan::epochs(&ds, 8, 6, 0).ranks(2).run_with_replicas(&mut rank0).unwrap();
         assert!(!report.losses.is_empty());
         let n = report.losses.len();
         let head: f64 = report.losses[..3].iter().sum::<f64>() / 3.0;
         let tail: f64 = report.losses[n - 3..].iter().sum::<f64>() / 3.0;
         assert!(tail < head, "distributed loss should fall: {head} -> {tail}");
         assert!(report.traces_per_sec() > 0.0);
+        let mut pa = Vec::new();
+        rank0.net.visit_params("", &mut |_, p| pa.push(p.value.clone()));
+        let mut pb = Vec::new();
+        replicas[0].net.visit_params("", &mut |_, p| pb.push(p.value.clone()));
+        assert!(pa == pb, "replicas must agree bit for bit");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -373,16 +199,9 @@ mod tests {
         let mut m = BranchingModel::standard();
         let ds = generate_dataset(&mut m, 32, 32, &dir, 3, true).unwrap();
         let ds = sort_dataset(&ds, &dir.join("sorted"), 32).unwrap();
-        let dist = DistConfig {
-            ranks: 2,
-            minibatch_per_rank: 8,
-            epochs: 1,
-            max_iterations: Some(1),
-            lr: LrSchedule::Constant(1e-3),
-            seed: 4,
-            ..Default::default()
-        };
-        let (dnet, report) = train_distributed(&ds, small_ic(), &dist).unwrap();
+        let mut distributed = trainer(1e-3);
+        let report =
+            TrainPlan::epochs(&ds, 8, 1, 4).ranks(2).max_steps(1).run(&mut distributed).unwrap();
         // Reconstruct the union of both ranks' first minibatches.
         let meta: Vec<(u64, u32)> = (0..ds.len()).map(|i| ds.meta(i)).collect();
         let sampler = DistributedSampler::new(
@@ -397,13 +216,12 @@ mod tests {
         let pregen = ds.get_many(&all).unwrap();
         let mut net = IcNetwork::new(small_ic());
         net.pregenerate(pregen.iter());
-        let mut trainer = crate::trainer::Trainer::new(net, Adam::new(LrSchedule::Constant(1e-3)));
+        let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(1e-3)));
         let res = trainer.step(&records);
         assert_eq!(res.used, 16);
         // Compare parameters.
         let mut pa = Vec::new();
-        let mut dnet = dnet;
-        dnet.visit_params("", &mut |n, p| pa.push((n.to_string(), p.value.clone())));
+        distributed.net.visit_params("", &mut |n, p| pa.push((n.to_string(), p.value.clone())));
         let mut pb = Vec::new();
         trainer.net.visit_params("", &mut |n, p| pb.push((n.to_string(), p.value.clone())));
         assert_eq!(pa.len(), pb.len());
@@ -421,7 +239,7 @@ mod tests {
             max_diff < 2e-4,
             "2-rank and big-batch serial updates should match: max diff {max_diff}"
         );
-        assert!(report.comm_elems_per_iter > 0.0);
+        assert!(report.comm_elems_per_step > 0.0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -436,14 +254,7 @@ mod tests {
         // rank left blocking in a collective.
         let bytes = std::fs::read(&ds.shards[0]).unwrap();
         std::fs::write(&ds.shards[0], &bytes[..bytes.len() / 2]).unwrap();
-        let dist = DistConfig {
-            ranks: 2,
-            minibatch_per_rank: 8,
-            epochs: 1,
-            lr: LrSchedule::Constant(1e-3),
-            ..Default::default()
-        };
-        let res = train_distributed(&ds, small_ic(), &dist).map(|_| ());
+        let res = TrainPlan::epochs(&ds, 8, 1, 0).ranks(2).run(&mut trainer(1e-3));
         assert!(res.is_err(), "a truncated shard must surface as Err, not a panic");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -460,16 +271,8 @@ mod tests {
             AllReduceStrategy::SparsePerTensor,
             AllReduceStrategy::SparseConcat,
         ] {
-            let dist = DistConfig {
-                ranks: 2,
-                minibatch_per_rank: 8,
-                epochs: 2,
-                strategy,
-                lr: LrSchedule::Constant(1e-3),
-                seed: 9,
-                ..Default::default()
-            };
-            let (_, report) = train_distributed(&ds, small_ic(), &dist).unwrap();
+            let plan = TrainPlan::epochs(&ds, 8, 2, 9).ranks(2).strategy(strategy);
+            let report = plan.run(&mut trainer(1e-3)).unwrap();
             final_losses.push(report.losses.clone());
         }
         assert_eq!(final_losses[0], final_losses[1], "dense vs sparse");

@@ -10,37 +10,34 @@
 //!   layer pre-generation, Algorithm 1 sub-minibatch loss, and the
 //!   [`etalumis_inference::ProposalProvider`] implementation used at
 //!   inference time.
-//! * [`trainer`] — the single-rank training loop with per-phase timing.
+//! * [`trainer`] — the training step ([`Trainer::step`]): sub-minibatch
+//!   gradient accumulation, then clip + optimizer, with per-phase timing.
+//! * [`plan`] — the one way to run training: a [`TrainPlan`] of batch
+//!   source (dataset epochs, or a live channel / replayed dataset bucketed
+//!   online by trace type — [`streaming`]) × rank count, executed by one
+//!   rank loop (Algorithm 2: synchronous data-parallel SGD on rank threads
+//!   with bit-identical replicas and Figure 4 instrumentation).
 //! * [`allreduce`] — synchronous gradient reduction across rank threads
 //!   with the paper's §4.4.4 ladder: dense per-tensor → non-null only (4×)
-//!   → concatenated single-buffer.
-//! * [`distributed`] — Algorithm 2: synchronous data-parallel training on
-//!   rank threads with bit-identical replicas and Figure 4 instrumentation.
-//! * [`streaming`] — the pull side of the streaming generate→train
-//!   pipeline: train off a live bounded trace channel with online
-//!   trace-type bucketing (no offline sort), an offline-replay comparator
-//!   for teed runs, and the rank-parallel variant with the same
-//!   leave-together collective discipline as [`distributed`].
+//!   → concatenated single-buffer, summed in rank order.
 //! * [`perfmodel`] — Table 1 platform registry and the calibrated analytic
 //!   model standing in for Cori/Edison at 64–1,024 nodes (see DESIGN.md
 //!   substitution table).
 
 pub mod allreduce;
-pub mod distributed;
+mod distributed;
 pub mod network;
 pub mod perfmodel;
+pub mod plan;
 pub mod streaming;
 pub mod trainer;
 
-pub use allreduce::{AllReduceCtx, AllReduceStrategy};
-pub use distributed::{train_distributed, DistConfig, DistReport};
+pub use allreduce::{AllReduceCtx, AllReduceStrategy, GradVisitor};
 pub use network::{IcConfig, IcNetwork, IcState, InferenceStats};
 pub use perfmodel::{platforms, PhaseModel, Platform, ScalingModel, ScalingPoint};
-pub use streaming::{
-    train_stream, train_stream_distributed, train_stream_offline, StreamDistConfig,
-    StreamTrainConfig, StreamTrainReport,
-};
+pub use plan::{TrainPlan, TrainReport};
+pub use streaming::Records;
 pub use trainer::{
     accumulate_minibatch, record_kernel_telemetry, sub_minibatches, PhaseTimings, StepResult,
-    TrainLog, Trainer,
+    Trainer,
 };

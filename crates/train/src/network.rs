@@ -109,6 +109,7 @@ impl IcConfig {
 }
 
 /// Address-specific proposal layer.
+#[derive(Clone)]
 enum Head {
     Mixture(MixtureTnHead),
     Categorical(CategoricalHead),
@@ -116,6 +117,7 @@ enum Head {
 }
 
 /// All address-specific components for one address.
+#[derive(Clone)]
 struct AddressLayers {
     /// Row in the address-embedding table.
     embed_id: usize,
@@ -195,6 +197,16 @@ struct StatsTally {
     proposals: AtomicU64,
 }
 
+impl Clone for StatsTally {
+    fn clone(&self) -> Self {
+        Self {
+            conditions: self.conditions,
+            lstm_steps: AtomicU64::new(self.lstm_steps.load(Ordering::Relaxed)),
+            proposals: AtomicU64::new(self.proposals.load(Ordering::Relaxed)),
+        }
+    }
+}
+
 /// One worker's proposal state ([`ProposalProvider::State`]): everything a
 /// proposal step writes, so a warm step allocates nothing but the
 /// distribution it returns, and any number of workers step one shared
@@ -251,7 +263,9 @@ fn layers_at<'a>(
     layers.get(key.as_str())
 }
 
-/// The dynamic inference-compilation network.
+/// The dynamic inference-compilation network. A clone is a data-parallel
+/// replica: same registered addresses, same weights, bit for bit.
+#[derive(Clone)]
 pub struct IcNetwork {
     /// Architecture.
     pub config: IcConfig,

@@ -3,7 +3,7 @@
 //! This module is the documented substitution for the hardware we do not
 //! have (DESIGN.md §3): Cori (Cray XC40, 2,388 HSW nodes) and Edison (Cray
 //! XC30, 5,586 IVB nodes). Algorithm 2 itself runs for real on rank threads
-//! (see [`crate::distributed`]); what is *modeled* is only the wall-clock
+//! (see [`crate::plan`]); what is *modeled* is only the wall-clock
 //! behaviour at node counts this machine cannot host:
 //!
 //! * per-rank, per-iteration work time varies log-normally (trace-length

@@ -1,11 +1,14 @@
-//! Single-process IC training (the per-rank inner loop of Algorithm 2).
+//! The IC training step (the per-rank inner loop of Algorithm 2).
 //!
 //! A minibatch is split into sub-minibatches by trace type (Algorithm 1),
 //! each processed in one batched forward/backward pass; gradients are scaled
 //! by 1/B, optionally clipped, and applied with the configured optimizer.
+//! [`Trainer::step`] is both halves back to back; a
+//! [`TrainPlan`](crate::TrainPlan) runs the same halves with its batch
+//! source and, on more than one rank, the allreduce in between.
 
 use crate::network::IcNetwork;
-use etalumis_data::{DistributedSampler, SamplerConfig, TraceDataset, TraceRecord};
+use etalumis_data::TraceRecord;
 use etalumis_nn::{clip_grad_norm, Module, Optimizer};
 use etalumis_telemetry::Telemetry;
 use std::collections::BTreeMap;
@@ -115,28 +118,6 @@ pub fn accumulate_minibatch(net: &mut IcNetwork, records: &[TraceRecord]) -> Ste
     }
 }
 
-/// Training-progress record.
-#[derive(Clone, Debug, Default)]
-pub struct TrainLog {
-    /// (iteration, mean loss) pairs.
-    pub losses: Vec<(usize, f64)>,
-    /// Total traces consumed.
-    pub traces_seen: usize,
-    /// Wall time of the training loop in seconds.
-    pub wall_secs: f64,
-}
-
-impl TrainLog {
-    /// Throughput in traces/s.
-    pub fn traces_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.traces_seen as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Emit the active kernel backend, pool size, and dispatch counters into a
 /// telemetry stream: `kernel.backend_avx2` / `kernel.pool_threads` gauges
 /// (which land in `RUN_METRICS.json` and the run-report header) plus
@@ -161,7 +142,9 @@ pub fn record_kernel_telemetry(tel: &Telemetry) {
     }
 }
 
-/// Single-process trainer.
+/// A network and everything that updates it: optimizer, clipping, telemetry.
+/// A clone is a data-parallel replica (see [`IcNetwork`]).
+#[derive(Clone)]
 pub struct Trainer<O: Optimizer> {
     /// The network being trained.
     pub net: IcNetwork,
@@ -190,8 +173,17 @@ impl<O: Optimizer> Trainer<O> {
 
     /// One synchronous step on a minibatch; returns the step result.
     pub fn step(&mut self, records: &[TraceRecord]) -> StepResult {
-        let step_span = self.tel.span("train.step");
+        let _step_span = self.tel.span("train.step");
         let mut res = accumulate_minibatch(&mut self.net, records);
+        self.apply(&mut res);
+        res
+    }
+
+    /// The second half of a step, after [`accumulate_minibatch`] (and the
+    /// allreduce, on more than one rank): clip, optimizer update, and the
+    /// step's telemetry. A phase that took no time emits no span — a
+    /// [`Trainer::step`] reads no batch and syncs with nobody.
+    pub(crate) fn apply(&mut self, res: &mut StepResult) {
         if let Some(c) = self.grad_clip {
             clip_grad_norm(&mut self.net, c);
         }
@@ -201,15 +193,22 @@ impl<O: Optimizer> Trainer<O> {
         self.net.visit_params("", &mut |n, p| opt.update(n, p));
         res.timings.optimizer = t.elapsed().as_secs_f64();
         if self.tel.is_enabled() {
-            self.tel.span_record("train.forward", Duration::from_secs_f64(res.timings.forward));
-            self.tel.span_record("train.backward", Duration::from_secs_f64(res.timings.backward));
-            self.tel.span_record("train.optimizer", Duration::from_secs_f64(res.timings.optimizer));
+            let t = &res.timings;
+            for (name, secs) in [
+                ("train.batch_read", t.batch_read),
+                ("train.forward", t.forward),
+                ("train.backward", t.backward),
+                ("train.allreduce_wait", t.sync),
+                ("train.optimizer", t.optimizer),
+            ] {
+                if secs > 0.0 {
+                    self.tel.span_record(name, Duration::from_secs_f64(secs));
+                }
+            }
             self.tel.gauge("train.sub_minibatches", res.sub_minibatches as f64);
             self.tel.count("train.steps", 1);
             record_kernel_telemetry(&self.tel);
         }
-        drop(step_span);
-        res
     }
 
     /// Evaluate mean loss on records without touching the weights.
@@ -217,44 +216,6 @@ impl<O: Optimizer> Trainer<O> {
         let res = accumulate_minibatch(&mut self.net, records);
         self.net.zero_grad();
         res.loss
-    }
-
-    /// Train for `epochs` epochs over a dataset with the given sampler
-    /// parameters (single rank).
-    ///
-    /// A shard I/O error (truncated file, corrupt record — see
-    /// `etalumis_data::DecodeError`) surfaces as the `Err` instead of
-    /// aborting the process; the log accumulated so far is lost with it,
-    /// so callers that care should checkpoint externally.
-    pub fn train_epochs(
-        &mut self,
-        dataset: &TraceDataset,
-        minibatch: usize,
-        epochs: usize,
-        seed: u64,
-    ) -> std::io::Result<TrainLog> {
-        let meta: Vec<(u64, u32)> = (0..dataset.len()).map(|i| dataset.meta(i)).collect();
-        let sampler = DistributedSampler::try_new(
-            meta,
-            SamplerConfig { minibatch, num_ranks: 1, buckets: 1, seed },
-        )?;
-        let mut log = TrainLog::default();
-        let start = Instant::now();
-        let mut iter = 0usize;
-        for e in 0..epochs {
-            let plan = sampler.epoch(e);
-            for mb in &plan.per_rank[0] {
-                let read_started = Instant::now();
-                let records = dataset.get_many(mb)?;
-                self.tel.span_record("train.batch_read", read_started.elapsed());
-                let res = self.step(&records);
-                log.losses.push((iter, res.loss));
-                log.traces_seen += res.used;
-                iter += 1;
-            }
-        }
-        log.wall_secs = start.elapsed().as_secs_f64();
-        Ok(log)
     }
 }
 
@@ -308,25 +269,24 @@ mod tests {
 
     #[test]
     fn train_epochs_surfaces_shard_errors_instead_of_panicking() {
+        use crate::TrainPlan;
         use etalumis_data::generate_dataset;
-        use etalumis_simulators::BranchingModel;
         let dir = std::env::temp_dir().join(format!("etalumis_tr_err_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let mut m = BranchingModel::standard();
         let ds = generate_dataset(&mut m, 24, 12, &dir, 5, true).unwrap();
-        let all: Vec<usize> = (0..ds.len()).collect();
-        let pregen = ds.get_many(&all).unwrap();
-        let mut net = IcNetwork::new(IcConfig::small([1, 1, 1], 1));
-        net.pregenerate(pregen.iter());
-        let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(1e-3)));
+        let mut trainer = Trainer::new(
+            IcNetwork::new(IcConfig::small([1, 1, 1], 1)),
+            Adam::new(LrSchedule::Constant(1e-3)),
+        );
         // Healthy dataset trains fine.
-        assert!(trainer.train_epochs(&ds, 8, 1, 0).is_ok());
+        assert!(TrainPlan::epochs(&ds, 8, 1, 0).run(&mut trainer).is_ok());
         // Truncate a shard under the open dataset: the next epoch's reads
         // must return the I/O error, not abort the process.
         let bytes = std::fs::read(&ds.shards[0]).unwrap();
         std::fs::write(&ds.shards[0], &bytes[..bytes.len() / 2]).unwrap();
-        let res = trainer.train_epochs(&ds, 8, 1, 0);
+        let res = TrainPlan::epochs(&ds, 8, 1, 0).run(&mut trainer);
         assert!(res.is_err(), "a truncated shard must surface as Err, not a panic");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -4,9 +4,9 @@
 //! Run with: `cargo run --release --example distributed_training`
 
 use etalumis_data::{generate_dataset, sort_dataset};
-use etalumis_nn::LrSchedule;
+use etalumis_nn::{Adam, LrSchedule, Module};
 use etalumis_simulators::BranchingModel;
-use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, IcConfig};
+use etalumis_train::{AllReduceStrategy, IcConfig, IcNetwork, TrainPlan, Trainer};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("etalumis_dist_example_{}", std::process::id()));
@@ -25,31 +25,27 @@ fn main() {
     );
 
     // Two ranks, synchronous SGD with the sparse+concatenated allreduce.
-    let dist = DistConfig {
-        ranks: 2,
-        minibatch_per_rank: 16,
-        epochs: 4,
-        strategy: AllReduceStrategy::SparseConcat,
-        lr: LrSchedule::Polynomial { initial: 2e-3, final_lr: 2e-4, order: 2, total_iters: 60 },
-        larc_trust: Some(1e-2),
-        buckets: 1,
-        seed: 7,
-        max_iterations: None,
-    };
-    println!("\ntraining on {} rank threads (Adam-LARC, polynomial decay)...", dist.ranks);
-    let (net, report) =
-        train_distributed(&ds, IcConfig::small([1, 1, 1], 3), &dist).expect("dataset read");
+    // The caller's trainer is rank 0; its optimizer (Adam-LARC on a
+    // polynomial decay) is every rank's.
+    let ranks = 2;
+    let lr = LrSchedule::Polynomial { initial: 2e-3, final_lr: 2e-4, order: 2, total_iters: 60 };
+    let mut trainer =
+        Trainer::new(IcNetwork::new(IcConfig::small([1, 1, 1], 3)), Adam::with_larc(lr, 1e-2));
+    println!("\ntraining on {ranks} rank threads (Adam-LARC, polynomial decay)...");
+    let report = TrainPlan::epochs(&ds, 16, 4, 7)
+        .ranks(ranks)
+        .strategy(AllReduceStrategy::SparseConcat)
+        .run(&mut trainer)
+        .expect("dataset read");
     println!(
         "done: {} iterations, {} traces, {:.0} traces/s, loss {:.3} -> {:.3}",
         report.losses.len(),
-        report.traces_total,
+        report.traces,
         report.traces_per_sec(),
         report.losses.first().unwrap(),
         report.losses.last().unwrap()
     );
-    let mut net = net;
-    use etalumis_nn::Module;
-    println!("network parameters: {}", net.num_params());
+    println!("network parameters: {}", trainer.net.num_params());
 
     // Figure 4 style decomposition: actual (max-rank) vs best (mean-rank).
     let (actual, best) = report.actual_vs_best();
@@ -68,7 +64,7 @@ fn main() {
     println!("  load imbalance: {imb:.1}%");
     println!(
         "  mean gradient elements communicated per rank-iteration: {:.0}",
-        report.comm_elems_per_iter
+        report.comm_elems_per_step
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

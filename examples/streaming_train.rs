@@ -20,17 +20,14 @@
 //! [`CheckpointSink`]: etalumis_runtime::CheckpointSink
 //! [`KillSwitch`]: etalumis_runtime::KillSwitch
 
-use etalumis_data::TraceChannel;
-use etalumis_data::TraceDataset;
+use etalumis_data::{BucketerConfig, TraceChannel, TraceDataset};
 use etalumis_nn::{Adam, LrSchedule, Module};
 use etalumis_runtime::{
     Backend, CheckpointConfig, DatasetGenConfig, KillSwitch, RunPlan, SimulatorPool,
 };
 use etalumis_simulators::BranchingModel;
 use etalumis_telemetry::{Field, Logger};
-use etalumis_train::{
-    train_stream, train_stream_offline, IcConfig, IcNetwork, StreamTrainConfig, Trainer,
-};
+use etalumis_train::{IcConfig, IcNetwork, Records, TrainPlan, Trainer};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -78,8 +75,8 @@ fn main() {
         ..Default::default()
     };
     let ckpt = CheckpointConfig { interval: 100 };
-    let train_cfg =
-        StreamTrainConfig { batch: 32, spill_after: 128, warmup: 200, ..Default::default() };
+    let buckets = BucketerConfig { batch: 32, spill_after: 128 };
+    let warmup = 200;
     let kill_at = 900;
     let capacity = 64;
     let dir = fresh_dir("run");
@@ -124,8 +121,9 @@ fn main() {
         let chan = chan.clone();
         std::thread::spawn(move || {
             let mut trainer = new_trainer();
-            let report = train_stream(&mut trainer, &chan, &train_cfg);
-            (report, params(&mut trainer.net))
+            let report =
+                TrainPlan::stream(Records::Channel(&chan), buckets, warmup).run(&mut trainer);
+            (report.expect("a channel cannot fail a read"), params(&mut trainer.net))
         })
     };
     let ds = tee(&cfg, &dir, ckpt, None, &chan).expect("resumed streaming run");
@@ -136,7 +134,7 @@ fn main() {
         &[
             ("traces", Field::U64(ds.len() as u64)),
             ("shards", Field::U64(ds.shards.len() as u64)),
-            ("train_steps", Field::U64(live.log.losses.len() as u64)),
+            ("train_steps", Field::U64(live.losses.len() as u64)),
             ("full_releases", Field::U64(live.fills as u64)),
             ("spills", Field::U64(live.spills as u64)),
         ],
@@ -149,27 +147,28 @@ fn main() {
             ("blocked_sends", Field::U64(occupancy.blocked_sends)),
         ],
     );
-    let n_losses = live.log.losses.len();
+    let n_losses = live.losses.len();
     log.info(
         "loss",
         &[
-            ("first_step", Field::F64(live.log.losses[0].1)),
-            ("last_step", Field::F64(live.log.losses[n_losses - 1].1)),
-            ("traces_seen", Field::U64(live.log.traces_seen as u64)),
+            ("first_step", Field::F64(live.losses[0])),
+            ("last_step", Field::F64(live.losses[n_losses - 1])),
+            ("traces_seen", Field::U64(live.traces as u64)),
         ],
     );
 
     // Phase 3: reproducibility. A fresh trainer replaying the teed shards
     // offline must match the live run bit for bit.
     let mut offline = new_trainer();
-    let off = train_stream_offline(&mut offline, &ds, &train_cfg, capacity)
+    let off = TrainPlan::stream(Records::Replay(&ds), buckets, warmup)
+        .run(&mut offline)
         .expect("offline replay over the teed shards");
-    assert_eq!(live.log.losses, off.log.losses, "loss trajectories must be bit-identical");
+    assert_eq!(live.losses, off.losses, "loss trajectories must be bit-identical");
     assert_eq!(live_params, params(&mut offline.net), "weights must be bit-identical");
     log.info(
         "verified",
         &[
-            ("losses_bit_identical", Field::U64(off.log.losses.len() as u64)),
+            ("losses_bit_identical", Field::U64(off.losses.len() as u64)),
             ("weights_bit_identical", Field::Bool(true)),
         ],
     );

@@ -19,7 +19,7 @@
 //!
 //! [`Telemetry`]: etalumis_telemetry::Telemetry
 
-use etalumis_data::{TraceChannel, TraceDataset};
+use etalumis_data::{BucketerConfig, TraceChannel, TraceDataset};
 use etalumis_nn::{Adam, LrSchedule, Module};
 use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, SimulatorServer};
 use etalumis_runtime::{
@@ -27,7 +27,7 @@ use etalumis_runtime::{
 };
 use etalumis_simulators::BranchingModel;
 use etalumis_telemetry::{Field, Logger, Telemetry};
-use etalumis_train::{train_stream, IcConfig, IcNetwork, StreamTrainConfig, Trainer};
+use etalumis_train::{IcConfig, IcNetwork, Records, TrainPlan, Trainer};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -52,9 +52,8 @@ fn gen_cfg() -> DatasetGenConfig {
     }
 }
 
-fn train_cfg() -> StreamTrainConfig {
-    StreamTrainConfig { batch: 32, spill_after: 128, warmup: 150, ..Default::default() }
-}
+const BUCKETS: BucketerConfig = BucketerConfig { batch: 32, spill_after: 128 };
+const WARMUP: usize = 150;
 
 fn spawn_server() -> InProcMuxEndpoint {
     let (ep, sim_side) = InProcMuxEndpoint::pair();
@@ -92,7 +91,7 @@ fn run_pipeline(
     dir: &Path,
     kill: Option<Arc<KillSwitch>>,
     tel: &Telemetry,
-) -> std::io::Result<(TraceDataset, Vec<(usize, f64)>, Vec<Vec<f32>>)> {
+) -> std::io::Result<(TraceDataset, Vec<f64>, Vec<Vec<f32>>)> {
     let cfg = gen_cfg();
     let ckpt = CheckpointConfig { interval: 100 };
     let chan = Arc::new(TraceChannel::bounded(CAPACITY).with_telemetry(tel.clone()));
@@ -101,7 +100,8 @@ fn run_pipeline(
         let tel = tel.clone();
         std::thread::spawn(move || {
             let mut trainer = new_trainer().with_telemetry(tel);
-            let report = train_stream(&mut trainer, &chan, &train_cfg());
+            let report =
+                TrainPlan::stream(Records::Channel(&chan), BUCKETS, WARMUP).run(&mut trainer);
             (report, params(&mut trainer.net))
         })
     };
@@ -115,8 +115,8 @@ fn run_pipeline(
         .map(|out| out.dataset);
     let (report, weights) = trainer_thread.join().unwrap();
     chan.stats().record_to(tel);
-    let ds = ds?;
-    Ok((ds, report.log.losses, weights))
+    let (ds, report) = (ds?, report?);
+    Ok((ds, report.losses, weights))
 }
 
 fn main() {

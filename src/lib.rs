@@ -16,7 +16,7 @@
 //! | [`inference`] | `etalumis-inference` | IS, RMH, IC engines + diagnostics |
 //! | [`data`] | `etalumis-data` | trace datasets, shards, samplers |
 //! | [`runtime`] | `etalumis-runtime` | the `RunPlan` (one driver for every batch: local or mux backend, checkpointing, rank slices, shards or stream), work-stealing scheduler, simulator pools |
-//! | [`train`] | `etalumis-train` | dynamic IC networks, distributed training |
+//! | [`train`] | `etalumis-train` | dynamic IC networks, the `TrainPlan` (one rank loop for every training run: dataset epochs or a stream, any rank count) |
 //! | [`telemetry`] | `etalumis-telemetry` | spans/counters/gauges, JSONL event logs, run metrics, leveled logger |
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` for
@@ -51,7 +51,5 @@ pub mod prelude {
     };
     pub use etalumis_simulators::{GaussianUnknownMean, TauDecayModel};
     pub use etalumis_telemetry::{Collector, Logger, RunMetrics, Telemetry};
-    pub use etalumis_train::{
-        train_stream, train_stream_offline, IcConfig, IcNetwork, StreamTrainConfig, Trainer,
-    };
+    pub use etalumis_train::{IcConfig, IcNetwork, TrainPlan, TrainReport, Trainer};
 }

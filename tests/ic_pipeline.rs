@@ -9,7 +9,7 @@ use etalumis_nn::{Adam, LrSchedule};
 use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, SimulatorServer};
 use etalumis_runtime::{mix_seed, MuxSimulatorPool};
 use etalumis_simulators::{DetectorConfig, TauDecayConfig};
-use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, IcConfig, InferenceStats};
+use etalumis_train::{AllReduceStrategy, IcConfig, InferenceStats, TrainPlan};
 
 #[test]
 fn ic_beats_prior_is_on_conjugate_gaussian() {
@@ -59,17 +59,14 @@ fn distributed_pipeline_runs_end_to_end_on_disk() {
     let ds = generate_dataset(&mut model, 256, 64, &dir, 11, true).unwrap();
     let sorted = sort_dataset(&ds, &dir.join("sorted"), 64).unwrap();
     assert!(sorted.is_sorted());
-    let dist = DistConfig {
-        ranks: 2,
-        minibatch_per_rank: 16,
-        epochs: 4,
-        strategy: AllReduceStrategy::SparseConcat,
-        lr: LrSchedule::Constant(2e-3),
-        seed: 3,
-        ..Default::default()
-    };
-    let (mut net, report) =
-        train_distributed(&sorted, IcConfig::small([1, 1, 1], 21), &dist).unwrap();
+    let net = IcNetwork::new(IcConfig::small([1, 1, 1], 21));
+    let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(2e-3)));
+    let report = TrainPlan::epochs(&sorted, 16, 4, 3)
+        .ranks(2)
+        .strategy(AllReduceStrategy::SparseConcat)
+        .run(&mut trainer)
+        .unwrap();
+    let net = &mut trainer.net;
     let n = report.losses.len();
     assert!(n >= 8);
     assert!(
@@ -81,7 +78,7 @@ fn distributed_pipeline_runs_end_to_end_on_disk() {
     // Guided inference with the trained net.
     let mut obs = ObserveMap::new();
     obs.insert("y".into(), Value::Real(0.4));
-    let post = ic_importance_sampling(&model, &obs, "y", &mut net, 500, 1);
+    let post = ic_importance_sampling(&model, &obs, "y", net, 500, 1);
     assert!(post.effective_sample_size() > 10.0);
     let _ = std::fs::remove_dir_all(&dir);
 }

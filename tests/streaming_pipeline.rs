@@ -8,17 +8,16 @@
 //!    trace and resumed — writes shard files byte-identical to the batch
 //!    pipeline's checkpointed shard plan, and the resumed channel
 //!    (prefix replay + live remainder) carries exactly the shards' content.
-//! 3. **Training reproducibility**: `train_stream` over the live resumed
-//!    channel and `train_stream_offline` over the teed shards produce
-//!    bit-identical losses and weights; the rank-parallel variant is
-//!    equally deterministic, replicas included.
+//! 3. **Training reproducibility**: a stream `TrainPlan` over the live
+//!    resumed channel and the same plan replaying the teed shards produce
+//!    bit-identical losses and weights, on one rank and on two.
 
 use etalumis::prelude::*;
 use etalumis_data::TraceRecord;
 use etalumis_nn::{Adam, LrSchedule, Module};
 use etalumis_runtime::{CheckpointConfig, DatasetGenConfig, KillSwitch, RunOutput};
 use etalumis_simulators::BranchingModel;
-use etalumis_train::{train_stream_distributed, StreamDistConfig, StreamTrainReport};
+use etalumis_train::{Records, TrainReport};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -198,12 +197,7 @@ proptest! {
         let seed = 7 + kill_at as u64;
         let cfg = gen_cfg(50, seed, workers);
         let ckpt = CheckpointConfig { interval: 6 };
-        let train_cfg = StreamTrainConfig {
-            batch: 8,
-            spill_after: 24,
-            warmup: 16,
-            ..Default::default()
-        };
+        let buckets = BucketerConfig { batch: 8, spill_after: 24 };
 
         // Kill the first attempt (nobody trains on a partial stream — the
         // consumer just drains it), then train live on the resumed run.
@@ -221,21 +215,20 @@ proptest! {
         let chan = Arc::new(TraceChannel::bounded(capacity));
         let live = {
             let chan = chan.clone();
-            let train_cfg = train_cfg;
             std::thread::spawn(move || {
                 let mut trainer = small_trainer(3);
-                let report = train_stream(&mut trainer, &chan, &train_cfg);
+                let report = TrainPlan::stream(Records::Channel(&chan), buckets, 16).run(&mut trainer).unwrap();
                 (report, params(&mut trainer.net))
             })
         };
         let ds = tee(&cfg, &dir, &ckpt, None, &chan).unwrap();
-        let (live_report, live_params): (StreamTrainReport, _) = live.join().unwrap();
+        let (live_report, live_params): (TrainReport, _) = live.join().unwrap();
 
         // Offline replay over the teed shards from a fresh identical net.
         let mut offline = small_trainer(3);
-        let off_report = train_stream_offline(&mut offline, &ds, &train_cfg, capacity).unwrap();
-        prop_assert_eq!(live_report.log.losses, off_report.log.losses);
-        prop_assert_eq!(live_report.log.traces_seen, cfg.n);
+        let off_report = TrainPlan::stream(Records::Replay(&ds), buckets, 16).run(&mut offline).unwrap();
+        prop_assert_eq!(live_report.losses, off_report.losses);
+        prop_assert_eq!(live_report.traces, cfg.n);
         prop_assert_eq!(live_params, params(&mut offline.net));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -247,45 +240,24 @@ proptest! {
 fn distributed_stream_training_is_reproducible_from_teed_shards() {
     let cfg = gen_cfg(120, 42, 3);
     let ckpt = CheckpointConfig { interval: 10 };
-    let dist_cfg = StreamDistConfig {
-        ranks: 2,
-        batch: 8,
-        spill_after: 32,
-        warmup: 32,
-        lr: LrSchedule::Constant(2e-3),
-        ..Default::default()
+    let buckets = BucketerConfig { batch: 8, spill_after: 32 };
+    let train = |records: Records<'_>| {
+        let mut trainer = small_trainer(17);
+        let report = TrainPlan::stream(records, buckets, 32).ranks(2).run(&mut trainer).unwrap();
+        (params(&mut trainer.net), report)
     };
 
     let dir = tmpdir("dist");
     let chan = Arc::new(TraceChannel::bounded(5));
-    let net_cfg = IcConfig::small([1, 1, 1], 17);
-    let live = {
-        let chan = chan.clone();
-        let dist_cfg = dist_cfg.clone();
-        let net_cfg = net_cfg.clone();
-        std::thread::spawn(move || {
-            let (mut net, report) = train_stream_distributed(&chan, net_cfg, &dist_cfg);
-            (params(&mut net), report)
-        })
-    };
-    let ds = tee(&cfg, &dir, &ckpt, None, &chan).unwrap();
-    let (live_params, live_report) = live.join().unwrap();
+    let (ds, (live_params, live_report)) = std::thread::scope(|s| {
+        let live = s.spawn(|| train(Records::Channel(&chan)));
+        (tee(&cfg, &dir, &ckpt, None, &chan).unwrap(), live.join().unwrap())
+    });
     assert!(!live_report.losses.is_empty());
 
-    // Replay the teed shards into a fresh channel and train again.
-    let chan = Arc::new(TraceChannel::bounded(5));
-    let replay = {
-        let chan = chan.clone();
-        let ds_shards = ds.shards.clone();
-        std::thread::spawn(move || {
-            let ds = etalumis_data::TraceDataset::open(ds_shards).unwrap();
-            etalumis_data::stream_dataset_into(&ds, &chan).unwrap();
-            chan.close();
-        })
-    };
-    let (mut net, report) = train_stream_distributed(&chan, net_cfg, &dist_cfg);
-    replay.join().unwrap();
+    // Replay the teed shards and train again.
+    let (replay_params, report) = train(Records::Replay(&ds));
     assert_eq!(live_report.losses, report.losses, "loss trajectories must match bit for bit");
-    assert_eq!(live_params, params(&mut net), "replica weights must match bit for bit");
+    assert_eq!(live_params, replay_params, "replica weights must match bit for bit");
     std::fs::remove_dir_all(&dir).unwrap();
 }
