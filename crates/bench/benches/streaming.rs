@@ -4,10 +4,8 @@
 //! trace to shards, then train over them); the streaming mode overlaps the
 //! two phases through the bounded trace channel, so end-to-end wall time
 //! approaches max(generate, train) instead of their sum. The criterion
-//! group times the two pipelines; the final "bench" writes a
-//! `BENCH_streaming.json` snapshot at the workspace root (traces/sec for
-//! both modes plus channel back-pressure counters) for CI to archive and
-//! gate on.
+//! group times the two pipelines, then prints the end-to-end speedup of one
+//! measured run of each, with the channel's back-pressure counters.
 //!
 //! Run: `cargo bench -p etalumis-bench --bench streaming` (add `-- --quick`
 //! for the CI smoke mode).
@@ -27,14 +25,6 @@ const CAPACITY: usize = 128;
 
 fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-fn n_traces() -> usize {
-    if quick() {
-        1500
-    } else {
-        8000
-    }
 }
 
 fn gen_cfg(n: usize, workers: usize) -> DatasetGenConfig {
@@ -111,44 +101,23 @@ fn bench_pipelines(c: &mut Criterion) {
     group.bench_function("offline_staged", |b| b.iter(|| run_offline(n, workers)));
     group.bench_function("streaming_overlapped", |b| b.iter(|| run_streaming(n, workers)));
     group.finish();
-}
 
-/// Not a timing loop: one calibrated run of each pipeline, snapshotted to
-/// `BENCH_streaming.json` at the workspace root so CI can archive the
-/// numbers and fail if the suite stops producing them.
-fn emit_snapshot(_c: &mut Criterion) {
-    let n = n_traces();
-    let workers = RuntimeConfig::default().resolved_workers();
+    // Headline number: one measured run per pipeline, outside the sampling
+    // harness, so even `--quick` smoke runs print the speedup.
     let (gen_secs, train_secs) = run_offline(n, workers);
     let (stream_secs, stats) = run_streaming(n, workers);
-    let offline_total = gen_secs + train_secs;
-    let json = format!(
-        "{{\n  \"bench\": \"streaming\",\n  \"model\": \"branching\",\n  \"n_traces\": {n},\n  \
-         \"workers\": {workers},\n  \"quick\": {},\n  \"offline\": {{\n    \
-         \"generate_secs\": {gen_secs:.6},\n    \"train_secs\": {train_secs:.6},\n    \
-         \"total_secs\": {offline_total:.6},\n    \"traces_per_sec\": {:.1}\n  }},\n  \
-         \"streaming\": {{\n    \"total_secs\": {stream_secs:.6},\n    \
-         \"traces_per_sec\": {:.1},\n    \"channel_capacity\": {CAPACITY},\n    \
-         \"max_occupancy\": {},\n    \"blocked_sends\": {},\n    \"blocked_recvs\": {}\n  }},\n  \
-         \"end_to_end_speedup\": {:.3}\n}}\n",
-        quick(),
-        n as f64 / offline_total,
-        n as f64 / stream_secs,
+    let offline_secs = gen_secs + train_secs;
+    println!(
+        "end-to-end: streaming is {:.2}x offline for {n} traces on {workers} workers \
+         (offline {offline_secs:.2}s = generate {gen_secs:.2}s + train {train_secs:.2}s, \
+         streaming {stream_secs:.2}s; channel max occupancy {} of {CAPACITY}, \
+         {} blocked sends, {} blocked recvs)",
+        offline_secs / stream_secs,
         stats.max_occupancy,
         stats.blocked_sends,
         stats.blocked_recvs,
-        offline_total / stream_secs,
-    );
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_streaming.json");
-    std::fs::write(&path, &json).expect("write BENCH_streaming.json");
-    println!(
-        "snapshot -> {} (offline {:.2}s, streaming {:.2}s, speedup {:.2}x)",
-        path.display(),
-        offline_total,
-        stream_secs,
-        offline_total / stream_secs
     );
 }
 
-criterion_group!(benches, bench_pipelines, emit_snapshot);
+criterion_group!(benches, bench_pipelines);
 criterion_main!(benches);

@@ -9,15 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etalumis_bench::{bench_ic_config, tau_records};
-use etalumis_nn::{Adam, LrSchedule};
-use etalumis_train::{accumulate_minibatch, sub_minibatches, IcNetwork, PhaseTimings, Trainer};
+use etalumis_train::{accumulate_minibatch, sub_minibatches, IcNetwork};
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
+use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("subminibatch");
@@ -64,57 +58,5 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Not a timing loop: one calibrated training run snapshotted to
-/// `BENCH_train.json` at the workspace root (steps/sec plus the per-phase
-/// wall-time breakdown the trainer already measures) for CI to archive and
-/// gate on.
-fn emit_snapshot(_c: &mut Criterion) {
-    let steps = if quick() { 10 } else { 40 };
-    let bsz = 32;
-    let records = tau_records(256, 1700);
-    let mut net = IcNetwork::new(bench_ic_config(3));
-    net.pregenerate(records.iter());
-    let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(1e-3)));
-    trainer.grad_clip = Some(10.0);
-    let mut phases = PhaseTimings::default();
-    let mut subs_total = 0usize;
-    let t0 = Instant::now();
-    for step in 0..steps {
-        let lo = (step * bsz) % records.len();
-        let hi = (lo + bsz).min(records.len());
-        let res = trainer.step(&records[lo..hi]);
-        phases.forward += res.timings.forward;
-        phases.backward += res.timings.backward;
-        phases.optimizer += res.timings.optimizer;
-        subs_total += res.sub_minibatches;
-    }
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let steps_per_sec = steps as f64 / wall_secs;
-    let traces_per_sec = (steps * bsz) as f64 / wall_secs;
-    let json = format!(
-        "{{\n  \"bench\": \"train\",\n  \"model\": \"tau_decay\",\n  \"steps\": {steps},\n  \
-         \"minibatch\": {bsz},\n  \"quick\": {},\n  \"wall_secs\": {wall_secs:.6},\n  \
-         \"steps_per_sec\": {steps_per_sec:.3},\n  \"traces_per_sec\": {traces_per_sec:.1},\n  \
-         \"mean_sub_minibatches\": {:.2},\n  \"phases\": {{\n    \
-         \"forward_secs\": {:.6},\n    \"backward_secs\": {:.6},\n    \
-         \"optimizer_secs\": {:.6},\n    \"other_secs\": {:.6}\n  }}\n}}\n",
-        quick(),
-        subs_total as f64 / steps as f64,
-        phases.forward,
-        phases.backward,
-        phases.optimizer,
-        (wall_secs - phases.forward - phases.backward - phases.optimizer).max(0.0),
-    );
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_train.json");
-    std::fs::write(&path, &json).expect("write BENCH_train.json");
-    println!(
-        "snapshot -> {} ({steps_per_sec:.2} steps/s, fwd {:.2}s / bwd {:.2}s / opt {:.2}s)",
-        path.display(),
-        phases.forward,
-        phases.backward,
-        phases.optimizer
-    );
-}
-
-criterion_group!(benches, bench, emit_snapshot);
+criterion_group!(benches, bench);
 criterion_main!(benches);

@@ -3,18 +3,19 @@
 //! Benchmark harnesses regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §4 for the full index):
 //!
-//! * Criterion benches (`cargo bench -p etalumis-bench`) reproduce the
-//!   point optimizations: blocked Conv3D (8×), scalar 3D MVN PDF (13× /
+//! * Criterion benches (`cargo bench -p etalumis-bench`) time both sides of
+//!   the point optimizations: blocked Conv3D (8×), scalar 3D MVN PDF (13× /
 //!   1.5× pipeline), dladdr-style address caching (5×), sparse+concat
-//!   allreduce (4×), sorted/grouped trace I/O (10×), and sorted
-//!   sub-minibatching (up to 50× at paper scale).
+//!   allreduce (4×), sorted/grouped trace I/O (10×), sorted
+//!   sub-minibatching (up to 50× at paper scale), blocking vs multiplexed
+//!   PPX, offline vs streaming generate→train, and telemetry off vs on.
+//!   The repo's end-to-end benchmark (`benches/e2e`) measures only the fast
+//!   side of each, and is the one instrument speed claims and the CI gate
+//!   go through.
 //! * Binaries (`cargo run -p etalumis-bench --release --bin <name>`)
 //!   regenerate Table 2 and Figures 2, 4, 5, 6, 7 and 8.
 //!
-//! This library holds the shared workload builders, plus [`perf`] — the
-//! snapshot flattener behind the `perf_gate` CI regression check.
-
-pub mod perf;
+//! This library holds the shared workload builders.
 
 use etalumis_core::Executor;
 use etalumis_data::{sort_dataset, TraceDataset, TraceRecord};

@@ -49,8 +49,8 @@ impl std::fmt::Display for ChannelClosed {
 
 impl std::error::Error for ChannelClosed {}
 
-/// Occupancy counters of a [`TraceChannel`], for the perf snapshots
-/// (`BENCH_streaming.json`) and back-pressure diagnostics.
+/// Occupancy counters of a [`TraceChannel`], for back-pressure diagnostics
+/// (the `streaming` bench prints them beside its speedup).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Records accepted by `send`.

@@ -12,6 +12,7 @@ use crate::posterior::WeightedTraces;
 use etalumis_core::{Address, ObserveMap, ProbProgram, ProposalDecision, Proposer, SampleRequest};
 use etalumis_distributions::{Distribution, Value};
 use etalumis_runtime::{Backend, ProposerFactory, SimulatorPool};
+use std::io;
 
 /// A source of per-address proposal distributions conditioned on an
 /// observation. Implemented by the trained IC network in `etalumis-train`.
@@ -118,21 +119,28 @@ impl<'a, P: ProposalProvider> IcProposerFactory<'a, P> {
     /// observe statement named `observe_name` (e.g. `"calo"` for the tau
     /// model).
     ///
-    /// # Panics
-    /// If `observes` has no value under `observe_name`; the message lists
-    /// the names it does have.
-    pub fn condition(provider: &'a mut P, observes: &ObserveMap, observe_name: &str) -> Self {
-        assert!(
-            observes.contains_key(observe_name),
-            "cannot condition on observe statement {observe_name:?}: the ObserveMap registers {:?}",
-            {
-                let mut present: Vec<&String> = observes.keys().collect();
-                present.sort_unstable();
-                present
-            }
-        );
-        let state = provider.condition(&observes[observe_name]);
-        Self { provider, state }
+    /// # Errors
+    /// `InvalidInput` if `observes` has no value under `observe_name`; the
+    /// message lists the names it does have, and `provider` is left
+    /// unconditioned.
+    pub fn condition(
+        provider: &'a mut P,
+        observes: &ObserveMap,
+        observe_name: &str,
+    ) -> io::Result<Self> {
+        let Some(observation) = observes.get(observe_name) else {
+            let mut present: Vec<&String> = observes.keys().collect();
+            present.sort_unstable();
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "cannot condition on observe statement {observe_name:?}: \
+                     the ObserveMap registers {present:?}"
+                ),
+            ));
+        };
+        let state = provider.condition(observation);
+        Ok(Self { provider, state })
     }
 
     /// A proposer with a fresh state of this posterior.
@@ -171,12 +179,19 @@ where
     M: ProbProgram + Clone + Send + 'static,
     P: ProposalProvider,
 {
-    let factory = IcProposerFactory::condition(provider, observes, observe_name);
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut pool = SimulatorPool::from_factory(cores.min(n).max(1), |_| program.clone());
-    parallel_importance_sampling(Backend::Local(&mut pool), &factory, observes, n, seed)
-        // etalumis: allow(panic-freedom, reason = "documented panicking wrapper over the fallible parallel_importance_sampling")
-        .unwrap_or_else(|e| panic!("{e} (use parallel_importance_sampling to handle failures)"))
+    let posterior =
+        IcProposerFactory::condition(provider, observes, observe_name).and_then(|factory| {
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            let mut pool = SimulatorPool::from_factory(cores.min(n).max(1), |_| program.clone());
+            parallel_importance_sampling(Backend::Local(&mut pool), &factory, observes, n, seed)
+                .map_err(|e| {
+                    io::Error::other(format!(
+                        "{e} (use parallel_importance_sampling to handle failures)"
+                    ))
+                })
+        });
+    // etalumis: allow(panic-freedom, reason = "documented panicking wrapper over the fallible IcProposerFactory::condition and parallel_importance_sampling")
+    posterior.unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -254,6 +269,36 @@ mod tests {
         let (mean, _) = post.mean_std(|t| t.value_by_name("mu").unwrap().as_f64());
         let (am, _) = model.posterior(&[0.5, 0.5]);
         assert!((mean - am).abs() < 0.06, "{mean} vs {am}");
+    }
+
+    #[test]
+    fn condition_on_a_missing_observe_name_is_invalid_input_naming_the_keys() {
+        /// Counts the times it is conditioned.
+        struct Counting(usize);
+        impl ProposalProvider for Counting {
+            type State = ();
+            fn condition(&mut self, _obs: &Value) {
+                self.0 += 1;
+            }
+            fn begin_trace(&self, _state: &mut ()) {}
+            fn propose(&self, _: &mut (), _a: &Address, _p: &Distribution) -> Option<Distribution> {
+                None
+            }
+            fn notify(&self, _: &mut (), _a: &Address, _p: &Distribution, _v: &Value) {}
+        }
+        let mut observes = ObserveMap::new();
+        observes.insert("y1".into(), Value::Real(0.5));
+        observes.insert("y0".into(), Value::Real(0.5));
+        let mut provider = Counting(0);
+        let Err(e) = IcProposerFactory::condition(&mut provider, &observes, "calo") else {
+            panic!("conditioned on an observe name the map does not register");
+        };
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            e.to_string(),
+            "cannot condition on observe statement \"calo\": the ObserveMap registers [\"y0\", \"y1\"]"
+        );
+        assert_eq!(provider.0, 0, "the provider was conditioned");
     }
 
     #[test]

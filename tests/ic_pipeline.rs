@@ -145,9 +145,11 @@ fn serial_reference<M: ProbProgram>(
         Executor::execute_seeded(model, &mut factory.proposer(), observes, mix_seed(seed, i))
     };
     let traces: Vec<Trace> = if reembed {
-        (0..n).map(|i| run(i, &IcProposerFactory::condition(net, observes, observe_name))).collect()
+        (0..n)
+            .map(|i| run(i, &IcProposerFactory::condition(net, observes, observe_name).unwrap()))
+            .collect()
     } else {
-        let factory = IcProposerFactory::condition(net, observes, observe_name);
+        let factory = IcProposerFactory::condition(net, observes, observe_name).unwrap();
         (0..n).map(|i| run(i, &factory)).collect()
     };
     let log_weights = traces.iter().map(Trace::log_weight).collect();
@@ -231,7 +233,7 @@ fn ic_posteriors_are_bit_identical_across_worker_counts_and_backends() {
             };
             for workers in [1, 2, 3] {
                 let mut pool = SimulatorPool::from_factory(workers, |_| model.clone());
-                let factory = IcProposerFactory::condition(net, &observes, name);
+                let factory = IcProposerFactory::condition(net, &observes, name).unwrap();
                 let post = parallel_importance_sampling(
                     Backend::Local(&mut pool),
                     &factory,
@@ -245,7 +247,7 @@ fn ic_posteriors_are_bit_identical_across_worker_counts_and_backends() {
             }
             // K = 4 sessions on M = 1 reactor, and on the default min(cores, K).
             let mut pool = inproc_mux_pool(&model, 4);
-            let factory = IcProposerFactory::condition(net, &observes, name);
+            let factory = IcProposerFactory::condition(net, &observes, name).unwrap();
             let cfg = DatasetGenConfig { n, seed, workers: 1, ..Default::default() };
             let traces = RunPlan::new(Backend::Mux(&mut pool), &cfg)
                 .proposer(&factory)
@@ -256,7 +258,7 @@ fn ic_posteriors_are_bit_identical_across_worker_counts_and_backends() {
             drop(factory);
             let log_weights = traces.iter().map(Trace::log_weight).collect();
             check_run("mux K=4 M=1", WeightedTraces::new(traces, log_weights), net);
-            let factory = IcProposerFactory::condition(net, &observes, name);
+            let factory = IcProposerFactory::condition(net, &observes, name).unwrap();
             let post =
                 parallel_importance_sampling(Backend::Mux(&mut pool), &factory, &observes, n, seed)
                     .unwrap();
