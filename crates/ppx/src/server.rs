@@ -7,19 +7,17 @@
 //! Rust equivalent of the paper's C++ front end that reroutes Sherpa's
 //! random number draws (§4.1, §5.4).
 //!
-//! [`serve_listener`] extends this to many controllers on one listener: a
-//! reactor loop owns every socket (non-blocking accept, frame reassembly,
-//! write queues — the same [`crate::mux`] machinery the controller side
-//! uses), while each client's program runs on its own thread bridged to the
-//! reactor by frame channels. Program execution is native, inverted-control
-//! code and genuinely needs a stack — the paper likewise runs one Sherpa
-//! process per core — but the *I/O* does not, so sockets never block a
-//! program thread and a half-open client cannot wedge the listener.
+//! [`serve_listener`] extends this to many controllers on one listener:
+//! every accepted client gets its own thread that owns the socket and does
+//! blocking request–reply over a [`TcpTransport`], the shape of the paper's
+//! one Sherpa process per core. Program execution is native,
+//! inverted-control code that needs a stack anyway, and a blocked read
+//! costs nothing: the kernel wakes the thread when the controller's reply
+//! arrives, with no relay or poll loop in between. A half-open client
+//! stalls only its own thread.
 
 use crate::message::Message;
-use crate::mux::{MuxEndpoint, TcpMuxEndpoint};
-use crate::transport::{InProcTransport, Transport};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crate::transport::{TcpTransport, Transport};
 use etalumis_core::{AddressBuilder, BoxedProgram, ProbProgram, SimCtx};
 use etalumis_distributions::{Distribution, Value};
 use rand::rngs::StdRng;
@@ -264,54 +262,15 @@ impl<P: ProbProgram> SimulatorServer<P> {
     }
 }
 
-/// One reactor-bridged client connection: the reactor owns the socket; the
-/// program thread owns the execution; frames shuttle between them.
-struct Bridge {
-    endpoint: TcpMuxEndpoint,
-    to_program: Sender<Vec<u8>>,
-    from_program: Receiver<Vec<u8>>,
-}
-
-impl Bridge {
-    /// Move frames in both directions; `Ok(true)` if anything moved,
-    /// `Err(())` when the connection is finished (either side gone).
-    fn pump(&mut self) -> Result<bool, ()> {
-        let mut progress = false;
-        // socket → program
-        loop {
-            match self.endpoint.poll_frame() {
-                Ok(Some(payload)) => {
-                    progress = true;
-                    self.to_program.send(payload).map_err(|_| ())?;
-                }
-                Ok(None) => break,
-                Err(_) => return Err(()),
-            }
-        }
-        // program → socket
-        loop {
-            match self.from_program.try_recv() {
-                Ok(frame) => {
-                    progress = true;
-                    self.endpoint.send_frame(frame).map_err(|_| ())?;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Err(()),
-            }
-        }
-        self.endpoint.flush().map_err(|_| ())?;
-        Ok(progress)
-    }
-}
-
 /// Serve `max_clients` controller connections over one listener.
 ///
-/// The calling thread runs the reactor: it accepts connections
-/// (non-blocking), owns every socket's reassembly buffer and write queue,
-/// and bridges complete frames to one program thread per client running the
-/// ordinary blocking [`SimulatorServer::serve`] loop. `factory(i)` builds
-/// the program instance for the `i`-th accepted client. Returns once
-/// `max_clients` clients have connected and disconnected.
+/// The calling thread accepts connections (blocking, whatever mode the
+/// caller left the listener in); each accepted client gets a thread that
+/// owns its socket and runs the ordinary blocking [`SimulatorServer::serve`]
+/// loop over a [`TcpTransport`]. `factory(i)` builds the program instance
+/// for the `i`-th accepted client. A silent or dead client stalls only its
+/// own thread. Returns once `max_clients` clients have connected and
+/// disconnected.
 pub fn serve_listener<F>(
     listener: TcpListener,
     system_name: &str,
@@ -321,56 +280,22 @@ pub fn serve_listener<F>(
 where
     F: FnMut(usize) -> BoxedProgram,
 {
-    listener.set_nonblocking(true)?;
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        let mut bridges: Vec<Option<Bridge>> = Vec::new();
-        let mut accepted = 0usize;
-        loop {
-            let mut progress = false;
-            if accepted < max_clients {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let endpoint = TcpMuxEndpoint::new(stream)?;
-                        let (to_program, program_rx) = unbounded();
-                        let (program_tx, from_program) = unbounded();
-                        let program = factory(accepted);
-                        let name = system_name.to_string();
-                        scope.spawn(move || {
-                            let mut transport =
-                                InProcTransport::from_channels(program_tx, program_rx);
-                            let mut server = SimulatorServer::new(name, program);
-                            // Clean disconnects surface as Ok; anything else
-                            // already poisoned the controller side.
-                            let _ = server.serve(&mut transport);
-                        });
-                        bridges.push(Some(Bridge { endpoint, to_program, from_program }));
-                        accepted += 1;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            for slot in bridges.iter_mut() {
-                let Some(bridge) = slot else { continue };
-                match bridge.pump() {
-                    Ok(p) => progress |= p,
-                    Err(()) => {
-                        // Dropping the bridge severs the program thread's
-                        // channels; its serve loop exits and the scope joins
-                        // it.
-                        *slot = None;
-                        progress = true;
-                    }
-                }
-            }
-            if accepted == max_clients && bridges.iter().all(Option::is_none) {
-                return Ok(());
-            }
-            if !progress {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
+    listener.set_nonblocking(false)?;
+    std::thread::scope(|scope| {
+        for i in 0..max_clients {
+            let (stream, _peer) = listener.accept()?;
+            // On BSD/macOS an accepted socket inherits the listener's
+            // O_NONBLOCK; the program thread's reads must block.
+            stream.set_nonblocking(false)?;
+            let mut transport = TcpTransport::new(stream)?;
+            let mut server = SimulatorServer::new(system_name, factory(i));
+            scope.spawn(move || {
+                // Clean disconnects surface as Ok; anything else already
+                // poisoned the controller side.
+                let _ = server.serve(&mut transport);
+            });
         }
+        Ok(())
     })
 }
 
@@ -378,7 +303,7 @@ where
 mod tests {
     use super::*;
     use crate::client::RemoteModel;
-    use crate::transport::TcpTransport;
+    use crate::transport::InProcTransport;
     use etalumis_core::{Executor, FnProgram, SimCtxExt};
 
     fn listener_model() -> BoxedProgram {

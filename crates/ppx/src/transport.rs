@@ -46,8 +46,8 @@ impl InProcTransport {
     }
 
     /// Build an endpoint from raw frame channels (`tx` carries outgoing
-    /// payloads, `rx` incoming ones). Used by bridges that shuttle frames
-    /// between a socket reactor and a program thread.
+    /// payloads, `rx` incoming ones); [`crate::mux::InProcMuxEndpoint::pair`]
+    /// builds its blocking side this way.
     pub fn from_channels(tx: Sender<Vec<u8>>, rx: Receiver<Vec<u8>>) -> Self {
         Self { tx, rx }
     }

@@ -18,7 +18,9 @@
 //! (TCP) add the `u32` length prefix via [`frame`] and strip it again with
 //! the reassembly buffer (see [`crate::mux::FrameBuffer`]). Announced
 //! payload lengths are bounded by [`MAX_FRAME_LEN`] so a corrupt or hostile
-//! prefix can never trigger an arbitrary-size allocation.
+//! prefix can never trigger an arbitrary-size allocation, and [`decode`]
+//! checks every count inside a payload against the bytes left before
+//! allocating for it.
 //!
 //! This replaces the flatbuffers schema of the reference implementation with
 //! an explicitly documented format; any language can implement it.
@@ -263,8 +265,19 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
+    /// A `u32` element count, refused unless that many `size`-byte
+    /// elements fit in the bytes left, so a corrupt count can never drive
+    /// an allocation larger than the frame.
+    fn count(&mut self, size: usize) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
+        if n > self.buf.remaining() / size {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
+    }
+
+    fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
+        let n = self.count(8)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.f64()?);
@@ -279,12 +292,16 @@ impl<'a> Cursor<'a> {
             2 => Ok(Value::Int(self.i64()?)),
             3 => Ok(Value::Real(self.f64()?)),
             4 => {
-                let ndim = self.u32()? as usize;
+                let ndim = self.count(4)?;
                 let mut shape = Vec::with_capacity(ndim);
                 for _ in 0..ndim {
                     shape.push(self.u32()? as usize);
                 }
-                let n: usize = shape.iter().product();
+                let n = shape
+                    .iter()
+                    .try_fold(1usize, |n, &d| n.checked_mul(d))
+                    .filter(|&n| n <= self.buf.remaining() / 4)
+                    .ok_or(WireError::Truncated)?;
                 let mut data = Vec::with_capacity(n);
                 for _ in 0..n {
                     data.push(self.f32()?);
@@ -375,9 +392,9 @@ mod tests {
         assert_eq!(&decoded, msg);
     }
 
-    #[test]
-    fn all_message_kinds_roundtrip() {
-        let msgs = vec![
+    /// One message of every kind.
+    fn every_kind() -> Vec<Message> {
+        vec![
             Message::Handshake { system_name: "etalumis-rs".into() },
             Message::HandshakeResult {
                 system_name: "rust-frontend".into(),
@@ -405,9 +422,56 @@ mod tests {
             Message::Tag { name: "met".into(), value: Value::Real(2.5) },
             Message::TagResult,
             Message::Reset,
-        ];
-        for m in &msgs {
+        ]
+    }
+
+    #[test]
+    fn all_message_kinds_roundtrip() {
+        for m in &every_kind() {
             roundtrip(m);
+        }
+    }
+
+    #[test]
+    fn hostile_counts_error_instead_of_allocating() {
+        let frames: [&[u8]; 3] = [
+            // A SampleResult tensor of rank u32::MAX.
+            &[6, 4, 0xff, 0xff, 0xff, 0xff],
+            // A Sample whose Categorical announces u32::MAX probabilities.
+            &[5, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0xff, 0xff, 0xff, 0xff],
+            // A rank-3 tensor whose element count overflows usize.
+            &[
+                6, 4, 3, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                0xff,
+            ],
+        ];
+        for frame in frames {
+            assert_eq!(decode(frame), Err(WireError::Truncated), "frame {frame:02x?}");
+        }
+    }
+
+    #[test]
+    fn mutated_frames_never_panic() {
+        // Deterministic mutation sweep over every message kind: each byte
+        // complemented and each bit flipped, and each 4-byte window (where
+        // counts and lengths live) overwritten with boundary values.
+        // Decoding may fail but must return.
+        for msg in &every_kind() {
+            let payload = encode(msg).to_vec();
+            for i in 0..payload.len() {
+                for mask in (0..8).map(|b| 1u8 << b).chain([0xff]) {
+                    let mut m = payload.clone();
+                    m[i] ^= mask;
+                    let _ = decode(&m);
+                }
+            }
+            for i in 0..payload.len().saturating_sub(3) {
+                for word in [0u32, 0x8000_0000, u32::MAX] {
+                    let mut m = payload.clone();
+                    m[i..i + 4].copy_from_slice(&word.to_le_bytes());
+                    let _ = decode(&m);
+                }
+            }
         }
     }
 

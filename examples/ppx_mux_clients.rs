@@ -3,7 +3,7 @@
 //! The parent process is the controller: one reactor thread drives eight
 //! TCP sessions concurrently (`MuxSimulatorPool` + `BatchRunner::run_mux_prior`).
 //! The child process is the simulator: one listener serving all eight
-//! clients through the multi-client reactor (`serve_listener`). Swap the
+//! clients, each on its own blocking thread (`serve_listener`). Swap the
 //! child for a C++ simulator speaking the same wire format and nothing on
 //! the controller side changes — Figure 1 of the paper, at fleet shape.
 //!
@@ -80,7 +80,7 @@ fn main() -> std::io::Result<()> {
     drop(pool); // closes all sockets; the server process drains and exits
     let status = child.wait()?;
     println!("[controller] simulator process exited: {status}");
-    if matching != TRACES {
+    if matching != TRACES || !status.success() {
         std::process::exit(1);
     }
     Ok(())
