@@ -25,18 +25,16 @@ pub struct TraceDataset {
 }
 
 impl TraceDataset {
-    /// Open a dataset from shard paths (reads indexes + metadata).
+    /// Open a dataset from shard paths. Reads each shard's header and index
+    /// only: the per-record metadata is stored in the index, so no record is
+    /// decoded.
     pub fn open(shards: Vec<PathBuf>) -> std::io::Result<Self> {
         let mut locations = Vec::new();
         let mut meta = Vec::new();
         for (si, p) in shards.iter().enumerate() {
-            let mut r = ShardReader::open(p)?;
-            // Metadata requires decoding; a production format would store it
-            // in the index. Sequential scan keeps this acceptable.
-            for (ri, rec) in r.read_all()?.into_iter().enumerate() {
-                locations.push((si as u32, ri as u32));
-                meta.push((rec.trace_type, rec.num_controlled() as u32));
-            }
+            let r = ShardReader::open(p)?;
+            locations.extend((0..r.len() as u32).map(|ri| (si as u32, ri)));
+            meta.extend_from_slice(r.meta());
         }
         Ok(Self { shards, locations, meta })
     }

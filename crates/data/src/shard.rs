@@ -15,18 +15,27 @@
 //! [dictionary]            (when dict_flag = 1)
 //! u32 n_records
 //! records: (u32 len | bytes)*
-//! index:   u64 offset * n  (absolute file offsets of each record)
+//! index:   (u64 offset | u64 trace_type | u32 n_controlled) * n
 //! footer:  u64 index_offset
 //! ```
+//!
+//! This is version 2. Each index entry holds a record's absolute file offset
+//! and the two fields dataset-level planning needs (trace type and
+//! controlled length), so [`crate::TraceDataset::open`] reads indexes only
+//! and decodes no record. Version-1 shards (offset-only index) are rejected.
 
-use crate::record::{decode_record, encode_record, AddressDictionary, DecodeError, TraceRecord};
+use crate::record::{
+    decode_record, encode_record, AddressDictionary, DecodeError, Reader, TraceRecord,
+};
 use bytes::BytesMut;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"ETLM";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// Bytes per index entry: `u64 offset | u64 trace_type | u32 n_controlled`.
+const INDEX_ENTRY: usize = 20;
 
 /// Extension of the append-only journal backing a durable writer's
 /// in-progress shard (see [`RollingShardWriter::durable`]).
@@ -155,6 +164,10 @@ pub fn remove_stale_rolls(dir: &Path, prefix: &str, kept: usize) -> std::io::Res
     Ok(())
 }
 
+fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
 /// Wrap a [`DecodeError`] with the shard file and byte offset it was hit at,
 /// so a corrupt record in a multi-shard dataset is locatable.
 fn decode_err(path: &Path, offset: u64, e: DecodeError) -> std::io::Error {
@@ -192,12 +205,16 @@ impl ShardWriter {
         self.records.is_empty()
     }
 
-    /// Write the shard to disk; returns the file size in bytes.
+    /// Write the shard to disk, creating its directory if needed; returns
+    /// the file size in bytes.
     ///
     /// The file is written to a temporary sibling and renamed into place, so
     /// a crash mid-write never leaves a truncated `.etlm` behind: a shard
     /// path either does not exist or holds a complete shard.
     pub fn finish(self) -> std::io::Result<u64> {
+        if let Some(dir) = self.path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
         let tmp = self.path.with_extension("etlm.tmp");
         let file = File::create(&tmp)?;
         let mut w = BufWriter::new(file);
@@ -232,8 +249,10 @@ impl ShardWriter {
             pos += 4 + e.len() as u64;
         }
         let index_offset = pos;
-        for off in &offsets {
+        for (off, rec) in offsets.iter().zip(&self.records) {
             w.write_all(&off.to_le_bytes())?;
+            w.write_all(&rec.trace_type.to_le_bytes())?;
+            w.write_all(&(rec.num_controlled() as u32).to_le_bytes())?;
         }
         w.write_all(&index_offset.to_le_bytes())?;
         w.flush()?;
@@ -251,6 +270,7 @@ pub struct ShardReader {
     file_len: u64,
     dict: Option<AddressDictionary>,
     offsets: Vec<u64>,
+    meta: Vec<(u64, u32)>,
 }
 
 impl ShardReader {
@@ -267,15 +287,20 @@ impl ShardReader {
         }
         let mut v = [0u8; 4];
         r.read_exact(&mut v)?;
-        if u32::from_le_bytes(v) != VERSION {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unsupported shard version",
-            ));
+        let version = u32::from_le_bytes(v);
+        if version != VERSION {
+            return Err(invalid(format!(
+                "shard {} has format version {version}, expected {VERSION}",
+                path.display()
+            )));
         }
         let mut flag = [0u8; 1];
         r.read_exact(&mut flag)?;
-        let use_dict = flag[0] == 1;
+        let use_dict = match flag[0] {
+            0 => false,
+            1 => true,
+            f => return Err(invalid(format!("shard {} has dictionary flag {f}", path.display()))),
+        };
         let dict = if use_dict {
             let pos = r.stream_position()?;
             let d = AddressDictionary::read(&mut r, file_len.saturating_sub(pos))
@@ -288,33 +313,55 @@ impl ShardReader {
         r.read_exact(&mut nbuf)?;
         let n = u32::from_le_bytes(nbuf) as usize;
         // A corrupt count could announce billions of records; every record
-        // costs at least 8 index bytes, so bound it by the file size before
-        // reserving the offsets vector.
-        if n as u64 > file_len / 8 {
+        // costs at least one index entry, so bound it by the file size before
+        // reserving anything.
+        if n as u64 > file_len / INDEX_ENTRY as u64 {
             return Err(decode_err(
                 &path,
                 0,
                 DecodeError::Truncated {
-                    needed: n.saturating_mul(8),
+                    needed: n.saturating_mul(INDEX_ENTRY),
                     available: file_len as usize,
                 },
             ));
         }
-        // Index from footer.
+        // The index is the `n` entries right before the footer; a footer
+        // pointing anywhere else is corrupt.
         let data_start = r.stream_position()?;
+        let index_len = (n * INDEX_ENTRY) as u64;
         r.seek(SeekFrom::End(-8))?;
         let mut ib = [0u8; 8];
         r.read_exact(&mut ib)?;
         let index_offset = u64::from_le_bytes(ib);
+        if index_offset < data_start || index_offset.checked_add(index_len + 8) != Some(file_len) {
+            return Err(invalid(format!(
+                "shard {} footer points its {n}-entry index at offset {index_offset} in a \
+                 {file_len}-byte file",
+                path.display()
+            )));
+        }
         r.seek(SeekFrom::Start(index_offset))?;
+        let mut index = vec![0u8; index_len as usize];
+        r.read_exact(&mut index)?;
+        let mut entries = Reader::new(&index);
         let mut offsets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut ob = [0u8; 8];
-            r.read_exact(&mut ob)?;
-            offsets.push(u64::from_le_bytes(ob));
+        let mut meta = Vec::with_capacity(n);
+        let entry_err = |e| decode_err(&path, index_offset, e);
+        for i in 0..n {
+            let off = entries.u64().map_err(entry_err)?;
+            // Each offset names a record's length prefix, inside the records.
+            if off < data_start || off.saturating_add(4) > index_offset {
+                return Err(invalid(format!(
+                    "shard {} index entry {i} points at offset {off}, outside the records \
+                     ({data_start}..{index_offset})",
+                    path.display()
+                )));
+            }
+            offsets.push(off);
+            meta.push((entries.u64().map_err(entry_err)?, entries.u32().map_err(entry_err)?));
         }
         r.seek(SeekFrom::Start(data_start))?;
-        Ok(Self { path, file: r, file_len, dict, offsets })
+        Ok(Self { path, file: r, file_len, dict, offsets, meta })
     }
 
     /// Bound a record's announced length by the file size before allocating
@@ -343,6 +390,12 @@ impl ShardReader {
     /// True when the shard holds no records.
     pub fn is_empty(&self) -> bool {
         self.offsets.is_empty()
+    }
+
+    /// Per-record `(trace_type, controlled length)` from the index, in
+    /// record order.
+    pub fn meta(&self) -> &[(u64, u32)] {
+        &self.meta
     }
 
     /// Random-access read of record `i`.
@@ -398,6 +451,8 @@ pub struct RollingShardWriter {
     current: Option<(PathBuf, ShardWriter)>,
     /// Paths of shards fully written to disk; `current` joins only once its
     /// own `finish` succeeds, so callers never receive a truncated shard.
+    /// A shard handed out by [`RollingShardWriter::push_take_full`] joins
+    /// when it is taken: its caller owns writing it.
     finished: Vec<PathBuf>,
     /// Durable mode: the append-only journal backing the in-progress shard
     /// (see [`RollingShardWriter::durable`]). `None` in plain mode or before
@@ -455,7 +510,8 @@ pub struct WriterProgress {
 
 impl RollingShardWriter {
     /// Roll shards named `{prefix}_{seq:05}.etlm` under `dir`, `capacity`
-    /// records per file. The directory is created lazily on the first push.
+    /// records per file. The directory is created lazily, when the first
+    /// shard or journal is written.
     pub fn new(
         dir: impl AsRef<Path>,
         prefix: impl Into<String>,
@@ -628,6 +684,41 @@ impl RollingShardWriter {
         Ok(())
     }
 
+    /// Plain mode: append one record and, when that fills the shard, take
+    /// the full shard out and return it for the caller to write with
+    /// [`ShardWriter::finish`]. Its sequence number is assigned here and its
+    /// path already counts as finished, so [`RollingShardWriter::finish`]
+    /// lists shards in roll order however their writes interleave; the
+    /// caller must write it (or surface the error) before trusting that
+    /// list. This lets a writer shared behind a lock do only in-memory work
+    /// while the lock is held. No file I/O happens here.
+    ///
+    /// Durable writers must use [`RollingShardWriter::push`]: their journal
+    /// rolls with the shard, inline.
+    pub fn push_take_full(&mut self, rec: TraceRecord) -> std::io::Result<Option<ShardWriter>> {
+        if self.durable {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a durable shard writer rolls inline; use push",
+            ));
+        }
+        let (path, mut shard) = match self.current.take() {
+            Some(open) => open,
+            None => {
+                let path = self.shard_path(self.seq);
+                self.seq += 1;
+                (path.clone(), ShardWriter::new(path, self.use_dict))
+            }
+        };
+        shard.push(rec);
+        if shard.len() < self.capacity {
+            self.current = Some((path, shard));
+            return Ok(None);
+        }
+        self.finished.push(path);
+        Ok(Some(shard))
+    }
+
     /// Total records pushed so far (every finished shard is exactly full).
     pub fn len(&self) -> usize {
         self.finished.len() * self.capacity
@@ -657,9 +748,9 @@ impl RollingShardWriter {
 
     fn roll(&mut self) -> std::io::Result<()> {
         self.flush_current()?;
-        std::fs::create_dir_all(&self.dir)?; // etalumis: allow(reactor-blocking, reason = "shard roll is the sink's durable-write contract; the reactor path accepts amortized roll I/O by design")
         let path = self.shard_path(self.seq);
         if self.durable {
+            std::fs::create_dir_all(&self.dir)?; // etalumis: allow(reactor-blocking, reason = "shard roll is the sink's durable-write contract; the reactor path accepts amortized roll I/O by design")
             let jpath = self.journal_path(self.seq);
             // `create` truncates any stale leftover from a previous life.
             let file = File::create(&jpath)?; // etalumis: allow(reactor-blocking, reason = "journal creation rides the same amortized roll budget as the shard itself")
@@ -870,6 +961,35 @@ mod tests {
     }
 
     #[test]
+    fn taken_shards_keep_roll_order_when_written_out_of_order() {
+        let dir = std::env::temp_dir().join(format!("etalumis_take_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recs = make_records(9);
+        let mut w = RollingShardWriter::new(&dir, "t", 4, true);
+        let mut taken = Vec::new();
+        for r in &recs {
+            taken.extend(w.push_take_full(r.clone()).unwrap());
+        }
+        assert_eq!((taken.len(), w.len()), (2, 9));
+        // Shard 1 lands before shard 0; the list still follows roll order.
+        for shard in taken.into_iter().rev() {
+            shard.finish().unwrap();
+        }
+        let paths = w.finish().unwrap();
+        assert_eq!(paths, (0..3).map(|seq| shard_path(&dir, "t", seq)).collect::<Vec<_>>());
+        let mut all = Vec::new();
+        for p in &paths {
+            all.extend(ShardReader::open(p).unwrap().read_all().unwrap());
+        }
+        assert_eq!(all, recs);
+        // A durable writer's journal rolls with its shard: it refuses.
+        let mut d = RollingShardWriter::new(dir.join("d"), "d", 4, true).durable();
+        let err = d.push_take_full(recs[0].clone()).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn rolling_writer_empty_finish_writes_nothing() {
         let dir = std::env::temp_dir().join(format!("etalumis_roll_empty_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1053,6 +1173,96 @@ mod tests {
             std::fs::write(&path, &bad).unwrap();
             let err = ShardReader::open(&path).map(|_| ()).unwrap_err().to_string();
             assert!(err.contains("d.etlm") && err.contains("truncated"), "byte {at}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn old_or_unknown_version_names_found_and_expected() {
+        let dir = std::env::temp_dir().join(format!("etalumis_version_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("v.etlm");
+        let mut w = ShardWriter::new(&path, true);
+        for r in make_records(2) {
+            w.push(r);
+        }
+        w.finish().unwrap();
+        // Patch the header back to version 1, the offset-only index format.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = ShardReader::open(&path).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("v.etlm") && msg.contains("version 1") && msg.contains("expected 2"),
+            "{msg}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mutated_shards_error_without_panicking() {
+        let dir = std::env::temp_dir().join(format!("etalumis_mutate_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("m.etlm");
+        // A small dictionary shard holding records of two trace types.
+        let recs = make_records(8);
+        let other = recs.iter().position(|r| r.trace_type != recs[0].trace_type).unwrap();
+        let mut w = ShardWriter::new(&path, true);
+        for r in [&recs[0], &recs[other], &recs[1]] {
+            w.push(r.clone());
+        }
+        w.finish().unwrap();
+        let good = std::fs::read(&path).unwrap();
+        assert_eq!(crate::TraceDataset::open(vec![path.clone()]).unwrap().num_trace_types(), 2);
+
+        // Every path must end in `Ok` or a typed error. A panic fails the
+        // test; an allocation sized by an unchecked count would abort it.
+        let typed = |what: &str, e: std::io::Error| {
+            use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+            assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "{what}: untyped error {e}");
+        };
+        let check = |what: String, bytes: &[u8]| -> bool {
+            std::fs::write(&path, bytes).unwrap();
+            let opened = match ShardReader::open(&path) {
+                Ok(mut r) => {
+                    if let Err(e) = r.read_all() {
+                        typed(&what, e);
+                    }
+                    true
+                }
+                Err(e) => {
+                    typed(&what, e);
+                    false
+                }
+            };
+            if let Err(e) = crate::TraceDataset::open(vec![path.clone()]) {
+                typed(&what, e);
+            }
+            opened
+        };
+        let footer = good.len() - 8;
+        for bit in 0..good.len() * 8 {
+            let mut b = good.clone();
+            b[bit / 8] ^= 1 << (bit % 8);
+            let opened = check(format!("bit {bit}"), &b);
+            // Magic, version and footer are fully checked on open.
+            if bit / 8 < 8 || bit / 8 >= footer {
+                assert!(!opened, "bit {bit} flipped in the header or footer still opened");
+            }
+        }
+        for at in 0..good.len() {
+            let mut b = good.clone();
+            b[at] = !b[at];
+            check(format!("complemented byte {at}"), &b);
+        }
+        for at in 0..=good.len() - 4 {
+            for v in [0u32, 0x8000_0000, u32::MAX] {
+                let mut b = good.clone();
+                b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                check(format!("window {at} = {v:#x}"), &b);
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

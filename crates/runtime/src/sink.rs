@@ -4,7 +4,11 @@
 //! returns — there is no end-of-batch collection barrier, which is what lets
 //! dataset generation overlap simulation with serialization. Sinks are
 //! shared across workers and synchronize internally; the sharded sink keeps
-//! contention low by locking only the one partition a trace hashes to.
+//! contention low by locking only the one partition a trace hashes to, and
+//! holds that lock only to append the record in memory. A push that fills a
+//! shard claims it (takes it out and fixes its sequence number) under the
+//! lock; encoding, writing and fsyncing it happen after the lock is
+//! released, so a roll never stalls the other workers on that partition.
 
 use etalumis_core::Trace;
 use etalumis_data::{partition_of, partition_prefix, RollingShardWriter, TraceRecord};
@@ -148,7 +152,11 @@ impl ShardedTraceSink {
     }
 
     /// Flush every partition; returns all shard paths (partition order, then
-    /// roll order) or the first error any worker hit.
+    /// roll order) or the first error any worker hit, with no path.
+    ///
+    /// Taking `self` means every `accept` has returned, so every shard a
+    /// worker claimed has been written: a returned path always names a
+    /// complete shard.
     pub fn finish(self) -> io::Result<Vec<PathBuf>> {
         if let Some(e) = self.error.into_inner() {
             return Err(e);
@@ -165,8 +173,12 @@ impl TraceSink for ShardedTraceSink {
     fn accept(&self, _index: usize, trace: Trace) {
         let rec = TraceRecord::from_trace(&trace, self.pruned);
         let p = partition_of(rec.trace_type, self.partitions.len());
-        // etalumis: allow(reactor-blocking, reason = "partition lock held across the shard push is the sink's durable-write contract; contention is per-trace-type")
-        if let Err(e) = self.partitions[p].lock().push(rec) {
+        let claimed = self.partitions[p].lock().push_take_full(rec);
+        // The guard dropped with that statement: a shard this push filled is
+        // encoded, written and fsynced without holding the partition.
+        let written =
+            claimed.and_then(|full| full.map_or(Ok(()), |shard| shard.finish().map(drop)));
+        if let Err(e) = written {
             self.error.lock().get_or_insert(e);
         }
     }
@@ -237,6 +249,90 @@ mod tests {
         }
         assert_eq!(total, 40);
         assert_eq!(per_part, expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_rolls_return_complete_shards_in_partition_then_roll_order() {
+        use etalumis_core::{ObserveMap, PriorProposer};
+        use etalumis_data::{encode_record, generate_dataset, parse_shard_name, TraceDataset};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let dir = std::env::temp_dir().join(format!("etalumis_sink_rolls_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (n, seed) = (500, 17);
+        // The serial reference, and the same trace stream it drew, replayed
+        // by hand so four threads can deliver it to the sink concurrently.
+        let mut m = BranchingModel::standard();
+        let reference = generate_dataset(&mut m, n, 8, &dir.join("serial"), seed, true).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let traces: Vec<Trace> = (0..n)
+            .map(|_| {
+                Executor::try_execute(&mut m, &mut PriorProposer, &ObserveMap::new(), &mut rng)
+                    .unwrap()
+            })
+            .collect();
+        let sink = ShardedTraceSink::new(dir.join("sink"), 2, 8, true);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (sink, traces, start) = (&sink, &traces, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in (t..n).step_by(4) {
+                        sink.accept(i, traces[i].clone());
+                    }
+                });
+            }
+        });
+        let paths = sink.finish().unwrap();
+        let names: Vec<(String, usize)> = paths
+            .iter()
+            .map(|p| {
+                let (prefix, seq) = parse_shard_name(p.file_name().unwrap().to_str().unwrap())
+                    .expect("a shard name");
+                (prefix.to_string(), seq)
+            })
+            .collect();
+        let mut in_order = names.clone();
+        in_order.sort();
+        assert_eq!(names, in_order, "paths must come in (partition, seq) order");
+        for (k, (prefix, seq)) in names.iter().enumerate() {
+            let first = names.iter().position(|(p, _)| p == prefix).unwrap();
+            assert_eq!(*seq, k - first, "{prefix} skips a roll");
+        }
+        for p in &paths {
+            etalumis_data::ShardReader::open(p).unwrap();
+        }
+        let multiset = |ds: &TraceDataset| {
+            let all: Vec<usize> = (0..ds.len()).collect();
+            let mut recs: Vec<Vec<u8>> = ds
+                .get_many(&all)
+                .unwrap()
+                .iter()
+                .map(|r| encode_record(r, None).to_vec())
+                .collect();
+            recs.sort();
+            recs
+        };
+        let got = TraceDataset::open(paths).unwrap();
+        assert_eq!(got.len(), n);
+        assert_eq!(multiset(&got), multiset(&reference));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_shard_write_surfaces_from_finish_with_no_paths() {
+        let dir = std::env::temp_dir().join(format!("etalumis_sink_fail_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory where the first shard must land: its rename fails.
+        std::fs::create_dir_all(etalumis_data::shard_path(&dir, &partition_prefix(0), 0)).unwrap();
+        let sink = ShardedTraceSink::new(&dir, 1, 8, true);
+        let mut m = BranchingModel::standard();
+        for s in 0..20u64 {
+            sink.accept(s as usize, Executor::sample_prior(&mut m, s));
+        }
+        assert!(sink.finish().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
