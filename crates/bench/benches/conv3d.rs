@@ -3,8 +3,9 @@
 //! Paper: "the heavily used 3D convolution kernel achieved an 8x
 //! improvement" from MKL-DNN's blocked layout + SIMD vectorization; here the
 //! fast path is `conv3d_blocked`, tiled im2col products on the AVX2 GEMM row
-//! kernels. The workload is the first conv layer of the observation encoder
-//! on the paper's 20×35×35 voxel observations.
+//! kernels (the same per-image pass `Cnn3d` runs with bias, ReLU and the
+//! max-pool fused in). The workload is the first conv layer of the
+//! observation encoder on the paper's 20×35×35 voxel observations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etalumis_tensor::conv::{conv3d_blocked, conv3d_naive};

@@ -112,7 +112,7 @@ pub fn erfc(x: f64) -> f64 {
 
 /// Maclaurin series for erf, used for |x| < 0.5 where it converges quickly.
 fn erf_series(x: f64) -> f64 {
-    let two_over_sqrt_pi = 1.128_379_167_095_512_6;
+    let two_over_sqrt_pi = std::f64::consts::FRAC_2_SQRT_PI;
     let x2 = x * x;
     let mut term = x;
     let mut sum = x;

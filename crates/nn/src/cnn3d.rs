@@ -10,10 +10,10 @@
 
 use crate::linear::Linear;
 use crate::param::{kaiming_uniform, Module, Parameter};
-use etalumis_tensor::activations::{relu, relu_backward, relu_backward_in_place, relu_reusing};
+use etalumis_tensor::activations::{relu, relu_backward};
 use etalumis_tensor::conv::{
-    conv3d_backward_data_reusing, conv3d_backward_weights_acc, conv3d_blocked_reusing,
-    maxpool3d_backward_reusing, maxpool3d_reusing,
+    conv3d_backward_data_reusing, conv3d_backward_weights_acc, conv3d_fused_reusing, ConvGrad,
+    Epilogue,
 };
 use etalumis_tensor::{Conv3dSpec, Tensor};
 use rand::Rng;
@@ -24,7 +24,9 @@ use std::collections::BTreeMap;
 pub enum CnnStageSpec {
     /// 3×3×3 convolution (padding 1) to the given output channels, + ReLU.
     Conv(usize),
-    /// 2× max pooling on all three spatial axes.
+    /// 2× max pooling on all three spatial axes, fused into the `Conv` stage
+    /// it must directly follow. Floor semantics: an odd extent drops its
+    /// last plane, row or column.
     Pool,
 }
 
@@ -62,7 +64,10 @@ impl Cnn3dConfig {
         Self { input_dims, stages: vec![CnnStageSpec::Conv(4)], embedding_dim }
     }
 
-    /// Spatial dims and channels after all stages.
+    /// Spatial dims and channels after all stages. Each `Pool` halves every
+    /// extent rounding down, so an odd extent loses its last plane, row or
+    /// column: 8×13×13 pools to 4×6×6, the paper's 20×35×35 to 10×17×17
+    /// and then 5×8×8.
     pub fn output_geometry(&self) -> (usize, [usize; 3]) {
         let mut dims = self.input_dims;
         let mut chans = 1usize;
@@ -105,27 +110,31 @@ impl Cnn3dConfig {
     }
 }
 
-/// A Conv3D + ReLU stage with caches for backward.
+/// A Conv3D + ReLU stage, with the max-pool that follows it fused in: one
+/// per-image kernel pass forward ([`conv3d_fused_reusing`]) and two back.
+/// Backward needs the stage input (cached here), the argmax when pooled,
+/// and the ReLU mask, read from the stage output: `relu(y) > 0` exactly
+/// where `y > 0`, and the output is the input the next stage or the FC
+/// layer keeps.
 #[derive(Clone)]
 struct ConvStage {
     w: Parameter,
     b: Parameter,
     spec: Conv3dSpec,
     in_dims: [usize; 3],
+    pool: bool,
+    /// Position in [`Cnn3dConfig::stages`], which names the parameters.
+    index: usize,
     x_cache: Vec<Tensor>,
-    pre_cache: Vec<Tensor>,
+    arg_cache: Vec<Vec<u32>>,
 }
 
-/// A MaxPool stage with argmax caches.
-#[derive(Clone)]
-struct PoolStage {
-    arg_cache: Vec<(Vec<u32>, Vec<usize>)>,
-}
-
-#[derive(Clone)]
-enum Stage {
-    Conv(ConvStage),
-    Pool(PoolStage),
+impl ConvStage {
+    /// Elements per image of the stage output.
+    fn out_len(&self) -> usize {
+        let p = if self.pool { 2 } else { 1 };
+        self.spec.out_c * self.in_dims.iter().map(|&n| self.spec.out_dim(n) / p).product::<usize>()
+    }
 }
 
 /// Most buffers [`Spare`] keeps per class: more than one pass's worth, so a
@@ -151,8 +160,9 @@ const SPARE_MIN_BYTES: usize = 2 << 20;
 /// allocates none of its large activations. Allocating and freeing them
 /// every step instead left it to the allocator's history whether that
 /// memory went back to the OS and was faulted in again each step. On
-/// `Cnn3dConfig::small` over 8×13×13 voxels at B = 64 (first-stage output
-/// 2.8 MB) that was about 1 800 page faults, a tenth of the step.
+/// `Cnn3dConfig::small` over 8×13×13 voxels at B = 64, before the pool was
+/// fused into the conv stage (its unpooled output was 2.8 MB), that was
+/// about 1 800 page faults, a tenth of the step.
 #[derive(Clone, Default)]
 struct Spare(BTreeMap<usize, Vec<Vec<f32>>>);
 
@@ -187,7 +197,7 @@ fn per_image(shape: &[usize]) -> usize {
 pub struct Cnn3d {
     /// Static configuration.
     pub config: Cnn3dConfig,
-    stages: Vec<Stage>,
+    stages: Vec<ConvStage>,
     fc: Linear,
     fc_relu_cache: Vec<Tensor>,
     spare: Spare,
@@ -199,22 +209,27 @@ impl Cnn3d {
         let mut stages = Vec::new();
         let mut chans = 1usize;
         let mut dims = config.input_dims;
-        for s in &config.stages {
+        for (index, s) in config.stages.iter().enumerate() {
             match s {
                 CnnStageSpec::Conv(c) => {
-                    let spec = Conv3dSpec { in_c: chans, out_c: *c, k: 3, pad: 1 };
-                    stages.push(Stage::Conv(ConvStage {
+                    stages.push(ConvStage {
                         w: Parameter::new(kaiming_uniform(rng, &[*c, chans, 3, 3, 3])),
                         b: Parameter::zeros(&[*c]),
-                        spec,
+                        spec: Conv3dSpec { in_c: chans, out_c: *c, k: 3, pad: 1 },
                         in_dims: dims,
+                        pool: false,
+                        index,
                         x_cache: Vec::new(),
-                        pre_cache: Vec::new(),
-                    }));
+                        arg_cache: Vec::new(),
+                    });
                     chans = *c;
                 }
                 CnnStageSpec::Pool => {
-                    stages.push(Stage::Pool(PoolStage { arg_cache: Vec::new() }));
+                    let conv = stages.last_mut().filter(|cs| !cs.pool);
+                    assert!(conv.is_some(), "a Pool stage must directly follow a Conv stage");
+                    if let Some(cs) = conv {
+                        cs.pool = true;
+                    }
                     dims = [dims[0] / 2, dims[1] / 2, dims[2] / 2];
                 }
             }
@@ -243,40 +258,24 @@ impl Cnn3d {
         // `None` until the first stage has run: the input is only copied
         // when training caches it.
         let mut cur: Option<Tensor> = None;
-        for stage in &mut self.stages {
+        for cs in &mut self.stages {
             let input = cur.as_ref().unwrap_or(x);
-            let y = match stage {
-                Stage::Conv(cs) => {
-                    let [d, h, w] = cs.in_dims.map(|n| cs.spec.out_dim(n));
-                    let out_len = cs.spec.out_c * d * h * w;
-                    let (weight, bias) = (&cs.w.value, cs.b.value.data());
-                    let pre =
-                        conv3d_blocked_reusing(input, weight, bias, &cs.spec, spare.take(out_len));
-                    let y = relu_reusing(&pre, spare.take(out_len));
-                    if train {
-                        let kept = cur.take().unwrap_or_else(|| {
-                            let mut copy = spare.take(per_image(x.shape()));
-                            copy.clear();
-                            copy.extend_from_slice(x.data());
-                            Tensor::from_vec(x.shape(), copy)
-                        });
-                        cs.x_cache.push(kept);
-                        cs.pre_cache.push(pre);
-                    } else {
-                        spare.give(pre);
-                    }
-                    y
+            let epi = if cs.pool { Epilogue::ReluPool } else { Epilogue::Relu };
+            let (weight, bias) = (&cs.w.value, cs.b.value.data());
+            let (y, arg) =
+                conv3d_fused_reusing(input, weight, bias, &cs.spec, epi, spare.take(cs.out_len()));
+            if train {
+                let kept = cur.take().unwrap_or_else(|| {
+                    let mut copy = spare.take(per_image(x.shape()));
+                    copy.clear();
+                    copy.extend_from_slice(x.data());
+                    Tensor::from_vec(x.shape(), copy)
+                });
+                cs.x_cache.push(kept);
+                if cs.pool {
+                    cs.arg_cache.push(arg);
                 }
-                Stage::Pool(ps) => {
-                    let s = input.shape();
-                    let out_len = s[1] * (s[2] / 2) * (s[3] / 2) * (s[4] / 2);
-                    let (y, arg) = maxpool3d_reusing(input, 2, spare.take(out_len));
-                    if train {
-                        ps.arg_cache.push((arg, s.to_vec()));
-                    }
-                    y
-                }
-            };
+            }
             if let Some(done) = cur.replace(y) {
                 spare.give(done);
             }
@@ -296,58 +295,44 @@ impl Cnn3d {
     /// first stage's parameters: its input gradient is never computed.
     pub fn backward(&mut self, grad: &Tensor) {
         let pre = self.fc_relu_cache.pop().expect("Cnn3d::backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
-        let dpre = relu_backward(&pre, grad);
-        let dflat = self.fc.backward(&dpre);
+        let (dflat, flat) = self.fc.backward_returning_input(&relu_backward(&pre, grad));
         let (c, dims) = self.config.output_geometry();
-        let b = grad.rows();
+        let shape = [grad.rows(), c, dims[0], dims[1], dims[2]];
         let spare = &mut self.spare;
-        let mut cur = dflat.reshape(&[b, c, dims[0], dims[1], dims[2]]);
-        for (i, stage) in self.stages.iter_mut().enumerate().rev() {
-            let below = match stage {
-                Stage::Conv(cs) => {
-                    let x = cs.x_cache.pop().expect("conv backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
-                    let pre = cs.pre_cache.pop().expect("conv cache"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
-
-                    // `cur` becomes the gradient w.r.t. the pre-activation.
-                    relu_backward_in_place(pre.data(), cur.data_mut());
-                    spare.give(pre);
-                    conv3d_backward_weights_acc(
-                        &x,
-                        &cur,
-                        &cs.spec,
-                        cs.w.grad.data_mut(),
-                        cs.b.grad.data_mut(),
-                    );
-                    if i == 0 {
-                        spare.give(x);
-                        break;
-                    }
-                    let [d, h, w] = cs.in_dims;
-                    let buf = spare.take(per_image(x.shape()));
-                    spare.give(x);
-                    conv3d_backward_data_reusing(&cur, &cs.w.value, &cs.spec, (d, h, w), buf)
-                }
-                Stage::Pool(ps) => {
-                    let (arg, in_shape) = ps.arg_cache.pop().expect("pool backward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
-                    let buf = spare.take(per_image(&in_shape));
-                    maxpool3d_backward_reusing(&cur, &arg, &in_shape, buf)
-                }
+        // A stage's output (the next stage's input, or the FC layer's) and
+        // the gradient w.r.t. it.
+        let (mut out, mut cur) = (flat.reshape(&shape), dflat.reshape(&shape));
+        for (i, cs) in self.stages.iter_mut().enumerate().rev() {
+            // `arg` is empty when unpooled; a missing pooled one fails
+            // `ConvGrad`'s shape check, after `x_cache` caught the misuse.
+            let x = cs.x_cache.pop().expect("conv backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
+            let arg = cs.arg_cache.pop().unwrap_or_default();
+            let dy = if cs.pool {
+                ConvGrad::ReluPool { grad: &cur, pooled: &out, arg: &arg }
+            } else {
+                ConvGrad::Relu { grad: &cur, out: &out }
             };
-            spare.give(std::mem::replace(&mut cur, below));
+            let (gw, gb) = (cs.w.grad.data_mut(), cs.b.grad.data_mut());
+            conv3d_backward_weights_acc(&x, dy, &cs.spec, gw, gb);
+            let below = (i > 0).then(|| {
+                let [d, h, w] = cs.in_dims;
+                let buf = spare.take(per_image(x.shape()));
+                conv3d_backward_data_reusing(dy, &cs.w.value, &cs.spec, (d, h, w), buf)
+            });
+            spare.give(std::mem::replace(&mut out, x));
+            if let Some(below) = below {
+                spare.give(std::mem::replace(&mut cur, below));
+            }
         }
+        spare.give(out);
         spare.give(cur);
     }
 
     /// Drop all cached activations.
     pub fn clear_cache(&mut self) {
-        for s in &mut self.stages {
-            match s {
-                Stage::Conv(cs) => {
-                    cs.x_cache.clear();
-                    cs.pre_cache.clear();
-                }
-                Stage::Pool(ps) => ps.arg_cache.clear(),
-            }
+        for cs in &mut self.stages {
+            cs.x_cache.clear();
+            cs.arg_cache.clear();
         }
         self.fc.clear_cache();
         self.fc_relu_cache.clear();
@@ -356,11 +341,9 @@ impl Cnn3d {
 
 impl Module for Cnn3d {
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Parameter)) {
-        for (i, s) in self.stages.iter_mut().enumerate() {
-            if let Stage::Conv(cs) = s {
-                f(&format!("{prefix}/conv{i}/w"), &mut cs.w);
-                f(&format!("{prefix}/conv{i}/b"), &mut cs.b);
-            }
+        for cs in &mut self.stages {
+            f(&format!("{prefix}/conv{}/w", cs.index), &mut cs.w);
+            f(&format!("{prefix}/conv{}/b", cs.index), &mut cs.b);
         }
         self.fc.visit_params(&format!("{prefix}/fc"), f);
     }
@@ -450,37 +433,49 @@ mod tests {
         }
     }
 
-    /// The backward chain written out on the tensor kernels with nothing
-    /// skipped: the first stage's input gradient is computed and returned.
-    fn backward_to_input(cnn: &mut Cnn3d, grad: &Tensor) -> Tensor {
-        let pre = cnn.fc_relu_cache.pop().unwrap();
+    /// The stack on the allocating kernels, unfused: `conv3d_blocked → relu
+    /// → maxpool3d` per stage, then back through `maxpool3d_backward →
+    /// relu_backward → conv3d_backward_{weights,data}` with nothing skipped:
+    /// the first stage's input gradient is computed too. Accumulates `cnn`'s
+    /// parameter gradients; returns the embedding and dL/dx.
+    fn reference_pass(cnn: &mut Cnn3d, x: &Tensor, grad: &Tensor) -> (Tensor, Tensor) {
+        use etalumis_tensor::conv::{
+            conv3d_backward_data, conv3d_backward_weights, conv3d_blocked, maxpool3d,
+            maxpool3d_backward,
+        };
+        let b = x.shape()[0];
+        // Per stage: its input, its pre-activation and, when pooled, the
+        // argmax and the shape it indexes.
+        let mut acts = Vec::new();
+        let mut cur = x.clone();
+        for cs in &cnn.stages {
+            let pre = conv3d_blocked(&cur, &cs.w.value, cs.b.value.data(), &cs.spec);
+            let mut y = relu(&pre);
+            let mut pool = None;
+            if cs.pool {
+                let (p, arg) = maxpool3d(&y, 2);
+                pool = Some((arg, y.shape().to_vec()));
+                y = p;
+            }
+            acts.push((std::mem::replace(&mut cur, y), pre, pool));
+        }
+        let pre = cnn.fc.forward(&cur.reshape(&[b, cnn.config.flat_dim()]));
+        let emb = relu(&pre);
         let dflat = cnn.fc.backward(&relu_backward(&pre, grad));
         let (c, dims) = cnn.config.output_geometry();
-        let mut cur = dflat.reshape(&[grad.rows(), c, dims[0], dims[1], dims[2]]);
-        for stage in cnn.stages.iter_mut().rev() {
-            cur = match stage {
-                Stage::Conv(cs) => {
-                    let x = cs.x_cache.pop().unwrap();
-                    let dpre = relu_backward(&cs.pre_cache.pop().unwrap(), &cur);
-                    let (gw, gb) =
-                        etalumis_tensor::conv::conv3d_backward_weights(&x, &dpre, &cs.spec);
-                    cs.w.grad.add_assign(&gw);
-                    cs.b.grad.add_assign(&Tensor::from_vec(&[gb.len()], gb));
-                    let [d, h, w] = cs.in_dims;
-                    etalumis_tensor::conv::conv3d_backward_data(
-                        &dpre,
-                        &cs.w.value,
-                        &cs.spec,
-                        (d, h, w),
-                    )
-                }
-                Stage::Pool(ps) => {
-                    let (arg, in_shape) = ps.arg_cache.pop().unwrap();
-                    etalumis_tensor::conv::maxpool3d_backward(&cur, &arg, &in_shape)
-                }
-            };
+        let mut g = dflat.reshape(&[b, c, dims[0], dims[1], dims[2]]);
+        for (cs, (input, pre, pool)) in cnn.stages.iter_mut().zip(acts).rev() {
+            if let Some((arg, shape)) = pool {
+                g = maxpool3d_backward(&g, &arg, &shape);
+            }
+            let dpre = relu_backward(&pre, &g);
+            let (gw, gb) = conv3d_backward_weights(&input, &dpre, &cs.spec);
+            cs.w.grad.add_assign(&gw);
+            cs.b.grad.add_assign(&Tensor::from_vec(&[gb.len()], gb));
+            let [d, h, w] = cs.in_dims;
+            g = conv3d_backward_data(&dpre, &cs.w.value, &cs.spec, (d, h, w));
         }
-        cur
+        (emb, g)
     }
 
     #[test]
@@ -493,11 +488,56 @@ mod tests {
         cnn.backward(&g);
         let skipped = param_grads(&mut cnn);
         cnn.visit_params("cnn", &mut |_, p| p.grad.zero_());
-        cnn.forward(&x);
-        let dx = backward_to_input(&mut cnn, &g);
+        let (_, dx) = reference_pass(&mut cnn, &x, &g);
         assert_eq!(dx.shape(), x.shape());
         assert!(dx.data().iter().any(|&v| v != 0.0), "the reference run computes dL/dx");
         assert_eq!(skipped, param_grads(&mut cnn));
+    }
+
+    #[test]
+    fn conv_conv_pool_and_conv_fc_stages_match_the_allocating_kernels() {
+        // `small` has only Conv→Pool stages. Here the first stage's ReLU mask
+        // comes from the next conv's input, the second's from the pooled
+        // value at the argmax, the last's from the FC layer's input; odd
+        // extents make the pool drop a plane and a column.
+        use CnnStageSpec::*;
+        let cfg = Cnn3dConfig {
+            input_dims: [5, 7, 6],
+            stages: vec![Conv(4), Conv(6), Pool, Conv(8)],
+            embedding_dim: 3,
+        };
+        let mut cnn = Cnn3d::new(&mut StdRng::seed_from_u64(4), cfg);
+        // Biases on both sides of zero, so every mask has both outcomes.
+        cnn.visit_params("cnn", &mut |n, p| {
+            if n.ends_with("/b") {
+                let len = p.value.numel();
+                p.value = Tensor::from_fn(&[len], |i| (i as f32 - 1.5) * 0.1);
+            }
+        });
+        let mut reference = cnn.clone();
+        let x = Tensor::from_fn(&[5, 1, 5, 7, 6], |i| ((i * 37) % 17) as f32 * 0.11 - 0.9);
+        let g = Tensor::from_fn(&[5, 3], |i| ((i * 13) % 5) as f32 * 0.4 - 0.7);
+        let y = cnn.forward(&x);
+        cnn.backward(&g);
+        let (want, _) = reference_pass(&mut reference, &x, &g);
+        assert_eq!(y, want, "embedding");
+        let (got, want) = (param_grads(&mut cnn), param_grads(&mut reference));
+        assert_eq!(got.len(), 8);
+        for ((name, got), (_, want)) in got.iter().zip(&want) {
+            assert!(want.data().iter().any(|&v| v != 0.0), "{name}: a gradient reaches it");
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a Pool stage must directly follow a Conv stage")]
+    fn a_pool_without_a_conv_before_it_is_rejected() {
+        let cfg = Cnn3dConfig {
+            input_dims: [4, 4, 4],
+            stages: vec![CnnStageSpec::Conv(2), CnnStageSpec::Pool, CnnStageSpec::Pool],
+            embedding_dim: 2,
+        };
+        Cnn3d::new(&mut StdRng::seed_from_u64(5), cfg);
     }
 
     #[test]
@@ -505,13 +545,16 @@ mod tests {
         // A network whose spare buffers hold earlier passes' activations —
         // of a larger batch (stale tails), a smaller one (grown buffers) and
         // the same one — must compute exactly what a fresh network does
-        // with the allocating kernels. The conv output is 32 KiB per image,
-        // so from B = 64 on it is large enough to be kept.
-        let cfg = Cnn3dConfig {
+        // with the allocating kernels. With the pool fused in, the first
+        // stack keeps no buffer (its largest activation is 4 KiB per image);
+        // the second's unpooled conv output is 32 KiB per image, so from
+        // B = 64 on it is large enough to be kept.
+        let pooled = Cnn3dConfig {
             input_dims: [4, 16, 16],
             stages: vec![CnnStageSpec::Conv(8), CnnStageSpec::Pool],
             embedding_dim: 4,
         };
+        let unpooled = Cnn3dConfig { stages: vec![CnnStageSpec::Conv(8)], ..pooled.clone() };
         let input = |b: usize, salt: usize| {
             Tensor::from_fn(&[b, 1, 4, 16, 16], |i| ((i * 29 + salt) % 13) as f32 * 0.07 - 0.4)
         };
@@ -521,27 +564,28 @@ mod tests {
             cnn.backward(&grad(b));
             (y, param_grads(cnn))
         };
-        let fresh = || Cnn3d::new(&mut StdRng::seed_from_u64(3), cfg.clone());
-        let reference = |b: usize| {
-            let mut cnn = fresh();
-            let y = cnn.forward(&input(b, 0));
-            backward_to_input(&mut cnn, &grad(b));
-            (y, param_grads(&mut cnn))
-        };
-        let mut warm = fresh();
-        for (b, salt) in [(80, 1), (64, 2), (72, 3)] {
-            warm.forward_inference(&input(b + 1, salt));
-            step(&mut warm, b, salt);
+        for (cfg, kept) in [(pooled, false), (unpooled, true)] {
+            let fresh = || Cnn3d::new(&mut StdRng::seed_from_u64(3), cfg.clone());
+            let reference = |b: usize| {
+                let mut cnn = fresh();
+                let (y, _) = reference_pass(&mut cnn, &input(b, 0), &grad(b));
+                (y, param_grads(&mut cnn))
+            };
+            let mut warm = fresh();
+            for (b, salt) in [(80, 1), (64, 2), (72, 3)] {
+                warm.forward_inference(&input(b + 1, salt));
+                step(&mut warm, b, salt);
+            }
+            assert_eq!(!warm.spare.0.is_empty(), kept, "the conv outputs were kept");
+            for b in [72, 64, 88] {
+                warm.visit_params("cnn", &mut |_, p| p.grad.zero_());
+                assert_eq!(reference(b), step(&mut warm, b, 0), "batch {b}");
+            }
+            let x = input(4, 4);
+            assert_eq!(fresh().forward_inference(&x), warm.forward_inference(&x));
+            // Inference lets the training buffers go.
+            assert!(warm.spare.0.is_empty());
         }
-        assert!(!warm.spare.0.is_empty(), "the conv outputs were kept");
-        for b in [72, 64, 88] {
-            warm.visit_params("cnn", &mut |_, p| p.grad.zero_());
-            assert_eq!(reference(b), step(&mut warm, b, 0), "batch {b}");
-        }
-        let x = input(4, 4);
-        assert_eq!(fresh().forward_inference(&x), warm.forward_inference(&x));
-        // Inference lets the training buffers go.
-        assert!(warm.spare.0.is_empty());
     }
 
     #[test]

@@ -69,6 +69,11 @@ impl Linear {
 
     /// Backward: accumulates dW, db; returns dX. Pops the matching cache.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_returning_input(grad_out).0
+    }
+
+    /// [`Linear::backward`] that also hands back the cached input it popped.
+    pub(crate) fn backward_returning_input(&mut self, grad_out: &Tensor) -> (Tensor, Tensor) {
         let x = self.cache.pop().expect("Linear::backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
                                                                              // dW = xᵀ·g
         let dw = matmul_at_b(&x, grad_out);
@@ -79,7 +84,7 @@ impl Linear {
             *g += d;
         }
         // dX = g·Wᵀ
-        matmul_a_bt(grad_out, &self.w.value)
+        (matmul_a_bt(grad_out, &self.w.value), x)
     }
 
     /// Discard cached activations (e.g. after an inference-only forward).

@@ -20,24 +20,9 @@ pub fn relu_in_place(xs: &mut [f32]) {
     }
 }
 
-/// [`relu`] with its output stored in `buf`'s allocation.
-pub fn relu_reusing(x: &Tensor, mut buf: Vec<f32>) -> Tensor {
-    buf.clear();
-    buf.extend(x.data().iter().map(|v| v.max(0.0)));
-    Tensor::from_vec(x.shape(), buf)
-}
-
 /// ReLU backward: grad * 1[x > 0] (uses the forward *input*).
 pub fn relu_backward(x: &Tensor, grad: &Tensor) -> Tensor {
     x.zip_map(grad, |xv, g| if xv > 0.0 { g } else { 0.0 })
-}
-
-/// [`relu_backward`] in place: `grad` becomes grad * 1[x > 0].
-pub fn relu_backward_in_place(x: &[f32], grad: &mut [f32]) {
-    assert_eq!(x.len(), grad.len(), "relu backward: input and gradient lengths");
-    for (g, &xv) in grad.iter_mut().zip(x) {
-        *g = if xv > 0.0 { *g } else { 0.0 };
-    }
 }
 
 /// Logistic sigmoid forward.

@@ -13,20 +13,33 @@
 //!   framework" baseline and the oracle the others are tested against.
 //!
 //! Per image and per fixed tile of output voxels, the panel
-//! `col[C·k³, tile]` is built from the zero-padded image with row copies;
-//! it lives in per-thread scratch bounded per tile, so no whole-volume or
-//! whole-batch im2col is ever materialised. Every layer shape takes this one
-//! path.
+//! `col[C·k³, tile]` is built from the zero-padded image with whole
+//! 8-float copies ([`Kernels::im2col`]) and added back by col2im with
+//! 8-lane vectors ([`Kernels::col2im`]); it lives in per-thread scratch
+//! bounded per tile, so no whole-volume or whole-batch im2col is ever
+//! materialised. Every layer shape takes this one path.
+//!
+//! A `Cnn3d` stage — convolution, ReLU and, when one follows, a 2× max-pool
+//! — is one per-image task each way. Forward, [`conv3d_fused_reusing`]
+//! applies bias and ReLU in the tile copy-out and pools the image's output
+//! while it is in cache. Backward, [`conv3d_backward_weights_acc`] and
+//! [`conv3d_backward_data_reusing`] take a [`ConvGrad`] and build each
+//! image's `dY` themselves: the pool scatter and the ReLU mask, read from
+//! the stage's post-ReLU output (`relu(y) > 0` exactly where `y > 0`, NaN
+//! and −0 included). No batch-sized pre-activation, pre-pool or `dY`
+//! buffer exists; the allocating `relu`, [`maxpool3d`] and
+//! [`maxpool3d_backward`] are the fused stages' test oracle.
 //!
 //! Determinism: tile and image-group boundaries are functions of the layer
 //! shape alone, images (or groups of images) are independent pool tasks with
 //! disjoint outputs, the weight-gradient partials are added in ascending
-//! group order, and every product is a [`crate::simd`] row kernel — so
+//! group order, every product is a [`crate::simd`] row kernel, and col2im
+//! gives each element its adds in the fixed (tile, panel row) order — so
 //! results are bit-identical across scalar/AVX2 dispatch and across thread
-//! counts.
+//! counts, and the fused stages equal the unfused chain bit for bit.
 
 use crate::pool::{self, SendPtr};
-use crate::simd::Kernels;
+use crate::simd::{Kernels, Seg};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
@@ -140,34 +153,28 @@ pub fn conv3d_naive(x: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv3dSpec
 /// (`C·k³ = 27`) gets a few 592-voxel tiles per image, and a wide one falls
 /// back to [`TILE_ALIGN`] voxels per tile — 216 KiB of panel for the `128·27`
 /// rows of `Cnn3dConfig::paper`'s widest layer, never a panel over the whole
-/// volume. This bounds the per-thread scratch whatever the layer.
+/// volume. This bounds the per-thread panel scratch whatever the layer.
 const COL_PANEL_FLOATS: usize = 16 * 1024;
 
 /// Tile lengths are multiples of the 16-column block of the GEMM row kernel,
 /// so only an image's last tile can have a narrower tail.
 const TILE_ALIGN: usize = 16;
 
-/// Floats per vector copy of the im2col fill, and the slack the padded image
-/// and the panel carry for it.
+/// Floats per vector of the im2col fill and of col2im, and the slack the
+/// padded image (or its gradient) and the panel carry for them.
 const LANES: usize = 8;
 
 /// Images per weight-gradient partial sum. Part of the determinism contract:
 /// group boundaries depend on the batch size only, never on thread count.
 const IMAGES_PER_GROUP: usize = 4;
 
+/// Window and stride of the max-pool a fused stage applies.
+const POOL: usize = 2;
+
 /// Voxels per tile for an im2col panel of `kk` rows — a pure function of the
 /// layer shape.
 fn tile_len(kk: usize) -> usize {
     (COL_PANEL_FLOATS / kk / TILE_ALIGN * TILE_ALIGN).max(TILE_ALIGN)
-}
-
-/// A run of output voxels that is contiguous in the padded input too (part of
-/// one output row): `len` floats at `pad` in the padded volume (kernel offset
-/// and channel 0) and at `col` in a panel row.
-struct Seg {
-    pad: usize,
-    col: usize,
-    len: usize,
 }
 
 /// A fixed range of one image's output voxels, cut into row segments.
@@ -185,6 +192,7 @@ struct Tile {
 /// `koff[t]` plus a segment's `pad`. Built once per call and shared read-only
 /// by every image task.
 struct Lowering {
+    k: usize,
     out_dims: (usize, usize, usize),
     /// Rows of the im2col panel, `C·k³`.
     kk: usize,
@@ -198,6 +206,8 @@ struct Lowering {
     w: usize,
     rows: Vec<(usize, usize)>,
     koff: Vec<usize>,
+    /// `koff` of every `kx = 0` row: row `t` is at `kbase[t / k] + t % k`.
+    kbase: Vec<usize>,
     tiles: Vec<Tile>,
 }
 
@@ -211,9 +221,10 @@ impl Lowering {
         let rows = (0..c * d * h)
             .map(|r| (r * w, ((r / (d * h) * pd + r / h % d + p) * ph + r % h + p) * pw + p))
             .collect();
-        let koff = (0..kk)
+        let koff: Vec<usize> = (0..kk)
             .map(|t| ((t / (k * k * k) * pd + t / (k * k) % k) * ph + t / k % k) * pw + t % k)
             .collect();
+        let kbase = koff.iter().step_by(k.max(1)).copied().collect();
         let mut tiles = Vec::new();
         let mut start = 0;
         while start < vox {
@@ -238,7 +249,15 @@ impl Lowering {
             start += len;
         }
         let (in_len, pad_len) = (c * d * h * w, c * pd * ph * pw);
-        Self { out_dims: (od, oh, ow), kk, vox, in_len, pad_len, w, rows, koff, tiles }
+        Self { k, out_dims: (od, oh, ow), kk, vox, in_len, pad_len, w, rows, koff, kbase, tiles }
+    }
+
+    /// Output dims after the fused 2× max-pool. Floor semantics: an odd
+    /// extent drops its last plane, row or column, which then gets an
+    /// exact +0 gradient.
+    fn pooled_dims(&self) -> (usize, usize, usize) {
+        let (od, oh, ow) = self.out_dims;
+        (od / POOL, oh / POOL, ow / POOL)
     }
 
     /// Zero-pad one image into `xpad`.
@@ -256,32 +275,67 @@ impl Lowering {
         }
     }
 
-    /// Fill the panel `col[kk, tile.len]` from the padded image with row
-    /// copies: no per-element bounds tests, the padding supplies the zeros.
-    /// A segment is copied as whole [`LANES`]-float vectors, so up to
-    /// `LANES - 1` floats past its end are read and written; segments and
-    /// rows are filled in ascending order, so that spill lands only where a
-    /// later copy puts the real values, or in the [`LANES`] floats of slack
-    /// both buffers carry past their last element.
-    fn im2col(&self, tile: &Tile, xpad: &[f32], col: &mut [f32]) {
-        for (t, &off) in self.koff.iter().enumerate() {
-            let src = &xpad[off..];
-            let dst = &mut col[t * tile.len..];
-            for &(from, to) in &tile.vecs {
-                dst[to..to + LANES].copy_from_slice(&src[from..from + LANES]);
+    /// `Y[O, tile] = b + W · col` per tile, stored to `y[O, vox]` through
+    /// the ReLU when `relu`.
+    fn conv_image(
+        &self,
+        kern: Kernels,
+        (wd, bias): (&[f32], &[f32]),
+        relu: bool,
+        xpad: &[f32],
+        (col, rows): (&mut Vec<f32>, &mut Vec<f32>),
+        y: &mut [f32],
+    ) {
+        let (o, kk, vox) = (bias.len(), self.kk, self.vox);
+        for tile in &self.tiles {
+            let col = prefix(col, kk * tile.len + LANES);
+            kern.im2col(col, xpad, &self.koff, &tile.vecs, tile.len);
+            let ytile = prefix(rows, o * tile.len);
+            for (yrow, &b) in ytile.chunks_exact_mut(tile.len).zip(bias) {
+                yrow.fill(b);
+            }
+            kern.gemm_rows_unpacked(ytile, wd, &col[..kk * tile.len], kk, tile.len);
+            for (oc, yrow) in ytile.chunks_exact(tile.len).enumerate() {
+                let dst = &mut y[oc * vox + tile.start..][..tile.len];
+                if relu {
+                    for (d, &v) in dst.iter_mut().zip(yrow) {
+                        *d = v.max(0.0);
+                    }
+                } else {
+                    dst.copy_from_slice(yrow);
+                }
             }
         }
     }
 
-    /// The transpose of [`Lowering::im2col`]: add the panel back onto the
-    /// padded image gradient, rows ascending.
-    fn col2im(&self, tile: &Tile, col: &[f32], gpad: &mut [f32]) {
-        for (crow, &off) in col.chunks_exact(tile.len).zip(&self.koff) {
-            let dst = &mut gpad[off..];
-            for s in &tile.segs {
-                let src = &crow[s.col..s.col + s.len];
-                for (g, &v) in dst[s.pad..s.pad + s.len].iter_mut().zip(src) {
-                    *g += v;
+    /// 2× max-pool one image's `y[O, OD, OH, OW]` into `pooled[O, PD, PH,
+    /// PW]`, as [`maxpool3d`] does: the first strictly greatest voxel of a
+    /// window wins, and `arg` gets its flat index plus `base`.
+    fn pool_image(&self, y: &[f32], pooled: &mut [f32], arg: &mut [u32], base: usize) {
+        let (od, oh, ow) = self.out_dims;
+        let (pd, ph, pw) = self.pooled_dims();
+        let mut i = 0;
+        for plane in 0..pooled.len() / (ph * pw) {
+            let (c, zo) = (plane / pd, plane % pd);
+            for yo in 0..ph {
+                for xo in 0..pw {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = ((c * od + zo * POOL) * oh + yo * POOL) * ow + xo * POOL;
+                    for kz in 0..POOL {
+                        for ky in 0..POOL {
+                            let at =
+                                ((c * od + zo * POOL + kz) * oh + yo * POOL + ky) * ow + xo * POOL;
+                            for (idx, &v) in (at..).zip(&y[at..at + POOL]) {
+                                if v > best {
+                                    best = v;
+                                    best_idx = idx;
+                                }
+                            }
+                        }
+                    }
+                    pooled[i] = best;
+                    arg[i] = (base + best_idx) as u32;
+                    i += 1;
                 }
             }
         }
@@ -289,12 +343,14 @@ impl Lowering {
 }
 
 /// Per-thread lowering scratch, reused across calls: one padded image, one
-/// im2col panel, and a few panel-width rows.
+/// im2col panel, a few panel-width rows and one image's `[O, vox]` (or
+/// `[vox, O]`) convolution output or gradient.
 #[derive(Default)]
 struct Scratch {
     pad: Vec<f32>,
     col: Vec<f32>,
     rows: Vec<f32>,
+    img: Vec<f32>,
 }
 
 thread_local! {
@@ -345,6 +401,18 @@ fn output_storage(mut buf: Vec<f32>, len: usize) -> Vec<f32> {
     buf
 }
 
+/// What [`conv3d_fused_reusing`] applies to each image's convolution output
+/// `Y` before storing it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Epilogue {
+    /// `Y` as is ([`conv3d_blocked`]).
+    Linear,
+    /// `relu(Y)`.
+    Relu,
+    /// The 2× max-pool of `relu(Y)`, with its argmax.
+    ReluPool,
+}
+
 /// 3D convolution as tiled im2col products on the GEMM row kernels.
 ///
 /// Semantically identical to [`conv3d_naive`]. Per image and per tile of
@@ -352,46 +420,180 @@ fn output_storage(mut buf: Vec<f32>, len: usize) -> Vec<f32> {
 /// [`Kernels::gemm_rows_unpacked`]. Every layer shape takes this path; images
 /// are independent pool tasks, so results do not depend on the thread count.
 pub fn conv3d_blocked(x: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv3dSpec) -> Tensor {
-    conv3d_blocked_reusing(x, weight, bias, spec, Vec::new())
+    conv3d_fused_reusing(x, weight, bias, spec, Epilogue::Linear, Vec::new()).0
 }
 
-/// [`conv3d_blocked`] with its output stored in `buf`'s allocation.
-pub fn conv3d_blocked_reusing(
+/// One convolution stage in one pass per image: [`conv3d_blocked`], then the
+/// `epi`logue while that image's output is still in cache, stored in `buf`'s
+/// allocation. Returns the stored tensor and, for [`Epilogue::ReluPool`],
+/// the argmax of every pooled voxel as a flat index into the `[N, O, OD, OH,
+/// OW]` convolution output (empty otherwise).
+///
+/// Bit for bit the chain `conv3d_blocked → relu → maxpool3d`: the ReLU is
+/// applied in the tile copy-out, and the pool runs on a per-thread copy of
+/// one image's output, so no batch-sized pre-activation or pre-pool buffer
+/// exists.
+pub fn conv3d_fused_reusing(
     x: &Tensor,
     weight: &Tensor,
     bias: &[f32],
     spec: &Conv3dSpec,
+    epi: Epilogue,
     buf: Vec<f32>,
-) -> Tensor {
+) -> (Tensor, Vec<u32>) {
     let s = x.shape();
     let (n, c, in_dims) = (s[0], s[1], (s[2], s[3], s[4]));
     assert_eq!(c, spec.in_c);
     assert_eq!(weight.shape(), &[spec.out_c, c, spec.k, spec.k, spec.k]);
     assert_eq!(bias.len(), spec.out_c);
     let low = Lowering::new(spec, in_dims);
-    let (od, oh, ow) = low.out_dims;
-    let len = n * spec.out_c * low.vox;
-    let mut out = Tensor::from_vec(&[n, spec.out_c, od, oh, ow], output_storage(buf, len));
+    let (o, vox) = (spec.out_c, low.vox);
+    let pool = epi == Epilogue::ReluPool;
+    let (d, h, w) = if pool { low.pooled_dims() } else { low.out_dims };
+    assert!(!pool || d * h * w > 0, "pool window larger than input");
+    let per_image = o * d * h * w;
+    assert!(!pool || n * o * vox <= u32::MAX as usize, "argmax indices must fit in u32");
+    let mut out = Tensor::from_vec(&[n, o, d, h, w], output_storage(buf, n * per_image));
+    let mut arg = vec![0u32; if pool { n * per_image } else { 0 }];
+    let args = SendPtr::new(arg.as_mut_ptr());
     let kern = Kernels::get();
-    let (xd, wd) = (x.data(), weight.data());
-    let (o, kk, vox) = (spec.out_c, low.kk, low.vox);
-    for_each_chunk(out.data_mut(), n, o * vox, &|ni, y, s| {
+    let (xd, params) = (x.data(), (weight.data(), bias));
+    for_each_chunk(out.data_mut(), n, per_image, &|ni, y, s| {
         let xpad = prefix(&mut s.pad, low.pad_len + LANES);
         low.pad_image(&xd[ni * low.in_len..(ni + 1) * low.in_len], xpad);
-        for tile in &low.tiles {
-            let col = prefix(&mut s.col, kk * tile.len + LANES);
-            low.im2col(tile, xpad, col);
-            let ytile = prefix(&mut s.rows, o * tile.len);
-            for (yrow, &b) in ytile.chunks_exact_mut(tile.len).zip(bias) {
-                yrow.fill(b);
+        let relu = epi != Epilogue::Linear;
+        if !pool {
+            low.conv_image(kern, params, relu, xpad, (&mut s.col, &mut s.rows), y);
+            return;
+        }
+        let img = prefix(&mut s.img, o * vox);
+        low.conv_image(kern, params, relu, xpad, (&mut s.col, &mut s.rows), img);
+        // SAFETY: with a pool, `arg` holds `n·per_image` indices (allocated
+        // above, outliving `pool::run`) and task `ni` is the only one to
+        // touch `[ni·per_image, (ni+1)·per_image)`.
+        let arg =
+            unsafe { std::slice::from_raw_parts_mut(args.get().add(ni * per_image), per_image) };
+        low.pool_image(img, y, arg, ni * o * vox);
+    });
+    (out, arg)
+}
+
+/// Where a backward pass gets `dY`, the gradient w.r.t. the convolution's
+/// output `Y = W·col + b` of every image.
+#[derive(Clone, Copy, Debug)]
+pub enum ConvGrad<'a> {
+    /// `dY` itself, `[N, O, OD, OH, OW]`.
+    Dense(&'a Tensor),
+    /// Through [`Epilogue::Relu`]: `grad` is w.r.t. `out = relu(Y)`, and
+    /// `dY = out > 0 ? grad : 0`.
+    Relu { grad: &'a Tensor, out: &'a Tensor },
+    /// Through [`Epilogue::ReluPool`]: `grad` is w.r.t. the pooled output
+    /// `pooled`, whose argmax is `arg`. `dY` is `0 + grad` at an argmax
+    /// whose pooled value is `> 0`, else `+0`.
+    ReluPool { grad: &'a Tensor, pooled: &'a Tensor, arg: &'a [u32] },
+}
+
+impl ConvGrad<'_> {
+    /// Batch size, after checking every shape against a layer with `o`
+    /// output channels lowered as `low`.
+    fn batch(&self, o: usize, low: &Lowering) -> usize {
+        let (grad, (d, h, w)) = match *self {
+            ConvGrad::Dense(g) => (g, low.out_dims),
+            ConvGrad::Relu { grad, out } => {
+                assert_eq!(out.shape(), grad.shape(), "ReLU output and its gradient");
+                (grad, low.out_dims)
             }
-            kern.gemm_rows_unpacked(ytile, wd, &col[..kk * tile.len], kk, tile.len);
-            for (oc, yrow) in ytile.chunks_exact(tile.len).enumerate() {
-                y[oc * vox + tile.start..][..tile.len].copy_from_slice(yrow);
+            ConvGrad::ReluPool { grad, pooled, arg } => {
+                assert_eq!(pooled.shape(), grad.shape(), "pooled output and its gradient");
+                assert_eq!(arg.len(), grad.numel(), "one argmax per pooled voxel");
+                (grad, low.pooled_dims())
+            }
+        };
+        let n = grad.shape()[0];
+        assert_eq!(grad.shape(), &[n, o, d, h, w], "gradient shape");
+        n
+    }
+
+    /// Image `ni`'s `dY[O, vox]`: borrowed from a dense gradient, else built
+    /// in `buf`.
+    fn image<'b>(
+        &'b self,
+        ni: usize,
+        o: usize,
+        low: &Lowering,
+        buf: &'b mut Vec<f32>,
+    ) -> &'b [f32] {
+        let len = o * low.vox;
+        let at = ni * len..(ni + 1) * len;
+        match *self {
+            ConvGrad::Dense(g) => &g.data()[at],
+            ConvGrad::Relu { grad, out } => {
+                let dy = prefix(buf, len);
+                for ((d, &g), &y) in
+                    dy.iter_mut().zip(&grad.data()[at.clone()]).zip(&out.data()[at])
+                {
+                    *d = if y > 0.0 { g } else { 0.0 };
+                }
+                dy
+            }
+            ConvGrad::ReluPool { grad, pooled, arg } => {
+                let dy = prefix(buf, len);
+                dy.fill(0.0);
+                for (a, g) in routes(grad, pooled, arg, ni, at.start) {
+                    dy[a] = g;
+                }
+                dy
             }
         }
-    });
-    out
+    }
+
+    /// Image `ni`'s `dYᵀ[vox, O]`, written to `dyt`.
+    fn image_t(&self, ni: usize, o: usize, low: &Lowering, dyt: &mut [f32]) {
+        let vox = low.vox;
+        let at = ni * o * vox..(ni + 1) * o * vox;
+        let (g, out) = match *self {
+            ConvGrad::Dense(g) => (&g.data()[at], None),
+            ConvGrad::Relu { grad, out } => (&grad.data()[at.clone()], Some(&out.data()[at])),
+            ConvGrad::ReluPool { grad, pooled, arg } => {
+                dyt.fill(0.0);
+                for (a, g) in routes(grad, pooled, arg, ni, at.start) {
+                    dyt[a % vox * o + a / vox] = g;
+                }
+                return;
+            }
+        };
+        for (v, drow) in dyt.chunks_exact_mut(o).enumerate() {
+            for (oc, d) in drow.iter_mut().enumerate() {
+                let i = oc * vox + v;
+                *d = match out {
+                    Some(y) if y[i] > 0.0 => g[i],
+                    Some(_) => 0.0,
+                    None => g[i],
+                };
+            }
+        }
+    }
+}
+
+/// Where pooled image `ni`'s gradient goes: `(a, 0 + g)` for every pooled
+/// voxel whose value is `> 0`, `a` its argmax counted from `base`, the
+/// image's first convolution output. `0 + g` is what the scatter onto a
+/// zeroed buffer computed: a −0 gradient arrives as +0.
+fn routes<'b>(
+    grad: &'b Tensor,
+    pooled: &'b Tensor,
+    arg: &'b [u32],
+    ni: usize,
+    base: usize,
+) -> impl Iterator<Item = (usize, f32)> + 'b {
+    let len = grad.numel() / grad.shape()[0];
+    let at = ni * len..(ni + 1) * len;
+    let (g, p, a) = (&grad.data()[at.clone()], &pooled.data()[at.clone()], &arg[at]);
+    g.iter()
+        .zip(p)
+        .zip(a)
+        .filter(|((_, &p), _)| p > 0.0)
+        .map(move |((&g, _), &a)| (a as usize - base, 0.0 + g))
 }
 
 /// Gradient of the convolution w.r.t. its input.
@@ -406,21 +608,23 @@ pub fn conv3d_backward_data(
     spec: &Conv3dSpec,
     in_dims: (usize, usize, usize),
 ) -> Tensor {
-    conv3d_backward_data_reusing(grad_out, weight, spec, in_dims, Vec::new())
+    conv3d_backward_data_reusing(ConvGrad::Dense(grad_out), weight, spec, in_dims, Vec::new())
 }
 
-/// [`conv3d_backward_data`] with its output stored in `buf`'s allocation.
+/// [`conv3d_backward_data`] from any [`ConvGrad`], with its output stored in
+/// `buf`'s allocation. Each image task builds its own `dY` (ReLU mask, pool
+/// scatter) before the products, so no batch-sized `dY` exists; col2im adds
+/// whole 8-lane vectors ([`Kernels::col2im`]).
 pub fn conv3d_backward_data_reusing(
-    grad_out: &Tensor,
+    grad: ConvGrad,
     weight: &Tensor,
     spec: &Conv3dSpec,
     in_dims: (usize, usize, usize),
     buf: Vec<f32>,
 ) -> Tensor {
     let low = Lowering::new(spec, in_dims);
-    let (n, o) = (grad_out.shape()[0], spec.out_c);
-    let (od, oh, ow) = low.out_dims;
-    assert_eq!(grad_out.shape(), &[n, o, od, oh, ow]);
+    let o = spec.out_c;
+    let n = grad.batch(o, &low);
     assert_eq!(weight.shape(), &[o, spec.in_c, spec.k, spec.k, spec.k]);
     let (kk, vox) = (low.kk, low.vox);
     let wt = weight.clone().reshape(&[o, kk]).transpose2();
@@ -429,19 +633,19 @@ pub fn conv3d_backward_data_reusing(
         output_storage(buf, n * low.in_len),
     );
     let kern = Kernels::get();
-    let gd = grad_out.data();
     for_each_chunk(gx.data_mut(), n, low.in_len, &|ni, gimg, s| {
-        let gpad = prefix(&mut s.pad, low.pad_len);
+        let gpad = prefix(&mut s.pad, low.pad_len + LANES);
         gpad.fill(0.0);
+        let dy_img = grad.image(ni, o, &low, &mut s.img);
         for tile in &low.tiles {
             let dy = prefix(&mut s.rows, o * tile.len);
             for (oc, row) in dy.chunks_exact_mut(tile.len).enumerate() {
-                row.copy_from_slice(&gd[(ni * o + oc) * vox + tile.start..][..tile.len]);
+                row.copy_from_slice(&dy_img[oc * vox + tile.start..][..tile.len]);
             }
-            let col = prefix(&mut s.col, kk * tile.len);
+            let col = prefix(&mut s.col, kk * tile.len + LANES);
             col.fill(0.0);
-            kern.gemm_rows_unpacked(col, wt.data(), dy, o, tile.len);
-            low.col2im(tile, col, gpad);
+            kern.gemm_rows_unpacked(&mut col[..kk * tile.len], wt.data(), dy, o, tile.len);
+            kern.col2im(gpad, col, &low.kbase, low.k, &tile.segs, tile.len);
         }
         low.crop_image(gpad, gimg);
     });
@@ -458,23 +662,25 @@ pub fn conv3d_backward_weights(
 ) -> (Tensor, Vec<f32>) {
     let mut gw = Tensor::zeros(&[spec.out_c, spec.in_c, spec.k, spec.k, spec.k]);
     let mut gb = vec![0.0f32; spec.out_c];
-    conv3d_backward_weights_acc(x, grad_out, spec, gw.data_mut(), &mut gb);
+    conv3d_backward_weights_acc(x, ConvGrad::Dense(grad_out), spec, gw.data_mut(), &mut gb);
     (gw, gb)
 }
 
-/// Accumulating form of [`conv3d_backward_weights`]: `gw[O, C·k³] += dW`,
-/// `gb[O] += db`.
+/// Accumulating form of [`conv3d_backward_weights`] from any [`ConvGrad`]:
+/// `gw[O, C·k³] += dW`, `gb[O] += db`.
 ///
-/// Per image and tile, `[dW | db]ᵀ += [col; 1] · dYᵀ[tile, O]` — the row of
-/// ones appended to the im2col panel makes the bias gradient the last row of
-/// the same [`Kernels::gemm_rows_unpacked`] product. Images are summed in
-/// ascending order within fixed groups of [`IMAGES_PER_GROUP`] (one pool task
-/// each), and the group partials are added to `gw`/`gb` in ascending group
-/// order, so the reduction is a pure function of shape. Dense: a zero in
-/// `grad_out` still meets its input voxels, so non-finite inputs propagate.
+/// Per image, `dYᵀ[vox, O]` is built once (the ReLU mask and pool scatter
+/// applied there); per tile, `[dW | db]ᵀ += [col; 1] · dYᵀ[tile, O]` — the
+/// row of ones appended to the im2col panel makes the bias gradient the last
+/// row of the same [`Kernels::gemm_rows_unpacked`] product. Images are
+/// summed in ascending order within fixed groups of [`IMAGES_PER_GROUP`]
+/// (one pool task each), and the group partials are added to `gw`/`gb` in
+/// ascending group order, so the reduction is a pure function of shape.
+/// Dense: a zero in `dY` still meets its input voxels, so non-finite inputs
+/// propagate.
 pub fn conv3d_backward_weights_acc(
     x: &Tensor,
-    grad_out: &Tensor,
+    grad: ConvGrad,
     spec: &Conv3dSpec,
     gw: &mut [f32],
     gb: &mut [f32],
@@ -484,31 +690,26 @@ pub fn conv3d_backward_weights_acc(
     assert_eq!(c, spec.in_c);
     let low = Lowering::new(spec, in_dims);
     let (o, kk, vox) = (spec.out_c, low.kk, low.vox);
-    let (od, oh, ow) = low.out_dims;
-    assert_eq!(grad_out.shape(), &[n, o, od, oh, ow]);
+    assert_eq!(grad.batch(o, &low), n);
     assert_eq!(gw.len(), o * kk);
     assert_eq!(gb.len(), o);
     let kk1 = kk + 1;
     let groups = n.div_ceil(IMAGES_PER_GROUP);
     let mut partials = vec![0.0f32; groups * kk1 * o];
     let kern = Kernels::get();
-    let (xd, gd) = (x.data(), grad_out.data());
+    let xd = x.data();
     for_each_chunk(&mut partials, groups, kk1 * o, &|g, part, s| {
         let xpad = prefix(&mut s.pad, low.pad_len + LANES);
         for ni in g * IMAGES_PER_GROUP..((g + 1) * IMAGES_PER_GROUP).min(n) {
             low.pad_image(&xd[ni * low.in_len..(ni + 1) * low.in_len], xpad);
+            let dyt = prefix(&mut s.img, vox * o);
+            grad.image_t(ni, o, &low, dyt);
             for tile in &low.tiles {
                 let col = prefix(&mut s.col, kk1 * tile.len + LANES);
-                low.im2col(tile, xpad, col);
+                kern.im2col(col, xpad, &low.koff, &tile.vecs, tile.len);
                 let col = &mut col[..kk1 * tile.len];
                 col[kk * tile.len..].fill(1.0);
-                let dyt = prefix(&mut s.rows, tile.len * o);
-                let dy = &gd[ni * o * vox + tile.start..];
-                for (v, drow) in dyt.chunks_exact_mut(o).enumerate() {
-                    for (oc, d) in drow.iter_mut().enumerate() {
-                        *d = dy[oc * vox + v];
-                    }
-                }
+                let dyt = &s.img[tile.start * o..(tile.start + tile.len) * o];
                 kern.gemm_rows_unpacked(part, col, dyt, tile.len, o);
             }
         }
@@ -528,18 +729,19 @@ pub fn conv3d_backward_weights_acc(
 
 /// 3D max pooling with cubic window/stride `k`. Returns the pooled tensor and
 /// the flat argmax indices (into the input) used by the backward pass.
+///
+/// Floor semantics: an extent that `k` does not divide loses its last
+/// `extent % k` planes, rows or columns (8×13×13 pools to 4×6×6, the paper's
+/// 20×35×35 to 10×17×17), and [`maxpool3d_backward`] gives those voxels an
+/// exact +0 gradient. The training stack pools inside
+/// [`conv3d_fused_reusing`]; this allocating form is its test oracle.
 pub fn maxpool3d(x: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
-    maxpool3d_reusing(x, k, Vec::new())
-}
-
-/// [`maxpool3d`] with the pooled tensor stored in `buf`'s allocation.
-pub fn maxpool3d_reusing(x: &Tensor, k: usize, buf: Vec<f32>) -> (Tensor, Vec<u32>) {
     let s = x.shape().to_vec();
     let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
     let (od, oh, ow) = (d / k, h / k, w / k);
     assert!(od > 0 && oh > 0 && ow > 0, "pool window larger than input");
     let len = n * c * od * oh * ow;
-    let mut out = Tensor::from_vec(&[n, c, od, oh, ow], output_storage(buf, len));
+    let mut out = Tensor::zeros(&[n, c, od, oh, ow]);
     let mut arg = vec![0u32; len];
     let xd = x.data();
     let odat = out.data_mut();
@@ -575,22 +777,10 @@ pub fn maxpool3d_reusing(x: &Tensor, k: usize, buf: Vec<f32>) -> (Tensor, Vec<u3
     (out, arg)
 }
 
-/// Backward of [`maxpool3d`]: scatter output gradients to argmax positions.
+/// Backward of [`maxpool3d`]: scatter output gradients to argmax positions
+/// (`0 + g` onto a zeroed tensor).
 pub fn maxpool3d_backward(grad_out: &Tensor, arg: &[u32], in_shape: &[usize]) -> Tensor {
-    maxpool3d_backward_reusing(grad_out, arg, in_shape, Vec::new())
-}
-
-/// [`maxpool3d_backward`] with its output stored in `buf`'s allocation.
-pub fn maxpool3d_backward_reusing(
-    grad_out: &Tensor,
-    arg: &[u32],
-    in_shape: &[usize],
-    buf: Vec<f32>,
-) -> Tensor {
-    let len = in_shape.iter().product::<usize>();
-    let mut gx = Tensor::from_vec(in_shape, output_storage(buf, len));
-    // Only the argmax positions are written below.
-    gx.data_mut().fill(0.0);
+    let mut gx = Tensor::zeros(in_shape);
     let gd = grad_out.data();
     let gxd = gx.data_mut();
     for (i, &a) in arg.iter().enumerate() {
@@ -814,6 +1004,52 @@ mod tests {
         assert_eq!(gx.sum(), 2.0);
     }
 
+    /// The `dY` a fused stage builds per image, dense and transposed, is the
+    /// unfused chain's `relu_backward(y, maxpool3d_backward(g, arg))` bit
+    /// for bit: `0 + g` at an argmax whose pooled value is positive, so a
+    /// −0 gradient arrives as +0, and an exact +0 everywhere else — in
+    /// particular on the plane, row and column the floor pool drops
+    /// (5×7×7 pools to 2×3×3).
+    #[test]
+    fn pooled_gradient_routes_match_the_unfused_chain_and_dropped_voxels_get_plus_zero() {
+        let (n, c, o, dims) = (3, 2, 4, (5, 7, 7));
+        let spec = Conv3dSpec { in_c: c, out_c: o, k: 3, pad: 1 };
+        let x = rand_tensor(&[n, c, dims.0, dims.1, dims.2], 61);
+        let wt = rand_tensor(&[o, c, 3, 3, 3], 62);
+        let bias: Vec<f32> = (0..o).map(|i| i as f32 * 0.1 - 0.15).collect();
+        let (p, arg) = conv3d_fused_reusing(&x, &wt, &bias, &spec, Epilogue::ReluPool, Vec::new());
+        assert_eq!(p.shape(), &[n, o, 2, 3, 3]);
+        // Every other upstream gradient is −0.
+        let g =
+            Tensor::from_fn(p.shape(), |i| if i % 2 == 0 { -0.0 } else { i as f32 * 0.01 - 0.3 });
+        let y = conv3d_blocked(&x, &wt, &bias, &spec);
+        let r = crate::activations::relu(&y);
+        let (p2, arg2) = maxpool3d(&r, 2);
+        assert_eq!((p.data(), &arg), (p2.data(), &arg2), "fused pool = relu + maxpool3d");
+        let want = crate::activations::relu_backward(&y, &maxpool3d_backward(&g, &arg, y.shape()));
+        let low = Lowering::new(&spec, dims);
+        let grad = ConvGrad::ReluPool { grad: &g, pooled: &p, arg: &arg };
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let vox = low.vox;
+        let (mut routed, mut buf, mut dyt) = (0, Vec::new(), vec![f32::NAN; vox * o]);
+        for ni in 0..n {
+            let want = &want.data()[ni * o * vox..(ni + 1) * o * vox];
+            let dy = grad.image(ni, o, &low, &mut buf);
+            assert_eq!(bits(dy), bits(want), "image {ni}: dY");
+            grad.image_t(ni, o, &low, &mut dyt);
+            for (i, &v) in want.iter().enumerate() {
+                assert_eq!(dyt[i % vox * o + i / vox].to_bits(), v.to_bits(), "image {ni}: dYᵀ");
+                let (z, yy, xx) = (i % vox / 49, i % 49 / 7, i % 7);
+                if z == 4 || yy == 6 || xx == 6 {
+                    assert_eq!(v.to_bits(), 0, "a dropped voxel gets exactly +0");
+                }
+                routed += usize::from(v != 0.0);
+            }
+        }
+        assert!(routed > 0, "some gradient reaches the convolution");
+        assert!(want.data().iter().all(|v| v.to_bits() != (-0.0f32).to_bits()), "−0 arrives as +0");
+    }
+
     #[test]
     fn reusing_kernels_overwrite_every_element_of_a_poisoned_buffer() {
         // Buffers full of NaN, longer and shorter than each output: what a
@@ -826,19 +1062,30 @@ mod tests {
         let x = rand_tensor(&[n, c, dims.0, dims.1, dims.2], 51);
         let wt = rand_tensor(&[o, c, 3, 3, 3], 52);
         let bias: Vec<f32> = (0..o).map(|i| i as f32 * 0.1 - 0.2).collect();
+        let fused = |epi, buf| conv3d_fused_reusing(&x, &wt, &bias, &spec, epi, buf);
         let y = conv3d_blocked(&x, &wt, &bias, &spec);
-        let gx = conv3d_backward_data(&y, &wt, &spec, dims);
-        let (p, arg) = maxpool3d(&x, 2);
-        let gp = maxpool3d_backward(&p, &arg, x.shape());
+        let (r, _) = fused(Epilogue::Relu, Vec::new());
+        let (p, arg) = fused(Epilogue::ReluPool, Vec::new());
+        let grads = [
+            ConvGrad::Dense(&y),
+            ConvGrad::Relu { grad: &y, out: &r },
+            ConvGrad::ReluPool { grad: &p, pooled: &p, arg: &arg },
+        ];
+        let gx: Vec<Tensor> = grads
+            .iter()
+            .map(|&g| conv3d_backward_data_reusing(g, &wt, &spec, dims, Vec::new()))
+            .collect();
         for len in [7, y.numel() + 13] {
-            let y2 = conv3d_blocked_reusing(&x, &wt, &bias, &spec, poisoned(len));
+            let (y2, _) = fused(Epilogue::Linear, poisoned(len));
             assert_eq!(bits(&y), bits(&y2), "forward into {len}");
-            let gx2 = conv3d_backward_data_reusing(&y, &wt, &spec, dims, poisoned(len));
-            assert_eq!(bits(&gx), bits(&gx2), "backward-data into {len}");
-            let (p2, arg2) = maxpool3d_reusing(&x, 2, poisoned(len));
-            assert_eq!((bits(&p), &arg), (bits(&p2), &arg2), "pool into {len}");
-            let gp2 = maxpool3d_backward_reusing(&p, &arg, x.shape(), poisoned(len));
-            assert_eq!(bits(&gp), bits(&gp2), "pool backward into {len}");
+            let (r2, _) = fused(Epilogue::Relu, poisoned(len));
+            assert_eq!(bits(&r), bits(&r2), "forward + relu into {len}");
+            let (p2, arg2) = fused(Epilogue::ReluPool, poisoned(len));
+            assert_eq!((bits(&p), &arg), (bits(&p2), &arg2), "forward + relu + pool into {len}");
+            for (&g, want) in grads.iter().zip(&gx) {
+                let gx2 = conv3d_backward_data_reusing(g, &wt, &spec, dims, poisoned(len));
+                assert_eq!(bits(want), bits(&gx2), "backward-data from {g:?} into {len}");
+            }
         }
     }
 

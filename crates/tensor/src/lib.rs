@@ -13,7 +13,8 @@
 //!   im2col products — the SIMD-friendly forward *and* backward Conv3D that
 //!   was the paper's 8× kernel win — beside the plain NCDHW direct
 //!   convolution ([`conv::conv3d_naive`]) kept as baseline and oracle, plus
-//!   max pooling.
+//!   max pooling; a conv + ReLU + max-pool stage runs as one per-image pass
+//!   each way ([`conv::conv3d_fused_reusing`], [`conv::ConvGrad`]).
 //! * [`activations`] — ReLU/sigmoid/tanh/softmax/softplus with derivatives.
 //! * [`simd`] — the runtime-dispatched micro-kernel backend: AVX2+FMA via
 //!   `std::arch` with a bit-identical 8-lane scalar fallback.

@@ -224,6 +224,84 @@ impl Kernels {
         }
     }
 
+    /// im2col copies of one panel `col[koff.len(), len]`: for every panel
+    /// row `t` and every `(from, to)` in `vecs`, the 8 floats at
+    /// `x[koff[t] + from..]` go to `col[t·len + to..]`. Copies run in
+    /// ascending row and `vecs` order, so a copy that spills past its run is
+    /// overwritten by a later one (or lands in slack past the panel). One
+    /// bounds check per call covers every copy.
+    pub fn im2col(
+        &self,
+        col: &mut [f32],
+        x: &[f32],
+        koff: &[usize],
+        vecs: &[(usize, usize)],
+        len: usize,
+    ) {
+        let (src, dst) = vecs.iter().fold((0, 0), |(s, d), &(f, t)| (s.max(f + 8), d.max(t + 8)));
+        let rows = koff.len();
+        if rows == 0 || vecs.is_empty() {
+            return;
+        }
+        assert!(koff.iter().all(|&o| o + src <= x.len()), "im2col: a copy reads past the image");
+        assert!((rows - 1) * len + dst <= col.len(), "im2col: a copy writes past the panel");
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
+            // confirmed AVX2+FMA on this CPU (see `active_backend`); the
+            // asserts above bound every 8-float read in `x` and write in
+            // `col`.
+            Backend::Avx2Fma => unsafe { avx2::im2col(col, x, koff, vecs, len) },
+            _ => scalar_im2col(col, x, koff, vecs, len),
+        }
+    }
+
+    /// col2im of one im2col panel `col[kbase.len()·k, len]`, the transpose
+    /// of [`Kernels::im2col`]: panel row `t = j·k + i` sits at offset
+    /// `kbase[j] + i` (the `k` taps of one kernel row are adjacent), and for
+    /// every row `t` in ascending order and every run `s` of `segs`,
+    /// `g[kbase[j] + i + s.pad + q] += col[t·len + s.col + q]` for
+    /// `q < s.len`.
+    ///
+    /// Both buffers carry 8 floats of slack past what the runs touch. The
+    /// scalar backend goes row by row. AVX2 (3-tap rows, every `Cnn3d`
+    /// layer) walks the runs in descending order and, per 8-lane vector of
+    /// a run, adds the three taps of every kernel row in ascending row
+    /// order, blending the sums in only where a tap reaches: each element
+    /// of `g` is loaded and stored once per kernel row and receives exactly
+    /// the row-by-row adds in the same order. (A later run is a later output
+    /// row, so the rows that reach an element through it come first.) The
+    /// loads and stores are whole unmasked vectors whose lanes past a run
+    /// are stored back unchanged, so a load never waits on a store it
+    /// partly overlaps. The two backends agree bit for bit.
+    pub fn col2im(
+        &self,
+        g: &mut [f32],
+        col: &[f32],
+        kbase: &[usize],
+        k: usize,
+        segs: &[Seg],
+        len: usize,
+    ) {
+        let rows = kbase.len() * k;
+        if rows == 0 || len == 0 || segs.is_empty() {
+            return;
+        }
+        let end = segs.iter().map(|s| s.pad + s.len).max().unwrap_or(0);
+        let reach = kbase.iter().max().map_or(0, |&o| o) + end + k - 1;
+        assert!(reach + 8 <= g.len(), "col2im: a vector ends past the gradient's slack");
+        assert!(rows * len + 8 <= col.len(), "col2im: a vector ends past the panel's slack");
+        assert!(segs.iter().all(|s| s.col + s.len <= len), "col2im: a run ends past its panel row");
+        match (self.backend, k) {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
+            // confirmed AVX2+FMA on this CPU (see `active_backend`); the
+            // asserts above bound every vector in `g` and `col`.
+            (Backend::Avx2Fma, 3) => unsafe { avx2::col2im3(g, col, kbase, segs, len) },
+            _ => scalar_col2im(g, col, kbase, k, segs, len),
+        }
+    }
+
     /// `c[rows, n] = a[rows, k] · bᵀ` where `b` is `[n, k]` (row dots).
     pub fn gemm_a_bt_rows(&self, c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
         if n == 0 || c.is_empty() {
@@ -478,6 +556,40 @@ fn scalar_gemm_a_bt_rows(_k: &Kernels, c: &mut [f32], a: &[f32], b: &[f32], k: u
         return;
     }
     scalar_gemm_a_bt_rows_impl(c, a, b, k, n)
+}
+
+/// A run of output voxels that is contiguous in the padded input too (part
+/// of one output row): `len` floats at `pad` in the padded volume (before
+/// the kernel offset is added) and at `col` in an im2col panel row.
+#[derive(Clone, Copy, Debug)]
+pub struct Seg {
+    /// Start in the padded volume, relative to the panel row's kernel offset.
+    pub pad: usize,
+    /// Start in the panel row.
+    pub col: usize,
+    /// Floats in the run.
+    pub len: usize,
+}
+
+fn scalar_im2col(col: &mut [f32], x: &[f32], koff: &[usize], vecs: &[(usize, usize)], len: usize) {
+    for (t, &off) in koff.iter().enumerate() {
+        for &(from, to) in vecs {
+            let at = t * len + to;
+            col[at..at + 8].copy_from_slice(&x[off + from..off + from + 8]);
+        }
+    }
+}
+
+fn scalar_col2im(g: &mut [f32], col: &[f32], kbase: &[usize], k: usize, segs: &[Seg], len: usize) {
+    for (t, crow) in col.chunks_exact(len).take(kbase.len() * k).enumerate() {
+        let off = kbase[t / k] + t % k;
+        for s in segs {
+            let dst = &mut g[off + s.pad..off + s.pad + s.len];
+            for (d, &v) in dst.iter_mut().zip(&crow[s.col..s.col + s.len]) {
+                *d += v;
+            }
+        }
+    }
 }
 
 // --- shared polynomial exp (Cephes-style expf) -----------------------------
@@ -851,6 +963,72 @@ mod avx2 {
             while j < n {
                 c[i * n + j] = dot(asl, &b[j * k..(j + 1) * k]);
                 j += 1;
+            }
+        }
+    }
+
+    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
+    // wrapper gates on `avx2_available`) and bound every copy:
+    // `koff[t] + from + 8 <= x.len()` and `t·len + to + 8 <= col.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn im2col(
+        col: &mut [f32],
+        x: &[f32],
+        koff: &[usize],
+        vecs: &[(usize, usize)],
+        len: usize,
+    ) {
+        for (t, &off) in koff.iter().enumerate() {
+            let (src, dst) = (x.as_ptr().add(off), col.as_mut_ptr().add(t * len));
+            for &(from, to) in vecs {
+                _mm256_storeu_ps(dst.add(to), _mm256_loadu_ps(src.add(from)));
+            }
+        }
+    }
+
+    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
+    // wrapper gates on `avx2_available`), every run inside its panel row,
+    // `col.len() >= 3·kbase.len()·len + 8` and
+    // `g.len() >= kbase[j] + s.pad + s.len + 2 + 8` for every kernel row `j`
+    // and run `s` (asserted by the safe `Kernels::col2im` entry point). A
+    // vector at `q < s.len + 2` then ends inside `g`, and the tap-`i` load
+    // at `3j·len + i·len + s.col + q - i` starts at or after `col[0]` (as
+    // `len >= 1`) and ends inside `col`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn col2im3(g: &mut [f32], col: &[f32], kbase: &[usize], segs: &[Seg], len: usize) {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let (gp, cp) = (g.as_mut_ptr(), col.as_ptr());
+        for s in segs.iter().rev() {
+            let mut q = 0;
+            while q < s.len + 2 {
+                // Tap `i` reaches lanes `i <= q + l < i + s.len`.
+                let at = _mm256_add_epi32(_mm256_set1_epi32(q as i32), lanes);
+                let tap = |i: usize| {
+                    let (from, to) = (i as i32, (i + s.len) as i32);
+                    _mm256_castsi256_ps(_mm256_andnot_si256(
+                        _mm256_cmpgt_epi32(_mm256_set1_epi32(from), at),
+                        _mm256_cmpgt_epi32(_mm256_set1_epi32(to), at),
+                    ))
+                };
+                let (m0, m1, m2) = (tap(0), tap(1), tap(2));
+                for (j, &base) in kbase.iter().enumerate() {
+                    let src = cp.add(3 * j * len + s.col + q);
+                    let dst = gp.add(base + s.pad + q);
+                    let mut v = _mm256_loadu_ps(dst);
+                    v = _mm256_blendv_ps(v, _mm256_add_ps(v, _mm256_loadu_ps(src)), m0);
+                    v = _mm256_blendv_ps(
+                        v,
+                        _mm256_add_ps(v, _mm256_loadu_ps(src.add(len - 1))),
+                        m1,
+                    );
+                    v = _mm256_blendv_ps(
+                        v,
+                        _mm256_add_ps(v, _mm256_loadu_ps(src.add(2 * len - 2))),
+                        m2,
+                    );
+                    _mm256_storeu_ps(dst, v);
+                }
+                q += 8;
             }
         }
     }

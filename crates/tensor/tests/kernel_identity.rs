@@ -50,6 +50,67 @@ fn assert_backend_identical<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T, c
 const CONV_SWEEP: [(usize, [usize; 3]); 5] =
     [(1, [5, 6, 7]), (2, [5, 6, 7]), (19, [3, 4, 5]), (9, [5, 6, 7]), (3, [8, 13, 13])];
 
+/// Every value's bits, with every NaN read as one value: NaN payloads may
+/// differ between backends, NaN-ness may not.
+fn canon(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+}
+
+/// Output, argmax, dW, db and dX of a conv stage, NaN-canonicalised.
+type StageOut = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>);
+
+/// The [`StageOut`] of one `Cnn3d` conv stage (conv + ReLU, then a 2×
+/// max-pool when `pool`), from `g`, the gradient w.r.t. the stage output:
+/// `fused` through the per-image kernels, else through the unfused chain of
+/// allocating kernels — `conv3d_blocked → relu → maxpool3d` and
+/// `maxpool3d_backward → relu_backward → conv3d_backward_{weights,data}`.
+fn conv_stage(
+    fused: bool,
+    pool: bool,
+    (x, wt, bias): (&Tensor, &Tensor, &[f32]),
+    spec: &Conv3dSpec,
+    g: &Tensor,
+) -> StageOut {
+    let s = x.shape();
+    let dims = (s[2], s[3], s[4]);
+    if fused {
+        let epi = if pool { conv::Epilogue::ReluPool } else { conv::Epilogue::Relu };
+        let (out, arg) = conv::conv3d_fused_reusing(x, wt, bias, spec, epi, Vec::new());
+        let dy = if pool {
+            conv::ConvGrad::ReluPool { grad: g, pooled: &out, arg: &arg }
+        } else {
+            conv::ConvGrad::Relu { grad: g, out: &out }
+        };
+        let (mut gw, mut gb) = (vec![0.0; wt.numel()], vec![0.0; spec.out_c]);
+        conv::conv3d_backward_weights_acc(x, dy, spec, &mut gw, &mut gb);
+        let gx = conv::conv3d_backward_data_reusing(dy, wt, spec, dims, Vec::new());
+        return (canon(out.data()), arg, canon(&gw), canon(&gb), canon(gx.data()));
+    }
+    let y = conv::conv3d_blocked(x, wt, bias, spec);
+    let r = activations::relu(&y);
+    let (out, arg, gr) = if pool {
+        let (p, arg) = conv::maxpool3d(&r, 2);
+        let gr = conv::maxpool3d_backward(g, &arg, r.shape());
+        (p, arg, gr)
+    } else {
+        (r, Vec::new(), g.clone())
+    };
+    let gy = activations::relu_backward(&y, &gr);
+    let (gw, gb) = conv::conv3d_backward_weights(x, &gy, spec);
+    let gx = conv::conv3d_backward_data(&gy, wt, spec, dims);
+    (canon(out.data()), arg, canon(gw.data()), canon(&gb), canon(gx.data()))
+}
+
+/// Set a few values of `t`, picked by `seed`, to NaN, +inf, −inf or −0.
+fn plant(t: &mut Tensor, seed: u64, specials: &[f32]) {
+    let len = t.numel();
+    let mut s = seed | 1;
+    for &v in specials {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        t.data_mut()[(s >> 33) as usize % len] = v;
+    }
+}
+
 /// `base + A·B` through the packed-panel kernel, whatever `m` is: the
 /// reference the few-row unpacked path must reproduce bit for bit.
 fn packed_reference(base: &[f32], a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
@@ -198,6 +259,50 @@ proptest! {
                 (gw.into_data(), gb)
             },
             &format!("conv3d_backward_weights {ctx}"),
+        );
+    }
+
+    /// A fused conv stage computes bit for bit what the unfused chain of
+    /// allocating kernels does — pooled values, argmax, dW, db and dX — on
+    /// both backends, serial and pooled, over the conv sweep (ragged image
+    /// groups, extents the pool floors: 8×13×13 → 4×6×6, 5×6×7 → 2×3×3)
+    /// with non-finite voxels and weights and −0 upstream gradients, which
+    /// the pool scatter turns into +0.
+    #[test]
+    fn fused_conv_stages_bit_identical_to_the_unfused_chain(
+        c in 1usize..6,
+        o in 1usize..9,
+        pad in 0usize..2,
+        shape in 0usize..5,
+        pool: bool,
+        non_finite: bool,
+        seed in 0u64..1_000_000,
+    ) {
+        let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+        let (n, [d, h, w]) = CONV_SWEEP[shape];
+        let spec = Conv3dSpec { in_c: c, out_c: o, k: 3, pad };
+        let out = [d, h, w].map(|e| spec.out_dim(e));
+        // A pool needs two voxels on every axis.
+        let pool = pool && out.iter().all(|&e| e >= 2);
+        let mut x = rand_tensor(&[n, c, d, h, w], seed);
+        let mut wt = rand_tensor(&[o, c, 3, 3, 3], seed ^ 0x55);
+        if non_finite {
+            plant(&mut x, seed, &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+            plant(&mut wt, seed ^ 0x99, &[f32::NAN, f32::INFINITY]);
+        }
+        let bias: Vec<f32> = (0..o).map(|i| i as f32 * 0.2 - 0.5).collect();
+        let gdims = if pool { out.map(|e| e / 2) } else { out };
+        let mut g = rand_tensor(&[n, o, gdims[0], gdims[1], gdims[2]], seed ^ 0xAA);
+        plant(&mut g, seed ^ 0x33, &[-0.0; 6]);
+        let ctx = format!("c={c} o={o} pad={pad} n={n} dhw={d}x{h}x{w} pool={pool}");
+        let params = (&x, &wt, bias.as_slice());
+        assert_backend_identical(
+            || {
+                let fused = conv_stage(true, pool, params, &spec, &g);
+                assert_eq!(fused, conv_stage(false, pool, params, &spec, &g), "fused: {ctx}");
+                fused
+            },
+            &ctx,
         );
     }
 
