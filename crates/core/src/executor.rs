@@ -84,7 +84,8 @@ impl Proposer for PriorProposer {
 /// remote executions bit-identical to blocking ones.
 struct Recorder {
     builder: AddressBuilder,
-    trace: Trace,
+    entries: Vec<TraceEntry>,
+    tags: Vec<(String, Value)>,
     controlled_steps: usize,
     /// When false, observe statements *draw* synthetic observations from the
     /// likelihood instead of scoring registered data (prior/training mode
@@ -96,10 +97,16 @@ impl Recorder {
     fn new() -> Self {
         Self {
             builder: AddressBuilder::new(),
-            trace: Trace::default(),
+            entries: Vec::new(),
+            tags: Vec::new(),
             controlled_steps: 0,
             scoring: true,
         }
+    }
+
+    /// The recorded trace, its totals summed by [`Trace::from_entries`].
+    fn finish(self, result: Value) -> Trace {
+        Trace::from_entries(self.entries, self.tags, result)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -146,9 +153,7 @@ impl Recorder {
             (v, lp)
         };
         let log_prob = dist.log_prob(&value);
-        self.trace.log_prior += log_prob;
-        self.trace.log_q += log_q;
-        self.trace.entries.push(TraceEntry {
+        self.entries.push(TraceEntry {
             address,
             distribution: dist.clone(),
             value: value.clone(),
@@ -179,8 +184,7 @@ impl Recorder {
             dist.sample(rng)
         };
         let log_prob = dist.log_prob(&value);
-        self.trace.log_likelihood += log_prob;
-        self.trace.entries.push(TraceEntry {
+        self.entries.push(TraceEntry {
             address,
             distribution: dist.clone(),
             value: value.clone(),
@@ -238,8 +242,7 @@ impl<'a> Executor<'a> {
         proposer.begin_trace(observes);
         let mut ex = Executor { rng, proposer, observes, rec: Recorder::new() };
         let result = program.try_run(&mut ex)?;
-        ex.rec.trace.result = result;
-        Ok(ex.rec.trace)
+        Ok(ex.rec.finish(result))
     }
 
     /// Convenience: run once from the prior with a fresh seeded RNG.
@@ -293,7 +296,7 @@ impl SimCtx for Executor<'_> {
     }
 
     fn tag(&mut self, name: &str, value: Value) {
-        self.rec.trace.tags.push((name.to_string(), value));
+        self.rec.tags.push((name.to_string(), value));
     }
 
     fn push_scope(&mut self, scope: &str) {
@@ -365,9 +368,7 @@ impl<'p> StepExecutor<'p> {
     /// recorded trace and handing the proposer back for reuse on the next
     /// trace of the same session.
     pub fn finish(self, result: Value) -> (Trace, Box<dyn Proposer + Send + 'p>) {
-        let mut trace = self.rec.trace;
-        trace.result = result;
-        (trace, self.proposer)
+        (self.rec.finish(result), self.proposer)
     }
 }
 
@@ -397,7 +398,7 @@ impl SimCtx for StepExecutor<'_> {
     }
 
     fn tag(&mut self, name: &str, value: Value) {
-        self.rec.trace.tags.push((name.to_string(), value));
+        self.rec.tags.push((name.to_string(), value));
     }
 
     fn push_scope(&mut self, scope: &str) {

@@ -21,7 +21,7 @@ pub enum EntryKind {
 }
 
 /// One sample/observe statement executed within a trace.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceEntry {
     /// Unique address of the statement within this trace.
     pub address: Address,
@@ -48,7 +48,7 @@ impl TraceEntry {
 }
 
 /// A recorded execution of a probabilistic program.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     /// All sample/observe entries in execution order.
     pub entries: Vec<TraceEntry>,
@@ -65,6 +65,30 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// A trace from its recorded parts, with the totals summed over the
+    /// entries in execution order: `log_prior` and `log_q` over the sample
+    /// entries (controlled and replaced), `log_likelihood` over the
+    /// observes. The executor records its traces through this, and a
+    /// trace shipped by a simulator is rebuilt through it, so the totals
+    /// are the same bits on both sides and never disagree with the
+    /// entries.
+    pub fn from_entries(
+        entries: Vec<TraceEntry>,
+        tags: Vec<(String, Value)>,
+        result: Value,
+    ) -> Trace {
+        let (mut log_prior, mut log_likelihood, mut log_q) = (0.0, 0.0, 0.0);
+        for e in &entries {
+            if e.kind == EntryKind::Observe {
+                log_likelihood += e.log_prob;
+            } else {
+                log_prior += e.log_prob;
+                log_q += e.log_q;
+            }
+        }
+        Trace { entries, tags, result, log_prior, log_likelihood, log_q }
+    }
+
     /// Joint log-probability log p(x, y) of the trace.
     pub fn log_joint(&self) -> f64 {
         self.log_prior + self.log_likelihood
@@ -154,6 +178,21 @@ mod tests {
         assert_eq!(t.log_joint(), -4.0);
         assert_eq!(t.log_weight(), -2.0);
         assert_eq!(t.num_controlled(), 1);
+    }
+
+    #[test]
+    fn from_entries_sums_each_total_over_its_entries() {
+        let entries = vec![
+            entry("a", EntryKind::Sample, -1.0, -2.0),
+            entry("r", EntryKind::SampleReplaced, -0.5, -0.25),
+            entry("o", EntryKind::Observe, -3.0, -3.0),
+        ];
+        let t = Trace::from_entries(entries, vec![], Value::Unit);
+        assert_eq!(t.log_prior, -1.5);
+        assert_eq!(t.log_q, -2.25);
+        assert_eq!(t.log_likelihood, -3.0);
+        let empty = Trace::from_entries(vec![], vec![], Value::Unit);
+        assert_eq!((empty.log_prior, empty.log_likelihood, empty.log_q), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -147,11 +147,19 @@ mod tests {
         )
         .unwrap();
 
+        // The registered observation crossed the wire in each `RunPrior`;
+        // every trace came back whole and is the local one, bit for bit.
         assert_eq!(remote.len(), local.len());
         assert_eq!(remote.log_weights, local.log_weights);
         for (a, b) in remote.traces.iter().zip(&local.traces) {
-            assert_eq!(a.value_by_name("mu"), b.value_by_name("mu"));
+            assert_eq!(a, b);
+            let bits = |t: &Trace| -> Vec<u64> {
+                let entries = t.entries.iter().flat_map(|e| [e.log_prob, e.log_q]);
+                entries.chain([t.log_prior, t.log_likelihood, t.log_q]).map(f64::to_bits).collect()
+            };
+            assert_eq!(bits(a), bits(b));
         }
+        assert!(remote.traces.iter().all(|t| t.value_by_name("y0") == Some(&Value::Real(1.1))));
     }
 
     #[test]

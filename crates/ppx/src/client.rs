@@ -61,6 +61,12 @@ impl<T: Transport> RemoteModel<T> {
             match self.session.service(action, ctx)? {
                 Serviced::Reply(reply) => self.send(&reply)?,
                 Serviced::Finished(result) => return Ok(result),
+                // This adapter never starts a seeded run, and the session
+                // rejects a `PriorTrace` during a per-statement one.
+                Serviced::FinishedTrace(_) => {
+                    self.session.fail();
+                    return Err(PpxError::Protocol { expected: "RunResult", got: "PriorTrace" });
+                }
                 Serviced::Connected(_) => unreachable!("handshake completed at connect"), // etalumis: allow(panic-freedom, reason = "session state machine admits no Connected after handshake")
             }
         }
@@ -171,6 +177,7 @@ mod tests {
             t.send(&Message::HandshakeResult {
                 system_name: "sim".into(),
                 model_name: "vanishing".into(),
+                capabilities: crate::message::Capabilities::default(),
             })
             .unwrap();
             // Dropping t severs the channel mid-session.

@@ -6,7 +6,8 @@
 //! without altering the simulator's structure.
 //!
 //! * [`Message`] — the protocol message set (Handshake/Run/Sample/Observe/
-//!   Tag/Reset with result pairs).
+//!   Tag/Reset with result pairs), plus the negotiated one-round-trip
+//!   prior run (`RunPrior`/`PriorTrace`, see [`Capabilities`]).
 //! * [`wire`] — a documented little-endian binary codec (the flatbuffers
 //!   substitute) with property-tested round-tripping.
 //! * [`transport`] — in-process channel and TCP transports (the ZeroMQ
@@ -17,7 +18,8 @@
 //!   as a local `ProbProgram`, so inference engines are agnostic to where
 //!   the simulator runs.
 //! * [`session`] — the controller-side protocol state machine
-//!   (`Handshaking → Idle → Running{awaiting} → Done/Failed`), shared by the
+//!   (`Handshaking → Idle → Running{awaiting} → Done/Failed`, with the
+//!   seeded `Running{awaiting: Trace}`), shared by the
 //!   blocking client and the event-driven reactor.
 //! * [`mux`] — connection multiplexing: frame reassembly, non-blocking
 //!   TCP/in-proc endpoints with per-connection write queues, and the poll
@@ -37,7 +39,7 @@ pub mod wire;
 
 pub use client::RemoteModel;
 pub use error::PpxError;
-pub use message::Message;
+pub use message::{Capabilities, Message};
 pub use mux::{
     BlockingMux, FragmentingEndpoint, FrameBuffer, InProcMuxEndpoint, Mux, MuxEndpoint, MuxEvent,
     MuxStats, TcpMuxEndpoint,

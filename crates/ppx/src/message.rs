@@ -7,8 +7,44 @@
 //! reset. The real PPX uses flatbuffers; we use a hand-rolled, documented
 //! little-endian binary codec (see [`crate::wire`]) with identical message
 //! semantics, which keeps the protocol language-agnostic by construction.
+//!
+//! One pair goes beyond the per-statement exchange: a simulator that
+//! advertises [`Capabilities::SEEDED_PRIOR`] answers `RunPrior` with the
+//! whole prior trace in one `PriorTrace`. The controller sends it only to
+//! such a simulator; every other peer keeps the per-statement exchange.
 
+use etalumis_core::{ObserveMap, Trace};
 use etalumis_distributions::{Distribution, Value};
+use std::sync::Arc;
+
+/// The optional protocol features a simulator advertises in its
+/// `HandshakeResult`. Bits this side does not know are kept and ignored.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Capabilities(u32);
+
+impl Capabilities {
+    /// Seeded prior runs: the simulator answers `RunPrior { seed, observes }`
+    /// by running its program under prior proposals on an RNG seeded from
+    /// `seed`, exactly `Executor::execute_seeded`, and replies with the
+    /// whole trace. Only a simulator that reproduces the shared
+    /// `distributions` samplers bit for bit may advertise it.
+    pub const SEEDED_PRIOR: Capabilities = Capabilities(1);
+
+    /// The set as its wire bits.
+    pub fn bits(self) -> u32 {
+        self.0
+    }
+
+    /// The set from its wire bits.
+    pub fn from_bits(bits: u32) -> Self {
+        Self(bits)
+    }
+
+    /// True when every capability in `other` is in this set.
+    pub fn contains(self, other: Capabilities) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
 
 /// A PPX protocol message.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,6 +60,9 @@ pub enum Message {
         system_name: String,
         /// Name of the wrapped model.
         model_name: String,
+        /// Optional features the simulator supports (empty for a peer
+        /// from before capabilities).
+        capabilities: Capabilities,
     },
     /// Controller → simulator: execute the program once.
     Run {
@@ -78,6 +117,24 @@ pub enum Message {
     TagResult,
     /// Controller → simulator: abort the current execution.
     Reset,
+    /// Controller → simulator: run once from the prior, drawing every value
+    /// on the simulator side from `seed`, and reply with the whole trace.
+    /// Sent only to a simulator that advertised
+    /// [`Capabilities::SEEDED_PRIOR`].
+    RunPrior {
+        /// Seed of the run's RNG.
+        seed: u64,
+        /// Registered observations, scored by name (encoded sorted by
+        /// name).
+        observes: Arc<ObserveMap>,
+    },
+    /// Simulator → controller: the whole trace of a `RunPrior`. Its totals
+    /// are not on the wire: the decoder sums them over the entries (see
+    /// `Trace::from_entries`).
+    PriorTrace {
+        /// The recorded trace.
+        trace: Trace,
+    },
 }
 
 impl Message {
@@ -95,6 +152,8 @@ impl Message {
             Message::Tag { .. } => 9,
             Message::TagResult => 10,
             Message::Reset => 11,
+            Message::RunPrior { .. } => 12,
+            Message::PriorTrace { .. } => 13,
         }
     }
 
@@ -112,6 +171,8 @@ impl Message {
             Message::Tag { .. } => "Tag",
             Message::TagResult => "TagResult",
             Message::Reset => "Reset",
+            Message::RunPrior { .. } => "RunPrior",
+            Message::PriorTrace { .. } => "PriorTrace",
         }
     }
 }

@@ -30,7 +30,12 @@
 //! not the bottleneck: against `serve_listener`'s blocking per-client
 //! threads, 8 TCP sessions on one reactor are CPU-bound in loopback TCP,
 //! at ≈8 µs of sys and ≈7 µs of user time per message on a 2-core VM
-//! (whole process, simulator included).
+//! (whole process, simulator included). What pays is fewer messages: a
+//! prior trace from a simulator that advertises
+//! [`crate::Capabilities::SEEDED_PRIOR`] is one `RunPrior` out and one
+//! `PriorTrace` in, where the per-statement exchange is ≈16 frames each
+//! way. A foreign simulator that does not advertise the capability keeps
+//! the per-statement exchange, served by the same reactor.
 
 use crate::error::PpxError;
 use crate::message::Message;
@@ -771,7 +776,7 @@ mod tests {
                                 traces[conn] = Some(trace);
                                 done += 1;
                             }
-                            Serviced::Connected(_) => unreachable!(),
+                            Serviced::Connected(_) | Serviced::FinishedTrace(_) => unreachable!(),
                         }
                     }
                     MuxEvent::ConnFailed { conn, error } => {

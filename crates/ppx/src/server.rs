@@ -7,6 +7,16 @@
 //! Rust equivalent of the paper's C++ front end that reroutes Sherpa's
 //! random number draws (§4.1, §5.4).
 //!
+//! Because the program is native and draws through the shared
+//! `distributions` samplers, the server always advertises
+//! [`Capabilities::SEEDED_PRIOR`]: it answers `RunPrior { seed, observes }`
+//! with `Executor::execute_seeded(program, &mut PriorProposer, &observes,
+//! seed)`, run with no I/O, and ships the whole trace back in one
+//! `PriorTrace`. A prior trace is then one round trip, bit-equal to a
+//! local run under the same seed because it *is* that run. A foreign front
+//! end that cannot reproduce the samplers bit for bit advertises nothing
+//! and keeps the per-statement exchange.
+//!
 //! [`serve_listener`] extends this to many controllers on one listener:
 //! every accepted client gets its own thread that owns the socket and does
 //! blocking request–reply over a [`TcpTransport`], the shape of the paper's
@@ -16,9 +26,9 @@
 //! arrives, with no relay or poll loop in between. A half-open client
 //! stalls only its own thread.
 
-use crate::message::Message;
+use crate::message::{Capabilities, Message};
 use crate::transport::{TcpTransport, Transport};
-use etalumis_core::{AddressBuilder, BoxedProgram, ProbProgram, SimCtx};
+use etalumis_core::{AddressBuilder, BoxedProgram, Executor, PriorProposer, ProbProgram, SimCtx};
 use etalumis_distributions::{Distribution, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -209,8 +219,8 @@ impl<P: ProbProgram> SimulatorServer<P> {
 
     /// Serve requests until the controller disconnects.
     ///
-    /// Handles `Handshake` and any number of `Run` requests; returns `Ok(())`
-    /// on orderly disconnect.
+    /// Handles `Handshake` and any number of `Run` and `RunPrior` requests;
+    /// returns `Ok(())` on orderly disconnect.
     pub fn serve(&mut self, transport: &mut dyn Transport) -> std::io::Result<()> {
         loop {
             let msg = match transport.recv() {
@@ -229,7 +239,18 @@ impl<P: ProbProgram> SimulatorServer<P> {
                     transport.send(&Message::HandshakeResult {
                         system_name: self.system_name.clone(),
                         model_name: self.program.name().to_string(),
+                        capabilities: Capabilities::SEEDED_PRIOR,
                     })?;
+                }
+                Message::RunPrior { seed, observes } => {
+                    let trace = Executor::try_execute_seeded(
+                        &mut self.program,
+                        &mut PriorProposer,
+                        &observes,
+                        seed,
+                    )
+                    .map_err(|e| std::io::Error::other(e.to_string()))?;
+                    transport.send(&Message::PriorTrace { trace })?;
                 }
                 Message::Run { observation: _ } => {
                     let mut ctx = ForwardingCtx::new(transport);
@@ -304,7 +325,7 @@ mod tests {
     use super::*;
     use crate::client::RemoteModel;
     use crate::transport::InProcTransport;
-    use etalumis_core::{Executor, FnProgram, SimCtxExt};
+    use etalumis_core::{FnProgram, SimCtxExt};
 
     fn listener_model() -> BoxedProgram {
         Box::new(FnProgram::new("multi", |ctx: &mut dyn SimCtx| {
@@ -340,6 +361,38 @@ mod tests {
         drop(t);
         let served = handle.join().expect("server thread must not panic");
         assert!(served.is_ok(), "disconnect must end serving cleanly: {served:?}");
+    }
+
+    #[test]
+    fn a_seeded_prior_run_is_the_local_run() {
+        let (mut t, sim_side) = InProcTransport::pair();
+        let handle = std::thread::spawn(move || {
+            let mut t = sim_side;
+            SimulatorServer::new("sim", listener_model()).serve(&mut t)
+        });
+        t.send(&Message::Handshake { system_name: "x".into() }).unwrap();
+        let Message::HandshakeResult { capabilities, .. } = t.recv().unwrap() else {
+            panic!("expected the handshake reply");
+        };
+        assert!(capabilities.contains(Capabilities::SEEDED_PRIOR));
+        let mut observes = etalumis_core::ObserveMap::new();
+        observes.insert("unused".to_string(), Value::Real(1.0));
+        let observes = std::sync::Arc::new(observes);
+        for seed in [3u64, 4] {
+            t.send(&Message::RunPrior { seed, observes: observes.clone() }).unwrap();
+            let Message::PriorTrace { trace } = t.recv().unwrap() else {
+                panic!("expected the trace");
+            };
+            let local = Executor::execute_seeded(
+                &mut listener_model(),
+                &mut PriorProposer,
+                &observes,
+                seed,
+            );
+            assert_eq!(trace, local, "seed {seed}");
+        }
+        drop(t);
+        assert!(handle.join().unwrap().is_ok());
     }
 
     #[test]

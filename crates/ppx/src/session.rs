@@ -17,13 +17,19 @@
 //!    Running{awaiting: Simulator} ──Sample/Observe/Tag──▶
 //!    Running{awaiting: Sample/Observe/Tag reply} ──reply_*──▶ back to awaiting Simulator
 //!    Running ──RunResult──▶ Idle          close ──▶ Done
+//! Idle ──start_prior_run──▶ Running{awaiting: Trace} ──PriorTrace──▶ Idle
 //!    (any illegal message/call) ──▶ Failed
 //! ```
+//!
+//! `start_prior_run` is legal only once the simulator advertised
+//! [`Capabilities::SEEDED_PRIOR`]; a seeded run accepts nothing but its
+//! `PriorTrace`, and a per-statement run never accepts one.
 
 use crate::error::PpxError;
-use crate::message::Message;
-use etalumis_core::SimCtx;
+use crate::message::{Capabilities, Message};
+use etalumis_core::{ObserveMap, SimCtx, Trace};
 use etalumis_distributions::{Distribution, Value};
+use std::sync::Arc;
 
 /// Which side owes the next protocol step while a run is in flight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,6 +42,8 @@ pub enum Awaiting {
     ObserveReply,
     /// The simulator awaits our `TagResult`.
     TagReply,
+    /// A seeded prior run: the simulator owes the whole `PriorTrace`.
+    Trace,
 }
 
 /// Protocol state of one controller-side session.
@@ -96,6 +104,13 @@ pub enum SessionAction {
         /// The program's return value.
         result: Value,
     },
+    /// A seeded prior run completed with the trace the simulator recorded;
+    /// the session is [`SessionState::Idle`] again. Nothing is owed to the
+    /// simulator and no executor is involved: the driver takes the trace.
+    FinishedTrace {
+        /// The whole trace, totals summed over its entries.
+        trace: Trace,
+    },
 }
 
 /// Result of [`Session::service`].
@@ -107,6 +122,8 @@ pub enum Serviced {
     Connected(String),
     /// The run completed with this result (no reply needed).
     Finished(Value),
+    /// A seeded prior run completed with this trace (no reply needed).
+    FinishedTrace(Trace),
 }
 
 /// The controller-side state machine for one PPX connection.
@@ -114,6 +131,7 @@ pub enum Serviced {
 pub struct Session {
     state: SessionState,
     model_name: Option<String>,
+    capabilities: Capabilities,
 }
 
 impl Session {
@@ -121,7 +139,11 @@ impl Session {
     /// `Handshake` message the driver must send.
     pub fn connect(system_name: &str) -> (Self, Message) {
         (
-            Self { state: SessionState::Handshaking, model_name: None },
+            Self {
+                state: SessionState::Handshaking,
+                model_name: None,
+                capabilities: Capabilities::default(),
+            },
             Message::Handshake { system_name: system_name.to_string() },
         )
     }
@@ -130,7 +152,11 @@ impl Session {
     /// reactor leaves behind when it detaches a connection, and the
     /// placeholder a pool returns for a slot whose respawn budget ran out.
     pub fn poisoned() -> Self {
-        Self { state: SessionState::Failed, model_name: None }
+        Self {
+            state: SessionState::Failed,
+            model_name: None,
+            capabilities: Capabilities::default(),
+        }
     }
 
     /// Current protocol state.
@@ -141,6 +167,11 @@ impl Session {
     /// Model name learned from the handshake (None before `Connected`).
     pub fn model_name(&self) -> Option<&str> {
         self.model_name.as_deref()
+    }
+
+    /// Capabilities the simulator advertised (empty before `Connected`).
+    pub fn capabilities(&self) -> Capabilities {
+        self.capabilities
     }
 
     /// True when a `Run` can be started.
@@ -181,14 +212,38 @@ impl Session {
         }
     }
 
+    /// Start one seeded prior run: returns the `RunPrior` message to send.
+    /// Legal only in `Idle`, on a session whose simulator advertised
+    /// [`Capabilities::SEEDED_PRIOR`].
+    pub fn start_prior_run(
+        &mut self,
+        seed: u64,
+        observes: Arc<ObserveMap>,
+    ) -> Result<Message, PpxError> {
+        match self.state {
+            SessionState::Idle if self.capabilities.contains(Capabilities::SEEDED_PRIOR) => {
+                self.state = SessionState::Running(Awaiting::Trace);
+                Ok(Message::RunPrior { seed, observes })
+            }
+            SessionState::Idle => {
+                Err(self.violation("a simulator advertising seeded prior runs", "start_prior_run"))
+            }
+            _ => Err(self.violation("Idle session", "start_prior_run")),
+        }
+    }
+
     /// Feed one decoded message from the simulator; returns the action the
     /// driver must take. Any message that is illegal in the current state
     /// poisons the session and errors.
     pub fn on_message(&mut self, msg: Message) -> Result<SessionAction, PpxError> {
         match (self.state, msg) {
-            (SessionState::Handshaking, Message::HandshakeResult { model_name, .. }) => {
+            (
+                SessionState::Handshaking,
+                Message::HandshakeResult { model_name, capabilities, .. },
+            ) => {
                 self.state = SessionState::Idle;
                 self.model_name = Some(model_name.clone());
+                self.capabilities = capabilities;
                 Ok(SessionAction::Connected { model_name })
             }
             (
@@ -213,6 +268,10 @@ impl Session {
                 self.state = SessionState::Idle;
                 Ok(SessionAction::Finished { result })
             }
+            (SessionState::Running(Awaiting::Trace), Message::PriorTrace { trace }) => {
+                self.state = SessionState::Idle;
+                Ok(SessionAction::FinishedTrace { trace })
+            }
             (state, msg) => {
                 let expected = match state {
                     SessionState::Handshaking => "HandshakeResult",
@@ -220,6 +279,7 @@ impl Session {
                     SessionState::Running(Awaiting::Simulator) => {
                         "Sample/Observe/Tag/RunResult during run"
                     }
+                    SessionState::Running(Awaiting::Trace) => "PriorTrace during a seeded run",
                     SessionState::Running(_) => "no message while a reply is pending",
                     SessionState::Done => "no message after close",
                     SessionState::Failed => "nothing (session failed)",
@@ -266,7 +326,9 @@ impl Session {
     /// to `ctx` (exactly as the blocking loop did) and produces the reply to
     /// send, if one is owed. Shared by the blocking `RemoteModel` adapter and
     /// the mux drivers, so both answer requests with identical executor
-    /// calls.
+    /// calls. A seeded run's [`SessionAction::FinishedTrace`] needs no
+    /// context: a driver with no executor for the run takes its trace
+    /// directly.
     pub fn service(
         &mut self,
         action: SessionAction,
@@ -288,6 +350,7 @@ impl Session {
             }
             SessionAction::Connected { model_name } => Ok(Serviced::Connected(model_name)),
             SessionAction::Finished { result } => Ok(Serviced::Finished(result)),
+            SessionAction::FinishedTrace { trace } => Ok(Serviced::FinishedTrace(trace)),
         }
     }
 }
@@ -296,7 +359,7 @@ impl Session {
 mod tests {
     use super::*;
 
-    fn connected_session() -> Session {
+    fn connected_with(capabilities: Capabilities) -> Session {
         let (mut s, hs) = Session::connect("etalumis-rs");
         assert_eq!(hs, Message::Handshake { system_name: "etalumis-rs".into() });
         assert_eq!(s.state(), SessionState::Handshaking);
@@ -304,11 +367,110 @@ mod tests {
             .on_message(Message::HandshakeResult {
                 system_name: "sim".into(),
                 model_name: "m".into(),
+                capabilities,
             })
             .unwrap();
         assert_eq!(action, SessionAction::Connected { model_name: "m".into() });
         assert!(s.is_idle());
+        assert_eq!(s.capabilities(), capabilities);
         s
+    }
+
+    fn connected_session() -> Session {
+        connected_with(Capabilities::SEEDED_PRIOR)
+    }
+
+    fn sample() -> Message {
+        Message::Sample {
+            address: "a[Normal]".into(),
+            name: "a".into(),
+            distribution: Distribution::Normal { mean: 0.0, std: 1.0 },
+            control: true,
+            replace: false,
+        }
+    }
+
+    fn prior_trace() -> Message {
+        Message::PriorTrace { trace: Trace { result: Value::Real(0.5), ..Trace::default() } }
+    }
+
+    #[test]
+    fn a_seeded_run_then_a_per_statement_run_on_one_session() {
+        let mut s = connected_session();
+        let observes = Arc::new(ObserveMap::new());
+        let run = s.start_prior_run(7, observes.clone()).unwrap();
+        assert_eq!(run, Message::RunPrior { seed: 7, observes });
+        assert_eq!(s.state(), SessionState::Running(Awaiting::Trace));
+        let action = s.on_message(prior_trace()).unwrap();
+        let SessionAction::FinishedTrace { trace } = action else {
+            panic!("expected the trace, got {action:?}");
+        };
+        assert_eq!(trace.result, Value::Real(0.5));
+        assert!(s.is_idle());
+
+        s.start_run(Value::Unit).unwrap();
+        assert!(matches!(s.on_message(sample()).unwrap(), SessionAction::NeedsSample { .. }));
+        s.reply_sample(Value::Real(0.5)).unwrap();
+        let action = s.on_message(Message::RunResult { result: Value::Unit }).unwrap();
+        assert_eq!(action, SessionAction::Finished { result: Value::Unit });
+        // And seeded again after the per-statement run.
+        s.start_prior_run(8, Arc::new(ObserveMap::new())).unwrap();
+        s.on_message(prior_trace()).unwrap();
+        assert!(s.is_idle());
+    }
+
+    #[test]
+    fn a_prior_trace_during_a_per_statement_run_poisons() {
+        let mut s = connected_session();
+        s.start_run(Value::Unit).unwrap();
+        assert!(matches!(s.on_message(prior_trace()), Err(PpxError::Protocol { .. })));
+        assert_eq!(s.state(), SessionState::Failed);
+    }
+
+    #[test]
+    fn statement_requests_during_a_seeded_run_poison() {
+        let requests = [
+            sample(),
+            Message::Observe {
+                address: "y[Normal]".into(),
+                name: "y".into(),
+                distribution: Distribution::Normal { mean: 0.0, std: 1.0 },
+            },
+            Message::Tag { name: "t".into(), value: Value::Unit },
+            Message::RunResult { result: Value::Unit },
+        ];
+        for msg in requests {
+            let name = msg.name();
+            let mut s = connected_session();
+            s.start_prior_run(1, Arc::new(ObserveMap::new())).unwrap();
+            assert!(s.on_message(msg).is_err(), "{name} during a seeded run");
+            assert_eq!(s.state(), SessionState::Failed, "{name} during a seeded run");
+        }
+    }
+
+    #[test]
+    fn run_prior_outside_idle_poisons() {
+        let observes = Arc::new(ObserveMap::new());
+        let mut pending = connected_session();
+        pending.start_run(Value::Unit).unwrap();
+        let mut seeded = connected_session();
+        seeded.start_prior_run(1, observes.clone()).unwrap();
+        let mut closed = connected_session();
+        closed.close();
+        let handshaking = Session::connect("x").0;
+        // An idle session whose simulator did not advertise the capability
+        // must keep the per-statement exchange.
+        let incapable = connected_with(Capabilities::default());
+        for (label, mut s) in [
+            ("running", pending),
+            ("seeded", seeded),
+            ("closed", closed),
+            ("handshaking", handshaking),
+            ("incapable", incapable),
+        ] {
+            assert!(s.start_prior_run(2, observes.clone()).is_err(), "{label}");
+            assert_eq!(s.state(), SessionState::Failed, "{label}");
+        }
     }
 
     #[test]

@@ -11,7 +11,21 @@
 //!             4 = tensor(u32 ndim, u32 dims..., f32 data...)
 //!             5 = str(string)
 //! dist     := u8 dist_tag ++ params (f64 / vec<f64> := u32 len ++ f64...)
+//!
+//! HandshakeResult := string system ++ string model ++ u32 capabilities
+//!             (a payload that ends after `model` is a peer from before
+//!             capabilities: the empty set)
+//! RunPrior   := u64 seed ++ u32 n ++ n × (string name ++ value), by name
+//! PriorTrace := u32 n ++ n × entry ++ u32 m ++ m × (string name ++ value)
+//!               ++ value result
+//! entry      := string base ++ u32 instance ++ string name ++ u8 kind
+//!               ++ dist ++ value ++ f64 log_prob ++ f64 log_q
+//!               kind: 0 = sample | 1 = replaced sample | 2 = observe
 //! ```
+//!
+//! A `PriorTrace` carries no totals: [`decode`] rebuilds the trace with
+//! `Trace::from_entries`, which sums them over the entries exactly as the
+//! executor does.
 //!
 //! [`encode`] produces the *payload* only; message-grained transports (the
 //! in-process channel) carry payloads as-is, while byte-stream transports
@@ -25,8 +39,9 @@
 //! This replaces the flatbuffers schema of the reference implementation with
 //! an explicitly documented format; any language can implement it.
 
-use crate::message::Message;
+use crate::message::{Capabilities, Message};
 use bytes::{Buf, BufMut, BytesMut};
+use etalumis_core::{Address, EntryKind, ObserveMap, Trace, TraceEntry};
 use etalumis_distributions::{Distribution, TensorValue, Value};
 use std::sync::Arc;
 
@@ -60,6 +75,21 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// Fewest bytes a `string ++ value` pair (an observation or a tag) takes.
+const MIN_PAIR_LEN: usize = 4 + 1;
+/// Fewest bytes a trace entry takes: three `u32`s (two string lengths and
+/// the instance), the kind, an empty `Categorical`, a `Unit` value and the
+/// two `f64`s.
+const MIN_ENTRY_LEN: usize = 4 + 4 + 4 + 1 + (1 + 4) + 1 + 8 + 8;
+
+fn kind_byte(kind: EntryKind) -> u8 {
+    match kind {
+        EntryKind::Sample => 0,
+        EntryKind::SampleReplaced => 1,
+        EntryKind::Observe => 2,
+    }
+}
 
 fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
@@ -103,8 +133,14 @@ fn put_tensor(buf: &mut BytesMut, t: &TensorValue) {
     for &d in &t.shape {
         buf.put_u32_le(d as u32);
     }
-    for &x in &t.data {
-        buf.put_f32_le(x);
+    // Through a stack block rather than one `put_f32_le` per element: the
+    // per-element append is most of the cost of a trace's voxel tensors.
+    let mut block = [0u8; 256];
+    for xs in t.data.chunks(block.len() / 4) {
+        for (dst, x) in block.chunks_exact_mut(4).zip(xs) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+        buf.put_slice(&block[..4 * xs.len()]);
     }
 }
 
@@ -176,9 +212,10 @@ pub fn encode(msg: &Message) -> BytesMut {
     body.put_u8(msg.tag_byte());
     match msg {
         Message::Handshake { system_name } => put_string(&mut body, system_name),
-        Message::HandshakeResult { system_name, model_name } => {
+        Message::HandshakeResult { system_name, model_name, capabilities } => {
             put_string(&mut body, system_name);
             put_string(&mut body, model_name);
+            body.put_u32_le(capabilities.bits());
         }
         Message::Run { observation } => put_value(&mut body, observation),
         Message::RunResult { result } => put_value(&mut body, result),
@@ -201,8 +238,41 @@ pub fn encode(msg: &Message) -> BytesMut {
             put_value(&mut body, value);
         }
         Message::TagResult | Message::Reset => {}
+        Message::RunPrior { seed, observes } => {
+            body.put_u64_le(*seed);
+            let mut pairs: Vec<_> = observes.iter().collect();
+            pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            put_pairs(&mut body, pairs.into_iter());
+        }
+        Message::PriorTrace { trace } => {
+            body.put_u32_le(trace.entries.len() as u32);
+            for e in &trace.entries {
+                put_string(&mut body, &e.address.base);
+                body.put_u32_le(e.address.instance);
+                put_string(&mut body, &e.name);
+                body.put_u8(kind_byte(e.kind));
+                put_dist(&mut body, &e.distribution);
+                put_value(&mut body, &e.value);
+                body.put_f64_le(e.log_prob);
+                body.put_f64_le(e.log_q);
+            }
+            put_pairs(&mut body, trace.tags.iter().map(|(n, v)| (n, v)));
+            put_value(&mut body, &trace.result);
+        }
     }
     body
+}
+
+/// `u32 n ++ n × (string name ++ value)`.
+fn put_pairs<'a>(
+    buf: &mut BytesMut,
+    pairs: impl ExactSizeIterator<Item = (&'a String, &'a Value)>,
+) {
+    buf.put_u32_le(pairs.len() as u32);
+    for (name, value) in pairs {
+        put_string(buf, name);
+        put_value(buf, value);
+    }
 }
 
 /// Encode a message into a length-prefixed frame for byte-stream transports.
@@ -242,6 +312,11 @@ impl<'a> Cursor<'a> {
         Ok(self.buf.get_u32_le())
     }
 
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.need(8)?;
+        Ok(self.buf.get_u64_le())
+    }
+
     fn i64(&mut self) -> Result<i64, WireError> {
         self.need(8)?;
         Ok(self.buf.get_i64_le())
@@ -250,11 +325,6 @@ impl<'a> Cursor<'a> {
     fn f64(&mut self) -> Result<f64, WireError> {
         self.need(8)?;
         Ok(self.buf.get_f64_le())
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        self.need(4)?;
-        Ok(self.buf.get_f32_le())
     }
 
     fn string(&mut self) -> Result<String, WireError> {
@@ -302,15 +372,57 @@ impl<'a> Cursor<'a> {
                     .try_fold(1usize, |n, &d| n.checked_mul(d))
                     .filter(|&n| n <= self.buf.remaining() / 4)
                     .ok_or(WireError::Truncated)?;
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    data.push(self.f32()?);
-                }
+                let (bytes, rest) = self.buf.split_at(4 * n);
+                self.buf = rest;
+                let data = bytes
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
                 Ok(TensorValue::new(shape, data).into())
             }
             5 => Ok(Value::Str(self.string()?)),
             t => Err(WireError::BadTag(t)),
         }
+    }
+
+    /// `u32 n ++ n × (string name ++ value)`.
+    fn pairs(&mut self) -> Result<Vec<(String, Value)>, WireError> {
+        let n = self.count(MIN_PAIR_LEN)?;
+        let mut pairs = Vec::with_capacity(n);
+        for _ in 0..n {
+            pairs.push((self.string()?, self.value()?));
+        }
+        Ok(pairs)
+    }
+
+    fn entry(&mut self) -> Result<TraceEntry, WireError> {
+        let address = Address::new(self.string()?, self.u32()?);
+        let name = self.string()?;
+        let kind = match self.u8()? {
+            0 => EntryKind::Sample,
+            1 => EntryKind::SampleReplaced,
+            2 => EntryKind::Observe,
+            t => return Err(WireError::BadTag(t)),
+        };
+        Ok(TraceEntry {
+            address,
+            name,
+            kind,
+            distribution: self.dist()?,
+            value: self.value()?,
+            log_prob: self.f64()?,
+            log_q: self.f64()?,
+        })
+    }
+
+    fn trace(&mut self) -> Result<Trace, WireError> {
+        let n = self.count(MIN_ENTRY_LEN)?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            entries.push(self.entry()?);
+        }
+        let tags = self.pairs()?;
+        Ok(Trace::from_entries(entries, tags, self.value()?))
     }
 
     fn dist(&mut self) -> Result<Distribution, WireError> {
@@ -355,7 +467,15 @@ pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
     let tag = c.u8()?;
     let msg = match tag {
         1 => Message::Handshake { system_name: c.string()? },
-        2 => Message::HandshakeResult { system_name: c.string()?, model_name: c.string()? },
+        2 => Message::HandshakeResult {
+            system_name: c.string()?,
+            model_name: c.string()?,
+            capabilities: if c.buf.is_empty() {
+                Capabilities::default()
+            } else {
+                Capabilities::from_bits(c.u32()?)
+            },
+        },
         3 => Message::Run { observation: c.value()? },
         4 => Message::RunResult { result: c.value()? },
         5 => Message::Sample {
@@ -371,6 +491,11 @@ pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
         9 => Message::Tag { name: c.string()?, value: c.value()? },
         10 => Message::TagResult,
         11 => Message::Reset,
+        12 => Message::RunPrior {
+            seed: c.u64()?,
+            observes: Arc::new(c.pairs()?.into_iter().collect::<ObserveMap>()),
+        },
+        13 => Message::PriorTrace { trace: c.trace()? },
         t => return Err(WireError::BadTag(t)),
     };
     Ok(msg)
@@ -399,6 +524,7 @@ mod tests {
             Message::HandshakeResult {
                 system_name: "rust-frontend".into(),
                 model_name: "tau_decay".into(),
+                capabilities: Capabilities::SEEDED_PRIOR,
             },
             Message::Run { observation: Value::from(TensorValue::zeros(vec![2, 3])) },
             Message::RunResult { result: Value::Real(1.5) },
@@ -422,7 +548,63 @@ mod tests {
             Message::Tag { name: "met".into(), value: Value::Real(2.5) },
             Message::TagResult,
             Message::Reset,
+            Message::RunPrior { seed: u64::MAX - 7, observes: Arc::new(observes()) },
+            Message::PriorTrace { trace: prior_trace() },
         ]
+    }
+
+    fn observes() -> ObserveMap {
+        let mut m = ObserveMap::new();
+        m.insert("y".into(), Value::Real(1.75));
+        m.insert("calo".into(), Value::from(TensorValue::new(vec![2], vec![0.5, -0.5])));
+        m
+    }
+
+    /// A trace with an entry of every kind, a tag and a result.
+    fn prior_trace() -> Trace {
+        let entry = |base: &str, instance, kind, distribution, value: Value| TraceEntry {
+            address: Address::new(base, instance),
+            distribution,
+            log_prob: -1.25 - instance as f64,
+            log_q: -0.5,
+            value,
+            kind,
+            name: base.into(),
+        };
+        let entries = vec![
+            entry(
+                "decay/px[Uniform]",
+                0,
+                EntryKind::Sample,
+                Distribution::Uniform { low: -3.0, high: 3.0 },
+                Value::Real(0.25),
+            ),
+            entry(
+                "u[Bernoulli]",
+                0,
+                EntryKind::SampleReplaced,
+                Distribution::Bernoulli { p: 0.3 },
+                Value::Bool(true),
+            ),
+            entry(
+                "decay/px[Uniform]",
+                1,
+                EntryKind::Sample,
+                Distribution::Categorical { probs: vec![0.2, 0.8] },
+                Value::Int(1),
+            ),
+            entry(
+                "calo[IndependentNormal]",
+                0,
+                EntryKind::Observe,
+                Distribution::IndependentNormal {
+                    mean: TensorValue::new(vec![2], vec![0.5, -0.5]),
+                    std: 0.1,
+                },
+                Value::from(TensorValue::new(vec![2], vec![0.25, 0.0])),
+            ),
+        ];
+        Trace::from_entries(entries, vec![("met".into(), Value::Real(2.5))], Value::Real(1.5))
     }
 
     #[test]
@@ -433,8 +615,59 @@ mod tests {
     }
 
     #[test]
+    fn prior_traces_arrive_with_the_totals_of_their_entries() {
+        let sent = prior_trace();
+        let Message::PriorTrace { trace } =
+            decode(&encode(&Message::PriorTrace { trace: sent.clone() })).unwrap()
+        else {
+            panic!("decoded another kind");
+        };
+        // Only the entries crossed the wire; the sums are rebuilt from them.
+        assert_eq!(trace.log_prior.to_bits(), sent.log_prior.to_bits());
+        assert_eq!(trace.log_likelihood.to_bits(), sent.log_likelihood.to_bits());
+        assert_eq!(trace.log_q.to_bits(), sent.log_q.to_bits());
+        assert_eq!(trace.log_prior, -1.25 - 1.25 - 2.25);
+        assert_eq!(trace.log_likelihood, -1.25);
+        assert_eq!(trace.log_q, -1.5);
+    }
+
+    #[test]
+    fn run_prior_encodes_observes_in_name_order() {
+        // Two maps with the same pairs inserted in opposite orders (and so,
+        // usually, iterating differently) encode to the same bytes.
+        let names: Vec<String> = (0..16).map(|i| format!("obs{i:02}")).collect();
+        let map = |order: &mut dyn Iterator<Item = &String>| {
+            let observes = order.map(|n| (n.clone(), Value::Str(n.clone()))).collect();
+            encode(&Message::RunPrior { seed: 3, observes: Arc::new(observes) })
+        };
+        let forward = map(&mut names.iter());
+        assert_eq!(forward, map(&mut names.iter().rev()));
+        // The first pair after the seed and the count is the smallest name.
+        assert_eq!(&forward[1 + 8 + 4 + 4..][..5], b"obs00");
+    }
+
+    #[test]
+    fn handshake_results_from_before_capabilities_advertise_none() {
+        let payload = encode(&Message::HandshakeResult {
+            system_name: "cpp-frontend".into(),
+            model_name: "sherpa".into(),
+            capabilities: Capabilities::SEEDED_PRIOR,
+        });
+        let legacy = &payload[..payload.len() - 4];
+        let Message::HandshakeResult { capabilities, .. } = decode(legacy).unwrap() else {
+            panic!("decoded another kind");
+        };
+        assert_eq!(capabilities, Capabilities::default());
+        assert!(!capabilities.contains(Capabilities::SEEDED_PRIOR));
+        // Unknown bits from a newer peer are kept and do not imply ours.
+        let newer = Capabilities::from_bits(0b110);
+        assert!(!newer.contains(Capabilities::SEEDED_PRIOR));
+        assert!(Capabilities::from_bits(0b111).contains(Capabilities::SEEDED_PRIOR));
+    }
+
+    #[test]
     fn hostile_counts_error_instead_of_allocating() {
-        let frames: [&[u8]; 3] = [
+        let frames: [&[u8]; 5] = [
             // A SampleResult tensor of rank u32::MAX.
             &[6, 4, 0xff, 0xff, 0xff, 0xff],
             // A Sample whose Categorical announces u32::MAX probabilities.
@@ -444,6 +677,10 @@ mod tests {
                 6, 4, 3, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
                 0xff,
             ],
+            // A PriorTrace announcing u32::MAX entries.
+            &[13, 0xff, 0xff, 0xff, 0xff],
+            // A RunPrior whose observes announce u32::MAX pairs.
+            &[12, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff],
         ];
         for frame in frames {
             assert_eq!(decode(frame), Err(WireError::Truncated), "frame {frame:02x?}");
@@ -608,7 +845,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_tensor_roundtrip(data in proptest::collection::vec(-1e6f32..1e6, 0..64)) {
+        fn prop_tensor_roundtrip(data in proptest::collection::vec(-1e6f32..1e6, 0..200)) {
             let n = data.len();
             let msg = Message::RunResult {
                 result: Value::from(TensorValue::new(vec![n], data)),

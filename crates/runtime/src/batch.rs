@@ -44,6 +44,16 @@ pub fn mix_seed(seed: u64, index: usize) -> u64 {
 pub trait ProposerFactory: Sync {
     /// Proposer for `worker`.
     fn make_proposer(&self, worker: usize) -> Box<dyn Proposer + Send + '_>;
+
+    /// True when every proposer this factory makes answers every request
+    /// from the prior, so a PPX simulator that advertises seeded prior runs
+    /// may draw the whole trace itself (one round trip per trace). Only
+    /// [`PriorProposerFactory`] says so; any other factory, even one whose
+    /// proposers happen to be prior proposers, keeps the per-statement
+    /// exchange.
+    fn prior_only(&self) -> bool {
+        false
+    }
 }
 
 /// Every `Fn(usize) -> Box<dyn Proposer + Send> + Sync` is a factory.
@@ -62,6 +72,10 @@ pub struct PriorProposerFactory;
 impl ProposerFactory for PriorProposerFactory {
     fn make_proposer(&self, _worker: usize) -> Box<dyn Proposer + Send + '_> {
         Box::new(PriorProposer)
+    }
+
+    fn prior_only(&self) -> bool {
+        true
     }
 }
 

@@ -15,13 +15,22 @@
 //! fresh proposer trace, exactly like the blocking path — so batch content
 //! is bit-identical for any worker count M, any session count K, and any
 //! readiness interleaving. Only the wall-clock changes.
+//!
+//! Prior batches take one round trip per trace where they can: when the
+//! batch's factory is [`crate::ProposerFactory::prior_only`] and the
+//! session's simulator advertised `Capabilities::SEEDED_PRIOR`, the reactor
+//! sends `RunPrior { seed: mix_seed(seed, i), observes }` and the simulator
+//! returns the whole trace of `Executor::execute_seeded` under that seed —
+//! the same trace, recorded on the other side. Every other batch (IC, any
+//! proposer that is not the prior) and every other simulator keeps the
+//! per-statement exchange.
 
 use crate::batch::{mix_seed, spawn_workers, Shared, WorkerOutcome};
-use etalumis_core::{ObserveMap, StepExecutor};
+use etalumis_core::{ObserveMap, StepExecutor, Trace};
 use etalumis_distributions::Value;
 use etalumis_ppx::{
-    Mux, MuxEndpoint, MuxEvent, PpxError, Serviced, Session, SessionAction, SessionState,
-    TcpMuxEndpoint,
+    Capabilities, Mux, MuxEndpoint, MuxEvent, PpxError, Serviced, Session, SessionAction,
+    SessionState, TcpMuxEndpoint,
 };
 use std::io;
 use std::sync::Arc;
@@ -207,13 +216,23 @@ struct Slot<'p> {
     respawn_attempts: u32,
     /// The session's proposer, parked between traces.
     proposer: Option<Box<dyn etalumis_core::Proposer + Send + 'p>>,
-    /// The in-flight trace: `(batch index, executor, launch time)`. The
-    /// launch time becomes the trace's `runtime.task` span on completion
+    /// The in-flight trace: `(batch index, who records it, launch time)`.
+    /// The launch time becomes the trace's `runtime.task` span on completion
     /// (wall latency across reactor sweeps, not exclusive CPU time).
-    active: Option<(usize, StepExecutor<'p>, Instant)>,
+    active: Option<(usize, InFlight<'p>, Instant)>,
     /// The last dead `(endpoint, session)` pair, kept so a retired slot can
     /// still hand *something* back for pool reassembly.
     graveyard: Option<(Box<dyn MuxEndpoint>, Session)>,
+}
+
+/// Who records an in-flight trace.
+enum InFlight<'p> {
+    /// The per-statement exchange: this executor answers the simulator's
+    /// requests and records the trace.
+    Steps(StepExecutor<'p>),
+    /// A seeded prior run: the simulator records the trace and ships it
+    /// whole.
+    Seeded,
 }
 
 /// One worker's session share: `(pool position, (endpoint, session))`.
@@ -257,6 +276,7 @@ pub(crate) fn run_reactors(
             shared,
             respawn: &respawn,
             observes: &observes,
+            prior_only: shared.proposers.prior_only(),
             mux: Mux::new(),
             slots: Vec::with_capacity(share.len()),
             conn_slot: Vec::new(),
@@ -311,6 +331,9 @@ struct Reactor<'a> {
     shared: &'a Shared<'a>,
     respawn: &'a RespawnCtx,
     observes: &'a Arc<ObserveMap>,
+    /// The batch's proposers answer everything from the prior, so a
+    /// session whose simulator draws for itself runs seeded.
+    prior_only: bool,
     mux: Mux,
     slots: Vec<Slot<'a>>,
     /// conn id → slot index (respawned slots get fresh conn ids).
@@ -488,26 +511,26 @@ impl Reactor<'_> {
                 self.drained = true;
                 break;
             };
-            let slot = &mut self.slots[s_idx];
-            let proposer = slot
-                .proposer
-                .take()
-                .unwrap_or_else(|| self.shared.proposers.make_proposer(self.worker));
-            let exec =
-                StepExecutor::new(proposer, self.observes.clone(), mix_seed(self.shared.seed, i));
-            let started = match self.mux.session_mut(conn).start_run(Value::Unit) {
-                Ok(run) => self.mux.send(conn, &run),
-                Err(e) => Err(e),
-            };
+            let seed = mix_seed(self.shared.seed, i);
+            let session = self.mux.session_mut(conn);
+            let (run, start) =
+                if self.prior_only && session.capabilities().contains(Capabilities::SEEDED_PRIOR) {
+                    (InFlight::Seeded, session.start_prior_run(seed, self.observes.clone()))
+                } else {
+                    let proposer = self.slots[s_idx]
+                        .proposer
+                        .take()
+                        .unwrap_or_else(|| self.shared.proposers.make_proposer(self.worker));
+                    let exec = StepExecutor::new(proposer, self.observes.clone(), seed);
+                    (InFlight::Steps(exec), session.start_run(Value::Unit))
+                };
+            let started = start.and_then(|msg| self.mux.send(conn, &msg));
             progress = true;
-            match started {
-                Ok(()) => self.slots[s_idx].active = Some((i, exec, Instant::now())),
-                Err(e) => {
-                    // Died between traces: the popped index goes through the
-                    // same requeue path as an in-flight one.
-                    self.slots[s_idx].active = Some((i, exec, Instant::now()));
-                    self.on_conn_death(s_idx, conn, &e.to_string());
-                }
+            self.slots[s_idx].active = Some((i, run, Instant::now()));
+            if let Err(e) = started {
+                // Died between traces: the popped index goes through the
+                // same requeue path as an in-flight one.
+                self.on_conn_death(s_idx, conn, &e.to_string());
             }
         }
         progress
@@ -540,9 +563,19 @@ impl Reactor<'_> {
                 }
                 self.actions += 1;
                 let t0 = Instant::now();
-                let serviced = {
-                    let (_, exec, _) = self.slots[s_idx].active.as_mut().unwrap(); // etalumis: allow(panic-freedom, reason = "slot is active for the duration of a serviced action (reactor invariant)")
-                    self.mux.session_mut(conn).service(action, exec)
+                let serviced = match (action, &mut self.slots[s_idx].active) {
+                    (action, Some((_, InFlight::Steps(exec), _))) => {
+                        self.mux.session_mut(conn).service(action, exec)
+                    }
+                    // The simulator recorded the seeded run's trace itself.
+                    (SessionAction::FinishedTrace { trace }, _) => {
+                        Ok(Serviced::FinishedTrace(trace))
+                    }
+                    // The session admits nothing else during a seeded run.
+                    (_, _) => Err(PpxError::Protocol {
+                        expected: "PriorTrace",
+                        got: "a per-statement request",
+                    }),
                 };
                 self.out.report.busy += t0.elapsed();
                 match serviced {
@@ -551,16 +584,20 @@ impl Reactor<'_> {
                             self.on_conn_death(s_idx, conn, &e.to_string());
                         }
                     }
+                    // Only a per-statement run ends with a bare result.
                     Ok(Serviced::Finished(result)) => {
-                        let (i, exec, launched) = self.slots[s_idx].active.take().unwrap(); // etalumis: allow(panic-freedom, reason = "slot is active for the duration of a serviced action (reactor invariant)")
-                        let (trace, proposer) = exec.finish(result);
-                        self.slots[s_idx].proposer = Some(proposer);
-                        let tel = self.shared.tel;
-                        if tel.is_enabled() {
-                            let _scope = tel.worker_scope(self.worker as u32);
-                            tel.span_record("runtime.task", launched.elapsed());
+                        if let Some((i, InFlight::Steps(exec), launched)) =
+                            self.slots[s_idx].active.take()
+                        {
+                            let (trace, proposer) = exec.finish(result);
+                            self.slots[s_idx].proposer = Some(proposer);
+                            self.complete(i, trace, launched);
                         }
-                        self.shared.deliver(&mut self.out, i, trace);
+                    }
+                    Ok(Serviced::FinishedTrace(trace)) => {
+                        if let Some((i, _, launched)) = self.slots[s_idx].active.take() {
+                            self.complete(i, trace, launched);
+                        }
                     }
                     Ok(Serviced::Connected(_)) => {
                         unreachable!("Connected actions are handled above") // etalumis: allow(panic-freedom, reason = "mux state machine routes Connected before servicing")
@@ -575,6 +612,16 @@ impl Reactor<'_> {
                 true
             }
         }
+    }
+
+    /// Deliver trace `i`, launched at `launched`, to the batch.
+    fn complete(&mut self, i: usize, trace: Trace, launched: Instant) {
+        let tel = self.shared.tel;
+        if tel.is_enabled() {
+            let _scope = tel.worker_scope(self.worker as u32);
+            tel.span_record("runtime.task", launched.elapsed());
+        }
+        self.shared.deliver(&mut self.out, i, trace);
     }
 
     /// Drive this worker's share to the end of the batch; returns what it
@@ -685,10 +732,10 @@ impl MuxEndpoint for ClosedEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchRunner, RuntimeConfig};
+    use crate::batch::{Backend, BatchRunner, RunStats, RuntimeConfig};
     use crate::pool::SimulatorPool;
-    use crate::sink::{CollectSink, CountingSink};
-    use etalumis_core::{FnProgram, SimCtx, SimCtxExt, Trace};
+    use crate::sink::{CollectSink, CountingSink, TraceSink};
+    use etalumis_core::{FnProgram, PriorProposer, Proposer, SimCtx, SimCtxExt};
     use etalumis_distributions::Distribution;
     use etalumis_ppx::{
         BlockingMux, FragmentingEndpoint, InProcMuxEndpoint, InProcTransport, RemoteModel,
@@ -750,6 +797,25 @@ mod tests {
         sink.into_traces()
     }
 
+    /// A prior batch over `pool` on either exchange: seeded (the prior-only
+    /// factory, one round trip per trace against these capable servers) or
+    /// per-statement (a factory that is not `prior_only`).
+    fn run_prior(
+        runner: &BatchRunner,
+        pool: &mut MuxSimulatorPool,
+        n: usize,
+        seed: u64,
+        sink: &dyn TraceSink,
+        seeded: bool,
+    ) -> RunStats {
+        let observes = ObserveMap::new();
+        if seeded {
+            return runner.run_mux_prior(pool, &observes, n, seed, sink);
+        }
+        let per_statement = |_: usize| Box::new(PriorProposer) as Box<dyn Proposer + Send>;
+        runner.run(Backend::Mux(pool), &per_statement, &observes, n, seed, sink)
+    }
+
     fn assert_traces_bit_identical(a: &[Trace], b: &[Trace], label: &str) {
         assert_eq!(a.len(), b.len(), "{label}: trace count");
         for (idx, (x, y)) in a.iter().zip(b).enumerate() {
@@ -783,16 +849,18 @@ mod tests {
         .unwrap();
         assert_eq!(pool.len(), 8);
         assert_eq!(pool.model_name(), "oversub_model");
-        // One worker thread, eight concurrent sessions.
+        // One worker thread, eight concurrent sessions, both exchanges.
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
-        let sink = CollectSink::new(n);
-        let observes = ObserveMap::new();
-        let stats = runner.run_mux_prior(&mut pool, &observes, n, seed, &sink);
-        assert_eq!(stats.total_executed(), n);
-        assert!(stats.failures.is_empty(), "failures: {:?}", stats.failures);
-        assert_eq!(stats.per_worker.len(), 1);
-        assert_eq!(pool.live(), 8, "sessions must survive the batch");
-        assert_traces_bit_identical(&sink.into_traces(), &reference, "mux 1x8");
+        for seeded in [true, false] {
+            let sink = CollectSink::new(n);
+            let stats = run_prior(&runner, &mut pool, n, seed, &sink, seeded);
+            assert_eq!(stats.total_executed(), n);
+            assert!(stats.failures.is_empty(), "failures: {:?}", stats.failures);
+            assert_eq!(stats.per_worker.len(), 1);
+            assert_eq!(pool.live(), 8, "sessions must survive the batch");
+            let label = format!("mux 1x8, seeded {seeded}");
+            assert_traces_bit_identical(&sink.into_traces(), &reference, &label);
+        }
     }
 
     #[test]
@@ -802,7 +870,7 @@ mod tests {
         let reference = blocking_reference(n, seed);
         // Fragmented transports: frames arrive split at pseudo-random byte
         // boundaries, interleaved across concurrent sessions.
-        for (k, m) in [(2usize, 1usize), (4, 2), (6, 3)] {
+        for (k, m, seeded) in [(2usize, 1usize, true), (4, 2, false), (6, 3, true), (6, 3, false)] {
             let mut pool = MuxSimulatorPool::connect(k, "etalumis-rs", move |i| {
                 Ok(Box::new(spawn_fragmenting_server(seed ^ (i as u64) << 3))
                     as Box<dyn MuxEndpoint>)
@@ -810,11 +878,11 @@ mod tests {
             .unwrap();
             let runner = BatchRunner::new(RuntimeConfig { workers: m, stealing: true });
             let sink = CollectSink::new(n);
-            let observes = ObserveMap::new();
-            let stats = runner.run_mux_prior(&mut pool, &observes, n, seed, &sink);
-            assert_eq!(stats.total_executed(), n, "K={k} M={m}");
-            assert!(stats.failures.is_empty(), "K={k} M={m}: {:?}", stats.failures);
-            assert_traces_bit_identical(&sink.into_traces(), &reference, &format!("K={k} M={m}"));
+            let stats = run_prior(&runner, &mut pool, n, seed, &sink, seeded);
+            let label = format!("K={k} M={m} seeded {seeded}");
+            assert_eq!(stats.total_executed(), n, "{label}");
+            assert!(stats.failures.is_empty(), "{label}: {:?}", stats.failures);
+            assert_traces_bit_identical(&sink.into_traces(), &reference, &label);
         }
     }
 
@@ -886,21 +954,25 @@ mod tests {
         let n = 24;
         let seed = 91;
         let reference = blocking_reference(n, seed);
-        // Session 0 dies mid-batch (after its handshake + a few trace
-        // frames); the respawned replacement is healthy.
-        let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", crash_once_factory(7)).unwrap();
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
-        let sink = CollectSink::new(n);
-        let observes = ObserveMap::new();
-        let stats = runner.run_mux_prior(&mut pool, &observes, n, seed, &sink);
-        assert!(stats.failures.is_empty(), "respawn must absorb the crash: {stats:?}");
-        assert_eq!(stats.total_executed(), n);
-        assert_eq!(stats.respawns, 1, "exactly one session respawn expected: {stats:?}");
-        assert!(stats.retries >= 1, "the in-flight trace must have been requeued: {stats:?}");
-        assert_eq!(pool.live(), 2, "the respawned session rejoins the pool");
-        // The spine of the fault-tolerance PR: content is bit-identical to
-        // an undisturbed blocking run despite the mid-batch death.
-        assert_traces_bit_identical(&sink.into_traces(), &reference, "respawned mux");
+        for seeded in [true, false] {
+            // The only session dies mid-batch (after its handshake + a few
+            // trace frames), so the batch cannot finish without the
+            // respawned replacement, which is healthy.
+            let mut pool =
+                MuxSimulatorPool::connect(1, "etalumis-rs", crash_once_factory(7)).unwrap();
+            let sink = CollectSink::new(n);
+            let stats = run_prior(&runner, &mut pool, n, seed, &sink, seeded);
+            assert!(stats.failures.is_empty(), "respawn must absorb the crash: {stats:?}");
+            assert_eq!(stats.total_executed(), n);
+            assert_eq!(stats.respawns, 1, "exactly one session respawn expected: {stats:?}");
+            assert!(stats.retries >= 1, "the in-flight trace must have been requeued: {stats:?}");
+            assert_eq!(pool.live(), 1, "the respawned session rejoins the pool");
+            // The spine of the fault-tolerance PR: content is bit-identical
+            // to an undisturbed blocking run despite the mid-batch death.
+            let label = format!("respawned mux, seeded {seeded}");
+            assert_traces_bit_identical(&sink.into_traces(), &reference, &label);
+        }
     }
 
     #[test]
@@ -1020,23 +1092,26 @@ mod tests {
     #[test]
     fn respawn_disabled_reproduces_fail_fast_semantics() {
         let n = 12;
-        let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", |i| {
-            let inner = spawn_inproc_server();
-            let ep: Box<dyn MuxEndpoint> = if i == 0 {
-                Box::new(FailAfter { inner, frames_left: 9 })
-            } else {
-                Box::new(inner)
-            };
-            Ok(ep)
-        })
-        .unwrap()
-        .with_reconnect_policy(ReconnectPolicy { max_respawns: 0, ..Default::default() });
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
-        let sink = CountingSink::default();
-        let observes = ObserveMap::new();
-        let stats = runner.run_mux_prior(&mut pool, &observes, n, 5, &sink);
-        assert_eq!(stats.respawns, 0);
-        assert_eq!(stats.total_executed() + stats.failures.len(), n, "{stats:?}");
-        assert_eq!(pool.live(), 1);
+        for seeded in [true, false] {
+            // Session 0 dies after its handshake and two more frames: within
+            // its first trace per statement, after two traces seeded.
+            let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", |i| {
+                let inner = spawn_inproc_server();
+                let ep: Box<dyn MuxEndpoint> = if i == 0 {
+                    Box::new(FailAfter { inner, frames_left: 3 })
+                } else {
+                    Box::new(inner)
+                };
+                Ok(ep)
+            })
+            .unwrap()
+            .with_reconnect_policy(ReconnectPolicy { max_respawns: 0, ..Default::default() });
+            let sink = CountingSink::default();
+            let stats = run_prior(&runner, &mut pool, n, 5, &sink, seeded);
+            assert_eq!(stats.respawns, 0);
+            assert_eq!(stats.total_executed() + stats.failures.len(), n, "{stats:?}");
+            assert_eq!(pool.live(), 1, "seeded {seeded}");
+        }
     }
 }

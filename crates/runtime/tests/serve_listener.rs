@@ -1,11 +1,24 @@
 //! `etalumis_ppx::serve_listener` contracts over real loopback TCP, driven
 //! by the controller side the benchmark and the examples use
-//! (`MuxSimulatorPool::connect_tcp` on one reactor worker).
+//! (`MuxSimulatorPool::connect_tcp` on one reactor worker), and the rule
+//! that picks the exchange: seeded prior runs only for a prior-only batch
+//! against a simulator that advertises them, the per-statement exchange
+//! otherwise.
 
-use etalumis_core::{BoxedProgram, Executor, FnProgram, ObserveMap, SimCtx, SimCtxExt, Trace};
+use etalumis_core::{
+    BoxedProgram, Executor, FnProgram, ObserveMap, PriorProposer, Proposer, SimCtx, SimCtxExt,
+    Trace,
+};
 use etalumis_distributions::{Distribution, Value};
-use etalumis_ppx::{serve_listener, Message, TcpTransport, Transport};
-use etalumis_runtime::{mix_seed, BatchRunner, CollectSink, MuxSimulatorPool, RuntimeConfig};
+use etalumis_ppx::wire::{decode, encode};
+use etalumis_ppx::{
+    serve_listener, Capabilities, InProcMuxEndpoint, InProcTransport, Message, MuxEndpoint,
+    RemoteModel, SimulatorServer, TcpMuxEndpoint, TcpTransport, Transport,
+};
+use etalumis_runtime::{
+    mix_seed, Backend, BatchRunner, CollectSink, MuxSimulatorPool, RuntimeConfig, SimulatorPool,
+};
+use etalumis_telemetry::Telemetry;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -53,6 +66,9 @@ fn assert_bit_equal(a: &Trace, b: &Trace, i: usize) {
     assert_eq!(a.entries.len(), b.entries.len(), "entries of trace {i}");
     for (x, y) in a.entries.iter().zip(&b.entries) {
         assert_eq!(x.address, y.address, "trace {i}");
+        assert_eq!(x.name, y.name, "trace {i}");
+        assert_eq!(x.kind, y.kind, "trace {i}");
+        assert_eq!(x.distribution, y.distribution, "trace {i}");
         assert_eq!(x.value, y.value, "trace {i}");
         assert_eq!(x.log_prob.to_bits(), y.log_prob.to_bits(), "trace {i}");
         assert_eq!(x.log_q.to_bits(), y.log_q.to_bits(), "trace {i}");
@@ -61,6 +77,62 @@ fn assert_bit_equal(a: &Trace, b: &Trace, i: usize) {
     assert_eq!(a.tags, b.tags, "trace {i}");
     assert_eq!(a.log_prior.to_bits(), b.log_prior.to_bits(), "trace {i}");
     assert_eq!(a.log_likelihood.to_bits(), b.log_likelihood.to_bits(), "trace {i}");
+    assert_eq!(a.log_q.to_bits(), b.log_q.to_bits(), "trace {i}");
+}
+
+/// Every frame of one exchange, both ways, as encoded on the wire.
+type ExchangeLog = Arc<Mutex<Vec<Vec<u8>>>>;
+
+/// A simulator that does not advertise seeded prior runs: the real server
+/// behind a transport that empties the capability set of its handshake and
+/// logs every frame of the exchange, both ways, as encoded on the wire.
+struct Incapable<T: Transport> {
+    inner: T,
+    log: ExchangeLog,
+}
+
+impl<T: Transport> Transport for Incapable<T> {
+    fn send(&mut self, msg: &Message) -> std::io::Result<()> {
+        let msg = match msg {
+            Message::HandshakeResult { system_name, model_name, .. } => Message::HandshakeResult {
+                system_name: system_name.clone(),
+                model_name: model_name.clone(),
+                capabilities: Capabilities::default(),
+            },
+            other => other.clone(),
+        };
+        self.log.lock().unwrap().push(encode(&msg).into());
+        self.inner.send(&msg)
+    }
+
+    fn recv(&mut self) -> std::io::Result<Message> {
+        let msg = self.inner.recv()?;
+        self.log.lock().unwrap().push(encode(&msg).into());
+        Ok(msg)
+    }
+}
+
+/// Serve `model()` as an [`Incapable`] simulator over `transport` on its
+/// own thread; returns the exchange log.
+fn serve_incapable<T: Transport + Send + 'static>(transport: T) -> ExchangeLog {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut t = Incapable { inner: transport, log: log.clone() };
+    std::thread::spawn(move || SimulatorServer::new("legacy", model()).serve(&mut t));
+    log
+}
+
+/// The controller side of a [`serve_incapable`] peer: one in-process or
+/// TCP connection.
+fn incapable_peer(tcp: bool) -> (Box<dyn MuxEndpoint>, ExchangeLog) {
+    if tcp {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ep = TcpMuxEndpoint::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let stream = listener.accept().unwrap().0;
+        (Box::new(ep), serve_incapable(TcpTransport::new(stream).unwrap()))
+    } else {
+        let (ep, sim_side) = InProcMuxEndpoint::pair();
+        (Box::new(ep), serve_incapable(sim_side))
+    }
 }
 
 #[test]
@@ -126,6 +198,79 @@ fn a_nonblocking_listener_still_serves() {
     std::thread::sleep(Duration::from_millis(50));
     let mut pool = MuxSimulatorPool::connect_tcp(2, &addr, "etalumis-rs").unwrap();
     assert_batch_matches_local(&mut pool, 12, 3);
+    drop(pool);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_simulator_without_the_capability_keeps_the_per_statement_exchange() {
+    let (n, seed) = (12, 31);
+    for tcp in [false, true] {
+        // Today's exchange: the blocking per-statement client, which never
+        // asks for a seeded run, against the same kind of peer.
+        let (controller_side, sim_side) = InProcTransport::pair();
+        let reference_log = serve_incapable(sim_side);
+        let mut controller_side = Some(controller_side);
+        let mut blocking = SimulatorPool::connect_ppx(1, |_| {
+            RemoteModel::connect(controller_side.take().unwrap(), "etalumis-rs")
+        })
+        .unwrap();
+        let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
+        let sink = CollectSink::new(n);
+        runner.run_prior(&mut blocking, &ObserveMap::new(), n, seed, &sink);
+        drop(blocking);
+
+        // A prior-only batch on the mux reactor against that peer.
+        let (ep, log) = incapable_peer(tcp);
+        let ep = Mutex::new(Some(ep));
+        let mut pool = MuxSimulatorPool::connect(1, "etalumis-rs", move |_| {
+            ep.lock().unwrap().take().ok_or_else(|| std::io::Error::other("one connection only"))
+        })
+        .unwrap();
+        assert_batch_matches_local(&mut pool, n, seed);
+        drop(pool);
+
+        let frames = log.lock().unwrap().clone();
+        assert!(
+            frames.iter().all(|f| decode(f).unwrap().name() != "RunPrior"),
+            "tcp {tcp}: a RunPrior reached a simulator without the capability"
+        );
+        assert_eq!(frames, *reference_log.lock().unwrap(), "tcp {tcp}: the exchange differs");
+    }
+}
+
+#[test]
+fn a_factory_that_is_not_prior_only_keeps_the_per_statement_exchange() {
+    let (addr, server) = spawn_server(TcpListener::bind("127.0.0.1:0").unwrap(), 2);
+    let mut pool = MuxSimulatorPool::connect_tcp(2, &addr, "etalumis-rs").unwrap();
+    let (n, seed) = (20, 11);
+    // Prior proposals, but from a closure: nothing tells the runtime that
+    // every proposer it makes is the prior.
+    let per_statement = |_: usize| Box::new(PriorProposer) as Box<dyn Proposer + Send>;
+    let tel = Telemetry::enabled();
+    let runner =
+        BatchRunner::new(RuntimeConfig { workers: 1, stealing: true }).with_telemetry(tel.clone());
+    let sink = CollectSink::new(n);
+    let stats =
+        runner.run(Backend::Mux(&mut pool), &per_statement, &ObserveMap::new(), n, seed, &sink);
+    assert!(stats.failures.is_empty(), "failures: {:?}", stats.failures);
+    for (i, remote) in sink.into_traces().iter().enumerate() {
+        let local = Executor::sample_prior(&mut *model(), mix_seed(seed, i));
+        assert_bit_equal(remote, &local, i);
+    }
+    // One frame per statement, not one per trace.
+    let frames_in = tel.collect().snapshot().counters["mux.frames_in"];
+    assert!(frames_in > n as u64, "{frames_in} frames in for {n} traces");
+
+    // The same batch under the prior-only factory is one frame each way
+    // per trace.
+    let tel = Telemetry::enabled();
+    let runner =
+        BatchRunner::new(RuntimeConfig { workers: 1, stealing: true }).with_telemetry(tel.clone());
+    let sink = CollectSink::new(n);
+    runner.run_mux_prior(&mut pool, &ObserveMap::new(), n, seed, &sink);
+    let counters = tel.collect().snapshot().counters;
+    assert_eq!((counters["mux.frames_in"], counters["mux.frames_out"]), (n as u64, n as u64));
     drop(pool);
     server.join().unwrap().unwrap();
 }

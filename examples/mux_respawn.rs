@@ -73,7 +73,7 @@ fn main() {
     let log = Logger::from_args();
     const SESSIONS: usize = 4;
     const WORKERS: usize = 2;
-    const TRACES: usize = 200;
+    const TRACES: usize = 1000;
     const SEED: u64 = 77;
 
     // Local reference: the per-trace-seeded executor defines the batch's
@@ -92,14 +92,16 @@ fn main() {
         })
         .collect();
 
-    // Session 0's first endpoint dies mid-batch (after ~40 delivered
-    // frames); every endpoint the factory makes after that — including the
-    // respawn replacement — is healthy.
+    // Session 0's first endpoint dies early in the batch (after its
+    // handshake and three more frames: three seeded traces, one frame
+    // each), so the respawn, due after the default 2 ms backoff, has most
+    // of the batch to land in; every endpoint the factory makes after
+    // that — including the respawn replacement — is healthy.
     let crashed = Arc::new(AtomicBool::new(false));
     let mut pool = MuxSimulatorPool::connect(SESSIONS, "etalumis-rs", move |i| {
         let inner = spawn_server();
         let ep: Box<dyn MuxEndpoint> = if i == 0 && !crashed.swap(true, Ordering::SeqCst) {
-            Box::new(FailAfter { inner, frames_left: 40 })
+            Box::new(FailAfter { inner, frames_left: 4 })
         } else {
             Box::new(inner)
         };

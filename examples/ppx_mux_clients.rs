@@ -3,14 +3,18 @@
 //! The parent process is the controller: one reactor thread drives eight
 //! TCP sessions concurrently (`MuxSimulatorPool` + `BatchRunner::run_mux_prior`).
 //! The child process is the simulator: one listener serving all eight
-//! clients, each on its own blocking thread (`serve_listener`). Swap the
+//! clients, each on its own blocking thread (`serve_listener`). Because
+//! the child advertises seeded prior runs, each trace is one round trip:
+//! the child draws it under the trace's seed and ships it whole. Swap the
 //! child for a C++ simulator speaking the same wire format and nothing on
-//! the controller side changes — Figure 1 of the paper, at fleet shape.
+//! the controller side changes — Figure 1 of the paper, at fleet shape; a
+//! front end that does not advertise the capability keeps the
+//! per-statement exchange, one round trip per `sample`/`observe`/`tag`.
 //!
 //! Run with: `cargo run --release --example ppx_mux_clients`
 //! (the binary re-executes itself with `--server` for the child process).
 
-use etalumis_core::{BoxedProgram, Executor, ObserveMap, PriorProposer};
+use etalumis_core::{BoxedProgram, Executor, ObserveMap, PriorProposer, Trace};
 use etalumis_ppx::serve_listener;
 use etalumis_runtime::{mix_seed, BatchRunner, CollectSink, MuxSimulatorPool, RuntimeConfig};
 use etalumis_simulators::BranchingModel;
@@ -59,7 +63,8 @@ fn main() -> std::io::Result<()> {
     );
 
     // Cross-process runs are bit-identical to a local serial execution of
-    // the same model under the same per-trace seeds.
+    // the same model under the same per-trace seeds: every entry, tag,
+    // result and total.
     let traces = sink.into_traces();
     let mut reference = BranchingModel::standard();
     let matching = traces
@@ -72,7 +77,7 @@ fn main() -> std::io::Result<()> {
                 &observes,
                 mix_seed(7, *i),
             );
-            r.result == t.result && r.log_joint() == t.log_joint()
+            bit_equal(&r, t)
         })
         .count();
     println!("[controller] {matching}/{TRACES} traces bit-identical to local serial execution");
@@ -84,6 +89,24 @@ fn main() -> std::io::Result<()> {
         std::process::exit(1);
     }
     Ok(())
+}
+
+/// Whole-trace equality, floats compared by their bits.
+fn bit_equal(a: &Trace, b: &Trace) -> bool {
+    let bits = |t: &Trace| [t.log_prior, t.log_likelihood, t.log_q].map(f64::to_bits);
+    a.entries.len() == b.entries.len()
+        && a.entries.iter().zip(&b.entries).all(|(x, y)| {
+            x.address == y.address
+                && x.name == y.name
+                && x.kind == y.kind
+                && x.distribution == y.distribution
+                && x.value == y.value
+                && x.log_prob.to_bits() == y.log_prob.to_bits()
+                && x.log_q.to_bits() == y.log_q.to_bits()
+        })
+        && a.tags == b.tags
+        && a.result == b.result
+        && bits(a) == bits(b)
 }
 
 /// The child process: serve `SESSIONS` controller connections over one

@@ -6,9 +6,11 @@
 //!    byte-identical to an uninterrupted run.
 //! 2. **Simulator death**: a mux session whose transport dies at an
 //!    arbitrary frame boundary is respawned mid-batch; the batch completes
-//!    with content bit-identical to the blocking single-connection path.
+//!    with content bit-identical to the blocking single-connection path,
+//!    on the seeded one-round-trip exchange and the per-statement one.
 
 use etalumis::prelude::*;
+use etalumis_core::Proposer;
 use etalumis_data::{discover_rank_dirs, merge_ranks};
 use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, PpxError, SimulatorServer};
 use etalumis_runtime::{
@@ -189,9 +191,15 @@ proptest! {
     /// completes the batch with content bit-identical to the blocking
     /// single-connection reference.
     #[test]
-    fn prop_mux_session_killed_at_any_frame_boundary_respawns(frames in 1usize..40) {
+    fn prop_mux_session_killed_at_any_frame_boundary_respawns(
+        frames in 1usize..40,
+        seeded: bool,
+    ) {
         let n = 20;
         let seed = 4242;
+        // A seeded session exchanges one frame per trace, about ten in this
+        // batch: kill it within them.
+        let frames = if seeded { 1 + frames % 10 } else { frames };
 
         // Blocking reference over local executions (the mux path's content
         // contract is per-trace seeding, identical to the local executor).
@@ -227,7 +235,14 @@ proptest! {
         if let Ok(mut pool) = pool_result {
             let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
             let sink = CollectSink::new(n);
-            let stats = runner.run_mux_prior(&mut pool, &observes, n, seed, &sink);
+            // Prior proposals from a closure are not `prior_only`: the
+            // per-statement exchange.
+            let per_statement = |_: usize| Box::new(PriorProposer) as Box<dyn Proposer + Send>;
+            let stats = if seeded {
+                runner.run_mux_prior(&mut pool, &observes, n, seed, &sink)
+            } else {
+                runner.run(Backend::Mux(&mut pool), &per_statement, &observes, n, seed, &sink)
+            };
             prop_assert!(stats.failures.is_empty(), "respawn must absorb the crash: {:?}", stats);
             prop_assert_eq!(stats.total_executed(), n);
             let traces = sink.into_traces();
