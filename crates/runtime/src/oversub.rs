@@ -584,23 +584,35 @@ impl Reactor<'_> {
                             self.on_conn_death(s_idx, conn, &e.to_string());
                         }
                     }
-                    // Only a per-statement run ends with a bare result.
-                    Ok(Serviced::Finished(result)) => {
-                        if let Some((i, InFlight::Steps(exec), launched)) =
-                            self.slots[s_idx].active.take()
-                        {
-                            let (trace, proposer) = exec.finish(result);
-                            self.slots[s_idx].proposer = Some(proposer);
-                            self.complete(i, trace, launched);
-                        }
-                    }
-                    Ok(Serviced::FinishedTrace(trace)) => {
-                        if let Some((i, _, launched)) = self.slots[s_idx].active.take() {
-                            self.complete(i, trace, launched);
-                        }
-                    }
                     Ok(Serviced::Connected(_)) => {
                         unreachable!("Connected actions are handled above") // etalumis: allow(panic-freedom, reason = "mux state machine routes Connected before servicing")
+                    }
+                    Ok(done) => {
+                        // Checked above: the slot has a run in flight.
+                        let Some((i, run, launched)) = self.slots[s_idx].active.take() else {
+                            return true;
+                        };
+                        match (done, run) {
+                            (Serviced::Finished(result), InFlight::Steps(exec)) => {
+                                let (trace, proposer) = exec.finish(result);
+                                self.slots[s_idx].proposer = Some(proposer);
+                                self.complete(i, trace, launched);
+                            }
+                            (Serviced::FinishedTrace(trace), InFlight::Seeded) => {
+                                self.complete(i, trace, launched);
+                            }
+                            (_, run) => {
+                                // The run ended in the other exchange's
+                                // result: requeue it with the connection.
+                                self.slots[s_idx].active = Some((i, run, launched));
+                                self.mux.session_mut(conn).fail();
+                                self.on_conn_death(
+                                    s_idx,
+                                    conn,
+                                    "protocol violation: run ended in the other exchange's result",
+                                );
+                            }
+                        }
                     }
                     Err(e) => self.on_conn_death(s_idx, conn, &e.to_string()),
                 }
@@ -741,6 +753,7 @@ mod tests {
         BlockingMux, FragmentingEndpoint, InProcMuxEndpoint, InProcTransport, RemoteModel,
         SimulatorServer,
     };
+    use etalumis_telemetry::Telemetry;
 
     fn test_model() -> FnProgram<impl FnMut(&mut dyn SimCtx) -> Value> {
         FnProgram::new("oversub_model", |ctx: &mut dyn SimCtx| {
@@ -870,19 +883,21 @@ mod tests {
         let reference = blocking_reference(n, seed);
         // Fragmented transports: frames arrive split at pseudo-random byte
         // boundaries, interleaved across concurrent sessions.
-        for (k, m, seeded) in [(2usize, 1usize, true), (4, 2, false), (6, 3, true), (6, 3, false)] {
-            let mut pool = MuxSimulatorPool::connect(k, "etalumis-rs", move |i| {
-                Ok(Box::new(spawn_fragmenting_server(seed ^ (i as u64) << 3))
-                    as Box<dyn MuxEndpoint>)
-            })
-            .unwrap();
-            let runner = BatchRunner::new(RuntimeConfig { workers: m, stealing: true });
-            let sink = CollectSink::new(n);
-            let stats = run_prior(&runner, &mut pool, n, seed, &sink, seeded);
-            let label = format!("K={k} M={m} seeded {seeded}");
-            assert_eq!(stats.total_executed(), n, "{label}");
-            assert!(stats.failures.is_empty(), "{label}: {:?}", stats.failures);
-            assert_traces_bit_identical(&sink.into_traces(), &reference, &label);
+        for (k, m) in [(2usize, 1usize), (4, 2), (6, 3)] {
+            for seeded in [false, true] {
+                let mut pool = MuxSimulatorPool::connect(k, "etalumis-rs", move |i| {
+                    Ok(Box::new(spawn_fragmenting_server(seed ^ (i as u64) << 3))
+                        as Box<dyn MuxEndpoint>)
+                })
+                .unwrap();
+                let runner = BatchRunner::new(RuntimeConfig { workers: m, stealing: true });
+                let sink = CollectSink::new(n);
+                let stats = run_prior(&runner, &mut pool, n, seed, &sink, seeded);
+                let label = format!("K={k} M={m} seeded {seeded}");
+                assert_eq!(stats.total_executed(), n, "{label}");
+                assert!(stats.failures.is_empty(), "{label}: {:?}", stats.failures);
+                assert_traces_bit_identical(&sink.into_traces(), &reference, &label);
+            }
         }
     }
 
@@ -955,59 +970,72 @@ mod tests {
         let seed = 91;
         let reference = blocking_reference(n, seed);
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
-        for seeded in [true, false] {
-            // The only session dies mid-batch (after its handshake + a few
-            // trace frames), so the batch cannot finish without the
-            // respawned replacement, which is healthy.
+        // Session 0 dies mid-batch (after its handshake + a few trace
+        // frames); the respawned replacement is healthy. Per statement, a
+        // second session keeps serving through the respawn. Seeded, six
+        // frames are six whole traces and a second session would finish the
+        // batch before the respawn backoff ran out, so the only session
+        // dies and the batch cannot finish without its replacement.
+        for (seeded, sessions) in [(false, 2), (true, 1)] {
             let mut pool =
-                MuxSimulatorPool::connect(1, "etalumis-rs", crash_once_factory(7)).unwrap();
+                MuxSimulatorPool::connect(sessions, "etalumis-rs", crash_once_factory(7)).unwrap();
             let sink = CollectSink::new(n);
             let stats = run_prior(&runner, &mut pool, n, seed, &sink, seeded);
-            assert!(stats.failures.is_empty(), "respawn must absorb the crash: {stats:?}");
-            assert_eq!(stats.total_executed(), n);
-            assert_eq!(stats.respawns, 1, "exactly one session respawn expected: {stats:?}");
-            assert!(stats.retries >= 1, "the in-flight trace must have been requeued: {stats:?}");
-            assert_eq!(pool.live(), 1, "the respawned session rejoins the pool");
+            let label = format!("respawned mux, seeded {seeded}");
+            assert!(stats.failures.is_empty(), "{label}: respawn must absorb the crash: {stats:?}");
+            assert_eq!(stats.total_executed(), n, "{label}");
+            assert_eq!(
+                stats.respawns, 1,
+                "{label}: exactly one session respawn expected: {stats:?}"
+            );
+            assert!(stats.retries >= 1, "{label}: the in-flight trace must be requeued: {stats:?}");
+            assert_eq!(pool.live(), sessions, "{label}: the respawned session rejoins the pool");
             // The spine of the fault-tolerance PR: content is bit-identical
             // to an undisturbed blocking run despite the mid-batch death.
-            let label = format!("respawned mux, seeded {seeded}");
             assert_traces_bit_identical(&sink.into_traces(), &reference, &label);
         }
     }
 
     #[test]
     fn respawn_budget_exhaustion_retires_the_slot_but_accounts_every_index() {
-        let n = 20;
-        // Session 0's endpoint always dies after a few frames — every
-        // respawn is doomed; session 1 is healthy.
-        let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", |i| {
-            let inner = spawn_inproc_server();
-            let ep: Box<dyn MuxEndpoint> = if i == 0 {
-                Box::new(FailAfter { inner, frames_left: 9 })
-            } else {
-                Box::new(inner)
-            };
-            Ok(ep)
-        })
-        .unwrap();
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
-        let sink = CountingSink::default();
-        let observes = ObserveMap::new();
-        let stats = runner.run_mux_prior(&mut pool, &observes, n, 5, &sink);
-        assert_eq!(
-            stats.total_executed() + stats.failures.len(),
-            n,
-            "every index is either delivered or recorded as failed: {stats:?}"
-        );
-        assert_eq!(sink.count(), stats.total_executed());
-        assert!(
-            stats.total_executed() >= n - pool.reconnect_policy().max_respawns as usize - 1,
-            "the healthy session should deliver nearly everything: {stats:?}"
-        );
-        // The healthy session always survives; the dying slot may read as
-        // live if its final respawn had not yet burned through its frame
-        // budget when the batch drained.
-        assert!(pool.live() >= 1, "the healthy session must survive");
+        let policy = ReconnectPolicy { backoff: Duration::ZERO, ..Default::default() };
+        // Session 0's endpoint always dies a few frames into a trace — every
+        // respawn is doomed; session 1 is healthy. Per statement, nine
+        // frames are the handshake and half a trace; seeded, two frames are
+        // the handshake and one whole trace, and the larger batch keeps
+        // session 1 busy while session 0 burns through its budget. Respawns
+        // come without backoff, so the budget is spent long before the batch
+        // drains.
+        for (seeded, frames, n) in [(false, 9, 20), (true, 2, 200)] {
+            let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", move |i| {
+                let inner = spawn_inproc_server();
+                let ep: Box<dyn MuxEndpoint> = if i == 0 {
+                    Box::new(FailAfter { inner, frames_left: frames })
+                } else {
+                    Box::new(inner)
+                };
+                Ok(ep)
+            })
+            .unwrap()
+            .with_reconnect_policy(policy);
+            let sink = CountingSink::default();
+            let stats = run_prior(&runner, &mut pool, n, 5, &sink, seeded);
+            let label = format!("seeded {seeded}");
+            assert_eq!(
+                stats.total_executed() + stats.failures.len(),
+                n,
+                "{label}: every index is either delivered or recorded as failed: {stats:?}"
+            );
+            assert_eq!(sink.count(), stats.total_executed(), "{label}");
+            // Every respawn handshakes, then dies with a trace in flight:
+            // the initial endpoint and the three respawns are four deaths,
+            // each trace requeued or, past its retry budget, failed.
+            assert_eq!(stats.respawns, u64::from(policy.max_respawns), "{label}: {stats:?}");
+            let deaths = u64::from(policy.max_respawns) + 1;
+            assert_eq!(stats.retries + stats.failures.len() as u64, deaths, "{label}: {stats:?}");
+            assert_eq!(pool.live(), 1, "{label}: the dying slot is retired, the healthy one lives");
+        }
     }
 
     /// An endpoint that accepts frames but never delivers any — a peer
@@ -1031,75 +1059,85 @@ mod tests {
     #[test]
     fn silent_respawn_peer_times_out_instead_of_hanging_the_batch() {
         let n = 16;
-        // Session 0 dies quickly; every respawn endpoint is a black hole
-        // whose handshake never completes. The handshake timeout must
-        // convert those into respawn-budget deaths so the batch finishes
-        // on session 1 instead of hanging forever.
-        let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", |i| {
-            let ep: Box<dyn MuxEndpoint> = if i == 0 {
-                Box::new(FailAfter { inner: spawn_inproc_server(), frames_left: 6 })
-            } else {
-                Box::new(spawn_inproc_server())
-            };
-            Ok(ep)
-        })
-        .unwrap()
-        .with_reconnect_policy(ReconnectPolicy {
-            handshake_timeout: Duration::from_millis(20),
-            ..Default::default()
-        });
-        // Swap the factory's behavior is not possible post-connect, but the
-        // FailAfter respawns are themselves FailAfter(6): handshake result
-        // (1 frame) + a few more, then death — exercising repeated deaths.
-        // The black-hole case is covered by a second pool below.
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
-        let sink = CountingSink::default();
-        let observes = ObserveMap::new();
-        let stats = runner.run_mux_prior(&mut pool, &observes, n, 9, &sink);
-        assert_eq!(stats.total_executed() + stats.failures.len(), n, "{stats:?}");
+        let policy =
+            ReconnectPolicy { handshake_timeout: Duration::from_millis(20), ..Default::default() };
+        // Session 0 dies quickly and every respawn endpoint is itself a
+        // FailAfter: handshake result (1 frame) + a few more, then death —
+        // exercising repeated deaths under a short handshake timeout while
+        // session 1 serves the batch.
+        for (seeded, frames) in [(false, 6), (true, 2)] {
+            let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", move |i| {
+                let ep: Box<dyn MuxEndpoint> = if i == 0 {
+                    Box::new(FailAfter { inner: spawn_inproc_server(), frames_left: frames })
+                } else {
+                    Box::new(spawn_inproc_server())
+                };
+                Ok(ep)
+            })
+            .unwrap()
+            .with_reconnect_policy(policy);
+            let sink = CountingSink::default();
+            let stats = run_prior(&runner, &mut pool, n, 9, &sink, seeded);
+            assert_eq!(stats.total_executed() + stats.failures.len(), n, "{stats:?}");
+        }
 
-        // Now the literal black hole: session 0's respawns never handshake.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let crashed = std::sync::Arc::new(AtomicBool::new(false));
-        let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", move |i| {
-            let ep: Box<dyn MuxEndpoint> = if i == 0 {
-                if !crashed.swap(true, Ordering::SeqCst) {
-                    Box::new(FailAfter { inner: spawn_inproc_server(), frames_left: 6 })
+        // Now the literal black hole: the only session dies, and its
+        // respawns connect but never handshake. Nothing else can run the
+        // batch, so without the handshake timeout it would wait forever;
+        // with it, every respawn is a budget-spending death, the slot is
+        // retired, and the stranded indices are recorded as failed.
+        for (seeded, frames) in [(false, 6), (true, 2)] {
+            use std::sync::atomic::{AtomicBool, Ordering};
+            let crashed = std::sync::Arc::new(AtomicBool::new(false));
+            let mut pool = MuxSimulatorPool::connect(1, "etalumis-rs", move |_| {
+                let ep: Box<dyn MuxEndpoint> = if !crashed.swap(true, Ordering::SeqCst) {
+                    Box::new(FailAfter { inner: spawn_inproc_server(), frames_left: frames })
                 } else {
                     Box::new(BlackHole)
-                }
-            } else {
-                Box::new(spawn_inproc_server())
-            };
-            Ok(ep)
-        })
-        .unwrap()
-        .with_reconnect_policy(ReconnectPolicy {
-            handshake_timeout: Duration::from_millis(20),
-            ..Default::default()
-        });
-        let sink = CountingSink::default();
-        let start = std::time::Instant::now();
-        let stats = runner.run_mux_prior(&mut pool, &observes, n, 9, &sink);
-        assert_eq!(stats.total_executed() + stats.failures.len(), n, "{stats:?}");
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "silent handshakes must time out, not hang: {:?}",
-            start.elapsed()
-        );
+                };
+                Ok(ep)
+            })
+            .unwrap()
+            .with_reconnect_policy(policy);
+            let tel = Telemetry::enabled();
+            let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true })
+                .with_telemetry(tel.clone());
+            let sink = CountingSink::default();
+            let start = std::time::Instant::now();
+            let stats = run_prior(&runner, &mut pool, n, 9, &sink, seeded);
+            let label = format!("seeded {seeded}");
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "{label}: silent handshakes must time out, not hang: {:?}",
+                start.elapsed()
+            );
+            assert_eq!(stats.total_executed() + stats.failures.len(), n, "{label}: {stats:?}");
+            assert!(!stats.failures.is_empty(), "{label}: the retired slot strands the rest");
+            assert_eq!(stats.respawns, 0, "{label}: no black hole ever handshakes: {stats:?}");
+            let timeouts = tel.collect().snapshot().counters["mux.handshake_timeouts"];
+            assert_eq!(
+                timeouts,
+                u64::from(policy.max_respawns),
+                "{label}: every respawn timed out"
+            );
+            assert_eq!(pool.live(), 0, "{label}: the slot is retired");
+        }
     }
 
     #[test]
     fn respawn_disabled_reproduces_fail_fast_semantics() {
         let n = 12;
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
-        for seeded in [true, false] {
-            // Session 0 dies after its handshake and two more frames: within
-            // its first trace per statement, after two traces seeded.
-            let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", |i| {
+        // Session 0 dies after its handshake and a few more frames: per
+        // statement nine frames (within its first trace), seeded three (two
+        // whole traces — session 0 never sees nine frames of a seeded
+        // batch this size).
+        for (seeded, frames) in [(false, 9), (true, 3)] {
+            let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", move |i| {
                 let inner = spawn_inproc_server();
                 let ep: Box<dyn MuxEndpoint> = if i == 0 {
-                    Box::new(FailAfter { inner, frames_left: 3 })
+                    Box::new(FailAfter { inner, frames_left: frames })
                 } else {
                     Box::new(inner)
                 };

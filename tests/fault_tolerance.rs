@@ -189,17 +189,14 @@ proptest! {
 
     /// Kill one mux session at an arbitrary frame boundary; session respawn
     /// completes the batch with content bit-identical to the blocking
-    /// single-connection reference.
+    /// single-connection reference. Each case runs both exchanges: the
+    /// per-statement one killed at `frames`, and the seeded one, whose
+    /// session exchanges one frame per trace (about ten in this batch),
+    /// killed within them.
     #[test]
-    fn prop_mux_session_killed_at_any_frame_boundary_respawns(
-        frames in 1usize..40,
-        seeded: bool,
-    ) {
+    fn prop_mux_session_killed_at_any_frame_boundary_respawns(frames in 1usize..40) {
         let n = 20;
         let seed = 4242;
-        // A seeded session exchanges one frame per trace, about ten in this
-        // batch: kill it within them.
-        let frames = if seeded { 1 + frames % 10 } else { frames };
 
         // Blocking reference over local executions (the mux path's content
         // contract is per-trace seeding, identical to the local executor).
@@ -217,22 +214,23 @@ proptest! {
             })
             .collect();
 
-        // Session 0's first endpoint dies after `frames` frames; respawned
-        // endpoints are healthy.
-        let crashed = Arc::new(AtomicBool::new(false));
-        let pool_result = MuxSimulatorPool::connect(2, "etalumis-rs", move |i| {
-            let inner = spawn_inproc_server();
-            let ep: Box<dyn MuxEndpoint> = if i == 0 && !crashed.swap(true, Ordering::SeqCst) {
-                Box::new(FailAfter { inner, frames_left: frames })
-            } else {
-                Box::new(inner)
-            };
-            Ok(ep)
-        });
-        // A death before the handshake completes is a connect-time error —
-        // a legal, reported outcome; the respawn contract starts at a
-        // connected pool.
-        if let Ok(mut pool) = pool_result {
+        for (seeded, frames) in [(false, frames), (true, 1 + frames % 10)] {
+            // Session 0's first endpoint dies after `frames` frames;
+            // respawned endpoints are healthy.
+            let crashed = Arc::new(AtomicBool::new(false));
+            let pool_result = MuxSimulatorPool::connect(2, "etalumis-rs", move |i| {
+                let inner = spawn_inproc_server();
+                let ep: Box<dyn MuxEndpoint> = if i == 0 && !crashed.swap(true, Ordering::SeqCst) {
+                    Box::new(FailAfter { inner, frames_left: frames })
+                } else {
+                    Box::new(inner)
+                };
+                Ok(ep)
+            });
+            // A death before the handshake completes is a connect-time
+            // error — a legal, reported outcome; the respawn contract
+            // starts at a connected pool.
+            let Ok(mut pool) = pool_result else { continue };
             let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
             let sink = CollectSink::new(n);
             // Prior proposals from a closure are not `prior_only`: the
