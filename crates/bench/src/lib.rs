@@ -3,12 +3,13 @@
 //! Benchmark harnesses regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §4 for the full index):
 //!
-//! * Criterion benches (`cargo bench -p etalumis-bench`) time both sides of
-//!   the point optimizations: blocked Conv3D (8×), scalar 3D MVN PDF (13× /
-//!   1.5× pipeline), dladdr-style address caching (5×), sparse+concat
-//!   allreduce (4×), sorted/grouped trace I/O (10×), sorted
+//! * The std-only `ratios` probe (`cargo bench -p etalumis-bench`, one run
+//!   committed as `RATIOS.jsonl`) times both sides of the point
+//!   optimizations next to the paper's ratios: blocked Conv3D (8×), scalar
+//!   3D MVN PDF (13× / 1.5× pipeline), dladdr-style address caching (5×),
+//!   sparse+concat allreduce (4×), sorted/grouped trace I/O (10×), sorted
 //!   sub-minibatching (up to 50× at paper scale), blocking vs multiplexed
-//!   PPX, offline vs streaming generate→train, and telemetry off vs on.
+//!   PPX, offline vs streaming generate→train, and telemetry on vs off.
 //!   The repo's end-to-end benchmark (`benches/e2e`) measures only the fast
 //!   side of each, and is the one instrument speed claims and the CI gate
 //!   go through.
@@ -99,6 +100,13 @@ mod tests {
         let mut m = bench_tau_model();
         let t = Executor::sample_prior(&mut m, 1);
         assert_eq!(t.first_observed().unwrap().as_tensor().shape, BENCH_OBS_DIMS.to_vec());
+    }
+
+    /// The `ratios` probe's sorted sub-minibatch needs ≥ 16 traces of one type.
+    #[test]
+    fn dominant_trace_type_fills_a_sorted_minibatch() {
+        let records = tau_records(512, 900);
+        assert!(etalumis_train::sub_minibatches(&records)[0].len() >= 16);
     }
 
     #[test]
