@@ -209,10 +209,17 @@ fn main() {
     };
     if let Some(avx2) = last_gauge("kernel.backend_avx2") {
         let threads = last_gauge("kernel.pool_threads").unwrap_or(1.0);
+        let backend = if last_gauge("kernel.backend_avx512").is_some_and(|v| v > 0.5) {
+            "avx512"
+        } else if avx2 > 0.5 {
+            "avx2_fma"
+        } else {
+            "scalar"
+        };
         println!(
-            "  kernel backend {} | pool threads {} | dispatches avx2 {} / scalar {}",
-            if avx2 > 0.5 { "avx2_fma" } else { "scalar" },
+            "  kernel backend {backend} | pool threads {} | dispatches avx512 {} / avx2 {} / scalar {}",
             threads as u64,
+            counter_sum("kernel.dispatch_avx512"),
             counter_sum("kernel.dispatch_avx2"),
             counter_sum("kernel.dispatch_scalar"),
         );

@@ -8,7 +8,8 @@
 //! * `matmul_a_bt` — C = A·Bᵀ          ([M,K]·[N,K] → [M,N])
 //! * `matmul_at_b` — C = Aᵀ·B          ([K,M]·[K,N] → [M,N])
 //!
-//! B is packed once per call into 8-wide column panels and shared by all
+//! B is packed once per call into column panels as wide as the kernel's
+//! vectors (16 floats on AVX-512 past 8 columns, else 8) and shared by all
 //! worker chunks — except for products of a few rows (the B = 1 inference
 //! steps), which read B where it lies through a kernel with the same
 //! per-element chains, so which path ran never shows in the result;
@@ -153,7 +154,9 @@ pub fn matmul_at_b_acc_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: us
 /// Shared driver: pack B, then run the micro-kernel serially or over fixed
 /// row chunks on the resident pool — or, for the few-row products at or
 /// below [`UNPACKED_MAX_ROWS`], multiply straight off row-major B.
-/// `acc = false` zeroes C first.
+/// `acc = false` zeroes C first. The backend is resolved once per call, so
+/// the panel is read only by the backend that packed it (its width follows
+/// the backend and `n`).
 fn gemm_driver(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
     if !acc {
         c.fill(0.0);
@@ -235,11 +238,9 @@ pub fn col_sums_acc_slice(x: &[f32], out: &mut [f32], n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::{avx2_available, set_backend_override, Backend};
-    use std::sync::Mutex;
-
-    /// Backend overrides are process-global; identity tests serialize.
-    static BACKEND_LOCK: Mutex<()> = Mutex::new(());
+    use crate::simd::{
+        available_backends, avx512_available, set_backend_override, Backend, TEST_BACKEND_LOCK,
+    };
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -314,27 +315,31 @@ mod tests {
         assert_eq!(serial_bt.data(), parallel_bt.data());
     }
 
+    /// Every backend this CPU runs computes each product bit for bit as
+    /// the scalar one does.
     #[test]
     fn scalar_and_simd_backends_bit_identical() {
-        if !avx2_available() {
-            return;
+        let _g = TEST_BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        if !avx512_available() {
+            eprintln!("note: no avx512f on this CPU; the Avx512 arm was not exercised");
         }
-        let _g = BACKEND_LOCK.lock().unwrap();
+        let run = |be: Backend, a: &Tensor, b: &Tensor| {
+            set_backend_override(Some(be));
+            let out = [
+                matmul(a, b).into_data(),
+                matmul_a_bt(a, &b.transpose2()).into_data(),
+                matmul_at_b(&a.transpose2(), b).into_data(),
+            ];
+            set_backend_override(None);
+            out
+        };
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (5, 300, 17), (33, 64, 8), (2, 9, 260)] {
             let a = rand_tensor(&[m, k], 11);
             let b = rand_tensor(&[k, n], 12);
-            set_backend_override(Some(Backend::Scalar));
-            let cs = matmul(&a, &b);
-            let cs_bt = matmul_a_bt(&a, &b.transpose2());
-            let cs_at = matmul_at_b(&a.transpose2(), &b);
-            set_backend_override(Some(Backend::Avx2Fma));
-            let cv = matmul(&a, &b);
-            let cv_bt = matmul_a_bt(&a, &b.transpose2());
-            let cv_at = matmul_at_b(&a.transpose2(), &b);
-            set_backend_override(None);
-            assert_eq!(cs.data(), cv.data(), "{m}x{k}x{n}");
-            assert_eq!(cs_bt.data(), cv_bt.data(), "{m}x{k}x{n} bt");
-            assert_eq!(cs_at.data(), cv_at.data(), "{m}x{k}x{n} at");
+            let scalar = run(Backend::Scalar, &a, &b);
+            for be in available_backends() {
+                assert_eq!(run(be, &a, &b), scalar, "{be:?} {m}x{k}x{n} (ab, a_bt, at_b)");
+            }
         }
     }
 

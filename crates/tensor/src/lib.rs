@@ -16,8 +16,9 @@
 //!   max pooling; a conv + ReLU + max-pool stage runs as one per-image pass
 //!   each way ([`conv::conv3d_fused_reusing`], [`conv::ConvGrad`]).
 //! * [`activations`] — ReLU/sigmoid/tanh/softmax/softplus with derivatives.
-//! * [`simd`] — the runtime-dispatched micro-kernel backend: AVX2+FMA via
-//!   `std::arch` with a bit-identical 8-lane scalar fallback.
+//! * [`simd`] — the runtime-dispatched micro-kernel backend: AVX-512F GEMM
+//!   row kernels and AVX2+FMA via `std::arch`, with a bit-identical 8-lane
+//!   scalar fallback.
 //! * [`pool`] — resident kernel threads with deterministic fixed chunking
 //!   (parallel results are a pure function of shape, never thread count).
 //! * [`flops`] — analytic flop accounting used to report Gflop/s in the

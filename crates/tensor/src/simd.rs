@@ -1,25 +1,50 @@
-//! Runtime-dispatched SIMD micro-kernels (AVX2+FMA with a bit-identical
-//! scalar fallback).
+//! Runtime-dispatched SIMD micro-kernels (AVX-512F and AVX2+FMA, with a
+//! bit-identical scalar fallback).
 //!
 //! The paper's training throughput rests on explicitly vectorized kernels
 //! (§4.4.2: the MKL-DNN AVX-512 path). This module is the etalumis-rs
-//! equivalent on stable Rust: every hot inner loop (GEMM micro-kernel, dot
-//! products, sigmoid/tanh sweeps) exists twice —
+//! equivalent on stable Rust. Three backends, chosen at runtime behind
+//! [`is_x86_feature_detected!`] (the widest the CPU has):
 //!
-//! * an **AVX2+FMA** path using `std::arch` intrinsics, selected at runtime
-//!   behind [`is_x86_feature_detected!`], and
-//! * a **hand-unrolled 8-lane scalar fallback** that performs *the same
-//!   operations in the same order*: fused multiply-adds ([`f32::mul_add`] ≡
-//!   `_mm256_fmadd_ps`, both single-rounding), 8 independent lane
-//!   accumulators, and the same fixed tree reduction.
+//! * **AVX-512** ([`Backend::Avx512`], `avx512f`): 16-lane arms for the two
+//!   GEMM row kernels that carry every training product —
+//!   [`Kernels::gemm_rows_unpacked`] (the Conv3d im2col panels, few-row
+//!   products) and [`Kernels::gemm_rows_packed`] (LSTM, FC and head GEMMs),
+//!   whose [`Kernels::pack_b`] panels are 16 columns wide on this backend.
+//!   Products at most 8 columns wide, which would fill half a strip, and
+//!   every other kernel run the AVX2 code.
+//! * **AVX2+FMA** ([`Backend::Avx2Fma`]): `std::arch` intrinsics for every
+//!   kernel; packed panels are 8 columns wide.
+//! * **Scalar** ([`Backend::Scalar`]): a hand-unrolled 8-lane fallback that
+//!   performs *the same operations in the same order*: fused multiply-adds
+//!   ([`f32::mul_add`] ≡ `_mm256_fmadd_ps` ≡ `_mm512_fmadd_ps`, all single
+//!   rounding), 8 independent lane accumulators, and the same fixed tree
+//!   reduction; packed panels are 8 columns wide.
 //!
 //! Because each output element's accumulation chain is a pure function of
-//! the problem shape (never of the dispatch choice, blocking, or thread
-//! count), results are **bit-identical** across backends — preserving every
-//! bit-identity contract in the repo while the fast path runs. The backend
-//! can be forced via the `ETALUMIS_KERNEL_BACKEND` env var (`scalar` /
-//! `avx2`) or [`set_backend_override`]; per-backend dispatch counts are
-//! exported for telemetry ([`dispatch_counts`]).
+//! the problem shape (never of the dispatch choice, lane count, blocking, or
+//! thread count), results are **bit-identical** across backends — preserving
+//! every bit-identity contract in the repo while the fast path runs. A GEMM
+//! row kernel's chain per element is: start from zero, fused multiply-adds
+//! ascending in `t` within each [`KC`] block, each block's sum added to C in
+//! block order. Lane width only decides how many such chains run side by
+//! side, so the AVX-512 arms can widen them to 16 (column tails through
+//! `__mmask16` loads and stores, never a different chain).
+//!
+//! The kernels that stay at 8 lanes on the AVX-512 backend do so on
+//! purpose: [`Kernels::dot`] and [`Kernels::gemm_a_bt_rows`] sum 8 lane
+//! accumulators through the fixed [`reduce8`] tree, so 16 lanes would change
+//! the summation order and the bits; [`Kernels::im2col`] and
+//! [`Kernels::col2im`] move whole 8-float vectors into buffers the Conv3d
+//! lowering sizes with 8 floats of slack; and the sigmoid/tanh sweeps are
+//! element-wise, a small share of the step that a 16-lane copy would not
+//! repay.
+//!
+//! The backend can be forced via the `ETALUMIS_KERNEL_BACKEND` env var
+//! (`scalar` / `avx2` / `avx512`; any other non-empty value warns once on
+//! stderr and auto-detects) or [`set_backend_override`]; forcing a backend
+//! the CPU lacks runs the widest one below it. Per-backend dispatch counts
+//! are exported for telemetry ([`dispatch_counts`]).
 //!
 //! Non-finite caveat: activation sweeps clamp their argument into the
 //! representable exp range (SSE min/max semantics), so NaN inputs saturate
@@ -31,12 +56,15 @@ use std::sync::OnceLock;
 
 /// K-dimension blocking of the GEMM kernels. Accumulation chains are summed
 /// per `KC` block then added to C, so this constant is part of the numeric
-/// contract: both backends use it, making it a function of shape only.
+/// contract: every backend uses it, making it a function of shape only.
 pub const KC: usize = 256;
 
 /// Which kernel implementation is active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
+    /// AVX-512F arms for the two GEMM row kernels (16-wide packed panels);
+    /// AVX2 + FMA for every other kernel.
+    Avx512,
     /// `std::arch` AVX2 + FMA intrinsics.
     Avx2Fma,
     /// Hand-unrolled 8-lane scalar code with fused multiply-adds.
@@ -44,27 +72,82 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// Every backend, widest first.
+    pub const ALL: [Backend; 3] = [Backend::Avx512, Backend::Avx2Fma, Backend::Scalar];
+
     /// Short stable name used in telemetry and bench snapshots.
     pub fn name(self) -> &'static str {
         match self {
+            Backend::Avx512 => "avx512",
             Backend::Avx2Fma => "avx2_fma",
             Backend::Scalar => "scalar",
         }
     }
+
+    /// The backend an `ETALUMIS_KERNEL_BACKEND` value names: its
+    /// [`Backend::name`], or `avx2` for [`Backend::Avx2Fma`].
+    fn from_name(s: &str) -> Option<Backend> {
+        match s {
+            "avx2" => Some(Backend::Avx2Fma),
+            _ => Backend::ALL.into_iter().find(|b| b.name() == s),
+        }
+    }
+
+    /// True when this CPU runs the backend's instructions.
+    fn available(self) -> bool {
+        match self {
+            Backend::Avx512 => avx512_available(),
+            Backend::Avx2Fma => avx2_available(),
+            Backend::Scalar => true,
+        }
+    }
+
+    /// The widest backend at or below this one that the CPU runs:
+    /// avx512 → avx2 → scalar.
+    fn at_most_available(self) -> Backend {
+        Backend::ALL.into_iter().skip_while(|&b| b != self).find(|b| b.available()).unwrap_or(self)
+    }
+
+    fn slot(self) -> usize {
+        self as usize
+    }
 }
 
-/// 0 = auto, 1 = force scalar, 2 = force avx2 (if detected).
+/// 0 = auto, else 1 + the forced backend's [`Backend::slot`].
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static DISPATCH_AVX2: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_SCALAR: AtomicU64 = AtomicU64::new(0);
+/// Dispatches per backend, indexed by [`Backend::slot`].
+static DISPATCH: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 
+/// The backend `ETALUMIS_KERNEL_BACKEND` forces, read once per process. An
+/// unset or empty variable means auto; a value that names no backend warns
+/// once on stderr and means auto too.
 fn env_override() -> Option<Backend> {
     static ENV: OnceLock<Option<Backend>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("ETALUMIS_KERNEL_BACKEND").ok().as_deref() {
-        Some("scalar") => Some(Backend::Scalar),
-        Some("avx2") | Some("avx2_fma") => Some(Backend::Avx2Fma),
-        _ => None,
+    *ENV.get_or_init(|| {
+        let (forced, warning) = parse_env(std::env::var("ETALUMIS_KERNEL_BACKEND").ok().as_deref());
+        if let Some(w) = warning {
+            eprintln!("{w}"); // etalumis: allow(logging, reason = "a mistyped kernel-backend variable must not pass silently; read once, before any logger exists")
+        }
+        forced
     })
+}
+
+/// An `ETALUMIS_KERNEL_BACKEND` value's forced backend, and the warning an
+/// unknown value earns.
+fn parse_env(value: Option<&str>) -> (Option<Backend>, Option<String>) {
+    match value {
+        None | Some("") => (None, None),
+        Some(v) => match Backend::from_name(v) {
+            Some(b) => (Some(b), None),
+            None => (
+                None,
+                Some(format!(
+                    "warning: ETALUMIS_KERNEL_BACKEND={v:?} names no kernel backend \
+                     (scalar, avx2, avx512); detecting the widest this CPU runs"
+                )),
+            ),
+        },
+    }
 }
 
 /// True when the host supports the AVX2+FMA path.
@@ -80,6 +163,25 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// True when the host supports the AVX-512 path: `avx512f`, plus the
+/// AVX2+FMA its other kernels run.
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static DET: OnceLock<bool> = OnceLock::new();
+        *DET.get_or_init(|| avx2_available() && is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The backends this CPU runs, widest first (scalar always).
+pub fn available_backends() -> Vec<Backend> {
+    Backend::ALL.into_iter().filter(|b| b.available()).collect()
+}
+
 #[cfg(target_arch = "x86_64")]
 fn fma_available() -> bool {
     static DET: OnceLock<bool> = OnceLock::new();
@@ -87,48 +189,55 @@ fn fma_available() -> bool {
 }
 
 /// Force a backend programmatically (benches, bit-identity tests); `None`
-/// restores auto-detection. Forcing AVX2 on hardware without it silently
-/// stays scalar.
+/// restores `ETALUMIS_KERNEL_BACKEND` or auto-detection. Forcing a backend
+/// the CPU lacks runs the widest one below it: avx512 → avx2 → scalar.
 pub fn set_backend_override(b: Option<Backend>) {
-    OVERRIDE.store(
-        match b {
-            None => 0,
-            Some(Backend::Scalar) => 1,
-            Some(Backend::Avx2Fma) => 2,
-        },
-        Ordering::Relaxed,
-    );
+    OVERRIDE.store(b.map_or(0, |b| 1 + b.slot() as u8), Ordering::Relaxed);
 }
 
-/// The backend the next kernel call will dispatch to.
+/// The backend the next kernel call will dispatch to: the forced one
+/// (override, else environment) or the widest available, stepped down to
+/// what the CPU runs. (That the widest is the fastest was measured on an
+/// Emerald Rapids Xeon only; where 512-bit FMAs lower the clock, force
+/// `avx2` to compare.)
 pub fn active_backend() -> Backend {
     let forced = match OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(Backend::Scalar),
-        2 => Some(Backend::Avx2Fma),
-        _ => env_override(),
+        0 => env_override(),
+        v => Backend::ALL.get(v as usize - 1).copied(),
     };
-    match forced {
-        Some(Backend::Avx2Fma) if avx2_available() => Backend::Avx2Fma,
-        Some(Backend::Avx2Fma) | Some(Backend::Scalar) => Backend::Scalar,
-        None => {
-            if avx2_available() {
-                Backend::Avx2Fma
-            } else {
-                Backend::Scalar
-            }
-        }
-    }
+    forced.unwrap_or(Backend::Avx512).at_most_available()
 }
 
-/// Cumulative kernel dispatch counts since process start: `(avx2, scalar)`.
-pub fn dispatch_counts() -> (u64, u64) {
-    (DISPATCH_AVX2.load(Ordering::Relaxed), DISPATCH_SCALAR.load(Ordering::Relaxed))
+/// Cumulative kernel dispatches per backend since process start.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DispatchCounts {
+    /// Dispatches resolved to [`Backend::Avx512`].
+    pub avx512: u64,
+    /// Dispatches resolved to [`Backend::Avx2Fma`].
+    pub avx2: u64,
+    /// Dispatches resolved to [`Backend::Scalar`].
+    pub scalar: u64,
+}
+
+fn read_counts(read: impl Fn(&AtomicU64) -> u64) -> DispatchCounts {
+    let [avx512, avx2, scalar] = DISPATCH.each_ref().map(read);
+    DispatchCounts { avx512, avx2, scalar }
+}
+
+/// Cumulative kernel dispatch counts since process start.
+pub fn dispatch_counts() -> DispatchCounts {
+    read_counts(|c| c.load(Ordering::Relaxed))
 }
 
 /// Read-and-reset the dispatch counts (telemetry counters record deltas).
-pub fn take_dispatch_counts() -> (u64, u64) {
-    (DISPATCH_AVX2.swap(0, Ordering::Relaxed), DISPATCH_SCALAR.swap(0, Ordering::Relaxed))
+pub fn take_dispatch_counts() -> DispatchCounts {
+    read_counts(|c| c.swap(0, Ordering::Relaxed))
 }
+
+/// Serializes the unit tests that force a backend: the override is
+/// process-wide.
+#[cfg(test)]
+pub(crate) static TEST_BACKEND_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A resolved kernel dispatch: cheap to copy into parallel tasks so the
 /// backend is chosen once per operation, not once per inner loop.
@@ -141,10 +250,7 @@ impl Kernels {
     /// Resolve the active backend and count the dispatch.
     pub fn get() -> Self {
         let backend = active_backend();
-        match backend {
-            Backend::Avx2Fma => DISPATCH_AVX2.fetch_add(1, Ordering::Relaxed),
-            Backend::Scalar => DISPATCH_SCALAR.fetch_add(1, Ordering::Relaxed),
-        };
+        DISPATCH[backend.slot()].fetch_add(1, Ordering::Relaxed);
         Kernels { backend }
     }
 
@@ -153,44 +259,81 @@ impl Kernels {
         self.backend
     }
 
-    /// Pack B `[k, n]` into 8-wide column panels: `bp[s][t][l] = B[t, 8s+l]`
-    /// (zero padded past `n`). Shared by both backends so the packed values —
-    /// and therefore the accumulation chains — are identical.
+    /// True when a GEMM `n` columns wide runs a 16-lane arm: on the AVX-512
+    /// backend, for more than 8 columns. At most 8 columns fill half a
+    /// 16-lane strip, and there the AVX2 kernel measured faster (Conv3d
+    /// layer 1's weight gradient, `n = 8`: 0.85–0.92× on the 16-lane arm).
+    fn sixteen_lanes(&self, n: usize) -> bool {
+        cfg!(target_arch = "x86_64") && self.backend == Backend::Avx512 && n > 8
+    }
+
+    /// Columns per [`Kernels::pack_b`] panel strip for a GEMM `n` columns
+    /// wide: 16 where the 16-lane arm runs (one zmm vector), else 8.
+    fn panel_width(&self, n: usize) -> usize {
+        if self.sixteen_lanes(n) {
+            16
+        } else {
+            8
+        }
+    }
+
+    /// Pack B `[k, n]` into column panels `w` wide: `bp[s][t][l] =
+    /// B[t, w·s+l]` (zero padded past `n`), with `w = 16` where this
+    /// backend runs a 16-lane arm for `n` columns and 8 elsewhere. The
+    /// panel is only for [`Kernels::gemm_rows_packed`] on the same
+    /// `Kernels` and `n`; every backend reads its own panel in the same
+    /// element order, so the accumulation chains are identical.
     pub fn pack_b(&self, b: &[f32], k: usize, n: usize, bp: &mut Vec<f32>) {
-        let strips = n.div_ceil(8).max(1);
+        let w = self.panel_width(n);
+        let strips = n.div_ceil(w).max(1);
         bp.clear();
-        bp.resize(strips * k * 8, 0.0);
+        bp.resize(strips * k * w, 0.0);
         for s in 0..strips {
-            let base = s * k * 8;
-            let c0 = s * 8;
-            let cols = (n - c0.min(n)).min(8);
+            let base = s * k * w;
+            let c0 = s * w;
+            let cols = (n - c0.min(n)).min(w);
             for t in 0..k {
                 let src = &b[t * n + c0..t * n + c0 + cols];
-                bp[base + t * 8..base + t * 8 + cols].copy_from_slice(src);
+                bp[base + t * w..base + t * w + cols].copy_from_slice(src);
             }
         }
     }
 
     /// GEMM over packed B: `c[rows, n] += a[rows, k] · B` where `bp` is the
-    /// [`Kernels::pack_b`] panel of B. Callers zero `c` first for a plain
-    /// product. Per-element accumulation: for each `KC` block, a fused
-    /// multiply-add chain ascending in `t`, block sums added to `c` in block
-    /// order — invariant to row blocking and parallel splits.
+    /// [`Kernels::pack_b`] panel of B from this same `Kernels` (the panel
+    /// width is the backend's). Callers zero `c` first for a plain product.
+    /// Per-element accumulation: for each `KC` block, a fused multiply-add
+    /// chain ascending in `t`, block sums added to `c` in block order —
+    /// invariant to row blocking, lane width and parallel splits.
     pub fn gemm_rows_packed(&self, c: &mut [f32], a: &[f32], bp: &[f32], k: usize, n: usize) {
         if n == 0 || c.is_empty() {
             return;
         }
         let rows = c.len() / n;
-        debug_assert_eq!(c.len(), rows * n);
-        debug_assert_eq!(a.len(), rows * k);
+        let w = self.panel_width(n);
+        assert_eq!(c.len(), rows * n);
+        assert_eq!(a.len(), rows * k);
+        assert!(bp.len() >= n.div_ceil(w) * k * w, "gemm_rows_packed: B panel too short");
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`).
-            Backend::Avx2Fma => unsafe { avx2::gemm_rows_packed(c, a, bp, k, n) },
+            // SAFETY: `Avx512` is only selected when `avx512_available()`
+            // confirmed AVX-512F on this CPU (see `active_backend`); the
+            // asserts above are the slice lengths the kernel's raw loads
+            // and stores rely on, the panel being 16 wide here.
+            Backend::Avx512 if self.sixteen_lanes(n) => unsafe {
+                avx512::gemm_rows_packed(c, a, bp, k, n)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`); the asserts above are the slice lengths
+            // the kernel's raw loads rely on, the panel being 8 wide here.
+            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::gemm_rows_packed(c, a, bp, k, n) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => scalar_gemm_rows(c, a, bp, k, n, BLayout::packed(k)),
-            Backend::Scalar => scalar_gemm_rows(c, a, bp, k, n, BLayout::packed(k)),
+            Backend::Avx512 | Backend::Avx2Fma => {
+                scalar_gemm_rows(c, a, bp, k, n, BLayout::packed(k, w))
+            }
+            Backend::Scalar => scalar_gemm_rows(c, a, bp, k, n, BLayout::packed(k, w)),
         }
     }
 
@@ -202,7 +345,7 @@ impl Kernels {
     /// output element runs exactly the [`Kernels::gemm_rows_packed`] chain
     /// (per `KC` block a fused multiply-add chain ascending in `t`, block
     /// sums added to `c` in block order); only the B addressing differs, so
-    /// the two are bit-identical on both backends.
+    /// the two are bit-identical on every backend.
     pub fn gemm_rows_unpacked(&self, c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
         if n == 0 || c.is_empty() {
             return;
@@ -213,14 +356,26 @@ impl Kernels {
         assert_eq!(b.len(), k * n);
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`); the
+            // SAFETY: `Avx512` is only selected when `avx512_available()`
+            // confirmed AVX-512F on this CPU (see `active_backend`); the
             // asserts above are the slice lengths the kernel's raw loads
             // and stores rely on.
-            Backend::Avx2Fma => unsafe { avx2::gemm_rows_unpacked(c, a, b, k, n) },
+            Backend::Avx512 if self.sixteen_lanes(n) => unsafe {
+                avx512::gemm_rows_unpacked(c, a, b, k, n)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`); the asserts above are the slice lengths
+            // the kernel's raw loads and stores rely on.
+            Backend::Avx512 | Backend::Avx2Fma => unsafe {
+                avx2::gemm_rows_unpacked(c, a, b, k, n)
+            },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => scalar_gemm_rows(c, a, b, k, n, BLayout::row_major(n)),
-            Backend::Scalar => scalar_gemm_rows(c, a, b, k, n, BLayout::row_major(n)),
+            Backend::Avx512 | Backend::Avx2Fma => {
+                scalar_gemm_rows(c, a, b, k, n, BLayout::row_major(n, 8))
+            }
+            Backend::Scalar => scalar_gemm_rows(c, a, b, k, n, BLayout::row_major(n, 8)),
         }
     }
 
@@ -247,11 +402,11 @@ impl Kernels {
         assert!((rows - 1) * len + dst <= col.len(), "im2col: a copy writes past the panel");
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`); the
-            // asserts above bound every 8-float read in `x` and write in
-            // `col`.
-            Backend::Avx2Fma => unsafe { avx2::im2col(col, x, koff, vecs, len) },
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`); the asserts above bound every 8-float
+            // read in `x` and write in `col`.
+            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::im2col(col, x, koff, vecs, len) },
             _ => scalar_im2col(col, x, koff, vecs, len),
         }
     }
@@ -264,8 +419,8 @@ impl Kernels {
     /// `q < s.len`.
     ///
     /// Both buffers carry 8 floats of slack past what the runs touch. The
-    /// scalar backend goes row by row. AVX2 (3-tap rows, every `Cnn3d`
-    /// layer) walks the runs in descending order and, per 8-lane vector of
+    /// scalar backend goes row by row. AVX2 (on the AVX-512 backend too;
+    /// 3-tap rows, every `Cnn3d` layer) walks the runs in descending order and, per 8-lane vector of
     /// a run, adds the three taps of every kernel row in ascending row
     /// order, blending the sums in only where a tap reaches: each element
     /// of `g` is loaded and stored once per kernel row and receives exactly
@@ -273,7 +428,7 @@ impl Kernels {
     /// row, so the rows that reach an element through it come first.) The
     /// loads and stores are whole unmasked vectors whose lanes past a run
     /// are stored back unchanged, so a load never waits on a store it
-    /// partly overlaps. The two backends agree bit for bit.
+    /// partly overlaps. The backends agree bit for bit.
     pub fn col2im(
         &self,
         g: &mut [f32],
@@ -294,10 +449,13 @@ impl Kernels {
         assert!(segs.iter().all(|s| s.col + s.len <= len), "col2im: a run ends past its panel row");
         match (self.backend, k) {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`); the
-            // asserts above bound every vector in `g` and `col`.
-            (Backend::Avx2Fma, 3) => unsafe { avx2::col2im3(g, col, kbase, segs, len) },
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`); the asserts above bound every vector in
+            // `g` and `col`.
+            (Backend::Avx512 | Backend::Avx2Fma, 3) => unsafe {
+                avx2::col2im3(g, col, kbase, segs, len)
+            },
             _ => scalar_col2im(g, col, kbase, k, segs, len),
         }
     }
@@ -313,11 +471,12 @@ impl Kernels {
         debug_assert_eq!(b.len(), n * k);
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`).
-            Backend::Avx2Fma => unsafe { avx2::gemm_a_bt_rows(c, a, b, k, n) },
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`).
+            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::gemm_a_bt_rows(c, a, b, k, n) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => scalar_gemm_a_bt_rows(self, c, a, b, k, n),
+            Backend::Avx512 | Backend::Avx2Fma => scalar_gemm_a_bt_rows(self, c, a, b, k, n),
             Backend::Scalar => scalar_gemm_a_bt_rows(self, c, a, b, k, n),
         }
     }
@@ -327,11 +486,12 @@ impl Kernels {
         debug_assert_eq!(a.len(), b.len());
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`).
-            Backend::Avx2Fma => unsafe { avx2::dot(a, b) },
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`).
+            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::dot(a, b) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => self.scalar_dot(a, b),
+            Backend::Avx512 | Backend::Avx2Fma => self.scalar_dot(a, b),
             Backend::Scalar => self.scalar_dot(a, b),
         }
     }
@@ -349,11 +509,12 @@ impl Kernels {
     pub fn sigmoid(&self, xs: &mut [f32]) {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`).
-            Backend::Avx2Fma => unsafe { avx2::sigmoid(xs) },
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`).
+            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::sigmoid(xs) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => scalar_sigmoid(xs),
+            Backend::Avx512 | Backend::Avx2Fma => scalar_sigmoid(xs),
             Backend::Scalar => scalar_sigmoid(xs),
         }
     }
@@ -362,11 +523,12 @@ impl Kernels {
     pub fn tanh(&self, xs: &mut [f32]) {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`).
-            Backend::Avx2Fma => unsafe { avx2::tanh(xs) },
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`).
+            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::tanh(xs) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => scalar_tanh(xs),
+            Backend::Avx512 | Backend::Avx2Fma => scalar_tanh(xs),
             Backend::Scalar => scalar_tanh(xs),
         }
     }
@@ -415,10 +577,10 @@ unsafe fn scalar_dot_fma(a: &[f32], b: &[f32]) -> f32 {
     scalar_dot_impl(a, b)
 }
 
-/// Where `B[t, 8s + l]` lives: at `s * strip + t * step + l`. The packed
-/// panel and plain row-major B differ only in these two strides, so one
-/// scalar kernel serves both [`Kernels::gemm_rows_packed`] and
-/// [`Kernels::gemm_rows_unpacked`].
+/// Where `B[t, w·s + l]` lives, for strips `w` columns wide: at
+/// `s * strip + t * step + l`. The packed panel and plain row-major B differ
+/// only in these two strides, so one kernel per backend serves both
+/// [`Kernels::gemm_rows_packed`] and [`Kernels::gemm_rows_unpacked`].
 #[derive(Clone, Copy)]
 struct BLayout {
     strip: usize,
@@ -426,14 +588,14 @@ struct BLayout {
 }
 
 impl BLayout {
-    /// The [`Kernels::pack_b`] panel of a `[k, ·]` matrix.
-    fn packed(k: usize) -> Self {
-        Self { strip: k * 8, step: 8 }
+    /// The [`Kernels::pack_b`] panel of a `[k, ·]` matrix, `w` wide.
+    fn packed(k: usize, w: usize) -> Self {
+        Self { strip: k * w, step: w }
     }
 
-    /// Row-major `[·, n]`.
-    fn row_major(n: usize) -> Self {
-        Self { strip: 8, step: n }
+    /// Row-major `[·, n]`, read in strips `w` wide.
+    fn row_major(n: usize, w: usize) -> Self {
+        Self { strip: w, step: n }
     }
 }
 
@@ -1107,6 +1269,162 @@ mod avx2 {
     }
 }
 
+// ---------------------------------------------------------------------------
+// AVX-512F implementations (the two GEMM row kernels only).
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
+    use std::arch::x86_64::*;
+
+    /// Lanes per vector: the width of this backend's B strips.
+    pub const LANES: usize = 16;
+
+    /// What one `KC` block of a product walks: C's row stride `n`, A's row
+    /// stride `k`, where B's strips lie, and the block's `t` range.
+    #[derive(Clone, Copy)]
+    struct Walk {
+        n: usize,
+        k: usize,
+        lay: BLayout,
+        t0: usize,
+        t1: usize,
+    }
+
+    /// `R` rows × `S` adjacent 16-wide strips of C over one `KC` block:
+    /// `R·S` independent accumulator chains per `t` hide the FMA latency,
+    /// and each B vector loaded feeds `R` rows. Lanes that `last` masks off
+    /// the last strip are neither read from B nor read or written in C.
+    // SAFETY: callers must ensure AVX-512F is supported and that, for every
+    // `r < R`, `s < S`, `w.t0 <= t < w.t1` and lane `l` that the strip's
+    // mask keeps (every lane but the last strip's, which keeps `last`),
+    // `arow + r·w.k + t` lies in A, `b + s·w.lay.strip + t·w.lay.step + l`
+    // in B and `cdst + r·w.n + 16s + l` in C.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn block<const R: usize, const S: usize>(
+        w: Walk,
+        cdst: *mut f32,
+        arow: *const f32,
+        b: *const f32,
+        last: __mmask16,
+    ) {
+        let mask = |s: usize| if s + 1 == S { last } else { !0 };
+        let mut acc = [[_mm512_setzero_ps(); S]; R];
+        for t in w.t0..w.t1 {
+            let mut bv = [_mm512_setzero_ps(); S];
+            for (s, bv) in bv.iter_mut().enumerate() {
+                *bv = _mm512_maskz_loadu_ps(mask(s), b.add(s * w.lay.strip + t * w.lay.step));
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*arow.add(r * w.k + t));
+                for (acc, bv) in acc.iter_mut().zip(bv) {
+                    *acc = _mm512_fmadd_ps(av, bv, *acc);
+                }
+            }
+        }
+        for (r, acc) in acc.into_iter().enumerate() {
+            for (s, acc) in acc.into_iter().enumerate() {
+                let dst = cdst.add(r * w.n + s * LANES);
+                let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(mask(s), dst), acc);
+                _mm512_mask_storeu_ps(dst, mask(s), sum);
+            }
+        }
+    }
+
+    /// One band of `R` rows of C (row 0 at `crow`) across every 16-wide
+    /// strip of the `w.n` columns, over one `KC` block: 2 strips per block
+    /// for a multi-row band; for a single row, 8 then 4 then 2, so at least
+    /// 4 chains are in flight while 64 columns remain. An odd last strip
+    /// runs alone; the columns past `w.n` are masked off the last strip.
+    // SAFETY: as for `block`, for every strip of the band.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn band<const R: usize>(w: Walk, crow: *mut f32, arow: *const f32, b: *const f32) {
+        let strips = w.n.div_ceil(LANES);
+        let tail: __mmask16 = u16::MAX >> (strips * LANES - w.n);
+        // Where strips `s..end` start in C and B, and the last one's mask.
+        let at = |s: usize, end: usize| {
+            (crow.add(s * LANES), b.add(s * w.lay.strip), if end == strips { tail } else { !0 })
+        };
+        let mut s = 0;
+        if R == 1 {
+            while s + 8 <= strips {
+                let (c, bs, m) = at(s, s + 8);
+                block::<1, 8>(w, c, arow, bs, m);
+                s += 8;
+            }
+            if s + 4 <= strips {
+                let (c, bs, m) = at(s, s + 4);
+                block::<1, 4>(w, c, arow, bs, m);
+                s += 4;
+            }
+        }
+        while s + 2 <= strips {
+            let (c, bs, m) = at(s, s + 2);
+            block::<R, 2>(w, c, arow, bs, m);
+            s += 2;
+        }
+        if s < strips {
+            let (c, bs, m) = at(s, strips);
+            block::<R, 1>(w, c, arow, bs, m);
+        }
+    }
+
+    /// `c[rows, n] += a[rows, k] · B`, B read in 16-wide strips where `lay`
+    /// says: bands of 8 rows, then 4, then single rows. Per element the
+    /// chain is the scalar one — from zero, fused multiply-adds ascending in
+    /// `t` per `KC` block, block sums added to C in block order; a partial
+    /// last strip is masked lanes of the same chains.
+    // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
+    // `c` and `a` hold `rows·n` and `rows·k` elements and `b` every element
+    // `lay` addresses for `t < k` and columns `< n` (asserted by the safe
+    // `Kernels` entry points).
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_rows(c: &mut [f32], a: &[f32], b: &[f32], (k, n): (usize, usize), lay: BLayout) {
+        let rows = c.len() / n;
+        let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        let mut t0 = 0;
+        while t0 < k {
+            let w = Walk { n, k, lay, t0, t1: (t0 + KC).min(k) };
+            let mut i = 0;
+            while i < rows {
+                let (crow, arow) = (cp.add(i * n), ap.add(i * k));
+                i += match rows - i {
+                    8.. => {
+                        band::<8>(w, crow, arow, bp);
+                        8
+                    }
+                    4.. => {
+                        band::<4>(w, crow, arow, bp);
+                        4
+                    }
+                    _ => {
+                        band::<1>(w, crow, arow, bp);
+                        1
+                    }
+                };
+            }
+            t0 = w.t1;
+        }
+    }
+
+    /// [`Kernels::gemm_rows_packed`] over this backend's 16-wide panel.
+    // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
+    // `c`, `a` and `bp` hold `rows·n`, `rows·k` and `⌈n/16⌉·k·16` elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_rows_packed(c: &mut [f32], a: &[f32], bp: &[f32], k: usize, n: usize) {
+        gemm_rows(c, a, bp, (k, n), BLayout::packed(k, LANES))
+    }
+
+    /// [`Kernels::gemm_rows_unpacked`] off row-major B.
+    // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
+    // `c`, `a` and `b` hold `rows·n`, `rows·k` and `k·n` elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_rows_unpacked(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+        gemm_rows(c, a, b, (k, n), BLayout::row_major(n, LANES))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1124,71 +1442,106 @@ mod tests {
     }
 
     fn with_backend<T>(b: Backend, f: impl FnOnce(Kernels) -> T) -> T {
+        let _g = TEST_BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_backend_override(Some(b));
         let out = f(Kernels::get());
         set_backend_override(None);
         out
     }
 
+    /// Every backend but scalar that this CPU runs; says on stderr when the
+    /// AVX-512 arm is not among them, so a run without it is not silent.
+    fn simd_backends() -> Vec<Backend> {
+        if !avx512_available() {
+            eprintln!("note: no avx512f on this CPU; the Avx512 arm was not exercised");
+        }
+        available_backends().into_iter().filter(|&b| b != Backend::Scalar).collect()
+    }
+
     #[test]
     fn backends_bit_identical_gemm() {
-        if !avx2_available() {
-            return;
-        }
-        for &(rows, k, n) in &[(1usize, 1usize, 1usize), (4, 7, 9), (5, 300, 17), (13, 64, 8)] {
-            let a = rand_vec(rows * k, 1);
-            let b = rand_vec(k * n, 2);
-            let run = |be: Backend| {
-                with_backend(be, |kern| {
-                    let mut bp = Vec::new();
-                    kern.pack_b(&b, k, n, &mut bp);
-                    let mut c = vec![0.0f32; rows * n];
-                    kern.gemm_rows_packed(&mut c, &a, &bp, k, n);
-                    c
-                })
-            };
-            assert_eq!(run(Backend::Scalar), run(Backend::Avx2Fma), "{rows}x{k}x{n}");
+        for be in simd_backends() {
+            for &(rows, k, n) in &[(1usize, 1usize, 1usize), (4, 7, 9), (5, 300, 17), (13, 64, 8)] {
+                let a = rand_vec(rows * k, 1);
+                let b = rand_vec(k * n, 2);
+                let run = |be: Backend| {
+                    with_backend(be, |kern| {
+                        let mut bp = Vec::new();
+                        kern.pack_b(&b, k, n, &mut bp);
+                        let mut c = vec![0.0f32; rows * n];
+                        kern.gemm_rows_packed(&mut c, &a, &bp, k, n);
+                        let mut d = vec![0.0f32; rows * n];
+                        kern.gemm_rows_unpacked(&mut d, &a, &b, k, n);
+                        (c, d)
+                    })
+                };
+                assert_eq!(run(Backend::Scalar), run(be), "{be:?} {rows}x{k}x{n}");
+            }
         }
     }
 
     #[test]
     fn backends_bit_identical_dot_and_bt() {
-        if !avx2_available() {
-            return;
-        }
-        for &(rows, k, n) in &[(3usize, 5usize, 4usize), (2, 33, 7), (1, 256, 1)] {
-            let a = rand_vec(rows * k, 3);
-            let b = rand_vec(n * k, 4);
-            let run = |be: Backend| {
-                with_backend(be, |kern| {
-                    let mut c = vec![0.0f32; rows * n];
-                    kern.gemm_a_bt_rows(&mut c, &a, &b, k, n);
-                    (c, kern.dot(&a[..k], &b[..k]))
-                })
-            };
-            assert_eq!(run(Backend::Scalar), run(Backend::Avx2Fma));
+        for be in simd_backends() {
+            for &(rows, k, n) in &[(3usize, 5usize, 4usize), (2, 33, 7), (1, 256, 1)] {
+                let a = rand_vec(rows * k, 3);
+                let b = rand_vec(n * k, 4);
+                let run = |be: Backend| {
+                    with_backend(be, |kern| {
+                        let mut c = vec![0.0f32; rows * n];
+                        kern.gemm_a_bt_rows(&mut c, &a, &b, k, n);
+                        (c, kern.dot(&a[..k], &b[..k]))
+                    })
+                };
+                assert_eq!(run(Backend::Scalar), run(be), "{be:?}");
+            }
         }
     }
 
     #[test]
     fn backends_bit_identical_activations() {
-        if !avx2_available() {
-            return;
-        }
         let xs = rand_vec(37, 5);
-        for sweep in [true, false] {
-            let run = |be: Backend| {
-                with_backend(be, |kern| {
-                    let mut v = xs.clone();
-                    if sweep {
-                        kern.sigmoid(&mut v);
-                    } else {
-                        kern.tanh(&mut v);
+        for be in simd_backends() {
+            for sweep in [true, false] {
+                let run = |be: Backend| {
+                    with_backend(be, |kern| {
+                        let mut v = xs.clone();
+                        if sweep {
+                            kern.sigmoid(&mut v);
+                        } else {
+                            kern.tanh(&mut v);
+                        }
+                        v
+                    })
+                };
+                assert_eq!(run(Backend::Scalar), run(be), "{be:?}");
+            }
+        }
+    }
+
+    /// The panel a backend packs is as wide as the vectors its kernel
+    /// runs: 16 columns on AVX-512 past 8 columns, 8 elsewhere.
+    #[test]
+    fn pack_b_panel_width_follows_the_backend() {
+        for (k, n) in [(3usize, 5usize), (3, 8), (2, 9)] {
+            let b = rand_vec(k * n, 6);
+            for be in available_backends() {
+                let w = if be == Backend::Avx512 && n > 8 { 16 } else { 8 };
+                let bp = with_backend(be, |kern| {
+                    let mut bp = Vec::new();
+                    kern.pack_b(&b, k, n, &mut bp);
+                    bp
+                });
+                let strips = n.div_ceil(w);
+                assert_eq!(bp.len(), strips * k * w, "{be:?} n={n}");
+                for t in 0..k {
+                    for j in 0..strips * w {
+                        let want = if j < n { b[t * n + j] } else { 0.0 };
+                        let got = bp[(j / w) * k * w + t * w + j % w];
+                        assert_eq!(got, want, "{be:?} n={n} B[{t}, {j}]");
                     }
-                    v
-                })
-            };
-            assert_eq!(run(Backend::Scalar), run(Backend::Avx2Fma));
+                }
+            }
         }
     }
 
@@ -1212,13 +1565,58 @@ mod tests {
 
     #[test]
     fn override_and_counters() {
+        let _g = TEST_BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = dispatch_counts();
         set_backend_override(Some(Backend::Scalar));
         assert_eq!(active_backend(), Backend::Scalar);
         let _ = Kernels::get();
         set_backend_override(None);
         let after = dispatch_counts();
-        assert!(after.1 > before.1, "scalar dispatch counted");
+        assert!(after.scalar > before.scalar, "scalar dispatch counted");
+    }
+
+    /// Forcing a backend the CPU lacks runs the widest one below it:
+    /// avx512 → avx2 → scalar.
+    #[test]
+    fn forced_backend_falls_to_the_widest_available_below_it() {
+        let _g = TEST_BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let avx2 = if avx2_available() { Backend::Avx2Fma } else { Backend::Scalar };
+        let avx512 = if avx512_available() { Backend::Avx512 } else { avx2 };
+        for (forced, want) in [
+            (Backend::Scalar, Backend::Scalar),
+            (Backend::Avx2Fma, avx2),
+            (Backend::Avx512, avx512),
+        ] {
+            set_backend_override(Some(forced));
+            let (active, kern) = (active_backend(), Kernels::get().backend());
+            set_backend_override(None);
+            assert_eq!((active, kern), (want, want), "forced {forced:?}");
+        }
+        assert_eq!(Backend::Avx512.at_most_available(), avx512);
+        assert_eq!(Backend::Avx2Fma.at_most_available(), avx2);
+    }
+
+    /// `ETALUMIS_KERNEL_BACKEND` accepts every backend name (and `avx2`);
+    /// an unset or empty variable means auto, and any other value means
+    /// auto with a warning that names it.
+    #[test]
+    fn env_values_parse_and_unknown_ones_warn() {
+        assert_eq!(parse_env(None), (None, None));
+        assert_eq!(parse_env(Some("")), (None, None));
+        for (v, b) in [
+            ("scalar", Backend::Scalar),
+            ("avx2", Backend::Avx2Fma),
+            ("avx2_fma", Backend::Avx2Fma),
+            ("avx512", Backend::Avx512),
+        ] {
+            assert_eq!(parse_env(Some(v)), (Some(b), None), "{v}");
+        }
+        for v in ["avx-512", "AVX2", "auto"] {
+            let (forced, warning) = parse_env(Some(v));
+            assert_eq!(forced, None, "{v}");
+            let warning = warning.unwrap_or_default();
+            assert!(warning.contains(&format!("{v:?}")) && warning.contains("avx512"), "{warning}");
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property tests: kernel results are bit-identical across dispatch choice
-//! (AVX2 vs scalar fallback) and across serial vs pooled-parallel execution,
-//! over arbitrary shapes — including non-multiples of 8 and empty dims.
+//! (AVX-512 and AVX2 vs the scalar fallback) and across serial vs
+//! pooled-parallel execution, over arbitrary shapes — including
+//! non-multiples of 8 and 16 and empty dims.
 
 use etalumis_tensor::gemm::{matmul, matmul_a_bt, matmul_acc_into, matmul_at_b, matmul_into};
-use etalumis_tensor::simd::{avx2_available, set_backend_override, Backend, Kernels};
+use etalumis_tensor::simd::{
+    available_backends, avx512_available, set_backend_override, Backend, Kernels,
+};
 use etalumis_tensor::{activations, conv, pool, Conv3dSpec, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -21,19 +24,27 @@ fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
     })
 }
 
-/// Run `f` once per backend (scalar always, AVX2 where available) and
-/// assert the returned buffers are bitwise equal.
+/// The backends this CPU runs, widest first; says on stderr when the
+/// AVX-512 arm is not among them, so a run without it is not silent.
+fn backends() -> Vec<Backend> {
+    if !avx512_available() {
+        eprintln!("note: no avx512f on this CPU; the Avx512 arm was not exercised");
+    }
+    available_backends()
+}
+
+/// Run `f` once per backend this CPU runs (scalar always) and assert each
+/// result is bitwise equal to scalar's; then serial against pooled.
 fn assert_backend_identical<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T, ctx: &str) {
     set_backend_override(Some(Backend::Scalar));
     let scalar = f();
-    if avx2_available() {
-        set_backend_override(Some(Backend::Avx2Fma));
-        let simd = f();
+    for be in backends() {
+        set_backend_override(Some(be));
+        let got = f();
         set_backend_override(None);
-        assert_eq!(scalar, simd, "scalar vs avx2: {ctx}");
-    } else {
-        set_backend_override(None);
+        assert_eq!(scalar, got, "scalar vs {}: {ctx}", be.name());
     }
+    set_backend_override(None);
     pool::set_parallel(false);
     let serial = f();
     pool::set_parallel(true);
@@ -131,10 +142,7 @@ fn packed_reference(base: &[f32], a: &[f32], b: &[f32], k: usize, n: usize) -> V
 #[test]
 fn few_row_gemm_bit_identical_to_packed_path() {
     let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
-    let mut backends = vec![Backend::Scalar];
-    if avx2_available() {
-        backends.push(Backend::Avx2Fma);
-    }
+    let backends = backends();
     for m in 1usize..=8 {
         for k in [1usize, 52, 255, 256, 257, 600] {
             for n in [1usize, 7, 15, 38, 70, 129] {
@@ -177,7 +185,7 @@ fn few_row_gemm_propagates_non_finite() {
     let mut b = vec![1.0f32; k * n];
     b[2] = f32::INFINITY; // row 0 (× 0.0), a full-strip column
     b[10] = f32::NEG_INFINITY; // row 0 (× 0.0), a tail column
-    for be in [Backend::Scalar, Backend::Avx2Fma] {
+    for be in Backend::ALL {
         set_backend_override(Some(be));
         let mut c = vec![0.0f32; n];
         matmul_into(&a, &b, &mut c, 1, k, n);
@@ -186,6 +194,43 @@ fn few_row_gemm_propagates_non_finite() {
         for (j, (&got, &want)) in c.iter().zip(&want).enumerate() {
             assert_eq!(got.is_nan(), j == 2 || j == 10, "{be:?} column {j}: {got}");
             assert!(got == want || (got.is_nan() && want.is_nan()), "{be:?} column {j}");
+        }
+    }
+}
+
+/// The 16-lane arms' column tails and row bands against scalar: `n` over
+/// every tail width of one and two strips and around 256, rows over every
+/// band mix (8, 4 and single rows), `k` across the `KC = 256` block — for
+/// the packed and the unpacked kernel, accumulating into a non-zero C.
+#[test]
+fn row_kernels_bit_identical_over_every_tail_and_band() {
+    let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+    let backends = backends();
+    let ns = (1usize..=17).chain([31, 33, 255, 257]);
+    for n in ns {
+        for rows in (1usize..=9).chain([17]) {
+            for k in [255usize, 256, 257, 600] {
+                let seed = (n * 1_000_000 + rows * 1_000 + k) as u64;
+                let a = rand_tensor(&[rows, k], seed).into_data();
+                let b = rand_tensor(&[k, n], seed ^ 0xABCD).into_data();
+                let base = rand_tensor(&[rows, n], seed ^ 0x1234).into_data();
+                let run = |be: Backend| {
+                    set_backend_override(Some(be));
+                    let kern = Kernels::get();
+                    let (mut packed, mut unpacked) = (base.clone(), base.clone());
+                    let mut bp = Vec::new();
+                    kern.pack_b(&b, k, n, &mut bp);
+                    kern.gemm_rows_packed(&mut packed, &a, &bp, k, n);
+                    kern.gemm_rows_unpacked(&mut unpacked, &a, &b, k, n);
+                    set_backend_override(None);
+                    (canon(&packed), canon(&unpacked))
+                };
+                let scalar = run(Backend::Scalar);
+                assert_eq!(scalar.0, scalar.1, "scalar packed vs unpacked {rows}x{k}x{n}");
+                for &be in &backends {
+                    assert_eq!(run(be), scalar, "{} {rows}x{k}x{n}", be.name());
+                }
+            }
         }
     }
 }

@@ -119,26 +119,31 @@ pub fn accumulate_minibatch(net: &mut IcNetwork, records: &[TraceRecord]) -> Ste
 }
 
 /// Emit the active kernel backend, pool size, and dispatch counters into a
-/// telemetry stream: `kernel.backend_avx2` / `kernel.pool_threads` gauges
-/// (which land in `RUN_METRICS.json` and the run-report header) plus
+/// telemetry stream: `kernel.backend_avx2` (the AVX2 kernels run: the
+/// `avx2_fma` or `avx512` backend), `kernel.backend_avx512` and
+/// `kernel.pool_threads` gauges (which land in `RUN_METRICS.json` and the
+/// run-report header) plus `kernel.dispatch_avx512` /
 /// `kernel.dispatch_avx2` / `kernel.dispatch_scalar` counters drained from
 /// the process-wide dispatch tally.
 pub fn record_kernel_telemetry(tel: &Telemetry) {
     if !tel.is_enabled() {
         return;
     }
-    use etalumis_tensor::simd;
-    tel.gauge(
-        "kernel.backend_avx2",
-        if simd::active_backend() == simd::Backend::Avx2Fma { 1.0 } else { 0.0 },
-    );
+    use etalumis_tensor::simd::{self, Backend};
+    let active = simd::active_backend();
+    let flag = |on: bool| if on { 1.0 } else { 0.0 };
+    tel.gauge("kernel.backend_avx2", flag(active != Backend::Scalar));
+    tel.gauge("kernel.backend_avx512", flag(active == Backend::Avx512));
     tel.gauge("kernel.pool_threads", etalumis_tensor::pool::num_threads() as f64);
-    let (avx2, scalar) = simd::take_dispatch_counts();
-    if avx2 > 0 {
-        tel.count("kernel.dispatch_avx2", avx2);
-    }
-    if scalar > 0 {
-        tel.count("kernel.dispatch_scalar", scalar);
+    let counts = simd::take_dispatch_counts();
+    for (name, n) in [
+        ("kernel.dispatch_avx512", counts.avx512),
+        ("kernel.dispatch_avx2", counts.avx2),
+        ("kernel.dispatch_scalar", counts.scalar),
+    ] {
+        if n > 0 {
+            tel.count(name, n);
+        }
     }
 }
 

@@ -3,12 +3,14 @@
 //! gradients as the step-wise path on identically seeded networks. The fused
 //! `[T·B, in]` GEMMs are row-independent and every gradient accumulation is
 //! ordered to mirror the step-wise walk, so the match is bitwise, not
-//! approximate.
+//! approximate. Both paths run on every kernel backend the CPU has, and each
+//! backend's result is bitwise the scalar one.
 
 use etalumis_core::Executor;
 use etalumis_data::TraceRecord;
 use etalumis_nn::Module;
 use etalumis_simulators::BranchingModel;
+use etalumis_tensor::simd::{available_backends, avx512_available, set_backend_override, Backend};
 use etalumis_train::{IcConfig, IcNetwork};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -53,14 +55,27 @@ proptest! {
         seed in 0u64..1_000,
         n in 8usize..40,
     ) {
+        if !avx512_available() {
+            eprintln!("note: no avx512f on this CPU; the Avx512 arm was not exercised");
+        }
         let recs = records(n, seed * 1_000);
-        let (loss_step, grads_step) = grads_and_loss(false, seed, &recs);
-        let (loss_batch, grads_batch) = grads_and_loss(true, seed, &recs);
-        prop_assert_eq!(loss_step.to_bits(), loss_batch.to_bits(), "loss differs");
-        prop_assert_eq!(grads_step.len(), grads_batch.len());
-        for ((na, ga), (nb, gb)) in grads_step.iter().zip(grads_batch.iter()) {
-            prop_assert_eq!(na, nb);
-            prop_assert_eq!(ga, gb, "gradient {} differs", na);
+        let run = |be: Backend| {
+            set_backend_override(Some(be));
+            let out = (grads_and_loss(false, seed, &recs), grads_and_loss(true, seed, &recs));
+            set_backend_override(None);
+            out
+        };
+        let scalar = run(Backend::Scalar);
+        for be in available_backends() {
+            let ((loss_step, grads_step), (loss_batch, grads_batch)) = run(be);
+            prop_assert_eq!(loss_step.to_bits(), loss_batch.to_bits(), "{:?} loss differs", be);
+            prop_assert_eq!(grads_step.len(), grads_batch.len());
+            for ((na, ga), (nb, gb)) in grads_step.iter().zip(grads_batch.iter()) {
+                prop_assert_eq!(na, nb);
+                prop_assert_eq!(ga, gb, "{:?} gradient {} differs", be, na);
+            }
+            prop_assert_eq!(loss_batch.to_bits(), scalar.1 .0.to_bits(), "{:?} vs scalar loss", be);
+            prop_assert_eq!(&grads_batch, &scalar.1 .1, "{:?} vs scalar gradients", be);
         }
     }
 }
