@@ -217,11 +217,15 @@ fn main() {
             "scalar"
         };
         println!(
-            "  kernel backend {backend} | pool threads {} | dispatches avx512 {} / avx2 {} / scalar {}",
+            "  kernel backend {backend} | pool threads {} | dispatches avx512 {} / avx2 {} / scalar {} \
+             | pool jobs {} / inline {} / parks {}",
             threads as u64,
             counter_sum("kernel.dispatch_avx512"),
             counter_sum("kernel.dispatch_avx2"),
             counter_sum("kernel.dispatch_scalar"),
+            counter_sum("kernel.pool_jobs"),
+            counter_sum("kernel.pool_inline"),
+            counter_sum("kernel.pool_parks"),
         );
     }
 

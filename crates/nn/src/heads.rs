@@ -63,21 +63,33 @@ impl MixtureTnHead {
     /// Decode raw trunk outputs into mixture parameters for one row:
     /// `(weights, means, stds)`.
     fn decode(&self, raw: &[f32], low: f64, high: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let mut row = MixtureRow::default();
+        self.decode_into(raw, low, high, &mut row);
+        (row.weights, row.means, row.stds)
+    }
+
+    /// [`MixtureTnHead::decode`] into reused buffers, keeping the means'
+    /// sigmoids for the backward pass.
+    fn decode_into(&self, raw: &[f32], low: f64, high: f64, row: &mut MixtureRow) {
         let k = self.components;
         let span = high - low;
         // Logits first, normalized in place.
-        let mut weights: Vec<f64> = raw[0..k].iter().map(|&v| v as f64).collect();
-        let m = log_sum_exp(&weights);
-        for w in &mut weights {
+        row.weights.clear();
+        row.weights.extend(raw[0..k].iter().map(|&v| v as f64));
+        let m = log_sum_exp(&row.weights);
+        for w in &mut row.weights {
             *w = (*w - m).exp();
         }
-        let means: Vec<f64> =
-            raw[k..2 * k].iter().map(|&v| low + sigmoid64(v as f64) * span).collect();
-        let stds: Vec<f64> = raw[2 * k..3 * k]
-            .iter()
-            .map(|&v| softplus64(v as f64) * span * 0.5 + SIGMA_MIN_FRAC * span)
-            .collect();
-        (weights, means, stds)
+        row.sig_means.clear();
+        row.sig_means.extend(raw[k..2 * k].iter().map(|&v| sigmoid64(v as f64)));
+        row.means.clear();
+        row.means.extend(row.sig_means.iter().map(|&s| low + s * span));
+        row.stds.clear();
+        row.stds.extend(
+            raw[2 * k..3 * k]
+                .iter()
+                .map(|&v| softplus64(v as f64) * span * 0.5 + SIGMA_MIN_FRAC * span),
+        );
     }
 
     /// Proposal distribution for one feature row (inference path).
@@ -116,18 +128,18 @@ impl MixtureTnHead {
         let raw = self.trunk.forward(features);
         let mut loss = 0.0f64;
         let mut draw = Tensor::zeros(&[b, 3 * k]);
+        let mut row = MixtureRow::default();
+        // Per component: the joint term of log q, z, a, b, φ(a), φ(b) and
+        // 1/Z = exp(−log Z).
+        let mut terms = vec![0.0f64; k];
+        let mut comp = vec![[0.0f64; 6]; k];
         for bi in 0..b {
             let (low, high) = (lows[bi], highs[bi]);
             let span = high - low;
             let rrow = raw.row(bi);
-            let (weights, means, stds) = self.decode(rrow, low, high);
+            self.decode_into(rrow, low, high, &mut row);
+            let MixtureRow { weights, means, stds, sig_means } = &row;
             let x = targets[bi].clamp(low, high);
-            // Per-component joint terms and log q.
-            let mut terms = vec![0.0f64; k];
-            let mut zs = vec![0.0f64; k];
-            let mut aas = vec![0.0f64; k];
-            let mut bbs = vec![0.0f64; k];
-            let mut log_zs = vec![0.0f64; k];
             for c in 0..k {
                 let z = (x - means[c]) / stds[c];
                 let a = (low - means[c]) / stds[c];
@@ -135,29 +147,25 @@ impl MixtureTnHead {
                 let log_z = log_normal_cdf_diff(a, bb);
                 terms[c] =
                     weights[c].max(1e-300).ln() - 0.5 * z * z - 0.5 * LN_2PI - stds[c].ln() - log_z;
-                zs[c] = z;
-                aas[c] = a;
-                bbs[c] = bb;
-                log_zs[c] = log_z;
+                comp[c] = [z, a, bb, normal_pdf(a), normal_pdf(bb), (-log_z).exp()];
             }
             let log_q = log_sum_exp(&terms);
             loss -= log_q;
             // Responsibilities.
             let grow = draw.row_mut(bi);
             for c in 0..k {
+                let [z, a, bb, pdf_a, pdf_b, inv_z] = comp[c];
                 let r = (terms[c] - log_q).exp();
                 // d(-logq)/dlogit_c = w_c − r_c   (softmax + mixture weight)
                 grow[c] = (weights[c] - r) as f32;
                 // d(-logq)/dμ_c, with (φ(a) − φ(b)) / Z via exp(−log Z).
-                let zfac = (normal_pdf(aas[c]) - normal_pdf(bbs[c])) * (-log_zs[c]).exp();
-                let dmu = -r * (zs[c] / stds[c] - zfac / stds[c]);
+                let zfac = (pdf_a - pdf_b) * inv_z;
+                let dmu = -r * (z / stds[c] - zfac / stds[c]);
                 // d(-logq)/dσ_c
-                let zsig = (aas[c] * normal_pdf(aas[c]) - bbs[c] * normal_pdf(bbs[c]))
-                    * (-log_zs[c]).exp();
-                let dsig = -r * (zs[c] * zs[c] / stds[c] - 1.0 / stds[c] - zsig / stds[c]);
+                let zsig = (a * pdf_a - bb * pdf_b) * inv_z;
+                let dsig = -r * (z * z / stds[c] - 1.0 / stds[c] - zsig / stds[c]);
                 // Chain through the parameterizations.
-                let m_raw = rrow[k + c] as f64;
-                let sm = sigmoid64(m_raw);
+                let sm = sig_means[c];
                 grow[k + c] = (dmu * sm * (1.0 - sm) * span) as f32;
                 let s_raw = rrow[2 * k + c] as f64;
                 grow[2 * k + c] = (dsig * sigmoid64(s_raw) * span * 0.5) as f32;
@@ -166,6 +174,16 @@ impl MixtureTnHead {
         let dx = self.trunk.backward(&draw);
         (loss, dx)
     }
+}
+
+/// One row's decoded mixture parameters, reused across the rows of a batch.
+#[derive(Default)]
+struct MixtureRow {
+    weights: Vec<f64>,
+    means: Vec<f64>,
+    stds: Vec<f64>,
+    /// `sigmoid(raw mean)`, which both the means and their gradient use.
+    sig_means: Vec<f64>,
 }
 
 impl Module for MixtureTnHead {

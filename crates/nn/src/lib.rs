@@ -35,4 +35,4 @@ pub use heads::{CategoricalHead, MixtureTnHead, NormalHead};
 pub use linear::{Linear, Mlp2, MlpScratch};
 pub use lstm::{Lstm, LstmState};
 pub use optim::{clip_grad_norm, Adam, LrScaling, LrSchedule, Optimizer, Sgd};
-pub use param::{Module, Parameter};
+pub use param::{par_map_params, Module, Parameter};

@@ -13,21 +13,29 @@
 //! on shape, the batched path is **bit-identical** to calling [`Lstm::step`]
 //! `T` times (tested).
 //!
+//! The recurrence never mixes batch rows either, so each fixed 32-row block
+//! of the batch runs its whole `T`-step recurrence as one kernel-pool task,
+//! forward and backward; the blocks compute their rows bit for bit as the
+//! whole batch would.
+//!
 //! Activations are recorded in a per-layer [`SeqArena`] — flat, reused
-//! buffers — instead of per-step cloned tensors; the backward pass walks the
-//! arena t-descending for the elementwise gate gradients, then computes all
-//! weight gradients with fused GEMMs over the stacked sequence. Backward
-//! assumes the sequence started from the zero state that
-//! [`Lstm::begin_sequence`] always creates.
+//! buffers, the gates computed in place — instead of per-step cloned
+//! tensors; the backward pass walks the arena t-descending for the
+//! elementwise gate gradients, then computes all weight gradients with
+//! fused GEMMs over the stacked sequence. Backward assumes the sequence
+//! started from the zero state that [`Lstm::begin_sequence`] always
+//! creates.
 
 use crate::param::{xavier_uniform, Module, Parameter};
 use etalumis_tensor::gemm::{
     add_bias_rows_slice, col_sums_acc_slice, matmul_a_bt_into, matmul_acc_into,
-    matmul_at_b_acc_into, matmul_into,
+    matmul_at_b_acc_into, matmul_into, UNPACKED_MAX_ROWS,
 };
+use etalumis_tensor::pool::{self, SendPtr};
 use etalumis_tensor::simd::Kernels;
 use etalumis_tensor::Tensor;
 use rand::Rng;
+use std::sync::{Mutex, PoisonError};
 
 /// Flat per-layer activation storage for one recorded sequence. One growing
 /// buffer per quantity, `[T, B, ·]` row-major, cleared (capacity kept) at
@@ -58,14 +66,22 @@ impl SeqArena {
     }
 }
 
-/// The buffers one forward call computes through: gate pre-activations
-/// `[T, B, 4H]` and `tanh(c)` for one step `[B, H]`, reused across calls.
-/// Training keeps one per layer; inference keeps one per [`LstmState`], so
-/// any number of states can step one shared `&Lstm`.
+/// The buffers an unrecorded forward call computes through: gate
+/// pre-activations `[T, B, 4H]` and `tanh(c)` for one step `[B, H]`, reused
+/// across calls. Inference keeps one per [`LstmState`], so any number of
+/// states can step one shared `&Lstm`.
 #[derive(Clone, Default)]
 struct GateScratch {
     z: Vec<f32>,
     tanh_c: Vec<f32>,
+}
+
+/// Where a forward call's gates and `tanh(c)` go: a reused scratch
+/// (inference), or appended to the arena with the states (training; the
+/// gates are computed in place there).
+enum Sink<'a> {
+    Scratch(&'a mut GateScratch),
+    Arena(&'a mut SeqArena),
 }
 
 /// One LSTM layer with fused gate weights (gate order: i, f, g, o).
@@ -76,8 +92,6 @@ struct LstmLayer {
     b: Parameter,    // [4H]
     hidden: usize,
     arena: SeqArena,
-    /// The training path's scratch.
-    scratch: GateScratch,
 }
 
 impl LstmLayer {
@@ -93,7 +107,6 @@ impl LstmLayer {
             b,
             hidden,
             arena: SeqArena::default(),
-            scratch: GateScratch::default(),
         }
     }
 
@@ -101,8 +114,8 @@ impl LstmLayer {
         self.w_ih.value.rows()
     }
 
-    /// [`LstmLayer::forward`] through the layer's own scratch, appending
-    /// every activation to its arena for the backward pass.
+    /// [`LstmLayer::forward`] appending every activation to the layer's
+    /// arena for the backward pass.
     fn forward_recorded(
         &mut self,
         xs: &[f32],
@@ -111,19 +124,16 @@ impl LstmLayer {
         h: &mut Tensor,
         c: &mut Tensor,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
         let mut arena = std::mem::take(&mut self.arena);
-        self.forward(xs, t_steps, batch, h, c, &mut scratch, Some(&mut arena));
-        self.scratch = scratch;
+        self.forward(xs, t_steps, batch, h, c, Sink::Arena(&mut arena));
         self.arena = arena;
     }
 
     /// Run `t_steps` teacher-forced steps over `xs` (`[t_steps·B, in]`
     /// row-major, step-major), updating `(h, c)` in place. The input
-    /// projection for all steps is one GEMM; the recurrent projection,
-    /// activations and state update run per step. With `record`, all
-    /// activations append to that arena.
-    #[allow(clippy::too_many_arguments)]
+    /// projection for all steps is one GEMM; then each [`ROW_BLOCK`] of
+    /// batch rows runs its whole recurrence (recurrent projection,
+    /// activations, state update) as one pool task.
     fn forward(
         &self,
         xs: &[f32],
@@ -131,69 +141,80 @@ impl LstmLayer {
         batch: usize,
         h: &mut Tensor,
         c: &mut Tensor,
-        scratch: &mut GateScratch,
-        mut record: Option<&mut SeqArena>,
+        sink: Sink<'_>,
     ) {
         let hsz = self.hidden;
         let in_sz = self.input_size();
         let g4 = 4 * hsz;
         debug_assert_eq!(xs.len(), t_steps * batch * in_sz);
-        let kern = Kernels::get();
-        let GateScratch { z, tanh_c } = scratch;
-        z.clear();
-        z.resize(t_steps * batch * g4, 0.0);
+        let (z, tanh_c, states) = match sink {
+            Sink::Arena(arena) => {
+                arena.x.extend_from_slice(xs);
+                arena.steps += t_steps;
+                let grow = |v: &mut Vec<f32>, width: usize| {
+                    let base = v.len();
+                    v.resize(base + t_steps * batch * width, 0.0);
+                    SendPtr::new(v[base..].as_mut_ptr())
+                };
+                let (gates, tanh_c) = (grow(&mut arena.gates, g4), grow(&mut arena.tanh_c, hsz));
+                let states = Some((grow(&mut arena.c, hsz), grow(&mut arena.h, hsz)));
+                (gates, tanh_c, states)
+            }
+            Sink::Scratch(scratch) => {
+                scratch.z.resize(t_steps * batch * g4, 0.0);
+                scratch.tanh_c.resize(batch * hsz, 0.0);
+                (
+                    SendPtr::new(scratch.z.as_mut_ptr()),
+                    SendPtr::new(scratch.tanh_c.as_mut_ptr()),
+                    None,
+                )
+            }
+        };
         // Fused input projection: [T·B, in]·[in, 4H] in one GEMM.
-        matmul_into(xs, self.w_ih.value.data(), z, t_steps * batch, in_sz, g4);
-        if let Some(arena) = record.as_deref_mut() {
-            arena.x.extend_from_slice(xs);
-        }
-        for t in 0..t_steps {
-            let z_t = &mut z[t * batch * g4..(t + 1) * batch * g4];
-            matmul_acc_into(h.data(), self.w_hh.value.data(), z_t, batch, hsz, g4);
-            add_bias_rows_slice(z_t, self.b.value.data(), g4);
-            // Activate in place per row: sigmoid over i|f, tanh over g,
-            // sigmoid over o.
-            for row in z_t.chunks_mut(g4) {
-                kern.sigmoid(&mut row[..2 * hsz]);
-                kern.tanh(&mut row[2 * hsz..3 * hsz]);
-                kern.sigmoid(&mut row[3 * hsz..]);
-            }
-            // c ← f ⊙ c + i ⊙ g (fused per element).
-            let cd = c.data_mut();
-            for (r, row) in z_t.chunks(g4).enumerate() {
-                for j in 0..hsz {
-                    let idx = r * hsz + j;
-                    cd[idx] = row[hsz + j].mul_add(cd[idx], row[j] * row[2 * hsz + j]);
-                }
-            }
-            tanh_c.clear();
-            tanh_c.extend_from_slice(cd);
-            kern.tanh(tanh_c);
-            // h ← o ⊙ tanh(c).
-            let hd = h.data_mut();
-            for (r, row) in z_t.chunks(g4).enumerate() {
-                for j in 0..hsz {
-                    hd[r * hsz + j] = row[3 * hsz + j] * tanh_c[r * hsz + j];
-                }
-            }
-            if let Some(arena) = record.as_deref_mut() {
-                arena.gates.extend_from_slice(z_t);
-                arena.c.extend_from_slice(cd);
-                arena.tanh_c.extend_from_slice(tanh_c);
-                arena.h.extend_from_slice(hd);
-            }
-        }
-        if let Some(arena) = record {
-            arena.steps += t_steps;
+        // SAFETY: `z` points at the `t_steps·B·4H` floats sized above, and
+        // no other reference to them is live.
+        let z_all = unsafe { std::slice::from_raw_parts_mut(z.get(), t_steps * batch * g4) };
+        matmul_into(xs, self.w_ih.value.data(), z_all, t_steps * batch, in_sz, g4);
+        let kern = Kernels::get();
+        // W_hh packed once for every step of every block, unless the batch
+        // is a few rows (the B = 1 inference step), which read it in place
+        // as the GEMM entry points do. Both kernels run the same chains.
+        let w_hh = self.w_hh.value.data();
+        let w_hh_panel = (batch > UNPACKED_MAX_ROWS).then(|| {
+            let mut panel = Vec::new();
+            kern.pack_b(w_hh, hsz, g4, &mut panel);
+            panel
+        });
+        let rec = Recurrence {
+            layer: self,
+            kern,
+            w_hh_panel,
+            t_steps,
+            batch,
+            z,
+            h: SendPtr::new(h.data_mut().as_mut_ptr()),
+            c: SendPtr::new(c.data_mut().as_mut_ptr()),
+            tanh_c,
+            states,
+        };
+        let n_blocks = batch.div_ceil(ROW_BLOCK);
+        let task = |blk: usize| rec.block(blk * ROW_BLOCK..((blk + 1) * ROW_BLOCK).min(batch));
+        // One block runs here directly: a B = 1 inference step touches no
+        // pool state.
+        if n_blocks == 1 {
+            task(0);
+        } else {
+            pool::run(n_blocks, &task);
         }
     }
 
     /// BPTT over the recorded arena. `d_top` is `[T·B, H]`, the gradient
     /// w.r.t. this layer's hidden outputs (upstream + cross-layer). Returns
     /// `[T·B, in]`, the gradient w.r.t. the layer inputs. The elementwise
-    /// gate gradients run t-descending (the `dh`/`dc` carries are inherently
-    /// sequential); all weight gradients are fused GEMMs over the stacked
-    /// sequence. Assumes the zero initial state `begin_sequence` creates.
+    /// gate gradients and the `dh`/`dc` carries run t-descending, one pool
+    /// task per [`ROW_BLOCK`] of batch rows; all weight gradients are fused
+    /// GEMMs over the stacked sequence. Assumes the zero initial state
+    /// `begin_sequence` creates.
     fn backward_batch(&mut self, d_top: &[f32], t_steps: usize, batch: usize) -> Vec<f32> {
         let hsz = self.hidden;
         let g4 = 4 * hsz;
@@ -201,66 +222,185 @@ impl LstmLayer {
         debug_assert_eq!(self.arena.steps, t_steps);
         debug_assert_eq!(d_top.len(), t_steps * bh);
         let mut dz = vec![0.0f32; t_steps * batch * g4];
-        let mut dh = vec![0.0f32; bh];
-        let mut dh_carry = vec![0.0f32; bh];
-        let mut dc_carry = vec![0.0f32; bh];
-        for t in (0..t_steps).rev() {
-            for (idx, d) in dh.iter_mut().enumerate() {
-                *d = d_top[t * bh + idx] + dh_carry[idx];
-            }
-            let gates = &self.arena.gates[t * batch * g4..(t + 1) * batch * g4];
-            let tanh_c = &self.arena.tanh_c[t * bh..(t + 1) * bh];
-            let c_prev = (t > 0).then(|| &self.arena.c[(t - 1) * bh..t * bh]);
-            let dz_t = &mut dz[t * batch * g4..(t + 1) * batch * g4];
-            for r in 0..batch {
-                let grow = &gates[r * g4..(r + 1) * g4];
-                let zrow = &mut dz_t[r * g4..(r + 1) * g4];
-                for j in 0..hsz {
-                    let idx = r * hsz + j;
-                    let (iv, fv, gv, ov) =
-                        (grow[j], grow[hsz + j], grow[2 * hsz + j], grow[3 * hsz + j]);
-                    let tc = tanh_c[idx];
-                    let dhv = dh[idx];
-                    // dc = dc_carry + dh ⊙ o ⊙ (1 − tanh²(c))
-                    let dc = dc_carry[idx] + dhv * ov * (1.0 - tc * tc);
-                    let cp = c_prev.map_or(0.0, |c| c[idx]);
-                    zrow[j] = dc * gv * iv * (1.0 - iv);
-                    zrow[hsz + j] = dc * cp * fv * (1.0 - fv);
-                    zrow[2 * hsz + j] = dc * iv * (1.0 - gv * gv);
-                    zrow[3 * hsz + j] = dhv * tc * ov * (1.0 - ov);
-                    dc_carry[idx] = dc * fv;
+        let dzp = SendPtr::new(dz.as_mut_ptr());
+        let (arena, w_hh) = (&self.arena, self.w_hh.value.data());
+        let task = |blk: usize| {
+            let r0 = blk * ROW_BLOCK;
+            let nb = ROW_BLOCK.min(batch - r0);
+            let at =
+                |t: usize, width: usize| (t * batch + r0) * width..(t * batch + r0 + nb) * width;
+            let mut dh = vec![0.0f32; nb * hsz];
+            let mut dh_carry = vec![0.0f32; nb * hsz];
+            let mut dc_carry = vec![0.0f32; nb * hsz];
+            for t in (0..t_steps).rev() {
+                for ((d, &top), &carry) in dh.iter_mut().zip(&d_top[at(t, hsz)]).zip(&dh_carry) {
+                    *d = top + carry;
+                }
+                let gates = &arena.gates[at(t, g4)];
+                let tanh_c = &arena.tanh_c[at(t, hsz)];
+                let c_prev = (t > 0).then(|| &arena.c[at(t - 1, hsz)]);
+                // SAFETY: `dz` holds `t_steps·B·4H` floats and outlives the
+                // pool run; this block is the only task touching its rows.
+                let dz_t = unsafe { step_rows(dzp, at(t, g4)) };
+                for r in 0..nb {
+                    let grow = &gates[r * g4..(r + 1) * g4];
+                    let zrow = &mut dz_t[r * g4..(r + 1) * g4];
+                    for j in 0..hsz {
+                        let idx = r * hsz + j;
+                        let (iv, fv, gv, ov) =
+                            (grow[j], grow[hsz + j], grow[2 * hsz + j], grow[3 * hsz + j]);
+                        let tc = tanh_c[idx];
+                        let dhv = dh[idx];
+                        // dc = dc_carry + dh ⊙ o ⊙ (1 − tanh²(c))
+                        let dc = dc_carry[idx] + dhv * ov * (1.0 - tc * tc);
+                        let cp = c_prev.map_or(0.0, |c| c[idx]);
+                        zrow[j] = dc * gv * iv * (1.0 - iv);
+                        zrow[hsz + j] = dc * cp * fv * (1.0 - fv);
+                        zrow[2 * hsz + j] = dc * iv * (1.0 - gv * gv);
+                        zrow[3 * hsz + j] = dhv * tc * ov * (1.0 - ov);
+                        dc_carry[idx] = dc * fv;
+                    }
+                }
+                // dh_prev = dz_t · W_hhᵀ (nothing precedes step 0).
+                if t > 0 {
+                    matmul_a_bt_into(dz_t, w_hh, &mut dh_carry, nb, g4, hsz);
                 }
             }
-            // dh_prev = dz_t · W_hhᵀ.
-            matmul_a_bt_into(dz_t, self.w_hh.value.data(), &mut dh_carry, batch, g4, hsz);
-        }
-        // Fused parameter gradients over the stacked sequence:
-        // dW_ih += Xᵀ·DZ, dW_hh += H_prevᵀ·DZ, db += column sums of DZ.
+        };
+        pool::run(batch.div_ceil(ROW_BLOCK), &task);
+        // Fused parameter gradients over the stacked sequence, the two
+        // products as concurrent tasks: dW_ih += Xᵀ·DZ, and dW_hh +=
+        // H_prevᵀ·DZ with db += column sums of DZ.
         let in_sz = self.input_size();
-        matmul_at_b_acc_into(
-            &self.arena.x,
-            &dz,
-            self.w_ih.grad.data_mut(),
-            t_steps * batch,
-            in_sz,
-            g4,
-        );
-        if t_steps > 1 {
-            // H_prev is H shifted one step (zero rows at t = 0 drop out).
-            matmul_at_b_acc_into(
-                &self.arena.h[..(t_steps - 1) * bh],
-                &dz[batch * g4..],
-                self.w_hh.grad.data_mut(),
-                (t_steps - 1) * batch,
-                hsz,
-                g4,
-            );
-        }
-        col_sums_acc_slice(&dz, self.b.grad.data_mut(), g4);
+        let (arena, dz) = (&self.arena, &dz);
+        let d_ih = Mutex::new(self.w_ih.grad.data_mut());
+        let d_hh_b = Mutex::new((self.w_hh.grad.data_mut(), self.b.grad.data_mut()));
+        pool::run(2, &|i| {
+            if i == 0 {
+                let mut d_ih = d_ih.lock().unwrap_or_else(PoisonError::into_inner);
+                matmul_at_b_acc_into(&arena.x, dz, &mut d_ih, t_steps * batch, in_sz, g4);
+                return;
+            }
+            let mut guard = d_hh_b.lock().unwrap_or_else(PoisonError::into_inner);
+            let (d_hh, db) = &mut *guard;
+            if t_steps > 1 {
+                // H_prev is H shifted one step (zero rows at t = 0 drop out).
+                let h_prev = &arena.h[..(t_steps - 1) * bh];
+                let rows = (t_steps - 1) * batch;
+                matmul_at_b_acc_into(h_prev, &dz[batch * g4..], d_hh, rows, hsz, g4);
+            }
+            col_sums_acc_slice(dz, db, g4);
+        });
         // DX = DZ · W_ihᵀ.
         let mut dx = vec![0.0f32; t_steps * batch * in_sz];
-        matmul_a_bt_into(&dz, self.w_ih.value.data(), &mut dx, t_steps * batch, g4, in_sz);
+        matmul_a_bt_into(dz, self.w_ih.value.data(), &mut dx, t_steps * batch, g4, in_sz);
         dx
+    }
+}
+
+/// Rows per recurrence task. The recurrence never mixes batch rows and a
+/// product's per-element chain depends only on its inner dimension, so a
+/// block that runs all `T` steps of its own rows computes them bit for bit
+/// as the whole batch does. A pure function of shape, like the GEMM chunks.
+const ROW_BLOCK: usize = 32;
+
+/// `range` of the buffer at `p`, as a slice.
+// SAFETY: callers guarantee that the buffer holds at least `range.end`
+// floats and outlives the slice, and that no other live reference touches
+// `range` while the slice is used.
+unsafe fn step_rows<'a>(p: SendPtr<f32>, range: std::ops::Range<usize>) -> &'a mut [f32] {
+    // SAFETY: in bounds and unaliased by the caller's contract.
+    unsafe { std::slice::from_raw_parts_mut(p.get().add(range.start), range.len()) }
+}
+
+/// One layer's forward recurrence over `t_steps` steps, shared by its row
+/// block tasks. All buffers are step-major `[T, B, ·]` (`h`, `c` and the
+/// unrecorded `tanh_c` are one step `[B, H]`); each task reads and writes
+/// only its own rows of them.
+struct Recurrence<'a> {
+    layer: &'a LstmLayer,
+    kern: Kernels,
+    /// `W_hh` packed by `kern` for [`Kernels::gemm_rows_packed`], if packed.
+    w_hh_panel: Option<Vec<f32>>,
+    t_steps: usize,
+    batch: usize,
+    /// Input projections `[T, B, 4H]`, activated in place into the gates.
+    z: SendPtr<f32>,
+    /// The recurrent state `[B, H]`, updated in place.
+    h: SendPtr<f32>,
+    c: SendPtr<f32>,
+    /// `tanh(c)`: `[T, B, H]` when recorded, else one step `[B, H]`.
+    tanh_c: SendPtr<f32>,
+    /// Recorded cell states and hidden outputs `[T, B, H]`.
+    states: Option<(SendPtr<f32>, SendPtr<f32>)>,
+}
+
+impl Recurrence<'_> {
+    /// Run every step for batch rows `rows`.
+    fn block(&self, rows: std::ops::Range<usize>) {
+        let layer = self.layer;
+        let (hsz, batch, kern) = (layer.hidden, self.batch, self.kern);
+        let g4 = 4 * hsz;
+        let nb = rows.len();
+        let at = |t: usize, width: usize| {
+            (t * batch + rows.start) * width..(t * batch + rows.end) * width
+        };
+        // SAFETY: here and at every `step_rows` below, the buffers hold the
+        // `[T, B, ·]` or `[B, ·]` floats documented on `Recurrence`, outlive
+        // the pool run, and block tasks own disjoint row ranges.
+        let (h, c) = unsafe { (step_rows(self.h, at(0, hsz)), step_rows(self.c, at(0, hsz))) };
+        for t in 0..self.t_steps {
+            // SAFETY: see above.
+            let z_t = unsafe { step_rows(self.z, at(t, g4)) };
+            match &self.w_hh_panel {
+                Some(panel) => kern.gemm_rows_packed(z_t, h, panel, hsz, g4),
+                None => matmul_acc_into(h, layer.w_hh.value.data(), z_t, nb, hsz, g4),
+            }
+            add_bias_rows_slice(z_t, layer.b.value.data(), g4);
+            let step = if self.states.is_some() { t } else { 0 };
+            // SAFETY: see above.
+            let tanh_c = unsafe { step_rows(self.tanh_c, at(step, hsz)) };
+            cell_update(kern, hsz, z_t, c, tanh_c, h);
+            if let Some((c_rec, h_rec)) = self.states {
+                // SAFETY: see above.
+                unsafe { step_rows(c_rec, at(t, hsz)) }.copy_from_slice(c);
+                // SAFETY: see above.
+                unsafe { step_rows(h_rec, at(t, hsz)) }.copy_from_slice(h);
+            }
+        }
+    }
+}
+
+/// One step's gates and state update for a block of rows: activate the
+/// pre-activations `z` in place (sigmoid over i|f, tanh over g, sigmoid over
+/// o), then `c ← f ⊙ c + i ⊙ g` (fused per element), `tanh_c ← tanh(c)`
+/// and `h ← o ⊙ tanh(c)`.
+fn cell_update(
+    kern: Kernels,
+    hsz: usize,
+    z: &mut [f32],
+    c: &mut [f32],
+    tanh_c: &mut [f32],
+    h: &mut [f32],
+) {
+    let g4 = 4 * hsz;
+    for row in z.chunks_mut(g4) {
+        kern.sigmoid(&mut row[..2 * hsz]);
+        kern.tanh(&mut row[2 * hsz..3 * hsz]);
+        kern.sigmoid(&mut row[3 * hsz..]);
+    }
+    for (r, row) in z.chunks(g4).enumerate() {
+        for j in 0..hsz {
+            let idx = r * hsz + j;
+            c[idx] = row[hsz + j].mul_add(c[idx], row[j] * row[2 * hsz + j]);
+        }
+    }
+    tanh_c.copy_from_slice(c);
+    kern.tanh(tanh_c);
+    for (r, row) in z.chunks(g4).enumerate() {
+        for j in 0..hsz {
+            h[r * hsz + j] = row[3 * hsz + j] * tanh_c[r * hsz + j];
+        }
     }
 }
 
@@ -381,7 +521,7 @@ impl Lstm {
             // Layer l reads the hidden output layer l−1 just wrote.
             let (below, at) = h.split_at_mut(l);
             let input = below.last().map_or(x, |h| h.data());
-            layer.forward(input, 1, batch, &mut at[0], &mut c[l], scratch, None);
+            layer.forward(input, 1, batch, &mut at[0], &mut c[l], Sink::Scratch(scratch));
         }
     }
 
@@ -669,5 +809,47 @@ mod tests {
             assert_eq!(grads_a[i].data(), p.grad.data(), "param grad {name}");
             i += 1;
         });
+    }
+
+    /// A 37-row batch runs as a 32-row and a 5-row block: each row's
+    /// outputs and input gradients are those of a batch holding its block's
+    /// rows alone, serially and on the pool.
+    #[test]
+    fn row_blocks_compute_rows_as_alone() {
+        let (t_steps, batch, in_sz, hidden) = (4usize, 37usize, 5, 8);
+        let mut data_rng = StdRng::seed_from_u64(9);
+        let xs: Vec<Vec<f32>> = (0..t_steps)
+            .map(|_| (0..batch * in_sz).map(|_| data_rng.gen_range(-1.0..1.0)).collect())
+            .collect();
+        let gs: Vec<Vec<f32>> = (0..t_steps)
+            .map(|_| (0..batch * hidden).map(|_| data_rng.gen_range(-1.0..1.0)).collect())
+            .collect();
+        // Outputs then input gradients, step-major, of rows `rows`.
+        let run = |rows: std::ops::Range<usize>| {
+            let nb = rows.len();
+            let mut lstm = Lstm::new(&mut StdRng::seed_from_u64(10), in_sz, hidden, 1);
+            let pick = |v: &[f32], w: usize| v[rows.start * w..rows.end * w].to_vec();
+            let stacked: Vec<f32> = xs.iter().flat_map(|x| pick(x, in_sz)).collect();
+            let mut st = lstm.begin_sequence(nb);
+            let stacked = Tensor::from_vec(&[t_steps * nb, in_sz], stacked);
+            let out = lstm.forward_sequence(&stacked, t_steps, &mut st).into_data();
+            let grads: Vec<Tensor> =
+                gs.iter().map(|g| Tensor::from_vec(&[nb, hidden], pick(g, hidden))).collect();
+            let dxs = lstm.backward_sequence(&grads);
+            (out, dxs.into_iter().map(Tensor::into_data).collect::<Vec<_>>())
+        };
+        for parallel in [false, true] {
+            let (out, dxs) = etalumis_tensor::pool::with_parallel(parallel, || run(0..batch));
+            for block in [0..32, 32..batch] {
+                let (b_out, b_dxs) = run(block.clone());
+                let nb = block.len();
+                for t in 0..t_steps {
+                    let at = |w: usize| (t * batch + block.start) * w..(t * batch + block.end) * w;
+                    assert_eq!(&out[at(hidden)], &b_out[t * nb * hidden..(t + 1) * nb * hidden]);
+                    let rows = block.start * in_sz..block.end * in_sz;
+                    assert_eq!(&dxs[t][rows], &b_dxs[t][..], "step {t} dx, parallel {parallel}");
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! order 1 or 2) and learning-rate scalings with node count (linear vs
 //! sub-sqrt). All of those knobs are reproduced here.
 
-use crate::param::{Module, Parameter};
+use crate::param::{par_map_params, Module, Parameter};
+use etalumis_tensor::pool::{self, SendPtr};
 use etalumis_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -90,14 +91,21 @@ pub trait Optimizer {
     /// Current learning rate.
     fn current_lr(&self) -> f64;
 
+    /// Apply the update rule to every parameter of a module tree (after
+    /// [`Optimizer::begin_step`]). The default walks the parameters one
+    /// after another; an optimizer whose rule is per tensor may run the
+    /// tensors as pool tasks, with the same result.
+    fn update_module(&mut self, m: &mut dyn Module) {
+        m.visit_params("", &mut |name, p| self.update(name, p));
+    }
+
     /// Convenience: step every parameter of a module tree.
     fn step_module(&mut self, m: &mut dyn Module)
     where
         Self: Sized,
     {
         self.begin_step();
-        let me = self;
-        m.visit_params("", &mut |name, p| me.update(name, p));
+        self.update_module(m);
     }
 }
 
@@ -149,13 +157,66 @@ pub struct Adam {
     beta1: f64,
     beta2: f64,
     eps: f64,
-    m: HashMap<String, Tensor>,
-    v: HashMap<String, Tensor>,
-    /// Per-parameter step counts (dynamic nets: params join at different times).
-    t: HashMap<String, u64>,
+    state: HashMap<String, AdamSlot>,
     iter: usize,
     /// Optional LARC trust coefficient; `None` = plain Adam.
     larc_trust: Option<f64>,
+}
+
+/// One parameter's Adam state.
+#[derive(Clone)]
+struct AdamSlot {
+    m: Vec<f32>,
+    v: Vec<f32>,
+    /// The parameter's own step count (dynamic nets: params join at
+    /// different times).
+    t: u64,
+}
+
+/// The update rule of one iteration, shared by the per-tensor tasks.
+#[derive(Clone, Copy)]
+struct AdamRule {
+    lr: f64,
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    larc_trust: Option<f64>,
+}
+
+impl AdamRule {
+    /// Fold `p.grad` into the moments `m`, `v` (the parameter's `t`-th
+    /// step) and step `p.value` along `m̂ / (√v̂ + ε)`, in one pass over the
+    /// tensor — two with LARC, whose rate needs the direction's norm first.
+    /// The moments keep the length the parameter had at its first update;
+    /// weights past it (a table grown since) take a zero step.
+    fn apply(&self, m: &mut [f32], v: &mut [f32], t: u64, p: &mut Parameter) {
+        let tt = t as i32;
+        let (b1, b2) = (self.beta1 as f32, self.beta2 as f32);
+        let bc1 = (1.0 - self.beta1.powi(tt)) as f32;
+        let bc2 = (1.0 - self.beta2.powi(tt)) as f32;
+        let eps = self.eps as f32;
+        let direction = |mi: &mut f32, vi: &mut f32, gi: f32| {
+            *mi = b1 * *mi + (1.0 - b1) * gi;
+            *vi = b2 * *vi + (1.0 - b2) * gi * gi;
+            (*mi / bc1) / ((*vi / bc2).sqrt() + eps)
+        };
+        let moments = m.iter_mut().zip(v.iter_mut()).zip(p.grad.data());
+        let Some(trust) = self.larc_trust else {
+            let alpha = -(self.lr as f32);
+            for (w, ((mi, vi), &gi)) in p.value.data_mut().iter_mut().zip(moments) {
+                *w += alpha * direction(mi, vi, gi);
+            }
+            return;
+        };
+        let mut dir = Tensor::zeros(p.value.shape());
+        for (d, ((mi, vi), &gi)) in dir.data_mut().iter_mut().zip(moments) {
+            *d = direction(mi, vi, gi);
+        }
+        // LARC "clip" mode: local lr = min(global, η·||w||/||d||).
+        let (wn, dn) = (p.value.norm(), dir.norm());
+        let step_lr = if dn > 0.0 && wn > 0.0 { self.lr.min(trust * wn / dn) } else { self.lr };
+        p.value.axpy(-(step_lr as f32), &dir);
+    }
 }
 
 impl Adam {
@@ -166,9 +227,7 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            m: HashMap::new(),
-            v: HashMap::new(),
-            t: HashMap::new(),
+            state: HashMap::new(),
             iter: 0,
             larc_trust: None,
         }
@@ -181,6 +240,37 @@ impl Adam {
         a.larc_trust = Some(trust);
         a
     }
+
+    /// The first and second moments kept for parameter `name`, if it has
+    /// been updated.
+    pub fn moments(&self, name: &str) -> Option<(&[f32], &[f32])> {
+        self.state.get(name).map(|s| (s.m.as_slice(), s.v.as_slice()))
+    }
+
+    fn rule(&self) -> AdamRule {
+        AdamRule {
+            lr: self.schedule.lr(self.iter - 1),
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            larc_trust: self.larc_trust,
+        }
+    }
+
+    /// `f` on the state of parameter `name` with `len` weights, one step
+    /// further on. A `String` key is built only the first time.
+    fn advance<R>(&mut self, name: &str, len: usize, f: impl FnOnce(&mut AdamSlot) -> R) -> R {
+        if let Some(slot) = self.state.get_mut(name) {
+            slot.t += 1;
+            return f(slot);
+        }
+        let slot = self.state.entry(name.to_string()).or_insert(AdamSlot {
+            m: vec![0.0; len],
+            v: vec![0.0; len],
+            t: 1,
+        });
+        f(slot)
+    }
 }
 
 impl Optimizer for Adam {
@@ -189,43 +279,54 @@ impl Optimizer for Adam {
     }
 
     fn update(&mut self, name: &str, p: &mut Parameter) {
-        let lr = self.schedule.lr(self.iter - 1);
-        let t = self.t.entry(name.to_string()).or_insert(0);
-        *t += 1;
-        let tt = *t as i32;
-        let m = self.m.entry(name.to_string()).or_insert_with(|| Tensor::zeros(p.value.shape()));
-        let v = self.v.entry(name.to_string()).or_insert_with(|| Tensor::zeros(p.value.shape()));
-        let (b1, b2) = (self.beta1 as f32, self.beta2 as f32);
-        for ((mi, vi), &gi) in
-            m.data_mut().iter_mut().zip(v.data_mut().iter_mut()).zip(p.grad.data())
-        {
-            *mi = b1 * *mi + (1.0 - b1) * gi;
-            *vi = b2 * *vi + (1.0 - b2) * gi * gi;
+        let rule = self.rule();
+        self.advance(name, p.numel(), |slot| rule.apply(&mut slot.m, &mut slot.v, slot.t, p));
+    }
+
+    /// One pool task per parameter tensor (inline for a tree of few
+    /// weights): the rule is per tensor (LARC's norms too), so the result
+    /// is [`Optimizer::update`]'s on each.
+    fn update_module(&mut self, module: &mut dyn Module) {
+        /// A tensor's update: the parameter, its two moments (`len` floats
+        /// each) and step count.
+        struct Task {
+            p: SendPtr<Parameter>,
+            m: SendPtr<f32>,
+            v: SendPtr<f32>,
+            len: usize,
+            t: u64,
         }
-        let bc1 = 1.0 - self.beta1.powi(tt);
-        let bc2 = 1.0 - self.beta2.powi(tt);
-        // Compute the Adam direction d = m̂ / (√v̂ + ε).
-        let mut dir = Tensor::zeros(p.value.shape());
-        let epsf = self.eps as f32;
-        for ((di, &mi), &vi) in dir.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-            let mhat = mi / bc1 as f32;
-            let vhat = vi / bc2 as f32;
-            *di = mhat / (vhat.sqrt() + epsf);
-        }
-        let step_lr = match self.larc_trust {
-            None => lr,
-            Some(trust) => {
-                // LARC "clip" mode: local lr = min(global, η·||w||/||d||).
-                let wn = p.value.norm();
-                let dn = dir.norm();
-                if dn > 0.0 && wn > 0.0 {
-                    lr.min(trust * wn / dn)
-                } else {
-                    lr
-                }
-            }
-        };
-        p.value.axpy(-(step_lr as f32), &dir);
+        let rule = self.rule();
+        let (mut tasks, mut weights) = (Vec::new(), 0);
+        module.visit_params("", &mut |name, p| {
+            weights += p.numel();
+            let task = self.advance(name, p.numel(), |slot| Task {
+                p: SendPtr::new(p),
+                m: SendPtr::new(slot.m.as_mut_ptr()),
+                v: SendPtr::new(slot.v.as_mut_ptr()),
+                len: slot.m.len(),
+                t: slot.t,
+            });
+            tasks.push(task);
+        });
+        pool::run_sized(weights, tasks.len(), &|i| {
+            let Task { p, m, v, len, t } = &tasks[i];
+            // SAFETY: `visit_params` hands out each parameter once, and
+            // `module` stays mutably borrowed until the run returns, so
+            // task `i` holds the only reference to its parameter. The
+            // moments are the `len`-float heap buffers of the slot `advance`
+            // made for that parameter alone; moving a slot when the map
+            // grows does not move its buffers, and nothing resizes them
+            // here.
+            let (p, m, v) = unsafe {
+                (
+                    &mut *p.get(),
+                    std::slice::from_raw_parts_mut(m.get(), *len),
+                    std::slice::from_raw_parts_mut(v.get(), *len),
+                )
+            };
+            rule.apply(m, v, *t, p);
+        });
     }
 
     fn current_lr(&self) -> f64 {
@@ -234,15 +335,19 @@ impl Optimizer for Adam {
 }
 
 /// Global-norm gradient clipping over a module tree. Returns the pre-clip norm.
+/// Each tensor's sum of squares and its rescale run as pool tasks; the sums
+/// are added in visit order, as one walk over the tree adds them.
 pub fn clip_grad_norm(m: &mut dyn Module, max_norm: f64) -> f64 {
+    let sums =
+        par_map_params(m, &|p| p.grad.data().iter().map(|&g| (g as f64) * (g as f64)).sum::<f64>());
     let mut sq = 0.0f64;
-    m.visit_params("", &mut |_, p| {
-        sq += p.grad.data().iter().map(|&g| (g as f64) * (g as f64)).sum::<f64>();
-    });
+    for s in sums {
+        sq += s;
+    }
     let norm = sq.sqrt();
     if norm > max_norm && norm > 0.0 {
         let s = (max_norm / norm) as f32;
-        m.visit_params("", &mut |_, p| p.grad.scale(s));
+        par_map_params(m, &|p| p.grad.scale(s));
     }
     norm
 }
@@ -326,6 +431,61 @@ mod tests {
         let step1 = (p1.value.data()[0] - 1.0).abs();
         let step2 = (p2.value.data()[0] - 1.0).abs();
         assert!(step2 < step1 * 0.01, "LARC step {step2} vs Adam step {step1}");
+    }
+
+    /// The per-tensor pool update is the serial walk's, bit for bit, for
+    /// plain Adam and Adam-LARC — also once a parameter has grown past the
+    /// size its moments were made for (an address table in online mode).
+    #[test]
+    fn update_module_matches_serial_updates() {
+        use crate::embedding::Embedding;
+        #[derive(Clone)]
+        struct Net(Linear, Embedding);
+        impl Module for Net {
+            fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Parameter)) {
+                self.0.visit_params(&format!("{prefix}/lin"), f);
+                self.1.visit_params(&format!("{prefix}/emb"), f);
+            }
+        }
+        for larc in [None, Some(0.02)] {
+            let mk = || match larc {
+                None => Adam::new(LrSchedule::Constant(0.05)),
+                Some(trust) => Adam::with_larc(LrSchedule::Constant(0.05), trust),
+            };
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut a = Net(Linear::new(&mut rng, 5, 7), Embedding::new(&mut rng, 2, 3));
+            let mut b = a.clone();
+            let (mut opt_a, mut opt_b) = (mk(), mk());
+            for step in 0..4 {
+                if step == 2 {
+                    a.1.grow(&mut StdRng::seed_from_u64(9), 4);
+                    b.1.grow(&mut StdRng::seed_from_u64(9), 4);
+                }
+                for net in [&mut a, &mut b] {
+                    let mut k = 0.0f32;
+                    net.visit_params("", &mut |_, p| {
+                        for g in p.grad.data_mut() {
+                            k += 1.0;
+                            *g = (k * 0.7 + step as f32).sin();
+                        }
+                    });
+                }
+                opt_a.step_module(&mut a);
+                opt_b.begin_step();
+                b.visit_params("", &mut |name, p| opt_b.update(name, p));
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut weights = Vec::new();
+            a.visit_params("", &mut |_, p| weights.push(bits(p.value.data())));
+            let mut i = 0;
+            b.visit_params("", &mut |name, p| {
+                assert_eq!(weights[i], bits(p.value.data()), "{name}, larc {larc:?}");
+                let (ma, va) = opt_a.moments(name).unwrap();
+                let (mb, vb) = opt_b.moments(name).unwrap();
+                assert_eq!((bits(ma), bits(va)), (bits(mb), bits(vb)), "{name} moments");
+                i += 1;
+            });
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Trainable parameters and weight initialization.
 
+use etalumis_tensor::pool::{self, SendPtr};
 use etalumis_tensor::Tensor;
 use rand::Rng;
+use std::sync::{Mutex, PoisonError};
 
 /// A trainable tensor with its gradient accumulator.
 #[derive(Clone, Debug)]
@@ -40,7 +42,8 @@ impl Parameter {
 /// Names are hierarchical (`"lstm/layer0/w_ih"`); they must be stable across
 /// processes because the distributed allreduce keys gradients by name.
 pub trait Module {
-    /// Visit every parameter with its hierarchical name.
+    /// Visit every parameter with its hierarchical name, each exactly once
+    /// and in a fixed order.
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Parameter));
 
     /// Zero all gradients.
@@ -54,6 +57,30 @@ pub trait Module {
         self.visit_params("", &mut |_, p| n += p.numel());
         n
     }
+}
+
+/// `f(p)` for every parameter `p` of `m`, one kernel-pool task per tensor
+/// (inline for a tree of few weights); the results come back in visit
+/// order. What `f` does to one tensor is what a serial walk does, so a
+/// reduction over the results in that order gives the serial walk's bits.
+pub fn par_map_params<T: Send + Default>(
+    m: &mut dyn Module,
+    f: &(dyn Fn(&mut Parameter) -> T + Sync),
+) -> Vec<T> {
+    let (mut params, mut weights) = (Vec::new(), 0);
+    m.visit_params("", &mut |_, p| {
+        weights += p.numel();
+        params.push(SendPtr::new(p));
+    });
+    let out: Vec<Mutex<T>> = params.iter().map(|_| Mutex::default()).collect();
+    pool::run_sized(weights, params.len(), &|i| {
+        // SAFETY: `visit_params` hands out each parameter once, and `m`
+        // stays mutably borrowed until the run returns, so task `i`
+        // holds the only reference to its parameter.
+        let v = f(unsafe { &mut *params[i].get() });
+        *out[i].lock().unwrap_or_else(PoisonError::into_inner) = v;
+    });
+    out.into_iter().map(|v| v.into_inner().unwrap_or_else(PoisonError::into_inner)).collect()
 }
 
 /// Xavier/Glorot uniform initialization for a [fan_in, fan_out] matrix.

@@ -368,7 +368,8 @@ fn prefix(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 
 /// Run `f(i, out_i)` for every `i < n` on the kernel pool, `out_i` being the
 /// `i`-th `len`-float chunk of `out`, with this thread's [`Scratch`]. Tasks
-/// call the GEMM row kernels directly, so no pool call nests inside.
+/// call the GEMM row kernels directly: the scratch stays borrowed for the
+/// whole task.
 fn for_each_chunk(
     out: &mut [f32],
     n: usize,

@@ -27,7 +27,7 @@ use std::cell::RefCell;
 
 /// Below this many multiply-adds we stay single-threaded: thread wakeup
 /// costs more than the arithmetic.
-const PAR_THRESHOLD: usize = 64 * 1024;
+const PAR_THRESHOLD: usize = pool::MIN_PARALLEL_WORK;
 
 /// Fixed rows-per-task for parallel splits — part of the determinism
 /// contract (chunking depends on shape only, never on thread count).
@@ -49,7 +49,7 @@ const ROWS_PER_TASK: usize = 32;
 /// blocks share each B vector as the packed micro-kernel does); the pack pays
 /// once its pass over B is spread over many more rows. The switch sits at one
 /// row block, the B = 1 steps it exists for.
-const UNPACKED_MAX_ROWS: usize = 4;
+pub const UNPACKED_MAX_ROWS: usize = 4;
 
 thread_local! {
     /// Packed-B panel scratch, reused across calls on this thread.
@@ -305,12 +305,9 @@ mod tests {
     fn parallel_split_is_bit_identical_to_serial() {
         let a = rand_tensor(&[100, 70], 7);
         let b = rand_tensor(&[70, 90], 8);
-        crate::pool::set_parallel(false);
-        let serial = matmul(&a, &b);
-        let serial_bt = matmul_a_bt(&a, &b.transpose2());
-        crate::pool::set_parallel(true);
-        let parallel = matmul(&a, &b);
-        let parallel_bt = matmul_a_bt(&a, &b.transpose2());
+        let products = || (matmul(&a, &b), matmul_a_bt(&a, &b.transpose2()));
+        let (serial, serial_bt) = crate::pool::with_parallel(false, products);
+        let (parallel, parallel_bt) = crate::pool::with_parallel(true, products);
         assert_eq!(serial.data(), parallel.data());
         assert_eq!(serial_bt.data(), parallel_bt.data());
     }

@@ -45,10 +45,8 @@ fn assert_backend_identical<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T, c
         assert_eq!(scalar, got, "scalar vs {}: {ctx}", be.name());
     }
     set_backend_override(None);
-    pool::set_parallel(false);
-    let serial = f();
-    pool::set_parallel(true);
-    let parallel = f();
+    let serial = pool::with_parallel(false, &f);
+    let parallel = pool::with_parallel(true, &f);
     assert_eq!(serial, parallel, "serial vs parallel: {ctx}");
 }
 

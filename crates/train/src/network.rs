@@ -30,12 +30,13 @@ use etalumis_nn::{
     Module, NormalHead, Parameter, SampleEmbedding,
 };
 use etalumis_telemetry::Telemetry;
-use etalumis_tensor::Tensor;
+use etalumis_tensor::{pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Architecture hyperparameters.
@@ -119,6 +120,8 @@ enum Head {
 /// All address-specific components for one address.
 #[derive(Clone)]
 struct AddressLayers {
+    /// The address, which names the parameters.
+    name: String,
     /// Row in the address-embedding table.
     embed_id: usize,
     /// Previous-sample embedding (input width depends on the prior).
@@ -254,13 +257,49 @@ pub struct IcState {
 /// The layers registered for `address`, looked up through the reusable key
 /// buffer (no `String` is built per lookup).
 fn layers_at<'a>(
-    layers: &'a HashMap<String, AddressLayers>,
+    index: &HashMap<String, usize>,
+    addresses: &'a [AddressLayers],
     key: &mut String,
     address: &Address,
 ) -> Option<&'a AddressLayers> {
     key.clear();
     let _ = write!(key, "{address}");
-    layers.get(key.as_str())
+    index.get(key.as_str()).map(|&slot| &addresses[slot])
+}
+
+/// Fused loss and backward of `head` at step `t` of a sub-minibatch whose
+/// traces' controlled `(prior, value)` pairs are `entries`; `h` is the step's
+/// LSTM output `[B, hidden]`.
+fn head_loss(
+    head: &mut Head,
+    h: &Tensor,
+    entries: &[Vec<(&Distribution, &Value)>],
+    t: usize,
+) -> (f64, Tensor) {
+    match head {
+        Head::Categorical(head) => {
+            let targets: Vec<usize> = entries.iter().map(|e| e[t].1.as_i64() as usize).collect();
+            head.loss_and_grad(h, &targets)
+        }
+        Head::Mixture(head) => {
+            let b = entries.len();
+            let mut targets = Vec::with_capacity(b);
+            let mut lows = Vec::with_capacity(b);
+            let mut highs = Vec::with_capacity(b);
+            for e in entries {
+                let (dist, value) = e[t];
+                let (lo, hi) = dist.support().expect("mixture head needs support"); // etalumis: allow(panic-freedom, reason = "mixture heads are only constructed for bounded distributions")
+                targets.push(value.as_f64());
+                lows.push(lo);
+                highs.push(hi);
+            }
+            head.loss_and_grad(h, &targets, &lows, &highs)
+        }
+        Head::Normal(head) => {
+            let targets: Vec<f64> = entries.iter().map(|e| e[t].1.as_f64()).collect();
+            head.loss_and_grad(h, &targets)
+        }
+    }
 }
 
 /// The dynamic inference-compilation network. A clone is a data-parallel
@@ -272,9 +311,11 @@ pub struct IcNetwork {
     cnn: Cnn3d,
     lstm: Lstm,
     address_table: Embedding,
-    layers: HashMap<String, AddressLayers>,
-    /// Deterministic ordering of addresses for stable parameter naming.
-    address_order: Vec<String>,
+    /// Slot of each registered address in `addresses`.
+    index: HashMap<String, usize>,
+    /// Address-specific layers in registration order (stable parameter
+    /// naming); slot `i` owns row `i` of the address table.
+    addresses: Vec<AddressLayers>,
     frozen: bool,
     rng: StdRng,
     /// Per-call phase timing of the last loss computation (forward, backward).
@@ -297,8 +338,8 @@ impl IcNetwork {
             cnn,
             lstm,
             address_table,
-            layers: HashMap::new(),
-            address_order: Vec::new(),
+            index: HashMap::new(),
+            addresses: Vec::new(),
             frozen: false,
             rng,
             last_phase_secs: (0.0, 0.0),
@@ -326,7 +367,7 @@ impl IcNetwork {
 
     /// Number of registered addresses.
     pub fn num_addresses(&self) -> usize {
-        self.address_order.len()
+        self.addresses.len()
     }
 
     /// Freeze the architecture: unseen addresses are no longer registered
@@ -344,7 +385,7 @@ impl IcNetwork {
     /// Register one address with its prior; no-op if known or frozen.
     /// Returns false if the address is unknown and the net is frozen.
     pub fn register_address(&mut self, address: &str, prior: &Distribution) -> bool {
-        if self.layers.contains_key(address) {
+        if self.index.contains_key(address) {
             return true;
         }
         if self.frozen {
@@ -382,11 +423,14 @@ impl IcNetwork {
                 d.std().max(1e-6),
             )),
         };
-        self.layers.insert(
-            address.to_string(),
-            AddressLayers { embed_id, sample_embed, head, kind: prior.kind() },
-        );
-        self.address_order.push(address.to_string());
+        self.index.insert(address.to_string(), self.addresses.len());
+        self.addresses.push(AddressLayers {
+            name: address.to_string(),
+            embed_id,
+            sample_embed,
+            head,
+            kind: prior.kind(),
+        });
         true
     }
 
@@ -414,7 +458,7 @@ impl IcNetwork {
 
     /// True if every controlled address in the record is registered.
     pub fn knows(&self, rec: &TraceRecord) -> bool {
-        rec.controlled().all(|e| self.layers.contains_key(&e.address))
+        rec.controlled().all(|e| self.index.contains_key(&e.address))
     }
 
     /// Algorithm 1 inner step: loss and gradients for a sub-minibatch of
@@ -432,8 +476,8 @@ impl IcNetwork {
             "sub-minibatch must share one trace type"
         );
         let b = records.len();
-        let steps: Vec<&str> = records[0].controlled().map(|e| e.address.as_str()).collect();
-        if steps.is_empty() {
+        let n_steps = records[0].controlled().count();
+        if n_steps == 0 {
             return Some(0.0);
         }
         // Register (online mode) or verify (frozen) all addresses.
@@ -444,6 +488,8 @@ impl IcNetwork {
                 }
             }
         }
+        // Each step's address slot.
+        let steps: Vec<usize> = records[0].controlled().map(|e| self.index[&e.address]).collect();
         let fwd_start = Instant::now(); // etalumis: allow(determinism, reason = "forward-pass timing span; telemetry only")
                                         // Observation embedding, once per trace. Observations are reshaped
                                         // to the CNN's configured input volume.
@@ -473,17 +519,16 @@ impl IcNetwork {
         let mut samp_embeds: Vec<Tensor> = Vec::with_capacity(t_steps);
         samp_embeds.push(Tensor::zeros(&[b, self.config.sample_embed_dim]));
         for t in 1..t_steps {
-            let prev_addr = steps[t - 1];
-            let width = self.layers[prev_addr].sample_embed.in_dim();
-            let mut feats = Tensor::zeros(&[b, width]);
+            let prev = &mut self.addresses[steps[t - 1]];
+            let mut feats = Tensor::zeros(&[b, prev.sample_embed.in_dim()]);
             for (bi, entries) in per_trace_entries.iter().enumerate() {
                 let (dist, value) = entries[t - 1];
                 value_features_into(dist, value, feats.row_mut(bi));
             }
-            let layers = self.layers.get_mut(prev_addr).unwrap(); // etalumis: allow(panic-freedom, reason = "address layers are registered before any step references them (registry invariant)")
-            samp_embeds.push(layers.sample_embed.forward(&feats));
+            samp_embeds.push(prev.sample_embed.forward(&feats));
         }
-        let embed_ids: Vec<usize> = steps.iter().map(|a| self.layers[*a].embed_id).collect();
+        let embed_ids: Vec<usize> =
+            steps.iter().map(|&slot| self.addresses[slot].embed_id).collect();
         let batched = self.config.time_batched_lstm;
         let hs: Vec<Tensor> = if batched {
             // Time-batched path (§4.4.3): one address lookup for all T·B
@@ -527,39 +572,7 @@ impl IcNetwork {
         };
         let forward_secs = fwd_start.elapsed().as_secs_f64();
         let bwd_start = Instant::now(); // etalumis: allow(determinism, reason = "backward-pass timing span; telemetry only")
-                                        // Proposal losses per step (heads fuse forward+backward).
-        let mut loss = 0.0f64;
-        let mut dhs: Vec<Tensor> = Vec::with_capacity(t_steps);
-        for (t, addr) in steps.iter().enumerate() {
-            let layers = self.layers.get_mut(*addr).unwrap(); // etalumis: allow(panic-freedom, reason = "address layers are registered before any step references them (registry invariant)")
-            let (l, dh) = match &mut layers.head {
-                Head::Categorical(head) => {
-                    let targets: Vec<usize> =
-                        per_trace_entries.iter().map(|e| e[t].1.as_i64() as usize).collect();
-                    head.loss_and_grad(&hs[t], &targets)
-                }
-                Head::Mixture(head) => {
-                    let mut targets = Vec::with_capacity(b);
-                    let mut lows = Vec::with_capacity(b);
-                    let mut highs = Vec::with_capacity(b);
-                    for e in &per_trace_entries {
-                        let (dist, value) = e[t];
-                        let (lo, hi) = dist.support().expect("mixture head needs support"); // etalumis: allow(panic-freedom, reason = "mixture heads are only constructed for bounded distributions")
-                        targets.push(value.as_f64());
-                        lows.push(lo);
-                        highs.push(hi);
-                    }
-                    head.loss_and_grad(&hs[t], &targets, &lows, &highs)
-                }
-                Head::Normal(head) => {
-                    let targets: Vec<f64> =
-                        per_trace_entries.iter().map(|e| e[t].1.as_f64()).collect();
-                    head.loss_and_grad(&hs[t], &targets)
-                }
-            };
-            loss += l;
-            dhs.push(dh);
-        }
+        let (loss, dhs) = self.heads_loss(&steps, &hs, &per_trace_entries);
         // BPTT through the LSTM core.
         let dxs = self.lstm.backward_sequence(&dhs);
         // Split input grads back into the three embedding streams, walking
@@ -576,9 +589,7 @@ impl IcNetwork {
             d_obs_total.add_assign(&parts[0]);
             // Sample embedding backward (only forwarded for t >= 1).
             if t > 0 {
-                let prev_addr = steps[t - 1];
-                let layers = self.layers.get_mut(prev_addr).unwrap(); // etalumis: allow(panic-freedom, reason = "address layers are registered before any step references them (registry invariant)")
-                let _dfeats = layers.sample_embed.backward(&parts[2]);
+                let _dfeats = self.addresses[steps[t - 1]].sample_embed.backward(&parts[2]);
             }
             if batched {
                 self.address_table.scatter_grad(&vec![embed_ids[t]; b], &parts[1]);
@@ -590,6 +601,62 @@ impl IcNetwork {
         let backward_secs = bwd_start.elapsed().as_secs_f64();
         self.last_phase_secs = (forward_secs, backward_secs);
         Some(loss)
+    }
+
+    /// The proposal heads' fused loss and backward at every step of a
+    /// sub-minibatch (`steps[t]` is step `t`'s address slot, `hs[t]` its
+    /// LSTM output): the summed loss and the per-step `dh`.
+    ///
+    /// One pool task per distinct address, in order of first occurrence,
+    /// runs that address's steps in ascending order, so each head
+    /// accumulates its gradients as a serial walk over the steps would; the
+    /// losses are summed in step order afterwards.
+    fn heads_loss(
+        &mut self,
+        steps: &[usize],
+        hs: &[Tensor],
+        entries: &[Vec<(&Distribution, &Value)>],
+    ) -> (f64, Vec<Tensor>) {
+        let mut group_of: Vec<Option<usize>> = vec![None; self.addresses.len()];
+        let mut group_steps: Vec<Vec<usize>> = Vec::new();
+        for (t, &slot) in steps.iter().enumerate() {
+            let g = *group_of[slot].get_or_insert_with(|| {
+                group_steps.push(Vec::new());
+                group_steps.len() - 1
+            });
+            group_steps[g].push(t);
+        }
+        let mut heads: Vec<(usize, &mut Head)> = self
+            .addresses
+            .iter_mut()
+            .zip(&group_of)
+            .filter_map(|(layers, g)| g.map(|g| (g, &mut layers.head)))
+            .collect();
+        heads.sort_by_key(|&(g, _)| g);
+        let groups: Vec<_> = heads
+            .into_iter()
+            .zip(&group_steps)
+            .map(|((_, head), steps)| Mutex::new((head, steps, Vec::with_capacity(steps.len()))))
+            .collect();
+        pool::run(groups.len(), &|g| {
+            let mut group = groups[g].lock().unwrap_or_else(PoisonError::into_inner);
+            let (head, steps, out) = &mut *group;
+            for &t in steps.iter() {
+                out.push((t, head_loss(head, &hs[t], entries, t)));
+            }
+        });
+        let mut per_step: Vec<(usize, (f64, Tensor))> = groups
+            .into_iter()
+            .flat_map(|g| g.into_inner().unwrap_or_else(PoisonError::into_inner).2)
+            .collect();
+        per_step.sort_by_key(|&(t, _)| t);
+        let mut loss = 0.0f64;
+        let mut dhs = Vec::with_capacity(per_step.len());
+        for (_, (l, dh)) in per_step {
+            loss += l;
+            dhs.push(dh);
+        }
+        (loss, dhs)
     }
 
     /// Analytic forward flop count for a sub-minibatch of `b` traces with
@@ -624,9 +691,8 @@ impl Module for IcNetwork {
         self.lstm.visit_params(&format!("{prefix}/lstm"), f);
         self.address_table.visit_params(&format!("{prefix}/addr_table"), f);
         // Deterministic registration order gives stable names across ranks.
-        for addr in &self.address_order {
-            let layers = self.layers.get_mut(addr).unwrap(); // etalumis: allow(panic-freedom, reason = "address_order only lists registered addresses (registry invariant)")
-            let p = format!("{prefix}/addr/{addr}");
+        for layers in &mut self.addresses {
+            let p = format!("{prefix}/addr/{}", layers.name);
             layers.sample_embed.visit_params(&format!("{p}/sample"), f);
             match &mut layers.head {
                 Head::Mixture(h) => h.visit_params(&format!("{p}/head"), f),
@@ -684,7 +750,7 @@ impl ProposalProvider for IcNetwork {
         prior: &Distribution,
     ) -> Option<Distribution> {
         let (addr, prev) = self.input_offsets();
-        let layers = layers_at(&self.layers, &mut state.key, address)?;
+        let layers = layers_at(&self.index, &self.addresses, &mut state.key, address)?;
         state.input[addr..prev]
             .copy_from_slice(self.address_table.table.value.row(layers.embed_id));
         self.lstm.step_rows_inference(&state.input, &mut state.lstm);
@@ -721,7 +787,7 @@ impl ProposalProvider for IcNetwork {
 
     fn notify(&self, state: &mut IcState, address: &Address, prior: &Distribution, value: &Value) {
         let (_, prev) = self.input_offsets();
-        if let Some(layers) = layers_at(&self.layers, &mut state.key, address) {
+        if let Some(layers) = layers_at(&self.index, &self.addresses, &mut state.key, address) {
             // The next LSTM input carries this sample's embedding.
             state.feats.resize(layers.sample_embed.in_dim(), 0.0);
             value_features_into(prior, value, &mut state.feats);

@@ -3,13 +3,16 @@
 //! A minibatch is split into sub-minibatches by trace type (Algorithm 1),
 //! each processed in one batched forward/backward pass; gradients are scaled
 //! by 1/B, optionally clipped, and applied with the configured optimizer.
+//! Every phase runs as kernel-pool tasks over a partition that depends only
+//! on shapes (images, 32-row LSTM blocks, proposal-head addresses,
+//! parameter tensors), so a step is bit-identical at any thread count.
 //! [`Trainer::step`] is both halves back to back; a
 //! [`TrainPlan`](crate::TrainPlan) runs the same halves with its batch
 //! source and, on more than one rank, the allreduce in between.
 
 use crate::network::IcNetwork;
 use etalumis_data::TraceRecord;
-use etalumis_nn::{clip_grad_norm, Module, Optimizer};
+use etalumis_nn::{clip_grad_norm, par_map_params, Module, Optimizer};
 use etalumis_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -107,7 +110,7 @@ pub fn accumulate_minibatch(net: &mut IcNetwork, records: &[TraceRecord]) -> Ste
     }
     if used > 0 {
         let scale = 1.0 / used as f32;
-        net.visit_params("", &mut |_, p| p.grad.scale(scale));
+        par_map_params(net, &|p| p.grad.scale(scale));
     }
     StepResult {
         loss: if used > 0 { loss_sum / used as f64 } else { f64::NAN },
@@ -124,7 +127,11 @@ pub fn accumulate_minibatch(net: &mut IcNetwork, records: &[TraceRecord]) -> Ste
 /// `kernel.pool_threads` gauges (which land in `RUN_METRICS.json` and the
 /// run-report header) plus `kernel.dispatch_avx512` /
 /// `kernel.dispatch_avx2` / `kernel.dispatch_scalar` counters drained from
-/// the process-wide dispatch tally.
+/// the process-wide dispatch tally, and `kernel.pool_jobs` /
+/// `kernel.pool_inline` / `kernel.pool_parks` counters drained from the
+/// pool's (runs handed to workers, runs done inline because nested or
+/// serial, workers parked after their spin ran out). The jobs and inline
+/// counts are deterministic for a given pool size; the parks are a meter.
 pub fn record_kernel_telemetry(tel: &Telemetry) {
     if !tel.is_enabled() {
         return;
@@ -136,10 +143,14 @@ pub fn record_kernel_telemetry(tel: &Telemetry) {
     tel.gauge("kernel.backend_avx512", flag(active == Backend::Avx512));
     tel.gauge("kernel.pool_threads", etalumis_tensor::pool::num_threads() as f64);
     let counts = simd::take_dispatch_counts();
+    let pool = etalumis_tensor::pool::take_counts();
     for (name, n) in [
         ("kernel.dispatch_avx512", counts.avx512),
         ("kernel.dispatch_avx2", counts.avx2),
         ("kernel.dispatch_scalar", counts.scalar),
+        ("kernel.pool_jobs", pool.jobs),
+        ("kernel.pool_inline", pool.inline),
+        ("kernel.pool_parks", pool.parks),
     ] {
         if n > 0 {
             tel.count(name, n);
@@ -194,8 +205,7 @@ impl<O: Optimizer> Trainer<O> {
         }
         let t = Instant::now();
         self.opt.begin_step();
-        let opt = &mut self.opt;
-        self.net.visit_params("", &mut |n, p| opt.update(n, p));
+        self.opt.update_module(&mut self.net);
         res.timings.optimizer = t.elapsed().as_secs_f64();
         if self.tel.is_enabled() {
             let t = &res.timings;
@@ -294,6 +304,62 @@ mod tests {
         let res = TrainPlan::epochs(&ds, 8, 1, 0).run(&mut trainer);
         assert!(res.is_err(), "a truncated shard must surface as Err, not a panic");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Three Adam steps with clipping, serial and on the pool, agree bit for
+    /// bit: losses, weights and moments. The minibatches hold a 37-trace
+    /// sub-minibatch (one full 32-row LSTM block and a 5-row one), a 3-trace
+    /// one (the unpacked GEMM path), a third trace type, and a hand-built
+    /// trace whose address repeats at two steps (two steps in one head task).
+    #[test]
+    fn parallel_step_is_bit_identical_to_serial() {
+        let mut by_type: BTreeMap<u64, Vec<TraceRecord>> = BTreeMap::new();
+        for r in records(400) {
+            by_type.entry(r.trace_type).or_default().push(r);
+        }
+        let mut types: Vec<Vec<TraceRecord>> = by_type.into_values().collect();
+        types.sort_by_key(|t| std::cmp::Reverse(t.len()));
+        let (big, small) = (&types[0], &types[1]);
+        assert!(big.len() >= 74 && small.len() >= 6, "{} / {}", big.len(), small.len());
+        let mut repeat = big[0].clone();
+        let first = repeat.controlled().next().unwrap().clone();
+        repeat.entries.push(first);
+        repeat.trace_type ^= 1;
+        let batches: Vec<Vec<TraceRecord>> = [(0, 0), (37, 3), (0, 0)]
+            .iter()
+            .map(|&(b0, s0)| {
+                let mut batch = big[b0..b0 + 37].to_vec();
+                batch.extend_from_slice(&small[s0..s0 + 3]);
+                batch.push(repeat.clone());
+                batch
+            })
+            .collect();
+        let all: Vec<TraceRecord> = batches.iter().flatten().cloned().collect();
+        let train = |parallel: bool| {
+            etalumis_tensor::pool::with_parallel(parallel, || {
+                let mut net = IcNetwork::new(IcConfig::small([1, 1, 1], 7));
+                net.pregenerate(all.iter());
+                let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(1e-2)));
+                trainer.grad_clip = Some(0.1);
+                let mut bits: Vec<u64> = Vec::new();
+                for batch in &batches {
+                    let res = trainer.step(batch);
+                    assert_eq!((res.used, res.sub_minibatches), (41, 3));
+                    bits.push(res.loss.to_bits());
+                }
+                let Trainer { net, opt, .. } = &mut trainer;
+                net.visit_params("", &mut |name, p| {
+                    let (m, v) = opt.moments(name).unwrap();
+                    for x in p.value.data().iter().chain(m).chain(v) {
+                        bits.push(x.to_bits() as u64);
+                    }
+                });
+                bits
+            })
+        };
+        let serial = train(false);
+        assert!(serial.len() > 3);
+        assert!(serial == train(true), "the parallel step changed a bit");
     }
 
     #[test]
