@@ -28,7 +28,6 @@ fn run_config(
         proposal_hidden: 32,
         mixture_components: mix,
         seed: 11,
-        time_batched_lstm: true,
     };
     let mut net = IcNetwork::new(cfg);
     net.pregenerate(records.iter());

@@ -1,0 +1,139 @@
+//! Table 2 and Figure 6, measured: IC training throughput on this machine
+//! at 1 and 2 data-parallel rank threads (Algorithm 2), with the paper's
+//! numbers quoted beside it as text. Nothing here models Cori or Edison.
+//!
+//! One sorted τ dataset is trained on by one `TrainPlan` per rank count,
+//! each rank on its own 16-trace minibatch per step (weak scaling). Each run
+//! reports traces/s and Gflop/s (the network's analytic flop count over the
+//! measured wall time, the paper's Table 2 method); the pair gives the
+//! 2-rank speedup and efficiency (Figure 6's measured over ideal). The
+//! 2-rank run is also decomposed as in Figure 4: per phase, *actual* sums
+//! the slowest rank's time at each step and *best* the mean rank's, and a
+//! rank's gradient traffic is counted in elements per step.
+//!
+//! Run: `cargo run -p etalumis-bench --release --bin train_scaling`
+//! (`-- --json` prints one JSON object per event on stdout).
+
+use etalumis_bench::{bench_ic_config, tau_dataset, Field, Logger};
+use etalumis_data::TraceDataset;
+use etalumis_nn::{Adam, LrSchedule};
+use etalumis_tensor::flops::training_flops;
+use etalumis_train::{IcNetwork, PhaseTimings, TrainPlan, TrainReport, Trainer};
+
+/// Traces per rank per step.
+const MINIBATCH: usize = 16;
+/// Steps per run.
+const STEPS: usize = 12;
+
+/// The paper's Tables 1 and 2 (arXiv:1907.03382): CPU, peak single-precision
+/// rate, and measured single-node IC training throughput.
+const PAPER_TABLE2: [&str; 5] = [
+    "IVB E5-2695 v2 @ 2.40GHz, 12 cores/socket, peak 460.8 Gflop/s/socket: \
+     13.9 traces/s on 1 socket, 25.6 on 2; 196 Gflop/s on 1 socket (42.5% of peak)",
+    "HSW E5-2698 v3 @ 2.30GHz, 16 cores/socket, peak 1177.6 Gflop/s/socket: \
+     32.1 traces/s on 1 socket, 56.5 on 2; 453 Gflop/s on 1 socket (38.5% of peak)",
+    "BDW E5-2697A v4 @ 2.60GHz, 16 cores/socket, peak 1331.2 Gflop/s/socket: \
+     30.5 traces/s on 1 socket, 57.8 on 2; 430 Gflop/s on 1 socket (32.3% of peak)",
+    "SKL Platinum 8170 @ 2.10GHz, 26 cores/socket, peak 3494.4 Gflop/s/socket: \
+     49.9 traces/s on 1 socket, 82.7 on 2; 704 Gflop/s on 1 socket (20.1% of peak)",
+    "CSL Gold 6252 @ 2.10GHz, 24 cores/socket, peak 3225.6 Gflop/s/socket: \
+     51.1 traces/s on 1 socket, 93.1 on 2; 720 Gflop/s on 1 socket (22.3% of peak)",
+];
+
+/// The paper's Figure 6 (weak scaling, 2 ranks per node).
+const PAPER_FIG6: &str = "at 1,024 nodes: Cori avg 28,000 / peak 42,000 traces/s \
+     (~0.5 efficiency); Edison avg 22,000 / peak 28,000 traces/s (~0.79); \
+     max sustained 450 / 325 Tflop/s";
+
+/// The paper's Figure 4 (load imbalance in the training phases).
+const PAPER_FIG4: &str = "load imbalance ~5% at 2 sockets, ~19% at 64";
+
+/// One training run over `ds` at `ranks` rank threads.
+fn measure(ds: &TraceDataset, ranks: usize) -> TrainReport {
+    let mut trainer =
+        Trainer::new(IcNetwork::new(bench_ic_config(1)), Adam::new(LrSchedule::Constant(1e-3)));
+    TrainPlan::epochs(ds, MINIBATCH, 1, 2)
+        .ranks(ranks)
+        .max_steps(STEPS)
+        .run(&mut trainer)
+        .expect("dataset read")
+}
+
+fn main() {
+    let log = Logger::from_args();
+    let (ds, dir) = tau_dataset(384, 384, "train_scaling");
+    // Flops per trace: the forward count at the mean trace length × the
+    // forward+backward multiplier.
+    let mean_len = (0..ds.len()).map(|i| ds.meta(i).1 as u64).sum::<u64>() / ds.len() as u64;
+    let fwd = IcNetwork::new(bench_ic_config(1)).forward_flops(1, mean_len as usize);
+    let flops_per_trace = training_flops(fwd) as f64;
+
+    log.section("Table 2 / Figure 6 (measured): IC training on this machine, 1 and 2 rank threads");
+    log.info(
+        "workload",
+        &[
+            ("traces", Field::U64(ds.len() as u64)),
+            ("minibatch_per_rank", Field::U64(MINIBATCH as u64)),
+            ("max_steps", Field::U64(STEPS as u64)),
+            ("mean_trace_len", Field::U64(mean_len)),
+            ("flops_per_trace", Field::F64(flops_per_trace)),
+        ],
+    );
+    let reports: Vec<TrainReport> = [1usize, 2]
+        .into_iter()
+        .map(|ranks| {
+            let report = measure(&ds, ranks);
+            let tps = report.traces_per_sec();
+            log.info(
+                "measured",
+                &[
+                    ("ranks", Field::U64(ranks as u64)),
+                    ("steps", Field::U64(report.losses.len() as u64)),
+                    ("traces_per_sec", Field::F64(tps)),
+                    ("gflops", Field::F64(tps * flops_per_trace / 1e9)),
+                ],
+            );
+            report
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    let (tps1, tps2) = (reports[0].traces_per_sec(), reports[1].traces_per_sec());
+    log.info(
+        "scaling",
+        &[
+            ("speedup_2rank", Field::F64(tps2 / tps1)),
+            ("efficiency_2rank", Field::F64(tps2 / (2.0 * tps1))),
+        ],
+    );
+
+    log.section("Figure 4 (measured): the 2-rank run, slowest rank (actual) vs mean rank (best)");
+    let (actual, best) = reports[1].actual_vs_best();
+    // Everything but the synchronization: the work the slowest rank holds up.
+    let work = |t: &PhaseTimings| t.total() - t.sync;
+    for (phase, a, b) in [
+        ("batch_read", actual.batch_read, best.batch_read),
+        ("forward", actual.forward, best.forward),
+        ("backward", actual.backward, best.backward),
+        ("optimizer", actual.optimizer, best.optimizer),
+        ("sync", actual.sync, best.sync),
+    ] {
+        log.info(
+            "phase",
+            &[("phase", Field::Str(phase)), ("actual_s", Field::F64(a)), ("best_s", Field::F64(b))],
+        );
+    }
+    log.info(
+        "imbalance",
+        &[
+            ("imbalance_pct", Field::F64((work(&actual) / work(&best) - 1.0) * 100.0)),
+            ("comm_elems_per_step", Field::F64(reports[1].comm_elems_per_step)),
+        ],
+    );
+
+    log.section("the paper's numbers (quoted, not reproduced)");
+    for row in PAPER_TABLE2 {
+        log.info("paper", &[("table2", Field::Str(row))]);
+    }
+    log.info("paper", &[("fig6", Field::Str(PAPER_FIG6))]);
+    log.info("paper", &[("fig4", Field::Str(PAPER_FIG4))]);
+}

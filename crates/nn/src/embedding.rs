@@ -16,13 +16,12 @@ use rand::Rng;
 pub struct Embedding {
     /// Table [num_entries, dim].
     pub table: Parameter,
-    cache: Vec<Vec<usize>>,
 }
 
 impl Embedding {
     /// New table with `num` entries of dimension `dim`.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, num: usize, dim: usize) -> Self {
-        Self { table: Parameter::new(embedding_init(rng, &[num, dim])), cache: Vec::new() }
+        Self { table: Parameter::new(embedding_init(rng, &[num, dim])) }
     }
 
     /// Number of rows currently allocated.
@@ -52,14 +51,8 @@ impl Embedding {
         self.table = Parameter::new(Tensor::from_vec(&[num, dim], data));
     }
 
-    /// Look up a batch of indices → [B, dim]; caches indices for backward.
-    pub fn forward(&mut self, indices: &[usize]) -> Tensor {
-        let out = self.forward_inference(indices);
-        self.cache.push(indices.to_vec());
-        out
-    }
-
-    /// Lookup without caching.
+    /// Look up a batch of indices → [B, dim]. Nothing is cached: the
+    /// backward is [`Embedding::scatter_grad`] with the same indices.
     pub fn forward_inference(&self, indices: &[usize]) -> Tensor {
         let dim = self.dim();
         let mut out = Tensor::zeros(&[indices.len(), dim]);
@@ -70,15 +63,8 @@ impl Embedding {
         out
     }
 
-    /// Backward: scatter-add `grad` rows into the table gradient.
-    pub fn backward(&mut self, grad: &Tensor) {
-        let indices = self.cache.pop().expect("Embedding::backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
-        self.scatter_grad(&indices, grad);
-    }
-
-    /// Cache-free scatter-add of `grad` rows into the table gradient, one
-    /// row per index. Used by batched callers that looked up with
-    /// [`Embedding::forward_inference`] and manage step order themselves.
+    /// Backward: scatter-add `grad` rows into the table gradient, one row
+    /// per index, in index order.
     pub fn scatter_grad(&mut self, indices: &[usize], grad: &Tensor) {
         assert_eq!(grad.rows(), indices.len());
         let dim = self.dim();
@@ -157,11 +143,11 @@ mod tests {
     fn embedding_lookup_and_backward() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut e = Embedding::new(&mut rng, 4, 3);
-        let y = e.forward(&[1, 1, 3]);
+        let y = e.forward_inference(&[1, 1, 3]);
         assert_eq!(y.shape(), &[3, 3]);
         assert_eq!(y.row(0), y.row(1));
         let g = Tensor::full(&[3, 3], 1.0);
-        e.backward(&g);
+        e.scatter_grad(&[1, 1, 3], &g);
         // Row 1 used twice → grad 2, row 3 once → grad 1, rows 0/2 zero.
         assert_eq!(e.table.grad.row(1), &[2.0, 2.0, 2.0]);
         assert_eq!(e.table.grad.row(3), &[1.0, 1.0, 1.0]);

@@ -187,8 +187,7 @@ impl AdamRule {
     /// Fold `p.grad` into the moments `m`, `v` (the parameter's `t`-th
     /// step) and step `p.value` along `m̂ / (√v̂ + ε)`, in one pass over the
     /// tensor — two with LARC, whose rate needs the direction's norm first.
-    /// The moments keep the length the parameter had at its first update;
-    /// weights past it (a table grown since) take a zero step.
+    /// The moments are as long as the parameter (see [`Adam::advance`]).
     fn apply(&self, m: &mut [f32], v: &mut [f32], t: u64, p: &mut Parameter) {
         let tt = t as i32;
         let (b1, b2) = (self.beta1 as f32, self.beta2 as f32);
@@ -258,10 +257,14 @@ impl Adam {
     }
 
     /// `f` on the state of parameter `name` with `len` weights, one step
-    /// further on. A `String` key is built only the first time.
+    /// further on. A `String` key is built only the first time. Weights
+    /// added since the last step (an address table grown in online mode)
+    /// get zero moments, so they move from their first step on.
     fn advance<R>(&mut self, name: &str, len: usize, f: impl FnOnce(&mut AdamSlot) -> R) -> R {
         if let Some(slot) = self.state.get_mut(name) {
             slot.t += 1;
+            slot.m.resize(len, 0.0);
+            slot.v.resize(len, 0.0);
             return f(slot);
         }
         let slot = self.state.entry(name.to_string()).or_insert(AdamSlot {
@@ -315,9 +318,9 @@ impl Optimizer for Adam {
             // `module` stays mutably borrowed until the run returns, so
             // task `i` holds the only reference to its parameter. The
             // moments are the `len`-float heap buffers of the slot `advance`
-            // made for that parameter alone; moving a slot when the map
-            // grows does not move its buffers, and nothing resizes them
-            // here.
+            // made for that parameter alone and sized before the run;
+            // moving a slot when the map grows does not move its buffers,
+            // and nothing resizes them during the run.
             let (p, m, v) = unsafe {
                 (
                     &mut *p.get(),
@@ -434,8 +437,8 @@ mod tests {
     }
 
     /// The per-tensor pool update is the serial walk's, bit for bit, for
-    /// plain Adam and Adam-LARC — also once a parameter has grown past the
-    /// size its moments were made for (an address table in online mode).
+    /// plain Adam and Adam-LARC — also once a parameter has grown since its
+    /// first update (an address table in online mode), its moments with it.
     #[test]
     fn update_module_matches_serial_updates() {
         use crate::embedding::Embedding;
@@ -485,6 +488,35 @@ mod tests {
                 assert_eq!((bits(ma), bits(va)), (bits(mb), bits(vb)), "{name} moments");
                 i += 1;
             });
+        }
+    }
+
+    /// Rows an address table grows after Adam's first step (online mode)
+    /// move on the next step, through the serial and the pooled update.
+    #[test]
+    fn rows_grown_after_the_first_step_are_updated() {
+        use crate::embedding::Embedding;
+        for pooled in [false, true] {
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut e = Embedding::new(&mut rng, 2, 3);
+            let mut opt = Adam::new(LrSchedule::Constant(0.1));
+            e.table.grad = Tensor::full(&[2, 3], 1.0);
+            opt.step_module(&mut e);
+            e.grow(&mut rng, 3);
+            let before = e.table.value.row(2).to_vec();
+            e.table.grad = Tensor::full(&[3, 3], 1.0);
+            if pooled {
+                opt.step_module(&mut e);
+            } else {
+                opt.begin_step();
+                e.visit_params("", &mut |name, p| opt.update(name, p));
+            }
+            assert!(
+                e.table.value.row(2).iter().zip(&before).all(|(w, w0)| w < w0),
+                "grown row did not move (pooled {pooled}): {before:?} -> {:?}",
+                e.table.value.row(2)
+            );
+            assert_eq!(opt.moments("/table").unwrap().0.len(), 9);
         }
     }
 

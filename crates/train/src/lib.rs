@@ -20,21 +20,16 @@
 //! * [`allreduce`] — synchronous gradient reduction across rank threads
 //!   with the paper's §4.4.4 ladder: dense per-tensor → non-null only (4×)
 //!   → concatenated single-buffer, summed in rank order.
-//! * [`perfmodel`] — Table 1 platform registry and the calibrated analytic
-//!   model standing in for Cori/Edison at 64–1,024 nodes (see DESIGN.md
-//!   substitution table).
 
 pub mod allreduce;
 mod distributed;
 pub mod network;
-pub mod perfmodel;
 pub mod plan;
 pub mod streaming;
 pub mod trainer;
 
 pub use allreduce::{AllReduceCtx, AllReduceStrategy, GradVisitor};
 pub use network::{IcConfig, IcNetwork, IcState, InferenceStats};
-pub use perfmodel::{platforms, PhaseModel, Platform, ScalingModel, ScalingPoint};
 pub use plan::{TrainPlan, TrainReport};
 pub use streaming::Records;
 pub use trainer::{

@@ -58,11 +58,6 @@ pub struct IcConfig {
     pub mixture_components: usize,
     /// Weight-init RNG seed (all ranks must share it).
     pub seed: u64,
-    /// Fuse each training sub-minibatch into one time-batched LSTM pass
-    /// (one `[T·B, in]·[in, 4H]` input GEMM per layer) with batched
-    /// address-embedding lookups. Bit-identical to the step-wise path;
-    /// inference always steps. Default on.
-    pub time_batched_lstm: bool,
 }
 
 impl IcConfig {
@@ -78,7 +73,6 @@ impl IcConfig {
             proposal_hidden: 64,
             mixture_components: 10,
             seed: 0,
-            time_batched_lstm: true,
         }
     }
 
@@ -99,7 +93,6 @@ impl IcConfig {
             proposal_hidden: 32,
             mixture_components: 5,
             seed,
-            time_batched_lstm: true,
         }
     }
 
@@ -514,8 +507,8 @@ impl IcNetwork {
             .collect();
         let t_steps = steps.len();
         let mut state = self.lstm.begin_sequence(b);
-        // Per-step previous-sample embeddings (zeros at t = 0). Shared by
-        // both LSTM paths; the per-address modules cache for backward.
+        // Per-step previous-sample embeddings (zeros at t = 0); the
+        // per-address modules cache for backward.
         let mut samp_embeds: Vec<Tensor> = Vec::with_capacity(t_steps);
         samp_embeds.push(Tensor::zeros(&[b, self.config.sample_embed_dim]));
         for t in 1..t_steps {
@@ -529,47 +522,32 @@ impl IcNetwork {
         }
         let embed_ids: Vec<usize> =
             steps.iter().map(|&slot| self.addresses[slot].embed_id).collect();
-        let batched = self.config.time_batched_lstm;
-        let hs: Vec<Tensor> = if batched {
-            // Time-batched path (§4.4.3): one address lookup for all T·B
-            // rows, one stacked input tensor, one fused LSTM pass. The
-            // batched LSTM forward is bit-identical to stepping, and the
-            // backward below scatters address grads in step-wise order, so
-            // both paths produce identical losses and gradients.
-            let all_ids: Vec<usize> =
-                embed_ids.iter().flat_map(|&id| std::iter::repeat(id).take(b)).collect();
-            let addr_embed = self.address_table.forward_inference(&all_ids);
-            let (w_obs, w_addr) = (self.config.cnn.embedding_dim, self.config.address_embed_dim);
-            let in_w = self.config.lstm_input();
-            let mut xs = vec![0.0f32; t_steps * b * in_w];
-            for t in 0..t_steps {
-                for bi in 0..b {
-                    let r = t * b + bi;
-                    let row = &mut xs[r * in_w..(r + 1) * in_w];
-                    row[..w_obs].copy_from_slice(obs_embed.row(bi));
-                    row[w_obs..w_obs + w_addr].copy_from_slice(addr_embed.row(r));
-                    row[w_obs + w_addr..].copy_from_slice(samp_embeds[t].row(bi));
-                }
+        // Time-batched (§4.4.3): one address lookup for all T·B rows, one
+        // stacked input tensor, one fused LSTM pass. The backward below
+        // scatters address grads in reverse step order.
+        let all_ids: Vec<usize> =
+            embed_ids.iter().flat_map(|&id| std::iter::repeat_n(id, b)).collect();
+        let addr_embed = self.address_table.forward_inference(&all_ids);
+        let (w_obs, w_addr) = (self.config.cnn.embedding_dim, self.config.address_embed_dim);
+        let in_w = self.config.lstm_input();
+        let mut xs = vec![0.0f32; t_steps * b * in_w];
+        for t in 0..t_steps {
+            for bi in 0..b {
+                let r = t * b + bi;
+                let row = &mut xs[r * in_w..(r + 1) * in_w];
+                row[..w_obs].copy_from_slice(obs_embed.row(bi));
+                row[w_obs..w_obs + w_addr].copy_from_slice(addr_embed.row(r));
+                row[w_obs + w_addr..].copy_from_slice(samp_embeds[t].row(bi));
             }
-            let xs = Tensor::from_vec(&[t_steps * b, in_w], xs);
-            let out = self.lstm.forward_sequence(&xs, t_steps, &mut state);
-            let hid = self.config.lstm_hidden;
-            (0..t_steps)
-                .map(|t| {
-                    Tensor::from_vec(&[b, hid], out.data()[t * b * hid..(t + 1) * b * hid].to_vec())
-                })
-                .collect()
-        } else {
-            steps
-                .iter()
-                .enumerate()
-                .map(|(t, _)| {
-                    let addr_embed = self.address_table.forward(&vec![embed_ids[t]; b]);
-                    let x = Tensor::concat_cols(&[&obs_embed, &addr_embed, &samp_embeds[t]]);
-                    self.lstm.step(&x, &mut state)
-                })
-                .collect()
-        };
+        }
+        let xs = Tensor::from_vec(&[t_steps * b, in_w], xs);
+        let out = self.lstm.forward_sequence(&xs, t_steps, &mut state);
+        let hid = self.config.lstm_hidden;
+        let hs: Vec<Tensor> = (0..t_steps)
+            .map(|t| {
+                Tensor::from_vec(&[b, hid], out.data()[t * b * hid..(t + 1) * b * hid].to_vec())
+            })
+            .collect();
         let forward_secs = fwd_start.elapsed().as_secs_f64();
         let bwd_start = Instant::now(); // etalumis: allow(determinism, reason = "backward-pass timing span; telemetry only")
         let (loss, dhs) = self.heads_loss(&steps, &hs, &per_trace_entries);
@@ -591,11 +569,7 @@ impl IcNetwork {
             if t > 0 {
                 let _dfeats = self.addresses[steps[t - 1]].sample_embed.backward(&parts[2]);
             }
-            if batched {
-                self.address_table.scatter_grad(&vec![embed_ids[t]; b], &parts[1]);
-            } else {
-                self.address_table.backward(&parts[1]);
-            }
+            self.address_table.scatter_grad(&vec![embed_ids[t]; b], &parts[1]);
         }
         self.cnn.backward(&d_obs_total);
         let backward_secs = bwd_start.elapsed().as_secs_f64();
