@@ -29,7 +29,8 @@ struct Line {
 }
 
 /// Parse one flat JSON object of string / number / null values. Returns
-/// key → raw token (strings unescaped). Tolerates any key order.
+/// key → raw token (strings unescaped, `\uXXXX` included). Tolerates any
+/// key order.
 fn parse_flat(line: &str) -> Option<BTreeMap<String, String>> {
     let mut out = BTreeMap::new();
     let mut chars = line.trim().char_indices().peekable();
@@ -74,6 +75,15 @@ fn parse_flat(line: &str) -> Option<BTreeMap<String, String>> {
                         'n' => '\n',
                         'r' => '\r',
                         't' => '\t',
+                        'b' => '\u{8}',
+                        'f' => '\u{c}',
+                        'u' => {
+                            let mut code = 0;
+                            for _ in 0..4 {
+                                code = code * 16 + chars.next()?.1.to_digit(16)?;
+                            }
+                            char::from_u32(code)?
+                        }
                         c => c,
                     });
                     escaped = false;
@@ -333,5 +343,43 @@ fn main() {
         for (name, (n, last, min, max)) in &gauges {
             println!("  {name:<24} {n:>8} {last:>10.2} {min:>10.2} {max:>10.2}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use etalumis_telemetry::{Collector, Event, EventKind, NO_WORKER};
+
+    /// Names with a quote, a backslash and control characters survive the
+    /// write → parse round trip: `escape_json` writes the control characters
+    /// as `\uXXXX` escapes, which the parser decodes.
+    #[test]
+    fn parses_escaped_names_from_a_collector_log() {
+        let names = ["say \"hi\"", "dir\\file", "bell\u{7}and\u{1f}unit", "tab\tline\nend"];
+        let events = names
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| Event {
+                name,
+                worker: if i % 2 == 0 { NO_WORKER } else { i as u32 },
+                seq: i as u64,
+                kind: match i % 3 {
+                    0 => EventKind::Span { span_id: 1, parent: 0, start_us: 5, dur_us: 7 },
+                    1 => EventKind::Counter { delta: 3 },
+                    _ => EventKind::Gauge { value: 0.5 },
+                },
+            })
+            .collect();
+        let path =
+            std::env::temp_dir().join(format!("run_report_escapes_{}.jsonl", std::process::id()));
+        Collector::new(events).write_jsonl(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let parsed: Vec<String> = text
+            .lines()
+            .map(|l| parse_line(l).unwrap_or_else(|| panic!("unparseable: {l}")).name)
+            .collect();
+        assert_eq!(parsed, names);
     }
 }

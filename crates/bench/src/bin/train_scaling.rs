@@ -3,13 +3,17 @@
 //! numbers quoted beside it as text. Nothing here models Cori or Edison.
 //!
 //! One sorted τ dataset is trained on by one `TrainPlan` per rank count,
-//! each rank on its own 16-trace minibatch per step (weak scaling). Each run
-//! reports traces/s and Gflop/s (the network's analytic flop count over the
-//! measured wall time, the paper's Table 2 method); the pair gives the
-//! 2-rank speedup and efficiency (Figure 6's measured over ideal). The
-//! 2-rank run is also decomposed as in Figure 4: per phase, *actual* sums
-//! the slowest rank's time at each step and *best* the mean rank's, and a
-//! rank's gradient traffic is counted in elements per step.
+//! each rank on its own 16-trace minibatch per step. Both runs keep the
+//! kernel pool off, so each rank thread computes on one core: otherwise the
+//! ranks would share the one process-wide pool, already sized to every
+//! core, and the second rank would add contention rather than a core. The
+//! 1→2 comparison is therefore weak scaling per core, as the paper's is per
+//! rank. Each run reports traces/s and Gflop/s (the network's analytic flop
+//! count over the measured wall time, the paper's Table 2 method); the pair
+//! gives the 2-rank speedup and efficiency (Figure 6's measured over
+//! ideal). The 2-rank run is also decomposed as in Figure 4: per phase,
+//! *actual* sums the slowest rank's time at each step and *best* the mean
+//! rank's, and a rank's gradient traffic is counted in elements per step.
 //!
 //! Run: `cargo run -p etalumis-bench --release --bin train_scaling`
 //! (`-- --json` prints one JSON object per event on stdout).
@@ -17,7 +21,7 @@
 use etalumis_bench::{bench_ic_config, tau_dataset, Field, Logger};
 use etalumis_data::TraceDataset;
 use etalumis_nn::{Adam, LrSchedule};
-use etalumis_tensor::flops::training_flops;
+use etalumis_tensor::{flops::training_flops, pool};
 use etalumis_train::{IcNetwork, PhaseTimings, TrainPlan, TrainReport, Trainer};
 
 /// Traces per rank per step.
@@ -48,15 +52,15 @@ const PAPER_FIG6: &str = "at 1,024 nodes: Cori avg 28,000 / peak 42,000 traces/s
 /// The paper's Figure 4 (load imbalance in the training phases).
 const PAPER_FIG4: &str = "load imbalance ~5% at 2 sockets, ~19% at 64";
 
-/// One training run over `ds` at `ranks` rank threads.
+/// One training run over `ds` at `ranks` rank threads, each computing its
+/// kernels on its own thread (the kernel pool off).
 fn measure(ds: &TraceDataset, ranks: usize) -> TrainReport {
     let mut trainer =
         Trainer::new(IcNetwork::new(bench_ic_config(1)), Adam::new(LrSchedule::Constant(1e-3)));
-    TrainPlan::epochs(ds, MINIBATCH, 1, 2)
-        .ranks(ranks)
-        .max_steps(STEPS)
-        .run(&mut trainer)
-        .expect("dataset read")
+    pool::with_parallel(false, || {
+        TrainPlan::epochs(ds, MINIBATCH, 1, 2).ranks(ranks).max_steps(STEPS).run(&mut trainer)
+    })
+    .expect("dataset read")
 }
 
 fn main() {
@@ -88,6 +92,7 @@ fn main() {
                 "measured",
                 &[
                     ("ranks", Field::U64(ranks as u64)),
+                    ("kernel_threads_per_rank", Field::U64(1)),
                     ("steps", Field::U64(report.losses.len() as u64)),
                     ("traces_per_sec", Field::F64(tps)),
                     ("gflops", Field::F64(tps * flops_per_trace / 1e9)),

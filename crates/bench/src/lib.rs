@@ -91,7 +91,7 @@ pub fn tau_dataset(n: usize, per_shard: usize, tag: &str) -> (TraceDataset, Path
 /// object per event on stdout when the binary is invoked with `--json`.
 /// `Logger::section` and `Logger::speedup` replace the old free-form
 /// `rule` / `speedup_line` println helpers.
-pub use etalumis_telemetry::{Field, Level, Logger};
+pub use etalumis_telemetry::{Field, Logger};
 
 #[cfg(test)]
 mod tests {

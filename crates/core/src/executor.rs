@@ -76,12 +76,13 @@ impl Proposer for PriorProposer {
     }
 }
 
-/// The recording state of one execution, shared by the borrowing
-/// [`Executor`] (inverted control: `program.run(ctx)` drives it) and the
-/// owning [`StepExecutor`] (event-driven: a protocol reactor feeds it one
-/// sample/observe/tag request at a time). Both paths run exactly the same
-/// code against the same RNG discipline, which is what keeps event-driven
-/// remote executions bit-identical to blocking ones.
+/// The recording state of one execution. The [`Executor`] records into it
+/// on both paths: held on the driving thread's stack under inverted control
+/// (`program.run(ctx)` drives it), or owned by a [`StepExecutor`] that a
+/// protocol reactor feeds one sample/observe/tag request at a time. Both
+/// paths run exactly the same code against the same RNG discipline, which
+/// is what keeps event-driven remote executions bit-identical to blocking
+/// ones.
 struct Recorder {
     builder: AddressBuilder,
     entries: Vec<TraceEntry>,
@@ -207,12 +208,15 @@ impl Recorder {
     }
 }
 
-/// Runs programs and records traces. Implements [`SimCtx`].
+/// Runs programs and records traces. Implements [`SimCtx`] — the one
+/// implementation: it borrows its whole state, so the owning
+/// [`StepExecutor`] lends its own out as an `Executor` too
+/// ([`StepExecutor::ctx`]).
 pub struct Executor<'a> {
     rng: &'a mut StdRng,
     proposer: &'a mut dyn Proposer,
     observes: &'a ObserveMap,
-    rec: Recorder,
+    rec: &'a mut Recorder,
 }
 
 impl<'a> Executor<'a> {
@@ -240,9 +244,9 @@ impl<'a> Executor<'a> {
         rng: &mut StdRng,
     ) -> Result<Trace, RunError> {
         proposer.begin_trace(observes);
-        let mut ex = Executor { rng, proposer, observes, rec: Recorder::new() };
-        let result = program.try_run(&mut ex)?;
-        Ok(ex.rec.finish(result))
+        let mut rec = Recorder::new();
+        let result = program.try_run(&mut Executor { rng, proposer, observes, rec: &mut rec })?;
+        Ok(rec.finish(result))
     }
 
     /// Convenience: run once from the prior with a fresh seeded RNG.
@@ -338,13 +342,14 @@ impl SimCtx for Executor<'_> {
 /// block inside `run`; it needs per-session executor state that persists
 /// across suspension points. `StepExecutor` is exactly that: create one per
 /// trace with the same `(proposer, observes, seed)` a blocking run would
-/// use, feed it each incoming sample/observe/tag request through its
-/// [`SimCtx`] impl, and [`StepExecutor::finish`] it with the run result.
+/// use, feed it each incoming sample/observe/tag request through the
+/// [`SimCtx`] it lends ([`StepExecutor::ctx`]), and [`StepExecutor::finish`]
+/// it with the run result.
 ///
-/// Both executors share one [`Recorder`], so the produced [`Trace`] is
-/// bit-identical to `Executor::execute_seeded` for the same request
-/// sequence. The proposer may borrow for `'p` (an IC proposer borrows the
-/// network it shares with other sessions).
+/// That context is an [`Executor`] over this executor's state, so the
+/// produced [`Trace`] is bit-identical to `Executor::execute_seeded` for the
+/// same request sequence. The proposer may borrow for `'p` (an IC proposer
+/// borrows the network it shares with other sessions).
 pub struct StepExecutor<'p> {
     rng: StdRng,
     proposer: Box<dyn Proposer + Send + 'p>,
@@ -364,79 +369,21 @@ impl<'p> StepExecutor<'p> {
         Self { rng: StdRng::seed_from_u64(seed), proposer, observes, rec: Recorder::new() }
     }
 
+    /// The execution as a [`SimCtx`], to feed the program's next requests.
+    pub fn ctx(&mut self) -> Executor<'_> {
+        Executor {
+            rng: &mut self.rng,
+            proposer: self.proposer.as_mut(),
+            observes: &self.observes,
+            rec: &mut self.rec,
+        }
+    }
+
     /// Complete the execution with the program's result value, returning the
     /// recorded trace and handing the proposer back for reuse on the next
     /// trace of the same session.
     pub fn finish(self, result: Value) -> (Trace, Box<dyn Proposer + Send + 'p>) {
         (self.rec.finish(result), self.proposer)
-    }
-}
-
-impl SimCtx for StepExecutor<'_> {
-    fn sample_ext(
-        &mut self,
-        dist: &Distribution,
-        name: &str,
-        control: bool,
-        replace: bool,
-    ) -> Value {
-        let address = self.rec.builder.next(name, dist.kind(), replace);
-        self.rec.record_sample(
-            &mut self.rng,
-            self.proposer.as_mut(),
-            address,
-            dist,
-            name,
-            control,
-            replace,
-        )
-    }
-
-    fn observe(&mut self, dist: &Distribution, name: &str) -> Value {
-        let address = self.rec.builder.next(name, dist.kind(), false);
-        self.rec.record_observe(&mut self.rng, &self.observes, address, dist, name)
-    }
-
-    fn tag(&mut self, name: &str, value: Value) {
-        self.rec.tags.push((name.to_string(), value));
-    }
-
-    fn push_scope(&mut self, scope: &str) {
-        self.rec.builder.push_scope(scope);
-    }
-
-    fn pop_scope(&mut self) {
-        self.rec.builder.pop_scope();
-    }
-
-    fn sample_with_address(
-        &mut self,
-        address_base: &str,
-        dist: &Distribution,
-        name: &str,
-        control: bool,
-        replace: bool,
-    ) -> Value {
-        let address = self.rec.sample_address(address_base, replace);
-        self.rec.record_sample(
-            &mut self.rng,
-            self.proposer.as_mut(),
-            address,
-            dist,
-            name,
-            control,
-            replace,
-        )
-    }
-
-    fn observe_with_address(
-        &mut self,
-        address_base: &str,
-        dist: &Distribution,
-        name: &str,
-    ) -> Value {
-        let address = self.rec.builder.next_with_base(address_base);
-        self.rec.record_observe(&mut self.rng, &self.observes, address, dist, name)
     }
 }
 
@@ -543,8 +490,9 @@ mod tests {
         let blocking = Executor::execute_seeded(&mut m, &mut PriorProposer, &observes, seed);
 
         let mut step = StepExecutor::new(Box::new(PriorProposer), Arc::new(observes.clone()), seed);
-        let mu = step.sample_ext(&Distribution::Normal { mean: 0.0, std: 1.0 }, "mu", true, false);
-        step.observe(&Distribution::Normal { mean: mu.as_f64(), std: 0.5 }, "y");
+        let mu =
+            step.ctx().sample_ext(&Distribution::Normal { mean: 0.0, std: 1.0 }, "mu", true, false);
+        step.ctx().observe(&Distribution::Normal { mean: mu.as_f64(), std: 0.5 }, "y");
         let (trace, _proposer) = step.finish(mu.clone());
 
         assert_eq!(trace.entries.len(), blocking.entries.len());

@@ -13,8 +13,7 @@
 //!   **sort by trace type** (the preprocessing that removes
 //!   sub-minibatching and speeds training up to 50×).
 //! * [`sampler`] — the distributed minibatch sampler: sorted chunking,
-//!   round-robin rank assignment, multi-bucketing by length, and
-//!   token-based dynamic batching (§7.2).
+//!   round-robin rank assignment and multi-bucketing by length (§7.2).
 //! * [`merge`] — deterministic cross-process shard merging: per-rank
 //!   manifests, mutual validation, and the k-way merge that folds a fleet's
 //!   rank-private shard sets back into the canonical single-process layout,

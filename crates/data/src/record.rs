@@ -16,7 +16,7 @@
 //!   [`AddressDictionary`] + the two encoding modes in [`encode_record`].
 
 use bytes::{BufMut, BytesMut};
-use etalumis_core::{Address, EntryKind, Trace};
+use etalumis_core::{EntryKind, Trace};
 use etalumis_distributions::{Distribution, TensorValue, Value};
 use std::collections::HashMap;
 use std::io::Read;
@@ -228,11 +228,6 @@ impl TraceRecord {
     /// Number of controlled entries (the LSTM sequence length).
     pub fn num_controlled(&self) -> usize {
         self.controlled().count()
-    }
-
-    /// Parse an entry's address.
-    pub fn address_of(&self, i: usize) -> Address {
-        Address::parse(&self.entries[i].address)
     }
 }
 

@@ -9,9 +9,9 @@
 //! Chunk order is shuffled per epoch (sampling without replacement), which
 //! keeps the gradient unbiased in expectation while chunks stay homogeneous.
 //!
-//! Also provided: multi-bucketing by trace length (§7.2) and token-based
-//! dynamic batching (§7.2), both of which the paper evaluated as
-//! load-balancing schemes.
+//! Also provided: multi-bucketing by trace length (§7.2), one of the
+//! load-balancing schemes the paper evaluated. Its other one, token-based
+//! dynamic batching, is not reproduced: no training run here uses it.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -125,44 +125,6 @@ impl DistributedSampler {
                 for (r, rank_batches) in per_rank.iter_mut().enumerate() {
                     rank_batches.push(bucket[round * cfg.num_ranks + r].clone());
                 }
-            }
-        }
-        EpochPlan { per_rank }
-    }
-
-    /// Token-based dynamic batching (§7.2): build variable-size minibatches
-    /// targeting `tokens_per_batch` total length per rank instead of a fixed
-    /// trace count.
-    pub fn dynamic_epoch(&self, epoch: usize, tokens_per_batch: u32) -> EpochPlan {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD15C0 ^ (epoch as u64).wrapping_mul(31));
-        let mut order: Vec<usize> = (0..self.meta.len()).collect();
-        // Keep sorted runs but rotate start so epochs differ.
-        if !order.is_empty() {
-            let cut = (epoch * 7919) % order.len();
-            order.rotate_left(cut);
-        }
-        let mut chunks: Vec<Vec<usize>> = Vec::new();
-        let mut cur: Vec<usize> = Vec::new();
-        let mut cur_tokens = 0u32;
-        for i in order {
-            let len = self.meta[i].1.max(1);
-            if cur_tokens + len > tokens_per_batch && !cur.is_empty() {
-                chunks.push(std::mem::take(&mut cur));
-                cur_tokens = 0;
-            }
-            cur.push(i);
-            cur_tokens += len;
-        }
-        if !cur.is_empty() {
-            chunks.push(cur);
-        }
-        chunks.shuffle(&mut rng);
-        let mut per_rank: Vec<Vec<Vec<usize>>> = vec![Vec::new(); cfg.num_ranks];
-        let rounds = chunks.len() / cfg.num_ranks;
-        for round in 0..rounds {
-            for (r, rank_batches) in per_rank.iter_mut().enumerate() {
-                rank_batches.push(chunks[round * cfg.num_ranks + r].clone());
             }
         }
         EpochPlan { per_rank }
@@ -297,22 +259,5 @@ mod tests {
             imbalance(&bucketed),
             imbalance(&no_bucket)
         );
-    }
-
-    #[test]
-    fn dynamic_batching_balances_tokens() {
-        let meta = sorted_meta(200);
-        let s = DistributedSampler::new(
-            meta.clone(),
-            SamplerConfig { minibatch: 8, num_ranks: 2, buckets: 1, seed: 5 },
-        );
-        let plan = s.dynamic_epoch(0, 60);
-        assert!(plan.iterations() > 0);
-        for rank in &plan.per_rank {
-            for mb in rank {
-                let tokens: u32 = mb.iter().map(|&i| meta[i].1).sum();
-                assert!(tokens <= 60 || mb.len() == 1, "tokens {tokens} in batch of {}", mb.len());
-            }
-        }
     }
 }

@@ -212,18 +212,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     m + s.ln()
 }
 
-/// Numerically stable log(exp(a) + exp(b)).
-pub fn log_add_exp(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY {
-        return b;
-    }
-    if b == f64::NEG_INFINITY {
-        return a;
-    }
-    let m = a.max(b);
-    m + ((a - m).exp() + (b - m).exp()).ln()
-}
-
 /// log(Φ(b) - Φ(a)) computed stably, including far-tail cases.
 pub fn log_normal_cdf_diff(a: f64, b: f64) -> f64 {
     debug_assert!(a <= b);

@@ -3,7 +3,7 @@
 //! These operate on raw `rand::Rng` streams and are shared by the
 //! [`crate::Distribution`] dispatch layer.
 
-use crate::math::{normal_quantile, SQRT_2};
+use crate::math::normal_quantile;
 use rand::Rng;
 
 /// Sample a standard normal via the Box–Muller transform.
@@ -136,18 +136,6 @@ pub fn categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
     weights.len() - 1
 }
 
-/// Sample a Dirichlet vector with the given concentration parameters.
-pub fn dirichlet<R: Rng + ?Sized>(rng: &mut R, alphas: &[f64]) -> Vec<f64> {
-    let gs: Vec<f64> = alphas.iter().map(|&a| standard_gamma(rng, a).max(1e-300)).collect();
-    let s: f64 = gs.iter().sum();
-    gs.into_iter().map(|g| g / s).collect()
-}
-
-/// erf-based helper exposed for tests: P(|Z| < x) for standard normal Z.
-pub fn central_prob(x: f64) -> f64 {
-    crate::math::erf(x / SQRT_2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,13 +206,5 @@ mod tests {
             let f = counts[i] as f64 / 60_000.0;
             assert!((f - w[i]).abs() < 0.01, "i={i} f={f}");
         }
-    }
-
-    #[test]
-    fn dirichlet_sums_to_one() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let v = dirichlet(&mut rng, &[1.0, 2.0, 3.0]);
-        assert!((v.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(v.iter().all(|&x| x > 0.0));
     }
 }

@@ -110,17 +110,6 @@ impl Value {
         }
     }
 
-    /// Flatten numeric content to a small f64 vector (for embeddings etc.).
-    pub fn to_f64_vec(&self) -> Vec<f64> {
-        match self {
-            Value::Unit | Value::Str(_) => vec![],
-            Value::Bool(b) => vec![*b as i64 as f64],
-            Value::Int(i) => vec![*i as f64],
-            Value::Real(x) => vec![*x],
-            Value::Tensor(t) => t.data.iter().map(|&x| x as f64).collect(),
-        }
-    }
-
     /// A compact name for the variant (used in error messages and the wire).
     pub fn kind(&self) -> &'static str {
         match self {

@@ -156,17 +156,6 @@ impl Histogram {
         (0..n).map(|i| self.lo + (i as f64 + 0.5) * w).collect()
     }
 
-    /// Index of the highest bin.
-    pub fn mode_bin(&self) -> usize {
-        let mut best = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > self.counts[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Render an ASCII bar chart (for the figure harnesses).
     pub fn ascii(&self, width: usize) -> String {
         let h = self.normalized();
@@ -241,7 +230,6 @@ mod tests {
         assert_eq!(h.overflow, 6.0);
         let n = h.normalized();
         assert!((n.total() - 1.0).abs() < 1e-12);
-        assert_eq!(h.mode_bin(), 4);
     }
 
     #[test]

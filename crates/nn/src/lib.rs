@@ -15,8 +15,8 @@
 //!   `−log q` loss with its backward pass.
 //! * [`Embedding`] / [`SampleEmbedding`] — address and previous-sample
 //!   embeddings.
-//! * [`optim`] — SGD, Adam, Adam-LARC, LR schedules (multi-step, polynomial
-//!   order 1/2), LR scaling rules, global-norm gradient clipping.
+//! * [`optim`] — Adam and Adam-LARC with a constant or polynomial (order
+//!   1/2) LR schedule, global-norm gradient clipping.
 //!
 //! Every gradient path is validated against finite differences in the unit
 //! tests of the corresponding module.
@@ -34,5 +34,5 @@ pub use embedding::{Embedding, SampleEmbedding};
 pub use heads::{CategoricalHead, MixtureTnHead, NormalHead};
 pub use linear::{Linear, Mlp2, MlpScratch};
 pub use lstm::{Lstm, LstmState};
-pub use optim::{clip_grad_norm, Adam, LrScaling, LrSchedule, Optimizer, Sgd};
+pub use optim::{clip_grad_norm, Adam, LrSchedule, Optimizer};
 pub use param::{par_map_params, Module, Parameter};

@@ -461,11 +461,6 @@ impl Lstm {
         self.input_size
     }
 
-    /// Hidden size (also the per-step output size).
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
     /// Number of stacked layers.
     pub fn num_layers(&self) -> usize {
         self.layers.len()

@@ -769,7 +769,7 @@ mod tests {
                             continue;
                         }
                         let exec = execs[conn].as_mut().expect("run not started");
-                        match mux.session_mut(conn).service(action, exec).unwrap() {
+                        match mux.session_mut(conn).service(action, &mut exec.ctx()).unwrap() {
                             Serviced::Reply(reply) => mux.send(conn, &reply).unwrap(),
                             Serviced::Finished(result) => {
                                 let (trace, _) = execs[conn].take().unwrap().finish(result);

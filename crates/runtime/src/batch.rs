@@ -106,29 +106,20 @@ impl RuntimeConfig {
     }
 }
 
-/// What a batch does when a trace execution fails.
-///
-/// Per-trace seeding makes a re-execution of trace `i` produce the exact
-/// same content on any worker or session, so retrying a trace whose
-/// simulator died is always safe — the knobs here only bound how much dying
-/// hardware the batch will tolerate before recording a permanent failure.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Times one trace index may be requeued after a failed execution
-    /// before it is recorded in [`RunStats::failures`].
-    pub max_trace_retries: u32,
-    /// Consecutive failures after which a blocking worker retires (its
-    /// program is considered dead; remaining work is stolen or drained).
-    /// Mux workers retire per-session via the pool's reconnect policy
-    /// instead.
-    pub worker_failure_threshold: u32,
-}
+// What a batch does when a trace execution fails. Per-trace seeding makes a
+// re-execution of trace `i` produce the exact same content on any worker or
+// session, so retrying a trace whose simulator died is always safe — these
+// two bounds only limit how much dying hardware a batch tolerates before it
+// records a permanent failure.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { max_trace_retries: 3, worker_failure_threshold: 3 }
-    }
-}
+/// Times one trace index may be requeued after a failed execution, on
+/// either backend, before it is recorded in [`RunStats::failures`].
+const MAX_TRACE_RETRIES: u32 = 3;
+
+/// Consecutive failures after which a blocking worker retires (its program
+/// is considered dead; remaining work is stolen or drained). Mux workers
+/// retire per session under the pool's reconnect policy instead.
+const WORKER_FAILURE_THRESHOLD: u32 = 3;
 
 /// Cooperative abort signal for a batch run, with an optional countdown.
 ///
@@ -178,21 +169,17 @@ impl KillSwitch {
 /// Shared per-index retry budget: how many times each trace has been
 /// requeued after a failure. Lives outside the workers because stealing can
 /// move a retried index anywhere.
+#[derive(Default)]
 struct RetryTable {
     counts: Mutex<HashMap<usize, u32>>,
-    max: u32,
 }
 
 impl RetryTable {
-    fn new(max: u32) -> Self {
-        Self { counts: Mutex::new(HashMap::new()), max }
-    }
-
     /// Consume one retry for `index`; `true` if the index may run again.
     fn try_consume(&self, index: usize) -> bool {
         let mut counts = self.counts.lock();
         let c = counts.entry(index).or_insert(0);
-        if *c < self.max {
+        if *c < MAX_TRACE_RETRIES {
             *c += 1;
             true
         } else {
@@ -449,7 +436,7 @@ pub(crate) fn spawn_workers<S: Send, R: Send>(
 
 /// The blocking backend: each worker owns one pooled program for the whole
 /// batch and executes its popped indices one after another.
-fn run_blocking(pool: &mut SimulatorPool, shared: &Shared, threshold: u32) -> Vec<WorkerOutcome> {
+fn run_blocking(pool: &mut SimulatorPool, shared: &Shared) -> Vec<WorkerOutcome> {
     let workers = shared.queues.workers();
     spawn_workers(pool.programs_mut().iter_mut().collect(), |w, program| {
         let _tel_scope = shared.tel.worker_scope(w as u32);
@@ -482,7 +469,7 @@ fn run_blocking(pool: &mut SimulatorPool, shared: &Shared, threshold: u32) -> Ve
                     // session): retire the worker, let the others absorb
                     // its share.
                     consecutive += 1;
-                    if consecutive >= threshold {
+                    if consecutive >= WORKER_FAILURE_THRESHOLD {
                         break;
                     }
                 }
@@ -496,7 +483,6 @@ fn run_blocking(pool: &mut SimulatorPool, shared: &Shared, threshold: u32) -> Ve
 #[derive(Clone)]
 pub struct BatchRunner {
     config: RuntimeConfig,
-    policy: RetryPolicy,
     kill: Option<Arc<KillSwitch>>,
     /// Explicit task list (a resumed batch's remaining indices). `None`
     /// means the full range `0..n`, block-partitioned.
@@ -507,24 +493,12 @@ pub struct BatchRunner {
 impl BatchRunner {
     /// Runner with the given scheduling configuration.
     pub fn new(config: RuntimeConfig) -> Self {
-        Self {
-            config,
-            policy: RetryPolicy::default(),
-            kill: None,
-            tasks: None,
-            tel: Telemetry::disabled(),
-        }
+        Self { config, kill: None, tasks: None, tel: Telemetry::disabled() }
     }
 
     /// Runner with default scheduling (all cores, stealing on).
     pub fn default_runner() -> Self {
         Self::new(RuntimeConfig::default())
-    }
-
-    /// Override the failure [`RetryPolicy`].
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Attach a [`KillSwitch`]; when it fires, workers abandon the batch
@@ -562,7 +536,7 @@ impl BatchRunner {
     /// backend, worker count and schedule. The worker count is
     /// [`Backend::workers`] of `RuntimeConfig.workers`; over a local pool a
     /// non-zero `RuntimeConfig.workers` must agree with the pool size
-    /// (checked). A failed execution is retried under the [`RetryPolicy`];
+    /// (checked). A failed execution is retried up to three times;
     /// every index ends delivered or in [`RunStats::failures`].
     pub fn run(
         &self,
@@ -584,7 +558,7 @@ impl BatchRunner {
         );
         let shared = Shared {
             queues: TaskQueues::new(workers),
-            retries: RetryTable::new(self.policy.max_trace_retries),
+            retries: RetryTable::default(),
             sink,
             proposers,
             observes,
@@ -599,9 +573,7 @@ impl BatchRunner {
         }
         let start = Instant::now(); // etalumis: allow(determinism, reason = "wall-clock report timing; telemetry only, never reaches trace bytes")
         let outcomes = match backend {
-            Backend::Local(pool) => {
-                run_blocking(pool, &shared, self.policy.worker_failure_threshold)
-            }
+            Backend::Local(pool) => run_blocking(pool, &shared),
             Backend::Mux(pool) => crate::oversub::run_reactors(pool, workers, &shared),
         };
         let mut stats = RunStats {

@@ -46,8 +46,8 @@ pub mod sink;
 pub mod stream;
 
 pub use batch::{
-    mix_seed, Backend, BatchRunner, KillSwitch, PriorProposerFactory, ProposerFactory, RetryPolicy,
-    RunStats, RuntimeConfig, WorkerReport,
+    mix_seed, Backend, BatchRunner, KillSwitch, PriorProposerFactory, ProposerFactory, RunStats,
+    RuntimeConfig, WorkerReport,
 };
 pub use checkpoint::{
     Checkpoint, CheckpointConfig, CheckpointSink, RepairSink, ShardLayout, MANIFEST_NAME,

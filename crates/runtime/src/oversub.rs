@@ -250,7 +250,7 @@ type SessionShare = Vec<(usize, (Box<dyn MuxEndpoint>, Session))>;
 /// with a fresh proposer trace.
 ///
 /// A failed session requeues its in-flight trace (rerun bit-identically
-/// elsewhere, see [`crate::RetryPolicy`]) and is respawned through the
+/// elsewhere, at most [`crate::batch::MAX_TRACE_RETRIES`] times) and is respawned through the
 /// pool's endpoint factory under its [`ReconnectPolicy`] — the batch
 /// completes with full content as long as any session can be kept alive.
 /// Sessions whose respawn budget runs out are retired. The pool gets every
@@ -323,8 +323,8 @@ struct RespawnCtx {
 ///
 /// A death requeues the slot's in-flight trace index onto this worker's own
 /// deque (per-trace seeding makes the rerun bit-identical wherever it
-/// lands); the trace fails only when its [`crate::RetryPolicy`] budget runs
-/// out. Backoff is non-blocking: the worker keeps servicing its healthy
+/// lands); the trace fails only when its [`crate::batch::MAX_TRACE_RETRIES`]
+/// budget runs out. Backoff is non-blocking: the worker keeps servicing its healthy
 /// sessions while a dead slot waits out its delay.
 struct Reactor<'a> {
     worker: usize,
@@ -565,7 +565,7 @@ impl Reactor<'_> {
                 let t0 = Instant::now();
                 let serviced = match (action, &mut self.slots[s_idx].active) {
                     (action, Some((_, InFlight::Steps(exec), _))) => {
-                        self.mux.session_mut(conn).service(action, exec)
+                        self.mux.session_mut(conn).service(action, &mut exec.ctx())
                     }
                     // The simulator recorded the seeded run's trace itself.
                     (SessionAction::FinishedTrace { trace }, _) => {

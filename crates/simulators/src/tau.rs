@@ -74,11 +74,6 @@ impl TauDecayModel {
         &self.channels
     }
 
-    /// Observation tensor shape `[depth, height, width]`.
-    pub fn observation_shape(&self) -> Vec<usize> {
-        self.detector.shape()
-    }
-
     /// Name of the observe statement carrying the calorimeter image.
     pub const OBSERVE_NAME: &'static str = "calo";
 }

@@ -44,7 +44,7 @@ mod logger;
 
 pub use collect::{Collector, GaugeStats, RunMetrics, SpanStats};
 pub use json::{escape_json, JsonObject};
-pub use logger::{Field, Level, Logger};
+pub use logger::{Field, Logger};
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -236,14 +236,6 @@ impl Telemetry {
     /// Drain into a [`Collector`] ready to write JSONL / snapshot metrics.
     pub fn collect(&self) -> Collector {
         Collector::new(self.drain())
-    }
-
-    /// Microseconds since this handle was created (0 when disabled).
-    pub fn elapsed_us(&self) -> u64 {
-        match &self.inner {
-            Some(s) => s.start.elapsed().as_micros() as u64,
-            None => 0,
-        }
     }
 }
 

@@ -8,12 +8,11 @@
 use crate::json::{json_f64, JsonObject};
 use std::time::Instant;
 
+/// A log event's level: `Debug` lines show only under `--log-debug`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
+enum Level {
     Debug,
     Info,
-    Warn,
-    Error,
 }
 
 impl Level {
@@ -21,8 +20,6 @@ impl Level {
         match self {
             Level::Debug => "DEBUG",
             Level::Info => "INFO",
-            Level::Warn => "WARN",
-            Level::Error => "ERROR",
         }
     }
 }
@@ -31,7 +28,6 @@ impl Level {
 #[derive(Clone, Copy, Debug)]
 pub enum Field<'a> {
     U64(u64),
-    I64(i64),
     F64(f64),
     Str(&'a str),
     Bool(bool),
@@ -41,7 +37,6 @@ impl Field<'_> {
     fn human(&self) -> String {
         match self {
             Field::U64(v) => v.to_string(),
-            Field::I64(v) => v.to_string(),
             Field::F64(v) => format!("{v:.4}"),
             Field::Str(s) => s.to_string(),
             Field::Bool(b) => b.to_string(),
@@ -51,7 +46,6 @@ impl Field<'_> {
     fn json(&self) -> String {
         match self {
             Field::U64(v) => v.to_string(),
-            Field::I64(v) => v.to_string(),
             Field::F64(v) => json_f64(*v),
             Field::Str(s) => format!("\"{}\"", crate::escape_json(s)),
             Field::Bool(b) => b.to_string(),
@@ -81,16 +75,7 @@ impl Logger {
         log
     }
 
-    pub fn with_level(mut self, min: Level) -> Self {
-        self.min = min;
-        self
-    }
-
-    pub fn json_mode(&self) -> bool {
-        self.json
-    }
-
-    pub fn log(&self, level: Level, event: &str, fields: &[(&str, Field)]) {
+    fn log(&self, level: Level, event: &str, fields: &[(&str, Field)]) {
         if level < self.min {
             return;
         }
@@ -116,14 +101,6 @@ impl Logger {
 
     pub fn info(&self, event: &str, fields: &[(&str, Field)]) {
         self.log(Level::Info, event, fields);
-    }
-
-    pub fn warn(&self, event: &str, fields: &[(&str, Field)]) {
-        self.log(Level::Warn, event, fields);
-    }
-
-    pub fn error(&self, event: &str, fields: &[(&str, Field)]) {
-        self.log(Level::Error, event, fields);
     }
 
     /// Section marker — the structured replacement for the old
@@ -155,14 +132,11 @@ mod tests {
     #[test]
     fn level_filtering() {
         assert!(Level::Debug < Level::Info);
-        assert!(Level::Info < Level::Warn);
-        assert!(Level::Warn < Level::Error);
     }
 
     #[test]
     fn field_json_forms() {
         assert_eq!(Field::U64(3).json(), "3");
-        assert_eq!(Field::I64(-2).json(), "-2");
         assert_eq!(Field::Str("a\"b").json(), "\"a\\\"b\"");
         assert_eq!(Field::Bool(true).json(), "true");
         assert_eq!(Field::F64(f64::NAN).json(), "null");
@@ -170,9 +144,9 @@ mod tests {
 
     #[test]
     fn logger_smoke_does_not_panic() {
-        let log = Logger::new(false).with_level(Level::Warn);
-        log.info("suppressed", &[]);
-        log.warn("shown", &[("n", Field::U64(1))]);
+        let log = Logger::new(false);
+        log.debug("suppressed", &[]);
+        log.info("shown", &[("n", Field::U64(1))]);
         log.section("title");
         log.speedup("thing", 2.0, 1.0, "2x");
     }

@@ -1,4 +1,4 @@
-//! Elementwise activations and row-wise softmax with their derivatives.
+//! Elementwise activations and row-wise (log-)softmax.
 //!
 //! The sigmoid/tanh sweeps route through [`crate::simd`]: a shared
 //! polynomial exp evaluated lane-identically by the AVX2 and scalar
@@ -32,21 +32,11 @@ pub fn sigmoid(x: &Tensor) -> Tensor {
     y
 }
 
-/// Sigmoid derivative expressed in terms of the forward *output* y: y(1-y).
-pub fn sigmoid_backward_from_output(y: &Tensor, grad: &Tensor) -> Tensor {
-    y.zip_map(grad, |yv, g| g * yv * (1.0 - yv))
-}
-
 /// tanh forward.
 pub fn tanh(x: &Tensor) -> Tensor {
     let mut y = x.clone();
     Kernels::get().tanh(y.data_mut());
     y
-}
-
-/// tanh derivative in terms of the output: 1 - y².
-pub fn tanh_backward_from_output(y: &Tensor, grad: &Tensor) -> Tensor {
-    y.zip_map(grad, |yv, g| g * (1.0 - yv * yv))
 }
 
 /// Numerically stable row-wise softmax of a 2D tensor.
@@ -91,40 +81,6 @@ pub fn log_softmax_rows(x: &Tensor) -> Tensor {
     out
 }
 
-/// Backward of softmax given the forward output `y` and upstream grad:
-/// dL/dx_i = y_i (g_i − Σ_j g_j y_j), row-wise.
-pub fn softmax_backward_from_output(y: &Tensor, grad: &Tensor) -> Tensor {
-    let (m, n) = (y.rows(), y.cols());
-    let mut out = Tensor::zeros(&[m, n]);
-    for i in 0..m {
-        let yr = y.row(i);
-        let gr = grad.row(i);
-        let dot: f32 = yr.iter().zip(gr.iter()).map(|(&a, &b)| a * b).sum(); // etalumis: allow(float-reduction, reason = "sequential fixed-order reduction over one row; order is shape-invariant")
-        for ((o, &yv), &gv) in out.row_mut(i).iter_mut().zip(yr.iter()).zip(gr.iter()) {
-            *o = yv * (gv - dot);
-        }
-    }
-    out
-}
-
-/// Softplus log(1 + e^x), numerically stable.
-pub fn softplus(x: &Tensor) -> Tensor {
-    x.map(|v| {
-        if v > 20.0 {
-            v
-        } else if v < -20.0 {
-            v.exp()
-        } else {
-            (1.0 + v.exp()).ln()
-        }
-    })
-}
-
-/// Softplus derivative: sigmoid(x).
-pub fn softplus_backward(x: &Tensor, grad: &Tensor) -> Tensor {
-    x.zip_map(grad, |xv, g| g / (1.0 + (-xv).exp()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,9 +112,6 @@ mod tests {
     fn activation_gradients_match_fd() {
         let x = Tensor::from_vec(&[2, 3], vec![-1.5, -0.2, 0.3, 1.0, 2.0, -3.0]);
         fd_check(relu, relu_backward, &x);
-        fd_check(sigmoid, |x, g| sigmoid_backward_from_output(&sigmoid(x), g), &x);
-        fd_check(tanh, |x, g| tanh_backward_from_output(&tanh(x), g), &x);
-        fd_check(softplus, softplus_backward, &x);
     }
 
     #[test]
@@ -174,26 +127,6 @@ mod tests {
         let ls = log_softmax_rows(&x);
         for i in 0..y.numel() {
             assert!((ls.data()[i].exp() - y.data()[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn softmax_backward_matches_fd() {
-        let x = Tensor::from_vec(&[1, 4], vec![0.5, -0.3, 0.8, 0.1]);
-        // Loss = sum(softmax(x) * w) for fixed weights w.
-        let w = Tensor::from_vec(&[1, 4], vec![1.0, -2.0, 0.5, 3.0]);
-        let y = softmax_rows(&x);
-        let g = softmax_backward_from_output(&y, &w);
-        let eps = 1e-3f32;
-        for i in 0..4 {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let fp = softmax_rows(&xp).mul(&w).sum();
-            let fm = softmax_rows(&xm).mul(&w).sum();
-            let num = ((fp - fm) / (2.0 * eps as f64)) as f32;
-            assert!((num - g.data()[i]).abs() < 1e-3, "{num} vs {}", g.data()[i]);
         }
     }
 }

@@ -7,8 +7,6 @@
 //! measured wall time — the same methodology the paper uses to scale flop
 //! rates across platforms.
 
-use crate::conv::Conv3dSpec;
-
 /// Flops of a dense layer forward pass: y[B,N] = x[B,M]·W[M,N] + b.
 pub fn linear_flops(batch: u64, in_dim: u64, out_dim: u64) -> u64 {
     2 * batch * in_dim * out_dim + batch * out_dim
@@ -32,11 +30,6 @@ pub fn lstm_sequence_flops(batch: u64, steps: u64, input: u64, hidden: u64, laye
     let first = lstm_step_flops(batch, input, hidden);
     let rest = lstm_step_flops(batch, hidden, hidden);
     steps * (first + (layers - 1) * rest)
-}
-
-/// Flops of a Conv3d forward over a batch with the given input spatial dims.
-pub fn conv3d_forward_flops(spec: &Conv3dSpec, batch: u64, d: u64, h: u64, w: u64) -> u64 {
-    spec.flops(batch as usize, d as usize, h as usize, w as usize)
 }
 
 /// Rule-of-thumb training multiplier: backward ≈ 2× forward work.

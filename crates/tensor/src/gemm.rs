@@ -190,17 +190,6 @@ fn gemm_driver(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     });
 }
 
-/// y = A·x + y for a matrix [M,N] and vectors x[N], y[M] (gemv accumulate).
-pub fn gemv_acc(a: &Tensor, x: &[f32], y: &mut [f32]) {
-    let (m, n) = (a.rows(), a.cols());
-    assert_eq!(x.len(), n);
-    assert_eq!(y.len(), m);
-    let kern = Kernels::get();
-    for i in 0..m {
-        y[i] += kern.dot(a.row(i), x);
-    }
-}
-
 /// Add a bias row vector to every row of a 2D tensor.
 pub fn add_bias_rows(x: &mut Tensor, bias: &[f32]) {
     let n = x.cols();
@@ -388,14 +377,6 @@ mod tests {
         add_bias_rows(&mut x, &[10.0, 20.0, 30.0]);
         assert_eq!(x.data(), &[11.0, 22.0, 33.0, 14.0, 25.0, 36.0]);
         assert_eq!(col_sums(&x), vec![25.0, 47.0, 69.0]);
-    }
-
-    #[test]
-    fn gemv_accumulates() {
-        let a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let mut y = vec![1.0, 1.0];
-        gemv_acc(&a, &[1.0, 1.0], &mut y);
-        assert_eq!(y, vec![4.0, 8.0]);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   convolution ([`conv::conv3d_naive`]) kept as baseline and oracle, plus
 //!   max pooling; a conv + ReLU + max-pool stage runs as one per-image pass
 //!   each way ([`conv::conv3d_fused_reusing`], [`conv::ConvGrad`]).
-//! * [`activations`] — ReLU/sigmoid/tanh/softmax/softplus with derivatives.
+//! * [`activations`] — ReLU (with its backward), sigmoid, tanh and
+//!   row-wise (log-)softmax.
 //! * [`simd`] — the runtime-dispatched micro-kernel backend: AVX-512F GEMM
 //!   row kernels and AVX2+FMA via `std::arch`, with a bit-identical 8-lane
 //!   scalar fallback.

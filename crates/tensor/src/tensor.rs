@@ -205,27 +205,6 @@ impl Tensor {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// Concatenate 2D tensors along the column axis: [B, c1] ++ [B, c2] → [B, c1+c2].
-    pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty());
-        let rows = parts[0].rows();
-        for p in parts {
-            assert_eq!(p.rows(), rows, "concat_cols row mismatch");
-        }
-        let total: usize = parts.iter().map(|p| p.cols()).sum();
-        let mut out = Tensor::zeros(&[rows, total]);
-        for r in 0..rows {
-            let orow = out.row_mut(r);
-            let mut off = 0;
-            for p in parts {
-                let c = p.cols();
-                orow[off..off + c].copy_from_slice(p.row(r));
-                off += c;
-            }
-        }
-        out
-    }
-
     /// Split a 2D tensor along columns into pieces of the given widths.
     pub fn split_cols(&self, widths: &[usize]) -> Vec<Tensor> {
         let rows = self.rows();
@@ -306,9 +285,7 @@ mod tests {
     fn concat_split_roundtrip() {
         let a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let b = Tensor::from_vec(&[2, 3], vec![5.0, 6.0, 7.0, 8.0, 9.0, 10.0]);
-        let c = Tensor::concat_cols(&[&a, &b]);
-        assert_eq!(c.shape(), &[2, 5]);
-        assert_eq!(c.row(0), &[1.0, 2.0, 5.0, 6.0, 7.0]);
+        let c = Tensor::from_vec(&[2, 5], vec![1.0, 2.0, 5.0, 6.0, 7.0, 3.0, 4.0, 8.0, 9.0, 10.0]);
         let parts = c.split_cols(&[2, 3]);
         assert_eq!(parts[0], a);
         assert_eq!(parts[1], b);

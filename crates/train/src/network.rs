@@ -370,11 +370,6 @@ impl IcNetwork {
         self.frozen = true;
     }
 
-    /// True when frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Register one address with its prior; no-op if known or frozen.
     /// Returns false if the address is unknown and the net is frozen.
     pub fn register_address(&mut self, address: &str, prior: &Distribution) -> bool {
@@ -798,7 +793,8 @@ mod tests {
         let recs = small_records(40);
         let mut net = IcNetwork::new(small_config());
         net.pregenerate(recs.iter());
-        assert!(net.is_frozen());
+        // Frozen: an unseen address is no longer registered.
+        assert!(!net.register_address("unseen", &Distribution::Normal { mean: 0.0, std: 1.0 }));
         // branch + up to 3 parts addresses.
         assert_eq!(net.num_addresses(), 4);
         assert!(recs.iter().all(|r| net.knows(r)));
