@@ -8,12 +8,17 @@
 //! ranks would share the one process-wide pool, already sized to every
 //! core, and the second rank would add contention rather than a core. The
 //! 1→2 comparison is therefore weak scaling per core, as the paper's is per
-//! rank. Each run reports traces/s and Gflop/s (the network's analytic flop
-//! count over the measured wall time, the paper's Table 2 method); the pair
-//! gives the 2-rank speedup and efficiency (Figure 6's measured over
-//! ideal). The 2-rank run is also decomposed as in Figure 4: per phase,
-//! *actual* sums the slowest rank's time at each step and *best* the mean
-//! rank's, and a rank's gradient traffic is counted in elements per step.
+//! rank. One run is a fraction of a second, so each rank count runs
+//! `REPEATS` times, alternating 1 and 2 ranks so that drift in the
+//! machine's load falls on both alike. Each rank count reports its median
+//! traces/s with the spread and the repeat count, and Gflop/s at the median
+//! (the network's analytic flop count over the measured wall time, the
+//! paper's Table 2 method); the 2-rank speedup is the median over the
+//! adjacent 1- and 2-rank pairs, with its spread, and the efficiency is
+//! half of it (Figure 6's measured over ideal). The median 2-rank run is
+//! also decomposed as in Figure 4: per phase, *actual* sums the slowest
+//! rank's time at each step and *best* the mean rank's, and a rank's
+//! gradient traffic is counted in elements per step.
 //!
 //! Run: `cargo run -p etalumis-bench --release --bin train_scaling`
 //! (`-- --json` prints one JSON object per event on stdout).
@@ -28,6 +33,8 @@ use etalumis_train::{IcNetwork, PhaseTimings, TrainPlan, TrainReport, Trainer};
 const MINIBATCH: usize = 16;
 /// Steps per run.
 const STEPS: usize = 12;
+/// Runs per rank count.
+const REPEATS: usize = 15;
 
 /// The paper's Tables 1 and 2 (arXiv:1907.03382): CPU, peak single-precision
 /// rate, and measured single-node IC training throughput.
@@ -63,6 +70,19 @@ fn measure(ds: &TraceDataset, ranks: usize) -> TrainReport {
     .expect("dataset read")
 }
 
+/// The median of `xs` (an odd count) and its index in `xs`.
+fn median(xs: &[f64]) -> (f64, usize) {
+    let mut order: Vec<usize> = (0..xs.len()).collect();
+    order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
+    let at = order[order.len() / 2];
+    (xs[at], at)
+}
+
+/// The smallest and largest of `xs`.
+fn spread(xs: &[f64]) -> (f64, f64) {
+    xs.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| (lo.min(x), hi.max(x)))
+}
+
 fn main() {
     let log = Logger::from_args();
     let (ds, dir) = tau_dataset(384, 384, "train_scaling");
@@ -79,40 +99,56 @@ fn main() {
             ("traces", Field::U64(ds.len() as u64)),
             ("minibatch_per_rank", Field::U64(MINIBATCH as u64)),
             ("max_steps", Field::U64(STEPS as u64)),
+            ("repeats_per_rank_count", Field::U64(REPEATS as u64)),
             ("mean_trace_len", Field::U64(mean_len)),
             ("flops_per_trace", Field::F64(flops_per_trace)),
         ],
     );
-    let reports: Vec<TrainReport> = [1usize, 2]
-        .into_iter()
-        .map(|ranks| {
-            let report = measure(&ds, ranks);
-            let tps = report.traces_per_sec();
-            log.info(
-                "measured",
-                &[
-                    ("ranks", Field::U64(ranks as u64)),
-                    ("kernel_threads_per_rank", Field::U64(1)),
-                    ("steps", Field::U64(report.losses.len() as u64)),
-                    ("traces_per_sec", Field::F64(tps)),
-                    ("gflops", Field::F64(tps * flops_per_trace / 1e9)),
-                ],
-            );
-            report
-        })
-        .collect();
+    // runs[r][i]: repeat i at r + 1 ranks; the rank counts alternate.
+    let mut runs: [Vec<TrainReport>; 2] = [Vec::new(), Vec::new()];
+    for _ in 0..REPEATS {
+        for (r, reports) in runs.iter_mut().enumerate() {
+            reports.push(measure(&ds, r + 1));
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
-    let (tps1, tps2) = (reports[0].traces_per_sec(), reports[1].traces_per_sec());
+    let tps = runs
+        .each_ref()
+        .map(|reports| reports.iter().map(TrainReport::traces_per_sec).collect::<Vec<f64>>());
+    for (r, (reports, tps)) in runs.iter().zip(&tps).enumerate() {
+        let ((mid, at), (lo, hi)) = (median(tps), spread(tps));
+        log.info(
+            "measured",
+            &[
+                ("ranks", Field::U64(r as u64 + 1)),
+                ("kernel_threads_per_rank", Field::U64(1)),
+                ("steps", Field::U64(reports[at].losses.len() as u64)),
+                ("repeats", Field::U64(tps.len() as u64)),
+                ("traces_per_sec", Field::F64(mid)),
+                ("traces_per_sec_min", Field::F64(lo)),
+                ("traces_per_sec_max", Field::F64(hi)),
+                ("gflops", Field::F64(mid * flops_per_trace / 1e9)),
+            ],
+        );
+    }
+    let speedups: Vec<f64> = tps[1].iter().zip(&tps[0]).map(|(two, one)| two / one).collect();
+    let ((speedup, _), (lo, hi)) = (median(&speedups), spread(&speedups));
     log.info(
         "scaling",
         &[
-            ("speedup_2rank", Field::F64(tps2 / tps1)),
-            ("efficiency_2rank", Field::F64(tps2 / (2.0 * tps1))),
+            ("speedup_2rank", Field::F64(speedup)),
+            ("speedup_2rank_min", Field::F64(lo)),
+            ("speedup_2rank_max", Field::F64(hi)),
+            ("efficiency_2rank", Field::F64(speedup / 2.0)),
+            ("pairs", Field::U64(speedups.len() as u64)),
         ],
     );
 
-    log.section("Figure 4 (measured): the 2-rank run, slowest rank (actual) vs mean rank (best)");
-    let (actual, best) = reports[1].actual_vs_best();
+    log.section(
+        "Figure 4 (measured): the median 2-rank run, slowest rank (actual) vs mean rank (best)",
+    );
+    let two_ranks = &runs[1][median(&tps[1]).1];
+    let (actual, best) = two_ranks.actual_vs_best();
     // Everything but the synchronization: the work the slowest rank holds up.
     let work = |t: &PhaseTimings| t.total() - t.sync;
     for (phase, a, b) in [
@@ -131,7 +167,7 @@ fn main() {
         "imbalance",
         &[
             ("imbalance_pct", Field::F64((work(&actual) / work(&best) - 1.0) * 100.0)),
-            ("comm_elems_per_step", Field::F64(reports[1].comm_elems_per_step)),
+            ("comm_elems_per_step", Field::F64(two_ranks.comm_elems_per_step)),
         ],
     );
 

@@ -7,7 +7,7 @@
 //! * [`is`] — importance sampling: the serial prior-proposal loop
 //!   (likelihood weighting) and the embarrassingly parallel driver on the
 //!   runtime, under any proposer.
-//! * [`rmh`] — single-site random-walk / lightweight Metropolis–Hastings,
+//! * [`rmh`](mod@rmh) — single-site random-walk / lightweight Metropolis–Hastings,
 //!   the paper's high-cost baseline with statistical guarantees.
 //! * [`ic`] — inference compilation: IS guided by a learned
 //!   [`ic::ProposalProvider`] (the trained 3DCNN–LSTM network of

@@ -61,11 +61,16 @@ impl MixtureTnHead {
     }
 
     /// Decode raw trunk outputs into mixture parameters for one row:
-    /// `(weights, means, stds)`.
+    /// `(weights, means, stds)` — the three vectors the proposal keeps,
+    /// and nothing else.
     fn decode(&self, raw: &[f32], low: f64, high: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let mut row = MixtureRow::default();
-        self.decode_into(raw, low, high, &mut row);
-        (row.weights, row.means, row.stds)
+        let k = self.components;
+        let span = high - low;
+        let mut weights = Vec::with_capacity(k);
+        softmax_logits(&raw[..k], &mut weights);
+        let means = raw[k..2 * k].iter().map(|&v| low + sigmoid64(v as f64) * span).collect();
+        let stds = raw[2 * k..3 * k].iter().map(|&v| mixture_std(v, span)).collect();
+        (weights, means, stds)
     }
 
     /// [`MixtureTnHead::decode`] into reused buffers, keeping the means'
@@ -73,23 +78,13 @@ impl MixtureTnHead {
     fn decode_into(&self, raw: &[f32], low: f64, high: f64, row: &mut MixtureRow) {
         let k = self.components;
         let span = high - low;
-        // Logits first, normalized in place.
-        row.weights.clear();
-        row.weights.extend(raw[0..k].iter().map(|&v| v as f64));
-        let m = log_sum_exp(&row.weights);
-        for w in &mut row.weights {
-            *w = (*w - m).exp();
-        }
+        softmax_logits(&raw[..k], &mut row.weights);
         row.sig_means.clear();
         row.sig_means.extend(raw[k..2 * k].iter().map(|&v| sigmoid64(v as f64)));
         row.means.clear();
         row.means.extend(row.sig_means.iter().map(|&s| low + s * span));
         row.stds.clear();
-        row.stds.extend(
-            raw[2 * k..3 * k]
-                .iter()
-                .map(|&v| softplus64(v as f64) * span * 0.5 + SIGMA_MIN_FRAC * span),
-        );
+        row.stds.extend(raw[2 * k..3 * k].iter().map(|&v| mixture_std(v, span)));
     }
 
     /// Proposal distribution for one feature row (inference path).
@@ -174,6 +169,23 @@ impl MixtureTnHead {
         let dx = self.trunk.backward(&draw);
         (loss, dx)
     }
+}
+
+/// Mixture weights from raw logits, written over `weights`: each logit
+/// minus their log-sum-exp, exponentiated.
+fn softmax_logits(logits: &[f32], weights: &mut Vec<f64>) {
+    weights.clear();
+    weights.extend(logits.iter().map(|&v| v as f64));
+    let m = log_sum_exp(weights);
+    for w in weights.iter_mut() {
+        *w = (*w - m).exp();
+    }
+}
+
+/// A component's standard deviation from its raw output, for a prior
+/// support `span` wide.
+fn mixture_std(raw: f32, span: f64) -> f64 {
+    softplus64(raw as f64) * span * 0.5 + SIGMA_MIN_FRAC * span
 }
 
 /// One row's decoded mixture parameters, reused across the rows of a batch.

@@ -17,7 +17,7 @@ use rand::Rng;
 pub struct Linear {
     /// Weight matrix [in_dim, out_dim].
     pub w: Parameter,
-    /// Bias vector [out_dim].
+    /// Bias vector `[out_dim]`.
     pub b: Parameter,
     cache: Vec<Tensor>,
 }

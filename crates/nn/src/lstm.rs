@@ -11,14 +11,18 @@
 //! (inherently sequential) recurrent update per step. Because GEMM results
 //! are row-independent and the per-element accumulation chains depend only
 //! on shape, the batched path is **bit-identical** to calling [`Lstm::step`]
-//! `T` times (tested).
+//! `T` times (tested). An inference input whose leading columns stay fixed
+//! across steps (the IC network's observation and address embeddings) can
+//! have their share of the first layer's input projection computed once,
+//! [`Lstm::input_prefix`], and each [`Lstm::step_rows_resumed`] then
+//! multiplies only the remaining columns, bit for bit the full-row step.
 //!
 //! The recurrence never mixes batch rows either, so each fixed 32-row block
 //! of the batch runs its whole `T`-step recurrence as one kernel-pool task,
 //! forward and backward; the blocks compute their rows bit for bit as the
 //! whole batch would.
 //!
-//! Activations are recorded in a per-layer [`SeqArena`] — flat, reused
+//! Activations are recorded in a per-layer `SeqArena` — flat, reused
 //! buffers, the gates computed in place — instead of per-step cloned
 //! tensors; the backward pass walks the arena t-descending for the
 //! elementwise gate gradients, then computes all weight gradients with
@@ -29,7 +33,7 @@
 use crate::param::{xavier_uniform, Module, Parameter};
 use etalumis_tensor::gemm::{
     add_bias_rows_slice, col_sums_acc_slice, matmul_a_bt_into, matmul_acc_into,
-    matmul_at_b_acc_into, matmul_into, UNPACKED_MAX_ROWS,
+    matmul_at_b_acc_into, matmul_into, row_prefix, row_prefix_len, row_resume, UNPACKED_MAX_ROWS,
 };
 use etalumis_tensor::pool::{self, SendPtr};
 use etalumis_tensor::simd::Kernels;
@@ -74,6 +78,16 @@ impl SeqArena {
 struct GateScratch {
     z: Vec<f32>,
     tanh_c: Vec<f32>,
+}
+
+/// A forward call's layer input.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    /// Row-major `[T·B, in]`.
+    Rows(&'a [f32]),
+    /// One row (`T = B = 1`): its leading columns as their
+    /// [`Lstm::input_prefix`] state, and the columns after them.
+    Resumed { prefix: &'a [f32], tail: &'a [f32] },
 }
 
 /// Where a forward call's gates and `tanh(c)` go: a reused scratch
@@ -125,18 +139,20 @@ impl LstmLayer {
         c: &mut Tensor,
     ) {
         let mut arena = std::mem::take(&mut self.arena);
-        self.forward(xs, t_steps, batch, h, c, Sink::Arena(&mut arena));
+        arena.x.extend_from_slice(xs);
+        self.forward(Input::Rows(xs), t_steps, batch, h, c, Sink::Arena(&mut arena));
         self.arena = arena;
     }
 
-    /// Run `t_steps` teacher-forced steps over `xs` (`[t_steps·B, in]`
+    /// Run `t_steps` teacher-forced steps over `input` (`[t_steps·B, in]`
     /// row-major, step-major), updating `(h, c)` in place. The input
-    /// projection for all steps is one GEMM; then each [`ROW_BLOCK`] of
-    /// batch rows runs its whole recurrence (recurrent projection,
-    /// activations, state update) as one pool task.
+    /// projection for all steps is one GEMM (or, for a resumed row, the
+    /// rest of its chains); then each [`ROW_BLOCK`] of batch rows runs its
+    /// whole recurrence (recurrent projection, activations, state update)
+    /// as one pool task.
     fn forward(
         &self,
-        xs: &[f32],
+        input: Input<'_>,
         t_steps: usize,
         batch: usize,
         h: &mut Tensor,
@@ -146,10 +162,8 @@ impl LstmLayer {
         let hsz = self.hidden;
         let in_sz = self.input_size();
         let g4 = 4 * hsz;
-        debug_assert_eq!(xs.len(), t_steps * batch * in_sz);
         let (z, tanh_c, states) = match sink {
             Sink::Arena(arena) => {
-                arena.x.extend_from_slice(xs);
                 arena.steps += t_steps;
                 let grow = |v: &mut Vec<f32>, width: usize| {
                     let base = v.len();
@@ -174,7 +188,14 @@ impl LstmLayer {
         // SAFETY: `z` points at the `t_steps·B·4H` floats sized above, and
         // no other reference to them is live.
         let z_all = unsafe { std::slice::from_raw_parts_mut(z.get(), t_steps * batch * g4) };
-        matmul_into(xs, self.w_ih.value.data(), z_all, t_steps * batch, in_sz, g4);
+        let w_ih = self.w_ih.value.data();
+        match input {
+            Input::Rows(xs) => matmul_into(xs, w_ih, z_all, t_steps * batch, in_sz, g4),
+            Input::Resumed { prefix, tail } => {
+                debug_assert_eq!(t_steps * batch, 1, "a resumed input is one row");
+                row_resume(prefix, tail, w_ih, z_all);
+            }
+        }
         let kern = Kernels::get();
         // W_hh packed once for every step of every block, unless the batch
         // is a few rows (the B = 1 inference step), which read it in place
@@ -360,46 +381,13 @@ impl Recurrence<'_> {
             let step = if self.states.is_some() { t } else { 0 };
             // SAFETY: see above.
             let tanh_c = unsafe { step_rows(self.tanh_c, at(step, hsz)) };
-            cell_update(kern, hsz, z_t, c, tanh_c, h);
+            kern.lstm_cell(hsz, z_t, c, tanh_c, h);
             if let Some((c_rec, h_rec)) = self.states {
                 // SAFETY: see above.
                 unsafe { step_rows(c_rec, at(t, hsz)) }.copy_from_slice(c);
                 // SAFETY: see above.
                 unsafe { step_rows(h_rec, at(t, hsz)) }.copy_from_slice(h);
             }
-        }
-    }
-}
-
-/// One step's gates and state update for a block of rows: activate the
-/// pre-activations `z` in place (sigmoid over i|f, tanh over g, sigmoid over
-/// o), then `c ← f ⊙ c + i ⊙ g` (fused per element), `tanh_c ← tanh(c)`
-/// and `h ← o ⊙ tanh(c)`.
-fn cell_update(
-    kern: Kernels,
-    hsz: usize,
-    z: &mut [f32],
-    c: &mut [f32],
-    tanh_c: &mut [f32],
-    h: &mut [f32],
-) {
-    let g4 = 4 * hsz;
-    for row in z.chunks_mut(g4) {
-        kern.sigmoid(&mut row[..2 * hsz]);
-        kern.tanh(&mut row[2 * hsz..3 * hsz]);
-        kern.sigmoid(&mut row[3 * hsz..]);
-    }
-    for (r, row) in z.chunks(g4).enumerate() {
-        for j in 0..hsz {
-            let idx = r * hsz + j;
-            c[idx] = row[hsz + j].mul_add(c[idx], row[j] * row[2 * hsz + j]);
-        }
-    }
-    tanh_c.copy_from_slice(c);
-    kern.tanh(tanh_c);
-    for (r, row) in z.chunks(g4).enumerate() {
-        for j in 0..hsz {
-            h[r * hsz + j] = row[3 * hsz + j] * tanh_c[r * hsz + j];
         }
     }
 }
@@ -427,6 +415,12 @@ impl LstmState {
     /// The top layer's hidden output `[B, hidden]` after the latest step.
     pub fn output(&self) -> &[f32] {
         self.h.last().map_or(&[], |h| h.data())
+    }
+
+    /// Each layer's hidden output and cell state `[B, hidden]`, bottom
+    /// layer first.
+    pub fn layers(&self) -> impl Iterator<Item = (&[f32], &[f32])> {
+        self.h.iter().zip(&self.c).map(|(h, c)| (h.data(), c.data()))
     }
 }
 
@@ -509,13 +503,44 @@ impl Lstm {
     /// step allocates nothing. Reads the network only; everything it writes
     /// is in `state`.
     pub fn step_rows_inference(&self, x: &[f32], state: &mut LstmState) {
-        let LstmState { h, c, scratch } = state;
-        let batch = h[0].rows();
+        let batch = state.h[0].rows();
         assert_eq!(x.len(), batch * self.input_size, "LSTM step input is [B, input]");
+        self.step_unrecorded(Input::Rows(x), batch, state);
+    }
+
+    /// Floats in one [`Lstm::input_prefix`] state for inputs whose first
+    /// `t0` columns are fixed: `4·hidden`, twice that once `t0` passes the
+    /// first `KC` block of the input projection.
+    pub fn input_prefix_len(&self, t0: usize) -> usize {
+        row_prefix_len(t0, 4 * self.hidden)
+    }
+
+    /// The first layer's input projection over `head`, the leading columns
+    /// of a B = 1 input row, as the accumulation state
+    /// [`Lstm::step_rows_resumed`] continues from (written over `prefix`,
+    /// [`Lstm::input_prefix_len`] floats). Reads the network only.
+    pub fn input_prefix(&self, head: &[f32], prefix: &mut [f32]) {
+        assert!(head.len() <= self.input_size, "LSTM input prefix is wider than the input");
+        row_prefix(head, self.layers[0].w_ih.value.data(), 4 * self.hidden, prefix);
+    }
+
+    /// [`Lstm::step_rows_inference`] on the B = 1 row `head ++ tail`, given
+    /// `head`'s [`Lstm::input_prefix`]: the first layer's input projection
+    /// multiplies only `tail`'s columns, resuming each chain where the
+    /// prefix left it, and everything after it runs as in
+    /// `step_rows_inference` — so the step is bit for bit the same.
+    pub fn step_rows_resumed(&self, prefix: &[f32], tail: &[f32], state: &mut LstmState) {
+        assert_eq!(state.h[0].rows(), 1, "a resumed LSTM step is B = 1");
+        self.step_unrecorded(Input::Resumed { prefix, tail }, 1, state);
+    }
+
+    /// One unrecorded step of every layer, the first on `input`.
+    fn step_unrecorded(&self, input: Input<'_>, batch: usize, state: &mut LstmState) {
+        let LstmState { h, c, scratch } = state;
         for (l, layer) in self.layers.iter().enumerate() {
             // Layer l reads the hidden output layer l−1 just wrote.
             let (below, at) = h.split_at_mut(l);
-            let input = below.last().map_or(x, |h| h.data());
+            let input = below.last().map_or(input, |h| Input::Rows(h.data()));
             layer.forward(input, 1, batch, &mut at[0], &mut c[l], Sink::Scratch(scratch));
         }
     }

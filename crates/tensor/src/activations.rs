@@ -20,7 +20,7 @@ pub fn relu_in_place(xs: &mut [f32]) {
     }
 }
 
-/// ReLU backward: grad * 1[x > 0] (uses the forward *input*).
+/// ReLU backward: `grad * 1[x > 0]` (uses the forward *input*).
 pub fn relu_backward(x: &Tensor, grad: &Tensor) -> Tensor {
     x.zip_map(grad, |xv, g| if xv > 0.0 { g } else { 0.0 })
 }

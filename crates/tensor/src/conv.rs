@@ -655,7 +655,7 @@ pub fn conv3d_backward_data_reusing(
 
 /// Gradients of the convolution w.r.t. weights and bias.
 ///
-/// Returns (`grad_weight` [O, C, k, k, k], `grad_bias` [O]).
+/// Returns (`grad_weight` `[O, C, k, k, k]`, `grad_bias` `[O]`).
 pub fn conv3d_backward_weights(
     x: &Tensor,
     grad_out: &Tensor,
@@ -674,7 +674,7 @@ pub fn conv3d_backward_weights(
 /// applied there); per tile, `[dW | db]ᵀ += [col; 1] · dYᵀ[tile, O]` — the
 /// row of ones appended to the im2col panel makes the bias gradient the last
 /// row of the same [`Kernels::gemm_rows_unpacked`] product. Images are
-/// summed in ascending order within fixed groups of [`IMAGES_PER_GROUP`]
+/// summed in ascending order within fixed groups of `IMAGES_PER_GROUP`
 /// (one pool task each), and the group partials are added to `gw`/`gb` in
 /// ascending group order, so the reduction is a pure function of shape.
 /// Dense: a zero in `dY` still meets its input voxels, so non-finite inputs

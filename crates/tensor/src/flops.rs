@@ -7,7 +7,7 @@
 //! measured wall time — the same methodology the paper uses to scale flop
 //! rates across platforms.
 
-/// Flops of a dense layer forward pass: y[B,N] = x[B,M]·W[M,N] + b.
+/// Flops of a dense layer forward pass: `y[B,N] = x[B,M]·W[M,N] + b`.
 pub fn linear_flops(batch: u64, in_dim: u64, out_dim: u64) -> u64 {
     2 * batch * in_dim * out_dim + batch * out_dim
 }

@@ -4,9 +4,9 @@
 //! The LSTM core and all fully connected layers reduce to these three
 //! products (forward, input-gradient, weight-gradient):
 //!
-//! * `matmul`      — C = A·B           ([M,K]·[K,N] → [M,N])
-//! * `matmul_a_bt` — C = A·Bᵀ          ([M,K]·[N,K] → [M,N])
-//! * `matmul_at_b` — C = Aᵀ·B          ([K,M]·[K,N] → [M,N])
+//! * `matmul`      — C = A·B           (`[M,K]·[K,N] → [M,N]`)
+//! * `matmul_a_bt` — C = A·Bᵀ          (`[M,K]·[N,K] → [M,N]`)
+//! * `matmul_at_b` — C = Aᵀ·B          (`[K,M]·[K,N] → [M,N]`)
 //!
 //! B is packed once per call into column panels as wide as the kernel's
 //! vectors (16 floats on AVX-512 past 8 columns, else 8) and shared by all
@@ -21,7 +21,7 @@
 //! count.
 
 use crate::pool::{self, SendPtr};
-use crate::simd::Kernels;
+use crate::simd::{Kernels, KC};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
@@ -37,18 +37,26 @@ const ROWS_PER_TASK: usize = 32;
 /// micro-kernel — B is multiplied where it lies instead of being packed.
 /// Packing is a pass over all of B (zero-fill plus strip copy) that only pays
 /// once several rows share each panel load; measured on AVX2, single thread
-/// (ns per call, packed → unpacked):
+/// (ns per call, packed → unpacked; the m = 1 column re-measured as the
+/// range of three best-of-7 runs on a busier 2-vCPU VM than the others):
 ///
-/// | `[k, n]`     | m = 1           | m = 4           | m = 8           |
-/// |--------------|-----------------|-----------------|-----------------|
-/// | `[52, 256]`  | 5 833 → 621     | 7 123 → 1 307   | 9 103 → 2 579   |
-/// | `[32, 15]`   | 426 → 96        | 917 → 178       | 1 595 → 306     |
-/// | `[512, 2048]`| 1 061 µs → 177 µs | 1 011 µs → 246 µs | 1 153 µs → 499 µs |
+/// | `[k, n]`     | m = 1                       | m = 4           | m = 8           |
+/// |--------------|-----------------------------|-----------------|-----------------|
+/// | `[52, 256]`  | 9 059–10 533 → 743–756      | 7 123 → 1 307   | 9 103 → 2 579   |
+/// | `[32, 15]`   | 523–696 → 83–115            | 917 → 178       | 1 595 → 306     |
+/// | `[512, 2048]`| 1.62–1.75 ms → 198–219 µs   | 1 011 µs → 246 µs | 1 153 µs → 499 µs |
 ///
-/// Through 8 rows the unpacked kernel wins on every shape (its four-row
-/// blocks share each B vector as the packed micro-kernel does); the pack pays
-/// once its pass over B is spread over many more rows. The switch sits at one
-/// row block, the B = 1 steps it exists for.
+/// (On the AVX-512 backend, same VM, m = 1: 6.0–7.1 µs → 0.54–0.62 µs,
+/// 186–240 → 62–101 ns and 1.01–1.11 ms → 185–200 µs.) Through 8 rows the
+/// unpacked kernel wins on every shape (its four-row blocks share each B
+/// vector as the packed micro-kernel does); the pack pays once its pass
+/// over B is spread over many more rows. The switch sits at one row block,
+/// the B = 1 steps it exists for. An IC proposal's step goes further and
+/// multiplies only the columns of its input that change ([`row_prefix`],
+/// [`row_resume`]): on AVX-512, a `[52 → 64]` LSTM step fell from
+/// 2.5–2.6 µs (the full row, before the vector cell update) to
+/// 1.1–1.35 µs, and a paper-width `[324 → 512]` one from 292–309 µs to
+/// 193–196 µs.
 pub const UNPACKED_MAX_ROWS: usize = 4;
 
 thread_local! {
@@ -68,7 +76,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Raw GEMM into a preallocated buffer: C[M,N] = A[M,K]·B[K,N].
+/// Raw GEMM into a preallocated buffer: `C[M,N] = A[M,K]·B[K,N]`.
 pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
@@ -76,7 +84,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     gemm_driver(a, b, c, m, k, n, false);
 }
 
-/// Accumulating GEMM: C[M,N] += A[M,K]·B[K,N] (LSTM recurrent projection,
+/// Accumulating GEMM: `C[M,N] += A[M,K]·B[K,N]` (LSTM recurrent projection,
 /// gradient accumulation).
 pub fn matmul_acc_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
@@ -85,7 +93,7 @@ pub fn matmul_acc_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
     gemm_driver(a, b, c, m, k, n, true);
 }
 
-/// C = A·Bᵀ where A is [M,K], B is [N,K].
+/// C = A·Bᵀ where A is `[M,K]`, B is `[N,K]`.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let (n, k2) = (b.rows(), b.cols());
@@ -95,7 +103,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Raw C[M,N] = A[M,K]·B[N,K]ᵀ into a preallocated buffer.
+/// Raw `C[M,N] = A[M,K]·B[N,K]ᵀ` into a preallocated buffer.
 pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
@@ -120,7 +128,7 @@ pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
     }
 }
 
-/// C = Aᵀ·B where A is [K,M], B is [K,N] (used for weight gradients).
+/// C = Aᵀ·B where A is `[K,M]`, B is `[K,N]` (used for weight gradients).
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = (a.rows(), a.cols());
     let (k2, n) = (b.rows(), b.cols());
@@ -130,7 +138,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Accumulating raw Aᵀ·B: C[M,N] += A[K,M]ᵀ·B[K,N] (fused weight-gradient
+/// Accumulating raw Aᵀ·B: `C[M,N] += A[K,M]ᵀ·B[K,N]` (fused weight-gradient
 /// updates). A is transposed into scratch, then the packed GEMM runs — no
 /// sparsity skip, so non-finite values in B propagate correctly.
 pub fn matmul_at_b_acc_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
@@ -190,6 +198,74 @@ fn gemm_driver(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     });
 }
 
+/// Floats in a [`row_prefix`] state for a product `n` columns wide whose
+/// first `t0` inner columns are known: the chains of the `KC` block that
+/// column `t0` falls in, then, once `t0` is past the first block, the sums
+/// of the blocks before it.
+pub fn row_prefix_len(t0: usize, n: usize) -> usize {
+    if t0 >= KC {
+        2 * n
+    } else {
+        n
+    }
+}
+
+/// Where the one-row product `x·B` (`b` row-major `[k, n]`) stands after
+/// the leading columns `head` of `x`, written over `state`
+/// ([`row_prefix_len`] floats): each output element's fused multiply-add
+/// chain over `head`'s columns of the `KC` block it is in, and the sums of
+/// the blocks before that one, as [`matmul_into`] adds them to its zeroed
+/// C. [`row_resume`] finishes the product from it.
+pub fn row_prefix(head: &[f32], b: &[f32], n: usize, state: &mut [f32]) {
+    let t0 = head.len();
+    let kb = t0 / KC * KC;
+    assert_eq!(state.len(), row_prefix_len(t0, n), "row_prefix: state size");
+    assert!(b.len() >= t0 * n, "row_prefix: B has fewer rows than the head has columns");
+    let kern = Kernels::get();
+    let (open, done) = state.split_at_mut(n);
+    open.fill(0.0);
+    kern.gemm_rows_resume(open, &head[kb..], &b[kb * n..t0 * n], t0 - kb, n);
+    if kb > 0 {
+        done.fill(0.0);
+        kern.gemm_rows_unpacked(done, &head[..kb], &b[..kb * n], kb, n);
+    }
+}
+
+/// `c = x·B` for the row `x = head ++ tail`, from `head`'s [`row_prefix`]
+/// state: the open block's chains continue over `tail`'s columns and are
+/// added to the earlier blocks' sums (to `+0.0` when there are none, as
+/// into [`matmul_into`]'s zeroed C), then any later blocks run as in
+/// `matmul_into`. Bit for bit `matmul_into(x, b, c, 1, k, n)`, with only
+/// `tail`'s columns multiplied.
+pub fn row_resume(state: &[f32], tail: &[f32], b: &[f32], c: &mut [f32]) {
+    let n = c.len();
+    if n == 0 {
+        return;
+    }
+    let k = b.len() / n;
+    assert!(tail.len() <= k, "row_resume: the tail is wider than B has rows");
+    let t0 = k - tail.len();
+    let end = (t0 / KC * KC + KC).min(k);
+    assert_eq!(b.len(), k * n, "row_resume: B is [k, n]");
+    assert_eq!(state.len(), row_prefix_len(t0, n), "row_resume: state size");
+    let kern = Kernels::get();
+    let (open, done) = state.split_at(n);
+    c.copy_from_slice(open);
+    kern.gemm_rows_resume(c, &tail[..end - t0], &b[t0 * n..end * n], end - t0, n);
+    if done.is_empty() {
+        for v in c.iter_mut() {
+            *v += 0.0;
+        }
+    } else {
+        for (v, &d) in c.iter_mut().zip(done) {
+            *v += d;
+        }
+    }
+    if end < k {
+        kern.gemm_rows_unpacked(c, &tail[end - t0..], &b[end * n..], k - end, n);
+    }
+}
+
 /// Add a bias row vector to every row of a 2D tensor.
 pub fn add_bias_rows(x: &mut Tensor, bias: &[f32]) {
     let n = x.cols();
@@ -206,7 +282,7 @@ pub fn add_bias_rows_slice(x: &mut [f32], bias: &[f32], n: usize) {
     }
 }
 
-/// Column-sum of a 2D tensor (bias gradients): out[j] = Σ_i x[i,j].
+/// Column-sum of a 2D tensor (bias gradients): `out[j] = Σ_i x[i,j]`.
 pub fn col_sums(x: &Tensor) -> Vec<f32> {
     let n = x.cols();
     let mut out = vec![0.0f32; n];

@@ -10,9 +10,10 @@
 //!   GEMM row kernels that carry every training product —
 //!   [`Kernels::gemm_rows_unpacked`] (the Conv3d im2col panels, few-row
 //!   products) and [`Kernels::gemm_rows_packed`] (LSTM, FC and head GEMMs),
-//!   whose [`Kernels::pack_b`] panels are 16 columns wide on this backend.
-//!   Products at most 8 columns wide, which would fill half a strip, and
-//!   every other kernel run the AVX2 code.
+//!   whose [`Kernels::pack_b`] panels are 16 columns wide on this backend,
+//!   and for the LSTM cell update [`Kernels::lstm_cell`]. Products at most
+//!   8 columns wide, which would fill half a strip, and every other kernel
+//!   run the AVX2 code.
 //! * **AVX2+FMA** ([`Backend::Avx2Fma`]): `std::arch` intrinsics for every
 //!   kernel; packed panels are 8 columns wide.
 //! * **Scalar** ([`Backend::Scalar`]): a hand-unrolled 8-lane fallback that
@@ -29,16 +30,23 @@
 //! ascending in `t` within each [`KC`] block, each block's sum added to C in
 //! block order. Lane width only decides how many such chains run side by
 //! side, so the AVX-512 arms can widen them to 16 (column tails through
-//! `__mmask16` loads and stores, never a different chain).
+//! `__mmask16` loads and stores, never a different chain). The chain can
+//! also run in pieces: [`Kernels::gemm_rows_resume`] continues chains from
+//! a given accumulator instead of zero and leaves them there, with the same
+//! walk, lanes and masks, so a block split at any column computes what the
+//! whole block does — the B = 1 IC inference step keeps the chains over its
+//! input's constant columns and resumes them over the ones that change.
 //!
 //! The kernels that stay at 8 lanes on the AVX-512 backend do so on
 //! purpose: [`Kernels::dot`] and [`Kernels::gemm_a_bt_rows`] sum 8 lane
 //! accumulators through the fixed [`reduce8`] tree, so 16 lanes would change
 //! the summation order and the bits; [`Kernels::im2col`] and
 //! [`Kernels::col2im`] move whole 8-float vectors into buffers the Conv3d
-//! lowering sizes with 8 floats of slack; and the sigmoid/tanh sweeps are
-//! element-wise, a small share of the step that a 16-lane copy would not
-//! repay.
+//! lowering sizes with 8 floats of slack; and the standalone sigmoid/tanh
+//! sweeps are element-wise, a small share of the step that a 16-lane copy
+//! would not repay. (The LSTM cell update, which runs them on every step of
+//! every recurrence, has its own 16-lane copies; element-wise, they are
+//! lane-identical to the 8-lane and scalar ones.)
 //!
 //! The backend can be forced via the `ETALUMIS_KERNEL_BACKEND` env var
 //! (`scalar` / `avx2` / `avx512`; any other non-empty value warns once on
@@ -331,9 +339,9 @@ impl Kernels {
             Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::gemm_rows_packed(c, a, bp, k, n) },
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx512 | Backend::Avx2Fma => {
-                scalar_gemm_rows(c, a, bp, k, n, BLayout::packed(k, w))
+                scalar_gemm_rows::<false>(c, a, bp, k, n, BLayout::packed(k, w))
             }
-            Backend::Scalar => scalar_gemm_rows(c, a, bp, k, n, BLayout::packed(k, w)),
+            Backend::Scalar => scalar_gemm_rows::<false>(c, a, bp, k, n, BLayout::packed(k, w)),
         }
     }
 
@@ -361,7 +369,7 @@ impl Kernels {
             // asserts above are the slice lengths the kernel's raw loads
             // and stores rely on.
             Backend::Avx512 if self.sixteen_lanes(n) => unsafe {
-                avx512::gemm_rows_unpacked(c, a, b, k, n)
+                avx512::gemm_rows_unpacked::<false>(c, a, b, k, n)
             },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx2Fma` and `Avx512` are only selected when
@@ -369,13 +377,57 @@ impl Kernels {
             // `active_backend`); the asserts above are the slice lengths
             // the kernel's raw loads and stores rely on.
             Backend::Avx512 | Backend::Avx2Fma => unsafe {
-                avx2::gemm_rows_unpacked(c, a, b, k, n)
+                avx2::gemm_rows_unpacked::<false>(c, a, b, k, n)
             },
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx512 | Backend::Avx2Fma => {
-                scalar_gemm_rows(c, a, b, k, n, BLayout::row_major(n, 8))
+                scalar_gemm_rows::<false>(c, a, b, k, n, BLayout::row_major(n, 8))
             }
-            Backend::Scalar => scalar_gemm_rows(c, a, b, k, n, BLayout::row_major(n, 8)),
+            Backend::Scalar => scalar_gemm_rows::<false>(c, a, b, k, n, BLayout::row_major(n, 8)),
+        }
+    }
+
+    /// Continue product chains where they stopped: for every element,
+    /// `acc[i, j] = fma(a[i, t], b[t, j], acc[i, j])` for `t` ascending over
+    /// `a`'s `k ≤ KC` columns, off row-major `b[k, n]`, the chain left in
+    /// `acc` rather than added to a C. From `acc = 0` this is the chain one
+    /// `KC` block of [`Kernels::gemm_rows_unpacked`] builds before adding it
+    /// to C, and calls over consecutive column ranges continue it exactly,
+    /// so a block can run in pieces: the B = 1 LSTM inference step keeps the
+    /// chain over its input's constant columns and resumes it over the ones
+    /// that change. Same walk, lanes and masks as `gemm_rows_unpacked` on
+    /// every backend.
+    pub fn gemm_rows_resume(&self, acc: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+        if n == 0 || k == 0 || acc.is_empty() {
+            return;
+        }
+        let rows = acc.len() / n;
+        assert!(k <= KC, "gemm_rows_resume: a chain spans one KC block");
+        assert_eq!(acc.len(), rows * n);
+        assert_eq!(a.len(), rows * k);
+        assert_eq!(b.len(), k * n);
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx512` is only selected when `avx512_available()`
+            // confirmed AVX-512F on this CPU (see `active_backend`); the
+            // asserts above are the slice lengths the kernel's raw loads
+            // and stores rely on.
+            Backend::Avx512 if self.sixteen_lanes(n) => unsafe {
+                avx512::gemm_rows_unpacked::<true>(acc, a, b, k, n)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`); the asserts above are the slice lengths
+            // the kernel's raw loads and stores rely on.
+            Backend::Avx512 | Backend::Avx2Fma => unsafe {
+                avx2::gemm_rows_unpacked::<true>(acc, a, b, k, n)
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Avx512 | Backend::Avx2Fma => {
+                scalar_gemm_rows::<true>(acc, a, b, k, n, BLayout::row_major(n, 8))
+            }
+            Backend::Scalar => scalar_gemm_rows::<true>(acc, a, b, k, n, BLayout::row_major(n, 8)),
         }
     }
 
@@ -532,6 +584,43 @@ impl Kernels {
             Backend::Scalar => scalar_tanh(xs),
         }
     }
+
+    /// One LSTM step's gates and state update over a block of rows: `z` is
+    /// `[rows, 4·hsz]` gate pre-activations in i|f|g|o order, activated in
+    /// place (sigmoid over i|f, tanh over g, sigmoid over o); then per
+    /// element `c ← fma(f, c, i·g)`, `tanh_c ← tanh(c)` and
+    /// `h ← o · tanh_c`, with `c`, `tanh_c` and `h` `[rows, hsz]`. Every
+    /// backend runs the same operations per element (the AVX-512 arm 16
+    /// lanes at a time, the AVX2 arm 8), so the backends agree bit for bit.
+    pub fn lstm_cell(
+        &self,
+        hsz: usize,
+        z: &mut [f32],
+        c: &mut [f32],
+        tanh_c: &mut [f32],
+        h: &mut [f32],
+    ) {
+        let rows = c.len() / hsz.max(1);
+        assert_eq!(z.len(), 4 * rows * hsz, "lstm_cell: z is [rows, 4·hsz]");
+        assert!(c.len() == rows * hsz && tanh_c.len() == c.len() && h.len() == c.len());
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx512` is only selected when `avx512_available()`
+            // confirmed AVX-512F (and AVX2+FMA) on this CPU (see
+            // `active_backend`); the asserts above are the slice lengths
+            // the kernel's raw loads and stores rely on.
+            Backend::Avx512 => unsafe { avx512::lstm_cell(hsz, z, c, tanh_c, h) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
+            // confirmed AVX2+FMA on this CPU (see `active_backend`); the
+            // asserts above are the slice lengths the kernel's raw loads
+            // and stores rely on.
+            Backend::Avx2Fma => unsafe { avx2::lstm_cell(hsz, z, c, tanh_c, h) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Avx512 | Backend::Avx2Fma => scalar_lstm_cell(hsz, z, c, tanh_c, h),
+            Backend::Scalar => scalar_lstm_cell(hsz, z, c, tanh_c, h),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,9 +688,10 @@ impl BLayout {
     }
 }
 
-/// One row × one KC block over the 8-wide strips of B.
+/// One row × one KC block over the 8-wide strips of B. `RESUME` starts
+/// each chain from `crow` and leaves it there instead of adding it.
 #[inline(always)]
-fn scalar_gemm_row_block(
+fn scalar_gemm_row_block<const RESUME: bool>(
     crow: &mut [f32],
     arow: &[f32],
     b: &[f32],
@@ -613,7 +703,11 @@ fn scalar_gemm_row_block(
     let full_strips = n / 8;
     for s in 0..full_strips {
         let strip = &b[s * lay.strip..];
+        let cdst = &mut crow[s * 8..s * 8 + 8];
         let mut acc = [0.0f32; 8];
+        if RESUME {
+            acc.copy_from_slice(cdst);
+        }
         for t in t0..t1 {
             let av = arow[t];
             let b8 = &strip[t * lay.step..t * lay.step + 8];
@@ -621,9 +715,8 @@ fn scalar_gemm_row_block(
                 acc[l] = av.mul_add(b8[l], acc[l]);
             }
         }
-        let cdst = &mut crow[s * 8..s * 8 + 8];
         for l in 0..8 {
-            cdst[l] += acc[l];
+            cdst[l] = if RESUME { acc[l] } else { cdst[l] + acc[l] };
         }
     }
     // Tail columns: same per-element chain, one lane at a time.
@@ -632,23 +725,30 @@ fn scalar_gemm_row_block(
         let strip = &b[full_strips * lay.strip..];
         for j in c0..n {
             let l = j - c0;
-            let mut acc = 0.0f32;
+            let mut acc = if RESUME { crow[j] } else { 0.0 };
             for t in t0..t1 {
                 acc = arow[t].mul_add(strip[t * lay.step + l], acc);
             }
-            crow[j] += acc;
+            crow[j] = if RESUME { acc } else { crow[j] + acc };
         }
     }
 }
 
 #[inline(always)]
-fn scalar_gemm_rows_impl(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, lay: BLayout) {
+fn scalar_gemm_rows_impl<const RESUME: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    lay: BLayout,
+) {
     let rows = c.len() / n;
     let mut t0 = 0;
     while t0 < k || (k == 0 && t0 == 0) {
         let t1 = (t0 + KC).min(k);
         for i in 0..rows {
-            scalar_gemm_row_block(
+            scalar_gemm_row_block::<RESUME>(
                 &mut c[i * n..(i + 1) * n],
                 &a[i * k..(i + 1) * k],
                 b,
@@ -669,7 +769,7 @@ fn scalar_gemm_rows_impl(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize
 // SAFETY: callers must ensure FMA is supported (every call site checks
 // `fma_available` first).
 #[target_feature(enable = "fma")]
-unsafe fn scalar_gemm_rows_fma(
+unsafe fn scalar_gemm_rows_fma<const RESUME: bool>(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -677,17 +777,26 @@ unsafe fn scalar_gemm_rows_fma(
     n: usize,
     lay: BLayout,
 ) {
-    scalar_gemm_rows_impl(c, a, b, k, n, lay)
+    scalar_gemm_rows_impl::<RESUME>(c, a, b, k, n, lay)
 }
 
-fn scalar_gemm_rows(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, lay: BLayout) {
+/// The scalar GEMM row kernel; `RESUME` is [`Kernels::gemm_rows_resume`]'s
+/// mode (one `KC` block, chains kept in `c`).
+fn scalar_gemm_rows<const RESUME: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    lay: BLayout,
+) {
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: FMA support was just verified.
-        unsafe { scalar_gemm_rows_fma(c, a, b, k, n, lay) };
+        unsafe { scalar_gemm_rows_fma::<RESUME>(c, a, b, k, n, lay) };
         return;
     }
-    scalar_gemm_rows_impl(c, a, b, k, n, lay)
+    scalar_gemm_rows_impl::<RESUME>(c, a, b, k, n, lay)
 }
 
 #[inline(always)]
@@ -855,6 +964,64 @@ fn scalar_tanh(xs: &mut [f32]) {
     scalar_tanh_impl(xs)
 }
 
+/// The state update of one row of [`Kernels::lstm_cell`] from lane `j0` on:
+/// `gates` is the row's activated i|f|g|o, `c`, `tanh_c` and `h` its
+/// `hsz` lanes. The scalar arm runs every lane here, the vector arms their
+/// tails.
+#[inline(always)]
+fn cell_state_lanes(gates: &[f32], c: &mut [f32], tanh_c: &mut [f32], h: &mut [f32], j0: usize) {
+    let hsz = c.len();
+    for j in j0..hsz {
+        let cv = gates[hsz + j].mul_add(c[j], gates[j] * gates[2 * hsz + j]);
+        c[j] = cv;
+        let tc = tanh_lane(cv);
+        tanh_c[j] = tc;
+        h[j] = gates[3 * hsz + j] * tc;
+    }
+}
+
+#[inline(always)]
+fn scalar_lstm_cell_impl(
+    hsz: usize,
+    z: &mut [f32],
+    c: &mut [f32],
+    tanh_c: &mut [f32],
+    h: &mut [f32],
+) {
+    for (r, row) in z.chunks_exact_mut(4 * hsz).enumerate() {
+        scalar_sigmoid_impl(&mut row[..2 * hsz]);
+        scalar_tanh_impl(&mut row[2 * hsz..3 * hsz]);
+        scalar_sigmoid_impl(&mut row[3 * hsz..]);
+        let at = r * hsz..(r + 1) * hsz;
+        let (c, tanh_c, h) = (&mut c[at.clone()], &mut tanh_c[at.clone()], &mut h[at]);
+        cell_state_lanes(row, c, tanh_c, h, 0);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+// SAFETY: callers must ensure FMA is supported (every call site checks
+// `fma_available` first).
+#[target_feature(enable = "fma")]
+unsafe fn scalar_lstm_cell_fma(
+    hsz: usize,
+    z: &mut [f32],
+    c: &mut [f32],
+    tanh_c: &mut [f32],
+    h: &mut [f32],
+) {
+    scalar_lstm_cell_impl(hsz, z, c, tanh_c, h)
+}
+
+fn scalar_lstm_cell(hsz: usize, z: &mut [f32], c: &mut [f32], tanh_c: &mut [f32], h: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: FMA support was just verified.
+        unsafe { scalar_lstm_cell_fma(hsz, z, c, tanh_c, h) };
+        return;
+    }
+    scalar_lstm_cell_impl(hsz, z, c, tanh_c, h)
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 + FMA implementations.
 // ---------------------------------------------------------------------------
@@ -973,12 +1140,14 @@ mod avx2 {
     /// `R` rows × `S` adjacent 8-wide strips over one `KC` block, off
     /// row-major B: `R·S` independent accumulator chains per `t` hide the FMA
     /// latency, and with `R > 1` each B vector loaded feeds `R` rows.
+    /// `RESUME` starts each chain from C and stores it back instead of
+    /// adding it.
     // SAFETY: callers must ensure AVX2+FMA are supported and that
     // `bcol + t * n + 8 * S` stays inside B for every `t < t1`,
     // `arow + r * k + t` inside A and `cdst + r * n + 8 * S` inside C for
     // every `r < R`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn block<const R: usize, const S: usize>(
+    unsafe fn block<const R: usize, const S: usize, const RESUME: bool>(
         cdst: *mut f32,
         arow: *const f32,
         k: usize,
@@ -988,6 +1157,13 @@ mod avx2 {
         t1: usize,
     ) {
         let mut acc = [[_mm256_setzero_ps(); S]; R];
+        if RESUME {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                for (s, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_loadu_ps(cdst.add(r * n + s * 8));
+                }
+            }
+        }
         for t in t0..t1 {
             let brow = bcol.add(t * n);
             let mut bv = [_mm256_setzero_ps(); S];
@@ -1004,17 +1180,26 @@ mod avx2 {
         for (r, acc) in acc.into_iter().enumerate() {
             for (s, acc) in acc.into_iter().enumerate() {
                 let dst = cdst.add(r * n + s * 8);
-                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc));
+                let sum = if RESUME { acc } else { _mm256_add_ps(_mm256_loadu_ps(dst), acc) };
+                _mm256_storeu_ps(dst, sum);
             }
         }
     }
 
+    /// [`Kernels::gemm_rows_unpacked`], or with `RESUME` (and `k <= KC`)
+    /// [`Kernels::gemm_rows_resume`].
     // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
     // wrapper gates on `avx2_available`) and that `c`, `a`, `b` hold
     // `rows·n`, `rows·k` and `k·n` elements (asserted by the safe
-    // `Kernels::gemm_rows_unpacked` entry point).
+    // `Kernels` entry points).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_rows_unpacked(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+    pub unsafe fn gemm_rows_unpacked<const RESUME: bool>(
+        c: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+    ) {
         let rows = c.len() / n;
         let full = n - n % 8;
         let tail = n - full;
@@ -1034,28 +1219,28 @@ mod avx2 {
                 // products), then row by row (the B = 1 inference steps).
                 let step = if rows - i >= 4 {
                     while j + 16 <= full {
-                        block::<4, 2>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        block::<4, 2, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
                         j += 16;
                     }
                     if j < full {
-                        block::<4, 1>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        block::<4, 1, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
                     }
                     4
                 } else {
                     while j + 64 <= full {
-                        block::<1, 8>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        block::<1, 8, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
                         j += 64;
                     }
                     if j + 32 <= full {
-                        block::<1, 4>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        block::<1, 4, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
                         j += 32;
                     }
                     if j + 16 <= full {
-                        block::<1, 2>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        block::<1, 2, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
                         j += 16;
                     }
                     if j < full {
-                        block::<1, 1>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
+                        block::<1, 1, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
                     }
                     1
                 };
@@ -1064,14 +1249,21 @@ mod avx2 {
                 // nor written.
                 if tail > 0 {
                     for r in 0..step {
+                        let dst = crow.add(r * n + full);
                         let mut acc = _mm256_setzero_ps();
+                        if RESUME {
+                            acc = _mm256_maskload_ps(dst, mask);
+                        }
                         for t in t0..t1 {
                             let bv = _mm256_maskload_ps(bp.add(t * n + full), mask);
                             let av = _mm256_broadcast_ss(&*arow.add(r * k + t));
                             acc = _mm256_fmadd_ps(av, bv, acc);
                         }
-                        let dst = crow.add(r * n + full);
-                        let sum = _mm256_add_ps(_mm256_maskload_ps(dst, mask), acc);
+                        let sum = if RESUME {
+                            acc
+                        } else {
+                            _mm256_add_ps(_mm256_maskload_ps(dst, mask), acc)
+                        };
                         _mm256_maskstore_ps(dst, mask, sum);
                     }
                 }
@@ -1249,22 +1441,63 @@ mod avx2 {
         let len = xs.len();
         let len8 = len - len % 8;
         let p = xs.as_mut_ptr();
-        let sign = _mm256_set1_ps(-0.0);
-        let one = _mm256_set1_ps(1.0);
-        let neg2 = _mm256_set1_ps(-2.0);
         let mut i = 0;
         while i < len8 {
-            let v = _mm256_loadu_ps(p.add(i));
-            let a = _mm256_andnot_ps(sign, v);
-            let e = exp256(_mm256_mul_ps(neg2, a));
-            let r = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
-            // copysign(r, v)
-            let y = _mm256_or_ps(_mm256_andnot_ps(sign, r), _mm256_and_ps(sign, v));
-            _mm256_storeu_ps(p.add(i), y);
+            _mm256_storeu_ps(p.add(i), tanh8(_mm256_loadu_ps(p.add(i))));
             i += 8;
         }
         for v in &mut xs[len8..] {
             *v = tanh_lane(*v);
+        }
+    }
+
+    /// [`tanh_lane`] on 8 lanes.
+    // SAFETY: callers must ensure AVX2+FMA are supported (all call sites
+    // are `target_feature(avx2,fma)` functions).
+    #[inline(always)]
+    unsafe fn tanh8(v: __m256) -> __m256 {
+        let sign = _mm256_set1_ps(-0.0);
+        let one = _mm256_set1_ps(1.0);
+        let a = _mm256_andnot_ps(sign, v);
+        let e = exp256(_mm256_mul_ps(_mm256_set1_ps(-2.0), a));
+        let r = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
+        // copysign(r, v)
+        _mm256_or_ps(_mm256_andnot_ps(sign, r), _mm256_and_ps(sign, v))
+    }
+
+    /// [`Kernels::lstm_cell`], 8 lanes at a time.
+    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
+    // wrapper gates on `avx2_available`) and that `z` holds `4·hsz` floats
+    // per row of `c`, `tanh_c` and `h` (asserted by the safe entry point).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn lstm_cell(
+        hsz: usize,
+        z: &mut [f32],
+        c: &mut [f32],
+        tanh_c: &mut [f32],
+        h: &mut [f32],
+    ) {
+        let h8 = hsz - hsz % 8;
+        for (r, row) in z.chunks_exact_mut(4 * hsz).enumerate() {
+            sigmoid(&mut row[..2 * hsz]);
+            tanh(&mut row[2 * hsz..3 * hsz]);
+            sigmoid(&mut row[3 * hsz..]);
+            let at = r * hsz..(r + 1) * hsz;
+            let (c, tanh_c, h) = (&mut c[at.clone()], &mut tanh_c[at.clone()], &mut h[at]);
+            let (g, cp, tp, hp) =
+                (row.as_ptr(), c.as_mut_ptr(), tanh_c.as_mut_ptr(), h.as_mut_ptr());
+            let mut j = 0;
+            while j < h8 {
+                let gate = |q: usize| _mm256_loadu_ps(g.add(q * hsz + j));
+                let ig = _mm256_mul_ps(gate(0), gate(2));
+                let cv = _mm256_fmadd_ps(gate(1), _mm256_loadu_ps(cp.add(j)), ig);
+                _mm256_storeu_ps(cp.add(j), cv);
+                let tc = tanh8(cv);
+                _mm256_storeu_ps(tp.add(j), tc);
+                _mm256_storeu_ps(hp.add(j), _mm256_mul_ps(gate(3), tc));
+                j += 8;
+            }
+            cell_state_lanes(row, c, tanh_c, h, h8);
         }
     }
 }
@@ -1296,13 +1529,15 @@ mod avx512 {
     /// `R·S` independent accumulator chains per `t` hide the FMA latency,
     /// and each B vector loaded feeds `R` rows. Lanes that `last` masks off
     /// the last strip are neither read from B nor read or written in C.
+    /// `RESUME` starts each chain from C and stores it back instead of
+    /// adding it.
     // SAFETY: callers must ensure AVX-512F is supported and that, for every
     // `r < R`, `s < S`, `w.t0 <= t < w.t1` and lane `l` that the strip's
     // mask keeps (every lane but the last strip's, which keeps `last`),
     // `arow + r·w.k + t` lies in A, `b + s·w.lay.strip + t·w.lay.step + l`
     // in B and `cdst + r·w.n + 16s + l` in C.
     #[target_feature(enable = "avx512f")]
-    unsafe fn block<const R: usize, const S: usize>(
+    unsafe fn block<const R: usize, const S: usize, const RESUME: bool>(
         w: Walk,
         cdst: *mut f32,
         arow: *const f32,
@@ -1311,6 +1546,13 @@ mod avx512 {
     ) {
         let mask = |s: usize| if s + 1 == S { last } else { !0 };
         let mut acc = [[_mm512_setzero_ps(); S]; R];
+        if RESUME {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                for (s, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm512_maskz_loadu_ps(mask(s), cdst.add(r * w.n + s * LANES));
+                }
+            }
+        }
         for t in w.t0..w.t1 {
             let mut bv = [_mm512_setzero_ps(); S];
             for (s, bv) in bv.iter_mut().enumerate() {
@@ -1326,7 +1568,11 @@ mod avx512 {
         for (r, acc) in acc.into_iter().enumerate() {
             for (s, acc) in acc.into_iter().enumerate() {
                 let dst = cdst.add(r * w.n + s * LANES);
-                let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(mask(s), dst), acc);
+                let sum = if RESUME {
+                    acc
+                } else {
+                    _mm512_add_ps(_mm512_maskz_loadu_ps(mask(s), dst), acc)
+                };
                 _mm512_mask_storeu_ps(dst, mask(s), sum);
             }
         }
@@ -1339,7 +1585,12 @@ mod avx512 {
     /// runs alone; the columns past `w.n` are masked off the last strip.
     // SAFETY: as for `block`, for every strip of the band.
     #[target_feature(enable = "avx512f")]
-    unsafe fn band<const R: usize>(w: Walk, crow: *mut f32, arow: *const f32, b: *const f32) {
+    unsafe fn band<const R: usize, const RESUME: bool>(
+        w: Walk,
+        crow: *mut f32,
+        arow: *const f32,
+        b: *const f32,
+    ) {
         let strips = w.n.div_ceil(LANES);
         let tail: __mmask16 = u16::MAX >> (strips * LANES - w.n);
         // Where strips `s..end` start in C and B, and the last one's mask.
@@ -1350,23 +1601,23 @@ mod avx512 {
         if R == 1 {
             while s + 8 <= strips {
                 let (c, bs, m) = at(s, s + 8);
-                block::<1, 8>(w, c, arow, bs, m);
+                block::<1, 8, RESUME>(w, c, arow, bs, m);
                 s += 8;
             }
             if s + 4 <= strips {
                 let (c, bs, m) = at(s, s + 4);
-                block::<1, 4>(w, c, arow, bs, m);
+                block::<1, 4, RESUME>(w, c, arow, bs, m);
                 s += 4;
             }
         }
         while s + 2 <= strips {
             let (c, bs, m) = at(s, s + 2);
-            block::<R, 2>(w, c, arow, bs, m);
+            block::<R, 2, RESUME>(w, c, arow, bs, m);
             s += 2;
         }
         if s < strips {
             let (c, bs, m) = at(s, strips);
-            block::<R, 1>(w, c, arow, bs, m);
+            block::<R, 1, RESUME>(w, c, arow, bs, m);
         }
     }
 
@@ -1374,13 +1625,21 @@ mod avx512 {
     /// says: bands of 8 rows, then 4, then single rows. Per element the
     /// chain is the scalar one — from zero, fused multiply-adds ascending in
     /// `t` per `KC` block, block sums added to C in block order; a partial
-    /// last strip is masked lanes of the same chains.
+    /// last strip is masked lanes of the same chains. `RESUME` (with
+    /// `k <= KC`) is [`Kernels::gemm_rows_resume`]'s mode: one block whose
+    /// chains start from C and stay there.
     // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
     // `c` and `a` hold `rows·n` and `rows·k` elements and `b` every element
     // `lay` addresses for `t < k` and columns `< n` (asserted by the safe
     // `Kernels` entry points).
     #[target_feature(enable = "avx512f")]
-    unsafe fn gemm_rows(c: &mut [f32], a: &[f32], b: &[f32], (k, n): (usize, usize), lay: BLayout) {
+    unsafe fn gemm_rows<const RESUME: bool>(
+        c: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        (k, n): (usize, usize),
+        lay: BLayout,
+    ) {
         let rows = c.len() / n;
         let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
         let mut t0 = 0;
@@ -1391,15 +1650,15 @@ mod avx512 {
                 let (crow, arow) = (cp.add(i * n), ap.add(i * k));
                 i += match rows - i {
                     8.. => {
-                        band::<8>(w, crow, arow, bp);
+                        band::<8, RESUME>(w, crow, arow, bp);
                         8
                     }
                     4.. => {
-                        band::<4>(w, crow, arow, bp);
+                        band::<4, RESUME>(w, crow, arow, bp);
                         4
                     }
                     _ => {
-                        band::<1>(w, crow, arow, bp);
+                        band::<1, RESUME>(w, crow, arow, bp);
                         1
                     }
                 };
@@ -1408,20 +1667,136 @@ mod avx512 {
         }
     }
 
+    /// [`exp_poly`] on 16 lanes: the same clamps (VMINPS/VMAXPS return the
+    /// bound for a NaN, as the AVX2 and scalar code do), floor, fused
+    /// reductions and polynomial.
+    // SAFETY: callers must ensure AVX-512F is supported (all call sites
+    // are `target_feature(avx512f)` functions).
+    #[inline(always)]
+    unsafe fn exp16(x: __m512) -> __m512 {
+        let x = _mm512_min_ps(x, _mm512_set1_ps(EXP_HI));
+        let x = _mm512_max_ps(x, _mm512_set1_ps(EXP_LO));
+        let fx = _mm512_fmadd_ps(x, _mm512_set1_ps(LOG2EF), _mm512_set1_ps(0.5));
+        let fx = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(fx);
+        let n = _mm512_cvttps_epi32(fx);
+        let x = _mm512_fnmadd_ps(fx, _mm512_set1_ps(EXP_C1), x);
+        let x = _mm512_fnmadd_ps(fx, _mm512_set1_ps(EXP_C2), x);
+        let z = _mm512_mul_ps(x, x);
+        let mut y = _mm512_set1_ps(EXP_P0);
+        for p in [EXP_P1, EXP_P2, EXP_P3, EXP_P4, EXP_P5] {
+            y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(p));
+        }
+        y = _mm512_fmadd_ps(y, z, x);
+        y = _mm512_add_ps(y, _mm512_set1_ps(1.0));
+        let pow2 = _mm512_slli_epi32::<23>(_mm512_add_epi32(n, _mm512_set1_epi32(127)));
+        _mm512_mul_ps(y, _mm512_castsi512_ps(pow2))
+    }
+
+    /// The sign bit of every lane.
+    // SAFETY: callers must ensure AVX-512F is supported.
+    #[inline(always)]
+    unsafe fn sign_bits() -> __m512i {
+        _mm512_set1_epi32(i32::MIN)
+    }
+
+    /// [`sigmoid_lane`] on 16 lanes.
+    // SAFETY: callers must ensure AVX-512F is supported.
+    #[inline(always)]
+    unsafe fn sigmoid16(v: __m512) -> __m512 {
+        let neg = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(v), sign_bits()));
+        let one = _mm512_set1_ps(1.0);
+        _mm512_div_ps(one, _mm512_add_ps(one, exp16(neg)))
+    }
+
+    /// [`tanh_lane`] on 16 lanes.
+    // SAFETY: callers must ensure AVX-512F is supported.
+    #[inline(always)]
+    unsafe fn tanh16(v: __m512) -> __m512 {
+        let one = _mm512_set1_ps(1.0);
+        let e = exp16(_mm512_mul_ps(_mm512_set1_ps(-2.0), _mm512_abs_ps(v)));
+        let r = _mm512_castps_si512(_mm512_div_ps(_mm512_sub_ps(one, e), _mm512_add_ps(one, e)));
+        // copysign(r, v)
+        let sign = _mm512_and_si512(sign_bits(), _mm512_castps_si512(v));
+        _mm512_castsi512_ps(_mm512_or_si512(_mm512_andnot_si512(sign_bits(), r), sign))
+    }
+
+    /// Sigmoid (`SIGMOID`) or tanh over `xs`, 16 lanes at a time, the tail
+    /// through the scalar lane function.
+    // SAFETY: callers must ensure AVX-512F is supported (all call sites
+    // are `target_feature(avx512f)` functions).
+    #[inline(always)]
+    unsafe fn sweep<const SIGMOID: bool>(xs: &mut [f32]) {
+        let len16 = xs.len() - xs.len() % LANES;
+        let p = xs.as_mut_ptr();
+        let mut i = 0;
+        while i < len16 {
+            let v = _mm512_loadu_ps(p.add(i));
+            _mm512_storeu_ps(p.add(i), if SIGMOID { sigmoid16(v) } else { tanh16(v) });
+            i += LANES;
+        }
+        for v in &mut xs[len16..] {
+            *v = if SIGMOID { sigmoid_lane(*v) } else { tanh_lane(*v) };
+        }
+    }
+
+    /// [`Kernels::lstm_cell`], 16 lanes at a time.
+    // SAFETY: callers must ensure AVX-512F and AVX2+FMA are supported (the
+    // dispatch wrapper gates on `avx512_available`) and that `z` holds
+    // `4·hsz` floats per row of `c`, `tanh_c` and `h` (asserted by the safe
+    // entry point).
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub unsafe fn lstm_cell(
+        hsz: usize,
+        z: &mut [f32],
+        c: &mut [f32],
+        tanh_c: &mut [f32],
+        h: &mut [f32],
+    ) {
+        let h16 = hsz - hsz % LANES;
+        for (r, row) in z.chunks_exact_mut(4 * hsz).enumerate() {
+            sweep::<true>(&mut row[..2 * hsz]);
+            sweep::<false>(&mut row[2 * hsz..3 * hsz]);
+            sweep::<true>(&mut row[3 * hsz..]);
+            let at = r * hsz..(r + 1) * hsz;
+            let (c, tanh_c, h) = (&mut c[at.clone()], &mut tanh_c[at.clone()], &mut h[at]);
+            let (g, cp, tp, hp) =
+                (row.as_ptr(), c.as_mut_ptr(), tanh_c.as_mut_ptr(), h.as_mut_ptr());
+            let mut j = 0;
+            while j < h16 {
+                let gate = |q: usize| _mm512_loadu_ps(g.add(q * hsz + j));
+                let ig = _mm512_mul_ps(gate(0), gate(2));
+                let cv = _mm512_fmadd_ps(gate(1), _mm512_loadu_ps(cp.add(j)), ig);
+                _mm512_storeu_ps(cp.add(j), cv);
+                let tc = tanh16(cv);
+                _mm512_storeu_ps(tp.add(j), tc);
+                _mm512_storeu_ps(hp.add(j), _mm512_mul_ps(gate(3), tc));
+                j += LANES;
+            }
+            cell_state_lanes(row, c, tanh_c, h, h16);
+        }
+    }
+
     /// [`Kernels::gemm_rows_packed`] over this backend's 16-wide panel.
     // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
     // `c`, `a` and `bp` hold `rows·n`, `rows·k` and `⌈n/16⌉·k·16` elements.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn gemm_rows_packed(c: &mut [f32], a: &[f32], bp: &[f32], k: usize, n: usize) {
-        gemm_rows(c, a, bp, (k, n), BLayout::packed(k, LANES))
+        gemm_rows::<false>(c, a, bp, (k, n), BLayout::packed(k, LANES))
     }
 
-    /// [`Kernels::gemm_rows_unpacked`] off row-major B.
+    /// [`Kernels::gemm_rows_unpacked`] off row-major B, or with `RESUME`
+    /// (and `k <= KC`) [`Kernels::gemm_rows_resume`].
     // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
     // `c`, `a` and `b` hold `rows·n`, `rows·k` and `k·n` elements.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_rows_unpacked(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-        gemm_rows(c, a, b, (k, n), BLayout::row_major(n, LANES))
+    pub unsafe fn gemm_rows_unpacked<const RESUME: bool>(
+        c: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+    ) {
+        gemm_rows::<RESUME>(c, a, b, (k, n), BLayout::row_major(n, LANES))
     }
 }
 

@@ -3,9 +3,12 @@
 //! pooled-parallel execution, over arbitrary shapes — including
 //! non-multiples of 8 and 16 and empty dims.
 
-use etalumis_tensor::gemm::{matmul, matmul_a_bt, matmul_acc_into, matmul_at_b, matmul_into};
+use etalumis_tensor::gemm::{
+    matmul, matmul_a_bt, matmul_acc_into, matmul_at_b, matmul_into, row_prefix, row_prefix_len,
+    row_resume,
+};
 use etalumis_tensor::simd::{
-    available_backends, avx512_available, set_backend_override, Backend, Kernels,
+    available_backends, avx512_available, set_backend_override, Backend, Kernels, KC,
 };
 use etalumis_tensor::{activations, conv, pool, Conv3dSpec, Tensor};
 use proptest::prelude::*;
@@ -228,6 +231,117 @@ fn row_kernels_bit_identical_over_every_tail_and_band() {
                 for &be in &backends {
                     assert_eq!(run(be), scalar, "{} {rows}x{k}x{n}", be.name());
                 }
+            }
+        }
+    }
+}
+
+/// A one-row product run in pieces — `row_prefix` over the row's leading
+/// columns, `row_resume` over the rest — equals `matmul_into` over the
+/// whole row bit for bit, on every backend and across them: `k` of 36, 52
+/// and 324 (whose splits fall before, at and past the `KC = 256` block),
+/// `n` of 256 (full strips) and 15 (a masked tail), and a row of signed
+/// zeros whose every product is `-0.0`.
+#[test]
+fn resumed_row_chains_equal_the_one_shot_product() {
+    let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+    let backends = backends();
+    for k in [36usize, 52, 324] {
+        for n in [256usize, 15] {
+            for signed_zeros in [false, true] {
+                let seed = (k * 1_000 + n) as u64 + signed_zeros as u64;
+                let mut x = rand_tensor(&[1, k], seed).into_data();
+                let mut b = rand_tensor(&[k, n], seed ^ 0xABCD).into_data();
+                if signed_zeros {
+                    x.fill(-0.0);
+                    b.iter_mut().for_each(|v| *v = v.abs());
+                }
+                let mut splits = vec![0, 4, k - 4, k.min(KC), k];
+                splits.dedup();
+                for split in splits {
+                    let per_backend: Vec<Vec<u32>> = backends
+                        .iter()
+                        .map(|&be| {
+                            set_backend_override(Some(be));
+                            let mut want = vec![f32::NAN; n];
+                            matmul_into(&x, &b, &mut want, 1, k, n);
+                            let mut state = vec![f32::NAN; row_prefix_len(split, n)];
+                            row_prefix(&x[..split], &b, n, &mut state);
+                            let mut got = vec![f32::NAN; n];
+                            row_resume(&state, &x[split..], &b, &mut got);
+                            set_backend_override(None);
+                            let ctx = format!("{be:?} k={k} n={n} split={split}");
+                            assert_eq!(
+                                canon(&got),
+                                canon(&want),
+                                "{ctx} signed_zeros={signed_zeros}"
+                            );
+                            canon(&got)
+                        })
+                        .collect();
+                    assert!(per_backend.windows(2).all(|w| w[0] == w[1]), "backends k={k} n={n}");
+                }
+            }
+        }
+    }
+}
+
+/// `gemm_rows_resume` continues every row's chains from a non-zero start
+/// as the scalar kernel does, over every row band, column tail and a `k`
+/// up to one whole `KC` block.
+#[test]
+fn resumed_row_kernel_bit_identical_across_backends() {
+    let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+    let backends = backends();
+    for n in (1usize..=17).chain([255, 256]) {
+        for rows in [1usize, 3, 4, 5, 9] {
+            for k in [0usize, 4, 52, KC] {
+                let seed = (n * 1_000_000 + rows * 1_000 + k) as u64;
+                let a = rand_tensor(&[rows, k], seed).into_data();
+                let b = rand_tensor(&[k, n], seed ^ 0xABCD).into_data();
+                let start = rand_tensor(&[rows, n], seed ^ 0x1234).into_data();
+                let run = |be: Backend| {
+                    set_backend_override(Some(be));
+                    let mut acc = start.clone();
+                    Kernels::get().gemm_rows_resume(&mut acc, &a, &b, k, n);
+                    set_backend_override(None);
+                    canon(&acc)
+                };
+                let scalar = run(Backend::Scalar);
+                for &be in &backends {
+                    assert_eq!(run(be), scalar, "{} {rows}x{k}x{n}", be.name());
+                }
+            }
+        }
+    }
+}
+
+/// The LSTM cell update — gate activations, `c ← fma(f, c, i·g)`,
+/// `tanh(c)` and `h ← o·tanh(c)` — is bit for bit the scalar one on every
+/// backend, over hidden sizes with and without 8- and 16-lane tails,
+/// saturating pre-activations and non-finite ones.
+#[test]
+fn lstm_cell_bit_identical_across_backends() {
+    let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+    let backends = backends();
+    for hsz in [1usize, 7, 8, 15, 16, 17, 64] {
+        for rows in [1usize, 3] {
+            let seed = (hsz * 100 + rows) as u64;
+            let mut z = rand_tensor(&[rows, 4 * hsz], seed);
+            z.scale(12.0);
+            plant(&mut z, seed, &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]);
+            let c0 = rand_tensor(&[rows, hsz], seed ^ 0x55).into_data();
+            let run = |be: Backend| {
+                set_backend_override(Some(be));
+                let (mut z, mut c) = (z.data().to_vec(), c0.clone());
+                let (mut tanh_c, mut h) = (vec![f32::NAN; rows * hsz], vec![f32::NAN; rows * hsz]);
+                Kernels::get().lstm_cell(hsz, &mut z, &mut c, &mut tanh_c, &mut h);
+                set_backend_override(None);
+                [canon(&z), canon(&c), canon(&tanh_c), canon(&h)]
+            };
+            let scalar = run(Backend::Scalar);
+            for &be in &backends {
+                assert_eq!(run(be), scalar, "{} hsz={hsz} rows={rows}", be.name());
             }
         }
     }

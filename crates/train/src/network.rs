@@ -19,7 +19,11 @@
 //! the observation once per posterior ([`ProposalProvider::condition`], the
 //! one `&mut` call), and each sample statement then costs one B = 1 LSTM
 //! step and one head forward that read the network through `&self` and
-//! write only the calling worker's [`IcState`].
+//! write only the calling worker's [`IcState`]. Within a posterior only the
+//! previous-sample part of an LSTM input changes, so the worker keeps, per
+//! address it has visited, the first layer's input projection over the
+//! observation and address embeddings, and each step multiplies only the
+//! sample embedding's columns (see [`IcState`]).
 
 use etalumis_core::Address;
 use etalumis_data::TraceRecord;
@@ -34,7 +38,6 @@ use etalumis_tensor::{pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -115,6 +118,9 @@ enum Head {
 struct AddressLayers {
     /// The address, which names the parameters.
     name: String,
+    /// `name` as the [`Address`] whose qualified form it is (`None` when
+    /// no address prints as `name`, so none can reach this slot).
+    address: Option<Address>,
     /// Row in the address-embedding table.
     embed_id: usize,
     /// Previous-sample embedding (input width depends on the prior).
@@ -208,6 +214,22 @@ impl Clone for StatsTally {
 /// distribution it returns, and any number of workers step one shared
 /// network.
 ///
+/// An LSTM input row is `[observation | address | previous sample]`, and
+/// within one posterior only the last part changes. So the state keeps, for
+/// each address it has proposed at, the first LSTM layer's input projection
+/// over the first two parts, as [`Lstm::input_prefix`] leaves it: each
+/// output element's unfinished fused multiply-add chain (and, past the
+/// kernel's `KC` block, the sums of the blocks before). A step resumes those
+/// chains over the sample embedding's columns only, so its gates are bit
+/// for bit those of the full-row product. The cache is filled on an
+/// address's first visit and grows with the addresses this worker visits —
+/// `4·lstm_hidden` floats each, 1 KB at the small config's 64 units, and
+/// twice that many at the paper's 512 units (16 KB), whose 320 constant
+/// columns pass one block — never with the registry's size beyond a 4-byte
+/// index per slot. It belongs to one conditioning and one set of weights:
+/// `begin_trace` drops it when the network has been conditioned again or
+/// had its parameters visited since.
+///
 /// A state comes from conditioning:
 ///
 /// ```
@@ -241,23 +263,19 @@ pub struct IcState {
     /// Sample-embedding input of the value just realized.
     feats: Vec<f32>,
     head: MlpScratch,
-    /// Qualified-address buffer for layer lookups.
-    key: String,
+    /// The slot the last `propose` resolved, which `notify` reuses for the
+    /// same address.
+    slot: Option<usize>,
+    /// Input-projection prefixes, one [`Lstm::input_prefix_len`] run per
+    /// visited address, in visit order.
+    prefixes: Vec<f32>,
+    /// Per slot: 1 + the index of its run in `prefixes`, 0 before its first
+    /// visit.
+    prefix_at: Vec<u32>,
+    /// The network's [`IcNetwork::generation`] the cache was filled under.
+    generation: u64,
     /// Work counted since the state was made (`conditions` stays 0).
     stats: InferenceStats,
-}
-
-/// The layers registered for `address`, looked up through the reusable key
-/// buffer (no `String` is built per lookup).
-fn layers_at<'a>(
-    index: &HashMap<String, usize>,
-    addresses: &'a [AddressLayers],
-    key: &mut String,
-    address: &Address,
-) -> Option<&'a AddressLayers> {
-    key.clear();
-    let _ = write!(key, "{address}");
-    index.get(key.as_str()).map(|&slot| &addresses[slot])
 }
 
 /// Fused loss and backward of `head` at step `t` of a sub-minibatch whose
@@ -306,6 +324,9 @@ pub struct IcNetwork {
     address_table: Embedding,
     /// Slot of each registered address in `addresses`.
     index: HashMap<String, usize>,
+    /// The same slots by [`Address`] parts — base, then `(instance, slot)`
+    /// — so a proposal resolves its address without formatting it.
+    by_base: HashMap<String, Vec<(u32, usize)>>,
     /// Address-specific layers in registration order (stable parameter
     /// naming); slot `i` owns row `i` of the address table.
     addresses: Vec<AddressLayers>,
@@ -317,6 +338,10 @@ pub struct IcNetwork {
     /// wrote: computed once per posterior, read by every worker.
     embedding: Vec<f32>,
     stats: StatsTally,
+    /// Bumped by every `condition` and every parameter visit: a worker's
+    /// cached input prefixes are valid only under the generation they were
+    /// computed in.
+    generation: u64,
 }
 
 impl IcNetwork {
@@ -332,12 +357,14 @@ impl IcNetwork {
             lstm,
             address_table,
             index: HashMap::new(),
+            by_base: HashMap::new(),
             addresses: Vec::new(),
             frozen: false,
             rng,
             last_phase_secs: (0.0, 0.0),
             embedding: Vec::new(),
             stats: StatsTally::default(),
+            generation: 0,
         }
     }
 
@@ -356,6 +383,37 @@ impl IcNetwork {
     fn input_offsets(&self) -> (usize, usize) {
         let addr = self.config.cnn.embedding_dim;
         (addr, addr + self.config.address_embed_dim)
+    }
+
+    /// The slot registered for `address`, found without formatting it.
+    fn resolve(&self, address: &Address) -> Option<usize> {
+        let instances = self.by_base.get(address.base.as_str())?;
+        instances.iter().find(|&&(i, _)| i == address.instance).map(|&(_, slot)| slot)
+    }
+
+    /// Where `slot`'s input-projection prefix lies in `state.prefixes`,
+    /// computing it on the slot's first visit from the observation
+    /// embedding (already in `state.input`) and the address embedding.
+    fn prefix_of(&self, state: &mut IcState, slot: usize) -> std::ops::Range<usize> {
+        let (addr, prev) = self.input_offsets();
+        let width = self.lstm.input_prefix_len(prev);
+        if state.prefix_at.len() <= slot {
+            state.prefix_at.resize(slot + 1, 0);
+        }
+        let at = match state.prefix_at[slot] {
+            0 => {
+                let at = state.prefixes.len();
+                let embed_id = self.addresses[slot].embed_id;
+                state.input[addr..prev]
+                    .copy_from_slice(self.address_table.table.value.row(embed_id));
+                state.prefixes.resize(at + width, 0.0);
+                self.lstm.input_prefix(&state.input[..prev], &mut state.prefixes[at..]);
+                state.prefix_at[slot] = (at / width + 1) as u32;
+                at
+            }
+            entry => (entry as usize - 1) * width,
+        };
+        at..at + width
     }
 
     /// Number of registered addresses.
@@ -411,9 +469,15 @@ impl IcNetwork {
                 d.std().max(1e-6),
             )),
         };
-        self.index.insert(address.to_string(), self.addresses.len());
+        let slot = self.addresses.len();
+        self.index.insert(address.to_string(), slot);
+        let parsed = Some(Address::parse(address)).filter(|a| a.qualified() == address);
+        if let Some(a) = &parsed {
+            self.by_base.entry(a.base.clone()).or_default().push((a.instance, slot));
+        }
         self.addresses.push(AddressLayers {
             name: address.to_string(),
+            address: parsed,
             embed_id,
             sample_embed,
             head,
@@ -656,6 +720,8 @@ impl IcNetwork {
 
 impl Module for IcNetwork {
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Parameter)) {
+        // The visitor may change any weight a cached prefix was built from.
+        self.generation += 1;
         self.cnn.visit_params(&format!("{prefix}/cnn"), f);
         self.lstm.visit_params(&format!("{prefix}/lstm"), f);
         self.address_table.visit_params(&format!("{prefix}/addr_table"), f);
@@ -694,22 +760,35 @@ impl ProposalProvider for IcNetwork {
         let x = Tensor::from_vec(&[1, 1, dims[0], dims[1], dims[2]], voxels);
         self.embedding = self.cnn.forward_inference(&x).data().to_vec();
         self.stats = StatsTally { conditions: 1, ..Default::default() };
+        self.generation += 1;
+        let mut input = vec![0.0; self.config.lstm_input()];
+        input[..self.embedding.len()].copy_from_slice(&self.embedding);
         IcState {
-            input: vec![0.0; self.config.lstm_input()],
+            input,
             lstm: self.lstm.zero_state(1),
             feats: Vec::new(),
             head: MlpScratch::default(),
-            key: String::new(),
+            slot: None,
+            prefixes: Vec::new(),
+            prefix_at: Vec::new(),
+            generation: self.generation,
             stats: InferenceStats::default(),
         }
     }
 
     fn begin_trace(&self, state: &mut IcState) {
-        let (addr, _) = self.input_offsets();
+        let (addr, prev) = self.input_offsets();
+        if state.generation != self.generation {
+            // The observation, and no prefix computed from another one.
+            state.input[..addr].copy_from_slice(&self.embedding);
+            state.prefixes.clear();
+            state.prefix_at.clear();
+            state.generation = self.generation;
+        }
         state.lstm.reset();
-        // The observation, then no previous sample at t = 0.
-        state.input[..addr].copy_from_slice(&self.embedding);
-        state.input[addr..].fill(0.0);
+        // No previous sample at t = 0.
+        state.input[prev..].fill(0.0);
+        state.slot = None;
     }
 
     fn propose(
@@ -718,11 +797,12 @@ impl ProposalProvider for IcNetwork {
         address: &Address,
         prior: &Distribution,
     ) -> Option<Distribution> {
-        let (addr, prev) = self.input_offsets();
-        let layers = layers_at(&self.index, &self.addresses, &mut state.key, address)?;
-        state.input[addr..prev]
-            .copy_from_slice(self.address_table.table.value.row(layers.embed_id));
-        self.lstm.step_rows_inference(&state.input, &mut state.lstm);
+        let (_, prev) = self.input_offsets();
+        state.slot = self.resolve(address);
+        let slot = state.slot?;
+        let layers = &self.addresses[slot];
+        let at = self.prefix_of(state, slot);
+        self.lstm.step_rows_resumed(&state.prefixes[at], &state.input[prev..], &mut state.lstm);
         state.stats.lstm_steps += 1;
         let h = state.lstm.output();
         let q = match &layers.head {
@@ -756,7 +836,11 @@ impl ProposalProvider for IcNetwork {
 
     fn notify(&self, state: &mut IcState, address: &Address, prior: &Distribution, value: &Value) {
         let (_, prev) = self.input_offsets();
-        if let Some(layers) = layers_at(&self.index, &self.addresses, &mut state.key, address) {
+        let slot = match state.slot {
+            Some(s) if self.addresses[s].address.as_ref() == Some(address) => Some(s),
+            _ => self.resolve(address),
+        };
+        if let Some(layers) = slot.map(|s| &self.addresses[s]) {
             // The next LSTM input carries this sample's embedding.
             state.feats.resize(layers.sample_embed.in_dim(), 0.0);
             value_features_into(prior, value, &mut state.feats);
@@ -775,6 +859,7 @@ impl ProposalProvider for IcNetwork {
 mod tests {
     use super::*;
     use etalumis_core::{Executor, ObserveMap};
+    use etalumis_nn::Cnn3dConfig;
     use etalumis_simulators::BranchingModel;
 
     fn small_records(n: usize) -> Vec<TraceRecord> {
@@ -893,6 +978,95 @@ mod tests {
         let mut net = IcNetwork::new(small_config());
         net.pregenerate(small_records(40).iter());
         net
+    }
+
+    /// Every registered address, with the prior its records drew it from.
+    fn registered_priors(net: &IcNetwork, recs: &[TraceRecord]) -> Vec<(Address, Distribution)> {
+        let mut seen: Vec<(Address, Distribution)> = Vec::new();
+        for e in recs.iter().flat_map(|r| r.controlled()) {
+            let a = Address::parse(&e.address);
+            if !seen.iter().any(|(s, _)| *s == a) {
+                seen.push((a, e.distribution.clone()));
+            }
+        }
+        assert_eq!(seen.len(), net.num_addresses());
+        seen
+    }
+
+    /// An IC proposal's LSTM step, which resumes each address's cached
+    /// input-projection prefix, leaves every layer's `h` and `c` bit for bit
+    /// where the full-row `step_rows_inference` of the same input leaves
+    /// them — at every registered address, on its first (cache-filling) and
+    /// later visits, after the sample embeddings `notify` writes, and at the
+    /// small config's widths and the paper's (a 324-column input, whose 320
+    /// constant columns pass one `KC` block, into 512 units).
+    #[test]
+    fn cached_prefix_steps_equal_full_row_steps_bit_for_bit() {
+        let paper_widths = IcConfig {
+            cnn: Cnn3dConfig::tiny([1, 1, 1], 256),
+            lstm_hidden: 512,
+            address_embed_dim: 64,
+            ..small_config()
+        };
+        assert_eq!(paper_widths.lstm_input(), IcConfig::paper().lstm_input());
+        for cfg in [small_config(), paper_widths] {
+            let recs = small_records(40);
+            let mut net = IcNetwork::new(cfg);
+            net.pregenerate(recs.iter());
+            let priors = registered_priors(&net, &recs);
+            let mut state = net.condition(&Value::Real(0.7));
+            net.begin_trace(&mut state);
+            let mut reference = net.lstm.zero_state(1);
+            let (_, prev) = net.input_offsets();
+            let mut rng = StdRng::seed_from_u64(5);
+            let bits = |s: &LstmState| -> Vec<Vec<u32>> {
+                s.layers()
+                    .flat_map(|(h, c)| [h, c])
+                    .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            for visit in 0..3 {
+                for (address, prior) in &priors {
+                    let slot = net.resolve(address).expect("registered");
+                    let mut row = net.embedding.clone();
+                    row.extend_from_slice(
+                        net.address_table.table.value.row(net.addresses[slot].embed_id),
+                    );
+                    row.extend_from_slice(&state.input[prev..]);
+                    net.lstm.step_rows_inference(&row, &mut reference);
+                    assert!(net.propose(&mut state, address, prior).is_some());
+                    assert_eq!(bits(&state.lstm), bits(&reference), "{address} visit {visit}");
+                    let value = prior.sample(&mut rng);
+                    net.notify(&mut state, address, prior, &value);
+                }
+            }
+            assert_eq!(state.prefixes.len(), priors.len() * net.lstm.input_prefix_len(prev));
+        }
+    }
+
+    /// A worker state outliving its posterior drops its cached prefixes:
+    /// after the network is conditioned on another observation, or its
+    /// parameters are visited, the old state proposes bit for bit as a
+    /// state fresh from the latest conditioning.
+    #[test]
+    fn a_stale_state_drops_its_cached_prefixes() {
+        let recs = small_records(40);
+        let mut net = IcNetwork::new(small_config());
+        net.pregenerate(recs.iter());
+        let priors = registered_priors(&net, &recs);
+        let proposals = |net: &IcNetwork, state: &mut IcState| -> Vec<String> {
+            net.begin_trace(state);
+            priors.iter().map(|(a, p)| format!("{:?}", net.propose(state, a, p))).collect()
+        };
+        let mut old = net.condition(&Value::Real(0.2));
+        let mut unvisited = old.clone();
+        let first = proposals(&net, &mut old);
+        net.visit_params("", &mut |_, p| p.value.scale(0.5));
+        let rescaled = proposals(&net, &mut old);
+        assert_ne!(rescaled, first);
+        assert_eq!(rescaled, proposals(&net, &mut unvisited));
+        let mut fresh = net.condition(&Value::Real(0.9));
+        assert_eq!(proposals(&net, &mut old), proposals(&net, &mut fresh));
     }
 
     #[test]
