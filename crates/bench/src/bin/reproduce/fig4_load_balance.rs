@@ -9,9 +9,9 @@
 //! "actual vs best" totals (max-worker vs mean-worker busy — the paper's
 //! imbalance metric), and observed steal counts.
 //!
-//! Run: `cargo run -p etalumis-bench --release --bin fig4_load_balance`
-//! (`-- --quick` shrinks the batch for CI smoke runs).
+//! Run: `cargo run -p etalumis-bench --release --bin reproduce -- fig4_load_balance`
 
+use crate::Outcome;
 use etalumis_bench::{bench_tau_model, Field, Logger};
 use etalumis_core::{FnProgram, ObserveMap, SimCtx, SimCtxExt};
 use etalumis_distributions::{Distribution, Value};
@@ -72,19 +72,17 @@ where
     (run(false), run(true))
 }
 
-fn main() {
-    let log = Logger::from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
+pub fn run(log: &Logger) -> Outcome {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Cap at the core count: oversubscribed workers timeshare cores, and the
-    // per-worker busy times then measure OS scheduling noise, not imbalance.
+    // 1, 2 and the core count, no more: oversubscribed workers timeshare
+    // cores, and the per-worker busy times then measure OS scheduling noise,
+    // not imbalance.
     let mut worker_counts = vec![1, 2, cores];
-    worker_counts.retain(|&w| w <= cores.max(2));
     worker_counts.sort_unstable();
     worker_counts.dedup();
 
     log.section("Figure 4 (measured): work-stealing vs static partitioning, skewed workload");
-    let n = if quick { 120 } else { 600 };
+    let n = 600;
     log.info(
         "workload",
         &[
@@ -98,8 +96,8 @@ fn main() {
     );
     for &workers in &worker_counts {
         let (stat, steal) = measure(|_| skewed_program(), n, workers, 4);
-        report(&log, "static", workers, &stat);
-        report(&log, "stealing", workers, &steal);
+        report(log, "static", workers, &stat);
+        report(log, "stealing", workers, &steal);
         if workers > 1 {
             let gain = (stat.imbalance() - steal.imbalance()) * 100.0;
             log.info(
@@ -110,15 +108,15 @@ fn main() {
     }
 
     log.section("Figure 4 (measured): mini-Sherpa tau model");
-    let n_tau = if quick { 256 } else { 1024 };
+    let n_tau = 1024;
     log.info(
         "workload",
         &[("program", Field::Str("mini-Sherpa tau")), ("traces", Field::U64(n_tau as u64))],
     );
     for &workers in &worker_counts {
         let (stat, steal) = measure(|_| bench_tau_model(), n_tau, workers, 17);
-        report(&log, "static", workers, &stat);
-        report(&log, "stealing", workers, &steal);
+        report(log, "static", workers, &stat);
+        report(log, "stealing", workers, &steal);
     }
 
     log.info(
@@ -131,4 +129,5 @@ fn main() {
             ),
         )],
     );
+    Ok(())
 }

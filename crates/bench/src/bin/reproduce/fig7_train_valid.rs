@@ -4,14 +4,13 @@
 //! nodes, converging together (no overfitting gap at these data volumes).
 //! We train on a τ train split and evaluate a held-out validation split.
 //!
-//! Run: `cargo run -p etalumis-bench --release --bin fig7_train_valid`
+//! Run: `cargo run -p etalumis-bench --release --bin reproduce -- fig7_train_valid`
 
-use etalumis_bench::{bench_ic_config, tau_records, Field, Logger};
+use crate::Outcome;
+use etalumis_bench::{bench_ic_config, tau_records, train_cycling, Field, Logger};
 use etalumis_nn::{Adam, LrSchedule};
-use etalumis_train::{IcNetwork, Trainer};
 
-fn main() {
-    let log = Logger::from_args();
+pub fn run(log: &Logger) -> Outcome {
     log.section("Figure 7: training and validation loss");
     let all = tau_records(768, 5000);
     let (train, valid) = all.split_at(512);
@@ -22,38 +21,29 @@ fn main() {
             ("valid_traces", Field::U64(valid.len() as u64)),
         ],
     );
-    let mut net = IcNetwork::new(bench_ic_config(7));
-    net.pregenerate(all.iter()); // layers must cover validation addresses too
-    let mut trainer = Trainer::new(
-        net,
-        Adam::new(LrSchedule::Polynomial {
-            initial: 1e-3,
-            final_lr: 1e-4,
-            order: 2,
-            total_iters: 80,
-        }),
-    );
-    trainer.grad_clip = Some(10.0);
-    let bsz = 32;
     let steps = 80;
+    let adam = Adam::new(LrSchedule::Polynomial {
+        initial: 1e-3,
+        final_lr: 1e-4,
+        order: 2,
+        total_iters: steps,
+    });
     let mut last = (0.0, 0.0);
-    for step in 0..steps {
-        let lo = (step * bsz) % train.len();
-        let hi = (lo + bsz).min(train.len());
-        let res = trainer.step(&train[lo..hi]);
+    // The network also registers the validation addresses.
+    train_cycling(bench_ic_config(7), adam, train, valid, steps, |trainer, step, loss| {
         if step % 8 == 0 || step == steps - 1 {
             let vloss = trainer.evaluate(&valid[..128.min(valid.len())]);
             log.info(
                 "loss",
                 &[
                     ("iter", Field::U64(step as u64)),
-                    ("train_loss", Field::F64(res.loss)),
+                    ("train_loss", Field::F64(loss)),
                     ("valid_loss", Field::F64(vloss)),
                 ],
             );
-            last = (res.loss, vloss);
+            last = (loss, vloss);
         }
-    }
+    });
     log.info(
         "final",
         &[
@@ -68,4 +58,5 @@ fn main() {
             ),
         ],
     );
+    Ok(())
 }

@@ -7,16 +7,17 @@
 //! energies, and the missing transverse energy — while reaching a given
 //! effective sample size orders of magnitude faster (230× in the paper).
 //!
-//! Run: `cargo run -p etalumis-bench --release --bin fig8_posteriors`
-//! (several minutes).
+//! Run: `cargo run -p etalumis-bench --release --bin reproduce -- fig8_posteriors`
 
-use etalumis_bench::{bench_ic_config, bench_tau_model, tau_records, Field, Logger};
+use crate::Outcome;
+use etalumis_bench::{bench_ic_config, bench_tau_model, tau_records, train_cycling, Field, Logger};
 use etalumis_core::{Executor, ObserveMap, Trace};
-use etalumis_inference::total_variation;
-use etalumis_inference::{ic_importance_sampling, rmh_with_callback, Histogram, RmhConfig};
+use etalumis_distributions::Value;
+use etalumis_inference::{
+    ic_importance_sampling, rmh_with_callback, total_variation, Histogram, RmhConfig,
+};
 use etalumis_nn::{Adam, LrSchedule};
 use etalumis_simulators::TauDecayModel;
-use etalumis_train::{IcNetwork, Trainer};
 use std::time::Instant;
 
 const RMH_ITERS: usize = 16_000;
@@ -24,82 +25,46 @@ const IC_SAMPLES: usize = 1_500;
 const TRAIN_TRACES: usize = 1_024;
 const TRAIN_STEPS: usize = 300;
 
+/// One latent's histogram. The latent is a trace's sample at address base
+/// `key`, or else its value named `key`; a trace with neither gives NaN,
+/// which [`Histogram::add`] counts as overflow.
 struct Panel {
     name: &'static str,
-    extract: fn(&Trace) -> f64,
+    key: &'static str,
     lo: f64,
     hi: f64,
     bins: usize,
 }
 
-fn panels() -> Vec<Panel> {
-    vec![
-        Panel {
-            name: "tau px [GeV/c]",
-            extract: |t| t.value_by_base("tau/px[Uniform]").unwrap().as_f64(),
-            lo: -2.5,
-            hi: 2.5,
-            bins: 20,
-        },
-        Panel {
-            name: "tau py [GeV/c]",
-            extract: |t| t.value_by_base("tau/py[Uniform]").unwrap().as_f64(),
-            lo: -2.5,
-            hi: 2.5,
-            bins: 20,
-        },
-        Panel {
-            name: "tau pz [GeV/c]",
-            extract: |t| t.value_by_base("tau/pz[Uniform]").unwrap().as_f64(),
-            lo: 42.5,
-            hi: 47.5,
-            bins: 20,
-        },
-        Panel {
-            name: "decay channel",
-            extract: |t| t.value_by_base("tau/channel[Categorical]").unwrap().as_f64(),
-            lo: 0.0,
-            hi: 38.0,
-            bins: 38,
-        },
-        Panel {
-            name: "FSP energy 1 [GeV]",
-            extract: |t| t.value_by_name("fsp_energy1").unwrap().as_f64(),
-            lo: 0.0,
-            hi: 48.0,
-            bins: 20,
-        },
-        Panel {
-            name: "FSP energy 2 [GeV]",
-            extract: |t| t.value_by_name("fsp_energy2").unwrap().as_f64(),
-            lo: 0.0,
-            hi: 48.0,
-            bins: 20,
-        },
-        Panel {
-            name: "missing ET",
-            extract: |t| t.value_by_name("met").unwrap().as_f64(),
-            lo: 0.0,
-            hi: 3.0,
-            bins: 20,
-        },
-    ]
+impl Panel {
+    fn value(&self, t: &Trace) -> f64 {
+        let v = t.value_by_base(self.key).or_else(|| t.value_by_name(self.key));
+        v.map_or(f64::NAN, Value::as_f64)
+    }
 }
 
-fn main() {
-    let log = Logger::from_args();
+const PANELS: [Panel; 7] = [
+    Panel { name: "tau px [GeV/c]", key: "tau/px[Uniform]", lo: -2.5, hi: 2.5, bins: 20 },
+    Panel { name: "tau py [GeV/c]", key: "tau/py[Uniform]", lo: -2.5, hi: 2.5, bins: 20 },
+    Panel { name: "tau pz [GeV/c]", key: "tau/pz[Uniform]", lo: 42.5, hi: 47.5, bins: 20 },
+    Panel { name: "decay channel", key: "tau/channel[Categorical]", lo: 0.0, hi: 38.0, bins: 38 },
+    Panel { name: "FSP energy 1 [GeV]", key: "fsp_energy1", lo: 0.0, hi: 48.0, bins: 20 },
+    Panel { name: "FSP energy 2 [GeV]", key: "fsp_energy2", lo: 0.0, hi: 48.0, bins: 20 },
+    Panel { name: "missing ET", key: "met", lo: 0.0, hi: 3.0, bins: 20 },
+];
+
+pub fn run(log: &Logger) -> Outcome {
     log.section("Figure 8: ground-truth event");
     let mut model = bench_tau_model();
     let truth = Executor::sample_prior(&mut model, 20190621);
-    let obs = truth.first_observed().unwrap().clone();
+    let obs = truth.first_observed().ok_or("the ground-truth event has no observation")?.clone();
     let mut observes = ObserveMap::new();
     observes.insert(TauDecayModel::OBSERVE_NAME.into(), obs);
-    let ps = panels();
-    let gt: Vec<f64> = ps.iter().map(|p| (p.extract)(&truth)).collect();
-    for (p, g) in ps.iter().zip(gt.iter()) {
+    let gt: Vec<f64> = PANELS.iter().map(|p| p.value(&truth)).collect();
+    for (p, g) in PANELS.iter().zip(gt.iter()) {
         log.info("ground_truth", &[("latent", Field::Str(p.name)), ("value", Field::F64(*g))]);
     }
-    let channel = truth.value_by_name("channel_name").unwrap().to_string();
+    let channel = truth.value_by_name("channel_name").ok_or("no channel name")?.to_string();
     log.info(
         "ground_truth",
         &[("latent", Field::Str("channel name")), ("value", Field::Str(&channel))],
@@ -108,8 +73,8 @@ fn main() {
     // --- RMH baseline (two chains for Gelman-Rubin) ---
     log.section(&format!("RMH baseline ({RMH_ITERS} iterations x 2 chains)"));
     let mut rmh_hists: Vec<Histogram> =
-        ps.iter().map(|p| Histogram::new(p.lo, p.hi, p.bins)).collect();
-    let mut chain_means: Vec<Vec<f64>> = vec![Vec::new(); 2];
+        PANELS.iter().map(|p| Histogram::new(p.lo, p.hi, p.bins)).collect();
+    let mut px_chains: Vec<Vec<f64>> = Vec::new();
     let mut rmh_calls = 0usize;
     let t0 = Instant::now();
     for chain in 0..2 {
@@ -123,13 +88,13 @@ fn main() {
         };
         let mut px_series = Vec::new();
         let stats = rmh_with_callback(&mut model, &observes, &cfg, |_, t| {
-            for (p, h) in ps.iter().zip(rmh_hists.iter_mut()) {
-                h.add((p.extract)(t), 1.0);
+            for (p, h) in PANELS.iter().zip(rmh_hists.iter_mut()) {
+                h.add(p.value(t), 1.0);
             }
-            px_series.push((ps[0].extract)(t));
+            px_series.push(PANELS[0].value(t));
         });
         rmh_calls += stats.simulator_calls;
-        chain_means[chain] = px_series;
+        px_chains.push(px_series);
         log.info(
             "rmh_chain",
             &[
@@ -139,12 +104,11 @@ fn main() {
         );
     }
     let rmh_secs = t0.elapsed().as_secs_f64();
-    let n = chain_means[0].len().min(chain_means[1].len());
-    let rhat = etalumis_inference::diagnostics::gelman_rubin(&[
-        chain_means[0][..n].to_vec(),
-        chain_means[1][..n].to_vec(),
-    ]);
-    let tau_int = etalumis_inference::diagnostics::integrated_autocorr_time(&chain_means[0]);
+    // Both chains keep the same number of samples (same iterations, burn-in
+    // and thinning), as Gelman-Rubin requires.
+    let n = px_chains[0].len();
+    let rhat = etalumis_inference::diagnostics::gelman_rubin(&px_chains);
+    let tau_int = etalumis_inference::diagnostics::integrated_autocorr_time(&px_chains[0]);
     let rmh_ess = 2.0 * n as f64 / tau_int;
     log.info(
         "rmh_baseline",
@@ -161,31 +125,22 @@ fn main() {
     // --- IC: train then infer ---
     log.section(&format!("IC: train on {TRAIN_TRACES} prior traces, {TRAIN_STEPS} steps"));
     let records = tau_records(TRAIN_TRACES, 40_000);
-    let mut net = IcNetwork::new(bench_ic_config(8));
-    net.pregenerate(records.iter());
-    let mut trainer = Trainer::new(
-        net,
-        Adam::new(LrSchedule::Polynomial {
-            initial: 1e-3,
-            final_lr: 1e-4,
-            order: 2,
-            total_iters: TRAIN_STEPS,
-        }),
-    );
-    trainer.grad_clip = Some(10.0);
+    let adam = Adam::new(LrSchedule::Polynomial {
+        initial: 1e-3,
+        final_lr: 1e-4,
+        order: 2,
+        total_iters: TRAIN_STEPS,
+    });
     let t0 = Instant::now();
-    let bsz = 32;
-    for step in 0..TRAIN_STEPS {
-        let lo = (step * bsz) % records.len();
-        let hi = (lo + bsz).min(records.len());
-        let res = trainer.step(&records[lo..hi]);
-        if step % 50 == 0 {
-            log.info(
-                "train_step",
-                &[("step", Field::U64(step as u64)), ("loss", Field::F64(res.loss))],
-            );
-        }
-    }
+    let mut trainer =
+        train_cycling(bench_ic_config(8), adam, &records, &[], TRAIN_STEPS, |_, step, loss| {
+            if step % 50 == 0 {
+                log.info(
+                    "train_step",
+                    &[("step", Field::U64(step as u64)), ("loss", Field::F64(loss))],
+                );
+            }
+        });
     log.info(
         "train_done",
         &[
@@ -217,8 +172,8 @@ fn main() {
     // --- panels ---
     log.section("posterior comparison (normalized histograms)");
     let mut tvs = Vec::new();
-    for (pi, p) in ps.iter().enumerate() {
-        let ic_hist = post_ic.histogram(p.extract, p.lo, p.hi, p.bins);
+    for (pi, p) in PANELS.iter().enumerate() {
+        let ic_hist = post_ic.histogram(|t| p.value(t), p.lo, p.hi, p.bins);
         let r = rmh_hists[pi].normalized();
         let i = ic_hist.normalized();
         let tv = total_variation(&r, &i);
@@ -276,4 +231,5 @@ fn main() {
         ],
     );
     log.info("posterior_agreement", &[("mean_tv", Field::F64(mean_tv))]);
+    Ok(())
 }

@@ -20,9 +20,9 @@
 //! rank's time at each step and *best* the mean rank's, and a rank's
 //! gradient traffic is counted in elements per step.
 //!
-//! Run: `cargo run -p etalumis-bench --release --bin train_scaling`
-//! (`-- --json` prints one JSON object per event on stdout).
+//! Run: `cargo run -p etalumis-bench --release --bin reproduce -- train_scaling`
 
+use crate::Outcome;
 use etalumis_bench::{bench_ic_config, tau_dataset, Field, Logger};
 use etalumis_data::TraceDataset;
 use etalumis_nn::{Adam, LrSchedule};
@@ -61,13 +61,12 @@ const PAPER_FIG4: &str = "load imbalance ~5% at 2 sockets, ~19% at 64";
 
 /// One training run over `ds` at `ranks` rank threads, each computing its
 /// kernels on its own thread (the kernel pool off).
-fn measure(ds: &TraceDataset, ranks: usize) -> TrainReport {
+fn measure(ds: &TraceDataset, ranks: usize) -> std::io::Result<TrainReport> {
     let mut trainer =
         Trainer::new(IcNetwork::new(bench_ic_config(1)), Adam::new(LrSchedule::Constant(1e-3)));
     pool::with_parallel(false, || {
         TrainPlan::epochs(ds, MINIBATCH, 1, 2).ranks(ranks).max_steps(STEPS).run(&mut trainer)
     })
-    .expect("dataset read")
 }
 
 /// The median of `xs` (an odd count) and its index in `xs`.
@@ -83,8 +82,7 @@ fn spread(xs: &[f64]) -> (f64, f64) {
     xs.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| (lo.min(x), hi.max(x)))
 }
 
-fn main() {
-    let log = Logger::from_args();
+pub fn run(log: &Logger) -> Outcome {
     let (ds, dir) = tau_dataset(384, 384, "train_scaling");
     // Flops per trace: the forward count at the mean trace length × the
     // forward+backward multiplier.
@@ -108,7 +106,7 @@ fn main() {
     let mut runs: [Vec<TrainReport>; 2] = [Vec::new(), Vec::new()];
     for _ in 0..REPEATS {
         for (r, reports) in runs.iter_mut().enumerate() {
-            reports.push(measure(&ds, r + 1));
+            reports.push(measure(&ds, r + 1)?);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -177,4 +175,5 @@ fn main() {
     }
     log.info("paper", &[("fig6", Field::Str(PAPER_FIG6))]);
     log.info("paper", &[("fig4", Field::Str(PAPER_FIG4))]);
+    Ok(())
 }

@@ -13,17 +13,21 @@
 //!   The repo's end-to-end benchmark (`benches/e2e`) measures only the fast
 //!   side of each, and is the one instrument speed claims and the CI gate
 //!   go through.
-//! * Binaries (`cargo run -p etalumis-bench --release --bin <name>`)
-//!   regenerate Figures 2, 4, 5, 7 and 8; `train_scaling` measures Table 2
-//!   and Figure 6 at 1 and 2 ranks and quotes the paper's numbers.
+//! * One driver, `cargo run -p etalumis-bench --release --bin reproduce --
+//!   <experiment>… | all [--json] [--log-debug]`, regenerates Figures 2, 4,
+//!   5, 7 and 8 and measures Table 2 / Figure 6 at 1 and 2 ranks, quoting
+//!   the paper's numbers beside its own.
+//! * `run_report` renders a telemetry `events.jsonl`.
 //!
-//! This library holds the shared workload builders.
+//! This library holds the shared workload builders and the experiments'
+//! training loop, [`train_cycling`].
 
 use etalumis_core::Executor;
 use etalumis_data::{sort_dataset, TraceDataset, TraceRecord};
+use etalumis_nn::Optimizer;
 use etalumis_runtime::{generate_dataset_parallel, DatasetGenConfig};
 use etalumis_simulators::{DetectorConfig, TauDecayConfig, TauDecayModel};
-use etalumis_train::IcConfig;
+use etalumis_train::{IcConfig, IcNetwork, Trainer};
 use std::path::PathBuf;
 
 /// Reduced-detector τ model used across benches (structure preserved,
@@ -55,6 +59,36 @@ pub fn tau_records(n: usize, seed0: u64) -> Vec<TraceRecord> {
     (0..n)
         .map(|s| TraceRecord::from_trace(&Executor::sample_prior(&mut m, seed0 + s as u64), true))
         .collect()
+}
+
+/// Traces per step in [`train_cycling`].
+pub const CYCLING_MINIBATCH: usize = 32;
+
+/// The experiments' training loop. A network from `config`, with the
+/// addresses of `records` and `held_out` registered, is trained for `steps`
+/// steps with the gradient norm clipped at 10. Step `s` trains on the
+/// [`CYCLING_MINIBATCH`] records starting at `s · CYCLING_MINIBATCH mod
+/// records.len()`, cut short at the end of `records`, which must not be
+/// empty. After every step, `each` gets the trainer, the step index and the
+/// step's loss.
+pub fn train_cycling<O: Optimizer>(
+    config: IcConfig,
+    optimizer: O,
+    records: &[TraceRecord],
+    held_out: &[TraceRecord],
+    steps: usize,
+    mut each: impl FnMut(&mut Trainer<O>, usize, f64),
+) -> Trainer<O> {
+    let mut net = IcNetwork::new(config);
+    net.pregenerate(records.iter().chain(held_out));
+    let mut trainer = Trainer::new(net, optimizer);
+    trainer.grad_clip = Some(10.0);
+    for step in 0..steps {
+        let lo = (step * CYCLING_MINIBATCH) % records.len();
+        let loss = trainer.step(&records[lo..(lo + CYCLING_MINIBATCH).min(records.len())]).loss;
+        each(&mut trainer, step, loss);
+    }
+    trainer
 }
 
 /// A scratch directory unique to this process.

@@ -134,9 +134,10 @@ impl TraceDataset {
 /// Sample `n` prior traces from a program and write them into shards of
 /// `traces_per_shard` records under `dir`. Returns the dataset.
 ///
-/// This is the serial path — the degenerate single-worker case of the
-/// parallel generator in `etalumis-runtime` (`generate_dataset_parallel`),
-/// kept for single-threaded callers and as the reference implementation.
+/// A serial generator for single-threaded callers and tests. Every trace
+/// draws from one `StdRng` stream seeded with `seed`, whereas a `RunPlan`
+/// in `etalumis-runtime` seeds trace `i` with `mix_seed(seed, i)`, so its
+/// output is not comparable to a plan's, not even a 1-worker plan's.
 pub fn generate_dataset(
     program: &mut dyn ProbProgram,
     n: usize,

@@ -6,8 +6,10 @@
 //! embarrassingly parallel. Each entry point below is one [`RunPlan`] with
 //! a shard output — over a local pool or a multiplexed remote pool;
 //! checkpointed, streamed, and rank-sliced generation are the same plan
-//! with more axes set. The serial `etalumis_data::generate_dataset` remains
-//! the 1-worker reference path.
+//! with more axes set. The serial `etalumis_data::generate_dataset` is not
+//! one of them: it draws every trace from one shared random stream, where a
+//! plan seeds trace `i` with [`mix_seed`](crate::mix_seed)`(seed, i)`, so
+//! its records differ from any plan's, a 1-worker plan's included.
 
 use crate::batch::Backend;
 use crate::checkpoint::ShardLayout;
