@@ -754,6 +754,7 @@ mod tests {
         SimulatorServer,
     };
     use etalumis_telemetry::Telemetry;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn test_model() -> FnProgram<impl FnMut(&mut dyn SimCtx) -> Value> {
         FnProgram::new("oversub_model", |ctx: &mut dyn SimCtx| {
@@ -996,24 +997,82 @@ mod tests {
         }
     }
 
+    /// A [`FailAfter`] that counts its death in `deaths`, once.
+    struct CountedDeath {
+        inner: FailAfter,
+        deaths: Arc<AtomicUsize>,
+        dead: bool,
+    }
+
+    impl MuxEndpoint for CountedDeath {
+        fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, PpxError> {
+            let frame = self.inner.poll_frame();
+            if frame.is_err() && !std::mem::replace(&mut self.dead, true) {
+                self.deaths.fetch_add(1, Ordering::SeqCst);
+            }
+            frame
+        }
+
+        fn send_frame(&mut self, payload: Vec<u8>) -> Result<(), PpxError> {
+            self.inner.send_frame(payload)
+        }
+
+        fn flush(&mut self) -> Result<bool, PpxError> {
+            self.inner.flush()
+        }
+    }
+
+    /// A healthy session that delivers its handshake, then nothing until
+    /// `deaths` reaches `open_at`: its first `Run` waits for that many
+    /// deaths of another session.
+    struct HeldUntilDeaths {
+        inner: InProcMuxEndpoint,
+        handshaken: bool,
+        deaths: Arc<AtomicUsize>,
+        open_at: usize,
+    }
+
+    impl MuxEndpoint for HeldUntilDeaths {
+        fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, PpxError> {
+            if self.handshaken && self.deaths.load(Ordering::SeqCst) < self.open_at {
+                return Ok(None);
+            }
+            let frame = self.inner.poll_frame()?;
+            self.handshaken |= frame.is_some();
+            Ok(frame)
+        }
+
+        fn send_frame(&mut self, payload: Vec<u8>) -> Result<(), PpxError> {
+            self.inner.send_frame(payload)
+        }
+
+        fn flush(&mut self) -> Result<bool, PpxError> {
+            self.inner.flush()
+        }
+    }
+
     #[test]
     fn respawn_budget_exhaustion_retires_the_slot_but_accounts_every_index() {
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
         let policy = ReconnectPolicy { backoff: Duration::ZERO, ..Default::default() };
+        let deaths = u64::from(policy.max_respawns) + 1;
         // Session 0's endpoint always dies a few frames into a trace — every
         // respawn is doomed; session 1 is healthy. Per statement, nine
         // frames are the handshake and half a trace; seeded, two frames are
-        // the handshake and one whole trace, and the larger batch keeps
-        // session 1 busy while session 0 burns through its budget. Respawns
-        // come without backoff, so the budget is spent long before the batch
-        // drains.
+        // the handshake and one whole trace. Session 1 holds its first
+        // `Run` until session 0's last endpoint has died, so the batch
+        // cannot drain before the budget is spent, however the threads are
+        // scheduled.
         for (seeded, frames, n) in [(false, 9, 20), (true, 2, 200)] {
+            let died = Arc::new(AtomicUsize::new(0));
             let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", move |i| {
-                let inner = spawn_inproc_server();
+                let (inner, tally) = (spawn_inproc_server(), died.clone());
                 let ep: Box<dyn MuxEndpoint> = if i == 0 {
-                    Box::new(FailAfter { inner, frames_left: frames })
+                    let inner = FailAfter { inner, frames_left: frames };
+                    Box::new(CountedDeath { inner, deaths: tally, dead: false })
                 } else {
-                    Box::new(inner)
+                    let open_at = deaths as usize;
+                    Box::new(HeldUntilDeaths { inner, handshaken: false, deaths: tally, open_at })
                 };
                 Ok(ep)
             })
@@ -1032,7 +1091,6 @@ mod tests {
             // the initial endpoint and the three respawns are four deaths,
             // each trace requeued or, past its retry budget, failed.
             assert_eq!(stats.respawns, u64::from(policy.max_respawns), "{label}: {stats:?}");
-            let deaths = u64::from(policy.max_respawns) + 1;
             assert_eq!(stats.retries + stats.failures.len() as u64, deaths, "{label}: {stats:?}");
             assert_eq!(pool.live(), 1, "{label}: the dying slot is retired, the healthy one lives");
         }

@@ -2,8 +2,9 @@
 //!
 //! The paper's §4.4.2 optimization story is that Conv3D was the training
 //! hotspot and that making it SIMD-friendly, forward *and* backward, paid 8×.
-//! Here all three passes run on the AVX2 GEMM spine ([`crate::simd`]'s row
-//! kernels) as tiled im2col products:
+//! Here all three passes run on the GEMM spine ([`crate::simd`]'s row walk,
+//! 16 lanes on AVX-512 for panels over 8 columns wide) as tiled im2col
+//! products:
 //!
 //! * [`conv3d_blocked`] — forward, `Y = W[O, C·k³] · col + b`;
 //! * [`conv3d_backward_weights`] — `[dW | db]ᵀ += [col; 1] · dYᵀ`, the bias

@@ -17,9 +17,9 @@
 //!   each way ([`conv::conv3d_fused_reusing`], [`conv::ConvGrad`]).
 //! * [`activations`] — ReLU (with its backward), sigmoid, tanh and
 //!   row-wise (log-)softmax.
-//! * [`simd`] — the runtime-dispatched micro-kernel backend: AVX-512F GEMM
-//!   row kernels and AVX2+FMA via `std::arch`, with a bit-identical 8-lane
-//!   scalar fallback.
+//! * [`simd`] — the runtime-dispatched micro-kernel backend: one body per
+//!   kernel, generic over a lane type — AVX-512F and AVX2+FMA via
+//!   `std::arch`, and a bit-identical 8-lane scalar fallback.
 //! * [`pool`] — resident kernel threads with deterministic fixed chunking
 //!   (parallel results are a pure function of shape, never thread count).
 //! * [`flops`] — analytic flop accounting used to report Gflop/s in the

@@ -3,50 +3,54 @@
 //!
 //! The paper's training throughput rests on explicitly vectorized kernels
 //! (§4.4.2: the MKL-DNN AVX-512 path). This module is the etalumis-rs
-//! equivalent on stable Rust. Three backends, chosen at runtime behind
+//! equivalent on stable Rust. Each kernel — the GEMM row walk, the row
+//! dots, the sigmoid/tanh sweeps and the LSTM cell update — is one body
+//! written over a private lane-type trait, and each backend instantiates it
+//! on its own lane type inside that backend's one `#[target_feature]`
+//! entry. The backend is chosen at runtime behind
 //! [`is_x86_feature_detected!`] (the widest the CPU has):
 //!
-//! * **AVX-512** ([`Backend::Avx512`], `avx512f`): 16-lane arms for the two
-//!   GEMM row kernels that carry every training product —
+//! * **AVX-512** ([`Backend::Avx512`], `avx512f`): `__m512`, 16 lanes, for
+//!   the GEMM row kernels over more than 8 columns —
 //!   [`Kernels::gemm_rows_unpacked`] (the Conv3d im2col panels, few-row
-//!   products) and [`Kernels::gemm_rows_packed`] (LSTM, FC and head GEMMs),
-//!   whose [`Kernels::pack_b`] panels are 16 columns wide on this backend,
-//!   and for the LSTM cell update [`Kernels::lstm_cell`]. Products at most
-//!   8 columns wide, which would fill half a strip, and every other kernel
-//!   run the AVX2 code.
-//! * **AVX2+FMA** ([`Backend::Avx2Fma`]): `std::arch` intrinsics for every
+//!   products), its resume mode [`Kernels::gemm_rows_resume`] and
+//!   [`Kernels::gemm_rows_packed`] (LSTM, FC and head GEMMs), whose
+//!   [`Kernels::pack_b`] panels are then 16 columns wide — for the
+//!   sigmoid/tanh sweeps and for the LSTM cell update [`Kernels::lstm_cell`].
+//!   Everything else runs the AVX2 lane type.
+//! * **AVX2+FMA** ([`Backend::Avx2Fma`]): `__m256`, 8 lanes, for every
 //!   kernel; packed panels are 8 columns wide.
-//! * **Scalar** ([`Backend::Scalar`]): a hand-unrolled 8-lane fallback that
-//!   performs *the same operations in the same order*: fused multiply-adds
-//!   ([`f32::mul_add`] ≡ `_mm256_fmadd_ps` ≡ `_mm512_fmadd_ps`, all single
-//!   rounding), 8 independent lane accumulators, and the same fixed tree
-//!   reduction; packed panels are 8 columns wide.
+//! * **Scalar** ([`Backend::Scalar`]): `[f32; 8]`, 8 lanes of
+//!   [`f32::mul_add`] (compiled with the FMA target feature where the CPU
+//!   has it); packed panels are 8 columns wide.
 //!
-//! Because each output element's accumulation chain is a pure function of
-//! the problem shape (never of the dispatch choice, lane count, blocking, or
-//! thread count), results are **bit-identical** across backends — preserving
-//! every bit-identity contract in the repo while the fast path runs. A GEMM
-//! row kernel's chain per element is: start from zero, fused multiply-adds
+//! Every lane type performs *the same operations in the same order*:
+//! fused multiply-adds ([`f32::mul_add`] ≡ `_mm256_fmadd_ps` ≡
+//! `_mm512_fmadd_ps`, all single rounding), the same polynomial exp with
+//! the same clamps, and masked lanes for every tail. Each output element's
+//! accumulation chain is therefore a pure function of the problem shape
+//! (never of the dispatch choice, lane count, blocking, or thread count),
+//! and results are **bit-identical** across backends — preserving every
+//! bit-identity contract in the repo while the fast path runs. A GEMM row
+//! kernel's chain per element is: start from zero, fused multiply-adds
 //! ascending in `t` within each [`KC`] block, each block's sum added to C in
 //! block order. Lane width only decides how many such chains run side by
-//! side, so the AVX-512 arms can widen them to 16 (column tails through
-//! `__mmask16` loads and stores, never a different chain). The chain can
-//! also run in pieces: [`Kernels::gemm_rows_resume`] continues chains from
-//! a given accumulator instead of zero and leaves them there, with the same
-//! walk, lanes and masks, so a block split at any column computes what the
-//! whole block does — the B = 1 IC inference step keeps the chains over its
+//! side, and register blocking is a constant of the lane type (32 zmm
+//! registers hold bands of 8 rows × 2 strips of accumulators, 16 ymm ones
+//! 4 × 2; a single row runs up to 8 strips at once). The chain can also run
+//! in pieces: [`Kernels::gemm_rows_resume`] continues chains from a given
+//! accumulator instead of zero and leaves them there, with the same walk,
+//! lanes and masks, so a block split at any column computes what the whole
+//! block does — the B = 1 IC inference step keeps the chains over its
 //! input's constant columns and resumes them over the ones that change.
 //!
-//! The kernels that stay at 8 lanes on the AVX-512 backend do so on
-//! purpose: [`Kernels::dot`] and [`Kernels::gemm_a_bt_rows`] sum 8 lane
-//! accumulators through the fixed [`reduce8`] tree, so 16 lanes would change
-//! the summation order and the bits; [`Kernels::im2col`] and
+//! Some kernels stay at 8 lanes on the AVX-512 backend, for their bits or
+//! their buffers: [`Kernels::gemm_a_bt_rows`] sums 8 lane accumulators
+//! through the fixed tree `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, so 16
+//! lanes would change the summation order; [`Kernels::im2col`] and
 //! [`Kernels::col2im`] move whole 8-float vectors into buffers the Conv3d
-//! lowering sizes with 8 floats of slack; and the standalone sigmoid/tanh
-//! sweeps are element-wise, a small share of the step that a 16-lane copy
-//! would not repay. (The LSTM cell update, which runs them on every step of
-//! every recurrence, has its own 16-lane copies; element-wise, they are
-//! lane-identical to the 8-lane and scalar ones.)
+//! lowering sizes with 8 floats of slack; and a GEMM at most 8 columns wide
+//! would fill half a 16-lane strip, where the 8-lane walk measured faster.
 //!
 //! The backend can be forced via the `ETALUMIS_KERNEL_BACKEND` env var
 //! (`scalar` / `avx2` / `avx512`; any other non-empty value warns once on
@@ -267,16 +271,16 @@ impl Kernels {
         self.backend
     }
 
-    /// True when a GEMM `n` columns wide runs a 16-lane arm: on the AVX-512
+    /// True when a GEMM `n` columns wide runs 16 lanes: on the AVX-512
     /// backend, for more than 8 columns. At most 8 columns fill half a
-    /// 16-lane strip, and there the AVX2 kernel measured faster (Conv3d
-    /// layer 1's weight gradient, `n = 8`: 0.85–0.92× on the 16-lane arm).
+    /// 16-lane strip, and there the 8-lane walk measured faster (Conv3d
+    /// layer 1's weight gradient, `n = 8`: 0.85–0.92× on 16 lanes).
     fn sixteen_lanes(&self, n: usize) -> bool {
         cfg!(target_arch = "x86_64") && self.backend == Backend::Avx512 && n > 8
     }
 
     /// Columns per [`Kernels::pack_b`] panel strip for a GEMM `n` columns
-    /// wide: 16 where the 16-lane arm runs (one zmm vector), else 8.
+    /// wide: 16 where 16 lanes run (one zmm vector), else 8.
     fn panel_width(&self, n: usize) -> usize {
         if self.sixteen_lanes(n) {
             16
@@ -285,12 +289,38 @@ impl Kernels {
         }
     }
 
+    /// Run `body` on this dispatch's lane type: `__m512` on the AVX-512
+    /// backend when `wide`, `__m256` on it otherwise and on AVX2, and
+    /// `[f32; 8]` on scalar — inside the FMA entry where the CPU has FMA,
+    /// so that `f32::mul_add` is one instruction rather than a libm call.
+    /// Each caller has asserted the slice lengths its body relies on.
+    #[inline]
+    fn run(&self, wide: bool, body: &mut impl Body) {
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx512` is only selected when `avx512_available()`
+            // confirmed AVX-512F, AVX2 and FMA on this CPU (see
+            // `active_backend`); the caller asserted the body's lengths.
+            Backend::Avx512 if wide => unsafe { x86::on_avx512(body) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
+            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
+            // `active_backend`); the caller asserted the body's lengths.
+            Backend::Avx512 | Backend::Avx2Fma => unsafe { x86::on_avx2(body) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `fma_available()` just confirmed FMA on this CPU; the
+            // caller asserted the body's lengths.
+            Backend::Scalar if fma_available() => unsafe { x86::on_fma(body) },
+            _ => portable(body),
+        }
+    }
+
     /// Pack B `[k, n]` into column panels `w` wide: `bp[s][t][l] =
     /// B[t, w·s+l]` (zero padded past `n`), with `w = 16` where this
-    /// backend runs a 16-lane arm for `n` columns and 8 elsewhere. The
-    /// panel is only for [`Kernels::gemm_rows_packed`] on the same
-    /// `Kernels` and `n`; every backend reads its own panel in the same
-    /// element order, so the accumulation chains are identical.
+    /// backend runs 16 lanes for `n` columns and 8 elsewhere. The panel is
+    /// only for [`Kernels::gemm_rows_packed`] on the same `Kernels` and `n`;
+    /// every backend reads its own panel in the same element order, so the
+    /// accumulation chains are identical.
     pub fn pack_b(&self, b: &[f32], k: usize, n: usize, bp: &mut Vec<f32>) {
         let w = self.panel_width(n);
         let strips = n.div_ceil(w).max(1);
@@ -322,38 +352,18 @@ impl Kernels {
         assert_eq!(c.len(), rows * n);
         assert_eq!(a.len(), rows * k);
         assert!(bp.len() >= n.div_ceil(w) * k * w, "gemm_rows_packed: B panel too short");
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx512` is only selected when `avx512_available()`
-            // confirmed AVX-512F on this CPU (see `active_backend`); the
-            // asserts above are the slice lengths the kernel's raw loads
-            // and stores rely on, the panel being 16 wide here.
-            Backend::Avx512 if self.sixteen_lanes(n) => unsafe {
-                avx512::gemm_rows_packed(c, a, bp, k, n)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
-            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
-            // `active_backend`); the asserts above are the slice lengths
-            // the kernel's raw loads rely on, the panel being 8 wide here.
-            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::gemm_rows_packed(c, a, bp, k, n) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2Fma => {
-                scalar_gemm_rows::<false>(c, a, bp, k, n, BLayout::packed(k, w))
-            }
-            Backend::Scalar => scalar_gemm_rows::<false>(c, a, bp, k, n, BLayout::packed(k, w)),
-        }
+        self.run(self.sixteen_lanes(n), &mut GemmRows::<false> { c, a, b: bp, k, n, packed: true });
     }
 
     /// GEMM straight off row-major B: `c[rows, n] += a[rows, k] · b[k, n]`
     /// with no packed panel — for the few-row products (B = 1 inference
     /// steps) where packing B costs as much as multiplying by it, and for
     /// the convolutions, whose B is an im2col panel built once and used
-    /// once. Every
-    /// output element runs exactly the [`Kernels::gemm_rows_packed`] chain
-    /// (per `KC` block a fused multiply-add chain ascending in `t`, block
-    /// sums added to `c` in block order); only the B addressing differs, so
-    /// the two are bit-identical on every backend.
+    /// once. Every output element runs exactly the
+    /// [`Kernels::gemm_rows_packed`] chain (per `KC` block a fused
+    /// multiply-add chain ascending in `t`, block sums added to `c` in block
+    /// order); only the B addressing differs, so the two are bit-identical
+    /// on every backend.
     pub fn gemm_rows_unpacked(&self, c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
         if n == 0 || c.is_empty() {
             return;
@@ -362,29 +372,7 @@ impl Kernels {
         assert_eq!(c.len(), rows * n);
         assert_eq!(a.len(), rows * k);
         assert_eq!(b.len(), k * n);
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx512` is only selected when `avx512_available()`
-            // confirmed AVX-512F on this CPU (see `active_backend`); the
-            // asserts above are the slice lengths the kernel's raw loads
-            // and stores rely on.
-            Backend::Avx512 if self.sixteen_lanes(n) => unsafe {
-                avx512::gemm_rows_unpacked::<false>(c, a, b, k, n)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
-            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
-            // `active_backend`); the asserts above are the slice lengths
-            // the kernel's raw loads and stores rely on.
-            Backend::Avx512 | Backend::Avx2Fma => unsafe {
-                avx2::gemm_rows_unpacked::<false>(c, a, b, k, n)
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2Fma => {
-                scalar_gemm_rows::<false>(c, a, b, k, n, BLayout::row_major(n, 8))
-            }
-            Backend::Scalar => scalar_gemm_rows::<false>(c, a, b, k, n, BLayout::row_major(n, 8)),
-        }
+        self.run(self.sixteen_lanes(n), &mut GemmRows::<false> { c, a, b, k, n, packed: false });
     }
 
     /// Continue product chains where they stopped: for every element,
@@ -406,29 +394,10 @@ impl Kernels {
         assert_eq!(acc.len(), rows * n);
         assert_eq!(a.len(), rows * k);
         assert_eq!(b.len(), k * n);
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx512` is only selected when `avx512_available()`
-            // confirmed AVX-512F on this CPU (see `active_backend`); the
-            // asserts above are the slice lengths the kernel's raw loads
-            // and stores rely on.
-            Backend::Avx512 if self.sixteen_lanes(n) => unsafe {
-                avx512::gemm_rows_unpacked::<true>(acc, a, b, k, n)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
-            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
-            // `active_backend`); the asserts above are the slice lengths
-            // the kernel's raw loads and stores rely on.
-            Backend::Avx512 | Backend::Avx2Fma => unsafe {
-                avx2::gemm_rows_unpacked::<true>(acc, a, b, k, n)
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2Fma => {
-                scalar_gemm_rows::<true>(acc, a, b, k, n, BLayout::row_major(n, 8))
-            }
-            Backend::Scalar => scalar_gemm_rows::<true>(acc, a, b, k, n, BLayout::row_major(n, 8)),
-        }
+        self.run(
+            self.sixteen_lanes(n),
+            &mut GemmRows::<true> { c: acc, a, b, k, n, packed: false },
+        );
     }
 
     /// im2col copies of one panel `col[koff.len(), len]`: for every panel
@@ -458,7 +427,7 @@ impl Kernels {
             // `avx2_available()` confirmed AVX2+FMA on this CPU (see
             // `active_backend`); the asserts above bound every 8-float
             // read in `x` and write in `col`.
-            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::im2col(col, x, koff, vecs, len) },
+            Backend::Avx512 | Backend::Avx2Fma => unsafe { x86::im2col(col, x, koff, vecs, len) },
             _ => scalar_im2col(col, x, koff, vecs, len),
         }
     }
@@ -472,15 +441,15 @@ impl Kernels {
     ///
     /// Both buffers carry 8 floats of slack past what the runs touch. The
     /// scalar backend goes row by row. AVX2 (on the AVX-512 backend too;
-    /// 3-tap rows, every `Cnn3d` layer) walks the runs in descending order and, per 8-lane vector of
-    /// a run, adds the three taps of every kernel row in ascending row
-    /// order, blending the sums in only where a tap reaches: each element
-    /// of `g` is loaded and stored once per kernel row and receives exactly
-    /// the row-by-row adds in the same order. (A later run is a later output
-    /// row, so the rows that reach an element through it come first.) The
-    /// loads and stores are whole unmasked vectors whose lanes past a run
-    /// are stored back unchanged, so a load never waits on a store it
-    /// partly overlaps. The backends agree bit for bit.
+    /// 3-tap rows, every `Cnn3d` layer) walks the runs in descending order
+    /// and, per 8-lane vector of a run, adds the three taps of every kernel
+    /// row in ascending row order, blending the sums in only where a tap
+    /// reaches: each element of `g` is loaded and stored once per kernel row
+    /// and receives exactly the row-by-row adds in the same order. (A later
+    /// run is a later output row, so the rows that reach an element through
+    /// it come first.) The loads and stores are whole unmasked vectors whose
+    /// lanes past a run are stored back unchanged, so a load never waits on
+    /// a store it partly overlaps. The backends agree bit for bit.
     pub fn col2im(
         &self,
         g: &mut [f32],
@@ -506,83 +475,36 @@ impl Kernels {
             // `active_backend`); the asserts above bound every vector in
             // `g` and `col`.
             (Backend::Avx512 | Backend::Avx2Fma, 3) => unsafe {
-                avx2::col2im3(g, col, kbase, segs, len)
+                x86::col2im3(g, col, kbase, segs, len)
             },
             _ => scalar_col2im(g, col, kbase, k, segs, len),
         }
     }
 
     /// `c[rows, n] = a[rows, k] · bᵀ` where `b` is `[n, k]` (row dots).
+    /// Each dot runs 8 lane accumulators over `t` in steps of 8, sums them
+    /// in the fixed tree `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, then
+    /// fuses the last `k % 8` products onto that sum — 8 lanes on every
+    /// backend, since 16 would change the order.
     pub fn gemm_a_bt_rows(&self, c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
         if n == 0 || c.is_empty() {
             return;
         }
         let rows = c.len() / n;
-        debug_assert_eq!(c.len(), rows * n);
-        debug_assert_eq!(a.len(), rows * k);
-        debug_assert_eq!(b.len(), n * k);
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
-            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
-            // `active_backend`).
-            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::gemm_a_bt_rows(c, a, b, k, n) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2Fma => scalar_gemm_a_bt_rows(self, c, a, b, k, n),
-            Backend::Scalar => scalar_gemm_a_bt_rows(self, c, a, b, k, n),
-        }
-    }
-
-    /// Fixed-order dot product (8 lane accumulators + tree reduction).
-    pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
-            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
-            // `active_backend`).
-            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::dot(a, b) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2Fma => self.scalar_dot(a, b),
-            Backend::Scalar => self.scalar_dot(a, b),
-        }
-    }
-
-    fn scalar_dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        #[cfg(target_arch = "x86_64")]
-        if fma_available() {
-            // SAFETY: FMA support was just verified.
-            return unsafe { scalar_dot_fma(a, b) };
-        }
-        scalar_dot_impl(a, b)
+        assert_eq!(c.len(), rows * n, "gemm_a_bt_rows: c is [rows, n]");
+        assert_eq!(a.len(), rows * k, "gemm_a_bt_rows: a is [rows, k]");
+        assert_eq!(b.len(), n * k, "gemm_a_bt_rows: b is [n, k]");
+        self.run(false, &mut RowDots { c, a, b, k, n });
     }
 
     /// In-place logistic sigmoid sweep (shared polynomial exp).
     pub fn sigmoid(&self, xs: &mut [f32]) {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
-            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
-            // `active_backend`).
-            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::sigmoid(xs) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2Fma => scalar_sigmoid(xs),
-            Backend::Scalar => scalar_sigmoid(xs),
-        }
+        self.run(true, &mut Sweep { xs, sigmoid: true });
     }
 
     /// In-place tanh sweep (shared polynomial exp).
     pub fn tanh(&self, xs: &mut [f32]) {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` and `Avx512` are only selected when
-            // `avx2_available()` confirmed AVX2+FMA on this CPU (see
-            // `active_backend`).
-            Backend::Avx512 | Backend::Avx2Fma => unsafe { avx2::tanh(xs) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2Fma => scalar_tanh(xs),
-            Backend::Scalar => scalar_tanh(xs),
-        }
+        self.run(true, &mut Sweep { xs, sigmoid: false });
     }
 
     /// One LSTM step's gates and state update over a block of rows: `z` is
@@ -590,8 +512,8 @@ impl Kernels {
     /// place (sigmoid over i|f, tanh over g, sigmoid over o); then per
     /// element `c ← fma(f, c, i·g)`, `tanh_c ← tanh(c)` and
     /// `h ← o · tanh_c`, with `c`, `tanh_c` and `h` `[rows, hsz]`. Every
-    /// backend runs the same operations per element (the AVX-512 arm 16
-    /// lanes at a time, the AVX2 arm 8), so the backends agree bit for bit.
+    /// backend runs the same operations per element (the AVX-512 one 16
+    /// lanes at a time, the others 8), so the backends agree bit for bit.
     pub fn lstm_cell(
         &self,
         hsz: usize,
@@ -603,230 +525,25 @@ impl Kernels {
         let rows = c.len() / hsz.max(1);
         assert_eq!(z.len(), 4 * rows * hsz, "lstm_cell: z is [rows, 4·hsz]");
         assert!(c.len() == rows * hsz && tanh_c.len() == c.len() && h.len() == c.len());
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx512` is only selected when `avx512_available()`
-            // confirmed AVX-512F (and AVX2+FMA) on this CPU (see
-            // `active_backend`); the asserts above are the slice lengths
-            // the kernel's raw loads and stores rely on.
-            Backend::Avx512 => unsafe { avx512::lstm_cell(hsz, z, c, tanh_c, h) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
-            // confirmed AVX2+FMA on this CPU (see `active_backend`); the
-            // asserts above are the slice lengths the kernel's raw loads
-            // and stores rely on.
-            Backend::Avx2Fma => unsafe { avx2::lstm_cell(hsz, z, c, tanh_c, h) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2Fma => scalar_lstm_cell(hsz, z, c, tanh_c, h),
-            Backend::Scalar => scalar_lstm_cell(hsz, z, c, tanh_c, h),
-        }
+        self.run(true, &mut Cell { hsz, z, c, tanh_c, h });
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared scalar building blocks (8-lane unrolled, fused multiply-add).
-//
-// On x86_64 with FMA these are compiled a second time inside
-// `#[target_feature(enable = "fma")]` wrappers so `f32::mul_add` lowers to
-// the hardware instruction instead of libm — same single-rounding result.
-// ---------------------------------------------------------------------------
+/// `body` on `[f32; 8]` lanes compiled for any CPU: the scalar backend
+/// where FMA is missing (each `f32::mul_add` a libm call), and every
+/// backend off x86-64. Kept out of line so that the dispatch stays small.
+#[inline(never)]
+fn portable(body: &mut impl Body) {
+    // SAFETY: `[f32; 8]` is plain Rust, which every CPU runs; the caller
+    // asserted the body's lengths.
+    unsafe { body.run::<[f32; 8]>() }
+}
 
 /// The fixed tree reduction of 8 lane accumulators, mirroring the AVX2
 /// horizontal add: `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`.
 #[inline(always)]
-pub fn reduce8(l: [f32; 8]) -> f32 {
+fn reduce8(l: [f32; 8]) -> f32 {
     ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
-}
-
-#[inline(always)]
-fn scalar_dot_impl(a: &[f32], b: &[f32]) -> f32 {
-    let k = a.len();
-    let mut lanes = [0.0f32; 8];
-    let k8 = k - k % 8;
-    let mut t = 0;
-    while t < k8 {
-        for l in 0..8 {
-            lanes[l] = a[t + l].mul_add(b[t + l], lanes[l]);
-        }
-        t += 8;
-    }
-    let mut r = reduce8(lanes);
-    while t < k {
-        r = a[t].mul_add(b[t], r);
-        t += 1;
-    }
-    r
-}
-
-#[cfg(target_arch = "x86_64")]
-// SAFETY: callers must ensure FMA is supported (every call site checks
-// `fma_available` first).
-#[target_feature(enable = "fma")]
-unsafe fn scalar_dot_fma(a: &[f32], b: &[f32]) -> f32 {
-    scalar_dot_impl(a, b)
-}
-
-/// Where `B[t, w·s + l]` lives, for strips `w` columns wide: at
-/// `s * strip + t * step + l`. The packed panel and plain row-major B differ
-/// only in these two strides, so one kernel per backend serves both
-/// [`Kernels::gemm_rows_packed`] and [`Kernels::gemm_rows_unpacked`].
-#[derive(Clone, Copy)]
-struct BLayout {
-    strip: usize,
-    step: usize,
-}
-
-impl BLayout {
-    /// The [`Kernels::pack_b`] panel of a `[k, ·]` matrix, `w` wide.
-    fn packed(k: usize, w: usize) -> Self {
-        Self { strip: k * w, step: w }
-    }
-
-    /// Row-major `[·, n]`, read in strips `w` wide.
-    fn row_major(n: usize, w: usize) -> Self {
-        Self { strip: w, step: n }
-    }
-}
-
-/// One row × one KC block over the 8-wide strips of B. `RESUME` starts
-/// each chain from `crow` and leaves it there instead of adding it.
-#[inline(always)]
-fn scalar_gemm_row_block<const RESUME: bool>(
-    crow: &mut [f32],
-    arow: &[f32],
-    b: &[f32],
-    lay: BLayout,
-    n: usize,
-    t0: usize,
-    t1: usize,
-) {
-    let full_strips = n / 8;
-    for s in 0..full_strips {
-        let strip = &b[s * lay.strip..];
-        let cdst = &mut crow[s * 8..s * 8 + 8];
-        let mut acc = [0.0f32; 8];
-        if RESUME {
-            acc.copy_from_slice(cdst);
-        }
-        for t in t0..t1 {
-            let av = arow[t];
-            let b8 = &strip[t * lay.step..t * lay.step + 8];
-            for l in 0..8 {
-                acc[l] = av.mul_add(b8[l], acc[l]);
-            }
-        }
-        for l in 0..8 {
-            cdst[l] = if RESUME { acc[l] } else { cdst[l] + acc[l] };
-        }
-    }
-    // Tail columns: same per-element chain, one lane at a time.
-    let c0 = full_strips * 8;
-    if c0 < n {
-        let strip = &b[full_strips * lay.strip..];
-        for j in c0..n {
-            let l = j - c0;
-            let mut acc = if RESUME { crow[j] } else { 0.0 };
-            for t in t0..t1 {
-                acc = arow[t].mul_add(strip[t * lay.step + l], acc);
-            }
-            crow[j] = if RESUME { acc } else { crow[j] + acc };
-        }
-    }
-}
-
-#[inline(always)]
-fn scalar_gemm_rows_impl<const RESUME: bool>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    lay: BLayout,
-) {
-    let rows = c.len() / n;
-    let mut t0 = 0;
-    while t0 < k || (k == 0 && t0 == 0) {
-        let t1 = (t0 + KC).min(k);
-        for i in 0..rows {
-            scalar_gemm_row_block::<RESUME>(
-                &mut c[i * n..(i + 1) * n],
-                &a[i * k..(i + 1) * k],
-                b,
-                lay,
-                n,
-                t0,
-                t1,
-            );
-        }
-        t0 = t1;
-        if k == 0 {
-            break;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-// SAFETY: callers must ensure FMA is supported (every call site checks
-// `fma_available` first).
-#[target_feature(enable = "fma")]
-unsafe fn scalar_gemm_rows_fma<const RESUME: bool>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    lay: BLayout,
-) {
-    scalar_gemm_rows_impl::<RESUME>(c, a, b, k, n, lay)
-}
-
-/// The scalar GEMM row kernel; `RESUME` is [`Kernels::gemm_rows_resume`]'s
-/// mode (one `KC` block, chains kept in `c`).
-fn scalar_gemm_rows<const RESUME: bool>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    lay: BLayout,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: FMA support was just verified.
-        unsafe { scalar_gemm_rows_fma::<RESUME>(c, a, b, k, n, lay) };
-        return;
-    }
-    scalar_gemm_rows_impl::<RESUME>(c, a, b, k, n, lay)
-}
-
-#[inline(always)]
-fn scalar_gemm_a_bt_rows_impl(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    let rows = c.len() / n;
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            *cv = scalar_dot_impl(arow, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-// SAFETY: callers must ensure FMA is supported (every call site checks
-// `fma_available` first).
-#[target_feature(enable = "fma")]
-unsafe fn scalar_gemm_a_bt_rows_fma(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    scalar_gemm_a_bt_rows_impl(c, a, b, k, n)
-}
-
-fn scalar_gemm_a_bt_rows(_k: &Kernels, c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: FMA support was just verified.
-        unsafe { scalar_gemm_a_bt_rows_fma(c, a, b, k, n) };
-        return;
-    }
-    scalar_gemm_a_bt_rows_impl(c, a, b, k, n)
 }
 
 /// A run of output voxels that is contiguous in the padded input too (part
@@ -863,469 +580,659 @@ fn scalar_col2im(g: &mut [f32], col: &[f32], kbase: &[usize], k: usize, segs: &[
     }
 }
 
-// --- shared polynomial exp (Cephes-style expf) -----------------------------
+// ---------------------------------------------------------------------------
+// One body per kernel, generic over the lane type.
+// ---------------------------------------------------------------------------
 
+/// A vector of `N` f32 lanes: the operations the kernel bodies are written
+/// in. Every method acts lane by lane exactly as the scalar `f32` operation
+/// of the same name, so a body computes the same bits on every lane type.
+/// The `__m256` and `__m512` impls are only instantiated inside their
+/// backend's `#[target_feature]` entry (module `x86`).
+trait Lanes: Copy {
+    /// Lanes per vector.
+    const N: usize;
+    /// Rows of the widest GEMM band (8 or 4): as many as the register file
+    /// holds at 2 strips of accumulators per row, with B and A vectors
+    /// beside them.
+    const BAND: usize;
+
+    /// Every lane `x`.
+    fn splat(x: f32) -> Self;
+    /// Lanes `l < live` from `p + l`, the rest zero; no other memory is read.
+    // SAFETY: callers must ensure `p + l` is readable for every
+    // `l < min(live, N)`.
+    unsafe fn load(p: *const f32, live: usize) -> Self;
+    /// Lanes `l < live` to `p + l`; no other memory is written.
+    // SAFETY: callers must ensure `p + l` is writable for every
+    // `l < min(live, N)`.
+    unsafe fn store(self, p: *mut f32, live: usize);
+    /// `self · b + c` with one rounding.
+    fn mul_add(self, b: Self, c: Self) -> Self;
+    fn add(self, b: Self) -> Self;
+    fn sub(self, b: Self) -> Self;
+    fn mul(self, b: Self) -> Self;
+    fn div(self, b: Self) -> Self;
+    /// `self < b ? self : b` (SSE `minps`: `b` when either is NaN).
+    fn min(self, b: Self) -> Self;
+    /// `self > b ? self : b` (SSE `maxps`: `b` when either is NaN).
+    fn max(self, b: Self) -> Self;
+    fn floor(self) -> Self;
+    /// `2^self` for integer-valued lanes in `[-127, 128]`, built from the
+    /// exponent bits.
+    fn pow2(self) -> Self;
+    /// The sign bit flipped.
+    fn neg(self) -> Self;
+    /// The sign bit cleared.
+    fn abs(self) -> Self;
+    /// `self`'s magnitude with `sign`'s sign bit.
+    fn copysign(self, sign: Self) -> Self;
+    /// The sum of the lanes, halving the vector until one lane is left: for
+    /// 8 lanes the tree of [`reduce8`].
+    fn reduce(self) -> f32;
+}
+
+/// The portable lane type of the scalar backend: 8 lanes of plain `f32`
+/// arithmetic (`f32::mul_add` for the fused steps).
+impl Lanes for [f32; 8] {
+    const N: usize = 8;
+    const BAND: usize = 4;
+
+    #[inline(always)]
+    fn splat(x: f32) -> Self {
+        [x; 8]
+    }
+    // A full vector moves whole, which lets the compiler vectorize the
+    // bodies; only a tail goes lane by lane.
+    // SAFETY: callers must ensure what `Lanes::load` requires.
+    #[inline(always)]
+    unsafe fn load(p: *const f32, live: usize) -> Self {
+        if live >= 8 {
+            return p.cast::<[f32; 8]>().read_unaligned();
+        }
+        std::array::from_fn(|l| if l < live { *p.add(l) } else { 0.0 })
+    }
+    // SAFETY: callers must ensure what `Lanes::store` requires.
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32, live: usize) {
+        if live >= 8 {
+            return p.cast::<[f32; 8]>().write_unaligned(self);
+        }
+        for (l, v) in self.into_iter().enumerate().take(live) {
+            *p.add(l) = v;
+        }
+    }
+    #[inline(always)]
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        std::array::from_fn(|l| self[l].mul_add(b[l], c[l]))
+    }
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        std::array::from_fn(|l| self[l] + b[l])
+    }
+    #[inline(always)]
+    fn sub(self, b: Self) -> Self {
+        std::array::from_fn(|l| self[l] - b[l])
+    }
+    #[inline(always)]
+    fn mul(self, b: Self) -> Self {
+        std::array::from_fn(|l| self[l] * b[l])
+    }
+    #[inline(always)]
+    fn div(self, b: Self) -> Self {
+        std::array::from_fn(|l| self[l] / b[l])
+    }
+    #[inline(always)]
+    fn min(self, b: Self) -> Self {
+        std::array::from_fn(|l| if self[l] < b[l] { self[l] } else { b[l] })
+    }
+    #[inline(always)]
+    fn max(self, b: Self) -> Self {
+        std::array::from_fn(|l| if self[l] > b[l] { self[l] } else { b[l] })
+    }
+    #[inline(always)]
+    fn floor(self) -> Self {
+        self.map(f32::floor)
+    }
+    #[inline(always)]
+    fn pow2(self) -> Self {
+        // `x + 127` is exact in the low mantissa bits of `2^23 + x + 127`;
+        // a saturating `as i32` here kept the sweeps from vectorizing.
+        self.map(|x| f32::from_bits(((x + 127.0) + 8_388_608.0).to_bits() << 23))
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        self.map(|x| -x)
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        self.map(f32::abs)
+    }
+    #[inline(always)]
+    fn copysign(self, sign: Self) -> Self {
+        std::array::from_fn(|l| self[l].copysign(sign[l]))
+    }
+    #[inline(always)]
+    fn reduce(self) -> f32 {
+        reduce8(self)
+    }
+}
+
+/// A kernel written once over [`Lanes`]: [`Kernels::run`] instantiates it
+/// on the dispatch's lane type inside that backend's `#[target_feature]`
+/// entry.
+trait Body {
+    // SAFETY: callers must ensure the CPU runs `L`'s instructions; the
+    // slices hold what the `Kernels` method that built `self` asserted.
+    unsafe fn run<L: Lanes>(&mut self);
+}
+
+/// [`Kernels::gemm_rows_packed`] (`packed`, B a panel as wide as the lane
+/// type), [`Kernels::gemm_rows_unpacked`] (B row-major), or with `RESUME`
+/// [`Kernels::gemm_rows_resume`]: one `KC` block whose chains start from C
+/// and stay there.
+struct GemmRows<'a, const RESUME: bool> {
+    c: &'a mut [f32],
+    a: &'a [f32],
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+    packed: bool,
+}
+
+/// What one `KC` block of a product walks: C's row stride `n`, A's row
+/// stride `k`, B's layout — `B[t, N·s + l]` at `s·strip + t·step + l` — and
+/// the block's `t` range.
+#[derive(Clone, Copy)]
+struct Walk {
+    n: usize,
+    k: usize,
+    strip: usize,
+    step: usize,
+    t0: usize,
+    t1: usize,
+}
+
+impl<const RESUME: bool> Body for GemmRows<'_, RESUME> {
+    // SAFETY: callers must ensure what `Body::run` requires.
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&mut self) {
+        let &mut GemmRows { ref mut c, a, b, k, n, packed } = self;
+        let (strip, step) = if packed { (k * L::N, L::N) } else { (L::N, n) };
+        let w = Walk { n, k, strip, step, t0: 0, t1: 0 };
+        let (cp, rows, ap, bp) = (c.as_mut_ptr(), c.len() / n, a.as_ptr(), b.as_ptr());
+        // Whether the last strip is full is settled here, once, so that a
+        // full one loads and stores unmasked.
+        if n % L::N == 0 {
+            walk::<L, RESUME, true>(w, cp, rows, ap, bp)
+        } else {
+            walk::<L, RESUME, false>(w, cp, rows, ap, bp)
+        }
+    }
+}
+
+/// `rows` rows of C from `cp` (A from `ap`, B from `bp`): per `KC` block,
+/// bands of `L::BAND` rows, then 4, then single rows. Per element the chain
+/// is the scalar one — from zero, fused multiply-adds ascending in `t` per
+/// block, block sums added to C in block order; a partial last strip
+/// (`FULL` false) is masked lanes of the same chains.
+// SAFETY: callers must ensure what `block` requires, for every band.
+#[inline(always)]
+unsafe fn walk<L: Lanes, const RESUME: bool, const FULL: bool>(
+    mut w: Walk,
+    cp: *mut f32,
+    rows: usize,
+    ap: *const f32,
+    bp: *const f32,
+) {
+    while w.t0 < w.k {
+        w.t1 = (w.t0 + KC).min(w.k);
+        let mut i = 0;
+        while i < rows {
+            let (crow, arow) = (cp.add(i * w.n), ap.add(i * w.k));
+            i += match rows - i {
+                r if r >= 8 && L::BAND == 8 => {
+                    band::<L, 8, RESUME, FULL>(w, crow, arow, bp);
+                    8
+                }
+                4.. => {
+                    band::<L, 4, RESUME, FULL>(w, crow, arow, bp);
+                    4
+                }
+                _ => {
+                    band::<L, 1, RESUME, FULL>(w, crow, arow, bp);
+                    1
+                }
+            };
+        }
+        w.t0 = w.t1;
+    }
+}
+
+/// One band of `R` rows of C (row 0 at `crow`) across every strip of the
+/// `w.n` columns, over one `KC` block: 2 strips per block for a multi-row
+/// band; for a single row, 8 then 4 then 2, so at least 4 chains are in
+/// flight while 8 strips remain. An odd last strip runs alone; the columns
+/// past `w.n` are masked off the last strip.
+// SAFETY: callers must ensure what `block` requires, for every strip.
+#[inline(always)]
+unsafe fn band<L: Lanes, const R: usize, const RESUME: bool, const FULL: bool>(
+    w: Walk,
+    crow: *mut f32,
+    arow: *const f32,
+    b: *const f32,
+) {
+    let strips = w.n.div_ceil(L::N);
+    let tail = if FULL { L::N } else { w.n - (strips - 1) * L::N };
+    // Where strips `s..end` start in C and B, and the last one's live lanes.
+    let at = |s: usize, end: usize| {
+        (crow.add(s * L::N), b.add(s * w.strip), if end == strips { tail } else { L::N })
+    };
+    let mut s = 0;
+    if R == 1 {
+        while s + 8 <= strips {
+            let (c, bs, live) = at(s, s + 8);
+            block::<L, 1, 8, RESUME>(w, c, arow, bs, live);
+            s += 8;
+        }
+        if s + 4 <= strips {
+            let (c, bs, live) = at(s, s + 4);
+            block::<L, 1, 4, RESUME>(w, c, arow, bs, live);
+            s += 4;
+        }
+    }
+    while s + 2 <= strips {
+        let (c, bs, live) = at(s, s + 2);
+        block::<L, R, 2, RESUME>(w, c, arow, bs, live);
+        s += 2;
+    }
+    if s < strips {
+        let (c, bs, live) = at(s, strips);
+        block::<L, R, 1, RESUME>(w, c, arow, bs, live);
+    }
+}
+
+/// `R` rows × `S` adjacent strips of C over one `KC` block: `R·S`
+/// independent accumulator chains per `t` hide the FMA latency, and each B
+/// vector loaded feeds `R` rows. Lanes of the last strip at or past `last`
+/// are neither read from B nor read or written in C. `RESUME` starts each
+/// chain from C and stores it back instead of adding it.
+// SAFETY: callers must ensure the CPU runs `L`'s instructions and, for
+// every `r < R`, `s < S`, `w.t0 <= t < w.t1` and live lane `l` of strip
+// `s`, that `arow + r·w.k + t` lies in A, `b + s·w.strip + t·w.step + l`
+// in B and `cdst + r·w.n + N·s + l` in C.
+#[inline(always)]
+unsafe fn block<L: Lanes, const R: usize, const S: usize, const RESUME: bool>(
+    w: Walk,
+    cdst: *mut f32,
+    arow: *const f32,
+    b: *const f32,
+    last: usize,
+) {
+    let live = |s: usize| if s + 1 == S { last } else { L::N };
+    let mut acc = [[L::splat(0.0); S]; R];
+    if RESUME {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            for (s, acc) in acc.iter_mut().enumerate() {
+                *acc = L::load(cdst.add(r * w.n + s * L::N), live(s));
+            }
+        }
+    }
+    for t in w.t0..w.t1 {
+        let mut bv = [L::splat(0.0); S];
+        for (s, bv) in bv.iter_mut().enumerate() {
+            *bv = L::load(b.add(s * w.strip + t * w.step), live(s));
+        }
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let av = L::splat(*arow.add(r * w.k + t));
+            for (acc, bv) in acc.iter_mut().zip(bv) {
+                *acc = av.mul_add(bv, *acc);
+            }
+        }
+    }
+    for (r, acc) in acc.into_iter().enumerate() {
+        for (s, acc) in acc.into_iter().enumerate() {
+            let dst = cdst.add(r * w.n + s * L::N);
+            let sum = if RESUME { acc } else { L::load(dst, live(s)).add(acc) };
+            sum.store(dst, live(s));
+        }
+    }
+}
+
+/// [`Kernels::gemm_a_bt_rows`]; run on an 8-lane type only.
+struct RowDots<'a> {
+    c: &'a mut [f32],
+    a: &'a [f32],
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+}
+
+impl Body for RowDots<'_> {
+    // SAFETY: callers must ensure what `Body::run` requires.
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&mut self) {
+        let &mut RowDots { ref mut c, a, b, k, n } = self;
+        for i in 0..c.len() / n {
+            let (arow, crow) = (a.as_ptr().add(i * k), &mut c[i * n..(i + 1) * n]);
+            // Four B rows at a time share each A vector; the last few run
+            // one by one.
+            let mut j = 0;
+            while j + 4 <= n {
+                crow[j..j + 4].copy_from_slice(&dots::<L, 4>(arow, b.as_ptr().add(j * k), k));
+                j += 4;
+            }
+            for (j, cv) in crow.iter_mut().enumerate().skip(j) {
+                *cv = dots::<L, 1>(arow, b.as_ptr().add(j * k), k)[0];
+            }
+        }
+    }
+}
+
+/// The dots of the `k` floats at `arow` with `Q` consecutive rows of B at
+/// `brow`: lane accumulators over `t` in steps of `N`, reduced, then the
+/// last `k % N` products fused onto the sum in order.
+// SAFETY: callers must ensure the CPU runs `L`'s instructions and that
+// `arow[..k]` and `brow[..Q·k]` lie in A and B.
+#[inline(always)]
+unsafe fn dots<L: Lanes, const Q: usize>(arow: *const f32, brow: *const f32, k: usize) -> [f32; Q] {
+    let kn = k - k % L::N;
+    let mut acc = [L::splat(0.0); Q];
+    for t in (0..kn).step_by(L::N) {
+        let av = L::load(arow.add(t), L::N);
+        for (q, acc) in acc.iter_mut().enumerate() {
+            *acc = av.mul_add(L::load(brow.add(q * k + t), L::N), *acc);
+        }
+    }
+    let mut r = acc.map(L::reduce);
+    for t in kn..k {
+        for (q, r) in r.iter_mut().enumerate() {
+            *r = (*arow.add(t)).mul_add(*brow.add(q * k + t), *r);
+        }
+    }
+    r
+}
+
+/// [`Kernels::sigmoid`] (`sigmoid`) or [`Kernels::tanh`] in place.
+struct Sweep<'a> {
+    xs: &'a mut [f32],
+    sigmoid: bool,
+}
+
+impl Body for Sweep<'_> {
+    // SAFETY: callers must ensure what `Body::run` requires.
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&mut self) {
+        if self.sigmoid {
+            sweep::<L, true>(self.xs);
+        } else {
+            sweep::<L, false>(self.xs);
+        }
+    }
+}
+
+/// [`Kernels::lstm_cell`].
+struct Cell<'a> {
+    hsz: usize,
+    z: &'a mut [f32],
+    c: &'a mut [f32],
+    tanh_c: &'a mut [f32],
+    h: &'a mut [f32],
+}
+
+impl Body for Cell<'_> {
+    // SAFETY: callers must ensure what `Body::run` requires.
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&mut self) {
+        let &mut Cell { hsz, ref mut z, ref mut c, ref mut tanh_c, ref mut h } = self;
+        for (r, row) in z.chunks_exact_mut(4 * hsz).enumerate() {
+            sweep::<L, true>(&mut row[..2 * hsz]);
+            sweep::<L, false>(&mut row[2 * hsz..3 * hsz]);
+            sweep::<L, true>(&mut row[3 * hsz..]);
+            let (g, at) = (row.as_ptr(), r * hsz);
+            let (cp, tp, hp) =
+                (c.as_mut_ptr().add(at), tanh_c.as_mut_ptr().add(at), h.as_mut_ptr().add(at));
+            for j in (0..hsz).step_by(L::N) {
+                let live = hsz - j;
+                let gate = |q: usize| L::load(g.add(q * hsz + j), live);
+                let cv = gate(1).mul_add(L::load(cp.add(j), live), gate(0).mul(gate(2)));
+                cv.store(cp.add(j), live);
+                let tc = tanh(cv);
+                tc.store(tp.add(j), live);
+                gate(3).mul(tc).store(hp.add(j), live);
+            }
+        }
+    }
+}
+
+/// Sigmoid (`SIGMOID`) or tanh over `xs` in place, `N` lanes at a time,
+/// the tail masked. (A const parameter, not a function argument: a call
+/// through `Fn` would leave the intrinsics outside the target-feature entry.)
+// SAFETY: callers must ensure the CPU runs `L`'s instructions.
+#[inline(always)]
+unsafe fn sweep<L: Lanes, const SIGMOID: bool>(xs: &mut [f32]) {
+    let (p, len) = (xs.as_mut_ptr(), xs.len());
+    for i in (0..len).step_by(L::N) {
+        let v = L::load(p.add(i), len - i);
+        if SIGMOID { sigmoid(v) } else { tanh(v) }.store(p.add(i), len - i);
+    }
+}
+
+// Cephes-style expf: clamp, split off the power of two, polynomial.
 const EXP_HI: f32 = 88.376_26;
 const EXP_LO: f32 = -88.376_26;
 const LOG2EF: f32 = std::f32::consts::LOG2_E;
 const EXP_C1: f32 = 0.693_359_4;
 const EXP_C2: f32 = -2.121_944_4e-4;
-const EXP_P0: f32 = 1.987_569_2e-4;
-const EXP_P1: f32 = 1.398_199_9e-3;
-const EXP_P2: f32 = 8.333_452e-3;
-const EXP_P3: f32 = 4.166_579_6e-2;
-const EXP_P4: f32 = 1.666_666_6e-1;
-const EXP_P5: f32 = 5.000_000_3e-1;
+const EXP_P: [f32; 6] =
+    [1.987_569_2e-4, 1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_6e-1, 5.000_000_3e-1];
 
-/// Polynomial expf, lane-identical in both backends. Inputs clamp to the
-/// representable range with SSE min/max semantics (NaN saturates to the
-/// upper bound).
+/// Polynomial expf. Inputs clamp to the representable range with SSE
+/// min/max semantics: `min(x, HI)` then `max(·, LO)`, in that operand order,
+/// so a NaN saturates to `EXP_HI`.
 #[inline(always)]
-fn exp_poly(x: f32) -> f32 {
-    // _mm_min_ps(x, HI): returns HI unless x < HI (NaN → HI).
-    let x = if x < EXP_HI { x } else { EXP_HI };
-    let x = if x > EXP_LO { x } else { EXP_LO };
-    let fx = x.mul_add(LOG2EF, 0.5).floor();
-    let n = fx as i32;
-    let x = (-fx).mul_add(EXP_C1, x);
-    let x = (-fx).mul_add(EXP_C2, x);
-    let z = x * x;
-    let mut y = EXP_P0;
-    y = y.mul_add(x, EXP_P1);
-    y = y.mul_add(x, EXP_P2);
-    y = y.mul_add(x, EXP_P3);
-    y = y.mul_add(x, EXP_P4);
-    y = y.mul_add(x, EXP_P5);
+fn exp_poly<L: Lanes>(x: L) -> L {
+    let x = x.min(L::splat(EXP_HI)).max(L::splat(EXP_LO));
+    let fx = x.mul_add(L::splat(LOG2EF), L::splat(0.5)).floor();
+    // `fx·(−C) + x` rounds as `x − fx·C` does: the product is exact either way.
+    let x = fx.mul_add(L::splat(-EXP_C1), x);
+    let x = fx.mul_add(L::splat(-EXP_C2), x);
+    let z = x.mul(x);
+    let mut y = L::splat(EXP_P[0]);
+    for p in &EXP_P[1..] {
+        y = y.mul_add(x, L::splat(*p));
+    }
     y = y.mul_add(z, x);
-    y += 1.0;
-    y * f32::from_bits(((n + 127) as u32) << 23)
+    y.add(L::splat(1.0)).mul(fx.pow2())
 }
 
+/// `1 / (1 + exp(−x))`.
 #[inline(always)]
-fn sigmoid_lane(x: f32) -> f32 {
-    1.0 / (1.0 + exp_poly(-x))
+fn sigmoid<L: Lanes>(x: L) -> L {
+    let one = L::splat(1.0);
+    one.div(one.add(exp_poly(x.neg())))
 }
 
+/// `(1 − e) / (1 + e)` with `e = exp(−2|x|)`, given `x`'s sign.
 #[inline(always)]
-fn tanh_lane(x: f32) -> f32 {
-    let a = x.abs();
-    let e = exp_poly(-2.0 * a);
-    let r = (1.0 - e) / (1.0 + e);
-    r.copysign(x)
-}
-
-#[inline(always)]
-fn scalar_sigmoid_impl(xs: &mut [f32]) {
-    for v in xs {
-        *v = sigmoid_lane(*v);
-    }
-}
-
-#[inline(always)]
-fn scalar_tanh_impl(xs: &mut [f32]) {
-    for v in xs {
-        *v = tanh_lane(*v);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-// SAFETY: callers must ensure FMA is supported (every call site checks
-// `fma_available` first).
-#[target_feature(enable = "fma")]
-unsafe fn scalar_sigmoid_fma(xs: &mut [f32]) {
-    scalar_sigmoid_impl(xs)
-}
-
-#[cfg(target_arch = "x86_64")]
-// SAFETY: callers must ensure FMA is supported (every call site checks
-// `fma_available` first).
-#[target_feature(enable = "fma")]
-unsafe fn scalar_tanh_fma(xs: &mut [f32]) {
-    scalar_tanh_impl(xs)
-}
-
-fn scalar_sigmoid(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: FMA support was just verified.
-        unsafe { scalar_sigmoid_fma(xs) };
-        return;
-    }
-    scalar_sigmoid_impl(xs)
-}
-
-fn scalar_tanh(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: FMA support was just verified.
-        unsafe { scalar_tanh_fma(xs) };
-        return;
-    }
-    scalar_tanh_impl(xs)
-}
-
-/// The state update of one row of [`Kernels::lstm_cell`] from lane `j0` on:
-/// `gates` is the row's activated i|f|g|o, `c`, `tanh_c` and `h` its
-/// `hsz` lanes. The scalar arm runs every lane here, the vector arms their
-/// tails.
-#[inline(always)]
-fn cell_state_lanes(gates: &[f32], c: &mut [f32], tanh_c: &mut [f32], h: &mut [f32], j0: usize) {
-    let hsz = c.len();
-    for j in j0..hsz {
-        let cv = gates[hsz + j].mul_add(c[j], gates[j] * gates[2 * hsz + j]);
-        c[j] = cv;
-        let tc = tanh_lane(cv);
-        tanh_c[j] = tc;
-        h[j] = gates[3 * hsz + j] * tc;
-    }
-}
-
-#[inline(always)]
-fn scalar_lstm_cell_impl(
-    hsz: usize,
-    z: &mut [f32],
-    c: &mut [f32],
-    tanh_c: &mut [f32],
-    h: &mut [f32],
-) {
-    for (r, row) in z.chunks_exact_mut(4 * hsz).enumerate() {
-        scalar_sigmoid_impl(&mut row[..2 * hsz]);
-        scalar_tanh_impl(&mut row[2 * hsz..3 * hsz]);
-        scalar_sigmoid_impl(&mut row[3 * hsz..]);
-        let at = r * hsz..(r + 1) * hsz;
-        let (c, tanh_c, h) = (&mut c[at.clone()], &mut tanh_c[at.clone()], &mut h[at]);
-        cell_state_lanes(row, c, tanh_c, h, 0);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-// SAFETY: callers must ensure FMA is supported (every call site checks
-// `fma_available` first).
-#[target_feature(enable = "fma")]
-unsafe fn scalar_lstm_cell_fma(
-    hsz: usize,
-    z: &mut [f32],
-    c: &mut [f32],
-    tanh_c: &mut [f32],
-    h: &mut [f32],
-) {
-    scalar_lstm_cell_impl(hsz, z, c, tanh_c, h)
-}
-
-fn scalar_lstm_cell(hsz: usize, z: &mut [f32], c: &mut [f32], tanh_c: &mut [f32], h: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: FMA support was just verified.
-        unsafe { scalar_lstm_cell_fma(hsz, z, c, tanh_c, h) };
-        return;
-    }
-    scalar_lstm_cell_impl(hsz, z, c, tanh_c, h)
+fn tanh<L: Lanes>(x: L) -> L {
+    let one = L::splat(1.0);
+    let e = exp_poly(L::splat(-2.0).mul(x.abs()));
+    one.sub(e).div(one.add(e)).copysign(x)
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA implementations.
+// x86-64: the vector lane types, the `#[target_feature]` entries, and the
+// AVX2 im2col / col2im copies.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::*;
+mod x86 {
+    use super::{Body, Lanes, Seg};
     use std::arch::x86_64::*;
 
-    /// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) — the [`reduce8`] tree.
-    // SAFETY: callers must ensure AVX is supported (all call sites are
-    // `target_feature(avx2,fma)` functions).
+    // SAFETY: callers must ensure AVX-512F, AVX2 and FMA are supported (the
+    // dispatch gates on `avx512_available`) and meet `body`'s preconditions.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn on_avx512(body: &mut impl Body) {
+        body.run::<__m512>()
+    }
+
+    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
+    // gates on `avx2_available`) and meet `body`'s preconditions.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn on_avx2(body: &mut impl Body) {
+        body.run::<__m256>()
+    }
+
+    // SAFETY: callers must ensure FMA is supported (the dispatch checks
+    // `fma_available`) and meet `body`'s preconditions.
+    #[target_feature(enable = "fma")]
+    pub(super) unsafe fn on_fma(body: &mut impl Body) {
+        body.run::<[f32; 8]>()
+    }
+
+    /// `Lanes` methods that run intrinsics on values and touch no memory.
+    macro_rules! intrinsics {
+        ($(fn $name:ident($($p:tt)*) -> $ret:ty { $($body:tt)* })*) => {$(
+            #[inline(always)]
+            fn $name($($p)*) -> $ret {
+                // SAFETY: a vector lane type is only instantiated inside
+                // its backend's `#[target_feature]` entry above, which the
+                // dispatch enters on a CPU that runs the backend; these
+                // intrinsics read and write no memory.
+                unsafe { $($body)* }
+            }
+        )*};
+    }
+
+    /// Lanes `l < live` on (sign bit set), the rest off.
+    // SAFETY: callers must ensure AVX2 is supported (only the `__m256`
+    // lanes call this, inside `on_avx2` or `on_avx512`).
     #[inline(always)]
-    unsafe fn hreduce(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps(v, 1);
-        let s = _mm_add_ps(lo, hi); // [l0+l4, l1+l5, l2+l6, l3+l7]
-        let s2 = _mm_add_ps(s, _mm_movehl_ps(s, s)); // [s0+s2, s1+s3, ..]
-        _mm_cvtss_f32(_mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x1)))
+    unsafe fn mask8(live: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(live as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    impl Lanes for __m256 {
+        const N: usize = 8;
+        const BAND: usize = 4;
+
+        // Full vectors load and store plainly; only a tail pays for a mask.
+        // SAFETY: callers must ensure what `Lanes::load` requires, on a CPU
+        // that runs AVX2.
+        #[inline(always)]
+        unsafe fn load(p: *const f32, live: usize) -> Self {
+            if live >= 8 {
+                _mm256_loadu_ps(p)
+            } else {
+                _mm256_maskload_ps(p, mask8(live))
+            }
+        }
+        // SAFETY: callers must ensure what `Lanes::store` requires, on a CPU
+        // that runs AVX2.
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32, live: usize) {
+            if live >= 8 {
+                _mm256_storeu_ps(p, self)
+            } else {
+                _mm256_maskstore_ps(p, mask8(live), self)
+            }
+        }
+
+        intrinsics! {
+            fn splat(x: f32) -> Self { _mm256_set1_ps(x) }
+            fn mul_add(self, b: Self, c: Self) -> Self { _mm256_fmadd_ps(self, b, c) }
+            fn add(self, b: Self) -> Self { _mm256_add_ps(self, b) }
+            fn sub(self, b: Self) -> Self { _mm256_sub_ps(self, b) }
+            fn mul(self, b: Self) -> Self { _mm256_mul_ps(self, b) }
+            fn div(self, b: Self) -> Self { _mm256_div_ps(self, b) }
+            fn min(self, b: Self) -> Self { _mm256_min_ps(self, b) }
+            fn max(self, b: Self) -> Self { _mm256_max_ps(self, b) }
+            fn floor(self) -> Self { _mm256_floor_ps(self) }
+            fn pow2(self) -> Self {
+                let e = _mm256_add_epi32(_mm256_cvttps_epi32(self), _mm256_set1_epi32(127));
+                _mm256_castsi256_ps(_mm256_slli_epi32::<23>(e))
+            }
+            fn neg(self) -> Self { _mm256_xor_ps(self, _mm256_set1_ps(-0.0)) }
+            fn abs(self) -> Self { _mm256_andnot_ps(_mm256_set1_ps(-0.0), self) }
+            fn copysign(self, sign: Self) -> Self {
+                let bit = _mm256_set1_ps(-0.0);
+                _mm256_or_ps(_mm256_andnot_ps(bit, self), _mm256_and_ps(bit, sign))
+            }
+            fn reduce(self) -> f32 {
+                let s = _mm_add_ps(_mm256_castps256_ps128(self), _mm256_extractf128_ps::<1>(self));
+                let s = _mm_add_ps(s, _mm_movehl_ps(s, s)); // [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7), ..]
+                _mm_cvtss_f32(_mm_add_ss(s, _mm_shuffle_ps::<1>(s, s)))
+            }
+        }
+    }
+
+    impl Lanes for __m512 {
+        const N: usize = 16;
+        const BAND: usize = 8;
+
+        // SAFETY: callers must ensure what `Lanes::load` requires, on a CPU
+        // that runs AVX-512F.
+        #[inline(always)]
+        unsafe fn load(p: *const f32, live: usize) -> Self {
+            _mm512_maskz_loadu_ps(mask16(live), p)
+        }
+        // SAFETY: callers must ensure what `Lanes::store` requires, on a CPU
+        // that runs AVX-512F.
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32, live: usize) {
+            _mm512_mask_storeu_ps(p, mask16(live), self)
+        }
+
+        intrinsics! {
+            fn splat(x: f32) -> Self { _mm512_set1_ps(x) }
+            fn mul_add(self, b: Self, c: Self) -> Self { _mm512_fmadd_ps(self, b, c) }
+            fn add(self, b: Self) -> Self { _mm512_add_ps(self, b) }
+            fn sub(self, b: Self) -> Self { _mm512_sub_ps(self, b) }
+            fn mul(self, b: Self) -> Self { _mm512_mul_ps(self, b) }
+            fn div(self, b: Self) -> Self { _mm512_div_ps(self, b) }
+            fn min(self, b: Self) -> Self { _mm512_min_ps(self, b) }
+            fn max(self, b: Self) -> Self { _mm512_max_ps(self, b) }
+            fn floor(self) -> Self {
+                _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(self)
+            }
+            fn pow2(self) -> Self {
+                let e = _mm512_add_epi32(_mm512_cvttps_epi32(self), _mm512_set1_epi32(127));
+                _mm512_castsi512_ps(_mm512_slli_epi32::<23>(e))
+            }
+            fn neg(self) -> Self {
+                let bit = _mm512_set1_epi32(i32::MIN);
+                _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(self), bit))
+            }
+            fn abs(self) -> Self { _mm512_abs_ps(self) }
+            fn copysign(self, sign: Self) -> Self {
+                let bit = _mm512_set1_epi32(i32::MIN);
+                let m = _mm512_andnot_si512(bit, _mm512_castps_si512(self));
+                _mm512_castsi512_ps(_mm512_or_si512(m, _mm512_and_si512(bit, _mm512_castps_si512(sign))))
+            }
+            // The upper 8 lanes folded onto the lower, then the 8-lane tree.
+            fn reduce(self) -> f32 {
+                let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(self)));
+                _mm256_add_ps(_mm512_castps512_ps256(self), hi).reduce()
+            }
+        }
+    }
+
+    /// Lanes `l < live` on.
+    #[inline(always)]
+    fn mask16(live: usize) -> __mmask16 {
+        ((1u32 << live.min(16)) - 1) as __mmask16
     }
 
     // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrappers gate on `avx2_available`); slice-length preconditions are
-    // checked by the safe `Kernels` entry points.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let k = a.len();
-        let k8 = k - k % 8;
-        let mut acc = _mm256_setzero_ps();
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        let mut t = 0;
-        while t < k8 {
-            acc = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(t)), _mm256_loadu_ps(bp.add(t)), acc);
-            t += 8;
-        }
-        let mut r = hreduce(acc);
-        while t < k {
-            r = a[t].mul_add(b[t], r);
-            t += 1;
-        }
-        r
-    }
-
-    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrappers gate on `avx2_available`); slice-length preconditions are
-    // checked by the safe `Kernels` entry points.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_rows_packed(c: &mut [f32], a: &[f32], bp: &[f32], k: usize, n: usize) {
-        let rows = c.len() / n;
-        let full_strips = n / 8;
-        let cp = c.as_mut_ptr();
-        let mut t0 = 0;
-        loop {
-            let t1 = (t0 + KC).min(k);
-            // Full 8-wide strips: 4-row micro-kernel sharing each B vector.
-            for s in 0..full_strips {
-                let panel = bp.as_ptr().add(s * k * 8);
-                let mut i = 0;
-                while i + 4 <= rows {
-                    let mut acc0 = _mm256_setzero_ps();
-                    let mut acc1 = _mm256_setzero_ps();
-                    let mut acc2 = _mm256_setzero_ps();
-                    let mut acc3 = _mm256_setzero_ps();
-                    let a0 = a.as_ptr().add(i * k);
-                    let a1 = a.as_ptr().add((i + 1) * k);
-                    let a2 = a.as_ptr().add((i + 2) * k);
-                    let a3 = a.as_ptr().add((i + 3) * k);
-                    for t in t0..t1 {
-                        let bv = _mm256_loadu_ps(panel.add(t * 8));
-                        acc0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a0.add(t)), bv, acc0);
-                        acc1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a1.add(t)), bv, acc1);
-                        acc2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a2.add(t)), bv, acc2);
-                        acc3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a3.add(t)), bv, acc3);
-                    }
-                    for (r, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-                        let dst = cp.add((i + r) * n + s * 8);
-                        _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc));
-                    }
-                    i += 4;
-                }
-                while i < rows {
-                    let mut acc = _mm256_setzero_ps();
-                    let arow = a.as_ptr().add(i * k);
-                    for t in t0..t1 {
-                        let bv = _mm256_loadu_ps(panel.add(t * 8));
-                        acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*arow.add(t)), bv, acc);
-                    }
-                    let dst = cp.add(i * n + s * 8);
-                    _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc));
-                    i += 1;
-                }
-            }
-            // Tail columns: identical chain, scalar fused ops.
-            let c0 = full_strips * 8;
-            if c0 < n {
-                let panel = &bp[full_strips * k * 8..];
-                for i in 0..rows {
-                    let arow = &a[i * k..(i + 1) * k];
-                    for j in c0..n {
-                        let l = j - c0;
-                        let mut acc = 0.0f32;
-                        for t in t0..t1 {
-                            acc = arow[t].mul_add(panel[t * 8 + l], acc);
-                        }
-                        c[i * n + j] += acc;
-                    }
-                }
-            }
-            t0 = t1;
-            if t0 >= k {
-                break;
-            }
-        }
-    }
-
-    /// `R` rows × `S` adjacent 8-wide strips over one `KC` block, off
-    /// row-major B: `R·S` independent accumulator chains per `t` hide the FMA
-    /// latency, and with `R > 1` each B vector loaded feeds `R` rows.
-    /// `RESUME` starts each chain from C and stores it back instead of
-    /// adding it.
-    // SAFETY: callers must ensure AVX2+FMA are supported and that
-    // `bcol + t * n + 8 * S` stays inside B for every `t < t1`,
-    // `arow + r * k + t` inside A and `cdst + r * n + 8 * S` inside C for
-    // every `r < R`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn block<const R: usize, const S: usize, const RESUME: bool>(
-        cdst: *mut f32,
-        arow: *const f32,
-        k: usize,
-        bcol: *const f32,
-        n: usize,
-        t0: usize,
-        t1: usize,
-    ) {
-        let mut acc = [[_mm256_setzero_ps(); S]; R];
-        if RESUME {
-            for (r, acc) in acc.iter_mut().enumerate() {
-                for (s, acc) in acc.iter_mut().enumerate() {
-                    *acc = _mm256_loadu_ps(cdst.add(r * n + s * 8));
-                }
-            }
-        }
-        for t in t0..t1 {
-            let brow = bcol.add(t * n);
-            let mut bv = [_mm256_setzero_ps(); S];
-            for (s, bv) in bv.iter_mut().enumerate() {
-                *bv = _mm256_loadu_ps(brow.add(s * 8));
-            }
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(&*arow.add(r * k + t));
-                for (acc, bv) in acc.iter_mut().zip(bv) {
-                    *acc = _mm256_fmadd_ps(av, bv, *acc);
-                }
-            }
-        }
-        for (r, acc) in acc.into_iter().enumerate() {
-            for (s, acc) in acc.into_iter().enumerate() {
-                let dst = cdst.add(r * n + s * 8);
-                let sum = if RESUME { acc } else { _mm256_add_ps(_mm256_loadu_ps(dst), acc) };
-                _mm256_storeu_ps(dst, sum);
-            }
-        }
-    }
-
-    /// [`Kernels::gemm_rows_unpacked`], or with `RESUME` (and `k <= KC`)
-    /// [`Kernels::gemm_rows_resume`].
-    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrapper gates on `avx2_available`) and that `c`, `a`, `b` hold
-    // `rows·n`, `rows·k` and `k·n` elements (asserted by the safe
-    // `Kernels` entry points).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_rows_unpacked<const RESUME: bool>(
-        c: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-    ) {
-        let rows = c.len() / n;
-        let full = n - n % 8;
-        let tail = n - full;
-        // Lanes `0..tail` on (sign bit set), the rest off.
-        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail as i32), lanes);
-        let bp = b.as_ptr();
-        let mut t0 = 0;
-        while t0 < k {
-            let t1 = (t0 + KC).min(k);
-            let mut i = 0;
-            while i < rows {
-                let arow = a.as_ptr().add(i * k);
-                let crow = c.as_mut_ptr().add(i * n);
-                let mut j = 0;
-                // Four rows at a time while they last (the convolution
-                // products), then row by row (the B = 1 inference steps).
-                let step = if rows - i >= 4 {
-                    while j + 16 <= full {
-                        block::<4, 2, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
-                        j += 16;
-                    }
-                    if j < full {
-                        block::<4, 1, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
-                    }
-                    4
-                } else {
-                    while j + 64 <= full {
-                        block::<1, 8, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
-                        j += 64;
-                    }
-                    if j + 32 <= full {
-                        block::<1, 4, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
-                        j += 32;
-                    }
-                    if j + 16 <= full {
-                        block::<1, 2, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
-                        j += 16;
-                    }
-                    if j < full {
-                        block::<1, 1, RESUME>(crow.add(j), arow, k, bp.add(j), n, t0, t1);
-                    }
-                    1
-                };
-                // Tail columns: one masked strip per row. Lane-wise the fused
-                // chain is the scalar one; masked-off lanes are neither read
-                // nor written.
-                if tail > 0 {
-                    for r in 0..step {
-                        let dst = crow.add(r * n + full);
-                        let mut acc = _mm256_setzero_ps();
-                        if RESUME {
-                            acc = _mm256_maskload_ps(dst, mask);
-                        }
-                        for t in t0..t1 {
-                            let bv = _mm256_maskload_ps(bp.add(t * n + full), mask);
-                            let av = _mm256_broadcast_ss(&*arow.add(r * k + t));
-                            acc = _mm256_fmadd_ps(av, bv, acc);
-                        }
-                        let sum = if RESUME {
-                            acc
-                        } else {
-                            _mm256_add_ps(_mm256_maskload_ps(dst, mask), acc)
-                        };
-                        _mm256_maskstore_ps(dst, mask, sum);
-                    }
-                }
-                i += step;
-            }
-            t0 = t1;
-        }
-    }
-
-    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrappers gate on `avx2_available`); slice-length preconditions are
-    // checked by the safe `Kernels` entry points.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_a_bt_rows(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-        let rows = c.len() / n;
-        let k8 = k - k % 8;
-        for i in 0..rows {
-            let arow = a.as_ptr().add(i * k);
-            let asl = &a[i * k..(i + 1) * k];
-            let mut j = 0;
-            // 4 B-rows at a time: each A vector load feeds 4 fmadds.
-            while j + 4 <= n {
-                let b0 = b.as_ptr().add(j * k);
-                let b1 = b.as_ptr().add((j + 1) * k);
-                let b2 = b.as_ptr().add((j + 2) * k);
-                let b3 = b.as_ptr().add((j + 3) * k);
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                let mut t = 0;
-                while t < k8 {
-                    let av = _mm256_loadu_ps(arow.add(t));
-                    acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0.add(t)), acc0);
-                    acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1.add(t)), acc1);
-                    acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2.add(t)), acc2);
-                    acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3.add(t)), acc3);
-                    t += 8;
-                }
-                let mut r = [hreduce(acc0), hreduce(acc1), hreduce(acc2), hreduce(acc3)];
-                for t in k8..k {
-                    let av = asl[t];
-                    r[0] = av.mul_add(*b0.add(t), r[0]);
-                    r[1] = av.mul_add(*b1.add(t), r[1]);
-                    r[2] = av.mul_add(*b2.add(t), r[2]);
-                    r[3] = av.mul_add(*b3.add(t), r[3]);
-                }
-                c[i * n + j..i * n + j + 4].copy_from_slice(&r);
-                j += 4;
-            }
-            while j < n {
-                c[i * n + j] = dot(asl, &b[j * k..(j + 1) * k]);
-                j += 1;
-            }
-        }
-    }
-
-    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrapper gates on `avx2_available`) and bound every copy:
+    // gates on `avx2_available`) and bound every copy:
     // `koff[t] + from + 8 <= x.len()` and `t·len + to + 8 <= col.len()`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn im2col(
+    pub(super) unsafe fn im2col(
         col: &mut [f32],
         x: &[f32],
         koff: &[usize],
@@ -1341,7 +1248,7 @@ mod avx2 {
     }
 
     // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrapper gates on `avx2_available`), every run inside its panel row,
+    // gates on `avx2_available`), every run inside its panel row,
     // `col.len() >= 3·kbase.len()·len + 8` and
     // `g.len() >= kbase[j] + s.pad + s.len + 2 + 8` for every kernel row `j`
     // and run `s` (asserted by the safe `Kernels::col2im` entry point). A
@@ -1349,7 +1256,13 @@ mod avx2 {
     // at `3j·len + i·len + s.col + q - i` starts at or after `col[0]` (as
     // `len >= 1`) and ends inside `col`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn col2im3(g: &mut [f32], col: &[f32], kbase: &[usize], segs: &[Seg], len: usize) {
+    pub(super) unsafe fn col2im3(
+        g: &mut [f32],
+        col: &[f32],
+        kbase: &[usize],
+        segs: &[Seg],
+        len: usize,
+    ) {
         let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         let (gp, cp) = (g.as_mut_ptr(), col.as_ptr());
         for s in segs.iter().rev() {
@@ -1385,418 +1298,6 @@ mod avx2 {
                 q += 8;
             }
         }
-    }
-
-    // SAFETY: callers must ensure AVX2+FMA are supported (all call sites
-    // are `target_feature(avx2,fma)` functions).
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp256(x: __m256) -> __m256 {
-        let x = _mm256_min_ps(x, _mm256_set1_ps(EXP_HI));
-        let x = _mm256_max_ps(x, _mm256_set1_ps(EXP_LO));
-        let fx = _mm256_floor_ps(_mm256_fmadd_ps(x, _mm256_set1_ps(LOG2EF), _mm256_set1_ps(0.5)));
-        let n = _mm256_cvttps_epi32(fx);
-        let x = _mm256_fnmadd_ps(fx, _mm256_set1_ps(EXP_C1), x);
-        let x = _mm256_fnmadd_ps(fx, _mm256_set1_ps(EXP_C2), x);
-        let z = _mm256_mul_ps(x, x);
-        let mut y = _mm256_set1_ps(EXP_P0);
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P1));
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P2));
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P3));
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P4));
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P5));
-        y = _mm256_fmadd_ps(y, z, x);
-        y = _mm256_add_ps(y, _mm256_set1_ps(1.0));
-        let pow2 =
-            _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(n, _mm256_set1_epi32(127)), 23));
-        _mm256_mul_ps(y, pow2)
-    }
-
-    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrappers gate on `avx2_available`); slice-length preconditions are
-    // checked by the safe `Kernels` entry points.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sigmoid(xs: &mut [f32]) {
-        let len = xs.len();
-        let len8 = len - len % 8;
-        let p = xs.as_mut_ptr();
-        let sign = _mm256_set1_ps(-0.0);
-        let one = _mm256_set1_ps(1.0);
-        let mut i = 0;
-        while i < len8 {
-            let v = _mm256_loadu_ps(p.add(i));
-            let e = exp256(_mm256_xor_ps(v, sign));
-            _mm256_storeu_ps(p.add(i), _mm256_div_ps(one, _mm256_add_ps(one, e)));
-            i += 8;
-        }
-        for v in &mut xs[len8..] {
-            *v = sigmoid_lane(*v);
-        }
-    }
-
-    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrappers gate on `avx2_available`); slice-length preconditions are
-    // checked by the safe `Kernels` entry points.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tanh(xs: &mut [f32]) {
-        let len = xs.len();
-        let len8 = len - len % 8;
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i < len8 {
-            _mm256_storeu_ps(p.add(i), tanh8(_mm256_loadu_ps(p.add(i))));
-            i += 8;
-        }
-        for v in &mut xs[len8..] {
-            *v = tanh_lane(*v);
-        }
-    }
-
-    /// [`tanh_lane`] on 8 lanes.
-    // SAFETY: callers must ensure AVX2+FMA are supported (all call sites
-    // are `target_feature(avx2,fma)` functions).
-    #[inline(always)]
-    unsafe fn tanh8(v: __m256) -> __m256 {
-        let sign = _mm256_set1_ps(-0.0);
-        let one = _mm256_set1_ps(1.0);
-        let a = _mm256_andnot_ps(sign, v);
-        let e = exp256(_mm256_mul_ps(_mm256_set1_ps(-2.0), a));
-        let r = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
-        // copysign(r, v)
-        _mm256_or_ps(_mm256_andnot_ps(sign, r), _mm256_and_ps(sign, v))
-    }
-
-    /// [`Kernels::lstm_cell`], 8 lanes at a time.
-    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
-    // wrapper gates on `avx2_available`) and that `z` holds `4·hsz` floats
-    // per row of `c`, `tanh_c` and `h` (asserted by the safe entry point).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn lstm_cell(
-        hsz: usize,
-        z: &mut [f32],
-        c: &mut [f32],
-        tanh_c: &mut [f32],
-        h: &mut [f32],
-    ) {
-        let h8 = hsz - hsz % 8;
-        for (r, row) in z.chunks_exact_mut(4 * hsz).enumerate() {
-            sigmoid(&mut row[..2 * hsz]);
-            tanh(&mut row[2 * hsz..3 * hsz]);
-            sigmoid(&mut row[3 * hsz..]);
-            let at = r * hsz..(r + 1) * hsz;
-            let (c, tanh_c, h) = (&mut c[at.clone()], &mut tanh_c[at.clone()], &mut h[at]);
-            let (g, cp, tp, hp) =
-                (row.as_ptr(), c.as_mut_ptr(), tanh_c.as_mut_ptr(), h.as_mut_ptr());
-            let mut j = 0;
-            while j < h8 {
-                let gate = |q: usize| _mm256_loadu_ps(g.add(q * hsz + j));
-                let ig = _mm256_mul_ps(gate(0), gate(2));
-                let cv = _mm256_fmadd_ps(gate(1), _mm256_loadu_ps(cp.add(j)), ig);
-                _mm256_storeu_ps(cp.add(j), cv);
-                let tc = tanh8(cv);
-                _mm256_storeu_ps(tp.add(j), tc);
-                _mm256_storeu_ps(hp.add(j), _mm256_mul_ps(gate(3), tc));
-                j += 8;
-            }
-            cell_state_lanes(row, c, tanh_c, h, h8);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512F implementations (the two GEMM row kernels only).
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::*;
-    use std::arch::x86_64::*;
-
-    /// Lanes per vector: the width of this backend's B strips.
-    pub const LANES: usize = 16;
-
-    /// What one `KC` block of a product walks: C's row stride `n`, A's row
-    /// stride `k`, where B's strips lie, and the block's `t` range.
-    #[derive(Clone, Copy)]
-    struct Walk {
-        n: usize,
-        k: usize,
-        lay: BLayout,
-        t0: usize,
-        t1: usize,
-    }
-
-    /// `R` rows × `S` adjacent 16-wide strips of C over one `KC` block:
-    /// `R·S` independent accumulator chains per `t` hide the FMA latency,
-    /// and each B vector loaded feeds `R` rows. Lanes that `last` masks off
-    /// the last strip are neither read from B nor read or written in C.
-    /// `RESUME` starts each chain from C and stores it back instead of
-    /// adding it.
-    // SAFETY: callers must ensure AVX-512F is supported and that, for every
-    // `r < R`, `s < S`, `w.t0 <= t < w.t1` and lane `l` that the strip's
-    // mask keeps (every lane but the last strip's, which keeps `last`),
-    // `arow + r·w.k + t` lies in A, `b + s·w.lay.strip + t·w.lay.step + l`
-    // in B and `cdst + r·w.n + 16s + l` in C.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn block<const R: usize, const S: usize, const RESUME: bool>(
-        w: Walk,
-        cdst: *mut f32,
-        arow: *const f32,
-        b: *const f32,
-        last: __mmask16,
-    ) {
-        let mask = |s: usize| if s + 1 == S { last } else { !0 };
-        let mut acc = [[_mm512_setzero_ps(); S]; R];
-        if RESUME {
-            for (r, acc) in acc.iter_mut().enumerate() {
-                for (s, acc) in acc.iter_mut().enumerate() {
-                    *acc = _mm512_maskz_loadu_ps(mask(s), cdst.add(r * w.n + s * LANES));
-                }
-            }
-        }
-        for t in w.t0..w.t1 {
-            let mut bv = [_mm512_setzero_ps(); S];
-            for (s, bv) in bv.iter_mut().enumerate() {
-                *bv = _mm512_maskz_loadu_ps(mask(s), b.add(s * w.lay.strip + t * w.lay.step));
-            }
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*arow.add(r * w.k + t));
-                for (acc, bv) in acc.iter_mut().zip(bv) {
-                    *acc = _mm512_fmadd_ps(av, bv, *acc);
-                }
-            }
-        }
-        for (r, acc) in acc.into_iter().enumerate() {
-            for (s, acc) in acc.into_iter().enumerate() {
-                let dst = cdst.add(r * w.n + s * LANES);
-                let sum = if RESUME {
-                    acc
-                } else {
-                    _mm512_add_ps(_mm512_maskz_loadu_ps(mask(s), dst), acc)
-                };
-                _mm512_mask_storeu_ps(dst, mask(s), sum);
-            }
-        }
-    }
-
-    /// One band of `R` rows of C (row 0 at `crow`) across every 16-wide
-    /// strip of the `w.n` columns, over one `KC` block: 2 strips per block
-    /// for a multi-row band; for a single row, 8 then 4 then 2, so at least
-    /// 4 chains are in flight while 64 columns remain. An odd last strip
-    /// runs alone; the columns past `w.n` are masked off the last strip.
-    // SAFETY: as for `block`, for every strip of the band.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn band<const R: usize, const RESUME: bool>(
-        w: Walk,
-        crow: *mut f32,
-        arow: *const f32,
-        b: *const f32,
-    ) {
-        let strips = w.n.div_ceil(LANES);
-        let tail: __mmask16 = u16::MAX >> (strips * LANES - w.n);
-        // Where strips `s..end` start in C and B, and the last one's mask.
-        let at = |s: usize, end: usize| {
-            (crow.add(s * LANES), b.add(s * w.lay.strip), if end == strips { tail } else { !0 })
-        };
-        let mut s = 0;
-        if R == 1 {
-            while s + 8 <= strips {
-                let (c, bs, m) = at(s, s + 8);
-                block::<1, 8, RESUME>(w, c, arow, bs, m);
-                s += 8;
-            }
-            if s + 4 <= strips {
-                let (c, bs, m) = at(s, s + 4);
-                block::<1, 4, RESUME>(w, c, arow, bs, m);
-                s += 4;
-            }
-        }
-        while s + 2 <= strips {
-            let (c, bs, m) = at(s, s + 2);
-            block::<R, 2, RESUME>(w, c, arow, bs, m);
-            s += 2;
-        }
-        if s < strips {
-            let (c, bs, m) = at(s, strips);
-            block::<R, 1, RESUME>(w, c, arow, bs, m);
-        }
-    }
-
-    /// `c[rows, n] += a[rows, k] · B`, B read in 16-wide strips where `lay`
-    /// says: bands of 8 rows, then 4, then single rows. Per element the
-    /// chain is the scalar one — from zero, fused multiply-adds ascending in
-    /// `t` per `KC` block, block sums added to C in block order; a partial
-    /// last strip is masked lanes of the same chains. `RESUME` (with
-    /// `k <= KC`) is [`Kernels::gemm_rows_resume`]'s mode: one block whose
-    /// chains start from C and stay there.
-    // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
-    // `c` and `a` hold `rows·n` and `rows·k` elements and `b` every element
-    // `lay` addresses for `t < k` and columns `< n` (asserted by the safe
-    // `Kernels` entry points).
-    #[target_feature(enable = "avx512f")]
-    unsafe fn gemm_rows<const RESUME: bool>(
-        c: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        (k, n): (usize, usize),
-        lay: BLayout,
-    ) {
-        let rows = c.len() / n;
-        let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-        let mut t0 = 0;
-        while t0 < k {
-            let w = Walk { n, k, lay, t0, t1: (t0 + KC).min(k) };
-            let mut i = 0;
-            while i < rows {
-                let (crow, arow) = (cp.add(i * n), ap.add(i * k));
-                i += match rows - i {
-                    8.. => {
-                        band::<8, RESUME>(w, crow, arow, bp);
-                        8
-                    }
-                    4.. => {
-                        band::<4, RESUME>(w, crow, arow, bp);
-                        4
-                    }
-                    _ => {
-                        band::<1, RESUME>(w, crow, arow, bp);
-                        1
-                    }
-                };
-            }
-            t0 = w.t1;
-        }
-    }
-
-    /// [`exp_poly`] on 16 lanes: the same clamps (VMINPS/VMAXPS return the
-    /// bound for a NaN, as the AVX2 and scalar code do), floor, fused
-    /// reductions and polynomial.
-    // SAFETY: callers must ensure AVX-512F is supported (all call sites
-    // are `target_feature(avx512f)` functions).
-    #[inline(always)]
-    unsafe fn exp16(x: __m512) -> __m512 {
-        let x = _mm512_min_ps(x, _mm512_set1_ps(EXP_HI));
-        let x = _mm512_max_ps(x, _mm512_set1_ps(EXP_LO));
-        let fx = _mm512_fmadd_ps(x, _mm512_set1_ps(LOG2EF), _mm512_set1_ps(0.5));
-        let fx = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(fx);
-        let n = _mm512_cvttps_epi32(fx);
-        let x = _mm512_fnmadd_ps(fx, _mm512_set1_ps(EXP_C1), x);
-        let x = _mm512_fnmadd_ps(fx, _mm512_set1_ps(EXP_C2), x);
-        let z = _mm512_mul_ps(x, x);
-        let mut y = _mm512_set1_ps(EXP_P0);
-        for p in [EXP_P1, EXP_P2, EXP_P3, EXP_P4, EXP_P5] {
-            y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(p));
-        }
-        y = _mm512_fmadd_ps(y, z, x);
-        y = _mm512_add_ps(y, _mm512_set1_ps(1.0));
-        let pow2 = _mm512_slli_epi32::<23>(_mm512_add_epi32(n, _mm512_set1_epi32(127)));
-        _mm512_mul_ps(y, _mm512_castsi512_ps(pow2))
-    }
-
-    /// The sign bit of every lane.
-    // SAFETY: callers must ensure AVX-512F is supported.
-    #[inline(always)]
-    unsafe fn sign_bits() -> __m512i {
-        _mm512_set1_epi32(i32::MIN)
-    }
-
-    /// [`sigmoid_lane`] on 16 lanes.
-    // SAFETY: callers must ensure AVX-512F is supported.
-    #[inline(always)]
-    unsafe fn sigmoid16(v: __m512) -> __m512 {
-        let neg = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(v), sign_bits()));
-        let one = _mm512_set1_ps(1.0);
-        _mm512_div_ps(one, _mm512_add_ps(one, exp16(neg)))
-    }
-
-    /// [`tanh_lane`] on 16 lanes.
-    // SAFETY: callers must ensure AVX-512F is supported.
-    #[inline(always)]
-    unsafe fn tanh16(v: __m512) -> __m512 {
-        let one = _mm512_set1_ps(1.0);
-        let e = exp16(_mm512_mul_ps(_mm512_set1_ps(-2.0), _mm512_abs_ps(v)));
-        let r = _mm512_castps_si512(_mm512_div_ps(_mm512_sub_ps(one, e), _mm512_add_ps(one, e)));
-        // copysign(r, v)
-        let sign = _mm512_and_si512(sign_bits(), _mm512_castps_si512(v));
-        _mm512_castsi512_ps(_mm512_or_si512(_mm512_andnot_si512(sign_bits(), r), sign))
-    }
-
-    /// Sigmoid (`SIGMOID`) or tanh over `xs`, 16 lanes at a time, the tail
-    /// through the scalar lane function.
-    // SAFETY: callers must ensure AVX-512F is supported (all call sites
-    // are `target_feature(avx512f)` functions).
-    #[inline(always)]
-    unsafe fn sweep<const SIGMOID: bool>(xs: &mut [f32]) {
-        let len16 = xs.len() - xs.len() % LANES;
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i < len16 {
-            let v = _mm512_loadu_ps(p.add(i));
-            _mm512_storeu_ps(p.add(i), if SIGMOID { sigmoid16(v) } else { tanh16(v) });
-            i += LANES;
-        }
-        for v in &mut xs[len16..] {
-            *v = if SIGMOID { sigmoid_lane(*v) } else { tanh_lane(*v) };
-        }
-    }
-
-    /// [`Kernels::lstm_cell`], 16 lanes at a time.
-    // SAFETY: callers must ensure AVX-512F and AVX2+FMA are supported (the
-    // dispatch wrapper gates on `avx512_available`) and that `z` holds
-    // `4·hsz` floats per row of `c`, `tanh_c` and `h` (asserted by the safe
-    // entry point).
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn lstm_cell(
-        hsz: usize,
-        z: &mut [f32],
-        c: &mut [f32],
-        tanh_c: &mut [f32],
-        h: &mut [f32],
-    ) {
-        let h16 = hsz - hsz % LANES;
-        for (r, row) in z.chunks_exact_mut(4 * hsz).enumerate() {
-            sweep::<true>(&mut row[..2 * hsz]);
-            sweep::<false>(&mut row[2 * hsz..3 * hsz]);
-            sweep::<true>(&mut row[3 * hsz..]);
-            let at = r * hsz..(r + 1) * hsz;
-            let (c, tanh_c, h) = (&mut c[at.clone()], &mut tanh_c[at.clone()], &mut h[at]);
-            let (g, cp, tp, hp) =
-                (row.as_ptr(), c.as_mut_ptr(), tanh_c.as_mut_ptr(), h.as_mut_ptr());
-            let mut j = 0;
-            while j < h16 {
-                let gate = |q: usize| _mm512_loadu_ps(g.add(q * hsz + j));
-                let ig = _mm512_mul_ps(gate(0), gate(2));
-                let cv = _mm512_fmadd_ps(gate(1), _mm512_loadu_ps(cp.add(j)), ig);
-                _mm512_storeu_ps(cp.add(j), cv);
-                let tc = tanh16(cv);
-                _mm512_storeu_ps(tp.add(j), tc);
-                _mm512_storeu_ps(hp.add(j), _mm512_mul_ps(gate(3), tc));
-                j += LANES;
-            }
-            cell_state_lanes(row, c, tanh_c, h, h16);
-        }
-    }
-
-    /// [`Kernels::gemm_rows_packed`] over this backend's 16-wide panel.
-    // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
-    // `c`, `a` and `bp` hold `rows·n`, `rows·k` and `⌈n/16⌉·k·16` elements.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_rows_packed(c: &mut [f32], a: &[f32], bp: &[f32], k: usize, n: usize) {
-        gemm_rows::<false>(c, a, bp, (k, n), BLayout::packed(k, LANES))
-    }
-
-    /// [`Kernels::gemm_rows_unpacked`] off row-major B, or with `RESUME`
-    /// (and `k <= KC`) [`Kernels::gemm_rows_resume`].
-    // SAFETY: callers must ensure AVX-512F is supported, `n > 0`, and that
-    // `c`, `a` and `b` hold `rows·n`, `rows·k` and `k·n` elements.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_rows_unpacked<const RESUME: bool>(
-        c: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-    ) {
-        gemm_rows::<RESUME>(c, a, b, (k, n), BLayout::row_major(n, LANES))
     }
 }
 
@@ -1865,7 +1366,9 @@ mod tests {
                     with_backend(be, |kern| {
                         let mut c = vec![0.0f32; rows * n];
                         kern.gemm_a_bt_rows(&mut c, &a, &b, k, n);
-                        (c, kern.dot(&a[..k], &b[..k]))
+                        let mut dot = [0.0f32];
+                        kern.gemm_a_bt_rows(&mut dot, &a[..k], &b[..k], k, 1);
+                        (c, dot)
                     })
                 };
                 assert_eq!(run(Backend::Scalar), run(be), "{be:?}");
@@ -1923,10 +1426,10 @@ mod tests {
     #[test]
     fn poly_activations_close_to_libm() {
         for &x in &[-10.0f32, -3.0, -1.0, -0.5, -1e-3, 0.0, 1e-3, 0.3, 1.0, 2.5, 8.0, 30.0, 90.0] {
-            let s = sigmoid_lane(x);
+            let s = sigmoid([x; 8])[0];
             let s_ref = 1.0 / (1.0 + (-x as f64).exp());
             assert!((s as f64 - s_ref).abs() < 2e-7, "sigmoid({x}): {s} vs {s_ref}");
-            let t = tanh_lane(x);
+            let t = tanh([x; 8])[0];
             let t_ref = (x as f64).tanh();
             assert!((t as f64 - t_ref).abs() < 2e-7, "tanh({x}): {t} vs {t_ref}");
         }
@@ -2004,6 +1507,18 @@ mod tests {
         assert!(c.iter().all(|&v| v == 0.0));
         let mut c2: Vec<f32> = Vec::new();
         kern.gemm_a_bt_rows(&mut c2, &[], &[], 4, 0);
-        assert_eq!(kern.dot(&[], &[]), 0.0);
+        let mut dot = [f32::NAN];
+        kern.gemm_a_bt_rows(&mut dot, &[], &[], 0, 1);
+        assert_eq!(dot, [0.0]);
+    }
+
+    /// Row dots read through raw pointers, so a short operand must panic
+    /// in release builds too, never read past its slice.
+    #[test]
+    #[should_panic(expected = "gemm_a_bt_rows: b is [n, k]")]
+    fn gemm_a_bt_rows_rejects_a_short_operand() {
+        let (rows, k, n) = (4, 64, 4);
+        let mut c = vec![0.0f32; rows * n];
+        Kernels::get().gemm_a_bt_rows(&mut c, &vec![1.0; rows * k], &[1.0; 8], k, n);
     }
 }

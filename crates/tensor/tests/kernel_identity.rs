@@ -463,18 +463,27 @@ proptest! {
         );
     }
 
+    /// Moderate inputs, then the ones `lstm_cell_bit_identical_across_backends`
+    /// feeds the same exp: ×12, past both clamps, with NaN, ±∞ and −0
+    /// planted — compared bit for bit, so the clamps' operand order (a NaN
+    /// saturates to the upper bound) and the signs must agree too.
     #[test]
     fn activation_sweeps_bit_identical(len in 0usize..100, seed in 0u64..1_000_000) {
         let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
-        let mut x = rand_tensor(&[1, len], seed);
-        x.scale(4.0);
-        assert_backend_identical(
-            || activations::sigmoid(&x).into_data(),
-            &format!("sigmoid len={len}"),
-        );
-        assert_backend_identical(
-            || activations::tanh(&x).into_data(),
-            &format!("tanh len={len}"),
-        );
+        for scale in [4.0, 12.0] {
+            let mut x = rand_tensor(&[1, len], seed);
+            x.scale(scale);
+            if scale > 4.0 && len > 0 {
+                plant(&mut x, seed, &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]);
+            }
+            assert_backend_identical(
+                || canon(activations::sigmoid(&x).data()),
+                &format!("sigmoid x{scale} len={len}"),
+            );
+            assert_backend_identical(
+                || canon(activations::tanh(&x).data()),
+                &format!("tanh x{scale} len={len}"),
+            );
+        }
     }
 }
