@@ -32,11 +32,11 @@ pub mod stream;
 
 pub use dataset::{generate_dataset, sort_dataset, TraceDataset};
 pub use merge::{
-    discover_rank_dirs, merge_ranks, rank_slice, MergeOutput, MergedManifest, RankManifest,
-    RankSummary, MERGED_MANIFEST_NAME, RANK_MANIFEST_NAME,
+    decode_manifest, discover_rank_dirs, load_manifest_bytes, merge_ranks, rank_slice, MergeOutput,
+    MergedManifest, RankManifest, RankSummary, MERGED_MANIFEST_NAME, RANK_MANIFEST_NAME,
 };
 pub use record::{
-    decode_record, encode_record, AddressDictionary, DecodeError, Reader, RecordEntry, TraceRecord,
+    decode_record, encode_record, AddressDictionary, DecodeError, RecordEntry, TraceRecord,
 };
 pub use sampler::{homogeneous_fraction, DistributedSampler, EpochPlan, SamplerConfig};
 pub use shard::{

@@ -33,13 +33,12 @@
 //! complete — so the merge can be safely re-run after a late rank's output
 //! arrives.
 
-use crate::record::Reader;
 use crate::shard::{
     atomic_save, deny_stale_partials, partition_prefix, remove_stale_rolls, shard_path,
     RollingShardWriter, ShardReader, CHECKPOINT_MANIFEST_NAME, REPAIR_PREFIX,
 };
-use std::fs::File;
-use std::io::{self, Read};
+use etalumis_distributions::codec::{DecodeError, Reader};
+use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -74,16 +73,36 @@ fn bad_input(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
-fn load_manifest_bytes(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    match File::open(path) {
-        Ok(mut f) => {
-            let mut buf = Vec::new();
-            f.read_to_end(&mut buf)?;
-            Ok(Some(buf))
-        }
+/// The bytes of the manifest file at `path` (`None` if there is none).
+pub fn load_manifest_bytes(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(buf) => Ok(Some(buf)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e),
     }
+}
+
+/// Decode a `kind` manifest (rank, merged or checkpoint): check its magic
+/// and version, then read its body through the shared [`Reader`]. Every
+/// error is `InvalidData` and names the manifest. `body` reads the fields
+/// straight into a struct literal, whose fields Rust evaluates in the
+/// order written: that order is the manifest's field order.
+pub fn decode_manifest<T>(
+    buf: &[u8],
+    kind: &str,
+    magic: &[u8; 4],
+    version: u32,
+    body: impl FnOnce(&mut Reader) -> Result<T, DecodeError>,
+) -> io::Result<T> {
+    let bad = |msg: &dyn std::fmt::Display| bad_data(format!("corrupt {kind} manifest: {msg}"));
+    let r = &mut Reader::new(buf);
+    if r.take(4).ok() != Some(magic.as_slice()) {
+        return Err(bad(&"bad magic"));
+    }
+    if r.u32().ok() != Some(version) {
+        return Err(bad(&"unsupported version"));
+    }
+    body(r).map_err(|e| bad(&e))
 }
 
 /// What one rank durably claims about its completed slice: batch identity,
@@ -153,64 +172,30 @@ impl RankManifest {
 
     /// Deserialize a manifest (strict: bad magic/version/truncation error).
     pub fn decode(buf: &[u8]) -> io::Result<Self> {
-        let bad = |msg: &str| bad_data(format!("corrupt rank manifest: {msg}"));
-        let r = &mut Reader::new(buf);
-        let ctx = |_| bad("truncated");
-        if r.take(4).map_err(ctx)? != RANK_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        if r.u32().map_err(ctx)? != MANIFEST_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let rank = r.u32().map_err(ctx)?;
-        let world_size = r.u32().map_err(ctx)?;
-        let n = r.u64().map_err(ctx)?;
-        let seed = r.u64().map_err(ctx)?;
-        let partitions = r.u32().map_err(ctx)?;
-        let traces_per_shard = r.u64().map_err(ctx)?;
-        let pruned = r.u8().map_err(ctx)? != 0;
-        let start = r.u64().map_err(ctx)?;
-        let end = r.u64().map_err(ctx)?;
-        let n_parts = r.u32().map_err(ctx)? as usize;
-        if n_parts > buf.len() / 4 {
-            return Err(bad("partition count exceeds the manifest"));
-        }
-        let mut shards_per_partition = Vec::with_capacity(n_parts);
-        for _ in 0..n_parts {
-            shards_per_partition.push(r.u32().map_err(ctx)?);
-        }
-        let repair_shards = r.u32().map_err(ctx)?;
-        let n_failed = r.u64().map_err(ctx)? as usize;
-        if n_failed > buf.len() / 8 {
-            return Err(bad("failed-list length exceeds the manifest"));
-        }
-        let mut failed = Vec::with_capacity(n_failed);
-        for _ in 0..n_failed {
-            failed.push(r.u64().map_err(ctx)?);
-        }
-        Ok(Self {
-            rank,
-            world_size,
-            n,
-            seed,
-            partitions,
-            traces_per_shard,
-            pruned,
-            start,
-            end,
-            shards_per_partition,
-            repair_shards,
-            failed,
+        decode_manifest(buf, "rank", RANK_MAGIC, MANIFEST_VERSION, |r| {
+            Ok(Self {
+                rank: r.u32()?,
+                world_size: r.u32()?,
+                n: r.u64()?,
+                seed: r.u64()?,
+                partitions: r.u32()?,
+                traces_per_shard: r.u64()?,
+                pruned: r.u8()? != 0,
+                start: r.u64()?,
+                end: r.u64()?,
+                shards_per_partition: (0..r.count(4)?)
+                    .map(|_| r.u32())
+                    .collect::<Result<_, _>>()?,
+                repair_shards: r.u32()?,
+                failed: (0..r.count_u64(8)?).map(|_| r.u64()).collect::<Result<_, _>>()?,
+            })
         })
     }
 
     /// Load a rank manifest from a rank's output directory (`None` if the
     /// rank has not completed).
     pub fn load(dir: &Path) -> io::Result<Option<Self>> {
-        match load_manifest_bytes(&dir.join(RANK_MANIFEST_NAME))? {
-            Some(buf) => Self::decode(&buf).map(Some),
-            None => Ok(None),
-        }
+        load_manifest_bytes(&dir.join(RANK_MANIFEST_NAME))?.map(|b| Self::decode(&b)).transpose()
     }
 
     /// Atomically write the manifest into `dir` (temp file, fsync, rename).
@@ -289,50 +274,34 @@ impl MergedManifest {
 
     /// Deserialize a manifest (strict: bad magic/version/truncation error).
     pub fn decode(buf: &[u8]) -> io::Result<Self> {
-        let bad = |msg: &str| bad_data(format!("corrupt merged manifest: {msg}"));
-        let r = &mut Reader::new(buf);
-        let ctx = |_| bad("truncated");
-        if r.take(4).map_err(ctx)? != MERGED_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        if r.u32().map_err(ctx)? != MANIFEST_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let n = r.u64().map_err(ctx)?;
-        let seed = r.u64().map_err(ctx)?;
-        let partitions = r.u32().map_err(ctx)?;
-        let traces_per_shard = r.u64().map_err(ctx)?;
-        let pruned = r.u8().map_err(ctx)? != 0;
-        let world_size = r.u32().map_err(ctx)?;
-        let records = r.u64().map_err(ctx)?;
-        let n_ranks = r.u32().map_err(ctx)? as usize;
-        if n_ranks > buf.len() / 28 {
-            return Err(bad("rank count exceeds the manifest"));
-        }
-        let mut ranks = Vec::with_capacity(n_ranks);
-        for _ in 0..n_ranks {
-            let rank = r.u32().map_err(ctx)?;
-            let start = r.u64().map_err(ctx)?;
-            let end = r.u64().map_err(ctx)?;
-            let n_failed = r.u64().map_err(ctx)? as usize;
-            if n_failed > buf.len() / 8 {
-                return Err(bad("failed-list length exceeds the manifest"));
-            }
-            let mut failed = Vec::with_capacity(n_failed);
-            for _ in 0..n_failed {
-                failed.push(r.u64().map_err(ctx)?);
-            }
-            ranks.push(RankSummary { rank, start, end, failed });
-        }
-        Ok(Self { n, seed, partitions, traces_per_shard, pruned, world_size, records, ranks })
+        decode_manifest(buf, "merged", MERGED_MAGIC, MANIFEST_VERSION, |r| {
+            Ok(Self {
+                n: r.u64()?,
+                seed: r.u64()?,
+                partitions: r.u32()?,
+                traces_per_shard: r.u64()?,
+                pruned: r.u8()? != 0,
+                world_size: r.u32()?,
+                records: r.u64()?,
+                ranks: (0..r.count(4 + 8 + 8 + 8)?)
+                    .map(|_| {
+                        Ok(RankSummary {
+                            rank: r.u32()?,
+                            start: r.u64()?,
+                            end: r.u64()?,
+                            failed: (0..r.count_u64(8)?)
+                                .map(|_| r.u64())
+                                .collect::<Result<_, _>>()?,
+                        })
+                    })
+                    .collect::<Result<_, DecodeError>>()?,
+            })
+        })
     }
 
     /// Load the merged manifest from a merged dataset directory.
     pub fn load(dir: &Path) -> io::Result<Option<Self>> {
-        match load_manifest_bytes(&dir.join(MERGED_MANIFEST_NAME))? {
-            Some(buf) => Self::decode(&buf).map(Some),
-            None => Ok(None),
-        }
+        load_manifest_bytes(&dir.join(MERGED_MANIFEST_NAME))?.map(|b| Self::decode(&b)).transpose()
     }
 
     /// Atomically write the manifest into `dir` (temp file, fsync, rename).
@@ -753,6 +722,47 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(MergedManifest::decode(&bytes[..cut]).is_err(), "prefix {cut} decoded");
         }
+    }
+
+    #[test]
+    fn mutated_manifests_decode_or_are_rejected_as_invalid_data() {
+        let rank = RankManifest {
+            rank: 1,
+            world_size: 2,
+            n: 100,
+            seed: 5,
+            partitions: 2,
+            traces_per_shard: 10,
+            pruned: true,
+            start: 50,
+            end: 100,
+            shards_per_partition: vec![3, 2],
+            repair_shards: 1,
+            failed: vec![61, 99],
+        };
+        let merged = MergedManifest {
+            n: 100,
+            seed: 5,
+            partitions: 2,
+            traces_per_shard: 10,
+            pruned: true,
+            world_size: 2,
+            records: 97,
+            ranks: vec![
+                RankSummary { rank: 0, start: 0, end: 50, failed: vec![7] },
+                RankSummary { rank: 1, start: 50, end: 100, failed: vec![61, 99] },
+            ],
+        };
+        let check = |good: &[u8], decode: &dyn Fn(&[u8]) -> io::Result<()>| {
+            for (at, m) in etalumis_distributions::codec::mutants(good) {
+                match decode(&m) {
+                    Ok(()) => assert_eq!(m[..8], good[..8], "magic or version mutated at {at}"),
+                    Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "at {at}: {e}"),
+                }
+            }
+        };
+        check(&rank.encode(), &|b| RankManifest::decode(b).map(drop));
+        check(&merged.encode(), &|b| MergedManifest::decode(b).map(drop));
     }
 
     #[test]

@@ -14,151 +14,24 @@
 //!   which accumulates the fairly long address strings and assigns
 //!   shorthand IDs used in serialization" (≈40% memory reduction):
 //!   [`AddressDictionary`] + the two encoding modes in [`encode_record`].
+//!
+//! Record layout (little-endian; `string`, `value` and `dist` are the
+//! shared encodings of [`etalumis_distributions::codec`], the same bytes
+//! the PPX wire carries):
+//!
+//! ```text
+//! record := u64 trace_type ++ u32 length ++ u32 n ++ u8 dict_flag
+//!           ++ n × entry ++ value observation (a tensor)
+//! entry  := (u32 address_id | string address) ++ u8 replaced ++ dist ++ value
+//! ```
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 use etalumis_core::{EntryKind, Trace};
+pub use etalumis_distributions::codec::DecodeError;
+use etalumis_distributions::codec::{put_dist, put_string, put_tensor, put_value, Reader};
 use etalumis_distributions::{Distribution, TensorValue, Value};
 use std::collections::HashMap;
 use std::io::Read;
-use std::sync::Arc;
-
-/// Why stored bytes failed to decode into a [`TraceRecord`].
-///
-/// Corrupt input must surface as a value, not a panic: one bad record in a
-/// multi-gigabyte dataset aborts a single load call, never the process.
-/// The shard layer wraps this with the shard path and file offset of the
-/// offending record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The input ended before the announced structure did.
-    Truncated {
-        /// Bytes the decoder needed next.
-        needed: usize,
-        /// Bytes actually remaining.
-        available: usize,
-    },
-    /// A value carried a tag outside the known set.
-    UnknownValueTag(u8),
-    /// A distribution carried a tag outside the known set.
-    UnknownDistTag(u8),
-    /// An embedded string was not valid UTF-8.
-    BadUtf8,
-    /// A dictionary-encoded record referenced an id the dictionary lacks.
-    MissingDictEntry(u32),
-    /// A dictionary-encoded record was decoded without a dictionary.
-    MissingDictionary,
-    /// The observation field held a non-tensor value.
-    ObservationNotTensor,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated { needed, available } => {
-                write!(f, "record truncated: needed {needed} more bytes, had {available}")
-            }
-            DecodeError::UnknownValueTag(t) => write!(f, "bad value tag {t}"),
-            DecodeError::UnknownDistTag(t) => write!(f, "bad dist tag {t}"),
-            DecodeError::BadUtf8 => write!(f, "embedded string is not valid UTF-8"),
-            DecodeError::MissingDictEntry(id) => {
-                write!(f, "address id {id} not present in the shard dictionary")
-            }
-            DecodeError::MissingDictionary => {
-                write!(f, "record is dictionary-encoded but no dictionary was supplied")
-            }
-            DecodeError::ObservationNotTensor => write!(f, "observation must be a tensor"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-impl From<DecodeError> for std::io::Error {
-    fn from(e: DecodeError) -> Self {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-    }
-}
-
-/// Bounds-checked little-endian reader over a byte slice: every read that
-/// would run past the end returns [`DecodeError::Truncated`] instead of
-/// panicking. Shared by every decoder in the workspace that must survive
-/// corrupt input (records, shard journals, checkpoint manifests).
-pub struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    /// Reader over `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Consume the next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() < n {
-            return Err(DecodeError::Truncated { needed: n, available: self.buf.len() });
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    /// Consume one byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Consume a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    /// Consume a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Consume a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, DecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(i64::from_le_bytes(a))
-    }
-
-    /// Consume a little-endian `f32`.
-    pub fn f32(&mut self) -> Result<f32, DecodeError> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(f32::from_le_bytes(a))
-    }
-
-    /// Consume a little-endian `f64`.
-    pub fn f64(&mut self) -> Result<f64, DecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(f64::from_le_bytes(a))
-    }
-
-    /// Consume a `u32`-length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-}
 
 /// One sample statement in a stored trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -281,11 +154,10 @@ impl AddressDictionary {
     }
 
     /// Serialize the dictionary.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.strings.len() as u32);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(self.strings.len() as u32).to_le_bytes());
         for s in &self.strings {
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_string(buf, s);
         }
     }
 
@@ -319,218 +191,31 @@ impl AddressDictionary {
     }
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Unit => buf.put_u8(0),
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.put_u8(2);
-            buf.put_i64_le(*i);
-        }
-        Value::Real(x) => {
-            buf.put_u8(3);
-            buf.put_f64_le(*x);
-        }
-        Value::Tensor(t) => put_tensor(buf, t),
-        Value::Str(s) => {
-            buf.put_u8(5);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-    }
-}
-
-/// The [`Value::Tensor`] encoding, tag included, of a borrowed tensor.
-fn put_tensor(buf: &mut BytesMut, t: &TensorValue) {
-    buf.put_u8(4);
-    buf.put_u32_le(t.shape.len() as u32);
-    for &d in &t.shape {
-        buf.put_u32_le(d as u32);
-    }
-    for &x in &t.data {
-        buf.put_f32_le(x);
-    }
-}
-
-fn get_value(r: &mut Reader) -> Result<Value, DecodeError> {
-    Ok(match r.u8()? {
-        0 => Value::Unit,
-        1 => Value::Bool(r.u8()? != 0),
-        2 => Value::Int(r.i64()?),
-        3 => Value::Real(r.f64()?),
-        4 => {
-            let ndim = r.u32()? as usize;
-            let mut shape = Vec::with_capacity(ndim.min(r.remaining() / 4));
-            for _ in 0..ndim {
-                shape.push(r.u32()? as usize);
-            }
-            // A corrupt shape can announce an absurd element count (or one
-            // that overflows usize); bound the allocation by what the input
-            // can actually hold, with overflow-checked arithmetic.
-            let announced = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
-            let n = match announced {
-                Some(n) if n <= r.remaining() / 4 => n,
-                other => {
-                    return Err(DecodeError::Truncated {
-                        needed: other.map(|n| n.saturating_mul(4)).unwrap_or(usize::MAX),
-                        available: r.remaining(),
-                    })
-                }
-            };
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(r.f32()?);
-            }
-            TensorValue::new(shape, data).into()
-        }
-        5 => Value::Str(r.string()?),
-        t => return Err(DecodeError::UnknownValueTag(t)),
-    })
-}
-
-fn put_dist(buf: &mut BytesMut, d: &Distribution) {
-    // Reuse the Value encoding for parameter vectors to keep this compact.
-    let put_vec = |buf: &mut BytesMut, v: &[f64]| {
-        buf.put_u32_le(v.len() as u32);
-        for &x in v {
-            buf.put_f64_le(x);
-        }
-    };
-    match d {
-        Distribution::Uniform { low, high } => {
-            buf.put_u8(0);
-            buf.put_f64_le(*low);
-            buf.put_f64_le(*high);
-        }
-        Distribution::Normal { mean, std } => {
-            buf.put_u8(1);
-            buf.put_f64_le(*mean);
-            buf.put_f64_le(*std);
-        }
-        Distribution::TruncatedNormal { mean, std, low, high } => {
-            buf.put_u8(2);
-            buf.put_f64_le(*mean);
-            buf.put_f64_le(*std);
-            buf.put_f64_le(*low);
-            buf.put_f64_le(*high);
-        }
-        Distribution::Exponential { rate } => {
-            buf.put_u8(3);
-            buf.put_f64_le(*rate);
-        }
-        Distribution::Beta { alpha, beta } => {
-            buf.put_u8(4);
-            buf.put_f64_le(*alpha);
-            buf.put_f64_le(*beta);
-        }
-        Distribution::Gamma { shape, rate } => {
-            buf.put_u8(5);
-            buf.put_f64_le(*shape);
-            buf.put_f64_le(*rate);
-        }
-        Distribution::Poisson { rate } => {
-            buf.put_u8(6);
-            buf.put_f64_le(*rate);
-        }
-        Distribution::Bernoulli { p } => {
-            buf.put_u8(7);
-            buf.put_f64_le(*p);
-        }
-        Distribution::Categorical { probs } => {
-            buf.put_u8(8);
-            put_vec(buf, probs);
-        }
-        Distribution::MixtureTruncatedNormal { weights, means, stds, low, high } => {
-            buf.put_u8(9);
-            put_vec(buf, weights);
-            put_vec(buf, means);
-            put_vec(buf, stds);
-            buf.put_f64_le(*low);
-            buf.put_f64_le(*high);
-        }
-        Distribution::IndependentNormal { mean, std } => {
-            buf.put_u8(10);
-            put_tensor(buf, mean);
-            buf.put_f64_le(*std);
-        }
-    }
-}
-
-fn get_dist(r: &mut Reader) -> Result<Distribution, DecodeError> {
-    fn get_vec(r: &mut Reader) -> Result<Vec<f64>, DecodeError> {
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 8 {
-            return Err(DecodeError::Truncated { needed: n * 8, available: r.remaining() });
-        }
-        (0..n).map(|_| r.f64()).collect()
-    }
-    Ok(match r.u8()? {
-        0 => Distribution::Uniform { low: r.f64()?, high: r.f64()? },
-        1 => Distribution::Normal { mean: r.f64()?, std: r.f64()? },
-        2 => Distribution::TruncatedNormal {
-            mean: r.f64()?,
-            std: r.f64()?,
-            low: r.f64()?,
-            high: r.f64()?,
-        },
-        3 => Distribution::Exponential { rate: r.f64()? },
-        4 => Distribution::Beta { alpha: r.f64()?, beta: r.f64()? },
-        5 => Distribution::Gamma { shape: r.f64()?, rate: r.f64()? },
-        6 => Distribution::Poisson { rate: r.f64()? },
-        7 => Distribution::Bernoulli { p: r.f64()? },
-        8 => Distribution::Categorical { probs: get_vec(r)? },
-        9 => Distribution::MixtureTruncatedNormal {
-            weights: get_vec(r)?,
-            means: get_vec(r)?,
-            stds: get_vec(r)?,
-            low: r.f64()?,
-            high: r.f64()?,
-        },
-        10 => {
-            let mean = match get_value(r)? {
-                Value::Tensor(t) => Arc::unwrap_or_clone(t),
-                _ => return Err(DecodeError::ObservationNotTensor),
-            };
-            Distribution::IndependentNormal { mean, std: r.f64()? }
-        }
-        t => return Err(DecodeError::UnknownDistTag(t)),
-    })
-}
+/// Fewest bytes a record entry takes: a `u32` (a dictionary id or an
+/// empty address's length), the replaced flag, an empty `Categorical` and a
+/// `Unit` value.
+const MIN_ENTRY_LEN: usize = 4 + 1 + (1 + 4) + 1;
 
 /// Encode a record. With `dict = Some(..)`, addresses are stored as u32
 /// shorthand ids (the paper's dictionary optimization); otherwise full
 /// strings are embedded per entry.
-pub fn encode_record(rec: &TraceRecord, dict: Option<&mut AddressDictionary>) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(256);
-    buf.put_u64_le(rec.trace_type);
-    buf.put_u32_le(rec.length);
-    buf.put_u32_le(rec.entries.len() as u32);
-    match dict {
-        Some(d) => {
-            buf.put_u8(1);
-            for e in &rec.entries {
-                buf.put_u32_le(d.intern(&e.address));
-                buf.put_u8(e.replaced as u8);
-                put_dist(&mut buf, &e.distribution);
-                put_value(&mut buf, &e.value);
-            }
+pub fn encode_record(rec: &TraceRecord, mut dict: Option<&mut AddressDictionary>) -> BytesMut {
+    let mut buf = Vec::with_capacity(256);
+    buf.extend_from_slice(&rec.trace_type.to_le_bytes());
+    buf.extend_from_slice(&rec.length.to_le_bytes());
+    buf.extend_from_slice(&(rec.entries.len() as u32).to_le_bytes());
+    buf.push(dict.is_some() as u8);
+    for e in &rec.entries {
+        match &mut dict {
+            Some(d) => buf.extend_from_slice(&d.intern(&e.address).to_le_bytes()),
+            None => put_string(&mut buf, &e.address),
         }
-        None => {
-            buf.put_u8(0);
-            for e in &rec.entries {
-                buf.put_u32_le(e.address.len() as u32);
-                buf.put_slice(e.address.as_bytes());
-                buf.put_u8(e.replaced as u8);
-                put_dist(&mut buf, &e.distribution);
-                put_value(&mut buf, &e.value);
-            }
-        }
+        buf.push(e.replaced as u8);
+        put_dist(&mut buf, &e.distribution);
+        put_value(&mut buf, &e.value);
     }
     put_tensor(&mut buf, &rec.observation);
-    buf
+    BytesMut::from(buf)
 }
 
 /// Decode a record encoded by [`encode_record`].
@@ -546,9 +231,9 @@ pub fn decode_record(
     let mut r = Reader::new(buf);
     let trace_type = r.u64()?;
     let length = r.u32()?;
-    let n = r.u32()? as usize;
+    let n = r.count(MIN_ENTRY_LEN)?;
     let uses_dict = r.u8()? == 1;
-    let mut entries = Vec::with_capacity(n.min(r.remaining()));
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let address = if uses_dict {
             let id = r.u32()?;
@@ -558,20 +243,17 @@ pub fn decode_record(
             r.string()?
         };
         let replaced = r.u8()? != 0;
-        let distribution = get_dist(&mut r)?;
-        let value = get_value(&mut r)?;
+        let distribution = r.dist()?;
+        let value = r.value()?;
         entries.push(RecordEntry { address, distribution, value, replaced });
     }
-    let observation = match get_value(&mut r)? {
-        Value::Tensor(t) => Arc::unwrap_or_clone(t),
-        _ => return Err(DecodeError::ObservationNotTensor),
-    };
-    Ok(TraceRecord { trace_type, entries, observation, length })
+    Ok(TraceRecord { trace_type, entries, observation: r.tensor()?, length })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use etalumis_core::Executor;
     use etalumis_simulators::{BranchingModel, TauDecayModel};
 
@@ -608,7 +290,7 @@ mod tests {
         let mut dict = AddressDictionary::new();
         let mut with_dict: usize =
             recs.iter().map(|r| encode_record(r, Some(&mut dict)).len()).sum();
-        let mut dbuf = BytesMut::new();
+        let mut dbuf = Vec::new();
         dict.encode(&mut dbuf);
         with_dict += dbuf.len();
         assert!(with_dict < plain, "dictionary encoding {with_dict} should beat plain {plain}");
@@ -639,7 +321,7 @@ mod tests {
         let a = d.intern("x");
         let b = d.intern("y");
         assert_eq!(d.intern("x"), a);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         d.encode(&mut buf);
         let d2 = AddressDictionary::read(&mut &buf[..], buf.len() as u64).unwrap();
         assert_eq!(d2.resolve(a), "x");

@@ -19,15 +19,19 @@
 //! footer:  u64 index_offset
 //! ```
 //!
+//! Each record is a [`crate::record`] encoding, whose values and
+//! distributions are the shared bytes of [`etalumis_distributions::codec`].
+//! A durable writer's journal (`*.partial`) holds the same `(u32 len |
+//! bytes)*` records, without dictionary ids; [`read_journal`] decodes it.
+//!
 //! This is version 2. Each index entry holds a record's absolute file offset
 //! and the two fields dataset-level planning needs (trace type and
 //! controlled length), so [`crate::TraceDataset::open`] reads indexes only
 //! and decodes no record. Version-1 shards (offset-only index) are rejected.
 
-use crate::record::{
-    decode_record, encode_record, AddressDictionary, DecodeError, Reader, TraceRecord,
-};
+use crate::record::{decode_record, encode_record, AddressDictionary, DecodeError, TraceRecord};
 use bytes::BytesMut;
+use etalumis_distributions::codec::Reader;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -235,7 +239,7 @@ impl ShardWriter {
             })
             .collect();
         if self.use_dict {
-            let mut dbuf = BytesMut::new();
+            let mut dbuf = Vec::new();
             dict.encode(&mut dbuf);
             w.write_all(&dbuf)?;
         }
@@ -788,37 +792,29 @@ impl RollingShardWriter {
 /// Decode the committed prefix of a shard journal (see
 /// [`RollingShardWriter::durable`]): `u32 len | dict-less record` repeated.
 /// `committed` bounds the bytes read; the file may legally be longer (the
-/// tail past the last checkpoint is discarded by resume).
+/// tail past the last checkpoint is discarded by resume), but not shorter.
 pub fn read_journal(path: &Path, committed: u64) -> std::io::Result<Vec<TraceRecord>> {
     let mut f = File::open(path)?;
-    let mut buf = vec![0u8; committed as usize];
+    let file_len = f.metadata()?.len();
+    // `committed` comes from a manifest: bound it by the file before
+    // allocating for it.
+    let len = match usize::try_from(committed) {
+        Ok(len) if committed <= file_len => len,
+        _ => {
+            return Err(invalid(format!(
+                "journal {} holds {file_len} bytes, fewer than the {committed} committed",
+                path.display()
+            )))
+        }
+    };
+    let mut buf = vec![0u8; len];
     f.read_exact(&mut buf)?;
+    let mut r = Reader::new(&buf);
     let mut records = Vec::new();
-    let mut off = 0usize;
-    while off < buf.len() {
-        if off + 4 > buf.len() {
-            return Err(decode_err(
-                path,
-                off as u64,
-                DecodeError::Truncated { needed: 4, available: buf.len() - off },
-            ));
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&buf[off..off + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        off += 4;
-        if off + len > buf.len() {
-            return Err(decode_err(
-                path,
-                off as u64,
-                DecodeError::Truncated { needed: len, available: buf.len() - off },
-            ));
-        }
-        records.push(
-            decode_record(&buf[off..off + len], None)
-                .map_err(|e| decode_err(path, off as u64, e))?,
-        );
-        off += len;
+    while r.remaining() > 0 {
+        let off = (buf.len() - r.remaining()) as u64;
+        let rec = r.u32().and_then(|len| r.take(len as usize)).and_then(|b| decode_record(b, None));
+        records.push(rec.map_err(|e| decode_err(path, off, e))?);
     }
     Ok(records)
 }
@@ -1262,6 +1258,54 @@ mod tests {
                 let mut b = good.clone();
                 b[at..at + 4].copy_from_slice(&v.to_le_bytes());
                 check(format!("window {at} = {v:#x}"), &b);
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A journal of `recs`: `u32 len | record` each.
+    fn journal_bytes(recs: &[TraceRecord]) -> Vec<u8> {
+        let mut j = Vec::new();
+        for r in recs {
+            let rec = encode_record(r, None);
+            j.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+            j.extend_from_slice(&rec);
+        }
+        j
+    }
+
+    #[test]
+    fn read_journal_refuses_a_committed_length_beyond_the_file() {
+        let dir = std::env::temp_dir().join(format!("etalumis_journal_len_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.partial");
+        let recs = make_records(2);
+        let bytes = journal_bytes(&recs);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_journal(&path, bytes.len() as u64).unwrap(), recs);
+        // A manifest field names `committed`: an absurd one must be refused
+        // before anything is allocated for it, not abort the process.
+        for committed in [bytes.len() as u64 + 1, 1 << 40, u64::MAX] {
+            let err = read_journal(&path, committed).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("j.partial"), "{msg}");
+            assert!(msg.contains(&bytes.len().to_string()), "{msg}");
+            assert!(msg.contains(&committed.to_string()), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mutated_journals_read_or_error_as_invalid_data() {
+        let dir = std::env::temp_dir().join(format!("etalumis_journal_mut_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.partial");
+        let good = journal_bytes(&make_records(3));
+        for (at, m) in etalumis_distributions::codec::mutants(&good) {
+            std::fs::write(&path, &m).unwrap();
+            if let Err(e) = read_journal(&path, m.len() as u64) {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "at {at}: {e}");
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -14,11 +14,14 @@
 //!   `log_prob`, moments, and support metadata.
 //! * [`Value`] / [`TensorValue`] — the runtime values flowing through
 //!   sample/observe statements and the wire.
+//! * [`codec`] — the one binary encoding of values and distributions,
+//!   shared by the PPX messages and the trace records of the shard files.
 //! * [`mvn`] — generic vs. scalar-specialized 3D multivariate normal PDFs,
 //!   reproducing the paper's 13× detector-PDF optimization.
 //! * [`math`] — from-scratch special functions (log-gamma, erf/erfc, normal
 //!   CDF and quantile) so no external numeric crates are required.
 
+pub mod codec;
 pub mod dist;
 pub mod math;
 pub mod mvn;

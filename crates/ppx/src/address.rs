@@ -9,8 +9,9 @@
 //! We reproduce that code path with a simulated loaded-symbol table: raw
 //! frame addresses resolve through a search plus demangling-style string
 //! formatting ([`SymbolResolver::resolve_frame`]), and [`CachedResolver`]
-//! adds the per-address hash-map memoization. The `address_cache` Criterion
-//! bench regenerates the 5× comparison.
+//! adds the per-address hash-map memoization. The `address_cache` entry of
+//! the `ratios` probe (`crates/bench/benches/ratios.rs`) measures the
+//! cached side against the uncached one.
 
 use std::collections::HashMap;
 

@@ -5,7 +5,7 @@
 //! callers (the runtime's batch layers in particular) can record a failed
 //! remote execution and move on instead of unwinding the whole batch.
 
-use crate::wire::WireError;
+use etalumis_distributions::codec::DecodeError;
 use std::io;
 
 /// Anything that can go wrong while speaking PPX.
@@ -14,7 +14,7 @@ pub enum PpxError {
     /// Transport-level I/O failure (socket error, channel closed, ...).
     Io(io::Error),
     /// The peer sent bytes the codec cannot decode.
-    Wire(WireError),
+    Wire(DecodeError),
     /// A decoded message arrived in a state where it is not legal — e.g. a
     /// `SampleResult` while idle, or a second `HandshakeResult`.
     Protocol {
@@ -66,8 +66,8 @@ impl From<io::Error> for PpxError {
     }
 }
 
-impl From<WireError> for PpxError {
-    fn from(e: WireError) -> Self {
+impl From<DecodeError> for PpxError {
+    fn from(e: DecodeError) -> Self {
         PpxError::Wire(e)
     }
 }

@@ -1,16 +1,11 @@
 //! Binary wire codec for PPX messages.
 //!
-//! Layout (all little-endian):
+//! Layout (all little-endian; `string`, `value` and `dist` are the shared
+//! encodings of [`etalumis_distributions::codec`]):
 //!
 //! ```text
 //! frame    := u32 payload_len ++ payload     (stream transports only)
 //! payload  := u8 msg_tag ++ fields...
-//! string   := u32 len ++ utf8 bytes
-//! value    := u8 val_tag ++ body
-//!             0 = unit | 1 = bool(u8) | 2 = int(i64) | 3 = real(f64)
-//!             4 = tensor(u32 ndim, u32 dims..., f32 data...)
-//!             5 = str(string)
-//! dist     := u8 dist_tag ++ params (f64 / vec<f64> := u32 len ++ f64...)
 //!
 //! HandshakeResult := string system ++ string model ++ u32 capabilities
 //!             (a payload that ends after `model` is a peer from before
@@ -40,9 +35,10 @@
 //! an explicitly documented format; any language can implement it.
 
 use crate::message::{Capabilities, Message};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BytesMut;
 use etalumis_core::{Address, EntryKind, ObserveMap, Trace, TraceEntry};
-use etalumis_distributions::{Distribution, TensorValue, Value};
+use etalumis_distributions::codec::{put_dist, put_string, put_value, DecodeError, Reader};
+use etalumis_distributions::Value;
 use std::sync::Arc;
 
 /// Largest payload any PPX transport will accept or emit, in bytes.
@@ -53,29 +49,6 @@ use std::sync::Arc;
 /// multi-gigabyte `vec![0u8; len]`.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
-/// Errors raised while decoding a frame.
-#[derive(Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// Payload ended prematurely.
-    Truncated,
-    /// Unknown message/value/distribution tag byte.
-    BadTag(u8),
-    /// String payload was not valid UTF-8.
-    BadUtf8,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "truncated PPX frame"),
-            WireError::BadTag(t) => write!(f, "unknown PPX tag byte {t}"),
-            WireError::BadUtf8 => write!(f, "invalid UTF-8 in PPX string"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
 /// Fewest bytes a `string ++ value` pair (an observation or a tag) takes.
 const MIN_PAIR_LEN: usize = 4 + 1;
 /// Fewest bytes a trace entry takes: three `u32`s (two string lengths and
@@ -83,196 +56,12 @@ const MIN_PAIR_LEN: usize = 4 + 1;
 /// two `f64`s.
 const MIN_ENTRY_LEN: usize = 4 + 4 + 4 + 1 + (1 + 4) + 1 + 8 + 8;
 
-fn kind_byte(kind: EntryKind) -> u8 {
-    match kind {
-        EntryKind::Sample => 0,
-        EntryKind::SampleReplaced => 1,
-        EntryKind::Observe => 2,
-    }
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_f64_vec(buf: &mut BytesMut, v: &[f64]) {
-    buf.put_u32_le(v.len() as u32);
-    for &x in v {
-        buf.put_f64_le(x);
-    }
-}
-
-fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Unit => buf.put_u8(0),
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.put_u8(2);
-            buf.put_i64_le(*i);
-        }
-        Value::Real(x) => {
-            buf.put_u8(3);
-            buf.put_f64_le(*x);
-        }
-        Value::Tensor(t) => put_tensor(buf, t),
-        Value::Str(s) => {
-            buf.put_u8(5);
-            put_string(buf, s);
-        }
-    }
-}
-
-/// The [`Value::Tensor`] encoding, tag included, of a borrowed tensor.
-fn put_tensor(buf: &mut BytesMut, t: &TensorValue) {
-    buf.put_u8(4);
-    buf.put_u32_le(t.shape.len() as u32);
-    for &d in &t.shape {
-        buf.put_u32_le(d as u32);
-    }
-    // Through a stack block rather than one `put_f32_le` per element: the
-    // per-element append is most of the cost of a trace's voxel tensors.
-    let mut block = [0u8; 256];
-    for xs in t.data.chunks(block.len() / 4) {
-        for (dst, x) in block.chunks_exact_mut(4).zip(xs) {
-            dst.copy_from_slice(&x.to_le_bytes());
-        }
-        buf.put_slice(&block[..4 * xs.len()]);
-    }
-}
-
-fn put_dist(buf: &mut BytesMut, d: &Distribution) {
-    match d {
-        Distribution::Uniform { low, high } => {
-            buf.put_u8(0);
-            buf.put_f64_le(*low);
-            buf.put_f64_le(*high);
-        }
-        Distribution::Normal { mean, std } => {
-            buf.put_u8(1);
-            buf.put_f64_le(*mean);
-            buf.put_f64_le(*std);
-        }
-        Distribution::TruncatedNormal { mean, std, low, high } => {
-            buf.put_u8(2);
-            buf.put_f64_le(*mean);
-            buf.put_f64_le(*std);
-            buf.put_f64_le(*low);
-            buf.put_f64_le(*high);
-        }
-        Distribution::Exponential { rate } => {
-            buf.put_u8(3);
-            buf.put_f64_le(*rate);
-        }
-        Distribution::Beta { alpha, beta } => {
-            buf.put_u8(4);
-            buf.put_f64_le(*alpha);
-            buf.put_f64_le(*beta);
-        }
-        Distribution::Gamma { shape, rate } => {
-            buf.put_u8(5);
-            buf.put_f64_le(*shape);
-            buf.put_f64_le(*rate);
-        }
-        Distribution::Poisson { rate } => {
-            buf.put_u8(6);
-            buf.put_f64_le(*rate);
-        }
-        Distribution::Bernoulli { p } => {
-            buf.put_u8(7);
-            buf.put_f64_le(*p);
-        }
-        Distribution::Categorical { probs } => {
-            buf.put_u8(8);
-            put_f64_vec(buf, probs);
-        }
-        Distribution::MixtureTruncatedNormal { weights, means, stds, low, high } => {
-            buf.put_u8(9);
-            put_f64_vec(buf, weights);
-            put_f64_vec(buf, means);
-            put_f64_vec(buf, stds);
-            buf.put_f64_le(*low);
-            buf.put_f64_le(*high);
-        }
-        Distribution::IndependentNormal { mean, std } => {
-            buf.put_u8(10);
-            put_tensor(buf, mean);
-            buf.put_f64_le(*std);
-        }
-    }
-}
-
 /// Encode a message into a frame payload (no length prefix — see [`frame`]
 /// for the stream-transport framing).
 pub fn encode(msg: &Message) -> BytesMut {
-    let mut body = BytesMut::with_capacity(64);
-    body.put_u8(msg.tag_byte());
-    match msg {
-        Message::Handshake { system_name } => put_string(&mut body, system_name),
-        Message::HandshakeResult { system_name, model_name, capabilities } => {
-            put_string(&mut body, system_name);
-            put_string(&mut body, model_name);
-            body.put_u32_le(capabilities.bits());
-        }
-        Message::Run { observation } => put_value(&mut body, observation),
-        Message::RunResult { result } => put_value(&mut body, result),
-        Message::Sample { address, name, distribution, control, replace } => {
-            put_string(&mut body, address);
-            put_string(&mut body, name);
-            put_dist(&mut body, distribution);
-            body.put_u8(*control as u8);
-            body.put_u8(*replace as u8);
-        }
-        Message::SampleResult { value } => put_value(&mut body, value),
-        Message::Observe { address, name, distribution } => {
-            put_string(&mut body, address);
-            put_string(&mut body, name);
-            put_dist(&mut body, distribution);
-        }
-        Message::ObserveResult { value } => put_value(&mut body, value),
-        Message::Tag { name, value } => {
-            put_string(&mut body, name);
-            put_value(&mut body, value);
-        }
-        Message::TagResult | Message::Reset => {}
-        Message::RunPrior { seed, observes } => {
-            body.put_u64_le(*seed);
-            let mut pairs: Vec<_> = observes.iter().collect();
-            pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            put_pairs(&mut body, pairs.into_iter());
-        }
-        Message::PriorTrace { trace } => {
-            body.put_u32_le(trace.entries.len() as u32);
-            for e in &trace.entries {
-                put_string(&mut body, &e.address.base);
-                body.put_u32_le(e.address.instance);
-                put_string(&mut body, &e.name);
-                body.put_u8(kind_byte(e.kind));
-                put_dist(&mut body, &e.distribution);
-                put_value(&mut body, &e.value);
-                body.put_f64_le(e.log_prob);
-                body.put_f64_le(e.log_q);
-            }
-            put_pairs(&mut body, trace.tags.iter().map(|(n, v)| (n, v)));
-            put_value(&mut body, &trace.result);
-        }
-    }
-    body
-}
-
-/// `u32 n ++ n × (string name ++ value)`.
-fn put_pairs<'a>(
-    buf: &mut BytesMut,
-    pairs: impl ExactSizeIterator<Item = (&'a String, &'a Value)>,
-) {
-    buf.put_u32_le(pairs.len() as u32);
-    for (name, value) in pairs {
-        put_string(buf, name);
-        put_value(buf, value);
-    }
+    let mut body = Vec::with_capacity(64);
+    put_message(&mut body, msg);
+    BytesMut::from(body)
 }
 
 /// Encode a message into a length-prefixed frame for byte-stream transports.
@@ -282,221 +71,155 @@ fn put_pairs<'a>(
 /// bytes leave the process, since a ≥ 4 GiB payload would silently truncate
 /// the `u32` prefix.
 pub fn frame(msg: &Message) -> BytesMut {
-    let payload = encode(msg);
-    let mut framed = BytesMut::with_capacity(4 + payload.len());
-    framed.put_u32_le(payload.len() as u32);
-    framed.extend_from_slice(&payload);
-    framed
+    let mut framed = Vec::with_capacity(64);
+    framed.extend_from_slice(&[0; 4]);
+    put_message(&mut framed, msg);
+    let len = (framed.len() - 4) as u32;
+    framed[..4].copy_from_slice(&len.to_le_bytes());
+    BytesMut::from(framed)
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
+fn put_message(buf: &mut Vec<u8>, msg: &Message) {
+    buf.push(msg.tag_byte());
+    match msg {
+        Message::Handshake { system_name } => put_string(buf, system_name),
+        Message::HandshakeResult { system_name, model_name, capabilities } => {
+            put_string(buf, system_name);
+            put_string(buf, model_name);
+            buf.extend_from_slice(&capabilities.bits().to_le_bytes());
+        }
+        Message::Run { observation: value }
+        | Message::RunResult { result: value }
+        | Message::SampleResult { value }
+        | Message::ObserveResult { value } => put_value(buf, value),
+        Message::Sample { address, name, distribution, control, replace } => {
+            put_string(buf, address);
+            put_string(buf, name);
+            put_dist(buf, distribution);
+            buf.extend_from_slice(&[*control as u8, *replace as u8]);
+        }
+        Message::Observe { address, name, distribution } => {
+            put_string(buf, address);
+            put_string(buf, name);
+            put_dist(buf, distribution);
+        }
+        Message::Tag { name, value } => {
+            put_string(buf, name);
+            put_value(buf, value);
+        }
+        Message::TagResult | Message::Reset => {}
+        Message::RunPrior { seed, observes } => {
+            buf.extend_from_slice(&seed.to_le_bytes());
+            let mut pairs: Vec<_> = observes.iter().collect();
+            pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            put_pairs(buf, pairs.into_iter());
+        }
+        Message::PriorTrace { trace } => {
+            buf.extend_from_slice(&(trace.entries.len() as u32).to_le_bytes());
+            for e in &trace.entries {
+                put_string(buf, &e.address.base);
+                buf.extend_from_slice(&e.address.instance.to_le_bytes());
+                put_string(buf, &e.name);
+                buf.push(match e.kind {
+                    EntryKind::Sample => 0,
+                    EntryKind::SampleReplaced => 1,
+                    EntryKind::Observe => 2,
+                });
+                put_dist(buf, &e.distribution);
+                put_value(buf, &e.value);
+                buf.extend_from_slice(&e.log_prob.to_le_bytes());
+                buf.extend_from_slice(&e.log_q.to_le_bytes());
+            }
+            put_pairs(buf, trace.tags.iter().map(|(n, v)| (n, v)));
+            put_value(buf, &trace.result);
+        }
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.buf.remaining() < n {
-            Err(WireError::Truncated)
-        } else {
-            Ok(())
-        }
+/// `u32 n ++ n × (string name ++ value)`.
+fn put_pairs<'a>(buf: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (&'a String, &'a Value)>) {
+    buf.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+    for (name, value) in pairs {
+        put_string(buf, name);
+        put_value(buf, value);
     }
+}
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+/// `u32 n ++ n × (string name ++ value)`.
+fn pairs(r: &mut Reader) -> Result<Vec<(String, Value)>, DecodeError> {
+    let n = r.count(MIN_PAIR_LEN)?;
+    let mut pairs = Vec::with_capacity(n);
+    for _ in 0..n {
+        pairs.push((r.string()?, r.value()?));
     }
+    Ok(pairs)
+}
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
+fn entry(r: &mut Reader) -> Result<TraceEntry, DecodeError> {
+    let address = Address::new(r.string()?, r.u32()?);
+    let name = r.string()?;
+    let kind = match r.u8()? {
+        0 => EntryKind::Sample,
+        1 => EntryKind::SampleReplaced,
+        2 => EntryKind::Observe,
+        t => return Err(DecodeError::UnknownTag(t)),
+    };
+    Ok(TraceEntry {
+        address,
+        name,
+        kind,
+        distribution: r.dist()?,
+        value: r.value()?,
+        log_prob: r.f64()?,
+        log_q: r.f64()?,
+    })
+}
 
-    fn u64(&mut self) -> Result<u64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+fn trace(r: &mut Reader) -> Result<Trace, DecodeError> {
+    let n = r.count(MIN_ENTRY_LEN)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(entry(r)?);
     }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        self.need(n)?;
-        let s = std::str::from_utf8(&self.buf[..n]).map_err(|_| WireError::BadUtf8)?.to_string();
-        self.buf.advance(n);
-        Ok(s)
-    }
-
-    /// A `u32` element count, refused unless that many `size`-byte
-    /// elements fit in the bytes left, so a corrupt count can never drive
-    /// an allocation larger than the frame.
-    fn count(&mut self, size: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.remaining() / size {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
-        let n = self.count(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
-    }
-
-    fn value(&mut self) -> Result<Value, WireError> {
-        match self.u8()? {
-            0 => Ok(Value::Unit),
-            1 => Ok(Value::Bool(self.u8()? != 0)),
-            2 => Ok(Value::Int(self.i64()?)),
-            3 => Ok(Value::Real(self.f64()?)),
-            4 => {
-                let ndim = self.count(4)?;
-                let mut shape = Vec::with_capacity(ndim);
-                for _ in 0..ndim {
-                    shape.push(self.u32()? as usize);
-                }
-                let n = shape
-                    .iter()
-                    .try_fold(1usize, |n, &d| n.checked_mul(d))
-                    .filter(|&n| n <= self.buf.remaining() / 4)
-                    .ok_or(WireError::Truncated)?;
-                let (bytes, rest) = self.buf.split_at(4 * n);
-                self.buf = rest;
-                let data = bytes
-                    .chunks_exact(4)
-                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect();
-                Ok(TensorValue::new(shape, data).into())
-            }
-            5 => Ok(Value::Str(self.string()?)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    /// `u32 n ++ n × (string name ++ value)`.
-    fn pairs(&mut self) -> Result<Vec<(String, Value)>, WireError> {
-        let n = self.count(MIN_PAIR_LEN)?;
-        let mut pairs = Vec::with_capacity(n);
-        for _ in 0..n {
-            pairs.push((self.string()?, self.value()?));
-        }
-        Ok(pairs)
-    }
-
-    fn entry(&mut self) -> Result<TraceEntry, WireError> {
-        let address = Address::new(self.string()?, self.u32()?);
-        let name = self.string()?;
-        let kind = match self.u8()? {
-            0 => EntryKind::Sample,
-            1 => EntryKind::SampleReplaced,
-            2 => EntryKind::Observe,
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(TraceEntry {
-            address,
-            name,
-            kind,
-            distribution: self.dist()?,
-            value: self.value()?,
-            log_prob: self.f64()?,
-            log_q: self.f64()?,
-        })
-    }
-
-    fn trace(&mut self) -> Result<Trace, WireError> {
-        let n = self.count(MIN_ENTRY_LEN)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(self.entry()?);
-        }
-        let tags = self.pairs()?;
-        Ok(Trace::from_entries(entries, tags, self.value()?))
-    }
-
-    fn dist(&mut self) -> Result<Distribution, WireError> {
-        match self.u8()? {
-            0 => Ok(Distribution::Uniform { low: self.f64()?, high: self.f64()? }),
-            1 => Ok(Distribution::Normal { mean: self.f64()?, std: self.f64()? }),
-            2 => Ok(Distribution::TruncatedNormal {
-                mean: self.f64()?,
-                std: self.f64()?,
-                low: self.f64()?,
-                high: self.f64()?,
-            }),
-            3 => Ok(Distribution::Exponential { rate: self.f64()? }),
-            4 => Ok(Distribution::Beta { alpha: self.f64()?, beta: self.f64()? }),
-            5 => Ok(Distribution::Gamma { shape: self.f64()?, rate: self.f64()? }),
-            6 => Ok(Distribution::Poisson { rate: self.f64()? }),
-            7 => Ok(Distribution::Bernoulli { p: self.f64()? }),
-            8 => Ok(Distribution::Categorical { probs: self.f64_vec()? }),
-            9 => Ok(Distribution::MixtureTruncatedNormal {
-                weights: self.f64_vec()?,
-                means: self.f64_vec()?,
-                stds: self.f64_vec()?,
-                low: self.f64()?,
-                high: self.f64()?,
-            }),
-            10 => {
-                let v = self.value()?;
-                let mean = match v {
-                    Value::Tensor(t) => Arc::unwrap_or_clone(t),
-                    _ => return Err(WireError::BadTag(10)),
-                };
-                Ok(Distribution::IndependentNormal { mean, std: self.f64()? })
-            }
-            t => Err(WireError::BadTag(t)),
-        }
-    }
+    let tags = pairs(r)?;
+    Ok(Trace::from_entries(entries, tags, r.value()?))
 }
 
 /// Decode one message from a frame payload (without the length prefix).
-pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-    let mut c = Cursor { buf: payload };
-    let tag = c.u8()?;
-    let msg = match tag {
-        1 => Message::Handshake { system_name: c.string()? },
+pub fn decode(payload: &[u8]) -> Result<Message, DecodeError> {
+    let r = &mut Reader::new(payload);
+    let msg = match r.u8()? {
+        1 => Message::Handshake { system_name: r.string()? },
         2 => Message::HandshakeResult {
-            system_name: c.string()?,
-            model_name: c.string()?,
-            capabilities: if c.buf.is_empty() {
+            system_name: r.string()?,
+            model_name: r.string()?,
+            capabilities: if r.remaining() == 0 {
                 Capabilities::default()
             } else {
-                Capabilities::from_bits(c.u32()?)
+                Capabilities::from_bits(r.u32()?)
             },
         },
-        3 => Message::Run { observation: c.value()? },
-        4 => Message::RunResult { result: c.value()? },
+        3 => Message::Run { observation: r.value()? },
+        4 => Message::RunResult { result: r.value()? },
         5 => Message::Sample {
-            address: c.string()?,
-            name: c.string()?,
-            distribution: c.dist()?,
-            control: c.u8()? != 0,
-            replace: c.u8()? != 0,
+            address: r.string()?,
+            name: r.string()?,
+            distribution: r.dist()?,
+            control: r.u8()? != 0,
+            replace: r.u8()? != 0,
         },
-        6 => Message::SampleResult { value: c.value()? },
-        7 => Message::Observe { address: c.string()?, name: c.string()?, distribution: c.dist()? },
-        8 => Message::ObserveResult { value: c.value()? },
-        9 => Message::Tag { name: c.string()?, value: c.value()? },
+        6 => Message::SampleResult { value: r.value()? },
+        7 => Message::Observe { address: r.string()?, name: r.string()?, distribution: r.dist()? },
+        8 => Message::ObserveResult { value: r.value()? },
+        9 => Message::Tag { name: r.string()?, value: r.value()? },
         10 => Message::TagResult,
         11 => Message::Reset,
         12 => Message::RunPrior {
-            seed: c.u64()?,
-            observes: Arc::new(c.pairs()?.into_iter().collect::<ObserveMap>()),
+            seed: r.u64()?,
+            observes: Arc::new(pairs(r)?.into_iter().collect::<ObserveMap>()),
         },
-        13 => Message::PriorTrace { trace: c.trace()? },
-        t => return Err(WireError::BadTag(t)),
+        13 => Message::PriorTrace { trace: trace(r)? },
+        t => return Err(DecodeError::UnknownTag(t)),
     };
     Ok(msg)
 }
@@ -504,6 +227,7 @@ pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etalumis_distributions::{Distribution, TensorValue};
     use proptest::prelude::*;
 
     fn roundtrip(msg: &Message) {
@@ -683,31 +407,18 @@ mod tests {
             &[12, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff],
         ];
         for frame in frames {
-            assert_eq!(decode(frame), Err(WireError::Truncated), "frame {frame:02x?}");
+            let truncated = matches!(decode(frame), Err(DecodeError::Truncated { .. }));
+            assert!(truncated, "frame {frame:02x?}");
         }
     }
 
     #[test]
     fn mutated_frames_never_panic() {
-        // Deterministic mutation sweep over every message kind: each byte
-        // complemented and each bit flipped, and each 4-byte window (where
-        // counts and lengths live) overwritten with boundary values.
-        // Decoding may fail but must return.
+        // Deterministic mutation sweep over every message kind (see
+        // `codec::mutants`). Decoding may fail but must return.
         for msg in &every_kind() {
-            let payload = encode(msg).to_vec();
-            for i in 0..payload.len() {
-                for mask in (0..8).map(|b| 1u8 << b).chain([0xff]) {
-                    let mut m = payload.clone();
-                    m[i] ^= mask;
-                    let _ = decode(&m);
-                }
-            }
-            for i in 0..payload.len().saturating_sub(3) {
-                for word in [0u32, 0x8000_0000, u32::MAX] {
-                    let mut m = payload.clone();
-                    m[i..i + 4].copy_from_slice(&word.to_le_bytes());
-                    let _ = decode(&m);
-                }
+            for (_, m) in etalumis_distributions::codec::mutants(&encode(msg)) {
+                let _ = decode(&m);
             }
         }
     }
@@ -818,8 +529,8 @@ mod tests {
 
     #[test]
     fn unknown_tag_errors() {
-        assert_eq!(decode(&[99]), Err(WireError::BadTag(99)));
-        assert_eq!(decode(&[]), Err(WireError::Truncated));
+        assert_eq!(decode(&[99]), Err(DecodeError::UnknownTag(99)));
+        assert_eq!(decode(&[]), Err(DecodeError::Truncated { needed: 1, available: 0 }));
     }
 
     proptest! {

@@ -37,9 +37,11 @@
 use crate::sink::TraceSink;
 use etalumis_core::Trace;
 use etalumis_data::{
-    atomic_save, decode_record, encode_record, partition_of, partition_prefix, remove_stale_rolls,
-    Reader, RollingShardWriter, TraceRecord, WriterProgress, REPAIR_PREFIX,
+    atomic_save, decode_manifest, decode_record, encode_record, load_manifest_bytes, partition_of,
+    partition_prefix, remove_stale_rolls, RollingShardWriter, TraceRecord, WriterProgress,
+    REPAIR_PREFIX,
 };
+use etalumis_distributions::codec::{DecodeError, Reader};
 use etalumis_telemetry::Telemetry;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -134,63 +136,33 @@ impl Checkpoint {
 
     /// Deserialize a manifest (strict: bad magic/version/truncation error).
     pub fn decode(buf: &[u8]) -> io::Result<Self> {
-        fn bad(msg: &str) -> io::Error {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("corrupt checkpoint manifest: {msg}"),
-            )
-        }
-        let r = &mut Reader::new(buf);
-        let ctx = |_| bad("truncated");
-        if r.take(4).map_err(ctx)? != MANIFEST_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        if r.u32().map_err(ctx)? != MANIFEST_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let n = r.u64().map_err(ctx)?;
-        let seed = r.u64().map_err(ctx)?;
-        let base = r.u64().map_err(ctx)?;
-        let partitions = r.u32().map_err(ctx)?;
-        let traces_per_shard = r.u64().map_err(ctx)?;
-        let pruned = r.u8().map_err(ctx)? != 0;
-        let watermark = r.u64().map_err(ctx)?;
-        let n_failed = r.u64().map_err(ctx)? as usize;
-        if n_failed > buf.len() / 8 {
-            return Err(bad("failed-list length exceeds the manifest"));
-        }
-        let mut failed = Vec::with_capacity(n_failed);
-        for _ in 0..n_failed {
-            failed.push(r.u64().map_err(ctx)?);
-        }
-        let n_parts = r.u32().map_err(ctx)? as usize;
-        if n_parts > buf.len() / 24 {
-            return Err(bad("partition count exceeds the manifest"));
-        }
-        let mut parts = Vec::with_capacity(n_parts);
-        for _ in 0..n_parts {
-            parts.push(WriterProgress {
-                finished: r.u64().map_err(ctx)? as usize,
-                partial_records: r.u64().map_err(ctx)? as usize,
-                partial_bytes: r.u64().map_err(ctx)?,
-            });
-        }
-        Ok(Self { n, seed, base, partitions, traces_per_shard, pruned, watermark, failed, parts })
+        decode_manifest(buf, "checkpoint", MANIFEST_MAGIC, MANIFEST_VERSION, |r| {
+            Ok(Self {
+                n: r.u64()?,
+                seed: r.u64()?,
+                base: r.u64()?,
+                partitions: r.u32()?,
+                traces_per_shard: r.u64()?,
+                pruned: r.u8()? != 0,
+                watermark: r.u64()?,
+                failed: (0..r.count_u64(8)?).map(|_| r.u64()).collect::<Result<_, _>>()?,
+                parts: (0..r.count(3 * 8)?)
+                    .map(|_| {
+                        Ok(WriterProgress {
+                            finished: r.u64()? as usize,
+                            partial_records: r.u64()? as usize,
+                            partial_bytes: r.u64()?,
+                        })
+                    })
+                    .collect::<Result<_, DecodeError>>()?,
+            })
+        })
     }
 
     /// Load the manifest from a dataset directory (`None` if absent — a
     /// fresh run).
     pub fn load(dir: &Path) -> io::Result<Option<Self>> {
-        let path = dir.join(MANIFEST_NAME);
-        let mut buf = Vec::new();
-        match File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut buf)?;
-                Self::decode(&buf).map(Some)
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
+        load_manifest_bytes(&dir.join(MANIFEST_NAME))?.map(|b| Self::decode(&b)).transpose()
     }
 
     /// Atomically write the manifest into `dir`: temp file, fsync, rename.
@@ -497,32 +469,20 @@ impl CheckpointSink {
                 Ok(f) => {
                     // Replay the committed prefix of a previous attempt.
                     let mut buf = Vec::new();
-                    let mut f2 = &f;
-                    f2.read_to_end(&mut buf)?;
-                    let mut off = 0usize;
-                    while buf.len() - off >= 12 {
-                        let mut idx8 = [0u8; 8];
-                        idx8.copy_from_slice(&buf[off..off + 8]);
-                        let idx = u64::from_le_bytes(idx8);
-                        let mut len4 = [0u8; 4];
-                        len4.copy_from_slice(&buf[off + 8..off + 12]);
-                        let len = u32::from_le_bytes(len4) as usize;
-                        if buf.len() - off - 12 < len {
-                            break; // torn tail: the crash interrupted this append
-                        }
-                        // An undecodable entry is treated exactly like a
-                        // torn tail: journal appends are not fsynced
-                        // (deliberately — nothing references them until
-                        // finalize), so unordered data writeback after a
-                        // power loss can persist a length header whose
-                        // payload pages were lost. Every entry is a pure
-                        // function of (seed, index), so truncating here and
-                        // re-running the rest is always safe — the journal
-                        // must never be able to wedge a resume.
-                        let Ok(rec) = decode_record(&buf[off + 12..off + 12 + len], None) else {
-                            break;
-                        };
-                        off += 12 + len;
+                    (&f).read_to_end(&mut buf)?;
+                    let mut r = Reader::new(&buf);
+                    let mut off = 0;
+                    // A torn tail (the crash interrupted an append) ends the
+                    // replay. So does an undecodable entry: journal appends
+                    // are not fsynced (deliberately — nothing references
+                    // them until finalize), so unordered data writeback
+                    // after a power loss can persist a length header whose
+                    // payload pages were lost. Every entry is a pure
+                    // function of (seed, index), so truncating there and
+                    // re-running the rest is always safe — the journal must
+                    // never be able to wedge a resume.
+                    while let Ok((idx, rec)) = repair_entry(&mut r) {
+                        off = buf.len() - r.remaining();
                         if let Ok(pos) = state.failed.binary_search(&idx) {
                             state.failed.remove(pos);
                             state.repaired.insert(idx, rec);
@@ -672,6 +632,13 @@ impl CheckpointSink {
 
 /// Truncate `f` to `len` bytes (free function so the borrow on the locked
 /// state stays simple at the call site).
+/// One repair-journal append: `u64 index | u32 len | record`.
+fn repair_entry(r: &mut Reader) -> Result<(u64, TraceRecord), DecodeError> {
+    let idx = r.u64()?;
+    let len = r.u32()? as usize;
+    Ok((idx, decode_record(r.take(len)?, None)?))
+}
+
 fn file_truncate_to(f: &File, len: u64) -> io::Result<()> {
     f.set_len(len)
 }
@@ -782,6 +749,31 @@ mod tests {
     }
 
     #[test]
+    fn mutated_manifests_decode_or_are_rejected_as_invalid_data() {
+        let ck = Checkpoint {
+            n: 100,
+            seed: 9,
+            base: 50,
+            partitions: 2,
+            traces_per_shard: 10,
+            pruned: true,
+            watermark: 40,
+            failed: vec![3, 17],
+            parts: vec![
+                WriterProgress { finished: 2, partial_records: 1, partial_bytes: 90 },
+                WriterProgress { finished: 1, partial_records: 0, partial_bytes: 0 },
+            ],
+        };
+        let good = ck.encode();
+        for (at, m) in etalumis_distributions::codec::mutants(&good) {
+            match Checkpoint::decode(&m) {
+                Ok(_) => assert_eq!(m[..8], good[..8], "magic or version mutated at {at}"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "at {at}: {e}"),
+            }
+        }
+    }
+
+    #[test]
     fn manifest_save_load_is_atomic_and_idempotent() {
         let dir = std::env::temp_dir().join(format!("etalumis_ck_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -835,6 +827,57 @@ mod tests {
         assert_eq!(sink.watermark(), 6);
         let paths = sink.finalize().unwrap();
         assert_eq!(paths.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mutated_repair_journals_are_truncated_to_a_decodable_prefix() {
+        use etalumis_core::Executor;
+        use etalumis_simulators::BranchingModel;
+        let dir = std::env::temp_dir().join(format!("etalumis_ck_repair_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let layout = ShardLayout {
+            n: 8,
+            seed: 1,
+            base: 0,
+            partitions: 1,
+            traces_per_shard: 10,
+            pruned: true,
+        };
+        let failed = vec![2u64, 5, 6];
+        let mut m = BranchingModel::standard();
+        let mut good = Vec::new();
+        for &i in &failed {
+            let rec = encode_record(
+                &TraceRecord::from_trace(&Executor::sample_prior(&mut m, i), true),
+                None,
+            );
+            good.extend_from_slice(&i.to_le_bytes());
+            good.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+            good.extend_from_slice(&rec);
+        }
+        let path = dir.join(REPAIR_JOURNAL_NAME);
+        // Replay the journal on a sink that owes `failed`: the indices the
+        // journal healed, what is still owed, and the bytes kept.
+        let replay = || {
+            let sink = CheckpointSink::new(&dir, layout, &CheckpointConfig::default());
+            sink.state.lock().failed = failed.clone();
+            let owed = sink.begin_repair().unwrap();
+            (sink.repaired(), owed, std::fs::metadata(&path).unwrap().len())
+        };
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(replay(), (3, vec![], good.len() as u64));
+        for (at, m) in etalumis_distributions::codec::mutants(&good) {
+            std::fs::write(&path, &m).unwrap();
+            let (healed, owed, kept) = replay();
+            assert!(kept <= m.len() as u64, "at {at}: the journal grew");
+            assert!(owed.iter().all(|i| failed.contains(i)), "at {at}: owes {owed:?}");
+            assert_eq!(healed + owed.len(), failed.len(), "at {at}");
+            // What was kept is whole entries: a second replay keeps it all
+            // and heals the same indices.
+            assert_eq!(replay(), (healed, owed, kept), "at {at}: kept a torn entry");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -948,20 +948,50 @@ mod tests {
 
     /// Endpoint factory where session 0's *first* endpoint dies after
     /// `frames` delivered frames and every later endpoint (the respawns) is
-    /// healthy — one simulator crash, then a clean replacement.
+    /// healthy — one simulator crash, then a clean replacement. Every other
+    /// session holds its first `Run` until the replacement has delivered
+    /// its handshake, so the batch cannot drain before the respawn, however
+    /// the threads are scheduled.
     fn crash_once_factory(
         frames: usize,
     ) -> impl Fn(usize) -> std::io::Result<Box<dyn MuxEndpoint>> + Send + Sync + 'static {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let crashed = std::sync::Arc::new(AtomicBool::new(false));
+        let (made, respawned) = (AtomicUsize::new(0), Arc::new(AtomicUsize::new(0)));
         move |i| {
-            let inner = spawn_inproc_server();
-            let ep: Box<dyn MuxEndpoint> = if i == 0 && !crashed.swap(true, Ordering::SeqCst) {
+            let (inner, count) = (spawn_inproc_server(), respawned.clone());
+            let ep: Box<dyn MuxEndpoint> = if i != 0 {
+                Box::new(HeldUntil { inner, handshaken: false, count, open_at: 1 })
+            } else if made.fetch_add(1, Ordering::SeqCst) == 0 {
                 Box::new(FailAfter { inner, frames_left: frames })
             } else {
-                Box::new(inner)
+                Box::new(CountedHandshake { inner, count, counted: false })
             };
             Ok(ep)
+        }
+    }
+
+    /// A healthy endpoint that counts the delivery of its handshake in
+    /// `count`, once.
+    struct CountedHandshake {
+        inner: InProcMuxEndpoint,
+        count: Arc<AtomicUsize>,
+        counted: bool,
+    }
+
+    impl MuxEndpoint for CountedHandshake {
+        fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, PpxError> {
+            let frame = self.inner.poll_frame()?;
+            if frame.is_some() && !std::mem::replace(&mut self.counted, true) {
+                self.count.fetch_add(1, Ordering::SeqCst);
+            }
+            Ok(frame)
+        }
+
+        fn send_frame(&mut self, payload: Vec<u8>) -> Result<(), PpxError> {
+            self.inner.send_frame(payload)
+        }
+
+        fn flush(&mut self) -> Result<bool, PpxError> {
+            self.inner.flush()
         }
     }
 
@@ -973,7 +1003,7 @@ mod tests {
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
         // Session 0 dies mid-batch (after its handshake + a few trace
         // frames); the respawned replacement is healthy. Per statement, a
-        // second session keeps serving through the respawn. Seeded, six
+        // second session serves beside the replacement. Seeded, six
         // frames are six whole traces and a second session would finish the
         // batch before the respawn backoff ran out, so the only session
         // dies and the batch cannot finish without its replacement.
@@ -1023,18 +1053,18 @@ mod tests {
     }
 
     /// A healthy session that delivers its handshake, then nothing until
-    /// `deaths` reaches `open_at`: its first `Run` waits for that many
-    /// deaths of another session.
-    struct HeldUntilDeaths {
+    /// `count` reaches `open_at`: its first `Run` waits for that many events
+    /// of another session (deaths, or a replacement's handshake).
+    struct HeldUntil {
         inner: InProcMuxEndpoint,
         handshaken: bool,
-        deaths: Arc<AtomicUsize>,
+        count: Arc<AtomicUsize>,
         open_at: usize,
     }
 
-    impl MuxEndpoint for HeldUntilDeaths {
+    impl MuxEndpoint for HeldUntil {
         fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, PpxError> {
-            if self.handshaken && self.deaths.load(Ordering::SeqCst) < self.open_at {
+            if self.handshaken && self.count.load(Ordering::SeqCst) < self.open_at {
                 return Ok(None);
             }
             let frame = self.inner.poll_frame()?;
@@ -1072,7 +1102,7 @@ mod tests {
                     Box::new(CountedDeath { inner, deaths: tally, dead: false })
                 } else {
                     let open_at = deaths as usize;
-                    Box::new(HeldUntilDeaths { inner, handshaken: false, deaths: tally, open_at })
+                    Box::new(HeldUntil { inner, handshaken: false, count: tally, open_at })
                 };
                 Ok(ep)
             })
@@ -1190,14 +1220,18 @@ mod tests {
         // Session 0 dies after its handshake and a few more frames: per
         // statement nine frames (within its first trace), seeded three (two
         // whole traces — session 0 never sees nine frames of a seeded
-        // batch this size).
+        // batch this size). Session 1 holds its first `Run` until session
+        // 0 has died, so it cannot drain the batch first, however the
+        // threads are scheduled.
         for (seeded, frames) in [(false, 9), (true, 3)] {
+            let died = Arc::new(AtomicUsize::new(0));
             let mut pool = MuxSimulatorPool::connect(2, "etalumis-rs", move |i| {
-                let inner = spawn_inproc_server();
+                let (inner, deaths) = (spawn_inproc_server(), died.clone());
                 let ep: Box<dyn MuxEndpoint> = if i == 0 {
-                    Box::new(FailAfter { inner, frames_left: frames })
+                    let inner = FailAfter { inner, frames_left: frames };
+                    Box::new(CountedDeath { inner, deaths, dead: false })
                 } else {
-                    Box::new(inner)
+                    Box::new(HeldUntil { inner, handshaken: false, count: deaths, open_at: 1 })
                 };
                 Ok(ep)
             })
