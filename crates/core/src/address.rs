@@ -55,7 +55,11 @@ impl fmt::Display for Address {
 /// stack (the "stack frames") and per-base instance counters for one trace.
 #[derive(Default, Debug)]
 pub struct AddressBuilder {
-    scopes: Vec<String>,
+    /// The scope stack joined as `a/b/`, kept current by push/pop so a
+    /// statement's base is one append, not a join per call.
+    prefix: String,
+    /// `prefix` lengths to restore on each pop, innermost last.
+    marks: Vec<usize>,
     counts: std::collections::HashMap<String, u32>,
 }
 
@@ -67,17 +71,21 @@ impl AddressBuilder {
 
     /// Enter a named scope (analogous to pushing a stack frame).
     pub fn push_scope(&mut self, scope: &str) {
-        self.scopes.push(scope.to_string());
+        self.marks.push(self.prefix.len());
+        self.prefix.push_str(scope);
+        self.prefix.push('/');
     }
 
     /// Leave the innermost scope.
     pub fn pop_scope(&mut self) {
-        self.scopes.pop();
+        if let Some(mark) = self.marks.pop() {
+            self.prefix.truncate(mark);
+        }
     }
 
     /// Current scope path joined with `/` (empty string at top level).
     pub fn scope_path(&self) -> String {
-        self.scopes.join("/")
+        self.prefix.strip_suffix('/').unwrap_or_default().to_string()
     }
 
     /// Build the next address for `name` with distribution kind `dist_kind`.
@@ -86,18 +94,17 @@ impl AddressBuilder {
     /// iteration of a rejection-sampling loop re-draws "the same" random
     /// variable (pyprob's `replace=True`), keeping the address space bounded.
     pub fn next(&mut self, name: &str, dist_kind: &str, replace: bool) -> Address {
-        let base = if self.scopes.is_empty() {
-            format!("{name}[{dist_kind}]")
-        } else {
-            format!("{}/{name}[{dist_kind}]", self.scopes.join("/"))
-        };
+        let mut base = String::with_capacity(self.prefix.len() + name.len() + dist_kind.len() + 2);
+        base.push_str(&self.prefix);
+        base.push_str(name);
+        base.push('[');
+        base.push_str(dist_kind);
+        base.push(']');
         if replace {
-            let instance = *self.counts.get(&base).unwrap_or(&0);
+            let instance = self.counts.get(&base).copied().unwrap_or(0);
             Address::new(base, instance)
         } else {
-            let c = self.counts.entry(base.clone()).or_insert(0);
-            let instance = *c;
-            *c += 1;
+            let instance = self.count(&base);
             Address::new(base, instance)
         }
     }
@@ -105,15 +112,29 @@ impl AddressBuilder {
     /// Advance the instance counter for an externally supplied base (used by
     /// the PPX bridge, where the remote simulator already built the base).
     pub fn next_with_base(&mut self, base: &str) -> Address {
-        let c = self.counts.entry(base.to_string()).or_insert(0);
-        let instance = *c;
-        *c += 1;
+        let instance = self.count(base);
         Address::new(base, instance)
+    }
+
+    /// The instance of `base` this statement takes, advancing its counter;
+    /// the key is copied only the first time a base is seen.
+    fn count(&mut self, base: &str) -> u32 {
+        match self.counts.get_mut(base) {
+            Some(c) => {
+                *c += 1;
+                *c - 1
+            }
+            None => {
+                self.counts.insert(base.to_string(), 1);
+                0
+            }
+        }
     }
 
     /// Reset all counters and scopes for a new trace.
     pub fn reset(&mut self) {
-        self.scopes.clear();
+        self.prefix.clear();
+        self.marks.clear();
         self.counts.clear();
     }
 }
@@ -127,12 +148,23 @@ pub struct TraceTypeId(pub u64);
 impl TraceTypeId {
     /// Hash a sequence of qualified addresses into a trace-type id.
     pub fn from_addresses<'a>(addrs: impl Iterator<Item = &'a Address>) -> Self {
-        let mut h = DefaultHasher::new();
+        let mut h = Self::hasher();
         for a in addrs {
-            a.base.hash(&mut h);
-            a.instance.hash(&mut h);
+            Self::hash_address(a, &mut h);
         }
         TraceTypeId(h.finish())
+    }
+
+    /// The hasher a trace-type id starts from; feed it the controlled
+    /// addresses in order with [`TraceTypeId::hash_address`], then `finish`.
+    pub(crate) fn hasher() -> DefaultHasher {
+        DefaultHasher::new()
+    }
+
+    /// Fold the next controlled address into a trace-type hash.
+    pub(crate) fn hash_address(a: &Address, h: &mut DefaultHasher) {
+        a.base.hash(h);
+        a.instance.hash(h);
     }
 }
 

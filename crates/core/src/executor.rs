@@ -1,5 +1,5 @@
 //! The executor: runs a probabilistic program under the control of a
-//! [`Proposer`], recording a [`Trace`].
+//! [`Proposer`], recording a [`Trace`] (or any other [`TraceTarget`]).
 //!
 //! This is the controller half of Figure 1 in the paper: the simulator keeps
 //! requesting random numbers; the executor answers each request (from the
@@ -8,10 +8,12 @@
 
 use crate::address::{Address, AddressBuilder};
 use crate::program::{ProbProgram, RunError, SimCtx};
-use crate::trace::{EntryKind, Trace, TraceEntry};
+use crate::record::{Statement, TraceTarget};
+use crate::trace::{EntryKind, Trace};
 use etalumis_distributions::{Distribution, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -83,10 +85,9 @@ impl Proposer for PriorProposer {
 /// paths run exactly the same code against the same RNG discipline, which
 /// is what keeps event-driven remote executions bit-identical to blocking
 /// ones.
-struct Recorder {
+struct Recorder<B> {
     builder: AddressBuilder,
-    entries: Vec<TraceEntry>,
-    tags: Vec<(String, Value)>,
+    target: B,
     controlled_steps: usize,
     /// When false, observe statements *draw* synthetic observations from the
     /// likelihood instead of scoring registered data (prior/training mode
@@ -94,20 +95,13 @@ struct Recorder {
     scoring: bool,
 }
 
-impl Recorder {
-    fn new() -> Self {
-        Self {
-            builder: AddressBuilder::new(),
-            entries: Vec::new(),
-            tags: Vec::new(),
-            controlled_steps: 0,
-            scoring: true,
-        }
+impl<B: TraceTarget> Recorder<B> {
+    fn new(target: B) -> Self {
+        Self { builder: AddressBuilder::new(), target, controlled_steps: 0, scoring: true }
     }
 
-    /// The recorded trace, its totals summed by [`Trace::from_entries`].
-    fn finish(self, result: Value) -> Trace {
-        Trace::from_entries(self.entries, self.tags, result)
+    fn finish(self, result: Value) -> B::Output {
+        self.target.finish(result)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -123,25 +117,20 @@ impl Recorder {
     ) -> Value {
         let kind = if replace { EntryKind::SampleReplaced } else { EntryKind::Sample };
         let controlled = control && !replace;
+        // `log_q` is `None` where the value came from the prior (drawn or
+        // replayed): it is then the prior density, evaluated once below.
         let (value, log_q) = if controlled {
             let req =
                 SampleRequest { address: &address, dist, name, time_step: self.controlled_steps };
             let decision = proposer.propose(&req);
             let (v, lq) = match decision {
-                ProposalDecision::Prior => {
-                    let v = dist.sample(rng);
-                    let lp = dist.log_prob(&v);
-                    (v, lp)
-                }
-                ProposalDecision::Replay(v) => {
-                    let lp = dist.log_prob(&v);
-                    (v, lp)
-                }
-                ProposalDecision::ReplayWithLogQ(v, lq) => (v, lq),
+                ProposalDecision::Prior => (dist.sample(rng), None),
+                ProposalDecision::Replay(v) => (v, None),
+                ProposalDecision::ReplayWithLogQ(v, lq) => (v, Some(lq)),
                 ProposalDecision::Proposal(q) => {
                     let v = q.sample(rng);
-                    let lq = q.log_prob(&v);
-                    (v, lq)
+                    let lq = if B::SCORED { q.log_prob(&v) } else { 0.0 };
+                    (v, Some(lq))
                 }
             };
             proposer.notify(&req, &v);
@@ -149,19 +138,17 @@ impl Recorder {
             (v, lq)
         } else {
             // Replaced or uncontrolled: always from the prior.
-            let v = dist.sample(rng);
-            let lp = dist.log_prob(&v);
-            (v, lp)
+            (dist.sample(rng), None)
         };
-        let log_prob = dist.log_prob(&value);
-        self.entries.push(TraceEntry {
-            address,
-            distribution: dist.clone(),
-            value: value.clone(),
-            log_prob,
-            log_q,
+        let log_prob = if B::SCORED { dist.log_prob(&value) } else { 0.0 };
+        self.target.push(Statement {
             kind,
-            name: name.to_string(),
+            address,
+            name: Cow::Borrowed(name),
+            distribution: Cow::Borrowed(dist),
+            value: Cow::Borrowed(&value),
+            log_prob,
+            log_q: log_q.unwrap_or(log_prob),
         });
         value
     }
@@ -184,15 +171,15 @@ impl Recorder {
         } else {
             dist.sample(rng)
         };
-        let log_prob = dist.log_prob(&value);
-        self.entries.push(TraceEntry {
+        let log_prob = if B::SCORED { dist.log_prob(&value) } else { 0.0 };
+        self.target.push(Statement {
+            kind: EntryKind::Observe,
             address,
-            distribution: dist.clone(),
-            value: value.clone(),
+            name: Cow::Borrowed(name),
+            distribution: Cow::Borrowed(dist),
+            value: Cow::Borrowed(&value),
             log_prob,
             log_q: log_prob,
-            kind: EntryKind::Observe,
-            name: name.to_string(),
         });
         value
     }
@@ -208,15 +195,47 @@ impl Recorder {
     }
 }
 
-/// Runs programs and records traces. Implements [`SimCtx`] — the one
-/// implementation: it borrows its whole state, so the owning
-/// [`StepExecutor`] lends its own out as an `Executor` too
-/// ([`StepExecutor::ctx`]).
-pub struct Executor<'a> {
+/// Runs programs and records traces (or any [`TraceTarget`] `B`).
+/// Implements [`SimCtx`] — the one implementation: it borrows its whole
+/// state, so the owning [`StepExecutor`] lends its own out as an
+/// `Executor` too ([`StepExecutor::ctx`]).
+pub struct Executor<'a, B = Trace> {
     rng: &'a mut StdRng,
     proposer: &'a mut dyn Proposer,
     observes: &'a ObserveMap,
-    rec: &'a mut Recorder,
+    rec: &'a mut Recorder<B>,
+}
+
+impl<B: TraceTarget> Executor<'_, B> {
+    /// Run `program` once under `proposer`, conditioning on `observes`,
+    /// recording into `target` — [`Executor::try_execute`] for any target.
+    pub fn try_record(
+        program: &mut dyn ProbProgram,
+        proposer: &mut dyn Proposer,
+        observes: &ObserveMap,
+        rng: &mut StdRng,
+        target: B,
+    ) -> Result<B::Output, RunError> {
+        proposer.begin_trace(observes);
+        let mut rec = Recorder::new(target);
+        let result = program.try_run(&mut Executor { rng, proposer, observes, rec: &mut rec })?;
+        Ok(rec.finish(result))
+    }
+
+    /// [`Executor::try_record`] with a fresh RNG seeded from `seed`: the
+    /// output is a pure function of `(program, proposer, observes, seed)`.
+    /// A prior run into a [`crate::RecordBuilder`] is how datasets are
+    /// generated.
+    pub fn try_record_seeded(
+        program: &mut dyn ProbProgram,
+        proposer: &mut dyn Proposer,
+        observes: &ObserveMap,
+        seed: u64,
+        target: B,
+    ) -> Result<B::Output, RunError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Self::try_record(program, proposer, observes, &mut rng, target)
+    }
 }
 
 impl<'a> Executor<'a> {
@@ -243,10 +262,7 @@ impl<'a> Executor<'a> {
         observes: &ObserveMap,
         rng: &mut StdRng,
     ) -> Result<Trace, RunError> {
-        proposer.begin_trace(observes);
-        let mut rec = Recorder::new();
-        let result = program.try_run(&mut Executor { rng, proposer, observes, rec: &mut rec })?;
-        Ok(rec.finish(result))
+        Self::try_record(program, proposer, observes, rng, Trace::default())
     }
 
     /// Convenience: run once from the prior with a fresh seeded RNG.
@@ -277,12 +293,11 @@ impl<'a> Executor<'a> {
         observes: &ObserveMap,
         seed: u64,
     ) -> Result<Trace, RunError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self::try_execute(program, proposer, observes, &mut rng)
+        Self::try_record_seeded(program, proposer, observes, seed, Trace::default())
     }
 }
 
-impl SimCtx for Executor<'_> {
+impl<B: TraceTarget> SimCtx for Executor<'_, B> {
     fn sample_ext(
         &mut self,
         dist: &Distribution,
@@ -300,7 +315,7 @@ impl SimCtx for Executor<'_> {
     }
 
     fn tag(&mut self, name: &str, value: Value) {
-        self.rec.tags.push((name.to_string(), value));
+        self.rec.target.tag(Cow::Borrowed(name), value);
     }
 
     fn push_scope(&mut self, scope: &str) {
@@ -347,30 +362,45 @@ impl SimCtx for Executor<'_> {
 /// it with the run result.
 ///
 /// That context is an [`Executor`] over this executor's state, so the
-/// produced [`Trace`] is bit-identical to `Executor::execute_seeded` for the
-/// same request sequence. The proposer may borrow for `'p` (an IC proposer
+/// produced [`Trace`] (or other [`TraceTarget`] output) is bit-identical to
+/// `Executor::execute_seeded` (`Executor::try_record_seeded`) for the same
+/// request sequence. The proposer may borrow for `'p` (an IC proposer
 /// borrows the network it shares with other sessions).
-pub struct StepExecutor<'p> {
+pub struct StepExecutor<'p, B = Trace> {
     rng: StdRng,
     proposer: Box<dyn Proposer + Send + 'p>,
     observes: Arc<ObserveMap>,
-    rec: Recorder,
+    rec: Recorder<B>,
 }
 
 impl<'p> StepExecutor<'p> {
-    /// Begin one execution: seeds the RNG from `seed` and announces the
-    /// trace to the proposer, mirroring [`Executor::execute_seeded`].
+    /// Begin one execution recording a [`Trace`]: seeds the RNG from `seed`
+    /// and announces the trace to the proposer, mirroring
+    /// [`Executor::execute_seeded`].
     pub fn new(
-        mut proposer: Box<dyn Proposer + Send + 'p>,
+        proposer: Box<dyn Proposer + Send + 'p>,
         observes: Arc<ObserveMap>,
         seed: u64,
     ) -> Self {
+        Self::with_target(proposer, observes, seed, Trace::default())
+    }
+}
+
+impl<'p, B: TraceTarget> StepExecutor<'p, B> {
+    /// [`StepExecutor::new`] recording into `target`, mirroring
+    /// [`Executor::try_record_seeded`].
+    pub fn with_target(
+        mut proposer: Box<dyn Proposer + Send + 'p>,
+        observes: Arc<ObserveMap>,
+        seed: u64,
+        target: B,
+    ) -> Self {
         proposer.begin_trace(&observes);
-        Self { rng: StdRng::seed_from_u64(seed), proposer, observes, rec: Recorder::new() }
+        Self { rng: StdRng::seed_from_u64(seed), proposer, observes, rec: Recorder::new(target) }
     }
 
     /// The execution as a [`SimCtx`], to feed the program's next requests.
-    pub fn ctx(&mut self) -> Executor<'_> {
+    pub fn ctx(&mut self) -> Executor<'_, B> {
         Executor {
             rng: &mut self.rng,
             proposer: self.proposer.as_mut(),
@@ -382,7 +412,7 @@ impl<'p> StepExecutor<'p> {
     /// Complete the execution with the program's result value, returning the
     /// recorded trace and handing the proposer back for reuse on the next
     /// trace of the same session.
-    pub fn finish(self, result: Value) -> (Trace, Box<dyn Proposer + Send + 'p>) {
+    pub fn finish(self, result: Value) -> (B::Output, Box<dyn Proposer + Send + 'p>) {
         (self.rec.finish(result), self.proposer)
     }
 }

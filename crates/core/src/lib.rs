@@ -17,7 +17,9 @@
 //! * [`Trace`] — one full simulator execution: the unit of inference.
 //! * [`Executor`] — runs a program under a [`Proposer`] (prior, MCMC kernel,
 //!   or IC neural proposer), conditioning on an [`ObserveMap`], and records
-//!   the trace with all log prior/likelihood/proposal masses.
+//!   the trace with all log prior/likelihood/proposal masses — or, through
+//!   a [`RecordBuilder`], only the pruned [`TraceRecord`] a training shard
+//!   stores (any [`TraceTarget`]).
 //!
 //! Inference engines live in `etalumis-inference`; the cross-process
 //! protocol in `etalumis-ppx`; both build exclusively on the interfaces
@@ -41,6 +43,7 @@
 pub mod address;
 pub mod executor;
 pub mod program;
+pub mod record;
 pub mod trace;
 
 pub use address::{Address, AddressBuilder, TraceTypeId};
@@ -48,4 +51,5 @@ pub use executor::{
     Executor, ObserveMap, PriorProposer, ProposalDecision, Proposer, SampleRequest, StepExecutor,
 };
 pub use program::{BoxedProgram, FnProgram, ProbProgram, RunError, SimCtx, SimCtxExt};
+pub use record::{RecordBuilder, RecordEntry, Statement, TraceRecord, TraceTarget};
 pub use trace::{EntryKind, Trace, TraceEntry};

@@ -8,7 +8,7 @@
 
 use crate::record::TraceRecord;
 use crate::shard::{deny_stale_partials, remove_stale_rolls, RollingShardWriter, ShardReader};
-use etalumis_core::{Executor, ObserveMap, PriorProposer, ProbProgram};
+use etalumis_core::{Executor, ObserveMap, PriorProposer, ProbProgram, RecordBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -154,9 +154,15 @@ pub fn generate_dataset(
         let mut prior = PriorProposer;
         // Fallible execution: a dead remote program surfaces as an error
         // naming the failed trace, never a worker-thread panic.
-        let trace = Executor::try_execute(program, &mut prior, &observes, &mut rng)
-            .map_err(|e| std::io::Error::other(format!("trace {i} failed: {e}")))?;
-        writer.push(TraceRecord::from_trace(&trace, pruned))?;
+        let record = Executor::try_record(
+            program,
+            &mut prior,
+            &observes,
+            &mut rng,
+            RecordBuilder::new(pruned),
+        )
+        .map_err(|e| std::io::Error::other(format!("trace {i} failed: {e}")))?;
+        writer.push(record)?;
     }
     TraceDataset::open(writer.finish()?)
 }

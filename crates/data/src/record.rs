@@ -6,10 +6,11 @@
 //! we reproduce:
 //!
 //! * **pruning** — "a 'pruning' function to shrink the data by removing
-//!   non-necessary structures": [`TraceRecord::from_trace`] with
-//!   `pruned = true` keeps only what IC training consumes (controlled
-//!   entries + observation), dropping replaced draws, tags, and per-entry
-//!   bookkeeping.
+//!   non-necessary structures": a pruned [`TraceRecord`] (built during the
+//!   run by `etalumis_core::RecordBuilder`, or from a held trace by
+//!   [`TraceRecord::from_trace`]) keeps only what IC training consumes
+//!   (controlled entries + observation), dropping replaced draws, tags, and
+//!   per-entry bookkeeping.
 //! * **address dictionaries** — "a dictionary of simulator addresses A_t,
 //!   which accumulates the fairly long address strings and assigns
 //!   shorthand IDs used in serialization" (≈40% memory reduction):
@@ -26,83 +27,10 @@
 //! ```
 
 use bytes::BytesMut;
-use etalumis_core::{EntryKind, Trace};
+pub use etalumis_core::{RecordEntry, TraceRecord};
 pub use etalumis_distributions::codec::DecodeError;
 use etalumis_distributions::codec::{put_dist, put_string, put_tensor, put_value, Reader};
-use etalumis_distributions::{Distribution, TensorValue, Value};
 use std::collections::HashMap;
-use std::io::Read;
-
-/// One sample statement in a stored trace.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecordEntry {
-    /// Fully qualified address (`base__instance`).
-    pub address: String,
-    /// Prior distribution at this site.
-    pub distribution: Distribution,
-    /// Sampled value.
-    pub value: Value,
-    /// Whether the entry was a rejection-loop (`replace`) draw.
-    pub replaced: bool,
-}
-
-/// A compact, serializable execution trace.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceRecord {
-    /// Trace-type hash (over controlled addresses, in order).
-    pub trace_type: u64,
-    /// Sample entries (controlled only when pruned).
-    pub entries: Vec<RecordEntry>,
-    /// The observation the IC network conditions on.
-    pub observation: TensorValue,
-    /// Total number of statements in the original trace (load-balance proxy).
-    pub length: u32,
-}
-
-impl TraceRecord {
-    /// Build a record from a live trace.
-    ///
-    /// `pruned = true` keeps only controlled entries (what training needs);
-    /// `false` keeps replaced draws too (the pre-optimization layout).
-    pub fn from_trace(trace: &Trace, pruned: bool) -> Self {
-        let observation = match trace.first_observed() {
-            Some(Value::Tensor(t)) => TensorValue::clone(t),
-            Some(v) => TensorValue::new(vec![1], vec![v.as_f64() as f32]),
-            None => TensorValue::zeros(vec![1]),
-        };
-        let entries = trace
-            .entries
-            .iter()
-            .filter(|e| match e.kind {
-                EntryKind::Sample => true,
-                EntryKind::SampleReplaced => !pruned,
-                EntryKind::Observe => false,
-            })
-            .map(|e| RecordEntry {
-                address: e.address.qualified(),
-                distribution: e.distribution.clone(),
-                value: e.value.clone(),
-                replaced: e.kind == EntryKind::SampleReplaced,
-            })
-            .collect();
-        Self {
-            trace_type: trace.trace_type().0,
-            entries,
-            observation,
-            length: trace.entries.len() as u32,
-        }
-    }
-
-    /// Controlled entries only (skips replaced draws if present).
-    pub fn controlled(&self) -> impl Iterator<Item = &RecordEntry> {
-        self.entries.iter().filter(|e| !e.replaced)
-    }
-
-    /// Number of controlled entries (the LSTM sequence length).
-    pub fn num_controlled(&self) -> usize {
-        self.controlled().count()
-    }
-}
 
 /// Bidirectional map between address strings and shorthand u32 ids.
 #[derive(Default, Debug, Clone)]
@@ -161,31 +89,13 @@ impl AddressDictionary {
         }
     }
 
-    /// Deserialize a dictionary from `r`, which holds `left` more bytes,
-    /// reading its own bytes and no further.
-    ///
-    /// A shard carries its dictionary in the header, ahead of the records:
-    /// opening one must not read those too (`TraceDataset::get_many` opens a
-    /// shard per call). No count or length is allocated for beyond `left`.
-    pub fn read(r: &mut impl Read, mut left: u64) -> Result<Self, DecodeError> {
-        let mut field = |bytes: &mut Vec<u8>, len: usize| {
-            let short = DecodeError::Truncated { needed: len, available: left as usize };
-            if len as u64 > left {
-                return Err(short);
-            }
-            left -= len as u64;
-            bytes.resize(len, 0);
-            r.read_exact(bytes).map_err(|_| short)
-        };
-        let le_u32 = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        let mut bytes = Vec::new();
-        field(&mut bytes, 4)?;
+    /// Deserialize a dictionary encoded by [`AddressDictionary::encode`],
+    /// consuming its own bytes and no further (a shard's records follow its
+    /// dictionary).
+    pub fn decode(r: &mut Reader) -> Result<Self, DecodeError> {
         let mut d = Self::new();
-        for _ in 0..le_u32(&bytes) {
-            field(&mut bytes, 4)?;
-            let len = le_u32(&bytes) as usize;
-            field(&mut bytes, len)?;
-            d.intern(std::str::from_utf8(&bytes).map_err(|_| DecodeError::BadUtf8)?);
+        for _ in 0..r.count(4)? {
+            d.intern(r.str()?);
         }
         Ok(d)
     }
@@ -199,8 +109,18 @@ const MIN_ENTRY_LEN: usize = 4 + 1 + (1 + 4) + 1;
 /// Encode a record. With `dict = Some(..)`, addresses are stored as u32
 /// shorthand ids (the paper's dictionary optimization); otherwise full
 /// strings are embedded per entry.
-pub fn encode_record(rec: &TraceRecord, mut dict: Option<&mut AddressDictionary>) -> BytesMut {
+pub fn encode_record(rec: &TraceRecord, dict: Option<&mut AddressDictionary>) -> BytesMut {
     let mut buf = Vec::with_capacity(256);
+    put_record(&mut buf, rec, dict);
+    BytesMut::from(buf)
+}
+
+/// [`encode_record`], appended to `buf`.
+pub(crate) fn put_record(
+    buf: &mut Vec<u8>,
+    rec: &TraceRecord,
+    mut dict: Option<&mut AddressDictionary>,
+) {
     buf.extend_from_slice(&rec.trace_type.to_le_bytes());
     buf.extend_from_slice(&rec.length.to_le_bytes());
     buf.extend_from_slice(&(rec.entries.len() as u32).to_le_bytes());
@@ -208,14 +128,13 @@ pub fn encode_record(rec: &TraceRecord, mut dict: Option<&mut AddressDictionary>
     for e in &rec.entries {
         match &mut dict {
             Some(d) => buf.extend_from_slice(&d.intern(&e.address).to_le_bytes()),
-            None => put_string(&mut buf, &e.address),
+            None => put_string(buf, &e.address),
         }
         buf.push(e.replaced as u8);
-        put_dist(&mut buf, &e.distribution);
-        put_value(&mut buf, &e.value);
+        put_dist(buf, &e.distribution);
+        put_value(buf, &e.value);
     }
-    put_tensor(&mut buf, &rec.observation);
-    BytesMut::from(buf)
+    put_tensor(buf, &rec.observation);
 }
 
 /// Decode a record encoded by [`encode_record`].
@@ -323,7 +242,7 @@ mod tests {
         assert_eq!(d.intern("x"), a);
         let mut buf = Vec::new();
         d.encode(&mut buf);
-        let d2 = AddressDictionary::read(&mut &buf[..], buf.len() as u64).unwrap();
+        let d2 = AddressDictionary::decode(&mut Reader::new(&buf)).unwrap();
         assert_eq!(d2.resolve(a), "x");
         assert_eq!(d2.resolve(b), "y");
         assert_eq!(d2.len(), 2);

@@ -29,8 +29,9 @@
 //! controlled length), so [`crate::TraceDataset::open`] reads indexes only
 //! and decodes no record. Version-1 shards (offset-only index) are rejected.
 
-use crate::record::{decode_record, encode_record, AddressDictionary, DecodeError, TraceRecord};
-use bytes::BytesMut;
+use crate::record::{
+    decode_record, encode_record, put_record, AddressDictionary, DecodeError, TraceRecord,
+};
 use etalumis_distributions::codec::Reader;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -221,36 +222,37 @@ impl ShardWriter {
         }
         let tmp = self.path.with_extension("etlm.tmp");
         let file = File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
-        w.write_all(MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&[self.use_dict as u8])?;
-        // Build the dictionary over all records first so encoding is one pass.
-        let mut dict = AddressDictionary::new();
-        let encoded: Vec<BytesMut> = self
-            .records
-            .iter()
-            .map(|r| {
-                if self.use_dict {
-                    encode_record(r, Some(&mut dict))
-                } else {
-                    encode_record(r, None)
-                }
-            })
-            .collect();
-        if self.use_dict {
-            let mut dbuf = Vec::new();
-            dict.encode(&mut dbuf);
-            w.write_all(&dbuf)?;
+        let mut w = BufWriter::with_capacity(WRITE_BUF, file);
+        // The dictionary precedes the records: assign every id first (in
+        // record order, as encoding would), then encode each record into one
+        // reused buffer on its way out.
+        let mut dict = self.use_dict.then(AddressDictionary::new);
+        if let Some(d) = &mut dict {
+            for e in self.records.iter().flat_map(|r| &r.entries) {
+                d.intern(&e.address);
+            }
         }
-        w.write_all(&(encoded.len() as u32).to_le_bytes())?;
-        let mut offsets = Vec::with_capacity(encoded.len());
-        let mut pos = w.stream_position()?;
-        for e in &encoded {
+        let mut buf = Vec::with_capacity(256);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.push(self.use_dict as u8);
+        if let Some(d) = &dict {
+            d.encode(&mut buf);
+        }
+        buf.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
+        w.write_all(&buf)?;
+        let mut offsets = Vec::with_capacity(self.records.len());
+        let mut pos = buf.len() as u64;
+        for r in &self.records {
+            // `u32 len | record`, the length patched in once known.
+            buf.clear();
+            buf.extend_from_slice(&[0; 4]);
+            put_record(&mut buf, r, dict.as_mut());
+            let len = (buf.len() - 4) as u32;
+            buf[..4].copy_from_slice(&len.to_le_bytes());
+            w.write_all(&buf)?;
             offsets.push(pos);
-            w.write_all(&(e.len() as u32).to_le_bytes())?;
-            w.write_all(e)?;
-            pos += 4 + e.len() as u64;
+            pos += buf.len() as u64;
         }
         let index_offset = pos;
         for (off, rec) in offsets.iter().zip(&self.records) {
@@ -259,12 +261,60 @@ impl ShardWriter {
             w.write_all(&(rec.num_controlled() as u32).to_le_bytes())?;
         }
         w.write_all(&index_offset.to_le_bytes())?;
-        w.flush()?;
-        let size = w.stream_position()?;
+        let size = index_offset + (offsets.len() * INDEX_ENTRY) as u64 + 8;
         w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         std::fs::rename(&tmp, &self.path)?;
         Ok(size)
     }
+}
+
+/// The write buffer of [`ShardWriter::finish`]: a τ shard of 200 records
+/// (≈ 1.2 MB) goes out in a handful of `write(2)` calls, not one per record,
+/// without a second shard-sized copy of the encoded records.
+const WRITE_BUF: usize = 256 * 1024;
+
+/// Bytes [`ShardReader::open`] reads first for a shard's header: magic,
+/// version, flag, record count and the dictionary of a τ dataset fit.
+const HEAD_READ: usize = 8 * 1024;
+
+/// Why the first bytes of a shard did not parse as its header.
+enum Head {
+    /// They end inside it: read more, if the file has more.
+    Short(DecodeError),
+    /// They never will.
+    Bad(std::io::Error),
+}
+
+/// `"ETLM" | u32 version | u8 dict_flag | [dictionary] | u32 n_records`
+/// from the first bytes of a shard: its dictionary, record count, and the
+/// offset of its first record.
+fn parse_head(path: &Path, buf: &[u8]) -> Result<(Option<AddressDictionary>, usize, u64), Head> {
+    let mut r = Reader::new(buf);
+    if r.take(4).map_err(Head::Short)? != MAGIC {
+        return Err(Head::Bad(invalid("bad shard magic".into())));
+    }
+    let version = r.u32().map_err(Head::Short)?;
+    if version != VERSION {
+        return Err(Head::Bad(invalid(format!(
+            "shard {} has format version {version}, expected {VERSION}",
+            path.display()
+        ))));
+    }
+    let dict = match r.u8().map_err(Head::Short)? {
+        0 => None,
+        1 => Some(AddressDictionary::decode(&mut r).map_err(|e| match e {
+            DecodeError::Truncated { .. } => Head::Short(e),
+            e => Head::Bad(decode_err(path, 9, e)),
+        })?),
+        f => {
+            return Err(Head::Bad(invalid(format!(
+                "shard {} has dictionary flag {f}",
+                path.display()
+            ))))
+        }
+    };
+    let n = r.u32().map_err(Head::Short)? as usize;
+    Ok((dict, n, (buf.len() - r.remaining()) as u64))
 }
 
 /// Reads one shard file with random or sequential access.
@@ -279,43 +329,29 @@ pub struct ShardReader {
 
 impl ShardReader {
     /// Open a shard, loading its dictionary and index.
+    ///
+    /// Two reads in the common case: the first 8 KiB (grown
+    /// while the header runs past them), and the index with its footer.
+    /// Both are parsed with [`Reader`], bounded by the file length.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let f = File::open(&path)?;
+        let mut f = File::open(&path)?;
         let file_len = f.metadata()?.len();
-        let mut r = BufReader::new(f);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad shard magic"));
-        }
-        let mut v = [0u8; 4];
-        r.read_exact(&mut v)?;
-        let version = u32::from_le_bytes(v);
-        if version != VERSION {
-            return Err(invalid(format!(
-                "shard {} has format version {version}, expected {VERSION}",
-                path.display()
-            )));
-        }
-        let mut flag = [0u8; 1];
-        r.read_exact(&mut flag)?;
-        let use_dict = match flag[0] {
-            0 => false,
-            1 => true,
-            f => return Err(invalid(format!("shard {} has dictionary flag {f}", path.display()))),
+        let mut head = Vec::new();
+        let (dict, n, data_start) = loop {
+            let want = (head.len() * 2).max(HEAD_READ) as u64;
+            let read = head.len();
+            head.resize(want.min(file_len) as usize, 0);
+            f.read_exact(&mut head[read..])?;
+            match parse_head(&path, &head) {
+                Err(Head::Short(_)) if (head.len() as u64) < file_len => continue,
+                Err(Head::Short(e)) => {
+                    return Err(invalid(format!("shard {} header is {e}", path.display())))
+                }
+                Err(Head::Bad(e)) => return Err(e),
+                Ok(parsed) => break parsed,
+            }
         };
-        let dict = if use_dict {
-            let pos = r.stream_position()?;
-            let d = AddressDictionary::read(&mut r, file_len.saturating_sub(pos))
-                .map_err(|e| decode_err(&path, pos, e))?;
-            Some(d)
-        } else {
-            None
-        };
-        let mut nbuf = [0u8; 4];
-        r.read_exact(&mut nbuf)?;
-        let n = u32::from_le_bytes(nbuf) as usize;
         // A corrupt count could announce billions of records; every record
         // costs at least one index entry, so bound it by the file size before
         // reserving anything.
@@ -330,13 +366,14 @@ impl ShardReader {
             ));
         }
         // The index is the `n` entries right before the footer; a footer
-        // pointing anywhere else is corrupt.
-        let data_start = r.stream_position()?;
+        // pointing anywhere else is corrupt. One read takes both.
         let index_len = (n * INDEX_ENTRY) as u64;
-        r.seek(SeekFrom::End(-8))?;
-        let mut ib = [0u8; 8];
-        r.read_exact(&mut ib)?;
-        let index_offset = u64::from_le_bytes(ib);
+        let tail_len = (index_len + 8).min(file_len);
+        let mut tail = vec![0u8; tail_len as usize];
+        f.seek(SeekFrom::Start(file_len - tail_len))?;
+        f.read_exact(&mut tail)?;
+        let (index, footer) = tail.split_at(tail.len() - 8);
+        let index_offset = Reader::new(footer).u64().map_err(|e| decode_err(&path, 0, e))?;
         if index_offset < data_start || index_offset.checked_add(index_len + 8) != Some(file_len) {
             return Err(invalid(format!(
                 "shard {} footer points its {n}-entry index at offset {index_offset} in a \
@@ -344,10 +381,7 @@ impl ShardReader {
                 path.display()
             )));
         }
-        r.seek(SeekFrom::Start(index_offset))?;
-        let mut index = vec![0u8; index_len as usize];
-        r.read_exact(&mut index)?;
-        let mut entries = Reader::new(&index);
+        let mut entries = Reader::new(index);
         let mut offsets = Vec::with_capacity(n);
         let mut meta = Vec::with_capacity(n);
         let entry_err = |e| decode_err(&path, index_offset, e);
@@ -364,8 +398,9 @@ impl ShardReader {
             offsets.push(off);
             meta.push((entries.u64().map_err(entry_err)?, entries.u32().map_err(entry_err)?));
         }
-        r.seek(SeekFrom::Start(data_start))?;
-        Ok(Self { path, file: r, file_len, dict, offsets, meta })
+        let mut file = BufReader::new(f);
+        file.seek(SeekFrom::Start(data_start))?;
+        Ok(Self { path, file, file_len, dict, offsets, meta })
     }
 
     /// Bound a record's announced length by the file size before allocating
@@ -1258,6 +1293,124 @@ mod tests {
                 let mut b = good.clone();
                 b[at..at + 4].copy_from_slice(&v.to_le_bytes());
                 check(format!("window {at} = {v:#x}"), &b);
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shard's dictionary, record offsets and index metadata.
+    type Opened = (Option<Vec<String>>, Vec<u64>, Vec<(u64, u32)>);
+
+    /// What `ShardReader::open` made of a shard's bytes before it parsed
+    /// them with `codec::Reader`: the dictionary, record offsets and index
+    /// metadata, or `None` for a refused file: the reference the current
+    /// reader must agree with.
+    fn open_as_before(b: &[u8]) -> Option<Opened> {
+        let len = b.len() as u64;
+        let mut pos = 0usize;
+        let mut field = |n: usize| {
+            let f = b.get(pos..pos.checked_add(n)?)?;
+            pos += n;
+            Some(f)
+        };
+        let le_u32 = |f: &[u8]| u32::from_le_bytes(f.try_into().unwrap());
+        let le_u64 = |f: &[u8]| u64::from_le_bytes(f.try_into().unwrap());
+        (field(4)? == MAGIC && le_u32(field(4)?) == VERSION).then_some(())?;
+        let dict = match field(1)?[0] {
+            0 => None,
+            1 => {
+                let mut d = AddressDictionary::new();
+                for _ in 0..le_u32(field(4)?) {
+                    let n = le_u32(field(4)?) as usize;
+                    d.intern(std::str::from_utf8(field(n)?).ok()?);
+                }
+                Some(dict_strings(&d))
+            }
+            _ => return None,
+        };
+        let n = le_u32(field(4)?) as u64;
+        let data_start = pos as u64;
+        let index_offset = le_u64(&b[b.len() - 8..]);
+        if n > len / INDEX_ENTRY as u64
+            || index_offset < data_start
+            || index_offset.checked_add(n * INDEX_ENTRY as u64 + 8) != Some(len)
+        {
+            return None;
+        }
+        let (mut offsets, mut meta) = (Vec::new(), Vec::new());
+        for e in b[index_offset as usize..b.len() - 8].chunks(INDEX_ENTRY) {
+            let off = le_u64(&e[..8]);
+            (off >= data_start && off.saturating_add(4) <= index_offset).then_some(())?;
+            offsets.push(off);
+            meta.push((le_u64(&e[8..16]), le_u32(&e[16..])));
+        }
+        Some((dict, offsets, meta))
+    }
+
+    fn dict_strings(d: &AddressDictionary) -> Vec<String> {
+        (0..d.len() as u32).map(|id| d.resolve(id).to_string()).collect()
+    }
+
+    #[test]
+    fn mutated_headers_and_dictionaries_open_exactly_as_before() {
+        let dir = std::env::temp_dir().join(format!("etalumis_head_mut_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("h.etlm");
+        for use_dict in [true, false] {
+            let mut w = ShardWriter::new(&path, use_dict);
+            for r in make_records(2) {
+                w.push(r);
+            }
+            w.finish().unwrap();
+            let good = std::fs::read(&path).unwrap();
+            assert!(open_as_before(&good).is_some());
+            let mut opened = 0;
+            for (at, m) in etalumis_distributions::codec::mutants(&good) {
+                std::fs::write(&path, &m).unwrap();
+                let now = ShardReader::open(&path)
+                    .map(|r| (r.dict.as_ref().map(dict_strings), r.offsets, r.meta))
+                    .map_err(|e| {
+                        use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+                        assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "at {at}: {e}");
+                    });
+                assert_eq!(now.ok(), open_as_before(&m), "dict={use_dict}, mutant at {at}");
+                opened += open_as_before(&m).is_some() as usize;
+            }
+            assert!(opened > 0, "no mutant opened: the sweep checks refusals only");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn headers_longer_than_the_first_read_open_as_before() {
+        let dir = std::env::temp_dir().join(format!("etalumis_head_long_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("l.etlm");
+        // A dictionary of 40 one-kilobyte addresses: five times `HEAD_READ`.
+        let mut rec = make_records(1).remove(0);
+        let entry = rec.entries[0].clone();
+        rec.entries = (0..40)
+            .map(|i| crate::RecordEntry { address: format!("{i:01024}"), ..entry.clone() })
+            .collect();
+        let mut w = ShardWriter::new(&path, true);
+        w.push(rec.clone());
+        w.finish().unwrap();
+        let good = std::fs::read(&path).unwrap();
+        assert!(good.len() > 4 * HEAD_READ);
+        let mut r = ShardReader::open(&path).unwrap();
+        assert_eq!(r.get(0).unwrap(), rec);
+        // The count, the first and the last address length, and the record
+        // count after the dictionary, each corrupted.
+        let last = 9 + 4 + 39 * (4 + 1024);
+        let count = last + 4 + 1024;
+        for at in [9, 13, last, count] {
+            for word in [0u32, 1, 1025, u32::MAX] {
+                let mut m = good.clone();
+                m[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                std::fs::write(&path, &m).unwrap();
+                let now = ShardReader::open(&path).map(|r| (r.offsets, r.meta)).ok();
+                let before = open_as_before(&m).map(|(_, offsets, meta)| (offsets, meta));
+                assert_eq!(now, before, "{word} at {at}");
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -186,9 +186,13 @@ impl<'a> Reader<'a> {
 
     /// Consume a `string`.
     pub fn string(&mut self) -> Result<String, DecodeError> {
+        self.str().map(str::to_owned)
+    }
+
+    /// Consume a `string`, borrowed from the input.
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| DecodeError::BadUtf8)
+        std::str::from_utf8(self.take(n)?).map_err(|_| DecodeError::BadUtf8)
     }
 
     /// Consume a `u32` element count, refused unless that many

@@ -47,4 +47,4 @@ pub use mux::{
 pub use server::{serve_listener, SimulatorServer};
 pub use session::{Awaiting, Serviced, Session, SessionAction, SessionState};
 pub use transport::{InProcTransport, TcpTransport, Transport};
-pub use wire::MAX_FRAME_LEN;
+pub use wire::{SeededTrace, MAX_FRAME_LEN};

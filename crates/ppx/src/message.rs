@@ -153,7 +153,7 @@ impl Message {
             Message::TagResult => 10,
             Message::Reset => 11,
             Message::RunPrior { .. } => 12,
-            Message::PriorTrace { .. } => 13,
+            Message::PriorTrace { .. } => crate::wire::PRIOR_TRACE,
         }
     }
 

@@ -579,8 +579,7 @@ impl Mux {
                     None => Ok(None),
                     Some(payload) => {
                         frame_seen = true;
-                        let msg = decode(&payload)?;
-                        c.session.on_message(msg).map(Some)
+                        c.session.on_payload(payload).map(Some)
                     }
                 })
                 .transpose();

@@ -23,11 +23,15 @@
 //!
 //! `start_prior_run` is legal only once the simulator advertised
 //! [`Capabilities::SEEDED_PRIOR`]; a seeded run accepts nothing but its
-//! `PriorTrace`, and a per-statement run never accepts one.
+//! `PriorTrace`, and a per-statement run never accepts one. The `PriorTrace`
+//! arrives as a frame payload ([`Session::on_payload`]) and leaves
+//! undecoded, as a [`SeededTrace`]: the driver decodes it into what it
+//! records.
 
 use crate::error::PpxError;
 use crate::message::{Capabilities, Message};
-use etalumis_core::{ObserveMap, SimCtx, Trace};
+use crate::wire::{decode, SeededTrace, PRIOR_TRACE};
+use etalumis_core::{ObserveMap, SimCtx};
 use etalumis_distributions::{Distribution, Value};
 use std::sync::Arc;
 
@@ -106,10 +110,11 @@ pub enum SessionAction {
     },
     /// A seeded prior run completed with the trace the simulator recorded;
     /// the session is [`SessionState::Idle`] again. Nothing is owed to the
-    /// simulator and no executor is involved: the driver takes the trace.
+    /// simulator and no executor is involved: the driver decodes the trace
+    /// into what it records.
     FinishedTrace {
-        /// The whole trace, totals summed over its entries.
-        trace: Trace,
+        /// The `PriorTrace` payload, undecoded.
+        trace: SeededTrace,
     },
 }
 
@@ -123,7 +128,7 @@ pub enum Serviced {
     /// The run completed with this result (no reply needed).
     Finished(Value),
     /// A seeded prior run completed with this trace (no reply needed).
-    FinishedTrace(Trace),
+    FinishedTrace(SeededTrace),
 }
 
 /// The controller-side state machine for one PPX connection.
@@ -232,9 +237,31 @@ impl Session {
         }
     }
 
+    /// Feed one frame payload from the simulator; returns the action the
+    /// driver must take. A seeded run's `PriorTrace` is handed on undecoded
+    /// (see [`SessionAction::FinishedTrace`]); every other payload is
+    /// decoded and goes through [`Session::on_message`].
+    pub fn on_payload(&mut self, payload: Vec<u8>) -> Result<SessionAction, PpxError> {
+        if self.state == SessionState::Running(Awaiting::Trace)
+            && payload.first() == Some(&PRIOR_TRACE)
+        {
+            self.state = SessionState::Idle;
+            return Ok(SessionAction::FinishedTrace { trace: SeededTrace(payload) });
+        }
+        match decode(&payload) {
+            Ok(msg) => self.on_message(msg),
+            Err(e) => {
+                self.state = SessionState::Failed;
+                Err(e.into())
+            }
+        }
+    }
+
     /// Feed one decoded message from the simulator; returns the action the
     /// driver must take. Any message that is illegal in the current state
-    /// poisons the session and errors.
+    /// poisons the session and errors. A decoded `PriorTrace` is one of
+    /// them: it is legal only as the payload of a seeded run
+    /// ([`Session::on_payload`]).
     pub fn on_message(&mut self, msg: Message) -> Result<SessionAction, PpxError> {
         match (self.state, msg) {
             (
@@ -268,10 +295,6 @@ impl Session {
                 self.state = SessionState::Idle;
                 Ok(SessionAction::Finished { result })
             }
-            (SessionState::Running(Awaiting::Trace), Message::PriorTrace { trace }) => {
-                self.state = SessionState::Idle;
-                Ok(SessionAction::FinishedTrace { trace })
-            }
             (state, msg) => {
                 let expected = match state {
                     SessionState::Handshaking => "HandshakeResult",
@@ -279,7 +302,7 @@ impl Session {
                     SessionState::Running(Awaiting::Simulator) => {
                         "Sample/Observe/Tag/RunResult during run"
                     }
-                    SessionState::Running(Awaiting::Trace) => "PriorTrace during a seeded run",
+                    SessionState::Running(Awaiting::Trace) => "a PriorTrace payload",
                     SessionState::Running(_) => "no message while a reply is pending",
                     SessionState::Done => "no message after close",
                     SessionState::Failed => "nothing (session failed)",
@@ -358,6 +381,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etalumis_core::Trace;
 
     fn connected_with(capabilities: Capabilities) -> Session {
         let (mut s, hs) = Session::connect("etalumis-rs");
@@ -394,6 +418,10 @@ mod tests {
         Message::PriorTrace { trace: Trace { result: Value::Real(0.5), ..Trace::default() } }
     }
 
+    fn payload(msg: &Message) -> Vec<u8> {
+        crate::wire::encode(msg).to_vec()
+    }
+
     #[test]
     fn a_seeded_run_then_a_per_statement_run_on_one_session() {
         let mut s = connected_session();
@@ -401,11 +429,11 @@ mod tests {
         let run = s.start_prior_run(7, observes.clone()).unwrap();
         assert_eq!(run, Message::RunPrior { seed: 7, observes });
         assert_eq!(s.state(), SessionState::Running(Awaiting::Trace));
-        let action = s.on_message(prior_trace()).unwrap();
+        let action = s.on_payload(payload(&prior_trace())).unwrap();
         let SessionAction::FinishedTrace { trace } = action else {
             panic!("expected the trace, got {action:?}");
         };
-        assert_eq!(trace.result, Value::Real(0.5));
+        assert_eq!(trace.decode().unwrap().result, Value::Real(0.5));
         assert!(s.is_idle());
 
         s.start_run(Value::Unit).unwrap();
@@ -415,7 +443,7 @@ mod tests {
         assert_eq!(action, SessionAction::Finished { result: Value::Unit });
         // And seeded again after the per-statement run.
         s.start_prior_run(8, Arc::new(ObserveMap::new())).unwrap();
-        s.on_message(prior_trace()).unwrap();
+        s.on_payload(payload(&prior_trace())).unwrap();
         assert!(s.is_idle());
     }
 
@@ -423,6 +451,11 @@ mod tests {
     fn a_prior_trace_during_a_per_statement_run_poisons() {
         let mut s = connected_session();
         s.start_run(Value::Unit).unwrap();
+        assert!(matches!(s.on_payload(payload(&prior_trace())), Err(PpxError::Protocol { .. })));
+        assert_eq!(s.state(), SessionState::Failed);
+        // Decoded, it is refused even during the seeded run it belongs to.
+        let mut s = connected_session();
+        s.start_prior_run(1, Arc::new(ObserveMap::new())).unwrap();
         assert!(matches!(s.on_message(prior_trace()), Err(PpxError::Protocol { .. })));
         assert_eq!(s.state(), SessionState::Failed);
     }
@@ -443,7 +476,7 @@ mod tests {
             let name = msg.name();
             let mut s = connected_session();
             s.start_prior_run(1, Arc::new(ObserveMap::new())).unwrap();
-            assert!(s.on_message(msg).is_err(), "{name} during a seeded run");
+            assert!(s.on_payload(payload(&msg)).is_err(), "{name} during a seeded run");
             assert_eq!(s.state(), SessionState::Failed, "{name} during a seeded run");
         }
     }

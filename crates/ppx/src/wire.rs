@@ -20,7 +20,10 @@
 //!
 //! A `PriorTrace` carries no totals: [`decode`] rebuilds the trace with
 //! `Trace::from_entries`, which sums them over the entries exactly as the
-//! executor does.
+//! executor does. A controller that stores only the trace's shard record
+//! keeps the payload as a [`SeededTrace`] and decodes it straight into an
+//! `etalumis_core::RecordBuilder` (any `TraceTarget`), through the same
+//! parser.
 //!
 //! [`encode`] produces the *payload* only; message-grained transports (the
 //! in-process channel) carry payloads as-is, while byte-stream transports
@@ -36,9 +39,10 @@
 
 use crate::message::{Capabilities, Message};
 use bytes::BytesMut;
-use etalumis_core::{Address, EntryKind, ObserveMap, Trace, TraceEntry};
+use etalumis_core::{Address, EntryKind, ObserveMap, Statement, Trace, TraceTarget};
 use etalumis_distributions::codec::{put_dist, put_string, put_value, DecodeError, Reader};
 use etalumis_distributions::Value;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Largest payload any PPX transport will accept or emit, in bytes.
@@ -155,35 +159,61 @@ fn pairs(r: &mut Reader) -> Result<Vec<(String, Value)>, DecodeError> {
     Ok(pairs)
 }
 
-fn entry(r: &mut Reader) -> Result<TraceEntry, DecodeError> {
+fn entry<'a>(r: &mut Reader<'a>) -> Result<Statement<'a>, DecodeError> {
     let address = Address::new(r.string()?, r.u32()?);
-    let name = r.string()?;
+    let name = Cow::Borrowed(r.str()?);
     let kind = match r.u8()? {
         0 => EntryKind::Sample,
         1 => EntryKind::SampleReplaced,
         2 => EntryKind::Observe,
         t => return Err(DecodeError::UnknownTag(t)),
     };
-    Ok(TraceEntry {
+    Ok(Statement {
         address,
         name,
         kind,
-        distribution: r.dist()?,
-        value: r.value()?,
+        distribution: Cow::Owned(r.dist()?),
+        value: Cow::Owned(r.value()?),
         log_prob: r.f64()?,
         log_q: r.f64()?,
     })
 }
 
-fn trace(r: &mut Reader) -> Result<Trace, DecodeError> {
-    let n = r.count(MIN_ENTRY_LEN)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(entry(r)?);
+/// A `PriorTrace` body, recorded into `target` as it is parsed.
+fn trace<B: TraceTarget>(r: &mut Reader, mut target: B) -> Result<B::Output, DecodeError> {
+    for _ in 0..r.count(MIN_ENTRY_LEN)? {
+        target.push(entry(r)?);
     }
-    let tags = pairs(r)?;
-    Ok(Trace::from_entries(entries, tags, r.value()?))
+    for _ in 0..r.count(MIN_PAIR_LEN)? {
+        target.tag(Cow::Borrowed(r.str()?), r.value()?);
+    }
+    Ok(target.finish(r.value()?))
 }
+
+/// The payload of a seeded run's `PriorTrace`, kept undecoded until the
+/// driver knows what it records: the whole trace, or only its shard record.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SeededTrace(pub Vec<u8>);
+
+impl SeededTrace {
+    /// Decode the trace into `target` — [`decode`]'s parser, which accepts
+    /// and rejects exactly the payloads [`decode`] does.
+    pub fn decode_into<B: TraceTarget>(&self, target: B) -> Result<B::Output, DecodeError> {
+        let r = &mut Reader::new(&self.0);
+        match r.u8()? {
+            PRIOR_TRACE => trace(r, target),
+            t => Err(DecodeError::UnknownTag(t)),
+        }
+    }
+
+    /// Decode the whole trace.
+    pub fn decode(&self) -> Result<Trace, DecodeError> {
+        self.decode_into(Trace::default())
+    }
+}
+
+/// The tag byte of a `PriorTrace` payload.
+pub(crate) const PRIOR_TRACE: u8 = 13;
 
 /// Decode one message from a frame payload (without the length prefix).
 pub fn decode(payload: &[u8]) -> Result<Message, DecodeError> {
@@ -218,7 +248,7 @@ pub fn decode(payload: &[u8]) -> Result<Message, DecodeError> {
             seed: r.u64()?,
             observes: Arc::new(pairs(r)?.into_iter().collect::<ObserveMap>()),
         },
-        13 => Message::PriorTrace { trace: trace(r)? },
+        PRIOR_TRACE => Message::PriorTrace { trace: trace(r, Trace::default())? },
         t => return Err(DecodeError::UnknownTag(t)),
     };
     Ok(msg)
@@ -227,6 +257,7 @@ pub fn decode(payload: &[u8]) -> Result<Message, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etalumis_core::TraceEntry;
     use etalumis_distributions::{Distribution, TensorValue};
     use proptest::prelude::*;
 
@@ -387,6 +418,43 @@ mod tests {
         let newer = Capabilities::from_bits(0b110);
         assert!(!newer.contains(Capabilities::SEEDED_PRIOR));
         assert!(Capabilities::from_bits(0b111).contains(Capabilities::SEEDED_PRIOR));
+    }
+
+    #[test]
+    fn prior_traces_decode_straight_into_their_records() {
+        use etalumis_core::{RecordBuilder, TraceRecord};
+        let mut unit_observed = prior_trace();
+        unit_observed.entries[3].value = Value::Unit;
+        for sent in [prior_trace(), unit_observed, Trace::default()] {
+            let payload =
+                SeededTrace(encode(&Message::PriorTrace { trace: sent.clone() }).to_vec());
+            assert_eq!(payload.decode().unwrap(), sent);
+            for pruned in [true, false] {
+                let direct = payload.decode_into(RecordBuilder::new(pruned)).unwrap();
+                assert_eq!(direct, TraceRecord::from_trace(&sent, pruned));
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_prior_traces_decode_directly_exactly_when_they_decode() {
+        use etalumis_core::{RecordBuilder, TraceRecord};
+        let good = encode(&Message::PriorTrace { trace: prior_trace() });
+        for (at, m) in etalumis_distributions::codec::mutants(&good) {
+            let direct = SeededTrace(m.clone()).decode_into(RecordBuilder::new(true));
+            match (direct, decode(&m)) {
+                (Ok(rec), Ok(Message::PriorTrace { trace })) => {
+                    // Debug forms: a mutant may hold a NaN, which `==` refuses.
+                    let reference = TraceRecord::from_trace(&trace, true);
+                    assert_eq!(format!("{rec:?}"), format!("{reference:?}"), "at {at}");
+                }
+                (Ok(_), other) => panic!("at {at}: decoded directly, but decode gave {other:?}"),
+                (Err(e), Ok(Message::PriorTrace { .. })) => {
+                    panic!("at {at}: decode accepted a PriorTrace the direct decoder refused: {e}")
+                }
+                (Err(_), _) => {}
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! One [`BatchRunner::run`] call is the runtime's unit of work: execute
 //! `n` independent traces on a [`Backend`] under a per-worker proposer,
 //! scheduling trace indices over the work-stealing queues and streaming
-//! each completed [`Trace`] to a [`TraceSink`]. Every trace `i` runs with
+//! each completed execution to a [`TraceSink`], recorded into the target
+//! the sink chooses (a [`Trace`], or a shard record). Every trace `i` runs with
 //! an RNG seeded purely from `(seed, i)`, so the batch's content is
 //! identical for any backend, worker count, stealing decision, or finish
 //! order — only the wall-clock changes. Serial execution is literally the
@@ -19,7 +20,7 @@ use crate::oversub::MuxSimulatorPool;
 use crate::pool::SimulatorPool;
 use crate::scheduler::TaskQueues;
 use crate::sink::TraceSink;
-use etalumis_core::{Executor, ObserveMap, PriorProposer, Proposer, Trace};
+use etalumis_core::{Executor, ObserveMap, PriorProposer, Proposer, TraceTarget};
 use etalumis_telemetry::Telemetry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -344,10 +345,10 @@ impl Backend<'_> {
 }
 
 /// What every worker of one batch shares, whichever backend runs it.
-pub(crate) struct Shared<'a> {
+pub(crate) struct Shared<'a, B> {
     pub(crate) queues: TaskQueues,
     retries: RetryTable,
-    sink: &'a dyn TraceSink,
+    pub(crate) sink: &'a dyn TraceSink<B>,
     pub(crate) proposers: &'a dyn ProposerFactory,
     pub(crate) observes: &'a ObserveMap,
     pub(crate) seed: u64,
@@ -365,16 +366,16 @@ pub(crate) struct WorkerOutcome {
     pub(crate) respawns: u64,
 }
 
-impl Shared<'_> {
+impl<B: TraceTarget> Shared<'_, B> {
     /// Has the batch's kill switch fired?
     pub(crate) fn killed(&self) -> bool {
         self.kill.is_some_and(|k| k.killed())
     }
 
     /// Hand trace `index` to the sink.
-    pub(crate) fn deliver(&self, out: &mut WorkerOutcome, index: usize, trace: Trace) {
+    pub(crate) fn deliver(&self, out: &mut WorkerOutcome, index: usize, item: B::Output) {
         out.report.executed += 1;
-        self.sink.accept(index, trace);
+        self.sink.accept(index, item);
         if let Some(k) = self.kill {
             k.tick();
         }
@@ -436,7 +437,10 @@ pub(crate) fn spawn_workers<S: Send, R: Send>(
 
 /// The blocking backend: each worker owns one pooled program for the whole
 /// batch and executes its popped indices one after another.
-fn run_blocking(pool: &mut SimulatorPool, shared: &Shared) -> Vec<WorkerOutcome> {
+fn run_blocking<B: TraceTarget>(
+    pool: &mut SimulatorPool,
+    shared: &Shared<B>,
+) -> Vec<WorkerOutcome> {
     let workers = shared.queues.workers();
     spawn_workers(pool.programs_mut().iter_mut().collect(), |w, program| {
         let _tel_scope = shared.tel.worker_scope(w as u32);
@@ -450,18 +454,19 @@ fn run_blocking(pool: &mut SimulatorPool, shared: &Shared) -> Vec<WorkerOutcome>
             }
             let task_span = shared.tel.span("runtime.task");
             let t0 = Instant::now(); // etalumis: allow(determinism, reason = "wall-clock busy accounting; telemetry only")
-            let result = Executor::try_execute_seeded(
+            let result = Executor::try_record_seeded(
                 program,
                 proposer.as_mut(),
                 shared.observes,
                 mix_seed(shared.seed, i),
+                shared.sink.target(),
             );
             drop(task_span);
             out.report.busy += t0.elapsed();
             match result {
-                Ok(trace) => {
+                Ok(item) => {
                     consecutive = 0;
-                    shared.deliver(&mut out, i, trace);
+                    shared.deliver(&mut out, i, item);
                 }
                 Err(e) => {
                     shared.fail(&mut out, (w + 1) % workers, i, &e.message);
@@ -529,7 +534,7 @@ impl BatchRunner {
 
     /// Execute `n` traces on `backend` under per-worker proposers from
     /// `proposers`, conditioning on `observes`, streaming completions into
-    /// `sink`.
+    /// `sink`, each recorded into a target from [`TraceSink::target`].
     ///
     /// Trace `i` is a pure function of `(program, proposer, observes,
     /// mix_seed(seed, i))`, so batch content is bit-identical for any
@@ -538,14 +543,14 @@ impl BatchRunner {
     /// non-zero `RuntimeConfig.workers` must agree with the pool size
     /// (checked). A failed execution is retried up to three times;
     /// every index ends delivered or in [`RunStats::failures`].
-    pub fn run(
+    pub fn run<B: TraceTarget>(
         &self,
         backend: Backend<'_>,
         proposers: &dyn ProposerFactory,
         observes: &ObserveMap,
         n: usize,
         seed: u64,
-        sink: &dyn TraceSink,
+        sink: &dyn TraceSink<B>,
     ) -> RunStats {
         let workers = backend.workers(self.config.workers);
         assert!(
@@ -605,25 +610,25 @@ impl BatchRunner {
 
     /// [`BatchRunner::run`] with prior proposals over a local pool — plain
     /// trace generation.
-    pub fn run_prior(
+    pub fn run_prior<B: TraceTarget>(
         &self,
         pool: &mut SimulatorPool,
         observes: &ObserveMap,
         n: usize,
         seed: u64,
-        sink: &dyn TraceSink,
+        sink: &dyn TraceSink<B>,
     ) -> RunStats {
         self.run(Backend::Local(pool), &PriorProposerFactory, observes, n, seed, sink)
     }
 
     /// [`BatchRunner::run`] with prior proposals over a mux pool.
-    pub fn run_mux_prior(
+    pub fn run_mux_prior<B: TraceTarget>(
         &self,
         pool: &mut MuxSimulatorPool,
         observes: &ObserveMap,
         n: usize,
         seed: u64,
-        sink: &dyn TraceSink,
+        sink: &dyn TraceSink<B>,
     ) -> RunStats {
         self.run(Backend::Mux(pool), &PriorProposerFactory, observes, n, seed, sink)
     }
@@ -715,6 +720,10 @@ mod tests {
             heavy_below: usize,
         }
         impl TraceSink for SlowSink {
+            fn target(&self) -> Trace {
+                Trace::default()
+            }
+
             fn accept(&self, index: usize, _trace: Trace) {
                 if index < self.heavy_below {
                     std::thread::sleep(std::time::Duration::from_millis(4));

@@ -4,7 +4,7 @@
 //! (§4.4); a run that dies at trace 14,999,000 of 15M must not start over.
 //! This module makes sharded dataset generation restartable:
 //!
-//! * [`CheckpointSink`] — a [`TraceSink`] that commits completed traces to
+//! * [`CheckpointSink`] — a [`TraceSink`] that commits completed records to
 //!   per-partition shard journals **in batch-index order** and periodically
 //!   writes a [`Checkpoint`] manifest (atomically, via temp-file rename).
 //! * [`Checkpoint`] — the manifest: batch identity (`n`, `seed`, shard
@@ -35,7 +35,7 @@
 //! them identically).
 
 use crate::sink::TraceSink;
-use etalumis_core::Trace;
+use etalumis_core::RecordBuilder;
 use etalumis_data::{
     atomic_save, decode_manifest, decode_record, encode_record, load_manifest_bytes, partition_of,
     partition_prefix, remove_stale_rolls, RollingShardWriter, TraceRecord, WriterProgress,
@@ -514,8 +514,7 @@ impl CheckpointSink {
         RepairSink { sink: self }
     }
 
-    fn repair_accept(&self, index: usize, trace: Trace) {
-        let rec = TraceRecord::from_trace(&trace, self.layout.pruned);
+    fn repair_accept(&self, index: usize, rec: TraceRecord) {
         let mut state = self.state.lock(); // etalumis: allow(reactor-blocking, reason = "healing passes run offline; begin_repair's truncate-under-lock never overlaps a live reactor")
         if state.error.is_some() {
             return;
@@ -650,9 +649,13 @@ pub struct RepairSink<'a> {
     sink: &'a CheckpointSink,
 }
 
-impl TraceSink for RepairSink<'_> {
-    fn accept(&self, index: usize, trace: Trace) {
-        self.sink.repair_accept(index, trace);
+impl TraceSink<RecordBuilder> for RepairSink<'_> {
+    fn target(&self) -> RecordBuilder {
+        self.sink.target()
+    }
+
+    fn accept(&self, index: usize, rec: TraceRecord) {
+        self.sink.repair_accept(index, rec);
     }
 
     fn reject(&self, index: usize, _error: &str) {
@@ -662,9 +665,12 @@ impl TraceSink for RepairSink<'_> {
     }
 }
 
-impl TraceSink for CheckpointSink {
-    fn accept(&self, index: usize, trace: Trace) {
-        let rec = TraceRecord::from_trace(&trace, self.layout.pruned);
+impl TraceSink<RecordBuilder> for CheckpointSink {
+    fn target(&self) -> RecordBuilder {
+        RecordBuilder::new(self.layout.pruned)
+    }
+
+    fn accept(&self, index: usize, rec: TraceRecord) {
         // Backpressure: wait (bounded) while this index is too far past
         // the watermark. The wait can never deadlock — the worker owning
         // the watermark index pops its indices in ascending order, so it is
@@ -819,10 +825,11 @@ mod tests {
         // retry (or a resumed run) delivers it successfully.
         sink.reject(5, "simulator died");
         assert_eq!(sink.failed(), vec![5]);
-        sink.accept(5, Executor::sample_prior(&mut m, 5));
+        let mut record = |s| TraceRecord::from_trace(&Executor::sample_prior(&mut m, s), true);
+        sink.accept(5, record(5));
         assert!(sink.failed().is_empty(), "a successful rerun must clear the failure");
         for i in 0..5 {
-            sink.accept(i, Executor::sample_prior(&mut m, i as u64));
+            sink.accept(i, record(i as u64));
         }
         assert_eq!(sink.watermark(), 6);
         let paths = sink.finalize().unwrap();

@@ -533,6 +533,99 @@ mod tests {
         std::fs::remove_dir_all(&dir_ref).unwrap();
     }
 
+    /// Records are built during the run, never from a trace; the shards
+    /// must hold exactly the bytes of the records of whole recorded traces
+    /// (τ, rejection-loop draws included), written in batch order — on a
+    /// local pool at 1 and 2 workers, over 8 mux sessions with seeded and
+    /// per-statement runs at 1 and 2 reactors, and across a checkpointed
+    /// kill and resume on both.
+    #[test]
+    fn generated_shards_hold_the_records_of_whole_traces() {
+        use crate::batch::{mix_seed, ProposerFactory};
+        use etalumis_core::{Executor, PriorProposer, Proposer};
+        use etalumis_data::{partition_of, partition_prefix, RollingShardWriter, TraceRecord};
+        use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, SimulatorServer};
+        use etalumis_simulators::TauDecayModel;
+
+        let tau = |_| TauDecayModel::default_model();
+        let connect = || {
+            crate::MuxSimulatorPool::connect(8, "etalumis-rs", |_| {
+                let (ep, sim_side) = InProcMuxEndpoint::pair();
+                std::thread::spawn(move || {
+                    let mut server = SimulatorServer::new("tau", TauDecayModel::default_model());
+                    let _ = server.serve(&mut { sim_side });
+                });
+                Ok(Box::new(ep) as Box<dyn MuxEndpoint>)
+            })
+            .unwrap()
+        };
+        // Not `prior_only`: the sessions keep the per-statement exchange.
+        let per_statement = |_: usize| Box::new(PriorProposer) as Box<dyn Proposer + Send>;
+        let ckpt = CheckpointConfig { interval: 4 };
+        for pruned in [true, false] {
+            let cfg = DatasetGenConfig {
+                n: 24,
+                traces_per_shard: 5,
+                partitions: 2,
+                seed: 61,
+                workers: 1,
+                ordered: true,
+                pruned,
+            };
+            let dir_ref = tmpdir("whole_ref");
+            let mut writers: Vec<RollingShardWriter> = (0..2)
+                .map(|p| RollingShardWriter::new(&dir_ref, partition_prefix(p), 5, true))
+                .collect();
+            let mut m = TauDecayModel::default_model();
+            for i in 0..cfg.n {
+                let trace = Executor::sample_prior(&mut m, mix_seed(cfg.seed, i));
+                let rec = TraceRecord::from_trace(&trace, pruned);
+                writers[partition_of(rec.trace_type, 2)].push(rec).unwrap();
+            }
+            let paths = writers.into_iter().flat_map(|w| w.finish().unwrap()).collect();
+            let reference = TraceDataset::open(paths).unwrap();
+
+            let dir = tmpdir("whole_run");
+            for workers in [1, 2] {
+                let cfg = DatasetGenConfig { workers, ..cfg };
+                let label = format!("pruned={pruned} workers={workers}");
+                let local = generate_dataset_parallel(tau, &cfg, &dir).unwrap();
+                assert_same_shard_bytes(&local, &reference, &format!("local {label}"));
+                let factories: [(&str, &dyn ProposerFactory); 2] =
+                    [("seeded", &crate::PriorProposerFactory), ("per-statement", &per_statement)];
+                for (exchange, factory) in factories {
+                    std::fs::remove_dir_all(&dir).unwrap();
+                    let mut pool = connect();
+                    let plan = RunPlan::new(Backend::Mux(&mut pool), &cfg).proposer(factory);
+                    let mux = plan.shards(&dir).run().unwrap().dataset;
+                    assert_same_shard_bytes(&mux, &reference, &format!("mux {exchange} {label}"));
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+
+            let cfg = DatasetGenConfig { workers: 2, ..cfg };
+            let kill = Some(Arc::new(KillSwitch::after(9)));
+            let err = resumable(tau, &cfg, &dir, &ckpt, kill).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
+            let resumed = resumable(tau, &cfg, &dir, &ckpt, None).unwrap();
+            assert_same_shard_bytes(&resumed, &reference, &format!("local resumed {pruned}"));
+            std::fs::remove_dir_all(&dir).unwrap();
+
+            let cfg = DatasetGenConfig { workers: 1, ..cfg };
+            let mut pool = connect();
+            let kill = Some(Arc::new(KillSwitch::after(13)));
+            let plan = RunPlan::new(Backend::Mux(&mut pool), &cfg).shards(&dir);
+            let err = plan.checkpointed(ckpt, kill).run().map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
+            let mut pool = connect();
+            let plan = RunPlan::new(Backend::Mux(&mut pool), &cfg).shards(&dir);
+            let resumed = plan.checkpointed(ckpt, None).run().unwrap().dataset;
+            assert_same_shard_bytes(&resumed, &reference, &format!("mux resumed {pruned}"));
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&dir_ref).unwrap();
+        }
+    }
+
     #[test]
     fn ordered_generation_is_byte_identical_across_worker_counts() {
         let dir1 = tmpdir("ord1");

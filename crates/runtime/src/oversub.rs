@@ -23,10 +23,13 @@
 //! returns the whole trace of `Executor::execute_seeded` under that seed —
 //! the same trace, recorded on the other side. Every other batch (IC, any
 //! proposer that is not the prior) and every other simulator keeps the
-//! per-statement exchange.
+//! per-statement exchange. Either way the reactor records what the batch's
+//! sink takes: a per-statement session's `StepExecutor` records into the
+//! sink's target, and a seeded run's `PriorTrace` payload is decoded
+//! straight into one — a record sink never sees a trace.
 
 use crate::batch::{mix_seed, spawn_workers, Shared, WorkerOutcome};
-use etalumis_core::{ObserveMap, StepExecutor, Trace};
+use etalumis_core::{ObserveMap, StepExecutor, TraceTarget};
 use etalumis_distributions::Value;
 use etalumis_ppx::{
     Capabilities, Mux, MuxEndpoint, MuxEvent, PpxError, Serviced, Session, SessionAction,
@@ -207,7 +210,7 @@ enum SlotConn {
 
 /// One session slot inside a worker's reactor; its proposer may borrow the
 /// batch's proposer factory for `'p`.
-struct Slot<'p> {
+struct Slot<'p, B> {
     /// Position of this session in the pool (for reassembly after the run).
     global: usize,
     conn: SlotConn,
@@ -219,17 +222,17 @@ struct Slot<'p> {
     /// The in-flight trace: `(batch index, who records it, launch time)`.
     /// The launch time becomes the trace's `runtime.task` span on completion
     /// (wall latency across reactor sweeps, not exclusive CPU time).
-    active: Option<(usize, InFlight<'p>, Instant)>,
+    active: Option<(usize, InFlight<'p, B>, Instant)>,
     /// The last dead `(endpoint, session)` pair, kept so a retired slot can
     /// still hand *something* back for pool reassembly.
     graveyard: Option<(Box<dyn MuxEndpoint>, Session)>,
 }
 
 /// Who records an in-flight trace.
-enum InFlight<'p> {
+enum InFlight<'p, B> {
     /// The per-statement exchange: this executor answers the simulator's
     /// requests and records the trace.
-    Steps(StepExecutor<'p>),
+    Steps(StepExecutor<'p, B>),
     /// A seeded prior run: the simulator records the trace and ships it
     /// whole.
     Seeded,
@@ -255,10 +258,10 @@ type SessionShare = Vec<(usize, (Box<dyn MuxEndpoint>, Session))>;
 /// completes with full content as long as any session can be kept alive.
 /// Sessions whose respawn budget runs out are retired. The pool gets every
 /// session slot back (live or dead) in its original position.
-pub(crate) fn run_reactors(
+pub(crate) fn run_reactors<B: TraceTarget>(
     pool: &mut MuxSimulatorPool,
     workers: usize,
-    shared: &Shared,
+    shared: &Shared<B>,
 ) -> Vec<WorkerOutcome> {
     let mut shares: Vec<SessionShare> = (0..workers).map(|_| Vec::new()).collect();
     for (g, part) in std::mem::take(&mut pool.sessions).into_iter().enumerate() {
@@ -326,16 +329,16 @@ struct RespawnCtx {
 /// lands); the trace fails only when its [`crate::batch::MAX_TRACE_RETRIES`]
 /// budget runs out. Backoff is non-blocking: the worker keeps servicing its healthy
 /// sessions while a dead slot waits out its delay.
-struct Reactor<'a> {
+struct Reactor<'a, B> {
     worker: usize,
-    shared: &'a Shared<'a>,
+    shared: &'a Shared<'a, B>,
     respawn: &'a RespawnCtx,
     observes: &'a Arc<ObserveMap>,
     /// The batch's proposers answer everything from the prior, so a
     /// session whose simulator draws for itself runs seeded.
     prior_only: bool,
     mux: Mux,
-    slots: Vec<Slot<'a>>,
+    slots: Vec<Slot<'a, B>>,
     /// conn id → slot index (respawned slots get fresh conn ids).
     conn_slot: Vec<usize>,
     out: WorkerOutcome,
@@ -352,7 +355,7 @@ struct Reactor<'a> {
     handshake_timeouts: u64,
 }
 
-impl Reactor<'_> {
+impl<B: TraceTarget> Reactor<'_, B> {
     /// Adopt the worker's session share: live sessions join the mux,
     /// dead/abandoned ones go straight to the respawn machinery.
     fn adopt(&mut self, share: SessionShare) {
@@ -513,17 +516,19 @@ impl Reactor<'_> {
             };
             let seed = mix_seed(self.shared.seed, i);
             let session = self.mux.session_mut(conn);
-            let (run, start) =
-                if self.prior_only && session.capabilities().contains(Capabilities::SEEDED_PRIOR) {
-                    (InFlight::Seeded, session.start_prior_run(seed, self.observes.clone()))
-                } else {
-                    let proposer = self.slots[s_idx]
-                        .proposer
-                        .take()
-                        .unwrap_or_else(|| self.shared.proposers.make_proposer(self.worker));
-                    let exec = StepExecutor::new(proposer, self.observes.clone(), seed);
-                    (InFlight::Steps(exec), session.start_run(Value::Unit))
-                };
+            let (run, start) = if self.prior_only
+                && session.capabilities().contains(Capabilities::SEEDED_PRIOR)
+            {
+                (InFlight::Seeded, session.start_prior_run(seed, self.observes.clone()))
+            } else {
+                let proposer = self.slots[s_idx]
+                    .proposer
+                    .take()
+                    .unwrap_or_else(|| self.shared.proposers.make_proposer(self.worker));
+                let target = self.shared.sink.target();
+                let exec = StepExecutor::with_target(proposer, self.observes.clone(), seed, target);
+                (InFlight::Steps(exec), session.start_run(Value::Unit))
+            };
             let started = start.and_then(|msg| self.mux.send(conn, &msg));
             progress = true;
             self.slots[s_idx].active = Some((i, run, Instant::now()));
@@ -594,12 +599,23 @@ impl Reactor<'_> {
                         };
                         match (done, run) {
                             (Serviced::Finished(result), InFlight::Steps(exec)) => {
-                                let (trace, proposer) = exec.finish(result);
+                                let (item, proposer) = exec.finish(result);
                                 self.slots[s_idx].proposer = Some(proposer);
-                                self.complete(i, trace, launched);
+                                self.complete(i, item, launched);
                             }
                             (Serviced::FinishedTrace(trace), InFlight::Seeded) => {
-                                self.complete(i, trace, launched);
+                                match trace.decode_into(self.shared.sink.target()) {
+                                    Ok(item) => self.complete(i, item, launched),
+                                    Err(e) => {
+                                        // A corrupt trace: requeue it with the
+                                        // connection that sent it.
+                                        self.slots[s_idx].active =
+                                            Some((i, InFlight::Seeded, launched));
+                                        self.mux.session_mut(conn).fail();
+                                        let e = PpxError::from(e).to_string();
+                                        self.on_conn_death(s_idx, conn, &e);
+                                    }
+                                }
                             }
                             (_, run) => {
                                 // The run ended in the other exchange's
@@ -627,13 +643,13 @@ impl Reactor<'_> {
     }
 
     /// Deliver trace `i`, launched at `launched`, to the batch.
-    fn complete(&mut self, i: usize, trace: Trace, launched: Instant) {
+    fn complete(&mut self, i: usize, item: B::Output, launched: Instant) {
         let tel = self.shared.tel;
         if tel.is_enabled() {
             let _scope = tel.worker_scope(self.worker as u32);
             tel.span_record("runtime.task", launched.elapsed());
         }
-        self.shared.deliver(&mut self.out, i, trace);
+        self.shared.deliver(&mut self.out, i, item);
     }
 
     /// Drive this worker's share to the end of the batch; returns what it
@@ -747,7 +763,7 @@ mod tests {
     use crate::batch::{Backend, BatchRunner, RunStats, RuntimeConfig};
     use crate::pool::SimulatorPool;
     use crate::sink::{CollectSink, CountingSink, TraceSink};
-    use etalumis_core::{FnProgram, PriorProposer, Proposer, SimCtx, SimCtxExt};
+    use etalumis_core::{FnProgram, PriorProposer, Proposer, SimCtx, SimCtxExt, Trace};
     use etalumis_distributions::Distribution;
     use etalumis_ppx::{
         BlockingMux, FragmentingEndpoint, InProcMuxEndpoint, InProcTransport, RemoteModel,

@@ -29,7 +29,7 @@ use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointSink, ShardLayou
 use crate::dataset::{rank_dir, DatasetGenConfig};
 use crate::sink::{CollectSink, ShardedTraceSink, TraceSink};
 use crate::stream::{replay_committed_prefix, StreamSink, TeeSink};
-use etalumis_core::{ObserveMap, Trace};
+use etalumis_core::{ObserveMap, RecordBuilder, Trace, TraceTarget};
 use etalumis_data::{
     parse_shard_name, partition_of, partition_prefix, rank_slice, shard_path, RankManifest,
     RollingShardWriter, TraceChannel, TraceDataset, TraceRecord, REPAIR_PREFIX,
@@ -258,25 +258,29 @@ impl<'a> RunPlan<'a> {
         if self.checkpoint.is_some() || stream.is_some() {
             main = main.with_tasks(remaining.iter().map(|&i| i + base).collect());
         }
+        // Every output but the in-memory collection takes records.
         let tee;
-        let sink: &dyn TraceSink = match &stream {
-            None => store.sink(),
-            Some(stream) if matches!(store, Store::Nothing) => stream,
-            Some(stream) => {
-                tee = TeeSink::new(store.sink(), stream);
-                &tee
+        let records: Option<&dyn TraceSink<RecordBuilder>> = match (store.records(), &stream) {
+            (None, None) => None,
+            (Some(sink), None) => Some(sink),
+            (None, Some(stream)) => Some(stream),
+            (Some(sink), Some(stream)) => {
+                tee = TeeSink::new(sink, stream);
+                Some(&tee)
             }
         };
         let empty = ObserveMap::new();
         let observes = self.observes.unwrap_or(&empty);
-        let mut stats = main.run(
-            self.backend.reborrow(),
-            self.proposer,
-            observes,
-            cfg.n,
-            cfg.seed,
-            &OffsetSink { base, inner: sink },
-        );
+        let (backend, proposer) = (self.backend.reborrow(), self.proposer);
+        let mut stats = match records {
+            Some(sink) => {
+                main.run(backend, proposer, observes, cfg.n, cfg.seed, &OffsetSink { base, sink })
+            }
+            None => {
+                let sink = store.traces();
+                main.run(backend, proposer, observes, cfg.n, cfg.seed, &OffsetSink { base, sink })
+            }
+        };
         if let (Store::Checkpoint(sink), None, false) = (&store, &stream, stats.killed) {
             // Healing pass: replay any previous attempt's repair journal,
             // then re-run what is still owed with a fresh retry budget. Not
@@ -291,7 +295,7 @@ impl<'a> RunPlan<'a> {
                     observes,
                     cfg.n,
                     cfg.seed,
-                    &OffsetSink { base, inner: &sink.repair_sink() },
+                    &OffsetSink { base, sink: &sink.repair_sink() },
                 ));
             }
         }
@@ -362,13 +366,22 @@ enum Store {
 }
 
 impl Store {
-    fn sink(&self) -> &dyn TraceSink {
+    /// The sink of a store that keeps records.
+    fn records(&self) -> Option<&dyn TraceSink<RecordBuilder>> {
         match self {
-            Store::Nothing => &(),
+            Store::Nothing | Store::Collect(_) => None,
+            Store::Ordered(sink) => Some(sink),
+            Store::Sharded(sink) => Some(sink),
+            Store::Checkpoint(sink) => Some(sink),
+        }
+    }
+
+    /// The sink of a store that keeps whole traces (nothing is kept by any
+    /// other).
+    fn traces(&self) -> &dyn TraceSink {
+        match self {
             Store::Collect(sink) => sink,
-            Store::Ordered(sink) => sink,
-            Store::Sharded(sink) => sink,
-            Store::Checkpoint(sink) => sink,
+            _ => &(),
         }
     }
 }
@@ -381,9 +394,13 @@ struct OrderedRecordSink {
     dir: PathBuf,
 }
 
-impl TraceSink for OrderedRecordSink {
-    fn accept(&self, index: usize, trace: Trace) {
-        self.slots.lock()[index] = Some(TraceRecord::from_trace(&trace, self.pruned));
+impl TraceSink<RecordBuilder> for OrderedRecordSink {
+    fn target(&self) -> RecordBuilder {
+        RecordBuilder::new(self.pruned)
+    }
+
+    fn accept(&self, index: usize, rec: TraceRecord) {
+        self.slots.lock()[index] = Some(rec);
     }
 }
 
@@ -423,18 +440,22 @@ impl OrderedRecordSink {
 /// runner schedules *global* indices — per-trace seeding
 /// (`mix_seed(seed, global_i)`) is what makes a rank's records
 /// byte-identical to the same indices of a single-process run.
-struct OffsetSink<'a> {
+struct OffsetSink<'a, B> {
     base: usize,
-    inner: &'a dyn TraceSink,
+    sink: &'a dyn TraceSink<B>,
 }
 
-impl TraceSink for OffsetSink<'_> {
-    fn accept(&self, index: usize, trace: Trace) {
-        self.inner.accept(index - self.base, trace);
+impl<B: TraceTarget> TraceSink<B> for OffsetSink<'_, B> {
+    fn target(&self) -> B {
+        self.sink.target()
+    }
+
+    fn accept(&self, index: usize, item: B::Output) {
+        self.sink.accept(index - self.base, item);
     }
 
     fn reject(&self, index: usize, error: &str) {
-        self.inner.reject(index - self.base, error);
+        self.sink.reject(index - self.base, error);
     }
 }
 

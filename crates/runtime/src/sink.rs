@@ -1,29 +1,41 @@
 //! Trace sinks: where completed traces stream as workers finish them.
 //!
-//! The batch runner pushes each trace to a sink the moment its execution
-//! returns — there is no end-of-batch collection barrier, which is what lets
-//! dataset generation overlap simulation with serialization. Sinks are
-//! shared across workers and synchronize internally; the sharded sink keeps
-//! contention low by locking only the one partition a trace hashes to, and
-//! holds that lock only to append the record in memory. A push that fills a
-//! shard claims it (takes it out and fixes its sequence number) under the
-//! lock; encoding, writing and fsyncing it happen after the lock is
-//! released, so a roll never stalls the other workers on that partition.
+//! The batch runner pushes each execution to a sink the moment it returns —
+//! there is no end-of-batch collection barrier, which is what lets dataset
+//! generation overlap simulation with serialization. A sink chooses what
+//! each execution is recorded into ([`TraceSink::target`]): sinks that keep
+//! or inspect traces take whole [`Trace`]s, and every sink that writes
+//! records (sharded, checkpointed, ordered, streamed) takes the
+//! [`TraceRecord`] a [`RecordBuilder`] builds during the run, so no trace
+//! is ever built for it.
+//!
+//! Sinks are shared across workers and synchronize internally; the sharded
+//! sink keeps contention low by locking only the one partition a record
+//! hashes to, and holds that lock only to append the record in memory. A
+//! push that fills a shard claims it (takes it out and fixes its sequence
+//! number) under the lock; encoding, writing and fsyncing it happen after
+//! the lock is released, so a roll never stalls the other workers on that
+//! partition.
 
-use etalumis_core::Trace;
-use etalumis_data::{partition_of, partition_prefix, RollingShardWriter, TraceRecord};
+use etalumis_core::{RecordBuilder, Trace, TraceRecord, TraceTarget};
+use etalumis_data::{partition_of, partition_prefix, RollingShardWriter};
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Receives completed traces from worker threads.
+/// Receives completed executions from worker threads, each recorded into
+/// the target `B` the sink hands out: a [`Trace`] (the default) or a
+/// [`RecordBuilder`].
 ///
 /// `index` is the trace's position in the batch (`0..n`), so order-sensitive
 /// consumers can reconstruct deterministic output regardless of which worker
 /// finished first.
-pub trait TraceSink: Sync {
-    /// Accept one completed trace. Called from worker threads.
-    fn accept(&self, index: usize, trace: Trace);
+pub trait TraceSink<B: TraceTarget = Trace>: Sync {
+    /// The empty target one execution is recorded into.
+    fn target(&self) -> B;
+
+    /// Accept one completed execution. Called from worker threads.
+    fn accept(&self, index: usize, item: B::Output);
 
     /// Told that `index` permanently failed (its retry budget ran out).
     /// Checkpointing sinks use this to pass their commit watermark over the
@@ -36,6 +48,10 @@ pub trait TraceSink: Sync {
 
 /// The unit sink discards every delivery.
 impl TraceSink for () {
+    fn target(&self) -> Trace {
+        Trace::default()
+    }
+
     fn accept(&self, _index: usize, _trace: Trace) {}
 }
 
@@ -76,6 +92,10 @@ impl CollectSink {
 }
 
 impl TraceSink for CollectSink {
+    fn target(&self) -> Trace {
+        Trace::default()
+    }
+
     fn accept(&self, index: usize, trace: Trace) {
         self.slots.lock()[index] = Some(trace);
     }
@@ -95,12 +115,16 @@ impl CountingSink {
 }
 
 impl TraceSink for CountingSink {
+    fn target(&self) -> Trace {
+        Trace::default()
+    }
+
     fn accept(&self, _index: usize, _trace: Trace) {
         self.count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
-/// Streams traces into `etalumis-data` shard files, partitioned by
+/// Streams records into `etalumis-data` shard files, partitioned by
 /// trace-type hash.
 ///
 /// Partitioning by trace type does two jobs at once: workers contend only on
@@ -117,8 +141,8 @@ pub struct ShardedTraceSink {
 impl ShardedTraceSink {
     /// Sink writing `partitions` independent shard streams under `dir`
     /// (files `part{p:02}_{seq:05}.etlm`), rolling every `traces_per_shard`
-    /// records, with address-dictionary encoding. `pruned` follows
-    /// [`TraceRecord::from_trace`]. A record's partition is
+    /// records, with address-dictionary encoding. `pruned` records keep only
+    /// controlled entries (see [`RecordBuilder::new`]). A record's partition is
     /// [`partition_of`] its trace type — the rule the cross-process merge
     /// shares, so placement is the same whether one process writes the
     /// batch or a fleet writes slices that are merged later.
@@ -156,22 +180,28 @@ impl ShardedTraceSink {
     ///
     /// Taking `self` means every `accept` has returned, so every shard a
     /// worker claimed has been written: a returned path always names a
-    /// complete shard.
+    /// complete shard. The partitions' last shards are written concurrently,
+    /// one thread per partition; when any fails, the first failure in
+    /// partition order is returned.
     pub fn finish(self) -> io::Result<Vec<PathBuf>> {
         if let Some(e) = self.error.into_inner() {
             return Err(e);
         }
+        let writers = self.partitions.into_iter().map(Mutex::into_inner).collect();
         let mut paths = Vec::new();
-        for m in self.partitions {
-            paths.extend(m.into_inner().finish()?);
+        for written in crate::batch::spawn_workers(writers, |_, w| w.finish()) {
+            paths.extend(written?);
         }
         Ok(paths)
     }
 }
 
-impl TraceSink for ShardedTraceSink {
-    fn accept(&self, _index: usize, trace: Trace) {
-        let rec = TraceRecord::from_trace(&trace, self.pruned);
+impl TraceSink<RecordBuilder> for ShardedTraceSink {
+    fn target(&self) -> RecordBuilder {
+        RecordBuilder::new(self.pruned)
+    }
+
+    fn accept(&self, _index: usize, rec: TraceRecord) {
         let p = partition_of(rec.trace_type, self.partitions.len());
         let claimed = self.partitions[p].lock().push_take_full(rec);
         // The guard dropped with that statement: a shard this push filled is
@@ -232,7 +262,7 @@ mod tests {
         for s in 0..40u64 {
             let t = Executor::sample_prior(&mut m, s);
             *expected.entry(t.trace_type().0 % 2).or_insert(0usize) += 1;
-            sink.accept(s as usize, t);
+            sink.accept(s as usize, TraceRecord::from_trace(&t, true));
         }
         let paths = sink.finish().unwrap();
         let mut per_part = std::collections::HashMap::new();
@@ -280,7 +310,7 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for i in (t..n).step_by(4) {
-                        sink.accept(i, traces[i].clone());
+                        sink.accept(i, TraceRecord::from_trace(&traces[i], true));
                     }
                 });
             }
@@ -330,7 +360,10 @@ mod tests {
         let sink = ShardedTraceSink::new(&dir, 1, 8, true);
         let mut m = BranchingModel::standard();
         for s in 0..20u64 {
-            sink.accept(s as usize, Executor::sample_prior(&mut m, s));
+            sink.accept(
+                s as usize,
+                TraceRecord::from_trace(&Executor::sample_prior(&mut m, s), true),
+            );
         }
         assert!(sink.finish().is_err());
         std::fs::remove_dir_all(&dir).unwrap();

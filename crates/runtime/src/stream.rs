@@ -30,7 +30,7 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::sink::TraceSink;
-use etalumis_core::Trace;
+use etalumis_core::{RecordBuilder, TraceTarget};
 use etalumis_data::{
     journal_path, partition_prefix, read_journal, shard_path, ShardReader, TraceChannel,
     TraceRecord,
@@ -122,9 +122,12 @@ impl<'a> StreamSink<'a> {
     }
 }
 
-impl TraceSink for StreamSink<'_> {
-    fn accept(&self, index: usize, trace: Trace) {
-        let rec = TraceRecord::from_trace(&trace, self.pruned);
+impl TraceSink<RecordBuilder> for StreamSink<'_> {
+    fn target(&self) -> RecordBuilder {
+        RecordBuilder::new(self.pruned)
+    }
+
+    fn accept(&self, index: usize, rec: TraceRecord) {
         self.deliver(index, Some(rec));
     }
 
@@ -133,25 +136,37 @@ impl TraceSink for StreamSink<'_> {
     }
 }
 
-/// Fan one trace delivery out to two sinks (checkpoint tee): `first`
+/// Fan one delivery out to two sinks (checkpoint tee): `first`
 /// receives the delivery before `second`, so when `first` is the durable
 /// [`CheckpointSink`](crate::CheckpointSink) a record is journaled before the trainer can see it.
-pub struct TeeSink<'a, A: TraceSink + ?Sized, B: TraceSink> {
+/// Executions are recorded into `first`'s target; both sinks must take the
+/// same kind.
+pub struct TeeSink<'a, A: ?Sized, B: ?Sized> {
     first: &'a A,
     second: &'a B,
 }
 
-impl<'a, A: TraceSink + ?Sized, B: TraceSink> TeeSink<'a, A, B> {
+impl<'a, A: ?Sized, B: ?Sized> TeeSink<'a, A, B> {
     /// Tee deliveries to `first`, then `second`.
     pub fn new(first: &'a A, second: &'a B) -> Self {
         Self { first, second }
     }
 }
 
-impl<A: TraceSink + ?Sized, B: TraceSink> TraceSink for TeeSink<'_, A, B> {
-    fn accept(&self, index: usize, trace: Trace) {
-        self.first.accept(index, trace.clone());
-        self.second.accept(index, trace);
+impl<T, A, B> TraceSink<T> for TeeSink<'_, A, B>
+where
+    T: TraceTarget,
+    T::Output: Clone,
+    A: TraceSink<T> + ?Sized,
+    B: TraceSink<T> + ?Sized,
+{
+    fn target(&self) -> T {
+        self.first.target()
+    }
+
+    fn accept(&self, index: usize, item: T::Output) {
+        self.first.accept(index, item.clone());
+        self.second.accept(index, item);
     }
 
     fn reject(&self, index: usize, error: &str) {
@@ -284,13 +299,13 @@ mod tests {
 
     #[test]
     fn stream_sink_orders_out_of_order_deliveries() {
-        use etalumis_core::Executor;
+        use etalumis_core::{Executor, Trace};
         let chan = TraceChannel::bounded(16);
         let sink = StreamSink::new(&chan, true, 0);
         let mut m = BranchingModel::standard();
         let traces: Vec<Trace> = (0..5).map(|s| Executor::sample_prior(&mut m, s)).collect();
         for i in [3usize, 0, 4, 1, 2] {
-            sink.accept(i, traces[i].clone());
+            sink.accept(i, TraceRecord::from_trace(&traces[i], true));
         }
         chan.close();
         let mut got = Vec::new();

@@ -11,12 +11,20 @@
 //! front end that does not advertise the capability keeps the
 //! per-statement exchange, one round trip per `sample`/`observe`/`tag`.
 //!
+//! It then writes a dataset through the same sessions and through a local
+//! pool, and exits non-zero unless every shard file is byte-identical: the
+//! controller builds each record straight from the `PriorTrace` payload,
+//! the local workers straight from their executor, and the two must agree.
+//!
 //! Run with: `cargo run --release --example ppx_mux_clients`
 //! (the binary re-executes itself with `--server` for the child process).
 
 use etalumis_core::{BoxedProgram, Executor, ObserveMap, PriorProposer, Trace};
 use etalumis_ppx::serve_listener;
-use etalumis_runtime::{mix_seed, BatchRunner, CollectSink, MuxSimulatorPool, RuntimeConfig};
+use etalumis_runtime::{
+    generate_dataset_mux, generate_dataset_parallel, mix_seed, BatchRunner, CollectSink,
+    DatasetGenConfig, MuxSimulatorPool, RuntimeConfig,
+};
 use etalumis_simulators::BranchingModel;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -82,10 +90,38 @@ fn main() -> std::io::Result<()> {
         .count();
     println!("[controller] {matching}/{TRACES} traces bit-identical to local serial execution");
 
+    // The same batch as shards, through the remote sessions and through a
+    // local two-worker pool: the files must match byte for byte.
+    let cfg = DatasetGenConfig {
+        n: TRACES,
+        traces_per_shard: 16,
+        partitions: 2,
+        workers: 1,
+        seed: 7,
+        pruned: false,
+        ordered: true,
+    };
+    let root = std::env::temp_dir().join(format!("etalumis_mux_clients_{}", std::process::id()));
+    let remote = generate_dataset_mux(&mut pool, &cfg, &root.join("mux"))?;
+    let local_cfg = DatasetGenConfig { workers: 2, ..cfg };
+    let local =
+        generate_dataset_parallel(|_| BranchingModel::standard(), &local_cfg, &root.join("local"))?;
+    let mut identical = remote.shards.len() == local.shards.len();
+    for (r, l) in remote.shards.iter().zip(&local.shards) {
+        identical &= r.file_name() == l.file_name() && std::fs::read(r)? == std::fs::read(l)?;
+    }
+    println!(
+        "[controller] {} mux shards vs {} local shards: {}",
+        remote.shards.len(),
+        local.shards.len(),
+        if identical { "byte-identical" } else { "DIFFERENT" }
+    );
+    std::fs::remove_dir_all(&root)?;
+
     drop(pool); // closes all sockets; the server process drains and exits
     let status = child.wait()?;
     println!("[controller] simulator process exited: {status}");
-    if matching != TRACES || !status.success() {
+    if matching != TRACES || !identical || !status.success() {
         std::process::exit(1);
     }
     Ok(())

@@ -120,6 +120,53 @@ proptest! {
         }
     }
 
+    /// A prior run recorded straight into a `RecordBuilder` is the record
+    /// `from_trace` makes of the same run's trace, for every test model and
+    /// τ (rejection-loop `replace` draws included), pruned and unpruned.
+    #[test]
+    fn executor_built_records_equal_from_trace(seed in 0u64..100_000, pruned: bool) {
+        use etalumis_core::{ProbProgram, RecordBuilder, TraceRecord};
+        use etalumis_simulators as sims;
+        let mut models: Vec<Box<dyn ProbProgram>> = vec![
+            Box::new(sims::GaussianUnknownMean::standard()),
+            Box::new(sims::BranchingModel::standard()),
+            Box::new(sims::RejectionModel::standard()),
+            Box::new(sims::GmmModel::standard()),
+            Box::new(sims::TauDecayModel::default_model()),
+            Box::new(edge_model()),
+        ];
+        let observes = ObserveMap::new();
+        for m in &mut models {
+            let trace = Executor::sample_prior(m.as_mut(), seed);
+            let built = Executor::try_record_seeded(
+                m.as_mut(),
+                &mut PriorProposer,
+                &observes,
+                seed,
+                RecordBuilder::new(pruned),
+            )
+            .unwrap();
+            prop_assert_eq!(&built, &TraceRecord::from_trace(&trace, pruned), "{}", m.name());
+            prop_assert_eq!(built.trace_type, trace.trace_type().0);
+        }
+    }
+
+    /// A τ trace shipped as a seeded run's `PriorTrace` decodes straight
+    /// into the record that `wire::decode` + `from_trace` make of it.
+    #[test]
+    fn prior_trace_payloads_decode_into_their_records(seed in 0u64..100_000, pruned: bool) {
+        use etalumis_core::{RecordBuilder, TraceRecord};
+        use etalumis_ppx::{wire, Message, SeededTrace};
+        let mut tau = etalumis_simulators::TauDecayModel::default_model();
+        let sent = Message::PriorTrace { trace: Executor::sample_prior(&mut tau, seed) };
+        let payload = SeededTrace(wire::encode(&sent).to_vec());
+        let Ok(Message::PriorTrace { trace }) = wire::decode(&payload.0) else {
+            panic!("a PriorTrace did not decode as one");
+        };
+        let direct = payload.decode_into(RecordBuilder::new(pruned)).unwrap();
+        prop_assert_eq!(direct, TraceRecord::from_trace(&trace, pruned));
+    }
+
     /// The prior proposer never changes the distribution of results:
     /// executor log_q equals log_prior exactly under prior sampling.
     #[test]
@@ -135,4 +182,31 @@ proptest! {
         prop_assert!((t.log_q - t.log_prior).abs() < 1e-12);
         prop_assert!((t.log_weight() - t.log_likelihood).abs() < 1e-12);
     }
+}
+
+/// Statements the library models leave out: nested scopes, tags, an
+/// uncontrolled draw, a replaced draw after controlled ones of the same
+/// name, a scalar observation first, and sometimes no observation at all.
+fn edge_model() -> FnProgram<impl FnMut(&mut dyn SimCtx) -> Value> {
+    FnProgram::new("edges", |ctx: &mut dyn SimCtx| {
+        let k = ctx.sample_i64(&Distribution::Categorical { probs: vec![0.3, 0.7] }, "k");
+        ctx.push_scope("outer");
+        ctx.push_scope("");
+        let u = ctx.sample_ext(&Distribution::Uniform { low: 0.0, high: 1.0 }, "u", false, false);
+        ctx.tag("u", u.clone());
+        ctx.pop_scope();
+        for _ in 0..=k {
+            ctx.sample(&Distribution::Normal { mean: 0.0, std: 1.0 }, "x");
+        }
+        let mut r = ctx.sample_replaced(&Distribution::Normal { mean: 0.0, std: 1.0 }, "x");
+        while r.as_f64() < 0.0 {
+            r = ctx.sample_replaced(&Distribution::Normal { mean: 0.0, std: 1.0 }, "x");
+        }
+        ctx.pop_scope();
+        if k == 1 {
+            ctx.observe(&Distribution::Normal { mean: u.as_f64(), std: 0.5 }, "y");
+            ctx.observe(&Distribution::Bernoulli { p: 0.5 }, "b");
+        }
+        r
+    })
 }
