@@ -433,7 +433,7 @@ mod tests {
         let SessionAction::FinishedTrace { trace } = action else {
             panic!("expected the trace, got {action:?}");
         };
-        assert_eq!(trace.decode().unwrap().result, Value::Real(0.5));
+        assert_eq!(trace.decode_into(Trace::default()).unwrap().result, Value::Real(0.5));
         assert!(s.is_idle());
 
         s.start_run(Value::Unit).unwrap();

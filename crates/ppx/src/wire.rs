@@ -205,11 +205,6 @@ impl SeededTrace {
             t => Err(DecodeError::UnknownTag(t)),
         }
     }
-
-    /// Decode the whole trace.
-    pub fn decode(&self) -> Result<Trace, DecodeError> {
-        self.decode_into(Trace::default())
-    }
 }
 
 /// The tag byte of a `PriorTrace` payload.
@@ -428,7 +423,7 @@ mod tests {
         for sent in [prior_trace(), unit_observed, Trace::default()] {
             let payload =
                 SeededTrace(encode(&Message::PriorTrace { trace: sent.clone() }).to_vec());
-            assert_eq!(payload.decode().unwrap(), sent);
+            assert_eq!(payload.decode_into(Trace::default()).unwrap(), sent);
             for pruned in [true, false] {
                 let direct = payload.decode_into(RecordBuilder::new(pruned)).unwrap();
                 assert_eq!(direct, TraceRecord::from_trace(&sent, pruned));

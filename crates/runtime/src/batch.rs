@@ -5,7 +5,7 @@
 //! `n` independent traces on a [`Backend`] under a per-worker proposer,
 //! scheduling trace indices over the work-stealing queues and streaming
 //! each completed execution to a [`TraceSink`], recorded into the target
-//! the sink chooses (a [`Trace`], or a shard record). Every trace `i` runs with
+//! the sink chooses (a `Trace`, or a shard record). Every trace `i` runs with
 //! an RNG seeded purely from `(seed, i)`, so the batch's content is
 //! identical for any backend, worker count, stealing decision, or finish
 //! order — only the wall-clock changes. Serial execution is literally the
