@@ -17,6 +17,7 @@
 //! the lock is released, so a roll never stalls the other workers on that
 //! partition.
 
+use crate::batch::{spawn_workers, RuntimeConfig};
 use etalumis_core::{RecordBuilder, Trace, TraceRecord, TraceTarget};
 use etalumis_data::{partition_of, partition_prefix, RollingShardWriter};
 use parking_lot::Mutex;
@@ -181,16 +182,27 @@ impl ShardedTraceSink {
     /// Taking `self` means every `accept` has returned, so every shard a
     /// worker claimed has been written: a returned path always names a
     /// complete shard. The partitions' last shards are written concurrently,
-    /// one thread per partition; when any fails, the first failure in
+    /// on at most one thread per core; when any fails, the first failure in
     /// partition order is returned.
     pub fn finish(self) -> io::Result<Vec<PathBuf>> {
         if let Some(e) = self.error.into_inner() {
             return Err(e);
         }
-        let writers = self.partitions.into_iter().map(Mutex::into_inner).collect();
+        let threads = RuntimeConfig::default().resolved_workers().min(self.partitions.len());
+        let mut shares: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+        for (p, w) in self.partitions.into_iter().enumerate() {
+            shares[p % threads].push((p, w.into_inner()));
+        }
+        let mut written: Vec<_> = spawn_workers(shares, |_, share| {
+            share.into_iter().map(|(p, w)| (p, w.finish())).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        written.sort_by_key(|&(p, _)| p);
         let mut paths = Vec::new();
-        for written in crate::batch::spawn_workers(writers, |_, w| w.finish()) {
-            paths.extend(written?);
+        for (_, shards) in written {
+            paths.extend(shards?);
         }
         Ok(paths)
     }
