@@ -893,6 +893,59 @@ mod tests {
         }
     }
 
+    /// Truncates the first `PriorTrace` it delivers to its tag and two
+    /// bytes: a simulator that ships a corrupt trace.
+    struct CorruptFirstPriorTrace {
+        inner: InProcMuxEndpoint,
+        corrupted: bool,
+    }
+
+    impl MuxEndpoint for CorruptFirstPriorTrace {
+        fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, PpxError> {
+            Ok(self.inner.poll_frame()?.map(|mut payload| {
+                if !self.corrupted && payload.first() == Some(&13) {
+                    self.corrupted = true;
+                    payload.truncate(3);
+                }
+                payload
+            }))
+        }
+
+        fn send_frame(&mut self, payload: Vec<u8>) -> Result<(), PpxError> {
+            self.inner.send_frame(payload)
+        }
+
+        fn flush(&mut self) -> Result<bool, PpxError> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_corrupt_prior_trace_is_rerun_on_a_respawned_session() {
+        // The reactor decodes a seeded run's payload into the sink's target
+        // after the session has gone idle: a decode failure must still
+        // requeue the trace and retire the connection that sent it.
+        let (n, seed) = (12, 31);
+        let first = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let mut pool = MuxSimulatorPool::connect(1, "etalumis-rs", move |_| {
+            let inner = spawn_inproc_server();
+            let ep: Box<dyn MuxEndpoint> = if first.swap(false, Ordering::SeqCst) {
+                Box::new(CorruptFirstPriorTrace { inner, corrupted: false })
+            } else {
+                Box::new(inner)
+            };
+            Ok(ep)
+        })
+        .unwrap();
+        let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
+        let sink = CollectSink::new(n);
+        let stats = runner.run_mux_prior(&mut pool, &ObserveMap::new(), n, seed, &sink);
+        assert!(stats.failures.is_empty(), "{stats:?}");
+        assert_eq!((stats.retries, stats.respawns), (1, 1), "{stats:?}");
+        let reference = blocking_reference(n, seed);
+        assert_traces_bit_identical(&sink.into_traces(), &reference, "corrupt PriorTrace");
+    }
+
     #[test]
     fn oversubscription_is_invariant_to_workers_sessions_and_fragmentation() {
         let n = 30;
