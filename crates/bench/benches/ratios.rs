@@ -331,7 +331,7 @@ fn write_shards(records: &[TraceRecord], per_shard: usize, dir: &Scratch) -> Vec
 /// against a sequential scan of 200-record shards. Same result:
 /// `shard::tests::shard_roundtrip_sequential_and_random` (etalumis-data).
 fn trace_io(_quick: bool) -> Entry {
-    let (records, dir) = (tau_records(400, 500), Scratch(scratch_dir("io")));
+    let (records, dir) = (tau_records(400, 500).expect("τ records"), Scratch(scratch_dir("io")));
     let (small, large) = (write_shards(&records, 20, &dir), write_shards(&records, 200, &dir));
     let mut order: Vec<(usize, usize)> =
         (0..small.len()).flat_map(|s| (0..20).map(move |r| (s, r))).collect();
@@ -364,7 +364,7 @@ fn trace_io(_quick: bool) -> Entry {
 /// `tests::dominant_trace_type_fills_a_sorted_minibatch` pins the
 /// precondition that the dominant type has at least 16 traces.
 fn subminibatch(_quick: bool) -> Entry {
-    let records = tau_records(512, 900);
+    let records = tau_records(512, 900).expect("τ records");
     let mut net = IcNetwork::new(bench_ic_config(2));
     net.pregenerate(records.iter());
     let subs = sub_minibatches(&records);

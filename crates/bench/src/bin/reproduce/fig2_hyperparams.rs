@@ -28,7 +28,7 @@ fn rank(finals: &mut [(String, f64)]) {
 
 pub fn run(log: &Logger) -> Outcome {
     log.section("Figure 2: hyperparameter search loss curves (scaled down)");
-    let records = tau_records(512, 2000);
+    let records = tau_records(512, 2000)?;
     log.info("dataset", &[("tau_traces", Field::U64(records.len() as u64))]);
     let mut finals = Vec::new();
     // Units × stacks at a fixed mixture (the paper's left sweep), then

@@ -21,7 +21,7 @@ fn run_once(seed: u64, records: &[TraceRecord], opt: Adam, steps: usize) -> Vec<
 
 pub fn run(log: &Logger) -> Outcome {
     log.section("Figure 5: five-run mean and std of the training loss");
-    let records = tau_records(512, 3100);
+    let records = tau_records(512, 3100)?;
     let steps = 50;
     let runs: Vec<Vec<f64>> = (0..5)
         .map(|seed| run_once(seed, &records, Adam::new(LrSchedule::Constant(1e-3)), steps))

@@ -12,7 +12,7 @@ use etalumis_nn::{Adam, LrSchedule};
 
 pub fn run(log: &Logger) -> Outcome {
     log.section("Figure 7: training and validation loss");
-    let all = tau_records(768, 5000);
+    let all = tau_records(768, 5000)?;
     let (train, valid) = all.split_at(512);
     log.info(
         "dataset",

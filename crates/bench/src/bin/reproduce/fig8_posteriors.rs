@@ -124,7 +124,7 @@ pub fn run(log: &Logger) -> Outcome {
 
     // --- IC: train then infer ---
     log.section(&format!("IC: train on {TRAIN_TRACES} prior traces, {TRAIN_STEPS} steps"));
-    let records = tau_records(TRAIN_TRACES, 40_000);
+    let records = tau_records(TRAIN_TRACES, 40_000)?;
     let adam = Adam::new(LrSchedule::Polynomial {
         initial: 1e-3,
         final_lr: 1e-4,

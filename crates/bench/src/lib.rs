@@ -22,7 +22,7 @@
 //! This library holds the shared workload builders and the experiments'
 //! training loop, [`train_cycling`].
 
-use etalumis_core::Executor;
+use etalumis_core::{Executor, ObserveMap, PriorProposer, RecordBuilder, RunError};
 use etalumis_data::{sort_dataset, TraceDataset, TraceRecord};
 use etalumis_nn::Optimizer;
 use etalumis_runtime::{generate_dataset_parallel, DatasetGenConfig};
@@ -53,11 +53,23 @@ pub fn bench_ic_config(seed: u64) -> IcConfig {
     IcConfig::small(BENCH_OBS_DIMS, seed)
 }
 
-/// In-memory prior trace records from the bench τ model.
-pub fn tau_records(n: usize, seed0: u64) -> Vec<TraceRecord> {
+/// In-memory prior trace records from the bench τ model, pruned: record
+/// `s` is the prior run seeded `seed0 + s`, recorded straight into its
+/// record.
+pub fn tau_records(n: usize, seed0: u64) -> Result<Vec<TraceRecord>, RunError> {
     let mut m = bench_tau_model();
+    let observes = ObserveMap::new();
     (0..n)
-        .map(|s| TraceRecord::from_trace(&Executor::sample_prior(&mut m, seed0 + s as u64), true))
+        .map(|s| {
+            let seed = seed0 + s as u64;
+            Executor::try_record_seeded(
+                &mut m,
+                &mut PriorProposer,
+                &observes,
+                seed,
+                RecordBuilder::new(true),
+            )
+        })
         .collect()
 }
 
@@ -141,13 +153,13 @@ mod tests {
     /// The `ratios` probe's sorted sub-minibatch needs ≥ 16 traces of one type.
     #[test]
     fn dominant_trace_type_fills_a_sorted_minibatch() {
-        let records = tau_records(512, 900);
+        let records = tau_records(512, 900).unwrap();
         assert!(etalumis_train::sub_minibatches(&records)[0].len() >= 16);
     }
 
     #[test]
     fn tau_records_builder_works() {
-        let recs = tau_records(5, 100);
+        let recs = tau_records(5, 100).unwrap();
         assert_eq!(recs.len(), 5);
         assert!(recs.iter().all(|r| r.num_controlled() >= 4));
     }

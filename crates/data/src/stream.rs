@@ -25,7 +25,7 @@
 //! channel delivers records in exactly the order they were sent, and the
 //! bucketer's releases (including spills and the final flush) depend only
 //! on the record order — which is what lets a streaming run be replayed
-//! bit-identically from the teed shards (see the runtime's `TeeSink`).
+//! bit-identically from the teed shards (see the runtime's `stream` module).
 
 use crate::record::TraceRecord;
 use etalumis_telemetry::Telemetry;

@@ -34,16 +34,16 @@
 //! manifest's watermark are truncated away on resume (the re-run rewrites
 //! them identically).
 
-use crate::sink::TraceSink;
+use crate::sink::{Commit, InOrder, Tee, TraceSink};
+use crate::stream::Stream;
 use etalumis_core::RecordBuilder;
 use etalumis_data::{
     atomic_save, decode_manifest, decode_record, encode_record, load_manifest_bytes, partition_of,
-    partition_prefix, remove_stale_rolls, RollingShardWriter, TraceRecord, WriterProgress,
-    REPAIR_PREFIX,
+    partition_prefix, remove_stale_rolls, RollingShardWriter, TraceChannel, TraceRecord,
+    WriterProgress, REPAIR_PREFIX,
 };
 use etalumis_distributions::codec::{DecodeError, Reader};
 use etalumis_telemetry::Telemetry;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -191,12 +191,32 @@ pub struct ShardLayout {
     pub pruned: bool,
 }
 
-struct CkState {
+/// A [`TraceSink`] that makes a sharded batch run restartable.
+///
+/// It is the run's reorder window over the checkpointed-shards committer:
+/// once every lower index has arrived, each record is committed to its
+/// partition's journal in batch-index order; every
+/// [`CheckpointConfig::interval`] commits (and after every shard roll) a
+/// [`Checkpoint`] manifest is atomically written. Kill the process at any
+/// instant, call [`CheckpointSink::resume`], rerun the remaining indices,
+/// and the final shard files are byte-identical to an uninterrupted run's.
+/// A checkpointed stream tees each committed record into the channel `'a`
+/// borrows, after its journal append.
+pub struct CheckpointSink<'a> {
+    window: InOrder<Tee<CheckpointedShards, Stream<'a>>>,
+}
+
+/// The checkpointed-shards committer: per-partition journals, manifests,
+/// and the healing pass's repairs.
+struct CheckpointedShards {
+    dir: PathBuf,
+    layout: ShardLayout,
+    interval: usize,
+    /// Every index below it is committed (or recorded failed).
     watermark: usize,
-    /// Completed (Some) or permanently failed (None) indices beyond the
-    /// watermark, waiting for the prefix to close.
-    pending: BTreeMap<usize, Option<TraceRecord>>,
     writers: Vec<RollingShardWriter>,
+    /// Failed indices, sorted: committed holes and any a resumed manifest
+    /// recorded, minus those the healing pass recovered.
     failed: Vec<u64>,
     since_manifest: usize,
     /// Finished-shard counts at the last manifest write (to force a
@@ -212,32 +232,10 @@ struct CkState {
     /// First I/O error; everything after it is dropped and the error
     /// surfaces at finalize.
     error: Option<io::Error>,
-}
-
-/// A [`TraceSink`] that makes a sharded batch run restartable.
-///
-/// Completed traces are held in a reorder buffer until every lower index
-/// has arrived, then committed to their partition's journal in batch-index
-/// order; every [`CheckpointConfig::interval`] commits (and after every
-/// shard roll) a [`Checkpoint`] manifest is atomically written. Kill the
-/// process at any instant, call [`CheckpointSink::resume`], rerun the
-/// remaining indices, and the final shard files are byte-identical to an
-/// uninterrupted run's.
-pub struct CheckpointSink {
-    dir: PathBuf,
-    layout: ShardLayout,
-    interval: usize,
-    /// Reorder-buffer backpressure: a worker delivering an index more than
-    /// `window` past the watermark waits (briefly, bounded) for the prefix
-    /// to catch up. This bounds checkpoint lag and the buffer's memory —
-    /// without it, staggered worker start-up lets fast workers race
-    /// thousands of indices ahead of the commit watermark.
-    window: usize,
-    state: Mutex<CkState>,
     tel: Telemetry,
 }
 
-impl CheckpointSink {
+impl<'a> CheckpointSink<'a> {
     /// A sink for a fresh run.
     pub fn new(dir: impl AsRef<Path>, layout: ShardLayout, ckpt: &CheckpointConfig) -> Self {
         let partitions = layout.partitions.max(1);
@@ -252,34 +250,50 @@ impl CheckpointSink {
                 .durable()
             })
             .collect();
-        Self {
-            dir: dir.as_ref().to_path_buf(),
-            layout: ShardLayout { partitions, ..layout },
-            interval: ckpt.interval.max(1),
-            window: ckpt.interval.max(1) * 2 + 64,
-            state: Mutex::new(CkState {
-                watermark: 0,
-                pending: BTreeMap::new(),
-                writers,
-                failed: Vec::new(),
-                since_manifest: 0,
-                finished_counts: vec![0; partitions],
-                repaired: BTreeMap::new(),
-                repair_journal: None,
-                error: None,
-            }),
+        Self::open(dir.as_ref(), layout, ckpt, 0, Vec::new(), writers)
+    }
+
+    fn open(
+        dir: &Path,
+        layout: ShardLayout,
+        ckpt: &CheckpointConfig,
+        watermark: usize,
+        failed: Vec<u64>,
+        writers: Vec<RollingShardWriter>,
+    ) -> Self {
+        let interval = ckpt.interval.max(1);
+        let shards = CheckpointedShards {
+            dir: dir.to_path_buf(),
+            layout: ShardLayout { partitions: writers.len(), ..layout },
+            interval,
+            watermark,
+            failed,
+            since_manifest: 0,
+            finished_counts: writers.iter().map(|w| w.progress().finished).collect(),
+            writers,
+            repaired: BTreeMap::new(),
+            repair_journal: None,
+            error: None,
             tel: Telemetry::disabled(),
-        }
+        };
+        Self { window: InOrder::new(watermark, interval, layout.pruned, Tee(shards, None)) }
     }
 
     /// Attach a telemetry handle. The sink emits `ckpt.commit` spans
     /// (journal fsync + manifest save latency), a `ckpt.journal_bytes`
-    /// counter, a `ckpt.pending` gauge (reorder-buffer depth at each
+    /// counter, a `ckpt.pending` gauge (reorder-window depth at each
     /// delivery), and a `ckpt.backpressure_waits` counter (bounded waits
     /// taken by workers racing ahead of the commit watermark).
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.tel = tel;
+        self.window.lock().committer.0.tel = tel.clone();
+        self.window = self.window.with_telemetry(tel);
         self
+    }
+
+    /// Tee every committed record into `channel` too (after its journal
+    /// append), if there is one.
+    pub(crate) fn stream(self, channel: Option<&'a TraceChannel>) -> Self {
+        Self { window: self.window.stream(channel) }
     }
 
     /// Rebuild a sink from a loaded [`Checkpoint`] manifest (see
@@ -341,105 +355,22 @@ impl CheckpointSink {
                 ),
             ));
         }
-        let mut writers = Vec::with_capacity(partitions);
-        let mut finished_counts = Vec::with_capacity(partitions);
-        for (p, progress) in manifest.parts.iter().enumerate() {
-            writers.push(RollingShardWriter::resume_durable(
-                dir,
-                partition_prefix(p),
-                layout.traces_per_shard,
-                true,
-                *progress,
-            )?);
-            finished_counts.push(progress.finished);
-        }
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            layout: ShardLayout { partitions, ..layout },
-            interval: ckpt.interval.max(1),
-            window: ckpt.interval.max(1) * 2 + 64,
-            state: Mutex::new(CkState {
-                watermark: manifest.watermark as usize,
-                pending: BTreeMap::new(),
-                writers,
-                failed: manifest.failed.clone(),
-                since_manifest: 0,
-                finished_counts,
-                repaired: BTreeMap::new(),
-                repair_journal: None,
-                error: None,
-            }),
-            tel: Telemetry::disabled(),
-        })
-    }
-
-    fn manifest_of(&self, state: &CkState) -> Checkpoint {
-        Checkpoint {
-            n: self.layout.n as u64,
-            seed: self.layout.seed,
-            base: self.layout.base as u64,
-            partitions: self.layout.partitions as u32,
-            traces_per_shard: self.layout.traces_per_shard as u64,
-            pruned: self.layout.pruned,
-            watermark: state.watermark as u64,
-            failed: state.failed.clone(),
-            parts: state.writers.iter().map(|w| w.progress()).collect(),
-        }
-    }
-
-    /// Commit the closed prefix, then write a manifest if due. Any I/O error
-    /// poisons the sink (first error wins, surfaced at finalize).
-    fn advance(&self, state: &mut CkState) {
-        if state.error.is_some() {
-            return;
-        }
-        let mut journal_bytes = 0u64;
-        let result = (|| -> io::Result<()> {
-            while let Some(entry) = state.pending.remove(&state.watermark) {
-                if let Some(rec) = entry {
-                    let p = partition_of(rec.trace_type, self.layout.partitions);
-                    let before = state.writers[p].progress().partial_bytes;
-                    state.writers[p].push(rec)?;
-                    let after = state.writers[p].progress().partial_bytes;
-                    // A roll resets the journal; the post-roll residue is
-                    // still bytes appended by this push.
-                    journal_bytes += if after >= before { after - before } else { after };
-                }
-                state.watermark += 1;
-                state.since_manifest += 1;
-            }
-            let rolled = state
-                .writers
-                .iter()
-                .zip(&state.finished_counts)
-                .any(|(w, &f)| w.progress().finished != f);
-            if rolled || state.since_manifest >= self.interval {
-                let commit_started = std::time::Instant::now(); // etalumis: allow(determinism, reason = "commit latency metric; telemetry only")
-                                                                // The manifest must not reference journal bytes the disk
-                                                                // has not acknowledged: fsync dirty journals first.
-                for w in state.writers.iter_mut() {
-                    w.sync_journal()?;
-                }
-                self.manifest_of(state).save(&self.dir)?;
-                self.tel.span_record("ckpt.commit", commit_started.elapsed());
-                state.since_manifest = 0;
-                for (p, w) in state.writers.iter_mut().enumerate() {
-                    state.finished_counts[p] = w.progress().finished;
-                    // Safe only now: the freshly renamed manifest no longer
-                    // references these journals.
-                    for j in w.take_obsolete_journals() {
-                        let _ = std::fs::remove_file(j); // etalumis: allow(reactor-blocking, reason = "durable tee contract: commit-time journal GC runs on the delivery thread by design")
-                    }
-                }
-            }
-            Ok(())
-        })();
-        if journal_bytes > 0 {
-            self.tel.count("ckpt.journal_bytes", journal_bytes);
-        }
-        if let Err(e) = result {
-            state.error = Some(e);
-        }
+        let writers = manifest
+            .parts
+            .iter()
+            .enumerate()
+            .map(|(p, progress)| {
+                RollingShardWriter::resume_durable(
+                    dir,
+                    partition_prefix(p),
+                    layout.traces_per_shard,
+                    true,
+                    *progress,
+                )
+            })
+            .collect::<io::Result<_>>()?;
+        let watermark = manifest.watermark as usize;
+        Ok(Self::open(dir, layout, ckpt, watermark, manifest.failed.clone(), writers))
     }
 
     /// Begin the healing pass for manifest-recorded permanent failures.
@@ -462,8 +393,106 @@ impl CheckpointSink {
     /// what the journal already healed; deliver their re-runs through
     /// [`CheckpointSink::repair_sink`].
     pub fn begin_repair(&self) -> io::Result<Vec<u64>> {
-        let mut state = self.state.lock();
-        if state.repair_journal.is_none() {
+        let mut window = self.window.lock();
+        let shards: &mut CheckpointedShards = &mut window.committer.0;
+        shards.begin_repair()
+    }
+
+    /// A [`TraceSink`] adapter routing re-executions of failed indices into
+    /// the repair path (journal append + staged record) instead of the
+    /// watermark-ordered commit path. Call [`CheckpointSink::begin_repair`]
+    /// first.
+    pub fn repair_sink(&self) -> RepairSink<'_, 'a> {
+        RepairSink { sink: self }
+    }
+
+    /// Flush everything, write no further manifests, delete the manifest
+    /// and journals, and return the final shard paths (partition order,
+    /// then roll order, healed `repair_*` shards last) — the run is
+    /// complete.
+    pub fn finalize(self) -> io::Result<Vec<PathBuf>> {
+        let Tee(shards, _) = self.window.into_committer()?;
+        shards.finalize()
+    }
+
+    /// The failed indices recorded so far (including ones inherited from
+    /// the manifest a resumed run started from, minus any the healing pass
+    /// has recovered), with rejected indices still waiting for the prefix.
+    pub fn failed(&self) -> Vec<u64> {
+        let mut failed = self.window.lock().committer.0.failed.clone();
+        failed.extend(self.window.holes().into_iter().map(|i| i as u64));
+        failed.sort_unstable();
+        failed.dedup();
+        failed
+    }
+
+    /// Indices the healing pass has recovered so far.
+    pub fn repaired(&self) -> usize {
+        self.window.lock().committer.0.repaired.len()
+    }
+
+    /// The current commit watermark (test/diagnostic hook).
+    pub fn watermark(&self) -> usize {
+        self.window.lock().committer.0.watermark
+    }
+}
+
+impl CheckpointedShards {
+    fn manifest(&self) -> Checkpoint {
+        Checkpoint {
+            n: self.layout.n as u64,
+            seed: self.layout.seed,
+            base: self.layout.base as u64,
+            partitions: self.layout.partitions as u32,
+            traces_per_shard: self.layout.traces_per_shard as u64,
+            pruned: self.layout.pruned,
+            watermark: self.watermark as u64,
+            failed: self.failed.clone(),
+            parts: self.writers.iter().map(|w| w.progress()).collect(),
+        }
+    }
+
+    /// Journal one committed record, then write a manifest if due.
+    fn append(&mut self, rec: Option<TraceRecord>) -> io::Result<()> {
+        if let Some(rec) = rec {
+            let w = &mut self.writers[partition_of(rec.trace_type, self.layout.partitions)];
+            let before = w.progress().partial_bytes;
+            w.push(rec)?;
+            let after = w.progress().partial_bytes;
+            // A roll resets the journal; the post-roll residue is still
+            // bytes appended by this push.
+            self.tel
+                .count("ckpt.journal_bytes", if after >= before { after - before } else { after });
+        }
+        let rolled = self
+            .writers
+            .iter()
+            .zip(&self.finished_counts)
+            .any(|(w, &f)| w.progress().finished != f);
+        if rolled || self.since_manifest >= self.interval {
+            let commit_started = std::time::Instant::now(); // etalumis: allow(determinism, reason = "commit latency metric; telemetry only")
+                                                            // The manifest must not reference journal bytes the disk
+                                                            // has not acknowledged: fsync dirty journals first.
+            for w in self.writers.iter_mut() {
+                w.sync_journal()?;
+            }
+            self.manifest().save(&self.dir)?;
+            self.tel.span_record("ckpt.commit", commit_started.elapsed());
+            self.since_manifest = 0;
+            for (p, w) in self.writers.iter_mut().enumerate() {
+                self.finished_counts[p] = w.progress().finished;
+                // Safe only now: the freshly renamed manifest no longer
+                // references these journals.
+                for j in w.take_obsolete_journals() {
+                    let _ = std::fs::remove_file(j); // etalumis: allow(reactor-blocking, reason = "durable tee contract: commit-time journal GC runs on the delivery thread by design")
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn begin_repair(&mut self) -> io::Result<Vec<u64>> {
+        if self.repair_journal.is_none() {
             let path = self.dir.join(REPAIR_JOURNAL_NAME);
             let mut file = match File::options().read(true).write(true).open(&path) {
                 Ok(f) => {
@@ -483,16 +512,16 @@ impl CheckpointSink {
                     // never be able to wedge a resume.
                     while let Ok((idx, rec)) = repair_entry(&mut r) {
                         off = buf.len() - r.remaining();
-                        if let Ok(pos) = state.failed.binary_search(&idx) {
-                            state.failed.remove(pos);
-                            state.repaired.insert(idx, rec);
+                        if let Ok(pos) = self.failed.binary_search(&idx) {
+                            self.failed.remove(pos);
+                            self.repaired.insert(idx, rec);
                         }
                     }
-                    file_truncate_to(&f, off as u64)?;
+                    f.set_len(off as u64)?;
                     f
                 }
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    if state.failed.is_empty() {
+                    if self.failed.is_empty() {
                         return Ok(Vec::new()); // nothing to heal, no journal needed
                     }
                     std::fs::create_dir_all(&self.dir)?;
@@ -501,30 +530,18 @@ impl CheckpointSink {
                 Err(e) => return Err(e),
             };
             file.seek(SeekFrom::End(0))?;
-            state.repair_journal = Some(file);
+            self.repair_journal = Some(file);
         }
-        Ok(state.failed.clone())
+        Ok(self.failed.clone())
     }
 
-    /// A [`TraceSink`] adapter routing re-executions of failed indices into
-    /// the repair path (journal append + staged record) instead of the
-    /// watermark-ordered commit path. Call [`CheckpointSink::begin_repair`]
-    /// first.
-    pub fn repair_sink(&self) -> RepairSink<'_> {
-        RepairSink { sink: self }
-    }
-
-    fn repair_accept(&self, index: usize, rec: TraceRecord) {
-        let mut state = self.state.lock(); // etalumis: allow(reactor-blocking, reason = "healing passes run offline; begin_repair's truncate-under-lock never overlaps a live reactor")
-        if state.error.is_some() {
-            return;
-        }
+    fn repair_accept(&mut self, index: usize, rec: TraceRecord) {
         let idx = index as u64;
-        if state.repaired.contains_key(&idx) {
+        if self.error.is_some() || self.repaired.contains_key(&idx) {
             return;
         }
         let result = (|| -> io::Result<()> {
-            let Some(journal) = state.repair_journal.as_mut() else {
+            let Some(journal) = self.repair_journal.as_mut() else {
                 return Err(io::Error::other(
                     "repair delivery before begin_repair (healing pass not started)",
                 ));
@@ -537,30 +554,18 @@ impl CheckpointSink {
         })();
         match result {
             Ok(()) => {
-                if let Ok(pos) = state.failed.binary_search(&idx) {
-                    state.failed.remove(pos);
+                if let Ok(pos) = self.failed.binary_search(&idx) {
+                    self.failed.remove(pos);
                 }
-                state.repaired.insert(idx, rec);
+                self.repaired.insert(idx, rec);
             }
-            Err(e) => state.error = Some(e),
+            Err(e) => self.error = Some(e),
         }
     }
 
-    /// Flush everything, write no further manifests, delete the manifest
-    /// and journals, and return the final shard paths (partition order,
-    /// then roll order, healed `repair_*` shards last) — the run is
-    /// complete.
-    pub fn finalize(self) -> io::Result<Vec<PathBuf>> {
-        let state = self.state.into_inner();
-        if let Some(e) = state.error {
+    fn finalize(self) -> io::Result<Vec<PathBuf>> {
+        if let Some(e) = self.error {
             return Err(e);
-        }
-        if !state.pending.is_empty() {
-            return Err(io::Error::other(format!(
-                "{} trace(s) neither delivered nor failed at finalize (first: {:?})",
-                state.pending.len(),
-                state.pending.keys().next()
-            )));
         }
         // Ordering matters for crash consistency: flush every shard while
         // keeping the journals, write the repair shards, delete the
@@ -571,21 +576,21 @@ impl CheckpointSink {
         // deterministic re-run, never an unresumable state.
         let mut paths = Vec::new();
         let mut journals = Vec::new();
-        for w in state.writers {
+        for w in self.writers {
             let (shards, js) = w.finish_keeping_journals()?;
             paths.extend(shards);
             journals.extend(js);
         }
         let mut repair_kept = 0usize;
-        if !state.repaired.is_empty() {
+        if !self.repaired.is_empty() {
             let mut rw = RollingShardWriter::new(
                 &self.dir,
                 REPAIR_PREFIX,
                 self.layout.traces_per_shard.max(1),
                 true,
             );
-            for rec in state.repaired.values() {
-                rw.push(rec.clone())?;
+            for rec in self.repaired.into_values() {
+                rw.push(rec)?;
             }
             let repair_paths = rw.finish()?;
             repair_kept = repair_paths.len();
@@ -606,31 +611,35 @@ impl CheckpointSink {
         for j in journals {
             let _ = std::fs::remove_file(j);
         }
-        drop(state.repair_journal);
+        drop(self.repair_journal);
         let _ = std::fs::remove_file(self.dir.join(REPAIR_JOURNAL_NAME));
         Ok(paths)
     }
+}
 
-    /// The failed indices recorded so far (including ones inherited from
-    /// the manifest a resumed run started from, minus any the healing pass
-    /// has recovered).
-    pub fn failed(&self) -> Vec<u64> {
-        self.state.lock().failed.clone()
-    }
-
-    /// Indices the healing pass has recovered so far.
-    pub fn repaired(&self) -> usize {
-        self.state.lock().repaired.len()
-    }
-
-    /// The current commit watermark (test/diagnostic hook).
-    pub fn watermark(&self) -> usize {
-        self.state.lock().watermark
+impl Commit for CheckpointedShards {
+    fn commit(&mut self, index: usize, rec: Option<TraceRecord>) {
+        // A hole records a failure. A success heals one recorded past the
+        // watermark: manifests written before failures were recorded at
+        // commit time hold such indices, a resumed run re-executes them,
+        // and a failure must not outlive its rerun.
+        match (rec.is_some(), self.failed.binary_search(&(index as u64))) {
+            (true, Ok(pos)) => {
+                self.failed.remove(pos);
+            }
+            (false, Err(pos)) => self.failed.insert(pos, index as u64),
+            _ => {}
+        }
+        self.watermark = index + 1;
+        self.since_manifest += 1;
+        if self.error.is_none() {
+            if let Err(e) = self.append(rec) {
+                self.error = Some(e);
+            }
+        }
     }
 }
 
-/// Truncate `f` to `len` bytes (free function so the borrow on the locked
-/// state stays simple at the call site).
 /// One repair-journal append: `u64 index | u32 len | record`.
 fn repair_entry(r: &mut Reader) -> Result<(u64, TraceRecord), DecodeError> {
     let idx = r.u64()?;
@@ -638,24 +647,22 @@ fn repair_entry(r: &mut Reader) -> Result<(u64, TraceRecord), DecodeError> {
     Ok((idx, decode_record(r.take(len)?, None)?))
 }
 
-fn file_truncate_to(f: &File, len: u64) -> io::Result<()> {
-    f.set_len(len)
-}
-
 /// The healing pass's [`TraceSink`]: successful re-executions of
 /// permanently failed indices are staged for repair shards; re-failures
 /// keep the index on the failed list. See [`CheckpointSink::begin_repair`].
-pub struct RepairSink<'a> {
-    sink: &'a CheckpointSink,
+pub struct RepairSink<'s, 'a> {
+    sink: &'s CheckpointSink<'a>,
 }
 
-impl TraceSink<RecordBuilder> for RepairSink<'_> {
+impl TraceSink<RecordBuilder> for RepairSink<'_, '_> {
     fn target(&self) -> RecordBuilder {
         self.sink.target()
     }
 
     fn accept(&self, index: usize, rec: TraceRecord) {
-        self.sink.repair_accept(index, rec);
+        let mut window = self.sink.window.lock(); // etalumis: allow(reactor-blocking, reason = "durable tee contract: a repaired record hits the repair journal, under the window lock, before acknowledgment")
+        let shards: &mut CheckpointedShards = &mut window.committer.0;
+        shards.repair_accept(index, rec);
     }
 
     fn reject(&self, index: usize, _error: &str) {
@@ -665,58 +672,17 @@ impl TraceSink<RecordBuilder> for RepairSink<'_> {
     }
 }
 
-impl TraceSink<RecordBuilder> for CheckpointSink {
+impl TraceSink<RecordBuilder> for CheckpointSink<'_> {
     fn target(&self) -> RecordBuilder {
-        RecordBuilder::new(self.layout.pruned)
+        self.window.target()
     }
 
     fn accept(&self, index: usize, rec: TraceRecord) {
-        // Backpressure: wait (bounded) while this index is too far past
-        // the watermark. The wait can never deadlock — the worker owning
-        // the watermark index pops its indices in ascending order, so it is
-        // never itself waiting on a higher index — but it is capped anyway
-        // so a pathologically descheduled worker only costs memory, not
-        // liveness.
-        let mut waits = 0u32;
-        loop {
-            let mut state = self.state.lock(); // etalumis: allow(reactor-blocking, reason = "begin_repair's truncate-under-lock runs only in offline healing passes, never under a live reactor")
-            if index < state.watermark {
-                return; // already durable (can only happen on operator error)
-            }
-            let far_ahead = index > state.watermark + self.window;
-            if !far_ahead || state.error.is_some() || waits >= 4000 {
-                // A successful delivery heals an earlier reject of the same
-                // index (a resumed run re-executes manifest-failed indices
-                // that sit above the watermark; if the rerun succeeds the
-                // failure must not outlive it).
-                if let Ok(pos) = state.failed.binary_search(&(index as u64)) {
-                    state.failed.remove(pos);
-                }
-                state.pending.insert(index, Some(rec));
-                self.tel.gauge("ckpt.pending", state.pending.len() as f64);
-                self.advance(&mut state);
-                if waits > 0 {
-                    self.tel.count("ckpt.backpressure_waits", u64::from(waits));
-                }
-                return;
-            }
-            drop(state);
-            waits += 1;
-            std::thread::sleep(std::time::Duration::from_micros(50)); // etalumis: allow(reactor-blocking, reason = "bounded backpressure park, capped at 4000 waits; trades memory for liveness by design")
-        }
+        self.window.accept(index, rec);
     }
 
-    fn reject(&self, index: usize, _error: &str) {
-        let mut state = self.state.lock();
-        if index < state.watermark {
-            return;
-        }
-        state.failed.push(index as u64);
-        state.failed.sort_unstable();
-        state.failed.dedup();
-        state.pending.insert(index, None);
-        self.tel.gauge("ckpt.pending", state.pending.len() as f64);
-        self.advance(&mut state);
+    fn reject(&self, index: usize, error: &str) {
+        self.window.reject(index, error);
     }
 }
 
@@ -869,7 +835,7 @@ mod tests {
         // journal healed, what is still owed, and the bytes kept.
         let replay = || {
             let sink = CheckpointSink::new(&dir, layout, &CheckpointConfig::default());
-            sink.state.lock().failed = failed.clone();
+            sink.window.lock().committer.0.failed = failed.clone();
             let owed = sink.begin_repair().unwrap();
             (sink.repaired(), owed, std::fs::metadata(&path).unwrap().len())
         };
@@ -902,7 +868,7 @@ mod tests {
         };
         let sink = CheckpointSink::new(&dir, layout, &CheckpointConfig::default());
         // Force a manifest to disk.
-        sink.manifest_of(&sink.state.lock()).save(&dir).unwrap();
+        sink.window.lock().committer.0.manifest().save(&dir).unwrap();
         let wrong_seed = ShardLayout { seed: 4, ..layout };
         let manifest = Checkpoint::load(&dir).unwrap().unwrap();
         let err = CheckpointSink::resume(&dir, wrong_seed, &CheckpointConfig::default(), &manifest)

@@ -39,12 +39,12 @@ pub struct DatasetGenConfig {
     pub seed: u64,
     /// Prune records to controlled entries + observation (training layout).
     pub pruned: bool,
-    /// `true`: buffer records and write each partition in batch-index order
-    /// — shard files are byte-identical for any worker count (costs O(n)
-    /// memory; right for benchmarks and tests). `false`: stream through the
-    /// [`crate::ShardedTraceSink`] in completion order — constant memory,
-    /// the multiset of records is still worker-count invariant but their
-    /// order within a partition is not. Checkpointed runs always commit in
+    /// `true`: write each partition in batch-index order through the
+    /// plan's reorder window — shard files are byte-identical for any
+    /// worker count. `false`: stream through the
+    /// [`crate::ShardedTraceSink`] in completion order — the multiset of
+    /// records is still worker-count invariant but their order within a
+    /// partition is not. Checkpointed and streamed runs always commit in
     /// batch-index order.
     pub ordered: bool,
 }

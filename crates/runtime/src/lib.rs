@@ -26,9 +26,10 @@
 //!   of K PPX sessions driven by M ≤ K reactor workers, so one thread hides
 //!   the latency of many slow simulators,
 //! * [`sink`], [`checkpoint`], [`stream`] — where traces go: in-memory
-//!   collection, trace-type-partitioned shards, the restartable
-//!   [`CheckpointSink`], and the ordered [`StreamSink`] feeding a bounded
-//!   `etalumis-data` trace channel,
+//!   collection and trace-type-partitioned shards, or one reorder window
+//!   committing in batch-index order to ordered shards, the restartable
+//!   [`CheckpointSink`], a bounded `etalumis-data` trace channel, or the
+//!   tee of shards and channel,
 //! * [`dataset`] — [`DatasetGenConfig`] (the batch a plan runs) and the
 //!   `generate_dataset_{parallel,mux}` shorthands.
 //!
@@ -60,7 +61,6 @@ pub use plan::{RunOutput, RunPlan};
 pub use pool::SimulatorPool;
 pub use scheduler::TaskQueues;
 pub use sink::{CollectSink, CountingSink, ShardedTraceSink, TraceSink};
-pub use stream::{StreamSink, TeeSink};
 
 #[cfg(test)]
 mod ppx_pool_tests {

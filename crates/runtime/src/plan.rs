@@ -27,15 +27,14 @@ use crate::batch::{
 };
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointSink, ShardLayout};
 use crate::dataset::{rank_dir, DatasetGenConfig};
-use crate::sink::{CollectSink, ShardedTraceSink, TraceSink};
-use crate::stream::{replay_committed_prefix, StreamSink, TeeSink};
+use crate::sink::{CollectSink, InOrder, OrderedShards, ShardedTraceSink, Tee, TraceSink};
+use crate::stream::{replay_committed_prefix, Stream};
 use etalumis_core::{ObserveMap, RecordBuilder, Trace, TraceTarget};
 use etalumis_data::{
-    parse_shard_name, partition_of, partition_prefix, rank_slice, shard_path, RankManifest,
-    RollingShardWriter, TraceChannel, TraceDataset, TraceRecord, REPAIR_PREFIX,
+    parse_shard_name, partition_prefix, rank_slice, shard_path, RankManifest, TraceChannel,
+    TraceDataset, REPAIR_PREFIX,
 };
 use etalumis_telemetry::Telemetry;
-use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -101,9 +100,9 @@ impl<'a> RunPlan<'a> {
     }
 
     /// Write shards under `dir` (a placed run writes `rank_dir(dir, rank)`).
-    /// Without checkpointing, `cfg.ordered` chooses batch-index order per
-    /// partition (byte-identical for any worker count) over completion
-    /// order (constant memory).
+    /// Without checkpointing, `cfg.ordered` (or a stream) chooses
+    /// batch-index order per partition (byte-identical for any worker
+    /// count) over completion order (no reorder window).
     pub fn shards(mut self, dir: &'a Path) -> Self {
         self.dir = Some(dir);
         self
@@ -211,42 +210,42 @@ impl<'a> RunPlan<'a> {
         // Open the store: resume a checkpoint (re-feeding the stream with
         // its committed prefix), or start fresh.
         let mut remaining: Vec<usize> = (0..slice.len()).collect();
-        let mut watermark = 0;
-        let store = match (&dir, &self.checkpoint) {
-            (Some(dir), Some((ckpt, _))) => {
+        let store = match (&dir, &self.checkpoint, self.channel) {
+            (Some(dir), Some((ckpt, _)), channel) => {
                 let layout = ShardLayout { n: slice.len(), base, ..cfg.layout() };
                 let sink = match Checkpoint::load(dir)? {
                     Some(manifest) => {
                         let sink = CheckpointSink::resume(dir, layout, ckpt, &manifest)?;
-                        if let Some(channel) = self.channel {
-                            watermark = replay_committed_prefix(dir, &manifest, channel)?;
+                        if let Some(channel) = channel {
+                            replay_committed_prefix(dir, &manifest, channel)?;
                         }
                         remaining = manifest.remaining();
                         sink
                     }
                     None => CheckpointSink::new(dir, layout, ckpt),
                 };
-                Store::Checkpoint(sink.with_telemetry(self.tel.clone()))
+                Store::Checkpoint(sink.with_telemetry(self.tel.clone()).stream(channel))
             }
-            (Some(dir), None) if cfg.ordered => Store::Ordered(OrderedRecordSink {
-                slots: Mutex::new(vec![None; cfg.n]),
-                pruned: cfg.pruned,
-                dir: dir.clone(),
-            }),
-            (Some(dir), None) => Store::Sharded(ShardedTraceSink::new(
+            (Some(dir), None, channel) if cfg.ordered || channel.is_some() => {
+                let shards = OrderedShards::new(dir, cfg.partitions, cfg.traces_per_shard);
+                let window = InOrder::new(0, cfg.traces_per_shard, cfg.pruned, Tee(shards, None));
+                Store::Ordered(window.stream(channel))
+            }
+            (Some(dir), None, _) => Store::Sharded(ShardedTraceSink::new(
                 dir,
                 cfg.partitions,
                 cfg.traces_per_shard,
                 cfg.pruned,
             )),
-            (None, _) if self.channel.is_some() => Store::Nothing,
-            (None, _) => Store::Collect(CollectSink::new(cfg.n)),
+            (None, _, Some(channel)) => {
+                Store::Stream(InOrder::new(0, channel.capacity(), cfg.pruned, Stream { channel }))
+            }
+            (None, _, None) => Store::Collect(CollectSink::new(cfg.n)),
         };
-        let stream = self.channel.map(|channel| StreamSink::new(channel, cfg.pruned, watermark));
 
-        // Main pass. Outputs that commit in index order (checkpoint,
-        // stream) run ascending interleaved tasks so the contiguous prefix
-        // keeps advancing; the others keep the block fill.
+        // Main pass. Outputs that commit in index order (all but collect and
+        // unordered shards) run ascending interleaved tasks so the
+        // contiguous prefix keeps advancing; the others keep the block fill.
         let workers = self.backend.workers(cfg.workers);
         let runner = BatchRunner::new(RuntimeConfig { workers, stealing: true })
             .with_telemetry(self.tel.clone());
@@ -255,24 +254,13 @@ impl<'a> RunPlan<'a> {
             _ => runner,
         };
         let mut main = runner.clone();
-        if self.checkpoint.is_some() || stream.is_some() {
+        if !matches!(store, Store::Collect(_) | Store::Sharded(_)) {
             main = main.with_tasks(remaining.iter().map(|&i| i + base).collect());
         }
-        // Every output but the in-memory collection takes records.
-        let tee;
-        let records: Option<&dyn TraceSink<RecordBuilder>> = match (store.records(), &stream) {
-            (None, None) => None,
-            (Some(sink), None) => Some(sink),
-            (None, Some(stream)) => Some(stream),
-            (Some(sink), Some(stream)) => {
-                tee = TeeSink::new(sink, stream);
-                Some(&tee)
-            }
-        };
         let empty = ObserveMap::new();
         let observes = self.observes.unwrap_or(&empty);
         let (backend, proposer) = (self.backend.reborrow(), self.proposer);
-        let mut stats = match records {
+        let mut stats = match store.records() {
             Some(sink) => {
                 main.run(backend, proposer, observes, cfg.n, cfg.seed, &OffsetSink { base, sink })
             }
@@ -281,7 +269,7 @@ impl<'a> RunPlan<'a> {
                 main.run(backend, proposer, observes, cfg.n, cfg.seed, &OffsetSink { base, sink })
             }
         };
-        if let (Store::Checkpoint(sink), None, false) = (&store, &stream, stats.killed) {
+        if let (Store::Checkpoint(sink), None, false) = (&store, self.channel, stats.killed) {
             // Healing pass: replay any previous attempt's repair journal,
             // then re-run what is still owed with a fresh retry budget. Not
             // in stream mode: repair shards would append records out of
@@ -336,9 +324,9 @@ impl<'a> RunPlan<'a> {
         let (paths, traces) = match store {
             Store::Checkpoint(sink) => (sink.finalize()?, Vec::new()),
             Store::Collect(sink) => (Vec::new(), sink.into_traces()),
-            Store::Ordered(sink) => (sink.write(&cfg)?, Vec::new()),
+            Store::Ordered(sink) => (sink.into_committer()?.0.finish()?, Vec::new()),
             Store::Sharded(sink) => (sink.finish()?, Vec::new()),
-            Store::Nothing => Default::default(),
+            Store::Stream(_) => Default::default(),
         };
         let dataset = TraceDataset::open(paths)?;
         let rank_manifest = match (self.rank, &dir) {
@@ -354,24 +342,27 @@ impl<'a> RunPlan<'a> {
     }
 }
 
-/// Where a plan keeps what its workers deliver (the stream, if any, is teed
-/// beside it).
-enum Store {
-    /// A pure stream: nothing kept.
-    Nothing,
+/// Where a plan's workers deliver.
+enum Store<'a> {
     Collect(CollectSink),
-    Ordered(OrderedRecordSink),
+    /// Shards in completion order.
     Sharded(ShardedTraceSink),
-    Checkpoint(CheckpointSink),
+    /// The stream alone.
+    Stream(InOrder<Stream<'a>>),
+    /// Shards in batch-index order, teed into the stream if there is one.
+    Ordered(InOrder<Tee<OrderedShards, Stream<'a>>>),
+    /// Checkpointed shards, teed into the stream if there is one.
+    Checkpoint(CheckpointSink<'a>),
 }
 
-impl Store {
+impl Store<'_> {
     /// The sink of a store that keeps records.
     fn records(&self) -> Option<&dyn TraceSink<RecordBuilder>> {
         match self {
-            Store::Nothing | Store::Collect(_) => None,
-            Store::Ordered(sink) => Some(sink),
+            Store::Collect(_) => None,
             Store::Sharded(sink) => Some(sink),
+            Store::Stream(sink) => Some(sink),
+            Store::Ordered(sink) => Some(sink),
             Store::Checkpoint(sink) => Some(sink),
         }
     }
@@ -383,52 +374,6 @@ impl Store {
             Store::Collect(sink) => sink,
             _ => &(),
         }
-    }
-}
-
-/// Buffers records by batch index so partitions can be written in a
-/// deterministic order after the run (the `ordered` layout).
-struct OrderedRecordSink {
-    slots: Mutex<Vec<Option<TraceRecord>>>,
-    pruned: bool,
-    dir: PathBuf,
-}
-
-impl TraceSink<RecordBuilder> for OrderedRecordSink {
-    fn target(&self) -> RecordBuilder {
-        RecordBuilder::new(self.pruned)
-    }
-
-    fn accept(&self, index: usize, rec: TraceRecord) {
-        self.slots.lock()[index] = Some(rec);
-    }
-}
-
-impl OrderedRecordSink {
-    /// Write the records partition by partition in batch-index order — the
-    /// same partitioning and file naming as the streaming sinks.
-    fn write(self, cfg: &DatasetGenConfig) -> io::Result<Vec<PathBuf>> {
-        let partitions = cfg.partitions.max(1);
-        let mut writers: Vec<RollingShardWriter> = (0..partitions)
-            .map(|p| {
-                RollingShardWriter::new(&self.dir, partition_prefix(p), cfg.traces_per_shard, true)
-            })
-            .collect();
-        // An undelivered slot past the failure check would be an accounting
-        // bug in the runner; surface it as an error, not a panic.
-        for (i, slot) in self.slots.into_inner().into_iter().enumerate() {
-            let Some(rec) = slot else {
-                return Err(io::Error::other(format!(
-                    "trace {i} was neither delivered nor recorded as failed"
-                )));
-            };
-            writers[partition_of(rec.trace_type, partitions)].push(rec)?;
-        }
-        let mut paths = Vec::new();
-        for w in writers {
-            paths.extend(w.finish()?);
-        }
-        Ok(paths)
     }
 }
 
@@ -553,7 +498,7 @@ mod tests {
     use super::*;
     use crate::oversub::MuxSimulatorPool;
     use crate::pool::SimulatorPool;
-    use etalumis_data::{discover_rank_dirs, merge_ranks};
+    use etalumis_data::{discover_rank_dirs, merge_ranks, TraceRecord};
     use etalumis_ppx::{InProcMuxEndpoint, MuxEndpoint, SimulatorServer};
     use etalumis_simulators::BranchingModel;
 
@@ -708,6 +653,69 @@ mod tests {
                 assert!(got == reference, "{column:?} × {row:?} differs from the reference");
             }
         }
+    }
+
+    #[test]
+    fn ordered_shards_far_past_the_window_run_promptly_within_its_bound() {
+        use etalumis_core::{ProbProgram, SimCtx};
+        use etalumis_distributions::Value;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Before each trace, how many records delivered so far are not yet
+        /// in a shard file (the reorder window plus each partition's open
+        /// shard). Buffering the batch would leave every shard unwritten
+        /// until the run ends.
+        struct Watch {
+            inner: BranchingModel,
+            dir: PathBuf,
+            delivered: usize,
+            peak: Arc<AtomicUsize>,
+        }
+        impl ProbProgram for Watch {
+            fn run(&mut self, ctx: &mut dyn SimCtx) -> Value {
+                let shards = std::fs::read_dir(&self.dir).map_or(0, |d| {
+                    d.filter(|e| {
+                        e.as_ref().is_ok_and(|e| e.path().extension() == Some("etlm".as_ref()))
+                    })
+                    .count()
+                });
+                self.peak.fetch_max(self.delivered - 4 * shards, Ordering::Relaxed);
+                self.delivered += 1;
+                self.inner.run(ctx)
+            }
+        }
+
+        // 500 traces on one worker against a window of 2·4 + 64 = 72 (shards
+        // of 4): a delivery order that let the window fill would park every
+        // later delivery for its whole wait budget (~0.2 s each).
+        let cfg = DatasetGenConfig {
+            n: 500,
+            traces_per_shard: 4,
+            partitions: 2,
+            workers: 1,
+            seed: 7,
+            pruned: true,
+            ordered: true,
+        };
+        let dir = tmpdir("past_window");
+        let peak = Arc::new(AtomicUsize::new(0));
+        let mut pool = SimulatorPool::from_factory(1, |_| Watch {
+            inner: BranchingModel::standard(),
+            dir: dir.clone(),
+            delivered: 0,
+            peak: peak.clone(),
+        });
+        let t0 = std::time::Instant::now();
+        let ds = RunPlan::new(Backend::Local(&mut pool), &cfg).shards(&dir).run().unwrap().dataset;
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(20),
+            "ordered shards stalled against the reorder window"
+        );
+        assert_eq!(ds.len(), cfg.n);
+        let bound = 2 * cfg.traces_per_shard + 64 + cfg.partitions * cfg.traces_per_shard;
+        let peak = peak.load(Ordering::Relaxed);
+        assert!(peak <= bound, "{peak} records held at once, bound {bound}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -16,13 +16,23 @@
 //! number) under the lock; encoding, writing and fsyncing it happen after
 //! the lock is released, so a roll never stalls the other workers on that
 //! partition.
+//!
+//! Every output that must see records in batch-index order — ordered
+//! shards, checkpointed shards, the stream, and the tee of shards and
+//! stream — sits behind one reorder window, `InOrder`, which hands each
+//! index in ascending order to that output's committer.
 
 use crate::batch::{spawn_workers, RuntimeConfig};
+use crate::stream::Stream;
 use etalumis_core::{RecordBuilder, Trace, TraceRecord, TraceTarget};
-use etalumis_data::{partition_of, partition_prefix, RollingShardWriter};
+use etalumis_data::{partition_of, partition_prefix, RollingShardWriter, TraceChannel};
+use etalumis_telemetry::Telemetry;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::MutexGuard;
+use std::time::Duration;
 
 /// Receives completed executions from worker threads, each recorded into
 /// the target `B` the sink hands out: a [`Trace`] (the default) or a
@@ -226,11 +236,283 @@ impl TraceSink<RecordBuilder> for ShardedTraceSink {
     }
 }
 
+/// Parks a delivery too far past the watermark takes before it is let in
+/// anyway: a descheduled worker costs memory, never liveness.
+const MAX_WAITS: u32 = 4000;
+const WAIT_STEP: Duration = Duration::from_micros(50);
+
+/// The window of an output that already holds `k` records in flight (a
+/// manifest interval, a channel's capacity, a shard).
+fn span(k: usize) -> usize {
+    2 * k.max(1) + 64
+}
+
+/// Takes the indices of an [`InOrder`] window in ascending order, each with
+/// its record or `None` for a hole (an index that failed for good).
+pub(crate) trait Commit: Send {
+    fn commit(&mut self, index: usize, rec: Option<TraceRecord>);
+}
+
+/// The reorder window behind every index-ordered output: it keeps what
+/// arrives past the watermark and commits the contiguous prefix, in index
+/// order, to its committer. A rejected index is a hole; a later success
+/// fills a pending hole; an index below the watermark is ignored. A
+/// delivery more than the window's size past the watermark parks, bounded;
+/// the worker owning the watermark pops its indices in ascending order, so
+/// it never waits on a higher one.
+pub(crate) struct InOrder<C> {
+    pruned: bool,
+    /// How far past the watermark a delivery may land before it parks.
+    window: usize,
+    state: Mutex<Window<C>>,
+    tel: Telemetry,
+}
+
+/// A window's state, under its lock.
+pub(crate) struct Window<C> {
+    /// Every index below it has been committed.
+    next: usize,
+    /// Delivered (`Some`) or rejected (`None`) indices past `next`.
+    pending: BTreeMap<usize, Option<TraceRecord>>,
+    pub(crate) committer: C,
+}
+
+impl<C: Commit> InOrder<C> {
+    /// A window committing `start..` to `committer`, sized for an output
+    /// that holds `k` records in flight; `pruned` is the records' layout.
+    pub(crate) fn new(start: usize, k: usize, pruned: bool, committer: C) -> Self {
+        Self {
+            pruned,
+            window: span(k),
+            state: Mutex::new(Window { next: start, pending: BTreeMap::new(), committer }),
+            tel: Telemetry::disabled(),
+        }
+    }
+
+    /// Report the window's depth at each delivery (`ckpt.pending`) and the
+    /// parks taken (`ckpt.backpressure_waits`).
+    pub(crate) fn with_telemetry(mut self, tel: Telemetry) -> Self {
+        self.tel = tel;
+        self
+    }
+
+    /// Rejected indices past the watermark, waiting for the prefix.
+    pub(crate) fn holes(&self) -> Vec<usize> {
+        self.state.lock().pending.iter().filter(|(_, r)| r.is_none()).map(|(&i, _)| i).collect()
+    }
+
+    /// The window's state, its committer included, locked.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Window<C>> {
+        self.state.lock()
+    }
+
+    /// The committer, once every delivered index has been committed.
+    pub(crate) fn into_committer(self) -> io::Result<C> {
+        let Window { pending, committer, .. } = self.state.into_inner();
+        match pending.keys().next() {
+            None => Ok(committer),
+            Some(i) => Err(io::Error::other(format!("trace {i} waits behind an undelivered one"))),
+        }
+    }
+
+    fn deliver(&self, index: usize, rec: Option<TraceRecord>) {
+        let mut waits = 0u32;
+        loop {
+            let mut st = self.state.lock(); // etalumis: allow(reactor-blocking, reason = "the window lock is held across the committer (journal append, shard roll, channel hand-off) to keep index order; the park below is MAX_WAITS-capped")
+            if index < st.next {
+                return;
+            }
+            if index <= st.next + self.window || waits >= MAX_WAITS {
+                let slot = st.pending.entry(index).or_insert(None);
+                if rec.is_some() {
+                    *slot = rec;
+                }
+                self.tel.gauge("ckpt.pending", st.pending.len() as f64);
+                let window = &mut *st;
+                while let Some(entry) = window.pending.remove(&window.next) {
+                    window.committer.commit(window.next, entry);
+                    window.next += 1;
+                }
+                if waits > 0 {
+                    self.tel.count("ckpt.backpressure_waits", u64::from(waits));
+                }
+                return;
+            }
+            drop(st);
+            waits += 1;
+            std::thread::sleep(WAIT_STEP); // etalumis: allow(reactor-blocking, reason = "bounded backpressure park (MAX_WAITS-capped) while the reorder window is full")
+        }
+    }
+}
+
+impl<C: Commit> TraceSink<RecordBuilder> for InOrder<C> {
+    fn target(&self) -> RecordBuilder {
+        RecordBuilder::new(self.pruned)
+    }
+
+    fn accept(&self, index: usize, rec: TraceRecord) {
+        self.deliver(index, Some(rec));
+    }
+
+    fn reject(&self, index: usize, _error: &str) {
+        self.deliver(index, None);
+    }
+}
+
+/// The tee committer: the shards `A` commit each index before `B` (the
+/// channel) sees it, so a record is journaled before the trainer can see
+/// it. Without `B` it is `A` alone, and no record is cloned.
+pub(crate) struct Tee<A, B>(pub(crate) A, pub(crate) Option<B>);
+
+impl<A: Commit, B: Commit> Commit for Tee<A, B> {
+    fn commit(&mut self, index: usize, rec: Option<TraceRecord>) {
+        match &mut self.1 {
+            Some(then) => {
+                self.0.commit(index, rec.clone());
+                then.commit(index, rec);
+            }
+            None => self.0.commit(index, rec),
+        }
+    }
+}
+
+impl<'a, A: Commit> InOrder<Tee<A, Stream<'a>>> {
+    /// Tee every committed record into `channel` too, if there is one; the
+    /// window narrows to the channel's when that is smaller.
+    pub(crate) fn stream(mut self, channel: Option<&'a TraceChannel>) -> Self {
+        if let Some(channel) = channel {
+            self.window = self.window.min(span(channel.capacity()));
+            self.state.get_mut().committer.1 = Some(Stream { channel });
+        }
+        self
+    }
+}
+
+/// The ordered-shards committer: each partition's shards roll in
+/// batch-index order, so their bytes are the same for any worker count.
+pub(crate) struct OrderedShards {
+    writers: Vec<RollingShardWriter>,
+    /// First write error; later records are dropped and it surfaces at
+    /// [`OrderedShards::finish`].
+    error: Option<io::Error>,
+}
+
+impl OrderedShards {
+    /// `partitions` shard streams under `dir`, named and partitioned as the
+    /// [`ShardedTraceSink`]'s.
+    pub(crate) fn new(dir: &Path, partitions: usize, traces_per_shard: usize) -> Self {
+        let writers = (0..partitions.max(1))
+            .map(|p| RollingShardWriter::new(dir, partition_prefix(p), traces_per_shard, true))
+            .collect();
+        Self { writers, error: None }
+    }
+
+    /// Flush every partition; all shard paths in partition, then roll order.
+    pub(crate) fn finish(self) -> io::Result<Vec<PathBuf>> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let mut paths = Vec::new();
+        for w in self.writers {
+            paths.extend(w.finish()?);
+        }
+        Ok(paths)
+    }
+}
+
+impl Commit for OrderedShards {
+    fn commit(&mut self, _index: usize, rec: Option<TraceRecord>) {
+        let (Some(rec), None) = (rec, &self.error) else { return };
+        let p = partition_of(rec.trace_type, self.writers.len());
+        if let Err(e) = self.writers[p].push(rec) {
+            self.error = Some(e);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use etalumis_core::Executor;
     use etalumis_simulators::BranchingModel;
+
+    /// A committer that logs what it is handed.
+    type Log = Vec<(usize, Option<TraceRecord>)>;
+
+    impl Commit for Log {
+        fn commit(&mut self, index: usize, rec: Option<TraceRecord>) {
+            self.push((index, rec));
+        }
+    }
+
+    #[test]
+    fn the_window_commits_each_index_once_in_order_to_every_committer() {
+        let mut m = BranchingModel::standard();
+        let recs: Vec<TraceRecord> = (0..5)
+            .map(|s| TraceRecord::from_trace(&Executor::sample_prior(&mut m, s), true))
+            .collect();
+        // (rule, deliveries, commits), each an index and whether it succeeded.
+        type Steps = &'static [(usize, bool)];
+        let cases: [(&str, Steps, Steps); 5] = [
+            (
+                "out-of-order deliveries commit in index order",
+                &[(3, true), (0, true), (4, true), (1, true), (2, true)],
+                &[(0, true), (1, true), (2, true), (3, true), (4, true)],
+            ),
+            (
+                "a reject is a hole",
+                &[(0, true), (1, false), (2, true)],
+                &[(0, true), (1, false), (2, true)],
+            ),
+            (
+                "a later success overwrites a pending hole",
+                &[(2, false), (2, true), (0, true), (1, true)],
+                &[(0, true), (1, true), (2, true)],
+            ),
+            (
+                "a reject never overwrites a pending success",
+                &[(1, true), (1, false), (0, true)],
+                &[(0, true), (1, true)],
+            ),
+            (
+                "an index below the watermark is ignored",
+                &[(0, true), (1, false), (0, false), (1, true), (2, true)],
+                &[(0, true), (1, false), (2, true)],
+            ),
+        ];
+        for (rule, delivered, committed) in cases {
+            let deliver = |sink: &dyn TraceSink<RecordBuilder>| {
+                for &(i, ok) in delivered {
+                    match ok {
+                        true => sink.accept(i, recs[i].clone()),
+                        false => sink.reject(i, "dead"),
+                    }
+                }
+            };
+            let expect: Log =
+                committed.iter().map(|&(i, ok)| (i, ok.then(|| recs[i].clone()))).collect();
+            let alone = InOrder::new(0, 1, true, Log::new());
+            deliver(&alone);
+            assert_eq!(alone.into_committer().unwrap(), expect, "{rule}");
+            // A tee: every part sees every index, holes included.
+            let tee = InOrder::new(0, 1, true, Tee(Log::new(), Some(Log::new())));
+            deliver(&tee);
+            let Tee(first, then) = tee.into_committer().unwrap();
+            assert_eq!((first, then), (expect.clone(), Some(expect.clone())), "{rule}: tee");
+            // The stream: the successes, in index order.
+            let chan = TraceChannel::bounded(8);
+            deliver(&InOrder::new(0, 8, true, Stream { channel: &chan }));
+            chan.close();
+            let streamed: Vec<TraceRecord> = std::iter::from_fn(|| chan.recv()).collect();
+            let successes: Vec<TraceRecord> = expect.into_iter().filter_map(|(_, r)| r).collect();
+            assert_eq!(streamed, successes, "{rule}: stream");
+        }
+        // An index left waiting behind one never delivered is an error, not
+        // a silent loss.
+        let gap = InOrder::new(0, 1, true, Log::new());
+        gap.accept(1, recs[1].clone());
+        assert!(gap.into_committer().is_err());
+    }
 
     #[test]
     fn collect_sink_orders_by_index() {

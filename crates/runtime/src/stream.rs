@@ -6,16 +6,16 @@
 //! replaces that seam with a bounded [`TraceChannel`] the worker pool
 //! feeds directly:
 //!
-//! * [`StreamSink`] — a [`TraceSink`] that reorders worker completions
-//!   into strict batch-index order and pushes them into the channel. Order
-//!   matters: it makes the stream's content *and sequence* a pure function
-//!   of `(factory, seed, n)` — invariant over worker count and channel
-//!   capacity — which is what lets a streaming training run be reproduced
-//!   bit-identically from its teed shards.
-//! * [`TeeSink`] — fans one delivery out to two sinks, used to tee the
-//!   live stream through a [`CheckpointSink`](crate::CheckpointSink) so a streaming run stays
-//!   durable, resumable, and byte-identical to the batch pipeline's
-//!   output.
+//! * **the stream** — the channel is the committer of the run's reorder
+//!   window (see [`sink`](crate::sink)): it receives records in strict
+//!   batch-index order. Order matters: it makes the stream's content *and
+//!   sequence* a pure function of `(factory, seed, n)` — invariant over
+//!   worker count and channel capacity — which is what lets a streaming
+//!   training run be reproduced bit-identically from its teed shards.
+//! * **the tee** — with a shard directory the window commits each index to
+//!   the shards first, then to the channel, so a checkpointed streaming
+//!   run stays durable, resumable, and byte-identical to the batch
+//!   pipeline's output.
 //! * **prefix replay** — a checkpointed [`RunPlan`](crate::RunPlan) with a
 //!   stream (the tee) re-feeds the channel on resume: committed shards +
 //!   the partial-shard journal are pushed into it before live generation
@@ -23,162 +23,40 @@
 //!   exactly the stream an uninterrupted run produces.
 //!
 //! Back-pressure discipline: when the trainer falls behind, `channel.send`
-//! blocks inside the sink; workers then block either on the send or on the
-//! sink's mutex. Nothing is dropped, memory stays bounded by
+//! blocks inside the window; workers then block either on the send or on
+//! the window's lock. Nothing is dropped, memory stays bounded by
 //! `capacity + reorder window`, and the pipeline cannot deadlock — the
 //! consumer draining (or closing) the channel always unblocks the chain.
 
 use crate::checkpoint::Checkpoint;
-use crate::sink::TraceSink;
-use etalumis_core::{RecordBuilder, TraceTarget};
+use crate::sink::Commit;
 use etalumis_data::{
     journal_path, partition_prefix, read_journal, shard_path, ShardReader, TraceChannel,
     TraceRecord,
 };
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-/// Reorder-buffer wait bounds, mirroring [`CheckpointSink`](crate::CheckpointSink)'s: a worker
-/// whose index is too far ahead of the contiguous prefix parks briefly so
-/// the buffer cannot balloon, but never forever — after the budget it
-/// proceeds, trading bounded memory growth for guaranteed progress.
-const MAX_WAITS: usize = 4000;
-const WAIT_STEP_MICROS: u64 = 50;
-
-struct StreamState {
-    /// Next batch index owed to the channel.
-    next: usize,
-    /// Completed (Some) or permanently failed (None) indices beyond
-    /// `next`, waiting for the prefix to close.
-    pending: BTreeMap<usize, Option<TraceRecord>>,
+/// The stream committer: each committed record goes into the channel. A
+/// closed channel (the consumer finished early) turns the rest of the
+/// stream into a drain, not an error: the run itself — and any tee — must
+/// still finish.
+pub(crate) struct Stream<'a> {
+    pub(crate) channel: &'a TraceChannel,
 }
 
-/// A [`TraceSink`] that feeds a [`TraceChannel`] in strict batch-index
-/// order.
-///
-/// Workers deliver completions in whatever order execution finishes; the
-/// sink holds them in a reorder buffer and releases the contiguous prefix.
-/// A failed index (see [`TraceSink::reject`]) is a hole the prefix skips —
-/// consumers see one record fewer, callers see the failure in
-/// [`RunStats::failures`](crate::RunStats::failures).
-///
-/// If the consumer closes the channel mid-run, delivery degrades to a
-/// no-op drain: workers complete the batch (so teed shards stay whole)
-/// without anyone blocking on the dead consumer.
-pub struct StreamSink<'a> {
-    channel: &'a TraceChannel,
-    pruned: bool,
-    /// Max distance an accepted index may run ahead of the contiguous
-    /// prefix before its worker parks (bounds buffer memory).
-    window: usize,
-    state: Mutex<StreamState>,
-}
-
-impl<'a> StreamSink<'a> {
-    /// Sink delivering batch indices `start..` into `channel`. `start` is 0
-    /// for a fresh run, the checkpoint watermark for a resumed one (the
-    /// prefix below it is replayed from shards, not re-generated).
-    pub fn new(channel: &'a TraceChannel, pruned: bool, start: usize) -> Self {
-        Self {
-            channel,
-            pruned,
-            window: channel.capacity() * 2 + 64,
-            state: Mutex::new(StreamState { next: start, pending: BTreeMap::new() }),
+impl Commit for Stream<'_> {
+    fn commit(&mut self, _index: usize, rec: Option<TraceRecord>) {
+        if let Some(rec) = rec {
+            let _ = self.channel.send(rec);
         }
-    }
-
-    /// Next batch index the channel is owed (`n` after a complete run).
-    pub fn watermark(&self) -> usize {
-        self.state.lock().next
-    }
-
-    fn deliver(&self, index: usize, rec: Option<TraceRecord>) {
-        let mut waits = 0usize;
-        loop {
-            let mut st = self.state.lock(); // etalumis: allow(reactor-blocking, reason = "reorder-window lock held across the channel hand-off preserves index order; the park below is MAX_WAITS-capped")
-            if index <= st.next + self.window || waits >= MAX_WAITS || self.channel.is_closed() {
-                st.pending.insert(index, rec);
-                while let Some(entry) = {
-                    let next = st.next;
-                    st.pending.remove(&next)
-                } {
-                    if let Some(r) = entry {
-                        // A closed channel (consumer finished early) turns
-                        // the remaining stream into a drain, not an error:
-                        // the run itself — and any tee — must still finish.
-                        let _ = self.channel.send(r);
-                    }
-                    st.next += 1;
-                }
-                return;
-            }
-            drop(st);
-            waits += 1;
-            // etalumis: allow(reactor-blocking, reason = "bounded backpressure park (MAX_WAITS-capped) while the reorder window is full")
-            std::thread::sleep(std::time::Duration::from_micros(WAIT_STEP_MICROS));
-        }
-    }
-}
-
-impl TraceSink<RecordBuilder> for StreamSink<'_> {
-    fn target(&self) -> RecordBuilder {
-        RecordBuilder::new(self.pruned)
-    }
-
-    fn accept(&self, index: usize, rec: TraceRecord) {
-        self.deliver(index, Some(rec));
-    }
-
-    fn reject(&self, index: usize, _error: &str) {
-        self.deliver(index, None);
-    }
-}
-
-/// Fan one delivery out to two sinks (checkpoint tee): `first`
-/// receives the delivery before `second`, so when `first` is the durable
-/// [`CheckpointSink`](crate::CheckpointSink) a record is journaled before the trainer can see it.
-/// Executions are recorded into `first`'s target; both sinks must take the
-/// same kind.
-pub struct TeeSink<'a, A: ?Sized, B: ?Sized> {
-    first: &'a A,
-    second: &'a B,
-}
-
-impl<'a, A: ?Sized, B: ?Sized> TeeSink<'a, A, B> {
-    /// Tee deliveries to `first`, then `second`.
-    pub fn new(first: &'a A, second: &'a B) -> Self {
-        Self { first, second }
-    }
-}
-
-impl<T, A, B> TraceSink<T> for TeeSink<'_, A, B>
-where
-    T: TraceTarget,
-    T::Output: Clone,
-    A: TraceSink<T> + ?Sized,
-    B: TraceSink<T> + ?Sized,
-{
-    fn target(&self) -> T {
-        self.first.target()
-    }
-
-    fn accept(&self, index: usize, item: T::Output) {
-        self.first.accept(index, item.clone());
-        self.second.accept(index, item);
-    }
-
-    fn reject(&self, index: usize, error: &str) {
-        self.first.reject(index, error);
-        self.second.reject(index, error);
     }
 }
 
 /// Replay the committed prefix of a single-partition checkpointed run into
 /// the channel: finished shards in roll order, then the in-progress shard's
-/// journal up to its durable byte count. Returns the number of records
-/// replayed, which must equal the manifest watermark.
+/// journal up to its durable byte count. The number of records replayed
+/// must equal the manifest watermark, where the run's window resumes.
 ///
 /// A run with permanently failed indices cannot be replayed: its failures
 /// are holes below the watermark, and healing them would append repair
@@ -187,7 +65,7 @@ pub(crate) fn replay_committed_prefix(
     dir: &Path,
     manifest: &Checkpoint,
     channel: &TraceChannel,
-) -> io::Result<usize> {
+) -> io::Result<()> {
     if !manifest.failed.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -226,7 +104,7 @@ pub(crate) fn replay_committed_prefix(
             ),
         ));
     }
-    Ok(manifest.watermark as usize)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -237,7 +115,6 @@ mod tests {
     use crate::dataset::DatasetGenConfig;
     use crate::plan::{RunOutput, RunPlan};
     use crate::pool::SimulatorPool;
-    use crate::sink::CollectSink;
     use etalumis_data::TraceDataset;
     use etalumis_simulators::BranchingModel;
     use std::path::PathBuf;
@@ -295,26 +172,6 @@ mod tests {
             }
             out
         })
-    }
-
-    #[test]
-    fn stream_sink_orders_out_of_order_deliveries() {
-        use etalumis_core::{Executor, Trace};
-        let chan = TraceChannel::bounded(16);
-        let sink = StreamSink::new(&chan, true, 0);
-        let mut m = BranchingModel::standard();
-        let traces: Vec<Trace> = (0..5).map(|s| Executor::sample_prior(&mut m, s)).collect();
-        for i in [3usize, 0, 4, 1, 2] {
-            sink.accept(i, TraceRecord::from_trace(&traces[i], true));
-        }
-        chan.close();
-        let mut got = Vec::new();
-        while let Some(r) = chan.recv() {
-            got.push(r);
-        }
-        let expect: Vec<TraceRecord> =
-            traces.iter().map(|t| TraceRecord::from_trace(t, true)).collect();
-        assert_eq!(got, expect, "stream must be in batch-index order");
     }
 
     #[test]
@@ -415,23 +272,5 @@ mod tests {
         let ds = tee(&cfg(30, 5, 2), &dir, CheckpointConfig { interval: 5 }, None, &chan).unwrap();
         assert_eq!(ds.len(), 30);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn tee_sink_forwards_accept_and_reject_to_both() {
-        use etalumis_core::Executor;
-        let a = CollectSink::new(3);
-        let b = CollectSink::new(3);
-        let tee = TeeSink::new(&a, &b);
-        let mut m = BranchingModel::standard();
-        tee.accept(0, Executor::sample_prior(&mut m, 0));
-        tee.reject(1, "dead");
-        tee.accept(2, Executor::sample_prior(&mut m, 2));
-        let (da, ma) = a.into_results();
-        let (db, mb) = b.into_results();
-        assert_eq!(da.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(db.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(ma, vec![1]);
-        assert_eq!(mb, vec![1]);
     }
 }

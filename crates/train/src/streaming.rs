@@ -17,7 +17,7 @@
 //! back-pressure reaches the generator at every rank count.
 //!
 //! Reproducibility: the channel carries records in batch-index order (the
-//! runtime's `StreamSink` guarantees it), so training is a pure function of
+//! runtime's reorder window guarantees it), so training is a pure function of
 //! the stream content and the plan. [`Records::Replay`] reads a
 //! [`TraceDataset`] through the identical code path — over the shards a
 //! teed streaming run wrote, it reproduces the live run's losses and

@@ -47,7 +47,7 @@ pub mod prelude {
     };
     pub use etalumis_runtime::{
         Backend, BatchRunner, CollectSink, DatasetGenConfig, PriorProposerFactory, RunPlan,
-        RuntimeConfig, ShardedTraceSink, SimulatorPool, StreamSink, TraceSink,
+        RuntimeConfig, ShardedTraceSink, SimulatorPool, TraceSink,
     };
     pub use etalumis_simulators::{GaussianUnknownMean, TauDecayModel};
     pub use etalumis_telemetry::{Collector, Logger, RunMetrics, Telemetry};
