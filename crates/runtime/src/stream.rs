@@ -175,6 +175,58 @@ mod tests {
     }
 
     #[test]
+    fn stream_sink_orders_out_of_order_deliveries() {
+        use crate::sink::{InOrder, TraceSink};
+        use etalumis_core::{Executor, Trace};
+        let chan = TraceChannel::bounded(16);
+        let sink = InOrder::new(0, chan.capacity(), true, Stream { channel: &chan });
+        let mut m = BranchingModel::standard();
+        let traces: Vec<Trace> = (0..5).map(|s| Executor::sample_prior(&mut m, s)).collect();
+        for i in [3usize, 0, 4, 1, 2] {
+            sink.accept(i, TraceRecord::from_trace(&traces[i], true));
+        }
+        chan.close();
+        let mut got = Vec::new();
+        while let Some(r) = chan.recv() {
+            got.push(r);
+        }
+        let expect: Vec<TraceRecord> =
+            traces.iter().map(|t| TraceRecord::from_trace(t, true)).collect();
+        assert_eq!(got, expect, "stream must be in batch-index order");
+    }
+
+    #[test]
+    fn tee_sink_forwards_accept_and_reject_to_both() {
+        use crate::sink::{Commit, InOrder, Tee, TraceSink};
+        use etalumis_core::Executor;
+        /// A committer that keeps the committed indices and the holes.
+        #[derive(Default)]
+        struct Seen {
+            ok: Vec<usize>,
+            holes: Vec<usize>,
+        }
+        impl Commit for Seen {
+            fn commit(&mut self, index: usize, rec: Option<TraceRecord>) {
+                match rec {
+                    Some(_) => self.ok.push(index),
+                    None => self.holes.push(index),
+                }
+            }
+        }
+        let tee = InOrder::new(0, 1, true, Tee(Seen::default(), Some(Seen::default())));
+        let mut m = BranchingModel::standard();
+        tee.accept(2, TraceRecord::from_trace(&Executor::sample_prior(&mut m, 2), true));
+        tee.reject(1, "dead");
+        tee.accept(0, TraceRecord::from_trace(&Executor::sample_prior(&mut m, 0), true));
+        let Tee(a, b) = tee.into_committer().unwrap();
+        let b = b.expect("the tee keeps its second part");
+        assert_eq!(a.ok, vec![0, 2]);
+        assert_eq!(b.ok, vec![0, 2]);
+        assert_eq!(a.holes, vec![1]);
+        assert_eq!(b.holes, vec![1]);
+    }
+
+    #[test]
     fn stream_is_worker_count_invariant() {
         let run = |workers: usize| {
             let chan = Arc::new(TraceChannel::bounded(7));
