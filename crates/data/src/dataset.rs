@@ -7,17 +7,27 @@
 //! 50× training-speed improvement.
 
 use crate::record::TraceRecord;
-use crate::shard::{deny_stale_partials, remove_stale_rolls, RollingShardWriter, ShardReader};
+use crate::shard::{
+    deny_stale_partials, remove_stale_rolls, RollingShardWriter, ShardLayout, ShardReader,
+};
 use etalumis_core::{Executor, ObserveMap, PriorProposer, ProbProgram, RecordBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 /// A dataset of trace records stored across shard files.
+///
+/// Opening parses every shard's header, dictionary and index once; a read
+/// then opens only the shard file and reads the records' bytes. No file
+/// stays open between reads, so a dataset of many shards holds no
+/// descriptors.
 pub struct TraceDataset {
     /// Shard paths, in order.
     pub shards: Vec<PathBuf>,
+    /// Per-shard record layout, parallel to `shards`.
+    layouts: Vec<ShardLayout>,
     /// Per-record (shard, index-within-shard), flattened in dataset order.
     locations: Vec<(u32, u32)>,
     /// Per-record metadata: (trace_type, controlled length).
@@ -31,12 +41,14 @@ impl TraceDataset {
     pub fn open(shards: Vec<PathBuf>) -> std::io::Result<Self> {
         let mut locations = Vec::new();
         let mut meta = Vec::new();
+        let mut layouts = Vec::with_capacity(shards.len());
         for (si, p) in shards.iter().enumerate() {
             let r = ShardReader::open(p)?;
             locations.extend((0..r.len() as u32).map(|ri| (si as u32, ri)));
             meta.extend_from_slice(r.meta());
+            layouts.push(r.into_layout());
         }
-        Ok(Self { shards, locations, meta })
+        Ok(Self { shards, layouts, locations, meta })
     }
 
     /// Number of records.
@@ -67,28 +79,43 @@ impl TraceDataset {
 
     /// Load a single record (random access).
     pub fn get(&self, i: usize) -> std::io::Result<TraceRecord> {
-        let (si, ri) = self.location(i)?;
-        let mut r = ShardReader::open(&self.shards[si as usize])?;
-        r.get(ri as usize)
+        Ok(self.get_many(&[i])?.remove(0))
     }
 
-    /// Load many records; `sorted_hint` enables shard-grouped sequential
-    /// access (the fast path the paper's sorting enables).
+    /// Load many records. Requests are grouped per shard, each shard file
+    /// is opened once, and each run of consecutive records is one read:
+    /// the sequential access the paper's sorting makes minibatches take.
     pub fn get_many(&self, indices: &[usize]) -> std::io::Result<Vec<TraceRecord>> {
-        // Group requests per shard to open each file once.
         // BTreeMap: shards are visited in ascending index order, so read order
         // (and any IO error surfaced first) is stable run-to-run.
-        let mut by_shard: BTreeMap<u32, Vec<(usize, u32)>> = BTreeMap::new();
+        let mut by_shard: BTreeMap<u32, Vec<(usize, usize)>> = BTreeMap::new();
         for (pos, &i) in indices.iter().enumerate() {
             let (si, ri) = self.location(i)?;
-            by_shard.entry(si).or_default().push((pos, ri));
+            by_shard.entry(si).or_default().push((ri as usize, pos));
         }
         let mut out: Vec<Option<TraceRecord>> = vec![None; indices.len()];
         for (si, mut items) in by_shard {
-            let mut r = ShardReader::open(&self.shards[si as usize])?;
-            items.sort_by_key(|&(_, ri)| ri);
-            for (pos, ri) in items {
-                out[pos] = Some(r.get(ri as usize)?);
+            let (path, layout) = (&self.shards[si as usize], &self.layouts[si as usize]);
+            let mut file = File::open(path)?;
+            items.sort_unstable();
+            let mut k = 0;
+            while k < items.len() {
+                // The run of consecutive records from this request on, as
+                // far as one read takes it (a repeated index stays in it).
+                let first = items[k].0;
+                let mut j = k;
+                while j + 1 < items.len() && items[j + 1].0 <= items[j].0 + 1 {
+                    j += 1;
+                }
+                let last = layout.run_end(first, items[j].0);
+                layout.read_run(path, &mut file, first, last, |ri, rec| {
+                    let mut rec = Some(rec);
+                    while k < items.len() && items[k].0 == ri {
+                        let repeated = items.get(k + 1).is_some_and(|&(next, _)| next == ri);
+                        out[items[k].1] = if repeated { rec.clone() } else { rec.take() };
+                        k += 1;
+                    }
+                })?;
             }
         }
         // Every slot was grouped into exactly one shard above; an empty slot
@@ -234,6 +261,30 @@ mod tests {
         assert!(sorted.is_sorted());
         // Same multiset of trace types.
         assert_eq!(sorted.trace_type_counts(), ds.trace_type_counts());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn get_many_reads_runs_across_shards_as_the_shards_hold_them() {
+        let dir = tmpdir("runs");
+        let mut m = BranchingModel::standard();
+        let ds = generate_dataset(&mut m, 47, 10, &dir, 5, true).unwrap();
+        let all: Vec<TraceRecord> = ds
+            .shards
+            .iter()
+            .flat_map(|p| ShardReader::open(p).unwrap().read_all().unwrap())
+            .collect();
+        // Runs that cross shard boundaries, repeats inside a run, a run
+        // requested backwards, single records and the last record.
+        let idx: Vec<usize> =
+            (5..27).chain([40, 3, 3, 4, 46, 12, 12]).chain((30..38).rev()).collect();
+        let many = ds.get_many(&idx).unwrap();
+        assert_eq!(many.len(), idx.len());
+        for (k, &i) in idx.iter().enumerate() {
+            assert_eq!(many[k], all[i], "request {k} for record {i}");
+        }
+        assert_eq!(ds.get_many(&(0..47).collect::<Vec<_>>()).unwrap(), all);
+        assert!(ds.get_many(&[47]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -34,7 +34,7 @@ use crate::record::{
 };
 use etalumis_distributions::codec::Reader;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"ETLM";
@@ -277,6 +277,10 @@ const WRITE_BUF: usize = 256 * 1024;
 /// version, flag, record count and the dictionary of a τ dataset fit.
 const HEAD_READ: usize = 8 * 1024;
 
+/// Most bytes one read of consecutive records takes (a larger record is
+/// read alone).
+const READ_RUN: u64 = 1024 * 1024;
+
 /// Why the first bytes of a shard did not parse as its header.
 enum Head {
     /// They end inside it: read more, if the file has more.
@@ -317,13 +321,86 @@ fn parse_head(path: &Path, buf: &[u8]) -> Result<(Option<AddressDictionary>, usi
     Ok((dict, n, (buf.len() - r.remaining()) as u64))
 }
 
+/// Where a shard's records lie and how they decode: what
+/// [`ShardReader::open`] parses besides the index metadata. With it, any
+/// run of consecutive records is one read and no other parsing, so a
+/// dataset keeps one per shard and opens only the file per read.
+pub(crate) struct ShardLayout {
+    dict: Option<AddressDictionary>,
+    /// Each record's offset (of its length prefix), in record order.
+    offsets: Vec<u64>,
+    /// Where the records end: the index's offset.
+    records_end: u64,
+}
+
+impl ShardLayout {
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// Where record `i`'s bytes end: the next record's offset, or the
+    /// index's.
+    fn end(&self, i: usize) -> u64 {
+        self.offsets.get(i + 1).copied().unwrap_or(self.records_end)
+    }
+
+    /// The longest run of records from `first` to at most `last` (inclusive)
+    /// that one read takes: [`READ_RUN`] bytes, or the first record alone.
+    pub(crate) fn run_end(&self, first: usize, last: usize) -> usize {
+        let start = self.offsets[first];
+        (first..=last)
+            .take_while(|&i| i == first || self.end(i) <= start + READ_RUN)
+            .last()
+            .unwrap_or(first)
+    }
+
+    /// Read records `first..=last` of the shard at `path` from `file` with
+    /// one read, handing each to `out` with its index. A record whose
+    /// length prefix runs past its place errors before its buffer is
+    /// allocated.
+    pub(crate) fn read_run(
+        &self,
+        path: &Path,
+        file: &mut File,
+        first: usize,
+        last: usize,
+        mut out: impl FnMut(usize, TraceRecord),
+    ) -> std::io::Result<()> {
+        let start = self.offsets[first];
+        let end = self.end(last);
+        let order = |i: usize| {
+            invalid(format!(
+                "shard {} index entry {i} is out of order with its neighbours",
+                path.display()
+            ))
+        };
+        if end < start {
+            return Err(order(last));
+        }
+        let mut bytes = vec![0u8; (end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(&mut bytes)?;
+        for i in first..=last {
+            let (off, next) = (self.offsets[i], self.end(i));
+            if off < start || next > end || next < off + 4 {
+                return Err(order(i));
+            }
+            let record = &bytes[(off - start) as usize..(next - start) as usize];
+            let mut r = Reader::new(record);
+            let len = r.u32().map_err(|e| decode_err(path, off, e))? as usize;
+            let body = r.take(len).map_err(|e| decode_err(path, off, e))?;
+            out(i, decode_record(body, self.dict.as_ref()).map_err(|e| decode_err(path, off, e))?);
+        }
+        Ok(())
+    }
+}
+
 /// Reads one shard file with random or sequential access.
 pub struct ShardReader {
     path: PathBuf,
-    file: BufReader<File>,
-    file_len: u64,
-    dict: Option<AddressDictionary>,
-    offsets: Vec<u64>,
+    file: File,
+    layout: ShardLayout,
     meta: Vec<(u64, u32)>,
 }
 
@@ -398,22 +475,13 @@ impl ShardReader {
             offsets.push(off);
             meta.push((entries.u64().map_err(entry_err)?, entries.u32().map_err(entry_err)?));
         }
-        let mut file = BufReader::new(f);
-        file.seek(SeekFrom::Start(data_start))?;
-        Ok(Self { path, file, file_len, dict, offsets, meta })
+        let layout = ShardLayout { dict, offsets, records_end: index_offset };
+        Ok(Self { path, file: f, layout, meta })
     }
 
-    /// Bound a record's announced length by the file size before allocating
-    /// its buffer — a corrupt length prefix must error, not OOM.
-    fn check_record_len(&self, offset: u64, len: usize) -> std::io::Result<()> {
-        if len as u64 > self.file_len {
-            return Err(decode_err(
-                &self.path,
-                offset,
-                DecodeError::Truncated { needed: len, available: self.file_len as usize },
-            ));
-        }
-        Ok(())
+    /// The shard's record layout, without its file handle.
+    pub(crate) fn into_layout(self) -> ShardLayout {
+        self.layout
     }
 
     /// The shard file this reader is over.
@@ -423,12 +491,12 @@ impl ShardReader {
 
     /// Number of records in the shard.
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.layout.len()
     }
 
     /// True when the shard holds no records.
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.len() == 0
     }
 
     /// Per-record `(trace_type, controlled length)` from the index, in
@@ -437,38 +505,24 @@ impl ShardReader {
         &self.meta
     }
 
-    /// Random-access read of record `i`.
+    /// Random-access read of record `i`: one read of its bytes.
     pub fn get(&mut self, i: usize) -> std::io::Result<TraceRecord> {
-        let off = self.offsets[i];
-        self.file.seek(SeekFrom::Start(off))?;
-        let mut lb = [0u8; 4];
-        self.file.read_exact(&mut lb)?;
-        let len = u32::from_le_bytes(lb) as usize;
-        self.check_record_len(off, len)?;
-        let mut buf = vec![0u8; len];
-        self.file.read_exact(&mut buf)?;
-        decode_record(&buf, self.dict.as_ref()).map_err(|e| decode_err(&self.path, off, e))
+        let mut record = None;
+        self.layout.read_run(&self.path, &mut self.file, i, i, |_, r| record = Some(r))?;
+        record.ok_or_else(|| {
+            invalid(format!("shard {} record {i} was not read", self.path.display()))
+        })
     }
 
-    /// Sequential scan of all records (large buffered reads).
+    /// Sequential scan of all records (reads of up to 1 MiB).
     pub fn read_all(&mut self) -> std::io::Result<Vec<TraceRecord>> {
         let n = self.len();
         let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return Ok(out);
-        }
-        self.file.seek(SeekFrom::Start(self.offsets[0]))?;
-        for i in 0..n {
-            let mut lb = [0u8; 4];
-            self.file.read_exact(&mut lb)?;
-            let len = u32::from_le_bytes(lb) as usize;
-            self.check_record_len(self.offsets[i], len)?;
-            let mut buf = vec![0u8; len];
-            self.file.read_exact(&mut buf)?;
-            out.push(
-                decode_record(&buf, self.dict.as_ref())
-                    .map_err(|e| decode_err(&self.path, self.offsets[i], e))?,
-            );
+        let mut first = 0;
+        while first < n {
+            let last = self.layout.run_end(first, n - 1);
+            self.layout.read_run(&self.path, &mut self.file, first, last, |_, r| out.push(r))?;
+            first = last + 1;
         }
         Ok(out)
     }
@@ -1150,6 +1204,19 @@ mod tests {
     }
 
     #[test]
+    fn a_run_of_records_is_capped_at_one_read_but_takes_a_large_record_alone() {
+        let layout = ShardLayout {
+            dict: None,
+            offsets: vec![0, 300_000, 600_000, 900_000, 2_000_000],
+            records_end: 5_000_000,
+        };
+        assert_eq!(layout.run_end(0, 4), 2);
+        assert_eq!(layout.run_end(0, 1), 1);
+        assert_eq!(layout.run_end(3, 4), 3);
+        assert_eq!(layout.run_end(4, 4), 4);
+    }
+
+    #[test]
     fn corrupt_count_and_length_prefixes_error_without_allocating() {
         let dir = std::env::temp_dir().join(format!("etalumis_bomb_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1368,7 +1435,7 @@ mod tests {
             for (at, m) in etalumis_distributions::codec::mutants(&good) {
                 std::fs::write(&path, &m).unwrap();
                 let now = ShardReader::open(&path)
-                    .map(|r| (r.dict.as_ref().map(dict_strings), r.offsets, r.meta))
+                    .map(|r| (r.layout.dict.as_ref().map(dict_strings), r.layout.offsets, r.meta))
                     .map_err(|e| {
                         use std::io::ErrorKind::{InvalidData, UnexpectedEof};
                         assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "at {at}: {e}");
@@ -1408,7 +1475,7 @@ mod tests {
                 let mut m = good.clone();
                 m[at..at + 4].copy_from_slice(&word.to_le_bytes());
                 std::fs::write(&path, &m).unwrap();
-                let now = ShardReader::open(&path).map(|r| (r.offsets, r.meta)).ok();
+                let now = ShardReader::open(&path).map(|r| (r.layout.offsets, r.meta)).ok();
                 let before = open_as_before(&m).map(|(_, offsets, meta)| (offsets, meta));
                 assert_eq!(now, before, "{word} at {at}");
             }

@@ -19,8 +19,8 @@
 //!   the simulator runs.
 //! * [`session`] — the controller-side protocol state machine
 //!   (`Handshaking → Idle → Running{awaiting} → Done/Failed`, with the
-//!   seeded `Running{awaiting: Trace}`), shared by the
-//!   blocking client and the event-driven reactor.
+//!   seeded `Running{awaiting: Trace}` holding up to [`SEEDED_DEPTH`]
+//!   runs), shared by the blocking client and the event-driven reactor.
 //! * [`mux`] — connection multiplexing: frame reassembly, non-blocking
 //!   TCP/in-proc endpoints with per-connection write queues, and the poll
 //!   [`Mux`] reactor that lets one thread drive many simulator sessions.
@@ -45,6 +45,6 @@ pub use mux::{
     MuxStats, TcpMuxEndpoint,
 };
 pub use server::{serve_listener, SimulatorServer};
-pub use session::{Awaiting, Serviced, Session, SessionAction, SessionState};
+pub use session::{Awaiting, Serviced, Session, SessionAction, SessionState, SEEDED_DEPTH};
 pub use transport::{InProcTransport, TcpTransport, Transport};
-pub use wire::{SeededTrace, MAX_FRAME_LEN};
+pub use wire::{PriorTraceWriter, SeededTrace, MAX_FRAME_LEN};

@@ -26,7 +26,9 @@ impl Capabilities {
     /// Seeded prior runs: the simulator answers `RunPrior { seed, observes }`
     /// by running its program under prior proposals on an RNG seeded from
     /// `seed`, exactly `Executor::execute_seeded`, and replies with the
-    /// whole trace. Only a simulator that reproduces the shared
+    /// whole trace. It answers `RunPrior`s in the order they arrive, and
+    /// the controller may have up to [`crate::SEEDED_DEPTH`] outstanding
+    /// at once. Only a simulator that reproduces the shared
     /// `distributions` samplers bit for bit may advertise it.
     pub const SEEDED_PRIOR: Capabilities = Capabilities(1);
 

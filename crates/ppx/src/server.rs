@@ -10,12 +10,15 @@
 //! Because the program is native and draws through the shared
 //! `distributions` samplers, the server always advertises
 //! [`Capabilities::SEEDED_PRIOR`]: it answers `RunPrior { seed, observes }`
-//! with `Executor::execute_seeded(program, &mut PriorProposer, &observes,
-//! seed)`, run with no I/O, and ships the whole trace back in one
-//! `PriorTrace`. A prior trace is then one round trip, bit-equal to a
-//! local run under the same seed because it *is* that run. A foreign front
-//! end that cannot reproduce the samplers bit for bit advertises nothing
-//! and keeps the per-statement exchange.
+//! by running `Executor::execute_seeded(program, &mut PriorProposer,
+//! &observes, seed)` with no I/O, recorded straight into its `PriorTrace`
+//! payload ([`PriorTraceWriter`]; no trace is built), and ships it back in
+//! one frame. A prior trace is then one round trip, bit-equal to a local
+//! run under the same seed because it *is* that run. `RunPrior`s are
+//! answered in the order they arrive; a controller may send several
+//! before the first answer. A foreign front end that cannot reproduce the
+//! samplers bit for bit advertises nothing and keeps the per-statement
+//! exchange.
 //!
 //! [`serve_listener`] extends this to many controllers on one listener:
 //! every accepted client gets its own thread that owns the socket and does
@@ -28,6 +31,7 @@
 
 use crate::message::{Capabilities, Message};
 use crate::transport::{TcpTransport, Transport};
+use crate::wire::PriorTraceWriter;
 use etalumis_core::{AddressBuilder, BoxedProgram, Executor, PriorProposer, ProbProgram, SimCtx};
 use etalumis_distributions::{Distribution, Value};
 use rand::rngs::StdRng;
@@ -243,14 +247,15 @@ impl<P: ProbProgram> SimulatorServer<P> {
                     })?;
                 }
                 Message::RunPrior { seed, observes } => {
-                    let trace = Executor::try_execute_seeded(
+                    let payload = Executor::try_record_seeded(
                         &mut self.program,
                         &mut PriorProposer,
                         &observes,
                         seed,
+                        PriorTraceWriter::new(),
                     )
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
-                    transport.send(&Message::PriorTrace { trace })?;
+                    transport.send_encoded(payload)?;
                 }
                 Message::Run { observation: _ } => {
                     let mut ctx = ForwardingCtx::new(transport);

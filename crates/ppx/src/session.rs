@@ -17,16 +17,21 @@
 //!    Running{awaiting: Simulator} ──Sample/Observe/Tag──▶
 //!    Running{awaiting: Sample/Observe/Tag reply} ──reply_*──▶ back to awaiting Simulator
 //!    Running ──RunResult──▶ Idle          close ──▶ Done
-//! Idle ──start_prior_run──▶ Running{awaiting: Trace} ──PriorTrace──▶ Idle
+//! Idle ──start_prior_run──▶ Running{awaiting: Trace} ──last PriorTrace──▶ Idle
+//!    Running{awaiting: Trace} ──start_prior_run / PriorTrace──▶ itself
 //!    (any illegal message/call) ──▶ Failed
 //! ```
 //!
 //! `start_prior_run` is legal only once the simulator advertised
-//! [`Capabilities::SEEDED_PRIOR`]; a seeded run accepts nothing but its
-//! `PriorTrace`, and a per-statement run never accepts one. The `PriorTrace`
-//! arrives as a frame payload ([`Session::on_payload`]) and leaves
-//! undecoded, as a [`SeededTrace`]: the driver decodes it into what it
-//! records.
+//! [`Capabilities::SEEDED_PRIOR`]. Seeded runs pipeline: the session counts
+//! its outstanding ones, accepts a further `start_prior_run` while fewer
+//! than [`SEEDED_DEPTH`] are outstanding, takes their `PriorTrace`s in the
+//! order it sent the `RunPrior`s (the simulator answers in order), and is
+//! `Idle` again when none is left. While any is outstanding it accepts
+//! nothing but a `PriorTrace`, and a per-statement run never accepts one.
+//! The `PriorTrace` arrives as a frame payload ([`Session::on_payload`])
+//! and leaves undecoded, as a [`SeededTrace`]: the driver decodes it into
+//! what it records.
 
 use crate::error::PpxError;
 use crate::message::{Capabilities, Message};
@@ -34,6 +39,15 @@ use crate::wire::{decode, SeededTrace, PRIOR_TRACE};
 use etalumis_core::{ObserveMap, SimCtx};
 use etalumis_distributions::{Distribution, Value};
 use std::sync::Arc;
+
+/// How many seeded runs one session keeps outstanding at most.
+///
+/// Loopback TCP costs per write, not per byte, so a driver that sends a
+/// session's new `RunPrior`s together, and a simulator that answers a
+/// buffered batch of them together, pay one write per batch. Four measured
+/// best on a 2-vCPU VM; eight added no throughput and more peak memory.
+/// One is the unpipelined exchange.
+pub const SEEDED_DEPTH: usize = 4;
 
 /// Which side owes the next protocol step while a run is in flight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +60,8 @@ pub enum Awaiting {
     ObserveReply,
     /// The simulator awaits our `TagResult`.
     TagReply,
-    /// A seeded prior run: the simulator owes the whole `PriorTrace`.
+    /// Seeded prior runs: the simulator owes each one's whole
+    /// `PriorTrace`.
     Trace,
 }
 
@@ -108,10 +123,10 @@ pub enum SessionAction {
         /// The program's return value.
         result: Value,
     },
-    /// A seeded prior run completed with the trace the simulator recorded;
-    /// the session is [`SessionState::Idle`] again. Nothing is owed to the
-    /// simulator and no executor is involved: the driver decodes the trace
-    /// into what it records.
+    /// The oldest outstanding seeded prior run completed with the trace the
+    /// simulator recorded; the session is [`SessionState::Idle`] again once
+    /// none is left. Nothing is owed to the simulator and no executor is
+    /// involved: the driver decodes the trace into what it records.
     FinishedTrace {
         /// The `PriorTrace` payload, undecoded.
         trace: SeededTrace,
@@ -137,6 +152,9 @@ pub struct Session {
     state: SessionState,
     model_name: Option<String>,
     capabilities: Capabilities,
+    /// Seeded runs started and not yet answered: nonzero in
+    /// `Running(Awaiting::Trace)`, zero in `Idle`.
+    seeded: usize,
 }
 
 impl Session {
@@ -148,6 +166,7 @@ impl Session {
                 state: SessionState::Handshaking,
                 model_name: None,
                 capabilities: Capabilities::default(),
+                seeded: 0,
             },
             Message::Handshake { system_name: system_name.to_string() },
         )
@@ -161,6 +180,7 @@ impl Session {
             state: SessionState::Failed,
             model_name: None,
             capabilities: Capabilities::default(),
+            seeded: 0,
         }
     }
 
@@ -182,6 +202,21 @@ impl Session {
     /// True when a `Run` can be started.
     pub fn is_idle(&self) -> bool {
         self.state == SessionState::Idle
+    }
+
+    /// How many more seeded runs [`Session::start_prior_run`] accepts now:
+    /// up to [`SEEDED_DEPTH`] outstanding on an idle or seeded session whose
+    /// simulator advertised [`Capabilities::SEEDED_PRIOR`], none otherwise.
+    pub fn prior_run_room(&self) -> usize {
+        if !self.capabilities.contains(Capabilities::SEEDED_PRIOR) {
+            return 0;
+        }
+        match self.state {
+            SessionState::Idle | SessionState::Running(Awaiting::Trace) => {
+                SEEDED_DEPTH - self.seeded
+            }
+            _ => 0,
+        }
     }
 
     /// True when the session can carry no further traffic.
@@ -218,20 +253,25 @@ impl Session {
     }
 
     /// Start one seeded prior run: returns the `RunPrior` message to send.
-    /// Legal only in `Idle`, on a session whose simulator advertised
-    /// [`Capabilities::SEEDED_PRIOR`].
+    /// Legal in `Idle`, and with seeded runs outstanding while fewer than
+    /// [`SEEDED_DEPTH`] are ([`Session::prior_run_room`]), on a session whose
+    /// simulator advertised [`Capabilities::SEEDED_PRIOR`].
     pub fn start_prior_run(
         &mut self,
         seed: u64,
         observes: Arc<ObserveMap>,
     ) -> Result<Message, PpxError> {
+        if self.prior_run_room() > 0 {
+            self.seeded += 1;
+            self.state = SessionState::Running(Awaiting::Trace);
+            return Ok(Message::RunPrior { seed, observes });
+        }
         match self.state {
-            SessionState::Idle if self.capabilities.contains(Capabilities::SEEDED_PRIOR) => {
-                self.state = SessionState::Running(Awaiting::Trace);
-                Ok(Message::RunPrior { seed, observes })
-            }
             SessionState::Idle => {
                 Err(self.violation("a simulator advertising seeded prior runs", "start_prior_run"))
+            }
+            SessionState::Running(Awaiting::Trace) => {
+                Err(self.violation("fewer seeded runs outstanding", "start_prior_run"))
             }
             _ => Err(self.violation("Idle session", "start_prior_run")),
         }
@@ -245,7 +285,10 @@ impl Session {
         if self.state == SessionState::Running(Awaiting::Trace)
             && payload.first() == Some(&PRIOR_TRACE)
         {
-            self.state = SessionState::Idle;
+            self.seeded -= 1;
+            if self.seeded == 0 {
+                self.state = SessionState::Idle;
+            }
             return Ok(SessionAction::FinishedTrace { trace: SeededTrace(payload) });
         }
         match decode(&payload) {
@@ -487,7 +530,9 @@ mod tests {
         let mut pending = connected_session();
         pending.start_run(Value::Unit).unwrap();
         let mut seeded = connected_session();
-        seeded.start_prior_run(1, observes.clone()).unwrap();
+        for seed in 0..SEEDED_DEPTH as u64 {
+            seeded.start_prior_run(seed, observes.clone()).unwrap();
+        }
         let mut closed = connected_session();
         closed.close();
         let handshaking = Session::connect("x").0;
@@ -496,13 +541,71 @@ mod tests {
         let incapable = connected_with(Capabilities::default());
         for (label, mut s) in [
             ("running", pending),
-            ("seeded", seeded),
+            ("seeded at the depth", seeded),
             ("closed", closed),
             ("handshaking", handshaking),
             ("incapable", incapable),
         ] {
             assert!(s.start_prior_run(2, observes.clone()).is_err(), "{label}");
             assert_eq!(s.state(), SessionState::Failed, "{label}");
+        }
+    }
+
+    #[test]
+    fn seeded_runs_pipeline_up_to_the_depth_and_end_idle() {
+        let mut s = connected_session();
+        let observes = Arc::new(ObserveMap::new());
+        assert_eq!(s.prior_run_room(), SEEDED_DEPTH);
+        for k in 0..SEEDED_DEPTH {
+            s.start_prior_run(k as u64, observes.clone()).unwrap();
+            assert_eq!(s.state(), SessionState::Running(Awaiting::Trace));
+            assert_eq!(s.prior_run_room(), SEEDED_DEPTH - k - 1);
+        }
+        // Each answer frees one place; the session stays seeded until the
+        // last outstanding run is answered.
+        for left in (0..SEEDED_DEPTH).rev() {
+            let action = s.on_payload(payload(&prior_trace())).unwrap();
+            assert!(matches!(action, SessionAction::FinishedTrace { .. }));
+            assert_eq!(s.prior_run_room(), SEEDED_DEPTH - left);
+            if left > 0 {
+                assert_eq!(s.state(), SessionState::Running(Awaiting::Trace), "{left} left");
+            }
+        }
+        assert!(s.is_idle());
+        // Refilled after a partial drain, and drained again.
+        s.start_prior_run(10, observes.clone()).unwrap();
+        s.start_prior_run(11, observes.clone()).unwrap();
+        s.on_payload(payload(&prior_trace())).unwrap();
+        s.start_prior_run(12, observes).unwrap();
+        s.on_payload(payload(&prior_trace())).unwrap();
+        s.on_payload(payload(&prior_trace())).unwrap();
+        assert!(s.is_idle());
+        s.start_run(Value::Unit).unwrap();
+    }
+
+    #[test]
+    fn a_prior_trace_with_none_outstanding_poisons() {
+        let mut s = connected_session();
+        assert!(matches!(s.on_payload(payload(&prior_trace())), Err(PpxError::Protocol { .. })));
+        assert_eq!(s.state(), SessionState::Failed);
+        // One more answer than runs started.
+        let mut s = connected_session();
+        s.start_prior_run(1, Arc::new(ObserveMap::new())).unwrap();
+        s.on_payload(payload(&prior_trace())).unwrap();
+        assert!(s.on_payload(payload(&prior_trace())).is_err());
+        assert_eq!(s.state(), SessionState::Failed);
+    }
+
+    #[test]
+    fn start_run_with_seeded_runs_outstanding_poisons() {
+        for outstanding in 1..=SEEDED_DEPTH {
+            let mut s = connected_session();
+            for seed in 0..outstanding as u64 {
+                s.start_prior_run(seed, Arc::new(ObserveMap::new())).unwrap();
+            }
+            assert!(s.start_run(Value::Unit).is_err(), "{outstanding} outstanding");
+            assert_eq!(s.state(), SessionState::Failed, "{outstanding} outstanding");
+            assert_eq!(s.prior_run_room(), 0);
         }
     }
 

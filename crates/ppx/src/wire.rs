@@ -20,7 +20,9 @@
 //!
 //! A `PriorTrace` carries no totals: [`decode`] rebuilds the trace with
 //! `Trace::from_entries`, which sums them over the entries exactly as the
-//! executor does. A controller that stores only the trace's shard record
+//! executor does. The simulator records a seeded run straight into the
+//! payload ([`PriorTraceWriter`], a `TraceTarget`), never building the
+//! trace. A controller that stores only the trace's shard record
 //! keeps the payload as a [`SeededTrace`] and decodes it straight into an
 //! `etalumis_core::RecordBuilder` (any `TraceTarget`), through the same
 //! parser.
@@ -41,7 +43,7 @@ use crate::message::{Capabilities, Message};
 use bytes::BytesMut;
 use etalumis_core::{Address, EntryKind, ObserveMap, Statement, Trace, TraceTarget};
 use etalumis_distributions::codec::{put_dist, put_string, put_value, DecodeError, Reader};
-use etalumis_distributions::Value;
+use etalumis_distributions::{Distribution, Value};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -121,22 +123,91 @@ fn put_message(buf: &mut Vec<u8>, msg: &Message) {
         Message::PriorTrace { trace } => {
             buf.extend_from_slice(&(trace.entries.len() as u32).to_le_bytes());
             for e in &trace.entries {
-                put_string(buf, &e.address.base);
-                buf.extend_from_slice(&e.address.instance.to_le_bytes());
-                put_string(buf, &e.name);
-                buf.push(match e.kind {
-                    EntryKind::Sample => 0,
-                    EntryKind::SampleReplaced => 1,
-                    EntryKind::Observe => 2,
-                });
-                put_dist(buf, &e.distribution);
-                put_value(buf, &e.value);
-                buf.extend_from_slice(&e.log_prob.to_le_bytes());
-                buf.extend_from_slice(&e.log_q.to_le_bytes());
+                put_entry(buf, &e.address, &e.name, e.kind, &e.distribution, &e.value);
+                put_scores(buf, e.log_prob, e.log_q);
             }
             put_pairs(buf, trace.tags.iter().map(|(n, v)| (n, v)));
             put_value(buf, &trace.result);
         }
+    }
+}
+
+/// An `entry` up to its two densities ([`put_scores`]).
+fn put_entry(
+    buf: &mut Vec<u8>,
+    address: &Address,
+    name: &str,
+    kind: EntryKind,
+    distribution: &Distribution,
+    value: &Value,
+) {
+    put_string(buf, &address.base);
+    buf.extend_from_slice(&address.instance.to_le_bytes());
+    put_string(buf, name);
+    buf.push(match kind {
+        EntryKind::Sample => 0,
+        EntryKind::SampleReplaced => 1,
+        EntryKind::Observe => 2,
+    });
+    put_dist(buf, distribution);
+    put_value(buf, value);
+}
+
+/// An `entry`'s `f64 log_prob ++ f64 log_q`.
+fn put_scores(buf: &mut Vec<u8>, log_prob: f64, log_q: f64) {
+    buf.extend_from_slice(&log_prob.to_le_bytes());
+    buf.extend_from_slice(&log_q.to_le_bytes());
+}
+
+/// Records one execution straight into its `PriorTrace` payload: the
+/// simulator side of a seeded run, which never holds the trace.
+///
+/// The payload is byte-identical to `encode(&Message::PriorTrace { trace })`
+/// of the [`Trace`] the same statements make. Entries go out as they
+/// arrive, their count is filled in at the end, and tags (which arrive
+/// interleaved with the entries) are kept aside and appended after them.
+pub struct PriorTraceWriter {
+    payload: Vec<u8>,
+    entries: u32,
+    tags: Vec<u8>,
+    n_tags: u32,
+}
+
+impl Default for PriorTraceWriter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PriorTraceWriter {
+    /// An empty payload: the tag and a count to be filled in.
+    pub fn new() -> Self {
+        Self { payload: vec![PRIOR_TRACE, 0, 0, 0, 0], entries: 0, tags: Vec::new(), n_tags: 0 }
+    }
+}
+
+impl TraceTarget for PriorTraceWriter {
+    type Output = Vec<u8>;
+    const SCORED: bool = true;
+
+    fn push(&mut self, s: Statement<'_>) {
+        self.entries += 1;
+        put_entry(&mut self.payload, &s.address, &s.name, s.kind, &s.distribution, &s.value);
+        put_scores(&mut self.payload, s.log_prob, s.log_q);
+    }
+
+    fn tag(&mut self, name: Cow<'_, str>, value: Value) {
+        self.n_tags += 1;
+        put_string(&mut self.tags, &name);
+        put_value(&mut self.tags, &value);
+    }
+
+    fn finish(mut self, result: Value) -> Vec<u8> {
+        self.payload[1..5].copy_from_slice(&self.entries.to_le_bytes());
+        self.payload.extend_from_slice(&self.n_tags.to_le_bytes());
+        self.payload.extend_from_slice(&self.tags);
+        put_value(&mut self.payload, &result);
+        self.payload
     }
 }
 
@@ -252,7 +323,7 @@ pub fn decode(payload: &[u8]) -> Result<Message, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etalumis_core::TraceEntry;
+    use etalumis_core::{ProbProgram, TraceEntry};
     use etalumis_distributions::{Distribution, TensorValue};
     use proptest::prelude::*;
 
@@ -355,6 +426,89 @@ mod tests {
             ),
         ];
         Trace::from_entries(entries, vec![("met".into(), Value::Real(2.5))], Value::Real(1.5))
+    }
+
+    /// A program with what the test models lack: nested scopes, tags
+    /// between draws, replaced and uncontrolled draws, a repeated address,
+    /// an integer and a tensor observe.
+    fn edge_model() -> impl ProbProgram {
+        use etalumis_core::{FnProgram, SimCtx, SimCtxExt};
+        FnProgram::new("edge", |ctx: &mut dyn SimCtx| {
+            ctx.tag("start", Value::Str("edge".into()));
+            ctx.push_scope("outer");
+            let x = ctx.sample_f64(&Distribution::Normal { mean: 0.0, std: 1.0 }, "x");
+            ctx.push_scope("inner");
+            let u = ctx.sample_replaced(&Distribution::Uniform { low: 0.0, high: 1.0 }, "u");
+            let k = ctx.sample_ext(&Distribution::Poisson { rate: 2.0 }, "k", false, false);
+            ctx.pop_scope();
+            let x2 = ctx.sample_f64(&Distribution::Normal { mean: x, std: 1.0 }, "x");
+            ctx.tag("k", k.clone());
+            ctx.pop_scope();
+            ctx.observe(&Distribution::Poisson { rate: 1.0 + x2.abs() }, "count");
+            ctx.observe(
+                &Distribution::IndependentNormal {
+                    mean: TensorValue::new(vec![3], vec![x as f32, u.as_f64() as f32, 0.5]),
+                    std: 0.25,
+                },
+                "calo",
+            );
+            ctx.tag("x2", Value::Real(x2));
+            Value::Real(x + x2)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The simulator's direct `PriorTrace` writer produces exactly the
+        /// bytes of encoding the trace the same run records, for every test
+        /// model, the τ model and the edge model, with and without
+        /// registered observations.
+        #[test]
+        fn prop_prior_trace_writer_writes_the_encoded_trace(seed: u64, observed: bool) {
+            use etalumis_core::{Executor, PriorProposer};
+            use etalumis_simulators::test_models::{
+                BranchingModel, GaussianUnknownMean, GmmModel, RejectionModel,
+            };
+            use etalumis_simulators::{DetectorConfig, TauDecayConfig, TauDecayModel};
+            let tau = TauDecayModel::new(TauDecayConfig {
+                detector: DetectorConfig { depth: 4, height: 5, width: 5, ..Default::default() },
+                ..Default::default()
+            });
+            let mut models: Vec<Box<dyn ProbProgram>> = vec![
+                Box::new(GaussianUnknownMean::standard()),
+                Box::new(BranchingModel::standard()),
+                Box::new(RejectionModel::standard()),
+                Box::new(GmmModel::standard()),
+                Box::new(tau),
+                Box::new(edge_model()),
+            ];
+            let mut observes = ObserveMap::new();
+            if observed {
+                observes.insert("y0".into(), Value::Real(0.3));
+                observes.insert("count".into(), Value::Int(2));
+            }
+            for model in &mut models {
+                let trace =
+                    Executor::try_execute_seeded(&mut **model, &mut PriorProposer, &observes, seed)
+                        .unwrap();
+                let written = Executor::try_record_seeded(
+                    &mut **model,
+                    &mut PriorProposer,
+                    &observes,
+                    seed,
+                    PriorTraceWriter::new(),
+                )
+                .unwrap();
+                let name = model.name().to_string();
+                prop_assert_eq!(
+                    &written[..],
+                    &encode(&Message::PriorTrace { trace })[..],
+                    "{}",
+                    name
+                );
+            }
+        }
     }
 
     #[test]

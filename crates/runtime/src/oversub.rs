@@ -21,12 +21,15 @@
 //! session's simulator advertised `Capabilities::SEEDED_PRIOR`, the reactor
 //! sends `RunPrior { seed: mix_seed(seed, i), observes }` and the simulator
 //! returns the whole trace of `Executor::execute_seeded` under that seed —
-//! the same trace, recorded on the other side. Every other batch (IC, any
-//! proposer that is not the prior) and every other simulator keeps the
-//! per-statement exchange. Either way the reactor records what the batch's
-//! sink takes: a per-statement session's `StepExecutor` records into the
-//! sink's target, and a seeded run's `PriorTrace` payload is decoded
-//! straight into one — a record sink never sees a trace.
+//! the same trace, recorded on the other side. Such a session keeps up to
+//! `etalumis_ppx::SEEDED_DEPTH` seeded runs in flight, answered in order,
+//! and the reactor writes a session's new `RunPrior`s in one write per
+//! sweep. Every other batch (IC, any proposer that is not the prior) and
+//! every other simulator keeps the per-statement exchange, one run in
+//! flight. Either way the reactor records what the batch's sink takes: a
+//! per-statement session's `StepExecutor` records into the sink's target,
+//! and a seeded run's `PriorTrace` payload is decoded straight into one —
+//! a record sink never sees a trace.
 
 use crate::batch::{mix_seed, spawn_workers, Shared, WorkerOutcome};
 use etalumis_core::{ObserveMap, StepExecutor, TraceTarget};
@@ -35,6 +38,7 @@ use etalumis_ppx::{
     Capabilities, Mux, MuxEndpoint, MuxEvent, PpxError, Serviced, Session, SessionAction,
     SessionState, TcpMuxEndpoint,
 };
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -219,10 +223,12 @@ struct Slot<'p, B> {
     respawn_attempts: u32,
     /// The session's proposer, parked between traces.
     proposer: Option<Box<dyn etalumis_core::Proposer + Send + 'p>>,
-    /// The in-flight trace: `(batch index, who records it, launch time)`.
-    /// The launch time becomes the trace's `runtime.task` span on completion
-    /// (wall latency across reactor sweeps, not exclusive CPU time).
-    active: Option<(usize, InFlight<'p, B>, Instant)>,
+    /// The in-flight traces, oldest first (the order the simulator answers
+    /// them in): `(batch index, who records it, launch time)`. At most one
+    /// per-statement run, or up to `SEEDED_DEPTH` seeded ones. The launch
+    /// time becomes the trace's `runtime.task` span on completion (wall
+    /// latency across reactor sweeps, not exclusive CPU time).
+    active: VecDeque<(usize, InFlight<'p, B>, Instant)>,
     /// The last dead `(endpoint, session)` pair, kept so a retired slot can
     /// still hand *something* back for pool reassembly.
     graveyard: Option<(Box<dyn MuxEndpoint>, Session)>,
@@ -252,10 +258,11 @@ type SessionShare = Vec<(usize, (Box<dyn MuxEndpoint>, Session))>;
 /// per-session (one `make_proposer(worker)` call each); each trace starts
 /// with a fresh proposer trace.
 ///
-/// A failed session requeues its in-flight trace (rerun bit-identically
-/// elsewhere, at most [`crate::batch::MAX_TRACE_RETRIES`] times) and is respawned through the
-/// pool's endpoint factory under its [`ReconnectPolicy`] — the batch
-/// completes with full content as long as any session can be kept alive.
+/// A failed session requeues its in-flight traces (rerun bit-identically
+/// elsewhere; the oldest at most [`crate::batch::MAX_TRACE_RETRIES`] times)
+/// and is respawned through the pool's endpoint factory under its
+/// [`ReconnectPolicy`] — the batch completes with full content as long as
+/// any session can be kept alive.
 /// Sessions whose respawn budget runs out are retired. The pool gets every
 /// session slot back (live or dead) in its original position.
 pub(crate) fn run_reactors<B: TraceTarget>(
@@ -324,11 +331,13 @@ struct RespawnCtx {
 ///   Handshaking ──conn death──▶ Backoff (next attempt, doubled backoff)
 /// ```
 ///
-/// A death requeues the slot's in-flight trace index onto this worker's own
-/// deque (per-trace seeding makes the rerun bit-identical wherever it
-/// lands); the trace fails only when its [`crate::batch::MAX_TRACE_RETRIES`]
-/// budget runs out. Backoff is non-blocking: the worker keeps servicing its healthy
-/// sessions while a dead slot waits out its delay.
+/// A death requeues the slot's in-flight trace indices onto this worker's
+/// own deque (per-trace seeding makes the rerun bit-identical wherever it
+/// lands). Only the oldest is charged a retry: the simulator answers in
+/// order, so the others never started. A trace fails only when its
+/// [`crate::batch::MAX_TRACE_RETRIES`] budget runs out. Backoff is
+/// non-blocking: the worker keeps servicing its healthy sessions while a
+/// dead slot waits out its delay.
 struct Reactor<'a, B> {
     worker: usize,
     shared: &'a Shared<'a, B>,
@@ -365,7 +374,7 @@ impl<B: TraceTarget> Reactor<'_, B> {
                 global,
                 conn: SlotConn::Retired,
                 proposer: Some(self.shared.proposers.make_proposer(self.worker)),
-                active: None,
+                active: VecDeque::new(),
                 graveyard: None,
                 respawn_attempts: 0,
             };
@@ -425,15 +434,24 @@ impl<B: TraceTarget> Reactor<'_, B> {
     }
 
     /// Handle the death of a slot's connection: salvage the dead pair for
-    /// reassembly, requeue the in-flight trace, schedule a respawn.
+    /// reassembly, requeue the in-flight traces, schedule a respawn.
     fn on_conn_death(&mut self, s_idx: usize, conn: usize, error: &str) {
         self.conn_deaths += 1;
         if let Some(pair) = self.mux.detach(conn) {
             self.slots[s_idx].graveyard = Some(pair);
         }
-        if let Some((i, _, _)) = self.slots[s_idx].active.take() {
-            // Requeued onto this worker's own deque: its surviving sessions
-            // (or a stealing neighbor) rerun it bit-identically.
+        // Requeued onto this worker's own deque, which pops its newest
+        // entry first: the others go in newest first and the oldest last,
+        // so they rerun in launch order, on its surviving sessions or a
+        // stealing neighbor's, bit-identically. Only the oldest spends a
+        // retry: the others waited behind it and never started.
+        let mut active = std::mem::take(&mut self.slots[s_idx].active);
+        let oldest = active.pop_front();
+        for (i, _, _) in active.into_iter().rev() {
+            self.shared.queues.push(self.worker, i);
+            self.drained = false;
+        }
+        if let Some((i, _, _)) = oldest {
             if self.shared.fail(&mut self.out, self.worker, i, error) {
                 self.drained = false;
             }
@@ -496,13 +514,15 @@ impl<B: TraceTarget> Reactor<'_, B> {
         }
     }
 
-    /// Launch the next trace on every ready, idle session.
+    /// Fill every ready session with as many traces as it takes: up to
+    /// `SEEDED_DEPTH` seeded runs, or one per-statement run. What one sweep
+    /// queues on a session leaves in one write, at the next poll.
     fn launch_ready(&mut self) -> bool {
         let mut progress = false;
         for s_idx in 0..self.slots.len() {
             let SlotConn::Ready(conn) = self.slots[s_idx].conn else { continue };
-            if self.drained || self.slots[s_idx].active.is_some() {
-                continue;
+            if self.drained {
+                break;
             }
             if self.mux.is_dead(conn) {
                 // Death observed outside the event stream (poisoned during
@@ -510,32 +530,42 @@ impl<B: TraceTarget> Reactor<'_, B> {
                 self.on_conn_death(s_idx, conn, "session poisoned");
                 continue;
             }
-            let Some(i) = self.shared.queues.pop(self.worker, self.shared.stealing) else {
-                self.drained = true;
-                break;
-            };
-            let seed = mix_seed(self.shared.seed, i);
-            let session = self.mux.session_mut(conn);
-            let (run, start) = if self.prior_only
-                && session.capabilities().contains(Capabilities::SEEDED_PRIOR)
-            {
-                (InFlight::Seeded, session.start_prior_run(seed, self.observes.clone()))
+            let session = self.mux.session(conn);
+            let seeded =
+                self.prior_only && session.capabilities().contains(Capabilities::SEEDED_PRIOR);
+            let room = if seeded {
+                session.prior_run_room()
             } else {
-                let proposer = self.slots[s_idx]
-                    .proposer
-                    .take()
-                    .unwrap_or_else(|| self.shared.proposers.make_proposer(self.worker));
-                let target = self.shared.sink.target();
-                let exec = StepExecutor::with_target(proposer, self.observes.clone(), seed, target);
-                (InFlight::Steps(exec), session.start_run(Value::Unit))
+                usize::from(self.slots[s_idx].active.is_empty())
             };
-            let started = start.and_then(|msg| self.mux.send(conn, &msg));
-            progress = true;
-            self.slots[s_idx].active = Some((i, run, Instant::now()));
-            if let Err(e) = started {
-                // Died between traces: the popped index goes through the
-                // same requeue path as an in-flight one.
-                self.on_conn_death(s_idx, conn, &e.to_string());
+            for _ in 0..room {
+                let Some(i) = self.shared.queues.pop(self.worker, self.shared.stealing) else {
+                    self.drained = true;
+                    break;
+                };
+                let seed = mix_seed(self.shared.seed, i);
+                let session = self.mux.session_mut(conn);
+                let (run, start) = if seeded {
+                    (InFlight::Seeded, session.start_prior_run(seed, self.observes.clone()))
+                } else {
+                    let proposer = self.slots[s_idx]
+                        .proposer
+                        .take()
+                        .unwrap_or_else(|| self.shared.proposers.make_proposer(self.worker));
+                    let target = self.shared.sink.target();
+                    let exec =
+                        StepExecutor::with_target(proposer, self.observes.clone(), seed, target);
+                    (InFlight::Steps(exec), session.start_run(Value::Unit))
+                };
+                let started = start.and_then(|msg| self.mux.send(conn, &msg));
+                progress = true;
+                self.slots[s_idx].active.push_back((i, run, Instant::now()));
+                if let Err(e) = started {
+                    // Died between traces: the popped index goes through the
+                    // same requeue path as an in-flight one.
+                    self.on_conn_death(s_idx, conn, &e.to_string());
+                    break;
+                }
             }
         }
         progress
@@ -555,7 +585,12 @@ impl<B: TraceTarget> Reactor<'_, B> {
                     }
                     return false;
                 }
-                if self.slots[s_idx].active.is_none() {
+                // A later frame of a sweep whose earlier one retired the
+                // connection: its runs were requeued with it.
+                if !matches!(self.slots[s_idx].conn, SlotConn::Ready(c) if c == conn) {
+                    return false;
+                }
+                if self.slots[s_idx].active.is_empty() {
                     // An action with no run in flight is a protocol
                     // violation; poison and respawn the connection.
                     self.mux.session_mut(conn).fail();
@@ -568,11 +603,12 @@ impl<B: TraceTarget> Reactor<'_, B> {
                 }
                 self.actions += 1;
                 let t0 = Instant::now();
-                let serviced = match (action, &mut self.slots[s_idx].active) {
+                let serviced = match (action, self.slots[s_idx].active.front_mut()) {
                     (action, Some((_, InFlight::Steps(exec), _))) => {
                         self.mux.session_mut(conn).service(action, &mut exec.ctx())
                     }
-                    // The simulator recorded the seeded run's trace itself.
+                    // The simulator recorded the oldest seeded run's trace
+                    // itself.
                     (SessionAction::FinishedTrace { trace }, _) => {
                         Ok(Serviced::FinishedTrace(trace))
                     }
@@ -594,7 +630,7 @@ impl<B: TraceTarget> Reactor<'_, B> {
                     }
                     Ok(done) => {
                         // Checked above: the slot has a run in flight.
-                        let Some((i, run, launched)) = self.slots[s_idx].active.take() else {
+                        let Some((i, run, launched)) = self.slots[s_idx].active.pop_front() else {
                             return true;
                         };
                         match (done, run) {
@@ -609,8 +645,11 @@ impl<B: TraceTarget> Reactor<'_, B> {
                                     Err(e) => {
                                         // A corrupt trace: requeue it with the
                                         // connection that sent it.
-                                        self.slots[s_idx].active =
-                                            Some((i, InFlight::Seeded, launched));
+                                        self.slots[s_idx].active.push_front((
+                                            i,
+                                            InFlight::Seeded,
+                                            launched,
+                                        ));
                                         self.mux.session_mut(conn).fail();
                                         let e = PpxError::from(e).to_string();
                                         self.on_conn_death(s_idx, conn, &e);
@@ -620,7 +659,7 @@ impl<B: TraceTarget> Reactor<'_, B> {
                             (_, run) => {
                                 // The run ended in the other exchange's
                                 // result: requeue it with the connection.
-                                self.slots[s_idx].active = Some((i, run, launched));
+                                self.slots[s_idx].active.push_front((i, run, launched));
                                 self.mux.session_mut(conn).fail();
                                 self.on_conn_death(
                                     s_idx,
@@ -636,6 +675,11 @@ impl<B: TraceTarget> Reactor<'_, B> {
             }
             MuxEvent::ConnFailed { conn, error } => {
                 let s_idx = self.conn_slot[conn];
+                let slot = &self.slots[s_idx].conn;
+                if !matches!(*slot, SlotConn::Ready(c) | SlotConn::Handshaking { conn: c, .. } if c == conn)
+                {
+                    return false;
+                }
                 self.on_conn_death(s_idx, conn, &error.to_string());
                 true
             }
@@ -680,7 +724,7 @@ impl<B: TraceTarget> Reactor<'_, B> {
                 progress |= self.handle_event(ev);
             }
 
-            if self.drained && self.slots.iter().all(|s| s.active.is_none()) {
+            if self.drained && self.slots.iter().all(|s| s.active.is_empty()) {
                 break;
             }
             if !progress {
@@ -797,8 +841,8 @@ mod tests {
         ep
     }
 
-    fn spawn_fragmenting_server(seed: u64) -> FragmentingEndpoint {
-        let (ep, sim_side) = FragmentingEndpoint::pair(seed, 5);
+    fn spawn_fragmenting_server(seed: u64, max_chunk: usize) -> FragmentingEndpoint {
+        let (ep, sim_side) = FragmentingEndpoint::pair(seed, max_chunk);
         std::thread::spawn(move || {
             let mut server = SimulatorServer::new("rt-mux", test_model());
             let mut t = BlockingMux(sim_side);
@@ -893,22 +937,41 @@ mod tests {
         }
     }
 
-    /// Truncates the first `PriorTrace` it delivers to its tag and two
-    /// bytes: a simulator that ships a corrupt trace.
-    struct CorruptFirstPriorTrace {
+    /// Passes `pass` `PriorTrace`s through, then truncates the next one to
+    /// its tag and two bytes: a simulator that ships a corrupt trace. It
+    /// hands on buffered frames too, so the corrupt one can arrive amid
+    /// the answers one sweep drains.
+    struct CorruptPriorTrace {
         inner: InProcMuxEndpoint,
-        corrupted: bool,
+        pass: Option<usize>,
     }
 
-    impl MuxEndpoint for CorruptFirstPriorTrace {
-        fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, PpxError> {
-            Ok(self.inner.poll_frame()?.map(|mut payload| {
-                if !self.corrupted && payload.first() == Some(&13) {
-                    self.corrupted = true;
-                    payload.truncate(3);
+    impl CorruptPriorTrace {
+        fn corrupt(&mut self, frame: Option<Vec<u8>>) -> Option<Vec<u8>> {
+            frame.map(|mut payload| {
+                if payload.first() == Some(&13) {
+                    self.pass = match self.pass {
+                        Some(0) => {
+                            payload.truncate(3);
+                            None
+                        }
+                        pass => pass.map(|p| p - 1),
+                    };
                 }
                 payload
-            }))
+            })
+        }
+    }
+
+    impl MuxEndpoint for CorruptPriorTrace {
+        fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, PpxError> {
+            let frame = self.inner.poll_frame()?;
+            Ok(self.corrupt(frame))
+        }
+
+        fn buffered_frame(&mut self) -> Result<Option<Vec<u8>>, PpxError> {
+            let frame = self.inner.buffered_frame()?;
+            Ok(self.corrupt(frame))
         }
 
         fn send_frame(&mut self, payload: Vec<u8>) -> Result<(), PpxError> {
@@ -920,30 +983,62 @@ mod tests {
         }
     }
 
+    /// A pool of one session whose first endpoint is `first(inner)` and
+    /// whose respawns are healthy.
+    fn pool_with_first(
+        first: impl Fn(InProcMuxEndpoint) -> Box<dyn MuxEndpoint> + Send + Sync + 'static,
+    ) -> MuxSimulatorPool {
+        let fresh = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        MuxSimulatorPool::connect(1, "etalumis-rs", move |_| {
+            let inner = spawn_inproc_server();
+            let ep: Box<dyn MuxEndpoint> =
+                if fresh.swap(false, Ordering::SeqCst) { first(inner) } else { Box::new(inner) };
+            Ok(ep)
+        })
+        .unwrap()
+    }
+
     #[test]
     fn a_corrupt_prior_trace_is_rerun_on_a_respawned_session() {
         // The reactor decodes a seeded run's payload into the sink's target
-        // after the session has gone idle: a decode failure must still
-        // requeue the trace and retire the connection that sent it.
+        // after the session has taken it: a decode failure must still
+        // requeue the trace and retire the connection that sent it. The
+        // first trace, and one amid a pipelined batch (the runs behind it
+        // are requeued uncharged, and the answers the same sweep drained
+        // after it are dropped with the connection).
         let (n, seed) = (12, 31);
-        let first = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let mut pool = MuxSimulatorPool::connect(1, "etalumis-rs", move |_| {
-            let inner = spawn_inproc_server();
-            let ep: Box<dyn MuxEndpoint> = if first.swap(false, Ordering::SeqCst) {
-                Box::new(CorruptFirstPriorTrace { inner, corrupted: false })
-            } else {
-                Box::new(inner)
-            };
-            Ok(ep)
-        })
-        .unwrap();
+        let reference = blocking_reference(n, seed);
+        for pass in [0, 5] {
+            let mut pool = pool_with_first(move |inner| {
+                Box::new(CorruptPriorTrace { inner, pass: Some(pass) })
+            });
+            let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
+            let sink = CollectSink::new(n);
+            let stats = runner.run_mux_prior(&mut pool, &ObserveMap::new(), n, seed, &sink);
+            assert!(stats.failures.is_empty(), "{stats:?}");
+            assert_eq!((stats.retries, stats.respawns), (1, 1), "{stats:?}");
+            let label = format!("corrupt PriorTrace after {pass}");
+            assert_traces_bit_identical(&sink.into_traces(), &reference, &label);
+        }
+    }
+
+    #[test]
+    fn a_death_with_several_runs_in_flight_requeues_them_all_and_charges_the_oldest() {
+        // One session, which refills to the full depth every sweep and
+        // takes one answer per sweep through this wrapper: it dies after
+        // its handshake and three traces with `SEEDED_DEPTH` runs in
+        // flight. All of them rerun on the respawn; only the oldest, the
+        // one the simulator was running, spends a retry.
+        let (n, seed) = (24, 13);
+        let mut pool = pool_with_first(|inner| Box::new(FailAfter { inner, frames_left: 1 + 3 }));
         let runner = BatchRunner::new(RuntimeConfig { workers: 1, stealing: true });
         let sink = CollectSink::new(n);
         let stats = runner.run_mux_prior(&mut pool, &ObserveMap::new(), n, seed, &sink);
         assert!(stats.failures.is_empty(), "{stats:?}");
+        assert_eq!(stats.total_executed(), n, "{stats:?}");
         assert_eq!((stats.retries, stats.respawns), (1, 1), "{stats:?}");
         let reference = blocking_reference(n, seed);
-        assert_traces_bit_identical(&sink.into_traces(), &reference, "corrupt PriorTrace");
+        assert_traces_bit_identical(&sink.into_traces(), &reference, "death in flight");
     }
 
     #[test]
@@ -952,18 +1047,21 @@ mod tests {
         let seed = 777;
         let reference = blocking_reference(n, seed);
         // Fragmented transports: frames arrive split at pseudo-random byte
-        // boundaries, interleaved across concurrent sessions.
-        for (k, m) in [(2usize, 1usize), (4, 2), (6, 3)] {
+        // boundaries (at most `chunk` bytes each), interleaved across
+        // concurrent sessions, and seeded sessions pipeline their runs: one
+        // session may hold a third of the batch's traces in flight in turn,
+        // or six share it.
+        for (k, m, chunk) in [(1usize, 1usize, 1usize), (2, 1, 5), (4, 2, 5), (6, 3, 64)] {
             for seeded in [false, true] {
                 let mut pool = MuxSimulatorPool::connect(k, "etalumis-rs", move |i| {
-                    Ok(Box::new(spawn_fragmenting_server(seed ^ (i as u64) << 3))
+                    Ok(Box::new(spawn_fragmenting_server(seed ^ (i as u64) << 3, chunk))
                         as Box<dyn MuxEndpoint>)
                 })
                 .unwrap();
                 let runner = BatchRunner::new(RuntimeConfig { workers: m, stealing: true });
                 let sink = CollectSink::new(n);
                 let stats = run_prior(&runner, &mut pool, n, seed, &sink, seeded);
-                let label = format!("K={k} M={m} seeded {seeded}");
+                let label = format!("K={k} M={m} chunk {chunk} seeded {seeded}");
                 assert_eq!(stats.total_executed(), n, "{label}");
                 assert!(stats.failures.is_empty(), "{label}: {:?}", stats.failures);
                 assert_traces_bit_identical(&sink.into_traces(), &reference, &label);
