@@ -7,6 +7,7 @@
 
 use crate::linear::Linear;
 use crate::param::{embedding_init, Module, Parameter};
+use etalumis_distributions::{Distribution, Value};
 use etalumis_tensor::activations::{relu, relu_backward, relu_in_place};
 use etalumis_tensor::Tensor;
 use rand::Rng;
@@ -85,18 +86,39 @@ impl Module for Embedding {
 
 /// Single-layer NN embedding the previous sample value (paper: size 4).
 ///
-/// Continuous values enter as a normalized scalar; categorical values as a
-/// one-hot vector of width `in_dim`.
+/// Its input is a value's features under the prior it was drawn from
+/// ([`value_features_into`]): continuous values enter as a normalized
+/// scalar, categorical and Bernoulli values as a one-hot vector.
 #[derive(Clone)]
 pub struct SampleEmbedding {
     lin: Linear,
     relu_cache: Vec<Tensor>,
 }
 
+/// How a value enters a [`SampleEmbedding`], given its prior: written over
+/// `out`, whose length is the embedding's input width.
+pub fn value_features_into(prior: &Distribution, value: &Value, out: &mut [f32]) {
+    out.fill(0.0);
+    if prior.num_categories().is_some() {
+        if let Some(hot) = out.get_mut(value.as_i64() as usize) {
+            *hot = 1.0;
+        }
+    } else {
+        // Normalize continuous values by the prior's location/scale.
+        let x = value.as_f64();
+        let norm = match prior.support() {
+            Some((lo, hi)) => (x - lo) / (hi - lo),
+            None => (x - prior.mean()) / prior.std().max(1e-9),
+        };
+        out[0] = norm as f32;
+    }
+}
+
 impl SampleEmbedding {
-    /// New sample embedding from `in_dim` features to `dim` outputs.
-    pub fn new<R: Rng + ?Sized>(rng: &mut R, in_dim: usize, dim: usize) -> Self {
-        Self { lin: Linear::new(rng, in_dim, dim), relu_cache: Vec::new() }
+    /// New embedding of `prior`'s values into `dim` outputs.
+    pub fn for_prior<R: Rng + ?Sized>(rng: &mut R, prior: &Distribution, dim: usize) -> Self {
+        let width = prior.num_categories().unwrap_or(1);
+        Self { lin: Linear::new(rng, width, dim), relu_cache: Vec::new() }
     }
 
     /// Input feature width.
@@ -167,7 +189,7 @@ mod tests {
     #[test]
     fn sample_embedding_gradcheck() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut se = SampleEmbedding::new(&mut rng, 2, 4);
+        let mut se = SampleEmbedding::for_prior(&mut rng, &Distribution::Bernoulli { p: 0.5 }, 4);
         let x = Tensor::from_vec(&[2, 2], vec![0.5, -0.3, 1.0, 0.2]);
         let _ = se.forward(&x);
         let g = Tensor::full(&[2, 4], 1.0);

@@ -10,16 +10,15 @@
 //! pass: parameter gradients accumulate internally and the gradient w.r.t.
 //! the input features is returned for BPTT through the LSTM core.
 //!
-//! At inference each head turns one feature row into a proposal
-//! distribution: `proposal_row` works on a slice with caller-owned
-//! [`MlpScratch`] (the IC network's per-sample step, which allocates only
-//! the distribution it returns); `proposal` is the same on a `[1, in]`
-//! tensor.
+//! [`ProposalHead`] decides which head a prior gets and how the prior enters
+//! its proposal: it turns one feature row into a distribution on a slice
+//! with caller-owned [`MlpScratch`], so the IC network's per-sample step
+//! allocates only the distribution it returns.
 
 use crate::linear::{Mlp2, MlpScratch};
 use crate::param::{Module, Parameter};
 use etalumis_distributions::math::{log_normal_cdf_diff, log_sum_exp, normal_pdf, LN_2PI};
-use etalumis_distributions::Distribution;
+use etalumis_distributions::{Distribution, Value};
 use etalumis_tensor::Tensor;
 use rand::Rng;
 
@@ -60,29 +59,14 @@ impl MixtureTnHead {
         Self { trunk: Mlp2::new(rng, in_dim, hidden, 3 * components), components }
     }
 
-    /// Decode raw trunk outputs into mixture parameters for one row:
-    /// `(weights, means, stds)` — the three vectors the proposal keeps,
-    /// and nothing else.
-    fn decode(&self, raw: &[f32], low: f64, high: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let k = self.components;
-        let span = high - low;
-        let mut weights = Vec::with_capacity(k);
-        softmax_logits(&raw[..k], &mut weights);
-        let means = raw[k..2 * k].iter().map(|&v| low + sigmoid64(v as f64) * span).collect();
-        let stds = raw[2 * k..3 * k].iter().map(|&v| mixture_std(v, span)).collect();
-        (weights, means, stds)
-    }
-
-    /// [`MixtureTnHead::decode`] into reused buffers, keeping the means'
-    /// sigmoids for the backward pass.
-    fn decode_into(&self, raw: &[f32], low: f64, high: f64, row: &mut MixtureRow) {
+    /// Decode raw trunk outputs into one row's mixture parameters, written
+    /// over `row`'s buffers.
+    fn decode(&self, raw: &[f32], low: f64, high: f64, row: &mut MixtureRow) {
         let k = self.components;
         let span = high - low;
         softmax_logits(&raw[..k], &mut row.weights);
-        row.sig_means.clear();
-        row.sig_means.extend(raw[k..2 * k].iter().map(|&v| sigmoid64(v as f64)));
         row.means.clear();
-        row.means.extend(row.sig_means.iter().map(|&s| low + s * span));
+        row.means.extend(raw[k..2 * k].iter().map(|&v| low + sigmoid64(v as f64) * span));
         row.stds.clear();
         row.stds.extend(raw[2 * k..3 * k].iter().map(|&v| mixture_std(v, span)));
     }
@@ -93,7 +77,8 @@ impl MixtureTnHead {
     }
 
     /// [`MixtureTnHead::proposal`] for a feature slice, with caller-owned
-    /// trunk activations.
+    /// trunk activations. Decoding into an empty row allocates exactly the
+    /// three vectors the distribution keeps.
     pub fn proposal_row(
         &self,
         features: &[f32],
@@ -101,8 +86,9 @@ impl MixtureTnHead {
         low: f64,
         high: f64,
     ) -> Distribution {
-        let raw = self.trunk.forward_into(features, scratch);
-        let (weights, means, stds) = self.decode(raw, low, high);
+        let mut row = MixtureRow::default();
+        self.decode(self.trunk.forward_into(features, scratch), low, high, &mut row);
+        let MixtureRow { weights, means, stds } = row;
         Distribution::MixtureTruncatedNormal { weights, means, stds, low, high }
     }
 
@@ -132,8 +118,8 @@ impl MixtureTnHead {
             let (low, high) = (lows[bi], highs[bi]);
             let span = high - low;
             let rrow = raw.row(bi);
-            self.decode_into(rrow, low, high, &mut row);
-            let MixtureRow { weights, means, stds, sig_means } = &row;
+            self.decode(rrow, low, high, &mut row);
+            let MixtureRow { weights, means, stds } = &row;
             let x = targets[bi].clamp(low, high);
             for c in 0..k {
                 let z = (x - means[c]) / stds[c];
@@ -160,7 +146,7 @@ impl MixtureTnHead {
                 let zsig = (a * pdf_a - bb * pdf_b) * inv_z;
                 let dsig = -r * (z * z / stds[c] - 1.0 / stds[c] - zsig / stds[c]);
                 // Chain through the parameterizations.
-                let sm = sig_means[c];
+                let sm = sigmoid64(rrow[k + c] as f64);
                 grow[k + c] = (dmu * sm * (1.0 - sm) * span) as f32;
                 let s_raw = rrow[2 * k + c] as f64;
                 grow[2 * k + c] = (dsig * sigmoid64(s_raw) * span * 0.5) as f32;
@@ -194,8 +180,6 @@ struct MixtureRow {
     weights: Vec<f64>,
     means: Vec<f64>,
     stds: Vec<f64>,
-    /// `sigmoid(raw mean)`, which both the means and their gradient use.
-    sig_means: Vec<f64>,
 }
 
 impl Module for MixtureTnHead {
@@ -225,15 +209,17 @@ impl CategoricalHead {
 
     /// Proposal distribution for one feature row.
     pub fn proposal(&self, features: &Tensor) -> Distribution {
-        self.proposal_row(features.row(0), &mut MlpScratch::default())
+        let mut scratch = MlpScratch::default();
+        let probs = self.probs(features.row(0), &mut scratch);
+        Distribution::Categorical { probs: probs.iter().map(|&p| p as f64).collect() }
     }
 
-    /// [`CategoricalHead::proposal`] for a feature slice, with caller-owned
+    /// The category probabilities for one feature row, in caller-owned
     /// trunk activations.
-    pub fn proposal_row(&self, features: &[f32], scratch: &mut MlpScratch) -> Distribution {
+    fn probs<'s>(&self, features: &[f32], scratch: &'s mut MlpScratch) -> &'s [f32] {
         let probs = self.trunk.forward_into(features, scratch);
         etalumis_tensor::activations::softmax_in_place(probs);
-        Distribution::Categorical { probs: probs.iter().map(|&p| p as f64).collect() }
+        probs
     }
 
     /// Fused loss and backward: `targets[b]` is the category index.
@@ -291,12 +277,7 @@ impl NormalHead {
         (mean, std)
     }
 
-    /// Proposal distribution for one feature row.
-    pub fn proposal(&self, features: &Tensor) -> Distribution {
-        self.proposal_row(features.row(0), &mut MlpScratch::default())
-    }
-
-    /// [`NormalHead::proposal`] for a feature slice, with caller-owned trunk
+    /// Proposal distribution for one feature row, with caller-owned trunk
     /// activations.
     pub fn proposal_row(&self, features: &[f32], scratch: &mut MlpScratch) -> Distribution {
         let (mean, std) = self.decode(self.trunk.forward_into(features, scratch));
@@ -333,10 +314,123 @@ impl Module for NormalHead {
     }
 }
 
+/// Share of prior mass mixed into categorical and Bernoulli proposals,
+/// protecting importance weights from overconfident networks. Training
+/// fits the network's own categorical; only the proposal is mixed.
+pub const CATEGORICAL_PRIOR_MIX: f64 = 0.05;
+
+/// One address's proposal layer, chosen by its prior: a categorical head
+/// for categorical and Bernoulli priors (a Bernoulli is the two categories
+/// `false`, `true`), a truncated-normal mixture for bounded continuous
+/// priors, and a Gaussian around the prior for unbounded ones.
+#[derive(Clone)]
+pub enum ProposalHead {
+    /// Bounded continuous priors.
+    Mixture(MixtureTnHead),
+    /// Categorical and Bernoulli priors.
+    Categorical(CategoricalHead),
+    /// Unbounded continuous priors.
+    Normal(NormalHead),
+}
+
+impl ProposalHead {
+    /// The head for `prior`, from `in_dim` features through `hidden` units
+    /// (`components` mixture components when the prior is bounded).
+    pub fn for_prior<R: Rng + ?Sized>(
+        rng: &mut R,
+        prior: &Distribution,
+        in_dim: usize,
+        hidden: usize,
+        components: usize,
+    ) -> Self {
+        match (prior.num_categories(), prior.support()) {
+            (Some(k), _) => Self::Categorical(CategoricalHead::new(rng, in_dim, hidden, k)),
+            (None, Some(_)) => Self::Mixture(MixtureTnHead::new(rng, in_dim, hidden, components)),
+            (None, None) => {
+                let (loc, scale) = (prior.mean(), prior.std().max(1e-6));
+                Self::Normal(NormalHead::new(rng, in_dim, hidden, loc, scale))
+            }
+        }
+    }
+
+    /// The proposal for a value of `prior` given one feature row, with
+    /// caller-owned trunk activations; `None` when a mixture head meets a
+    /// prior without bounded support. A categorical proposal carries
+    /// [`CATEGORICAL_PRIOR_MIX`] of the prior's mass, and a Bernoulli prior
+    /// gets a Bernoulli proposal mixed the same way.
+    pub fn propose(
+        &self,
+        features: &[f32],
+        scratch: &mut MlpScratch,
+        prior: &Distribution,
+    ) -> Option<Distribution> {
+        let mix = |q: f32, p: f64, total: f64| {
+            (1.0 - CATEGORICAL_PRIOR_MIX) * q as f64 + CATEGORICAL_PRIOR_MIX * p / total
+        };
+        Some(match (self, prior) {
+            (Self::Mixture(head), _) => {
+                let (low, high) = prior.support()?;
+                head.proposal_row(features, scratch, low, high)
+            }
+            (Self::Normal(head), _) => head.proposal_row(features, scratch),
+            (Self::Categorical(head), Distribution::Categorical { probs })
+                if probs.len() == head.num_categories =>
+            {
+                let total: f64 = probs.iter().sum();
+                let q = head.probs(features, scratch);
+                Distribution::Categorical {
+                    probs: q.iter().zip(probs).map(|(&q, &p)| mix(q, p, total)).collect(),
+                }
+            }
+            (Self::Categorical(head), Distribution::Bernoulli { p })
+                if head.num_categories == 2 =>
+            {
+                Distribution::Bernoulli { p: mix(head.probs(features, scratch)[1], *p, 1.0) }
+            }
+            (Self::Categorical(head), _) => Distribution::Categorical {
+                probs: head.probs(features, scratch).iter().map(|&q| q as f64).collect(),
+            },
+        })
+    }
+
+    /// Fused loss and backward over one step of a batch: row `b` of
+    /// `features` (`[B, in]`) proposes for `step[b]`, a `(prior, value)`
+    /// pair. Returns `(Σ_b −log q, d/dfeatures)`.
+    pub fn loss_and_grad(
+        &mut self,
+        features: &Tensor,
+        step: &[(&Distribution, &Value)],
+    ) -> (f64, Tensor) {
+        let reals = || step.iter().map(|(_, v)| v.as_f64()).collect::<Vec<f64>>();
+        match self {
+            Self::Mixture(head) => {
+                let support = |p: &Distribution| p.support().expect("mixture head needs support"); // etalumis: allow(panic-freedom, reason = "mixture heads are only constructed for bounded distributions")
+                let (lows, highs): (Vec<f64>, Vec<f64>) =
+                    step.iter().map(|(p, _)| support(p)).unzip();
+                head.loss_and_grad(features, &reals(), &lows, &highs)
+            }
+            Self::Categorical(head) => {
+                let targets: Vec<usize> = step.iter().map(|(_, v)| v.as_i64() as usize).collect();
+                head.loss_and_grad(features, &targets)
+            }
+            Self::Normal(head) => head.loss_and_grad(features, &reals()),
+        }
+    }
+}
+
+impl Module for ProposalHead {
+    fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Parameter)) {
+        match self {
+            Self::Mixture(head) => head.visit_params(prefix, f),
+            Self::Categorical(head) => head.visit_params(prefix, f),
+            Self::Normal(head) => head.visit_params(prefix, f),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etalumis_distributions::Value;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -456,7 +550,7 @@ mod tests {
         let mut head = NormalHead::new(&mut rng, 3, 8, 1.0, 2.0);
         let x = rand_tensor(&mut rng, &[1, 3]);
         let (loss, dx) = head.loss_and_grad(&x, &[0.5]);
-        let q = head.proposal(&x);
+        let q = head.proposal_row(x.row(0), &mut MlpScratch::default());
         let expect = -q.log_prob(&Value::Real(0.5));
         assert!((loss - expect).abs() < 1e-6, "{loss} vs {expect}");
         let eps = 1e-3f32;
@@ -470,6 +564,64 @@ mod tests {
             let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
             assert!((num - dx.data()[idx]).abs() < 1e-2);
         }
+    }
+
+    /// The prior picks the head: Uniform the mixture, Categorical and
+    /// Bernoulli the categorical head, Normal the Gaussian. A categorical
+    /// proposal carries exactly `CATEGORICAL_PRIOR_MIX` of the prior's mass
+    /// over the head's own categorical, and a Bernoulli prior's proposal is
+    /// a Bernoulli mixed the same way.
+    #[test]
+    fn the_prior_picks_the_head_and_its_prior_mix() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut head = |prior: &Distribution| ProposalHead::for_prior(&mut rng, prior, 4, 8, 3);
+        let uniform = Distribution::Uniform { low: -1.0, high: 2.0 };
+        let probs = vec![1.0, 2.0, 5.0];
+        let categorical = Distribution::Categorical { probs: probs.clone() };
+        let bernoulli = Distribution::Bernoulli { p: 0.3 };
+        let normal = Distribution::Normal { mean: 1.0, std: 2.0 };
+        let mixture = head(&uniform);
+        assert!(matches!(&mixture, ProposalHead::Mixture(h) if h.components == 3));
+        let ProposalHead::Categorical(cat) = head(&categorical) else { panic!("categorical") };
+        assert_eq!(cat.num_categories, 3);
+        let ProposalHead::Categorical(coin) = head(&bernoulli) else { panic!("bernoulli") };
+        assert_eq!(coin.num_categories, 2);
+        let gauss = head(&normal);
+        assert!(matches!(&gauss, ProposalHead::Normal(h) if (h.loc, h.scale) == (1.0, 2.0)));
+
+        let x = rand_tensor(&mut rng, &[1, 4]);
+        let mut scratch = MlpScratch::default();
+        let own = |h: &CategoricalHead| match h.proposal(&x) {
+            Distribution::Categorical { probs } => probs,
+            q => panic!("{q:?}"),
+        };
+        let q =
+            ProposalHead::Categorical(cat.clone()).propose(x.row(0), &mut scratch, &categorical);
+        let Some(Distribution::Categorical { probs: q }) = q else { panic!("{q:?}") };
+        let mut prior_mass = 0.0;
+        for ((q, own), p) in q.iter().zip(own(&cat)).zip(&probs) {
+            let mass = q - (1.0 - CATEGORICAL_PRIOR_MIX) * own;
+            assert!((mass - CATEGORICAL_PRIOR_MIX * p / 8.0).abs() < 1e-12, "{mass}");
+            prior_mass += mass;
+        }
+        assert!((prior_mass - CATEGORICAL_PRIOR_MIX).abs() < 1e-12, "{prior_mass}");
+        let q = ProposalHead::Categorical(coin.clone()).propose(x.row(0), &mut scratch, &bernoulli);
+        let Some(Distribution::Bernoulli { p }) = q else { panic!("{q:?}") };
+        let own = own(&coin)[1];
+        assert!(
+            (p - (1.0 - CATEGORICAL_PRIOR_MIX) * own - CATEGORICAL_PRIOR_MIX * 0.3).abs() < 1e-12
+        );
+
+        let q = mixture.propose(x.row(0), &mut scratch, &uniform);
+        assert!(matches!(
+            q,
+            Some(Distribution::MixtureTruncatedNormal { low: -1.0, high: 2.0, .. })
+        ));
+        assert!(mixture.propose(x.row(0), &mut scratch, &normal).is_none(), "no support");
+        assert!(matches!(
+            gauss.propose(x.row(0), &mut scratch, &normal),
+            Some(Distribution::Normal { .. })
+        ));
     }
 
     #[test]

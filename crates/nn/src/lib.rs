@@ -12,7 +12,8 @@
 //!   configuration constructible via [`cnn3d::Cnn3dConfig::paper`]).
 //! * [`heads`] — address-specific proposal layers: mixture-of-truncated-
 //!   normals (uniform priors), categorical, and Gaussian heads, each fusing
-//!   `−log q` loss with its backward pass.
+//!   `−log q` loss with its backward pass, and [`ProposalHead`], which
+//!   picks one by the prior and proposes for that prior.
 //! * [`Embedding`] / [`SampleEmbedding`] — address and previous-sample
 //!   embeddings.
 //! * [`optim`] — Adam and Adam-LARC with a constant or polynomial (order
@@ -30,8 +31,8 @@ pub mod optim;
 pub mod param;
 
 pub use cnn3d::{Cnn3d, Cnn3dConfig, CnnStageSpec};
-pub use embedding::{Embedding, SampleEmbedding};
-pub use heads::{CategoricalHead, MixtureTnHead, NormalHead};
+pub use embedding::{value_features_into, Embedding, SampleEmbedding};
+pub use heads::{CategoricalHead, MixtureTnHead, NormalHead, ProposalHead, CATEGORICAL_PRIOR_MIX};
 pub use linear::{Linear, Mlp2, MlpScratch};
 pub use lstm::{Lstm, LstmState};
 pub use optim::{clip_grad_norm, Adam, LrSchedule, Optimizer};

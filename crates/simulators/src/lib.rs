@@ -11,7 +11,8 @@
 //!   multivariate-normal deposition paths (the 13×/1.5× ablation of §4.2).
 //! * [`test_models`] — small models with analytically checkable posteriors
 //!   used throughout the test suites (conjugate Gaussian, branching model,
-//!   rejection model, GMM).
+//!   rejection model, GMM, and the voxel mean model behind the IC
+//!   learnability oracles).
 //!
 //! These are *probabilistic programs*: they implement
 //! [`etalumis_core::ProbProgram`] and can run locally or behind the PPX
@@ -25,4 +26,6 @@ pub mod test_models;
 pub use channels::{branching_ratios, tau_decay_channels, DecayChannel, ParticleKind};
 pub use detector::{Detector, DetectorConfig, IncomingParticle};
 pub use tau::{TauDecayConfig, TauDecayModel};
-pub use test_models::{BranchingModel, GaussianUnknownMean, GmmModel, RejectionModel};
+pub use test_models::{
+    BranchingModel, GaussianUnknownMean, GmmModel, RejectionModel, VoxelMeanModel,
+};

@@ -9,9 +9,9 @@
 //!
 //! Each LSTM input is the concatenation of the observation embedding, the
 //! current address embedding, and the previous sample's embedding; each
-//! output feeds the address-specific proposal layer (mixture of truncated
-//! normals for bounded continuous priors, categorical for discrete priors,
-//! Gaussian for unbounded priors).
+//! output feeds the address-specific proposal layer. What depends on an
+//! address's prior is built from it at registration: its [`ProposalHead`]
+//! and [`SampleEmbedding`] (`etalumis-nn`).
 //!
 //! Training processes *sub-minibatches* of traces sharing one trace type in
 //! a single batched forward/backward pass (Algorithm 1); inference drives
@@ -30,8 +30,8 @@ use etalumis_data::TraceRecord;
 use etalumis_distributions::{Distribution, Value};
 use etalumis_inference::ProposalProvider;
 use etalumis_nn::{
-    CategoricalHead, Cnn3d, Cnn3dConfig, Embedding, Lstm, LstmState, MixtureTnHead, MlpScratch,
-    Module, NormalHead, Parameter, SampleEmbedding,
+    value_features_into, Cnn3d, Cnn3dConfig, Embedding, Lstm, LstmState, MlpScratch, Module,
+    Parameter, ProposalHead, SampleEmbedding,
 };
 use etalumis_telemetry::Telemetry;
 use etalumis_tensor::{pool, Tensor};
@@ -105,14 +105,6 @@ impl IcConfig {
     }
 }
 
-/// Address-specific proposal layer.
-#[derive(Clone)]
-enum Head {
-    Mixture(MixtureTnHead),
-    Categorical(CategoricalHead),
-    Normal(NormalHead),
-}
-
 /// All address-specific components for one address.
 #[derive(Clone)]
 struct AddressLayers {
@@ -125,45 +117,8 @@ struct AddressLayers {
     embed_id: usize,
     /// Previous-sample embedding (input width depends on the prior).
     sample_embed: SampleEmbedding,
-    head: Head,
-    /// Prior kind captured at registration (sanity checks).
-    kind: &'static str,
+    head: ProposalHead,
 }
-
-/// How a value enters the sample embedding, given its prior: written over
-/// `out`, whose length is the embedding's input width.
-fn value_features_into(dist: &Distribution, value: &Value, out: &mut [f32]) {
-    out.fill(0.0);
-    match dist {
-        Distribution::Categorical { .. } | Distribution::Bernoulli { .. } => {
-            let i = value.as_i64() as usize;
-            if i < out.len() {
-                out[i] = 1.0;
-            }
-        }
-        _ => {
-            // Normalize continuous values by the prior's location/scale.
-            let x = value.as_f64();
-            let norm = match dist.support() {
-                Some((lo, hi)) => (x - lo) / (hi - lo),
-                None => (x - dist.mean()) / dist.std().max(1e-9),
-            };
-            out[0] = norm as f32;
-        }
-    }
-}
-
-/// Feature width of a prior's values.
-fn value_width(dist: &Distribution) -> usize {
-    match dist.num_categories() {
-        Some(k) => k,
-        None => 1,
-    }
-}
-
-/// Fraction of prior mass mixed into categorical proposals at inference
-/// time, protecting importance weights from overconfident networks.
-const CATEGORICAL_PRIOR_MIX: f64 = 0.05;
 
 /// Deterministic counts of the network work one posterior cost, reset at
 /// [`ProposalProvider::condition`] (pure functions of the run, so they fit
@@ -278,41 +233,6 @@ pub struct IcState {
     stats: InferenceStats,
 }
 
-/// Fused loss and backward of `head` at step `t` of a sub-minibatch whose
-/// traces' controlled `(prior, value)` pairs are `entries`; `h` is the step's
-/// LSTM output `[B, hidden]`.
-fn head_loss(
-    head: &mut Head,
-    h: &Tensor,
-    entries: &[Vec<(&Distribution, &Value)>],
-    t: usize,
-) -> (f64, Tensor) {
-    match head {
-        Head::Categorical(head) => {
-            let targets: Vec<usize> = entries.iter().map(|e| e[t].1.as_i64() as usize).collect();
-            head.loss_and_grad(h, &targets)
-        }
-        Head::Mixture(head) => {
-            let b = entries.len();
-            let mut targets = Vec::with_capacity(b);
-            let mut lows = Vec::with_capacity(b);
-            let mut highs = Vec::with_capacity(b);
-            for e in entries {
-                let (dist, value) = e[t];
-                let (lo, hi) = dist.support().expect("mixture head needs support"); // etalumis: allow(panic-freedom, reason = "mixture heads are only constructed for bounded distributions")
-                targets.push(value.as_f64());
-                lows.push(lo);
-                highs.push(hi);
-            }
-            head.loss_and_grad(h, &targets, &lows, &highs)
-        }
-        Head::Normal(head) => {
-            let targets: Vec<f64> = entries.iter().map(|e| e[t].1.as_f64()).collect();
-            head.loss_and_grad(h, &targets)
-        }
-    }
-}
-
 /// The dynamic inference-compilation network. A clone is a data-parallel
 /// replica: same registered addresses, same weights, bit for bit.
 #[derive(Clone)]
@@ -330,7 +250,8 @@ pub struct IcNetwork {
     /// Address-specific layers in registration order (stable parameter
     /// naming); slot `i` owns row `i` of the address table.
     addresses: Vec<AddressLayers>,
-    frozen: bool,
+    /// Unseen addresses are dropped, not registered ([`IcNetwork::freeze`]).
+    pub(crate) frozen: bool,
     rng: StdRng,
     /// Per-call phase timing of the last loss computation (forward, backward).
     pub last_phase_secs: (f64, f64),
@@ -440,35 +361,14 @@ impl IcNetwork {
         let cfg = &self.config;
         let embed_id = self.address_table.len();
         self.address_table.grow(&mut self.rng, embed_id + 1);
-        let sample_embed =
-            SampleEmbedding::new(&mut self.rng, value_width(prior), cfg.sample_embed_dim);
-        let head = match prior {
-            Distribution::Categorical { probs } => Head::Categorical(CategoricalHead::new(
-                &mut self.rng,
-                cfg.lstm_hidden,
-                cfg.proposal_hidden,
-                probs.len(),
-            )),
-            Distribution::Bernoulli { .. } => Head::Categorical(CategoricalHead::new(
-                &mut self.rng,
-                cfg.lstm_hidden,
-                cfg.proposal_hidden,
-                2,
-            )),
-            d if d.support().is_some() => Head::Mixture(MixtureTnHead::new(
-                &mut self.rng,
-                cfg.lstm_hidden,
-                cfg.proposal_hidden,
-                cfg.mixture_components,
-            )),
-            d => Head::Normal(NormalHead::new(
-                &mut self.rng,
-                cfg.lstm_hidden,
-                cfg.proposal_hidden,
-                d.mean(),
-                d.std().max(1e-6),
-            )),
-        };
+        let sample_embed = SampleEmbedding::for_prior(&mut self.rng, prior, cfg.sample_embed_dim);
+        let head = ProposalHead::for_prior(
+            &mut self.rng,
+            prior,
+            cfg.lstm_hidden,
+            cfg.proposal_hidden,
+            cfg.mixture_components,
+        );
         let slot = self.addresses.len();
         self.index.insert(address.to_string(), slot);
         let parsed = Some(Address::parse(address)).filter(|a| a.qualified() == address);
@@ -481,7 +381,6 @@ impl IcNetwork {
             embed_id,
             sample_embed,
             head,
-            kind: prior.kind(),
         });
         true
     }
@@ -559,12 +458,15 @@ impl IcNetwork {
         }
         let obs = Tensor::from_vec(&[b, 1, dims[0], dims[1], dims[2]], obs_data);
         let obs_embed = self.cnn.forward(&obs);
-        // Collect per-step prior/value info.
-        let per_trace_entries: Vec<Vec<(&Distribution, &Value)>> = records
-            .iter()
-            .map(|r| r.controlled().map(|e| (&e.distribution, &e.value)).collect())
-            .collect();
+        // Each step's `(prior, value)` pairs, one per trace.
         let t_steps = steps.len();
+        let mut entries: Vec<Vec<(&Distribution, &Value)>> =
+            (0..t_steps).map(|_| Vec::with_capacity(b)).collect();
+        for r in records {
+            for (step, e) in entries.iter_mut().zip(r.controlled()) {
+                step.push((&e.distribution, &e.value));
+            }
+        }
         let mut state = self.lstm.begin_sequence(b);
         // Per-step previous-sample embeddings (zeros at t = 0); the
         // per-address modules cache for backward.
@@ -573,8 +475,7 @@ impl IcNetwork {
         for t in 1..t_steps {
             let prev = &mut self.addresses[steps[t - 1]];
             let mut feats = Tensor::zeros(&[b, prev.sample_embed.in_dim()]);
-            for (bi, entries) in per_trace_entries.iter().enumerate() {
-                let (dist, value) = entries[t - 1];
+            for (bi, &(dist, value)) in entries[t - 1].iter().enumerate() {
                 value_features_into(dist, value, feats.row_mut(bi));
             }
             samp_embeds.push(prev.sample_embed.forward(&feats));
@@ -609,7 +510,7 @@ impl IcNetwork {
             .collect();
         let forward_secs = fwd_start.elapsed().as_secs_f64();
         let bwd_start = Instant::now(); // etalumis: allow(determinism, reason = "backward-pass timing span; telemetry only")
-        let (loss, dhs) = self.heads_loss(&steps, &hs, &per_trace_entries);
+        let (loss, dhs) = self.heads_loss(&steps, &hs, &entries);
         // BPTT through the LSTM core.
         let dxs = self.lstm.backward_sequence(&dhs);
         // Split input grads back into the three embedding streams, walking
@@ -638,7 +539,8 @@ impl IcNetwork {
 
     /// The proposal heads' fused loss and backward at every step of a
     /// sub-minibatch (`steps[t]` is step `t`'s address slot, `hs[t]` its
-    /// LSTM output): the summed loss and the per-step `dh`.
+    /// LSTM output, `entries[t]` its `(prior, value)` pairs): the summed
+    /// loss and the per-step `dh`.
     ///
     /// One pool task per distinct address, in order of first occurrence,
     /// runs that address's steps in ascending order, so each head
@@ -659,7 +561,7 @@ impl IcNetwork {
             });
             group_steps[g].push(t);
         }
-        let mut heads: Vec<(usize, &mut Head)> = self
+        let mut heads: Vec<(usize, &mut ProposalHead)> = self
             .addresses
             .iter_mut()
             .zip(&group_of)
@@ -675,7 +577,7 @@ impl IcNetwork {
             let mut group = groups[g].lock().unwrap_or_else(PoisonError::into_inner);
             let (head, steps, out) = &mut *group;
             for &t in steps.iter() {
-                out.push((t, head_loss(head, &hs[t], entries, t)));
+                out.push((t, head.loss_and_grad(&hs[t], &entries[t])));
             }
         });
         let mut per_step: Vec<(usize, (f64, Tensor))> = groups
@@ -729,11 +631,7 @@ impl Module for IcNetwork {
         for layers in &mut self.addresses {
             let p = format!("{prefix}/addr/{}", layers.name);
             layers.sample_embed.visit_params(&format!("{p}/sample"), f);
-            match &mut layers.head {
-                Head::Mixture(h) => h.visit_params(&format!("{p}/head"), f),
-                Head::Categorical(h) => h.visit_params(&format!("{p}/head"), f),
-                Head::Normal(h) => h.visit_params(&format!("{p}/head"), f),
-            }
+            layers.head.visit_params(&format!("{p}/head"), f);
         }
     }
 }
@@ -804,32 +702,7 @@ impl ProposalProvider for IcNetwork {
         let at = self.prefix_of(state, slot);
         self.lstm.step_rows_resumed(&state.prefixes[at], &state.input[prev..], &mut state.lstm);
         state.stats.lstm_steps += 1;
-        let h = state.lstm.output();
-        let q = match &layers.head {
-            Head::Mixture(head) => {
-                let (lo, hi) = prior.support()?;
-                head.proposal_row(h, &mut state.head, lo, hi)
-            }
-            Head::Normal(head) => head.proposal_row(h, &mut state.head),
-            Head::Categorical(head) => {
-                // Mix a sliver of prior mass in for importance-weight safety.
-                match (head.proposal_row(h, &mut state.head), prior) {
-                    (
-                        Distribution::Categorical { probs: mut qp },
-                        Distribution::Categorical { probs: pp },
-                    ) if qp.len() == pp.len() => {
-                        let total: f64 = pp.iter().sum(); // etalumis: allow(float-reduction, reason = "f64 prior-mass normalizer; sequential fixed order over one row")
-                        for (q, &p) in qp.iter_mut().zip(pp.iter()) {
-                            *q = (1.0 - CATEGORICAL_PRIOR_MIX) * *q
-                                + CATEGORICAL_PRIOR_MIX * p / total;
-                        }
-                        Distribution::Categorical { probs: qp }
-                    }
-                    (q, _) => q,
-                }
-            }
-        };
-        let _ = layers.kind;
+        let q = layers.head.propose(state.lstm.output(), &mut state.head, prior)?;
         state.stats.proposals += 1;
         Some(q)
     }
@@ -859,8 +732,9 @@ impl ProposalProvider for IcNetwork {
 mod tests {
     use super::*;
     use etalumis_core::{Executor, ObserveMap};
+    use etalumis_distributions::TensorValue;
     use etalumis_nn::Cnn3dConfig;
-    use etalumis_simulators::BranchingModel;
+    use etalumis_simulators::{BranchingModel, VoxelMeanModel};
 
     fn small_records(n: usize) -> Vec<TraceRecord> {
         let mut m = BranchingModel::standard();
@@ -972,6 +846,49 @@ mod tests {
         assert_eq!(post.len(), 50);
         assert!(post.log_weights.iter().all(|w| w.is_finite()));
         assert!(post.effective_sample_size() > 1.0);
+    }
+
+    /// A Bernoulli address gets a Bernoulli proposal: IC importance sampling
+    /// draws `Value::Bool`s there, as the prior does, and weighs each trace
+    /// by log p − log q of what it drew.
+    #[test]
+    fn a_bernoulli_prior_gets_a_bernoulli_proposal() {
+        let prior = Distribution::Bernoulli { p: 0.3 };
+        let mut model = VoxelMeanModel { prior: prior.clone(), dims: [1, 1, 1], sigma: 0.5 };
+        let recs: Vec<TraceRecord> = (0..32)
+            .map(|s| TraceRecord::from_trace(&Executor::sample_prior(&mut model, s), true))
+            .collect();
+        let mut net = IcNetwork::new(small_config());
+        net.pregenerate(recs.iter());
+        let y = Value::from(TensorValue::new(vec![1, 1, 1], vec![0.8]));
+        let mut observes = ObserveMap::new();
+        observes.insert(VoxelMeanModel::OBSERVE_NAME.into(), y.clone());
+        let post = etalumis_inference::ic_importance_sampling(
+            &model,
+            &observes,
+            VoxelMeanModel::OBSERVE_NAME,
+            &mut net,
+            64,
+            3,
+        );
+        let mut state = net.condition(&y);
+        net.begin_trace(&mut state);
+        let address = Address::parse(&recs[0].entries[0].address);
+        let q = net.propose(&mut state, &address, &prior).expect("a registered address");
+        assert!(matches!(q, Distribution::Bernoulli { .. }), "{q:?}");
+        let mut drew = [false; 2];
+        for (trace, &log_w) in post.traces.iter().zip(&post.log_weights) {
+            let e = trace.controlled().next().expect("one draw");
+            let Value::Bool(b) = e.value else {
+                panic!("IC drew {:?} at a Bernoulli address", e.value);
+            };
+            drew[b as usize] = true;
+            assert_eq!(e.log_prob.to_bits(), prior.log_prob(&e.value).to_bits());
+            assert_eq!(e.log_q.to_bits(), q.log_prob(&e.value).to_bits());
+            let log_p = e.log_prob + trace.log_likelihood;
+            assert_eq!(log_w.to_bits(), (log_p - e.log_q).to_bits());
+        }
+        assert_eq!(drew, [true, true], "both outcomes in 64 draws");
     }
 
     fn pregenerated_net() -> IcNetwork {

@@ -226,9 +226,14 @@ impl<O: Optimizer> Trainer<O> {
         }
     }
 
-    /// Evaluate mean loss on records without touching the weights.
+    /// Evaluate mean loss on records without changing the network: traces
+    /// that reach an unregistered address are dropped, as a frozen network
+    /// drops them, so evaluation registers nothing and draws nothing from
+    /// the init RNG.
     pub fn evaluate(&mut self, records: &[TraceRecord]) -> f64 {
+        let frozen = std::mem::replace(&mut self.net.frozen, true);
         let res = accumulate_minibatch(&mut self.net, records);
+        self.net.frozen = frozen;
         self.net.zero_grad();
         res.loss
     }
@@ -376,5 +381,40 @@ mod tests {
         let mut after = Vec::new();
         trainer.net.visit_params("", &mut |_, p| after.push(p.value.clone()));
         assert_eq!(before, after);
+    }
+
+    /// On an unfrozen network, evaluating held-out traces that reach
+    /// unregistered addresses registers none of them: the address count and
+    /// every parameter stay put, and the next training step is bit for bit
+    /// the step of a network that never evaluated.
+    #[test]
+    fn evaluating_unseen_addresses_leaves_an_unfrozen_network_unchanged() {
+        let (seen, unseen): (Vec<TraceRecord>, Vec<TraceRecord>) =
+            records(60).into_iter().partition(|r| r.num_controlled() == 2);
+        assert!(seen.len() >= 8 && unseen.len() >= 8, "{} / {}", seen.len(), unseen.len());
+        let trained = || {
+            let net = IcNetwork::new(IcConfig::small([1, 1, 1], 4));
+            let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(1e-3)));
+            trainer.step(&seen[..8]);
+            trainer
+        };
+        let bits = |trainer: &mut Trainer<Adam>| {
+            let mut bits = Vec::new();
+            trainer.net.visit_params("", &mut |name, p| {
+                bits.push((name.to_string(), p.value.data().iter().map(|x| x.to_bits()).collect()));
+            });
+            bits
+        };
+        let (mut evaluated, mut reference) = (trained(), trained());
+        let addresses = evaluated.net.num_addresses();
+        let (dropped, kept) = (evaluated.evaluate(&unseen), evaluated.evaluate(&seen));
+        assert_eq!(evaluated.net.num_addresses(), addresses);
+        assert!(dropped.is_nan() && kept.is_finite(), "{dropped} / {kept}");
+        let held: Vec<(String, Vec<u32>)> = bits(&mut evaluated);
+        assert!(held == bits(&mut reference), "evaluation changed a parameter");
+        let (a, b) = (evaluated.step(&unseen[..8]), reference.step(&unseen[..8]));
+        assert_eq!((a.loss.to_bits(), a.used), (b.loss.to_bits(), b.used));
+        assert!(evaluated.net.num_addresses() > addresses);
+        assert!(bits(&mut evaluated) == bits(&mut reference), "the next step differs");
     }
 }

@@ -14,16 +14,13 @@ use etalumis_core::{Address, Executor};
 use etalumis_data::TraceRecord;
 use etalumis_distributions::{Distribution, Value};
 use etalumis_inference::ProposalProvider;
-use etalumis_nn::Module;
+use etalumis_nn::{Module, CATEGORICAL_PRIOR_MIX};
 use etalumis_simulators::BranchingModel;
 use etalumis_tensor::simd::{available_backends, avx512_available, set_backend_override, Backend};
 use etalumis_train::{IcConfig, IcNetwork};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Prior mass `propose` mixes into categorical proposals.
-const CATEGORICAL_PRIOR_MIX: f64 = 0.05;
 
 fn records(n: usize, seed0: u64) -> Vec<TraceRecord> {
     let mut m = BranchingModel::standard();
